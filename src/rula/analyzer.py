@@ -1140,8 +1140,8 @@ def resolve_imports(
             )
             continue
         try:
-            module_program = parse(found.read_text(), filename=str(found))
-        except ParseError as exc:
+            module_program = parse(found.read_text(encoding="utf-8"), filename=str(found))
+        except (ParseError, UnicodeDecodeError) as exc:
             diagnostics.append(
                 Diagnostic(
                     SEVERITY_ERROR,

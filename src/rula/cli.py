@@ -78,7 +78,11 @@ def cmd_compile(args: argparse.Namespace) -> int:
         _err(f"error: invalid config: {exc}")
         return EXIT_USAGE
 
-    source = path.read_text()
+    try:
+        source = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        _err(f"{path}: error[parse]: source is not UTF-8: {exc}")
+        return EXIT_FAILURE
     try:
         program = parser.parse(source, filename=str(path))
     except parser.ParseError as exc:
@@ -130,7 +134,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             status = EXIT_FAILURE
             continue
         try:
-            ruleset = ir.deserialize(path.read_text())
+            ruleset = ir.deserialize(path.read_text(encoding="utf-8"))
         except (ir.SchemaError, json.JSONDecodeError, UnicodeDecodeError) as exc:
             _err(f"{path}: error[schema]: {exc}")
             status = EXIT_FAILURE
@@ -152,8 +156,8 @@ def _load_rulesets(directory: Path, topology: config.Topology):
     rulesets: dict[int, ir.RuleSet] = {}
     for path in sorted(directory.glob("*.json")):
         try:
-            ruleset = ir.deserialize(path.read_text())
-        except (ir.SchemaError, json.JSONDecodeError) as exc:
+            ruleset = ir.deserialize(path.read_text(encoding="utf-8"))
+        except (ir.SchemaError, json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise RuntimeError(f"{path}: {exc}") from exc
         if ruleset.owner_addr in rulesets:
             raise RuntimeError(
@@ -192,8 +196,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         _err(f"error: no such config: {config_path}")
         return EXIT_USAGE
     try:
-        topology = config.load_config(config_path.read_text())
-    except config.ConfigError as exc:
+        topology = config.load_config(config_path.read_text(encoding="utf-8"))
+    except (config.ConfigError, UnicodeDecodeError) as exc:
         _err(f"error: invalid config: {exc}")
         return EXIT_USAGE
     directory = Path(args.rulesets)
@@ -228,7 +232,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 "all_quiescent": ok,
                 "reports": [r.to_json() for r in reports],
             }
-            print(json.dumps(payload, indent=2, sort_keys=True))
+            print(ir.dumps(payload, indent=2, sort_keys=True))
         return EXIT_OK if ok else EXIT_FAILURE
 
     report = runtime.run(
@@ -240,7 +244,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     _describe(report)
     if args.report_json:
-        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
+        print(ir.dumps(report.to_json(), indent=2, sort_keys=True))
     return EXIT_OK if report.quiescent else EXIT_FAILURE
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -215,7 +216,6 @@ class _CallRecord:
 class _Slot:
     """A hand-written recv waiting to be paired with a send."""
 
-    call_idx: int
     node_addr: int
     from_addr: int
     rule_name: str
@@ -230,7 +230,6 @@ class _Handler:
     kind: str
     effect: tuple
     from_addr: int
-    bound_sends: int = 0
 
 
 class _Compiler:
@@ -991,48 +990,45 @@ class _Compiler:
 
     def _resolve_sends(self):
         slots: list[_Slot] = []
+        # Recv slots waiting for a send, keyed by (node, sender, send is Meas)
+        # in declaration order: a Meas send may bind any slot, other sends
+        # only slots that do not inspect the message. Bound slots are dropped
+        # from the front lazily, so each send binds the first free slot.
+        queues: dict[tuple[int, int, bool], deque[_Slot]] = {}
         for call in self.calls:
             for from_addr, _span in call.recv_froms:
-                slots.append(
-                    _Slot(
-                        call_idx=call.idx,
-                        node_addr=call.owner.address,
-                        from_addr=from_addr,
-                        rule_name=call.rule_name,
-                        meas_only=call.inspects_message(),
-                    )
+                slot = _Slot(
+                    node_addr=call.owner.address,
+                    from_addr=from_addr,
+                    rule_name=call.rule_name,
+                    meas_only=call.inspects_message(),
                 )
+                slots.append(slot)
+                queues.setdefault((slot.node_addr, from_addr, True), deque()).append(slot)
+                if not slot.meas_only:
+                    queues.setdefault((slot.node_addr, from_addr, False), deque()).append(slot)
 
         obligations: list[Obligation] = []
-        handler_stages: dict[tuple[int, int], dict[tuple, _Handler]] = {}
+        # call idx -> destination address -> effect -> handler
+        handler_stages: dict[int, dict[int, dict[tuple, _Handler]]] = {}
         for call in self.calls:
             from_addr = call.owner.address
             for v in call.variants:
                 for send in v.sends:
-                    slot = next(
-                        (
-                            s
-                            for s in slots
-                            if not s.bound
-                            and s.node_addr == send.to_addr
-                            and s.from_addr == from_addr
-                            and (send.kind == "Meas" or not s.meas_only)
-                        ),
-                        None,
-                    )
-                    if slot is not None:
+                    queue = queues.get((send.to_addr, from_addr, send.kind == "Meas"))
+                    while queue and queue[0].bound:
+                        queue.popleft()
+                    if queue:
+                        slot = queue.popleft()
                         slot.bound = True
                         obligations.append(
                             Obligation(send.kind, from_addr, send.to_addr, f"rule {slot.rule_name}")
                         )
                         continue
-                    stage_key = (call.idx, send.to_addr)
-                    handlers = handler_stages.setdefault(stage_key, {})
-                    handler = handlers.get(send.effect)
-                    if handler is None:
-                        handler = _Handler(send.kind, send.effect, from_addr)
-                        handlers[send.effect] = handler
-                    handler.bound_sends += 1
+                    stages = handler_stages.setdefault(call.idx, {})
+                    handlers = stages.setdefault(send.to_addr, {})
+                    if send.effect not in handlers:
+                        handlers[send.effect] = _Handler(send.kind, send.effect, from_addr)
                     obligations.append(
                         Obligation(
                             send.kind,
@@ -1068,14 +1064,24 @@ class _Compiler:
         return f"wait_{handler.kind.lower()}", condition, action
 
     def _assemble(self, handler_stages) -> dict[int, ir.RuleSet]:
+        # Each repeater's stages in call order: a call's own rules, then the
+        # wait rules its sends synthesize on that repeater. A None entry
+        # stands for the call's own rules.
+        sources: dict[int, list[tuple[_CallRecord, dict | None]]] = {}
+        for call in self.calls:
+            if call.variants:
+                sources.setdefault(call.owner.address, []).append((call, None))
+            for to_addr, handlers in handler_stages.get(call.idx, {}).items():
+                sources.setdefault(to_addr, []).append((call, handlers))
+
         per_node: dict[int, ir.RuleSet] = {}
         for repeater in self.topology.repeaters:
             stages: list[ir.Stage] = []
             rule_id = 0
             shared_tag = 0
-            for call in self.calls:
-                if call.owner.address == repeater.address and call.variants:
-                    rules = []
+            for call, handlers in sources.get(repeater.address, ()):
+                rules = []
+                if handlers is None:
                     for v in call.variants:
                         rules.append(
                             ir.Rule(
@@ -1088,10 +1094,7 @@ class _Compiler:
                         )
                         rule_id += 1
                     shared_tag += 1
-                    stages.append(ir.Stage(tuple(rules)))
-                handlers = handler_stages.get((call.idx, repeater.address))
-                if handlers:
-                    rules = []
+                else:
                     for handler in handlers.values():
                         name, condition, action = self._handler_rule(handler)
                         rules.append(
@@ -1105,7 +1108,7 @@ class _Compiler:
                         )
                         rule_id += 1
                         shared_tag += 1
-                    stages.append(ir.Stage(tuple(rules)))
+                stages.append(ir.Stage(tuple(rules)))
             per_node[repeater.address] = ir.RuleSet(
                 name=self.name,
                 id=self.ruleset_id,

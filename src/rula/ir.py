@@ -265,7 +265,59 @@ class Finding:
 
 def serialize(ruleset: RuleSet) -> str:
     """Render a RuleSet as canonical JSON text (4-space indent, LF, newline at EOF)."""
-    return json.dumps(ruleset.to_json(), indent=4, ensure_ascii=False) + "\n"
+    return dumps(ruleset.to_json()) + "\n"
+
+
+# --- canonical JSON writer ---------------------------------------------------
+
+_encode_str = json.encoder.encode_basestring
+_encode_scalar = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def dumps(value, indent: int = 4, sort_keys: bool = False) -> str:
+    """Render JSON data exactly as `json.dumps(value, indent=indent,
+    ensure_ascii=False, sort_keys=sort_keys)` does.
+
+    With an indent the standard library falls back to its pure-Python
+    encoder. This writer walks dicts, lists and tuples itself, writes the
+    fixed indentation and separators directly, and leaves every leaf to the
+    C encoder. Keys must be strings.
+    """
+    out: list[str] = []
+    _write(value, "\n", " " * indent, sort_keys, out.append)
+    return "".join(out)
+
+
+def _write(value, newline: str, step: str, sort_keys: bool, emit) -> None:
+    cls = value.__class__
+    if cls is str:
+        emit(_encode_str(value))
+    elif cls is int:
+        emit(int.__repr__(value))  # what the C encoder calls for an int
+    elif isinstance(value, dict):
+        if not value:
+            emit("{}")
+            return
+        inner = newline + step
+        sep = "{" + inner
+        for key, item in sorted(value.items()) if sort_keys else value.items():
+            emit(sep + _encode_str(key) + ": ")
+            _write(item, inner, step, sort_keys, emit)
+            sep = "," + inner
+        emit(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            emit("[]")
+            return
+        inner = newline + step
+        sep = "[" + inner
+        for item in value:
+            emit(sep)
+            _write(item, inner, step, sort_keys, emit)
+            sep = "," + inner
+        emit(newline + "]")
+    else:
+        emit(_encode_scalar(value))
 
 
 # --- deserialization ---------------------------------------------------------

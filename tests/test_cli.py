@@ -151,6 +151,31 @@ class TestCompile:
         assert code == 0
         assert len(list(out_dir.glob("*.json"))) == 3
 
+    def test_non_utf8_source_is_a_diagnostic(self, corpus, capsys, tmp_path):
+        program = tmp_path / "latin1.rula"
+        program.write_bytes(b"\xff" + (corpus / SWAP).read_bytes())
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            ["compile", program, "--config", corpus / "config3.json", "--out-dir", out_dir],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert "latin1.rula: error[parse]: source is not UTF-8" in err
+        assert not out_dir.exists()
+
+    def test_non_utf8_import_is_a_diagnostic(self, corpus, capsys, tmp_path):
+        program = tmp_path / "purification.rula"
+        program.write_text((corpus / "purification.rula").read_text())
+        (tmp_path / SWAP).write_bytes(b"\xff" + (corpus / SWAP).read_bytes())
+        code, out, err = run_cli(
+            ["compile", program, "--config", corpus / "config3.json", "--out-dir", tmp_path / "out"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert "bad-import" in err and "cannot parse entanglement_swapping.rula" in err
+
 
 class TestValidate:
     def test_compiled_output_is_clean(self, corpus, capsys, tmp_path):
@@ -264,6 +289,29 @@ class TestRun:
         )
         assert code == 1
         assert "missing RuleSet for address 2" in err
+
+    def test_non_utf8_ruleset_is_a_failure(self, corpus, capsys, tmp_path):
+        out_dir = self.compiled(corpus, capsys, tmp_path)
+        target = out_dir / "entanglement_swapping_1.json"
+        target.write_bytes(b"\xff" + target.read_bytes())
+        code, out, err = run_cli(
+            ["run", "--config", corpus / "config3.json", "--rulesets", out_dir],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert "error: " in err and "entanglement_swapping_1.json" in err
+
+    def test_non_utf8_config_is_usage_error(self, corpus, capsys, tmp_path):
+        out_dir = self.compiled(corpus, capsys, tmp_path)
+        bad_config = tmp_path / "config.json"
+        bad_config.write_bytes(b"\xff" + (corpus / "config3.json").read_bytes())
+        code, out, err = run_cli(
+            ["run", "--config", bad_config, "--rulesets", out_dir], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "error: invalid config" in err
 
 
 class TestProcessEntry:

@@ -1,6 +1,8 @@
 """Lowering tests: ruleset-body evaluation, expansion arithmetic, send
 splitting and deterministic output."""
 
+import hashlib
+
 import pytest
 
 from rula import analyzer, codegen, config, ir, parser
@@ -622,3 +624,123 @@ ruleset spread{
 """
         out = compile_source(source, chain(2))
         assert len(out.per_node[0].stages) == 3
+
+
+# --- pinned send/recv binding ------------------------------------------------
+
+
+MIXED_RECVS = """#repeaters: vec[Repeater]
+
+import std::operation::{measure}
+
+rule talk<#rep>(distance: int){
+    let partner: Repeater = #rep.hop(distance)
+    cond {
+        @q: res(1, 0.8, partner, 0)
+    } => act {
+        let result: Result = measure(q, "Z")
+        meas(q, result) -> partner
+        free(q) -> partner
+    }
+}
+
+rule listen<#rep>(distance: int){
+    let partner: Repeater = #rep.hop(distance)
+    cond {
+        @message: recv(partner)
+    } => act {
+    }
+}
+
+rule check<#rep>(distance: int){
+    let partner: Repeater = #rep.hop(distance)
+    cond {
+        @message: recv(partner)
+    } => act {
+        if(message.result == "0"){
+        }
+    }
+}
+
+ruleset mixed{
+    for i in 0..#repeaters.len()-2{
+        check<#repeaters(i + 1)>(-1)
+        listen<#repeaters(i + 1)>(-1)
+        talk<#repeaters(i)>(1)
+        listen<#repeaters(i + 1)>(-1)
+        check<#repeaters(i + 1)>(-1)
+        talk<#repeaters(i)>(1)
+        talk<#repeaters(i)>(1)
+        listen<#repeaters(i)>(1)
+    }
+}
+"""
+
+
+def doubling_source(corpus, levels):
+    """The swapping program under the schedule d = 1, 2, 4, ..., 2^(levels-1)."""
+    distances = ", ".join(str(2**k) for k in range(levels))
+    return (corpus / "entanglement_swapping.rula").read_text().replace(
+        "for d in 1..(#repeaters.len()/2)", f"for d in [{distances}]"
+    )
+
+
+def pinned_digests(out, out_dir):
+    files = hashlib.sha256()
+    for path in codegen.write_output(out, out_dir):
+        files.update(path.name.encode() + b"\0" + path.read_bytes())
+    obligations = "\n".join(
+        f"{o.kind} {o.from_addr} {o.to_addr} {o.receiver}" for o in out.obligations
+    )
+    return files.hexdigest(), hashlib.sha256(obligations.encode()).hexdigest()
+
+
+class TestBindingPinned:
+    """Output and send/recv binding recorded before lowering was indexed:
+    each send binds the first free recv slot in declaration order."""
+
+    @pytest.mark.parametrize(
+        "levels,files_sha,obligations,obligations_sha",
+        [
+            (
+                5,
+                "227adb852d622156c5fa49b5fc9b9b02f48fcfb2ef367e695b322d65f60baa6a",
+                434,
+                "0f9ad1a7add3862ca3476988693b643bd241555ddf5b1e5eecb9b24b24a29a2a",
+            ),
+            (
+                7,
+                "3144016ab10c93587144f9a6292a8a39ea56aaa6ddc7fa35e189f069510edb7b",
+                1778,
+                "be2df37ba13bec0149d431fff51291259fc13a40a07868a5dd03b6e7720db8e8",
+            ),
+        ],
+        ids=["33_nodes", "129_nodes"],
+    )
+    def test_doubling_schedule(self, corpus, tmp_path, levels, files_sha, obligations, obligations_sha):
+        out = compile_source(doubling_source(corpus, levels), chain(2**levels + 1))
+        assert out.ok
+        assert len(out.obligations) == obligations
+        assert pinned_digests(out, tmp_path) == (files_sha, obligations_sha)
+        assert out.unbound_recvs == []
+
+    def test_meas_and_plain_recv_slots(self, tmp_path):
+        out = compile_source(MIXED_RECVS, chain(9))
+        assert out.ok
+        # Meas may bind a slot that inspects the message; Free may not.
+        assert [(o.kind, o.receiver) for o in out.obligations[:6]] == [
+            ("Meas", "rule check"),
+            ("Free", "rule listen"),
+            ("Meas", "rule listen"),
+            ("Free", "synthesized wait_free"),
+            ("Meas", "rule check"),
+            ("Free", "synthesized wait_free"),
+        ]
+        assert out.unbound_recvs == [
+            f"recv from address {a + 1} in rule listen on address {a} never receives a send"
+            for a in range(8)
+        ]
+        assert pinned_digests(out, tmp_path) == (
+            "2971bf5230b45d744bf1e36c67e0afcf40dd746d5505283c2b82f814aa974e66",
+            "a8ba1807e0a8d7499e2c23245f15e49a3bb1df4f3c0be316cfd9ddc39c6e613e",
+        )

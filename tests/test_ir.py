@@ -113,8 +113,7 @@ class TestWireFormat:
 
     def test_reference_document_reserializes_structurally_equal(self, corpus):
         text = (corpus / "swapping_ruleset.json").read_text()
-        rs = ir.deserialize(text)
-        assert json.loads(ir.serialize(rs)) == json.loads(text)
+        assert ir.serialize(ir.deserialize(text)) == text
 
     def test_round_trip_byte_stable_randomized(self):
         rng = random.Random(0x5EED)
@@ -140,6 +139,78 @@ class TestWireFormat:
     def test_serialized_text_ends_with_newline(self):
         rs = ir.RuleSet("empty", 1, 0, ())
         assert ir.serialize(rs).endswith("}\n")
+
+
+def _stdlib_serialize(rs: ir.RuleSet) -> str:
+    return json.dumps(rs.to_json(), indent=4, ensure_ascii=False) + "\n"
+
+
+_AWKWARD_NAMES = ('quote " here', "back\\slash", "bell\x07", "caf\u00e9", "line\u2028sep")
+
+
+class TestCanonicalWriter:
+    """`ir.dumps` must give the bytes of `json.dumps` with the same indent."""
+
+    def test_random_rulesets_match_stdlib(self):
+        for seed in (0x5EED, 7):
+            rng = random.Random(seed)
+            for _ in range(200):
+                rs = _random_ruleset(rng)
+                assert ir.serialize(rs) == _stdlib_serialize(rs)
+
+    def test_edge_cases_match_stdlib(self):
+        res = [
+            ir.ResClause(count=1, fidelity=f, partner_addr=1, qubit_index=0)
+            for f in (0.0, 1.0, 0.1 + 0.2, 1e-07)
+        ]
+        rules = [
+            ir.Rule("bare", 0, 0, ir.Condition(), ir.Action()),
+            ir.Rule(
+                "finalized", 1, 0, ir.Condition(None, tuple(res)), ir.Action("act"),
+                qnic_interfaces=(("qnic0", "if0"),), is_finalized=True,
+            ),
+        ]
+        rules += [
+            ir.Rule(
+                name, 2 + i, 1,
+                ir.Condition(name, (ir.TimerClause(name),)),
+                ir.Action(None, (ir.SetClause("MeasResult", name),)),
+                qnic_interfaces=((name, name),),
+            )
+            for i, name in enumerate(_AWKWARD_NAMES)
+        ]
+        for rs in (
+            ir.RuleSet("empty", 0, 0, ()),
+            ir.RuleSet("\u00e9\u2028", 2**64 - 1, 3, (ir.Stage(), ir.Stage(tuple(rules)))),
+        ):
+            assert ir.serialize(rs) == _stdlib_serialize(rs)
+
+    def test_report_layout_matches_stdlib(self):
+        payload = {
+            "mode": "enumerate",
+            "branches": 2,
+            "all_quiescent": False,
+            "reports": [
+                {
+                    "status": "stuck",
+                    "rounds": 3,
+                    "outcome_path": [],
+                    "messages_delivered": 0,
+                    "fired": [{"round": 1, "address": 0, "rule": name, "id": 4}
+                              for name in _AWKWARD_NAMES],
+                    "pairs": [{"nodes": (0, 4), "states": ["promoted", "gone"],
+                               "bell_index": [0, 1], "fidelity": 0.1 + 0.2}],
+                    "stuck": ["waiting on \"recv\""],
+                },
+                {"status": "quiescent", "outcome_path": [1, 0], "pairs": [], "fired": [],
+                 "none": None, "inf": float("inf"), "tiny": 1e-07, "big": 10**30},
+            ],
+        }
+        for indent in (0, 2, 4):
+            for sort_keys in (False, True):
+                assert ir.dumps(payload, indent=indent, sort_keys=sort_keys) == json.dumps(
+                    payload, indent=indent, sort_keys=sort_keys, ensure_ascii=False
+                )
 
 
 class TestSchemaRejection:
