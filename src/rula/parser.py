@@ -1,19 +1,28 @@
-"""Recursive-descent parser for RuLa source.
+"""Recursive-descent parser for RuLa source, in one pass.
 
-Implements the language grammar as a scannerless PEG: ordered choice with
-backtracking, implicit whitespace and comment skipping between tokens, and
-atomic lexical rules for identifiers, numbers and strings.  Failures track
-the furthest position reached and the token classes expected there, which is
-what ParseError and render_error report.
+Statements, literals and types dispatch on their first token.  An
+expression parses one primary (name, ``#name``, call, dotted chain,
+literal, ``get name``, ``( ... )`` or ``[ ... ]``) and lets the next token
+decide what it becomes: ``<#repeaters(`` a rule call, an arithmetic
+operator a flat TermExpr (precedence climbing with one level), a comparison
+operator a CompExpr, ``->`` after a call a send.  Each position admits the
+forms the grammar admits there (a call argument is never a comparison,
+``(a)`` is a one-element tuple, ``get x`` ends before an operator).  Only
+where the grammar needs it does the parser back off: from a call whose
+arguments do not parse to the bare name, from ``name <`` to a comparison,
+from a parenthesised term to a tuple, and from a capitalised keyword
+(``Set``) to a name.  Failures record the furthest position reached and the
+token classes expected there, which ParseError reports.
 
-Two departures from the published grammar text, both repairing obvious
-defects in it: comparison operators are matched longest first (so "<=" is
-not shadowed by "<"), and keywords only match on a word boundary (so
-"promoted" is an identifier, not the keyword "promote" plus "d").
+Three repairs of the published grammar: comparison operators match longest
+first ("<=" is not "<" then "="); keywords match on a word boundary only
+("promoted" is no "promote"); keywords match in any case ("RULE", "Let",
+"TRUE") but only their lower-case spellings are reserved.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from . import ast
@@ -22,10 +31,39 @@ RESERVED = frozenset(
     "let import if else for in match ruleset rule cond act set get true false promote".split()
 )
 TYPE_WORDS = frozenset("int u_int float bool str vec Qubit Repeater Message Result".split())
+# Nesting limit for ( [ { brackets: a program this deep still parses,
+# analyzes and compiles within Python's default recursion limit.
+MAX_DEPTH = 100
 
+_NOT_IDENT = RESERVED | TYPE_WORDS
 _IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-_IDENT_CONT = _IDENT_START | frozenset("0123456789_")
-_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+_SIGNS = frozenset("+-")
+_LITERAL_CHARS = _IDENT_START | _SIGNS | frozenset('"0123456789')
+_OPERAND_CHARS = _LITERAL_CHARS | frozenset("#(")
+_EXPR_CHARS = _OPERAND_CHARS | frozenset("[")
+_ARITH_CHARS = frozenset("+-*/%^")
+_GAP_CHARS = frozenset(" \n\t\r/")
+_TYPES = {t.lower(): t for t in TYPE_WORDS}
+# Statement keywords; _Parser._<word> parses the statement each one starts.
+_STMT_WORDS = frozenset(("let", "if", "for", "match", "promote", "set"))
+
+# Token classes expected where a construct cannot start.
+_LIT = ("true", "false", "boolean", "string", "identifier", "number", '"0b"', '"0x"', '"0u"')
+_OPERAND = _LIT + ("get", '"#"', '"("')
+_EXPR = _OPERAND + ('"["',)
+_STMT = _EXPR + tuple(_STMT_WORDS)
+_TYPE = tuple(_TYPES.values()) + ("type",)
+
+_WORD = re.compile(r"[A-Za-z][A-Za-z0-9_]*").match
+_GAP = re.compile(r"(?:[ \t\n\r]+|//[^\n]*\n?|/\*(?:/|.*?\*/|.*))*", re.S).match
+_NUMBER = re.compile(r"(\d+)(?:\.(\d+))?(?:e([+-]?)(\d+))?").match
+_INT = re.compile(r"\d+").match
+_STRING = re.compile(r'"[^"\\]*').match
+_HEX = re.compile(r"[0-9a-fA-F]*").match
+_BINARY = re.compile(r"[01]*").match
+
+# What the last primary was (_Parser.kind), for the per-position rules above.
+_G, _VC, _FC, _WORD_KIND, _LIT_KIND, _PAREN, _TERM = range(7)
 
 
 class ParseError(Exception):
@@ -70,857 +108,796 @@ class StyleWarning:
 
 
 class _Fail(Exception):
-    """Internal backtracking signal; carries no message.
+    """Internal signal that the construct being parsed does not match."""
 
-    Raised as a fresh instance every time: re-raising one shared instance
-    would keep extending its traceback chain for the life of the process.
-    """
+
+def _starts(c: str, chars: frozenset) -> bool:
+    return c in chars or c.isdecimal()
 
 
 class _Parser:
-    def __init__(self, source: str):
-        self.src = source
-        self.n = len(source)
-        self.pos = 0
-        self.last = 0  # end of the last consumed token; spans stop here
-        self.far_pos = 0
+    def __init__(self, source: str, filename: str):
+        # A NUL past the end lets every lookahead index the source unchecked.
+        self.src, self.n, self.filename = source + "\0", len(source), filename
+        self.pos = self.far_pos = self.depth = 0  # pos: end of the last consumed token
+        self.gap = (-1, -1)  # the last gap skipped, (start, end)
         self.far_expected: set[str] = set()
         self.warnings: list[StyleWarning] = []
+        self.kind = _LIT_KIND
 
     # --- machinery -----------------------------------------------------------
 
-    def _skip(self) -> None:
-        src, n = self.src, self.n
-        pos = self.pos
-        while pos < n:
-            ch = src[pos]
-            if ch in " \n\t\r":
-                pos += 1
-            elif src.startswith("//", pos):
-                end = src.find("\n", pos)
-                pos = n if end == -1 else end + 1
-            elif src.startswith("/*", pos):
-                end = src.find("*/", pos)
-                pos = n if end == -1 else end + 2
-            else:
-                break
-        self.pos = pos
+    def _ws(self, pos: int) -> int:
+        """Start of the next token at or after pos."""
+        if self.src[pos] not in _GAP_CHARS:
+            return pos
+        if self.gap[0] != pos:  # lookahead often skips the same gap again
+            self.gap = (pos, _GAP(self.src, pos, self.n).end())
+        return self.gap[1]
 
-    def _fail(self, expected: str):
-        if self.pos > self.far_pos:
-            self.far_pos = self.pos
-            self.far_expected = {expected}
-        elif self.pos == self.far_pos:
-            self.far_expected.add(expected)
-        raise _Fail() from None
+    def _peek(self) -> tuple[int, str]:
+        p = self._ws(self.pos)
+        return p, self.src[p]
 
-    def _mark(self) -> int:
-        self._skip()
-        return self.pos
+    def _rec(self, pos: int, labels) -> None:
+        if pos > self.far_pos:
+            self.far_pos = pos
+            self.far_expected = set(labels)
+        elif pos == self.far_pos:
+            self.far_expected.update(labels)
 
-    def _span(self, start: int) -> ast.Span:
-        return ast.Span(start, max(start, self.last))
+    def _fail(self, pos: int, *labels: str):
+        self._rec(pos, labels)
+        raise _Fail
 
-    def _lit(self, text: str, label: str | None = None):
-        self._skip()
-        if self.src.startswith(text, self.pos):
-            self.pos += len(text)
-            self.last = self.pos
-        else:
-            self._fail(label or f'"{text}"')
-
-    def _try_lit(self, text: str) -> bool:
-        self._skip()
-        if self.src.startswith(text, self.pos):
-            self.pos += len(text)
-            self.last = self.pos
-            return True
-        return False
-
-    def _kw(self, word: str):
-        self._skip()
-        end = self.pos + len(word)
-        if self.src[self.pos : end].lower() == word.lower() and (
-            end >= self.n or self.src[end] not in _IDENT_CONT
-        ):
-            self.pos = end
-            self.last = end
-        else:
-            self._fail(word)
-
-    def _try_kw(self, word: str) -> bool:
-        saved = self.pos
+    def _try(self, parse, *args):
+        """parse(*args), or None, with the parser state restored, if it fails."""
+        pos, depth, kind = self.pos, self.depth, self.kind
         try:
-            self._kw(word)
-            return True
+            return parse(*args)
         except _Fail:
-            self.pos = saved
-            return False
-
-    def _choice(self, *alternatives):
-        saved = self.pos
-        for alt in alternatives:
-            try:
-                return alt()
-            except _Fail:
-                self.pos = saved
-        raise _Fail() from None
-
-    def _opt(self, fn):
-        saved = self.pos
-        try:
-            return fn()
-        except _Fail:
-            self.pos = saved
+            self.pos, self.depth, self.kind = pos, depth, kind
             return None
 
-    def _many(self, fn) -> list:
-        out = []
-        while True:
-            saved = self.pos
-            try:
-                out.append(fn())
-            except _Fail:
-                self.pos = saved
-                return out
+    def _tok(self, text: str, label: str | None = None) -> int:
+        """Consume text as the next token; return where it starts."""
+        p = self._ws(self.pos)
+        if not self.src.startswith(text, p):
+            self._fail(p, label or f'"{text}"')
+        self.pos = p + len(text)
+        return p
 
-    # --- lexical rules -------------------------------------------------------
+    def _eat(self, text: str) -> bool:
+        p = self._ws(self.pos)
+        found = self.src.startswith(text, p)
+        if found:
+            self.pos = p + len(text)
+        return found
 
-    def _ident_raw(self) -> str:
-        self._skip()
-        start = self.pos
-        if start >= self.n or self.src[start] not in _IDENT_START:
-            self._fail("identifier")
-        pos = start + 1
-        while pos < self.n and self.src[pos] in _IDENT_CONT:
-            pos += 1
-        self.pos = pos
-        self.last = pos
-        return self.src[start:pos]
+    def _open(self, bracket: str) -> None:
+        """Consume an opening bracket; nesting deeper than MAX_DEPTH is an error."""
+        p = self._tok(bracket)
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            expected = {f"at most {MAX_DEPTH} nested brackets"}
+            raise ParseError(self.src[: self.n], p, expected, self.filename)
 
-    def ident(self) -> str:
+    def _close(self, bracket: str) -> None:
+        self._tok(bracket)
+        self.depth -= 1
+
+    def _word_is(self, pos: int, keyword: str):
+        """The word at pos if it is `keyword` in any case, else None."""
+        m = _WORD(self.src, pos)
+        return m if m is not None and m.group().lower() == keyword else None
+
+    def _name_at(self, pos: int):
+        """The identifier (a word that is not reserved) at pos, or None."""
+        m = _WORD(self.src, pos)
+        return m if m is not None and m.group() not in _NOT_IDENT else None
+
+    def _try_kw(self, keyword: str) -> bool:
+        """Consume `keyword` if it is the next token."""
+        q = self._ws(self.pos)
+        m = self._word_is(q, keyword)
+        if m is None:
+            self._rec(q, (keyword,))
+            return False
+        self.pos = m.end()
+        return True
+
+    def _kw(self, keyword: str) -> int:
+        p = self._ws(self.pos)
+        m = self._word_is(p, keyword.lower())
+        if m is None:
+            self._fail(p, keyword)
+        self.pos = m.end()
+        return p
+
+    def _ident(self) -> str:
         saved = self.pos
-        word = self._ident_raw()
-        if word in RESERVED or word in TYPE_WORDS:
-            self.pos = saved
-            self._fail("identifier")
-        return word
+        p = self._ws(saved)
+        m = _WORD(self.src, p)
+        if m is None:
+            self._fail(p, "identifier")
+        if m.group() in _NOT_IDENT:
+            self._fail(saved, "identifier")
+        self.pos = m.end()
+        return m.group()
 
-    def repeater_ident(self) -> ast.RepeaterIdent:
-        start = self._mark()
-        self._lit("#")
-        if self.pos < self.n and self.src[self.pos] in _IDENT_START:
-            name = self._ident_raw()
+    def _list(self, parse) -> list:
+        """parse() once, then again after each comma."""
+        items = [parse()]
+        while self._eat(","):
+            items.append(parse())
+        return items
+
+    def _items(self, chars: frozenset, labels: tuple, parse) -> tuple:
+        """parse(start) for each comma-separated item; a trailing comma is allowed."""
+        items = []
+        while True:
+            r = self._ws(self.pos)
+            if not _starts(self.src[r], chars):
+                self._rec(r, labels)
+                return tuple(items)
+            items.append(parse(r))
+            if not self._eat(","):
+                return tuple(items)
+
+    def _keyword_items(self, keyword: str, parse) -> list:
+        """parse(start, keyword end) for each item that starts with `keyword`."""
+        items = []
+        while True:
+            q = self._ws(self.pos)
+            if not self._try_kw(keyword):
+                return items
+            items.append(parse(q, self.pos))
+
+    # --- literals, types and primaries ---------------------------------------
+
+    def _literal(self, p: int) -> ast.Expr:
+        """Boolean, string, name, number, 0b binary, 0x hex or 0u unicord."""
+        src, c = self.src, self.src[p]
+        if c in _IDENT_START:
+            word = _WORD(src, p).group()
+            self.pos = p + len(word)
+            if word.lower() in ("true", "false"):
+                return ast.BoolLit(word.lower() == "true", span=ast.Span(p, self.pos))
+            if word in _NOT_IDENT:
+                self._fail(self.pos, "number")
+            return ast.Ident(word, span=ast.Span(p, self.pos))
+        if c == '"':
+            end = _STRING(src, p, self.n).end()
+            if self.src[end] != '"':
+                self._fail(end, "closing quote")
+            self.pos = end + 1
+            return ast.StringLit(src[p + 1 : end], span=ast.Span(p, self.pos))
+        if not _starts(c, _SIGNS):
+            self._fail(p, *_LIT)
+        head = self._ws(p + 1) if c in _SIGNS else p
+        m = _NUMBER(src, head)
+        if m is None:
+            w = _WORD(src, head)
+            if w is None or w.group() in _NOT_IDENT:
+                self._fail(head if w is None else w.end(), "number")
+            self.pos = w.end()
+            return (ast.NegIdent if c == "-" else ast.Ident)(w.group(), span=ast.Span(p, self.pos))
+        end = m.end()
+        if self.src[end] in _IDENT_START:
+            if head != p or m.group() != "0" or src[end] not in "bxu":
+                self._fail(end, "number")
+            radix = src[end]  # 0b binary, 0x hex, 0u unicord
+            m = (_BINARY if radix == "b" else _HEX)(src, p + 2)
+            self.pos = m.end()
+            if radix == "u":
+                return ast.UnicordLit(m.group(), span=ast.Span(p, self.pos))
+            value = int(m.group(), 2 if radix == "b" else 16) if m.group() else 0
+            return ast.IntLit(value, span=ast.Span(p, self.pos))
+        digits, frac, exp_sign, exp = m.groups()
+        try:
+            value = int(digits) if frac is None else float(f"{digits}.{frac}")
+        except ValueError:  # an integer too long for int()
+            self._fail(p, "number")
+        if exp is not None:
+            # The exponent scales the value as first read; a float whose repr
+            # has an exponent of its own is rebuilt from its digits instead.
+            text = str(value)
+            if "e" in text or "n" in text:
+                text = f"{digits}.{frac}"
+            value = float(f"{text}e{exp_sign or '+'}{exp}")
+        self.pos = end
+        literal = ast.FloatLit if isinstance(value, float) else ast.IntLit
+        return literal(-value if c == "-" else value, span=ast.Span(p, end))
+
+    def _int_token(self, p: int) -> int:
+        m = _INT(self.src, p)
+        if m is None:
+            self._fail(p, "digit")
+        if self.src[m.end()] in _IDENT_START:
+            self._fail(m.end(), "integer")
+        self.pos = m.end()
+        return int(m.group())
+
+    def _type(self) -> ast.TypeAnnotation:
+        p = self._ws(self.pos)
+        m = _WORD(self.src, p)
+        kind = _TYPES.get(m.group().lower()) if m is not None else None
+        if kind is None:
+            self._fail(p, *_TYPE)
+        self.pos, inner = m.end(), None
+        if kind == "vec":
+            self._open("[")
+            inner = self._type()
+            self._close("]")
+        return ast.TypeAnnotation(kind, inner, span=ast.Span(p, self.pos))
+
+    def _operand(self, p: int) -> ast.Expr:
+        """get, a call, a dotted chain, a literal or `( term )`; sets self.kind."""
+        c = self.src[p]
+        if c in _IDENT_START:
+            return self._word_unit(p)
+        if c == "#":
+            node = self._chain(p, self._repeater_ident(p), required=True)
+            self.kind = _VC
+            return node
+        if c == "(":
+            node = self._paren_term(p)
+            self.kind = _PAREN
+            return node
+        if not _starts(c, _LITERAL_CHARS):
+            self._fail(p, *_OPERAND)
+        self.kind = _LIT_KIND
+        return self._literal(p)
+
+    def _word_unit(self, p: int) -> ast.Expr:
+        """A primary that starts with a word."""
+        m = _WORD(self.src, p)
+        word, end = m.group(), m.end()
+        low = word.lower()
+        if low == "get":
+            self.pos = end
+            name = self._try(self._ident)
+            if name is not None:
+                self.kind = _G
+                return ast.GetExpr(name, span=ast.Span(p, self.pos))
+        if word in _NOT_IDENT:
+            self.kind = _LIT_KIND
+            return self._literal(p)
+        head = self._name_part(p, m)
+        node = self._chain(p, head)
+        if node is not None:
+            self.kind = _VC
+            return node
+        if isinstance(head, ast.FnCall):
+            self.kind = _FC
+            return head
+        self.kind = _WORD_KIND
+        if low == "true" or low == "false":
+            return ast.BoolLit(low == "true", span=head.span)
+        return head
+
+    def _repeater_ident(self, p: int) -> ast.RepeaterIdent:
+        m = _WORD(self.src, p + 1)
+        if m is None:
+            self._fail(p + 1, "identifier")
+        self.pos = m.end()
+        return ast.RepeaterIdent("#" + m.group(), span=ast.Span(p, m.end()))
+
+    def _chain(self, start: int, first, required: bool = False) -> ast.VariableCall | None:
+        """`first . part . part ...`; None, recorded, if no part follows a dot
+        (a failure if `required`)."""
+        parts = [first]
+        q, c = self._peek()
+        if c != ".":
+            self._rec(q, ('"."',))
+        while c == ".":
+            end = self.pos
+            self.pos = q + 1
+            part = self._callable_part()
+            if part is None:
+                self.pos = end
+                break
+            parts.append(part)
+            q, c = self._peek()
+        if len(parts) == 1:
+            if required:
+                raise _Fail
+            return None
+        return ast.VariableCall(tuple(parts), span=ast.Span(start, self.pos))
+
+    def _callable_part(self):
+        """A call, #name or name; None, recorded, if there is none."""
+        p, c = self._peek()
+        if c == "#":
+            if _WORD(self.src, p + 1) is not None:
+                return self._repeater_ident(p)
+            self._rec(p + 1, ("identifier",))
+        m = self._name_at(p)
+        if m is None:
+            self._rec(p, ("identifier", '"#"'))
+            return None
+        return self._name_part(p, m)
+
+    def _name_part(self, p: int, m) -> ast.FnCall | ast.Ident:
+        """A call if arguments follow the identifier `m` at p, else the name."""
+        self.pos = m.end()
+        q, c = self._peek()
+        if c == "(":
+            call = self._try(self._call, m.group(), p)
+            if call is not None:
+                return call
         else:
-            self._fail("identifier")
-        return ast.RepeaterIdent("#" + name, span=self._span(start))
+            self._rec(q, ('"("',))
+        return ast.Ident(m.group(), span=ast.Span(p, m.end()))
 
-    def _digits(self) -> str:
-        start = self.pos
-        while self.pos < self.n and self.src[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self._fail("digit")
-        self.last = self.pos
-        return self.src[start : self.pos]
+    def _call(self, name: str, p: int) -> ast.FnCall:
+        """`( args )` after the name that starts at p."""
+        self._open("(")
+        args = self._args()
+        self._close(")")
+        return ast.FnCall(name, args, span=ast.Span(p, self.pos))
 
-    def _int_token(self, guard: bool = True) -> int:
-        self._skip()
-        text = self._digits()
-        if guard and self.pos < self.n and self.src[self.pos] in _IDENT_START:
-            self._fail("integer")
-        return int(text)
+    def _args(self) -> tuple[ast.Expr, ...]:
+        r, c = self._peek()
+        if c == ")":
+            return ()
+        if not _starts(c, _OPERAND_CHARS):
+            self._fail(r, *_OPERAND, '")"')
+        return tuple(self._list(lambda: self._comparable(self._ws(self.pos), arg=True)))
 
-    def number(self) -> ast.Expr:
-        start = self._mark()
-        sign = 1
-        if self._try_lit("-"):
-            sign = -1
-        elif self._try_lit("+"):
-            pass
-        self._skip()
-        head = self.pos
-        if head < self.n and self.src[head].isdigit():
-            digits = self._digits()
-            value: int | float
-            if self.pos < self.n and self.src[self.pos] == "." and (
-                self.pos + 1 < self.n and self.src[self.pos + 1].isdigit()
-            ):
-                self.pos += 1
-                frac = self._digits()
-                value = float(f"{digits}.{frac}")
-                is_float = True
-            else:
-                value = int(digits)
-                is_float = False
-            # Exponent suffix promotes the literal to a float.
-            if self.pos < self.n and self.src[self.pos] == "e":
-                save = self.pos
-                self.pos += 1
-                if self.pos < self.n and self.src[self.pos] in "+-":
-                    self.pos += 1
-                if self.pos < self.n and self.src[self.pos].isdigit():
-                    exp_digits = self._digits()
-                    exp_sign = self.src[save + 1] if self.src[save + 1] in "+-" else "+"
-                    value = float(f"{value}e{exp_sign}{exp_digits}")
-                    is_float = True
-                else:
-                    self.pos = save
-            if self.pos < self.n and self.src[self.pos] in _IDENT_START:
-                self._fail("number")
-            if is_float:
-                return ast.FloatLit(sign * float(value), span=self._span(start))
-            return ast.IntLit(sign * int(value), span=self._span(start))
-        if head < self.n and self.src[head] in _IDENT_START:
-            name = self._ident_raw()
-            if name in RESERVED or name in TYPE_WORDS:
-                self._fail("number")
-            span = self._span(start)
-            if sign < 0:
-                return ast.NegIdent(name, span=span)
-            return ast.Ident(name, span=span)
-        self._fail("number")
-        raise AssertionError
-
-    def binary(self) -> ast.IntLit:
-        start = self._mark()
-        self._lit("0b")
-        digits_start = self.pos
-        while self.pos < self.n and self.src[self.pos] in "01":
-            self.pos += 1
-        self.last = self.pos
-        text = self.src[digits_start : self.pos]
-        return ast.IntLit(int(text, 2) if text else 0, span=self._span(start))
-
-    def hex_lit(self) -> ast.IntLit:
-        start = self._mark()
-        self._lit("0x")
-        digits_start = self.pos
-        while self.pos < self.n and self.src[self.pos] in _HEX_DIGITS:
-            self.pos += 1
-        self.last = self.pos
-        text = self.src[digits_start : self.pos]
-        return ast.IntLit(int(text, 16) if text else 0, span=self._span(start))
-
-    def unicord(self) -> ast.UnicordLit:
-        start = self._mark()
-        self._lit("0u")
-        digits_start = self.pos
-        while self.pos < self.n and self.src[self.pos] in _HEX_DIGITS:
-            self.pos += 1
-        self.last = self.pos
-        return ast.UnicordLit(self.src[digits_start : self.pos], span=self._span(start))
-
-    def string(self) -> ast.StringLit:
-        start = self._mark()
-        self._lit('"', "string")
-        chars_start = self.pos
-        while self.pos < self.n and self.src[self.pos] not in '\\"':
-            self.pos += 1
-        value = self.src[chars_start : self.pos]
-        self._lit('"', "closing quote")
-        return ast.StringLit(value, span=self._span(start))
-
-    def bool_lit(self) -> ast.BoolLit:
-        start = self._mark()
-        if self._try_kw("true"):
-            return ast.BoolLit(True, span=self._span(start))
-        if self._try_kw("false"):
-            return ast.BoolLit(False, span=self._span(start))
-        self._fail("boolean")
-        raise AssertionError
-
-    def literal_expr(self) -> ast.Expr:
-        start = self._mark()
-
-        def plain_ident():
-            return ast.Ident(self.ident(), span=self._span(start))
-
-        return self._choice(
-            self.bool_lit,
-            self.string,
-            plain_ident,
-            self.number,
-            self.binary,
-            self.hex_lit,
-            self.unicord,
-        )
-
-    # --- types ---------------------------------------------------------------
-
-    def typedef_lit(self) -> ast.TypeAnnotation:
-        start = self._mark()
-        if self._try_kw("vec"):
-            self._lit("[")
-            inner = self.typedef_lit()
-            self._lit("]")
-            return ast.TypeAnnotation("vec", inner, span=self._span(start))
-        for kind in ("u_int", "int", "float", "bool", "str", "Qubit", "Repeater", "Message", "Result"):
-            if self._try_kw(kind):
-                return ast.TypeAnnotation(kind, span=self._span(start))
-        self._fail("type")
-        raise AssertionError
+    def _paren_term(self, p: int) -> ast.TermExpr:
+        """`( term )`: two or more operands and their operators in parentheses."""
+        self.pos = p
+        self._open("(")
+        r = self._ws(self.pos)
+        inner = self._term(r, self._operand(r))
+        if self.kind != _TERM:
+            raise _Fail
+        self._close(")")
+        return inner
 
     # --- expressions ---------------------------------------------------------
 
-    def expr(self) -> ast.Expr:
-        return self._choice(
-            self.rule_call_expr,
-            self.get_expr,
-            self.comp_expr,
-            self.term_expr,
-            self.vector,
-            self.tuple_expr,
-            self.fn_call_expr,
-            self.variable_call_expr,
-            self.literal_expr,
-        )
-
-    def rule_call_expr(self) -> ast.RuleCall:
-        start = self._mark()
-        name = self.ident()
-        self._lit("<")
-        repeater = self.repeater_call()
-        self._lit(">")
-        self._lit("(")
-        args = self._call_args()
-        self._lit(")")
-        return ast.RuleCall(name, repeater, tuple(args), span=self._span(start))
-
-    def repeater_call(self) -> ast.RepeaterCall:
-        start = self._mark()
-        self._lit("#repeaters", "#repeaters")
-        self._lit("(")
-
-        def index_ident() -> ast.Ident:
-            istart = self._mark()
-            return ast.Ident(self.ident(), span=self._span(istart))
-
-        def index_int() -> ast.IntLit:
-            istart = self._mark()
-            return ast.IntLit(self._int_token(), span=self._span(istart))
-
-        index = self._choice(self.term_expr, index_ident, index_int)
-        self._lit(")")
-        return ast.RepeaterCall(index, span=self._span(start))
-
-    def get_expr(self) -> ast.GetExpr:
-        start = self._mark()
-        self._kw("get")
-        return ast.GetExpr(self.ident(), span=self._span(start))
-
-    def comp_expr(self) -> ast.CompExpr:
-        start = self._mark()
-        lhs = self.comparable()
-        op = self.comp_op()
-        rhs = self.comparable()
-        return ast.CompExpr(lhs, op, rhs, span=self._span(start))
-
-    def comparable(self) -> ast.Expr:
-        return self._choice(
-            self.get_expr,
-            self.term_expr,
-            self.variable_call_expr,
-            self.fn_call_expr,
-            self.literal_expr,
-        )
-
-    def comp_op(self) -> str:
-        self._skip()
-        for op in ("<=", ">=", "==", "!=", "<", ">"):
-            if self.src.startswith(op, self.pos):
-                self.pos += len(op)
-                return op
-        self._fail("comparison operator")
-        raise AssertionError
-
-    def term_expr(self) -> ast.TermExpr:
-        start = self._mark()
-        operands = [self.inner_term()]
-        ops = []
-        while True:
-            saved = self.pos
-            try:
-                ops.append(self.arith_op())
-                operands.append(self.inner_term())
-            except _Fail:
-                self.pos = saved
-                break
+    def _term(self, start: int, first: ast.Expr) -> ast.Expr:
+        """`first` extended into a TermExpr while arithmetic operators follow;
+        self.kind becomes _TERM if it was."""
+        src, operands, ops = self.src, [first], []
+        q = self._ws(self.pos)
+        while src[q] in _ARITH_CHARS:
+            ops.append(src[q])
+            operand = self._try(self._operand, self._ws(q + 1))
+            if operand is None:
+                break  # the grammar keeps the operator and ends the chain before it
+            operands.append(operand)
+            q = self._ws(self.pos)
+        else:
+            self._rec(q, ("arithmetic operator",))
         if not ops:
-            self._fail("arithmetic operator")
-        return ast.TermExpr(tuple(operands), tuple(ops), span=self._span(start))
+            return first
+        self.kind = _TERM
+        return ast.TermExpr(tuple(operands), tuple(ops), span=ast.Span(start, self.pos))
 
-    def inner_term(self) -> ast.Expr:
-        def parenthesized():
-            self._lit("(")
-            inner = self.term_expr()
-            self._lit(")")
-            return inner
+    def _comparison(self, start: int, lhs: ast.Expr) -> ast.CompExpr | None:
+        """`lhs op comparable` if a comparison follows, else None."""
+        q = self._ws(self.pos)
+        op = self.src[q : q + 2]
+        if op not in ("<=", ">=", "==", "!="):
+            op = self.src[q]
+            if op != "<" and op != ">":
+                self._rec(q, ("comparison operator",))
+                return None
+        rhs = self._try(self._comparable, self._ws(q + len(op)))
+        if rhs is None:
+            return None
+        return ast.CompExpr(lhs, op, rhs, span=ast.Span(start, self.pos))
 
-        return self._choice(self.terms, parenthesized)
+    def _comparable(self, p: int, arg: bool = False) -> ast.Expr:
+        """get, a term, a chain, a call or a literal; as a call argument (`arg`)
+        a term, a call, a chain or a literal.  Sets self.kind."""
+        node = self._operand(p)
+        if self.kind == _G and not arg:
+            return node
+        node = self._term(p, node)
+        if self.kind == _PAREN:
+            raise _Fail
+        if not arg:
+            return node
+        return self._literal(p) if self.kind == _G else self._cut_chain(node)
 
-    def terms(self) -> ast.Expr:
-        return self._choice(
-            self.get_expr, self.variable_call_expr, self.fn_call_expr, self.literal_expr
-        )
+    def _cut_chain(self, node: ast.Expr) -> ast.Expr:
+        """A chain that starts with a call, cut back to the call."""
+        if self.kind == _VC and isinstance(node.parts[0], ast.FnCall):
+            self.pos = node.parts[0].span.end
+            return node.parts[0]
+        return node
 
-    def arith_op(self) -> str:
-        self._skip()
-        if self.pos < self.n and self.src[self.pos] in "+-*/%^":
-            op = self.src[self.pos]
-            self.pos += 1
-            return op
-        self._fail("arithmetic operator")
-        raise AssertionError
+    def _expr(self, p: int, promote: bool = False, send: bool = False) -> ast.Expr:
+        """An expression; with `promote` a promote value (no call, no rule call),
+        with `send` ending after a call that `->` follows."""
+        c = self.src[p]
+        if c == "[":
+            self.pos = p + 1
+            items = self._items(_LITERAL_CHARS, _LIT, self._literal)
+            self._tok("]")
+            return ast.VectorLit(items, span=ast.Span(p, self.pos))
+        if c == "(":
+            return self._paren_expr(p)
+        if not _starts(c, _OPERAND_CHARS):
+            self._fail(p, *_EXPR)
+        node = self._operand(p)
+        kind = self.kind
+        if send and kind == _FC and self.src.startswith("->", self._ws(self.pos)):
+            return node
+        if kind == _G:
+            if not promote:
+                return node
+            comp = self._comparison(p, node)
+            if comp is not None:
+                return comp
+            node = self._term(p, node)
+            return node if self.kind == _TERM else self._literal(p)
+        if kind == _WORD_KIND and not promote:
+            q = self._ws(self.pos)
+            if self.src[q] != "<":
+                self._rec(q, ('"<"',))
+            else:
+                call = self._try(self._rule_call, self.src[p : node.span.end], p)
+                if call is not None:
+                    return call
+        node = self._term(p, node)
+        comp = self._comparison(p, node)
+        if comp is not None:
+            return comp
+        if promote:
+            return self._literal(p) if self.kind == _FC else node
+        return self._cut_chain(node)
 
-    def vector(self) -> ast.VectorLit:
-        start = self._mark()
-        self._lit("[")
-        items: list[ast.Expr] = []
-        first = self._opt(self.literal_expr)
-        if first is not None:
-            items.append(first)
-            while True:
-                saved = self.pos
-                if not self._try_lit(","):
-                    break
-                item = self._opt(self.literal_expr)
-                if item is None:
-                    self.pos = saved
-                    break
-                items.append(item)
-            self._try_lit(",")
-        self._lit("]")
-        return ast.VectorLit(tuple(items), span=self._span(start))
+    def _paren_expr(self, p: int) -> ast.Expr:
+        """A parenthesised term that an operator continues, or a tuple."""
+        inner = self._try(self._paren_term, p)
+        if inner is None:
+            self.pos = p
+            self._open("(")
+            items = self._items(_EXPR_CHARS, _EXPR, self._expr)
+            self._close(")")
+            return ast.TupleLit(items, span=ast.Span(p, self.pos))
+        end = self.pos
+        self.kind = _PAREN
+        node = self._term(p, inner)
+        if self.kind == _TERM:
+            comp = self._comparison(p, node)
+            return node if comp is None else comp
+        if isinstance(inner.operands[0], ast.GetExpr):
+            raise _Fail  # as a tuple item, `get x` ends before the operator
+        return ast.TupleLit((inner,), span=ast.Span(p, end))
 
-    def tuple_expr(self) -> ast.TupleLit:
-        start = self._mark()
-        self._lit("(")
-        items: list[ast.Expr] = []
-        first = self._opt(self.expr)
-        if first is not None:
-            items.append(first)
-            while True:
-                saved = self.pos
-                if not self._try_lit(","):
-                    break
-                item = self._opt(self.expr)
-                if item is None:
-                    self.pos = saved
-                    break
-                items.append(item)
-            self._try_lit(",")
-        self._lit(")")
-        return ast.TupleLit(tuple(items), span=self._span(start))
+    def _rule_call(self, name: str, p: int) -> ast.RuleCall:
+        """`< #repeaters(index) > ( args )` after the name that starts at p."""
+        self._tok("<")
+        r = self._tok("#repeaters", "#repeaters")
+        self._open("(")
+        index = self._repeater_index(self._ws(self.pos))
+        self._close(")")
+        repeater = ast.RepeaterCall(index, span=ast.Span(r, self.pos))
+        self._tok(">")
+        self._open("(")
+        args = self._args()
+        self._close(")")
+        return ast.RuleCall(name, repeater, args, span=ast.Span(p, self.pos))
 
-    def fn_call_expr(self) -> ast.FnCall:
-        start = self._mark()
-        name = self.ident()
-        self._lit("(")
-        args = self._call_args()
-        self._lit(")")
-        return ast.FnCall(name, tuple(args), span=self._span(start))
+    def _repeater_index(self, t: int) -> ast.Expr:
+        """A term, a name or an integer."""
+        c = self.src[t]
+        if not _starts(c, _OPERAND_CHARS):
+            self._fail(t, *_OPERAND, "digit")
+        try:
+            node = self._term(t, self._operand(t))
+        except _Fail:
+            if c.isdecimal():
+                self._int_token(t)
+            raise
+        if self.kind == _TERM:
+            return node
+        self.pos = t
+        name = self._try(self._ident)
+        if name is not None:
+            return ast.Ident(name, span=ast.Span(t, self.pos))
+        return ast.IntLit(self._int_token(t), span=ast.Span(t, self.pos))
 
-    def _call_args(self) -> list[ast.Expr]:
-        args: list[ast.Expr] = []
-        first = self._opt(self.fn_call_arg)
-        if first is not None:
-            args.append(first)
-            while self._try_lit(","):
-                args.append(self.fn_call_arg())
-        return args
-
-    def fn_call_arg(self) -> ast.Expr:
-        return self._choice(
-            self.term_expr, self.fn_call_expr, self.variable_call_expr, self.literal_expr
-        )
-
-    def variable_call_expr(self) -> ast.VariableCall:
-        start = self._mark()
-        parts = [self.callable_part()]
-        self._lit(".")
-        parts.append(self.callable_part())
-        while True:
-            saved = self.pos
-            if not self._try_lit("."):
-                break
-            try:
-                parts.append(self.callable_part())
-            except _Fail:
-                self.pos = saved
-                break
-        return ast.VariableCall(tuple(parts), span=self._span(start))
-
-    def callable_part(self) -> ast.FnCall | ast.RepeaterIdent | ast.Ident:
-        start = self._mark()
-
-        def plain_ident():
-            return ast.Ident(self.ident(), span=self._span(start))
-
-        return self._choice(self.fn_call_expr, self.repeater_ident, plain_ident)
+    def _condition(self, p: int) -> ast.Expr:
+        """An if condition: a comparison, get, or a literal."""
+        lhs = self._comparable(p)
+        comp = self._comparison(p, lhs)
+        if comp is not None:
+            return comp
+        return lhs if self.kind in (_G, _WORD_KIND, _LIT_KIND) else self._literal(p)
 
     # --- statements ----------------------------------------------------------
 
-    def stmt(self) -> ast.Stmt:
-        return self._choice(
-            self.let_stmt,
-            self.if_stmt,
-            self.for_stmt,
-            self.match_stmt,
-            self.promote_stmt,
-            self.set_stmt,
-            self.send_stmt,
-            self.expr_stmt,
-        )
+    def _stmts(self) -> tuple[ast.Stmt, ...]:
+        """Statements up to the first token that cannot start one."""
+        out = []
+        while True:
+            p, c = self._peek()
+            if not _starts(c, _EXPR_CHARS):
+                self._rec(p, _STMT)
+                return tuple(out)
+            out.append(self._stmt(p))
 
-    def expr_stmt(self) -> ast.ExprStmt:
-        start = self._mark()
-        value = self.expr()
-        return ast.ExprStmt(value, span=self._span(start))
+    def _stmt(self, p: int) -> ast.Stmt:
+        """A statement; a capitalised keyword that starts none is read as a name."""
+        if not _starts(self.src[p], _EXPR_CHARS):
+            self._fail(p, *_STMT)
+        m = _WORD(self.src, p)
+        if m is not None and m.group().lower() in _STMT_WORDS:
+            stmt = self._try(getattr(self, "_" + m.group().lower()), p, m.end())
+            if stmt is not None:
+                return stmt
+            if m.group() in RESERVED:  # it fails as a literal too, at its end
+                self._fail(m.end(), "number")
+        value = self._expr(p, send=True)
+        if isinstance(value, ast.FnCall):
+            r = self._ws(self.pos)
+            if self.src.startswith("->", r):
+                self.pos = r + 2
+                destination = self._expr(self._ws(self.pos))
+                return ast.SendStmt(value, destination, span=ast.Span(p, self.pos))
+            self._rec(r, ('"->"',))
+        return ast.ExprStmt(value, span=ast.Span(p, self.pos))
 
-    def ident_typed(self) -> ast.TypedName:
-        start = self._mark()
-        name = self.ident()
-        self._lit(":")
-        annotation = self.typedef_lit()
-        return ast.TypedName(name, annotation, span=self._span(start))
+    def _one_or_group(self, end: int, parse) -> list:
+        """parse() once, or a parenthesised comma list of it, after the keyword
+        that ends at `end`."""
+        q = self._ws(end)
+        self.pos = end
+        if self.src[q] != "(":
+            item = self._try(parse)
+            if item is None:
+                self._fail(q, '"("')
+            return [item]
+        self._rec(q, ("identifier",))
+        self.pos = q + 1
+        items = self._list(parse)
+        self._tok(")")
+        return items
 
-    def let_stmt(self) -> ast.LetStmt:
-        start = self._mark()
-        self._kw("let")
+    def _typed_name(self, optional: bool = False) -> ast.TypedName:
+        """`name : type`; with `optional` the type may be left out."""
+        start = self.pos = self._ws(self.pos)
+        name = self._ident()
+        if optional and not self._eat(":"):
+            self._rec(self._ws(self.pos), ('":"',))
+            return ast.TypedName(name, None, span=ast.Span(start, self.pos))
+        if not optional:
+            self._tok(":")
+        return ast.TypedName(name, self._type(), span=ast.Span(start, self.pos))
 
-        def single():
-            return [self.ident_typed()]
-
-        def group():
-            self._lit("(")
-            names = [self.ident_typed()]
-            while self._try_lit(","):
-                names.append(self.ident_typed())
-            self._lit(")")
-            return names
-
-        targets = self._choice(single, group)
-        self._lit("=")
-        value = self.expr()
-        return ast.LetStmt(tuple(targets), value, span=self._span(start))
-
-    def if_block(self) -> ast.Expr:
-        # comp_expr first: a comparison whose lhs is a get/literal would
-        # otherwise be truncated by the shorter alternative committing early
-        return self._choice(self.comp_expr, self.get_expr, self.literal_expr)
+    def _let(self, p: int, end: int) -> ast.LetStmt:
+        targets = self._one_or_group(end, self._typed_name)
+        self._tok("=")
+        value = self._expr(self._ws(self.pos))
+        return ast.LetStmt(tuple(targets), value, span=ast.Span(p, self.pos))
 
     def _block(self) -> tuple[ast.Stmt, ...]:
-        self._lit("{")
-        body = self._many(self.stmt)
-        self._lit("}")
-        return tuple(body)
+        self._open("{")
+        body = self._stmts()
+        self._close("}")
+        return body
 
-    def if_stmt(self) -> ast.IfStmt:
-        start = self._mark()
-        self._kw("if")
-        self._lit("(")
-        cond = self.if_block()
-        self._lit(")")
-        then = self._block()
-        branches = [(cond, then)]
-        orelse: tuple[ast.Stmt, ...] | None = None
-        while True:
-            saved = self.pos
+    def _if(self, p: int, end: int) -> ast.IfStmt:
+        self.pos = end
+        branches, orelse = [], None
+        while orelse is None:
+            self._tok("(")
+            cond = self._condition(self._ws(self.pos))
+            self._tok(")")
+            branches.append((cond, self._block()))
+            done = self.pos
             if not self._try_kw("else"):
                 break
+            else_end = self.pos
             if self._try_kw("if"):
-                self._lit("(")
-                elif_cond = self.if_block()
-                self._lit(")")
-                branches.append((elif_cond, self._block()))
-            else:
-                try:
-                    orelse = self._block()
-                except _Fail:
-                    self.pos = saved
-                break
-        return ast.IfStmt(tuple(branches), orelse, span=self._span(start))
+                continue
+            r = self._ws(self.pos)
+            if self.src[r] != "{":
+                # The statement ends before the else; its span keeps the word.
+                self._rec(r, ('"{"',))
+                self.pos = done
+                return ast.IfStmt(tuple(branches), None, span=ast.Span(p, else_end))
+            orelse = self._block()
+        return ast.IfStmt(tuple(branches), orelse, span=ast.Span(p, self.pos))
 
-    def for_stmt(self) -> ast.ForStmt:
-        start = self._mark()
-        self._kw("for")
-
-        def single():
-            return [self.ident()]
-
-        def multi():
-            self._lit("(")
-            names = [self.ident()]
-            while self._try_lit(","):
-                names.append(self.ident())
-            self._lit(")")
-            return names
-
-        names = self._choice(single, multi)
+    def _for(self, p: int, end: int) -> ast.ForStmt:
+        names = self._one_or_group(end, self._ident)
         self._kw("in")
-        generator = self.for_generator()
+        r = self._ws(self.pos)
+        generator = self._try(self._series, r) or self._expr(r)
         body = self._block()
-        return ast.ForStmt(tuple(names), generator, body, span=self._span(start))
+        return ast.ForStmt(tuple(names), generator, body, span=ast.Span(p, self.pos))
 
-    def for_generator(self) -> ast.Series | ast.Expr:
-        return self._choice(self.series, self.expr)
+    def _series(self, r: int) -> ast.Series:
+        start = self._int_token(r)
+        self._tok("..")
+        return ast.Series(start, self._expr(self._ws(self.pos)), span=ast.Span(r, self.pos))
 
-    def series(self) -> ast.Series:
-        start = self._mark()
-        value = self._int_token()
-        self._lit("..")
-        stop = self.expr()
-        return ast.Series(value, stop, span=self._span(start))
+    def _match(self, p: int, end: int) -> ast.MatchStmt:
+        self.pos = end
+        subject = self._expr(self._ws(end))
+        self._open("{")
+        arms, otherwise = [], None
+        while otherwise is None:
+            a, c = self._peek()
+            if not _starts(c, _LITERAL_CHARS):
+                self._rec(a, _LIT + ("otherwise",))
+                break
+            pattern = self._literal(a)
+            self._tok("=>")
+            body = self._action()
+            if self._eat(","):
+                arms.append(ast.MatchArm(pattern, body, span=ast.Span(a, self.pos)))
+                continue
+            # Without its comma this is no arm; it can only be the otherwise clause.
+            self._rec(self._ws(self.pos), ('","',))
+            if self._word_is(a, "otherwise") is None:
+                raise _Fail
+            otherwise = body
+        self._close("}")
+        return ast.MatchStmt(subject, tuple(arms), otherwise, span=ast.Span(p, self.pos))
 
-    def match_stmt(self) -> ast.MatchStmt:
-        start = self._mark()
-        self._kw("match")
-        subject = self.expr()
-        self._lit("{")
-
-        def arm():
-            arm_start = self._mark()
-            pattern = self.literal_expr()
-            self._lit("=>")
-            body = self.match_action()
-            self._lit(",")
-            return ast.MatchArm(pattern, body, span=self._span(arm_start))
-
-        arms = self._many(arm)
-        otherwise: tuple[ast.Stmt, ...] | None = None
-        if self._try_kw("otherwise"):
-            self._lit("=>")
-            otherwise = self.match_action()
-        self._lit("}")
-        return ast.MatchStmt(subject, tuple(arms), otherwise, span=self._span(start))
-
-    def match_action(self) -> tuple[ast.Stmt, ...]:
-        self._lit("{")
-        stmts: list[ast.Stmt] = []
-        first = self._opt(self.stmt)
-        if first is not None:
-            stmts.append(first)
-        while self._try_lit(","):
-            stmts.append(self.stmt())
-        self._lit("}")
+    def _action(self) -> tuple[ast.Stmt, ...]:
+        """`{ stmt, stmt, ... }` of a match arm; the first statement may be left out."""
+        self._open("{")
+        stmts = []
+        r, c = self._peek()
+        if _starts(c, _EXPR_CHARS):
+            stmts.append(self._stmt(r))
+        else:
+            self._rec(r, _STMT)
+        while self._eat(","):
+            stmts.append(self._stmt(self._ws(self.pos)))
+        self._close("}")
         return tuple(stmts)
 
-    def promote_stmt(self) -> ast.PromoteStmt:
-        start = self._mark()
-        self._kw("promote")
-        values = [self.promotable()]
-        while self._try_lit(","):
-            values.append(self.promotable())
-        return ast.PromoteStmt(tuple(values), span=self._span(start))
+    def _promote(self, p: int, end: int) -> ast.PromoteStmt:
+        self.pos = end
+        values = self._list(lambda: self._expr(self._ws(self.pos), promote=True))
+        return ast.PromoteStmt(tuple(values), span=ast.Span(p, self.pos))
 
-    def promotable(self) -> ast.Expr:
-        return self._choice(
-            self.comp_expr,
-            self.term_expr,
-            self.vector,
-            self.tuple_expr,
-            self.variable_call_expr,
-            self.literal_expr,
-        )
-
-    def set_stmt(self) -> ast.SetStmt:
-        start = self._mark()
-        self._kw("set")
-        name = self.ident()
-        alias = None
-        if self._try_kw("as"):
-            alias = self.ident()
-        return ast.SetStmt(name, alias, span=self._span(start))
-
-    def send_stmt(self) -> ast.SendStmt:
-        start = self._mark()
-        call = self.fn_call_expr()
-        self._lit("->", '"->"')
-        destination = self.expr()
-        return ast.SendStmt(call, destination, span=self._span(start))
+    def _set(self, p: int, end: int) -> ast.SetStmt:
+        self.pos = end
+        name = self._ident()
+        alias = self._ident() if self._try_kw("as") else None
+        return ast.SetStmt(name, alias, span=ast.Span(p, self.pos))
 
     # --- rules and program ---------------------------------------------------
 
-    def cond_expr(self) -> ast.CondExpr:
-        start = self._mark()
-        self._kw("cond")
-        self._lit("{")
-        clauses = self._many(self.cond_clause)
-        self._lit("}")
-        return ast.CondExpr(tuple(clauses), span=self._span(start))
-
-    def cond_clause(self) -> ast.CondClause:
-        start = self._mark()
-
-        def res_assign():
-            self._lit("@")
-            name = self.ident()
-            self._lit(":")
-            call = self.fn_call_expr()
-            return ast.CondClause(name, call, span=self._span(start))
-
-        def bare_fn():
-            return ast.CondClause(None, self.fn_call_expr(), span=self._span(start))
-
-        def bare_var():
-            return ast.CondClause(None, self.variable_call_expr(), span=self._span(start))
-
-        return self._choice(res_assign, bare_fn, bare_var)
-
-    def act_expr(self) -> ast.ActExpr:
-        start = self._mark()
-        self._kw("act")
-        self._lit("{")
-        stmts = self._many(self.stmt)
-        self._lit("}")
-        return ast.ActExpr(tuple(stmts), span=self._span(start))
-
-    def ret_type_annotation(self) -> tuple[ast.ReturnType, ...]:
-        def one() -> ast.ReturnType:
-            start = self._mark()
-            annotation = self.typedef_lit()
-            maybe = self._try_lit("?")
-            return ast.ReturnType(annotation, maybe, span=self._span(start))
-
-        def group() -> tuple[ast.ReturnType, ...]:
-            self._lit("(")
-            types = [one()]
-            while self._try_lit(","):
-                types.append(one())
-            self._lit(")")
-            return tuple(types)
-
-        def single() -> tuple[ast.ReturnType, ...]:
-            return (one(),)
-
-        return self._choice(single, group)
-
-    def rule_stmt(self) -> ast.RuleStmt:
-        start = self._mark()
-        self._kw("rule")
-        name = self.ident()
-        self._lit("<")
-        repeater = self.repeater_ident()
-        self._lit(">")
-        params = self.argument_def()
-        return_types: tuple[ast.ReturnType, ...] = ()
-        arrow_start = self._mark()
-        if self._try_lit(":->"):
-            return_types = self.ret_type_annotation()
-        elif self._try_lit("->"):
-            self.warnings.append(
-                StyleWarning(
-                    'return annotation written with "->"; the canonical arrow is ":->"',
-                    self._span(arrow_start),
-                )
-            )
-            return_types = self.ret_type_annotation()
-        self._lit("{")
-        lets = self._many(self.let_stmt)
-        cond = self.cond_expr()
-        self._lit("=>")
-        act = self.act_expr()
-        trailing = self._many(self.stmt)
-        self._lit("}")
-        return ast.RuleStmt(
-            name,
-            repeater.name,
-            tuple(params),
-            return_types,
-            tuple(lets),
-            cond,
-            act,
-            tuple(trailing),
-            span=self._span(start),
-        )
-
-    def argument_def(self) -> list[ast.TypedName]:
-        self._lit("(")
-        params: list[ast.TypedName] = []
-
-        def param() -> ast.TypedName:
-            start = self._mark()
-            try:
-                return self.ident_typed()
-            except _Fail:
-                self.pos = start
-            return ast.TypedName(self.ident(), None, span=self._span(start))
-
-        first = self._opt(param)
-        if first is not None:
-            params.append(first)
-            while self._try_lit(","):
-                params.append(param())
-        self._lit(")")
-        return params
-
-    def import_stmt(self) -> ast.ImportStmt:
-        start = self._mark()
-        self._kw("import")
-        is_rule = False
-        saved = self.pos
-        if self._try_lit("("):
-            if self._try_kw("rule") and self._try_lit(")"):
-                is_rule = True
-            else:
-                self.pos = saved
-        path = [self.ident()]
-        names: list[str] = []
+    def _cond(self) -> ast.CondExpr:
+        start = self._kw("cond")
+        self._tok("{")
+        clauses = []
         while True:
-            saved = self.pos
-            if not self._try_lit("::"):
-                break
-            if self._try_lit("{"):
-                names.append(self.ident())
-                while self._try_lit(","):
-                    names.append(self.ident())
-                self._lit("}")
-                break
-            try:
-                path.append(self.ident())
-            except _Fail:
-                self.pos = saved
-                break
-        return ast.ImportStmt(tuple(path), tuple(names), is_rule, span=self._span(start))
+            a, c = self._peek()
+            if c == "@":
+                self.pos = a + 1
+                name = self._ident()
+                self._tok(":")
+                r = self.pos = self._ws(self.pos)
+                call = self._call(self._ident(), r)
+            else:
+                name, call = None, self._callable_part()
+                if call is None:
+                    self._rec(a, ('"@"',))
+                    break
+                if not isinstance(call, ast.FnCall):
+                    call = self._chain(a, call, required=True)
+            clauses.append(ast.CondClause(name, call, span=ast.Span(a, self.pos)))
+        self._tok("}")
+        return ast.CondExpr(tuple(clauses), span=ast.Span(start, self.pos))
 
-    def repeaters_decl(self) -> bool:
-        self._lit("#repeaters", "#repeaters declaration")
-        self._lit(":")
-        self._kw("vec")
-        self._lit("[")
-        self._kw("Repeater")
-        self._lit("]")
-        return True
+    def _returns(self) -> tuple[ast.ReturnType, ...]:
+        p = self._ws(self.pos)
+        if self.src[p] != "(":
+            one = self._try(self._return_type)
+            if one is None:
+                self._fail(p, '"("')
+            return (one,)
+        self._rec(p, _TYPE)
+        self.pos = p + 1
+        types = self._list(self._return_type)
+        self._tok(")")
+        return tuple(types)
 
-    def ruleset_stmt(self) -> ast.RulesetStmt:
-        start = self._mark()
-        self._kw("ruleset")
-        name = self.ident()
-        self._lit("{")
-        stmts = self._many(self.stmt)
-        self._lit("}")
-        return ast.RulesetStmt(name, tuple(stmts), span=self._span(start))
+    def _return_type(self) -> ast.ReturnType:
+        start = self._ws(self.pos)
+        annotation = self._type()
+        return ast.ReturnType(annotation, self._eat("?"), span=ast.Span(start, self.pos))
+
+    def _rule(self, p: int, end: int) -> ast.RuleStmt:
+        self.pos = end
+        name = self._ident()
+        self._tok("<")
+        repeater = self._repeater_ident(self._tok("#")).name
+        self._tok(">")
+        self._tok("(")
+        r = self._ws(self.pos)
+        params = self._list(lambda: self._typed_name(optional=True)) if self._name_at(r) else []
+        if not params:
+            self._rec(r, ("identifier",))
+        self._tok(")")
+        returns: tuple[ast.ReturnType, ...] = ()
+        a = self._ws(self.pos)
+        if self._eat(":->") or self._eat("->"):
+            if self.pos == a + 2:  # the plain arrow
+                message = 'return annotation written with "->"; the canonical arrow is ":->"'
+                self.warnings.append(StyleWarning(message, ast.Span(a, self.pos)))
+            returns = self._returns()
+        self._tok("{")
+        lets = tuple(self._keyword_items("let", self._let))
+        cond = self._cond()
+        self._tok("=>")
+        act_start = self._kw("act")
+        act = ast.ActExpr(self._block(), span=ast.Span(act_start, self.pos))
+        trailing = self._stmts()
+        self._tok("}")
+        params, span = tuple(params), ast.Span(p, self.pos)
+        return ast.RuleStmt(name, repeater, params, returns, lets, cond, act, trailing, span=span)
+
+    def _import(self, p: int, end: int) -> ast.ImportStmt:
+        q = self._ws(end)
+        self.pos = q + 1
+        is_rule = self.src[q] == "(" and self._try_kw("rule") and self._eat(")")
+        if not is_rule:
+            self.pos = q
+        path, names = [self._ident()], []
+        while not names:
+            before = self.pos
+            if not self._eat("::"):
+                break
+            r = self.pos = self._ws(self.pos)
+            if self.src[r] == "{":
+                self.pos = r + 1
+                names = self._list(self._ident)
+                self._tok("}")
+            elif self._name_at(r) is None:
+                self._rec(r, ("identifier",))
+                self.pos = before
+                break
+            else:
+                path.append(self._ident())
+        return ast.ImportStmt(tuple(path), tuple(names), is_rule, span=ast.Span(p, self.pos))
+
+    def _ruleset(self, p: int, end: int) -> ast.RulesetStmt:
+        self.pos = end
+        name = self._ident()
+        return ast.RulesetStmt(name, self._block(), span=ast.Span(p, self.pos))
 
     def program(self) -> ast.Program:
-        start = self._mark()
-        has_decl = bool(self._opt(self.repeaters_decl))
-        imports = self._many(self.import_stmt)
-        rules = self._many(self.rule_stmt)
-        ruleset = self._opt(self.ruleset_stmt)
-        return ast.Program(has_decl, tuple(imports), tuple(rules), ruleset, span=self._span(start))
-
-    def end_of_input(self):
-        self._skip()
-        if self.pos != self.n:
-            self._fail("end of input")
+        start = self._ws(0)
+        has_decl = self.src.startswith("#repeaters", start)
+        if has_decl:
+            self.pos = start + 10
+            self._tok(":")
+            self._kw("vec")
+            self._tok("[")
+            self._kw("Repeater")
+            self._tok("]")
+        else:
+            self._rec(start, ("#repeaters declaration",))
+        imports = tuple(self._keyword_items("import", self._import))
+        rules = tuple(self._keyword_items("rule", self._rule))
+        q = self._ws(self.pos)
+        ruleset = self._ruleset(q, self.pos) if self._try_kw("ruleset") else None
+        span = ast.Span(start, max(start, self.pos))
+        return ast.Program(has_decl, imports, rules, ruleset, span=span)
 
 
 def _run(source: str, entry, filename: str) -> tuple[object, list[StyleWarning]]:
-    parser = _Parser(source)
+    parser = _Parser(source, filename)
     try:
         node = entry(parser)
-        parser.end_of_input()
+        end = parser._ws(parser.pos)
+        if end != parser.n:
+            parser._fail(end, "end of input")
     except _Fail:
         pos = max(parser.far_pos, parser.pos)
         raise ParseError(source, pos, parser.far_expected or {"valid syntax"}, filename) from None
@@ -942,11 +919,11 @@ def parse_with_warnings(
 
 def parse_statements(source: str, filename: str = "<input>") -> tuple[ast.Stmt, ...]:
     """Parse a statement sequence, for fragment-level checks."""
-    stmts, _ = _run(source, lambda p: tuple(p._many(p.stmt)), filename)
+    stmts, _ = _run(source, _Parser._stmts, filename)
     return stmts  # type: ignore[return-value]
 
 
 def parse_expression(source: str, filename: str = "<input>") -> ast.Expr:
     """Parse a single expression, for fragment-level checks."""
-    node, _ = _run(source, _Parser.expr, filename)
+    node, _ = _run(source, lambda p: p._expr(p._ws(0)), filename)
     return node  # type: ignore[return-value]

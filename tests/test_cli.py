@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from rula import cli
+from rula import cli, parser
 
 SWAP = "entanglement_swapping.rula"
 
@@ -84,6 +84,34 @@ class TestCompile:
         assert "error[parse]" in err
         assert "broken.rula:1:" in err
         assert not out_dir.exists() or not list(out_dir.iterdir())
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["at_limit", "one_deeper"])
+    def test_nesting_limit(self, corpus, capsys, tmp_path, extra):
+        # The ruleset brace is one level, each `if` block one more.
+        k = parser.MAX_DEPTH - 1 + extra
+        program = tmp_path / "deep.rula"
+        program.write_text(
+            "#repeaters: vec[Repeater]\n"
+            "ruleset deep { " + "if (true) { " * k + "let x: int = 1" + " }" * k + " }\n"
+        )
+        out_dir = tmp_path / "out"
+        argv = ["compile", program, "--config", corpus / "config3.json", "--out-dir", out_dir]
+        code, _out, err = run_cli(argv, capsys)
+        if extra:
+            assert code == 1
+            assert "error[parse]: parse failure" in err
+            assert f"at most {parser.MAX_DEPTH} nested brackets" in err
+            assert not out_dir.exists() or not list(out_dir.iterdir())
+        else:
+            assert code == 0, err
+
+    def test_overflowing_nesting_is_a_parse_error(self, corpus, capsys, tmp_path):
+        program = tmp_path / "parens.rula"
+        program.write_text("ruleset r { let x: int = " + "(" * 400 + "1" + ")" * 400 + " }\n")
+        argv = ["compile", program, "--config", corpus / "config3.json", "--out-dir", tmp_path]
+        code, _out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert "parens.rula:1:" in err and "error[parse]" in err
 
     def test_codegen_error_writes_nothing(self, corpus, capsys, tmp_path):
         program = tmp_path / "overreach.rula"

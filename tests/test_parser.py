@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
 
 from rula import ast
 from rula.parser import (
+    MAX_DEPTH,
     ParseError,
     parse,
     parse_expression,
@@ -325,6 +329,95 @@ class TestErrors:
         assert exc_info.value.line == 2
 
 
+class TestGrammarCorners:
+    def test_less_than_is_a_comparison_next_to_a_rule_call(self):
+        comparison = parse_expression("a < b")
+        assert isinstance(comparison, ast.CompExpr)
+        assert (comparison.lhs, comparison.op, comparison.rhs) == (
+            ast.Ident("a"), "<", ast.Ident("b")
+        )
+        call = parse_expression("r<#repeaters(i)>()")
+        assert isinstance(call, ast.RuleCall)
+        assert call.repeater.index == ast.Ident("i")
+        assert call.args == ()
+
+    def test_less_or_equal_is_not_shadowed_by_less(self):
+        expr = parse_expression("x <= y")
+        assert isinstance(expr, ast.CompExpr)
+        assert expr.op == "<="
+        assert expr.rhs == ast.Ident("y")
+
+    def test_parenthesised_name_is_a_tuple_that_takes_no_operator(self):
+        source = "(a) + b"
+        with pytest.raises(ParseError) as exc_info:
+            parse_expression(source)
+        assert exc_info.value.pos == source.index("+")
+        assert exc_info.value.expected == ["end of input"]
+
+    def test_exponent_needs_digits(self):
+        assert parse_expression("1e3") == ast.FloatLit(1000.0)
+        with pytest.raises(ParseError) as exc_info:
+            parse_expression("1e")
+        assert (exc_info.value.pos, exc_info.value.expected) == (1, ["number"])
+
+    def test_radix_prefixes_without_digits(self):
+        assert parse_expression("0b") == ast.IntLit(0)
+        assert parse_expression("0x") == ast.IntLit(0)
+        assert parse_expression("0u") == ast.UnicordLit("")
+
+    def test_promote_promoted(self):
+        (stmt,) = parse_statements("promote promoted")
+        assert stmt == ast.PromoteStmt((ast.Ident("promoted"),))
+
+    def test_unterminated_block_comment_runs_to_the_end(self):
+        assert parse("ruleset r { } /* never closed").ruleset.stmts == ()
+        source = "ruleset r { /* never closed"
+        with pytest.raises(ParseError) as exc_info:
+            parse(source)
+        assert exc_info.value.pos == len(source)
+        assert '"}"' in exc_info.value.expected
+
+    def test_unclosed_string_expects_closing_quote(self):
+        with pytest.raises(ParseError) as exc_info:
+            parse_expression('"abc')
+        assert (exc_info.value.pos, exc_info.value.expected) == (4, ["closing quote"])
+
+
+def nested(kind: str, depth: int) -> tuple[str, str]:
+    """A program whose brackets nest `depth` deep, the ruleset brace being the
+    first level, and the brackets that open its levels."""
+    k = depth - 1
+    if kind == "parens":
+        return "ruleset r { let x: int = " + "(" * k + "1" + ")" * k + " }", "({"
+    return "ruleset r { " + "if (true) { " * k + "let x: int = 1" + " }" * k + " }", "{"
+
+
+def opener(source: str, brackets: str, level: int) -> int:
+    return [i for i, ch in enumerate(source) if ch in brackets][level - 1]
+
+
+class TestNesting:
+    @pytest.mark.parametrize("kind", ["parens", "ifs"])
+    def test_the_limit_parses(self, kind):
+        parse(nested(kind, MAX_DEPTH)[0])
+
+    @pytest.mark.parametrize("kind", ["parens", "ifs"])
+    def test_one_level_deeper_is_a_parse_error_at_its_bracket(self, kind):
+        source, brackets = nested(kind, MAX_DEPTH + 1)
+        with pytest.raises(ParseError) as exc_info:
+            parse(source)
+        assert exc_info.value.pos == opener(source, brackets, MAX_DEPTH + 1)
+        assert exc_info.value.expected == [f"at most {MAX_DEPTH} nested brackets"]
+        assert exc_info.value.source == source
+
+    @pytest.mark.parametrize("kind,depth", [("parens", 401), ("ifs", 301)])
+    def test_inputs_that_overflowed_the_stack(self, kind, depth):
+        source, brackets = nested(kind, depth)
+        with pytest.raises(ParseError) as exc_info:
+            parse(source)
+        assert exc_info.value.pos == opener(source, brackets, MAX_DEPTH + 1)
+
+
 class TestSpans:
     def test_rule_span_covers_definition(self, corpus):
         source = (corpus / "entanglement_swapping.rula").read_text()
@@ -338,3 +431,121 @@ class TestSpans:
         source = "   free(q1)   "
         expr = parse_expression(source)
         assert source[expr.span.start : expr.span.end] == "free(q1)"
+
+
+# --- pinned behaviour ---------------------------------------------------------
+
+STATEMENT_FRAGMENTS = [
+    "let (q: Qubit, r: str) = local_operation<#repeaters(0)>(1)",
+    "for x in [1, 2, 3] { set x }",
+    "for (a, b) in pairs { set a }",
+    "for i in 1..n+1 { set i }",
+    "if (x == 1) { set a } else if (x == 2) { set b } else { set c }",
+    'match r { "0" => {}, "1" => {free(q)}, }',
+    'match r { "0" => {free(q), free(p)}, otherwise => {} }',
+    "promote q1, q2",
+    "set result as self_result",
+    "free(q1) -> partner",
+    "free(q1)",
+    "free(promoted)",
+]
+EXPRESSION_FRAGMENTS = [
+    "1 + 2 * 3 - x",
+    "i % (2 * d)",
+    "(#repeaters.len()/2)",
+    *(f"a {op} b" for op in ("<", ">", "<=", ">=", "==", "!=")),
+    "42",
+    "-7",
+    "0.8",
+    "1e5",
+    "2.5e-3",
+    "0b1001011",
+    "0x13ed232",
+    "0u1F98A",
+    "1x",
+    r'"a\n"',
+    "[1, 2, 3,]",
+    "()",
+    "#repeaters.len()",
+    "swapping<#repeaters(i+1)>(d)",
+    "rule",
+    "cond",
+    "act",
+    "Qubit",
+    "vec",
+    "   free(q1)   ",
+]
+MUTANT_ALPHABET = '(){}[]<>=!+-*/%^.,:;@#"0123456789abcdefghijklmnopqrstuvwxyz_ \n\t'
+
+
+def corpus_sources(corpus) -> list[str]:
+    return [path.read_text() for path in sorted(corpus.glob("*.rula"))]
+
+
+def mutants(sources: list[str], count: int, seed: int) -> list[str]:
+    """Character-level mutants: 1-4 deletions, insertions or replacements."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        text = rng.choice(sources)
+        for _ in range(rng.randint(1, 4)):
+            op = rng.randrange(3)
+            i = rng.randrange(len(text) + (op == 1))
+            if op == 0:
+                text = text[:i] + text[i + 1 :]
+            elif op == 1:
+                text = text[:i] + rng.choice(MUTANT_ALPHABET) + text[i:]
+            else:
+                text = text[:i] + rng.choice(MUTANT_ALPHABET) + text[i + 1 :]
+        out.append(text)
+    return out
+
+
+def digest(lines) -> str:
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line.encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def outcome(fn, source: str) -> str:
+    try:
+        return repr(fn(source))
+    except ParseError as err:
+        return f"ParseError {err.line}:{err.column} {err.expected}"
+
+
+class TestParserPinned:
+    """ASTs (with spans), warnings and error positions recorded from the
+    backtracking parser that the precedence-climbing one replaced."""
+
+    def test_corpus_and_generated_programs(self, corpus):
+        from test_acceptance import ProgramGen
+
+        gen = ProgramGen(random.Random(0xF522))
+        sources = corpus_sources(corpus) + [gen.program() for _ in range(2000)]
+        assert digest(repr(parse_with_warnings(s)) for s in sources) == (
+            "8920ea7c629b9aa6b80ff59da508348423d26f7b009f6e407dc091b18ac66a1d"
+        )
+
+    def test_fragments(self):
+        lines = [outcome(parse_statements, s) for s in STATEMENT_FRAGMENTS]
+        lines += [outcome(parse_expression, s) for s in EXPRESSION_FRAGMENTS]
+        assert digest(lines) == "7c84741165dc9c40bf8511ef1f07a425a8b32d295d51a3d2892535ad25ec8fde"
+
+    def test_mutants(self, corpus):
+        verdicts, accepted = [], []
+        for source in mutants(corpus_sources(corpus), 3000, seed=0x5EED):
+            try:
+                result = parse_with_warnings(source)
+            except ParseError as err:
+                verdicts.append(f"{err.line}:{err.column}")
+            else:
+                verdicts.append("accepted")
+                accepted.append(repr(result))
+        assert (len(accepted), digest(verdicts), digest(accepted)) == (
+            698,
+            "29408dfaaac031a31dbc3115535ec70c8cb7d0a17e8d47dba18acf5e4a591739",
+            "8e1fc0716735c5957926a2bc590d2fe910b7e623acbd9e665974fe36c0223960",
+        )
