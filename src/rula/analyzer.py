@@ -1087,6 +1087,22 @@ def analyze_program(program: ast.Program) -> Analysis:
     return analysis
 
 
+# Imported modules by resolved path, with the text each was parsed from.
+# AST nodes are frozen, so every program importing a module shares one
+# parse; the file is still read each time, and edited text is parsed again.
+_modules: dict[Path, tuple[str, ast.Program]] = {}
+
+
+def _parse_module(path: Path) -> ast.Program:
+    text = path.read_text(encoding="utf-8")
+    cached = _modules.get(path)
+    if cached is not None and cached[0] == text:
+        return cached[1]
+    module = parse(text, filename=str(path))
+    _modules[path] = (text, module)
+    return module
+
+
 def resolve_imports(
     program: ast.Program,
     search_roots: list[Path],
@@ -1140,7 +1156,7 @@ def resolve_imports(
             )
             continue
         try:
-            module_program = parse(found.read_text(encoding="utf-8"), filename=str(found))
+            module_program = _parse_module(found)
         except (ParseError, UnicodeDecodeError) as exc:
             diagnostics.append(
                 Diagnostic(

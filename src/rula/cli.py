@@ -210,13 +210,17 @@ def cmd_run(args: argparse.Namespace) -> int:
         _err(f"error: {exc}")
         return EXIT_FAILURE
 
+    budget = {"initial_fidelity": args.fidelity, "max_rounds": args.max_steps}
+    try:
+        if args.enumerate_outcomes:
+            reports = runtime.enumerate_outcomes(rulesets, topology, **budget)
+        else:
+            report = runtime.run(rulesets, topology, seed=args.seed, **budget)
+    except runtime.SimulationError as exc:
+        _err(f"error: simulation: {exc}")
+        return EXIT_FAILURE
+
     if args.enumerate_outcomes:
-        reports = runtime.enumerate_outcomes(
-            rulesets,
-            topology,
-            initial_fidelity=args.fidelity,
-            max_rounds=args.max_steps,
-        )
         ok = all(r.quiescent for r in reports)
         for report in reports:
             label = "branch " + "".join(str(b) for b in report.outcome_path)
@@ -235,13 +239,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(ir.dumps(payload, indent=2, sort_keys=True))
         return EXIT_OK if ok else EXIT_FAILURE
 
-    report = runtime.run(
-        rulesets,
-        topology,
-        seed=args.seed,
-        initial_fidelity=args.fidelity,
-        max_rounds=args.max_steps,
-    )
     _describe(report)
     if args.report_json:
         print(ir.dumps(report.to_json(), indent=2, sort_keys=True))

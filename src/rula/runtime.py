@@ -5,8 +5,16 @@ Pauli frame (phase bit, parity bit) and an analytic fidelity, while each
 node only sees its own end of a pair.  Classical messages travel over
 per-link FIFO queues and become visible at the next synchronous round.
 Measurement outcomes are drawn from a pluggable bit source, which makes a
-seeded run reproducible and lets the enumeration driver replay every
-branch of the outcome tree.
+seeded run reproducible and lets the enumeration driver walk every branch
+of the outcome tree.
+
+The rule groups, the link provisioning and the index of send clauses are
+built once per call (`Blueprint`); a `Network` holds only what a run
+changes, so it can be forked.  Enumeration is a depth-first walk: a branch
+runs with zero bits past its plan and snapshots the network before every
+firing that may measure, and each zero it drew is flipped in a new branch
+that resumes from the snapshot before the firing that drew it, so the
+rounds before a measurement run once for the whole subtree below it.
 """
 
 from __future__ import annotations
@@ -41,31 +49,52 @@ def purify_update(fidelity: float) -> float:
 
 
 class RandomOutcomes:
+    """Seeded coin flips; a sampled run keeps no snapshots."""
+
     def __init__(self, seed: int):
         self._rng = random.Random(seed)
-        self.trace: list[int] = []
 
-    def draw(self) -> int:
-        bit = self._rng.getrandbits(1)
-        self.trace.append(bit)
-        return bit
+    def draw(self, position: int) -> int:
+        return self._rng.getrandbits(1)
+
+    def checkpoint(self, net: "Network", index: int) -> None:
+        pass
 
 
-class PlannedOutcomes:
-    """Replays a fixed bit prefix, then extends with zeros.
+class _Branch:
+    """One branch of the enumeration: replays `plan` bit by bit, then draws
+    zeros, and snapshots the network before every firing that may draw.
 
-    The enumeration driver flips recorded zeros one position at a time to
-    walk the full binary tree of measurement outcomes.
+    A branch resumed from `origin` re-enters the firing `origin` was taken
+    before; that snapshot stands for it instead of a fresh copy.
     """
 
-    def __init__(self, plan: tuple[int, ...] = ()):
-        self._plan = plan
-        self.trace: list[int] = []
+    def __init__(self, plan: tuple[int, ...], origin: "_Snapshot | None"):
+        self.plan = plan
+        self.snapshots: list[_Snapshot] = [] if origin is None else [origin]
+        self._resumed = origin is not None
 
-    def draw(self) -> int:
-        bit = self._plan[len(self.trace)] if len(self.trace) < len(self._plan) else 0
-        self.trace.append(bit)
-        return bit
+    def draw(self, position: int) -> int:
+        return self.plan[position] if position < len(self.plan) else 0
+
+    def checkpoint(self, net: "Network", index: int) -> None:
+        if self._resumed:
+            self._resumed = False
+            return
+        self.snapshots.append(_Snapshot(net.fork(None), index))
+
+
+@dataclass(eq=False)
+class _Snapshot:
+    """A network about to fire a group that may draw, at node `index` of
+    the round in progress."""
+
+    net: "Network"
+    index: int
+
+    @property
+    def drawn(self) -> int:
+        return len(self.net.trace)
 
 
 # --- physical state ----------------------------------------------------------
@@ -153,25 +182,29 @@ def _register_layout(clauses: tuple[ir.ActionClause, ...]) -> dict[int, str]:
 @dataclass
 class Group:
     """Rules in one stage sharing a shared_tag: alternatives of which at
-    most one fires."""
+    most one fires.  Its state lives in the network, at index `gid`."""
 
+    gid: int
     tag: int
     rules: list[ir.Rule]
-    res: list[ir.ResClause]
+    # tuples: the empty ones are one shared object, which keeps the many
+    # groups of a long chain cheap for the garbage collector to scan
+    res: tuple[ir.ResClause, ...]
     recv: ir.RecvClause | None
     kind_gate: str | None
-    timers: list[ir.TimerClause]
-    discriminators: list[list[ir.CmpClause]]
+    timers: tuple[ir.TimerClause, ...]
+    discriminators: tuple[tuple[ir.CmpClause, ...], ...]
     prefix_len: int
-    state: str = "pending"  # pending | fired | cancelled | stuck
-    fired_rule: ir.Rule | None = None
-
-    @property
-    def resolved(self) -> bool:
-        return self.state in ("fired", "cancelled")
+    # qubit slots the actions use that no resource clause binds
+    inherited: tuple[int, ...]
+    draws: bool  # some rule measures, so firing may draw outcome bits
 
 
-def _split_point(rule: ir.Rule, discriminators: list[ir.CmpClause]) -> int:
+# group states: pending | fired | cancelled | stuck
+RESOLVED = ("fired", "cancelled")
+
+
+def _split_point(rule: ir.Rule, discriminators: tuple[ir.CmpClause, ...]) -> int:
     """For a single-alternative group: how many action clauses may run
     before its comparison clauses can be evaluated."""
     if not discriminators:
@@ -186,13 +219,13 @@ def _split_point(rule: ir.Rule, discriminators: list[ir.CmpClause]) -> int:
     return end
 
 
-def _build_group(rules: list[ir.Rule]) -> Group:
+def _build_group(rules: list[ir.Rule], gid: int) -> Group:
     head = rules[0]
-    res = [c for c in head.condition.clauses if isinstance(c, ir.ResClause)]
+    res = tuple(c for c in head.condition.clauses if isinstance(c, ir.ResClause))
     recvs = [c for c in head.condition.clauses if isinstance(c, ir.RecvClause)]
-    timers = [c for c in head.condition.clauses if isinstance(c, ir.TimerClause)]
+    timers = tuple(c for c in head.condition.clauses if isinstance(c, ir.TimerClause))
     kind_gate = None
-    discriminators: list[list[ir.CmpClause]] = []
+    discriminators = []
     for rule in rules:
         discs = []
         for c in rule.condition.clauses:
@@ -201,7 +234,7 @@ def _build_group(rules: list[ir.Rule]) -> Group:
                     kind_gate = c.target_val.value
                 else:
                     discs.append(c)
-        discriminators.append(discs)
+        discriminators.append(tuple(discs))
 
     if len(rules) == 1:
         prefix_len = _split_point(head, discriminators[0])
@@ -213,22 +246,38 @@ def _build_group(rules: list[ir.Rule]) -> Group:
             a[prefix_len] == actions[0][prefix_len] for a in actions
         ):
             prefix_len += 1
+    referenced: set[int] = set()
+    draws = False
+    for rule in rules:
+        for clause in rule.action.clauses:
+            if isinstance(clause, (ir.PromoteClause, ir.FreeClause, ir.MeasureClause)):
+                referenced.add(clause.qubit.qubit_index)
+                if isinstance(clause, ir.MeasureClause):
+                    draws = True
+            elif isinstance(clause, ir.QCircClause):
+                for gate in clause.qgates:
+                    referenced.add(gate.qubit.qubit_index)
+    for clause in res:
+        if clause.count > 0:  # a slot bound by a resource clause
+            referenced.discard(clause.qubit_index)
     return Group(
+        gid=gid,
         tag=head.shared_tag,
         rules=rules,
         res=res,
         recv=recvs[0] if recvs else None,
         kind_gate=kind_gate,
         timers=timers,
-        discriminators=discriminators,
+        discriminators=tuple(discriminators),
         prefix_len=prefix_len,
+        inherited=tuple(sorted(referenced)),
+        draws=draws,
     )
 
 
 @dataclass
 class Node:
     address: int
-    ruleset: ir.RuleSet
     stages: list[list[Group]]
     stage_idx: int = 0
     store: dict[str, str] = field(default_factory=dict)
@@ -242,26 +291,30 @@ class Node:
     def current(self) -> list[Group]:
         return self.stages[self.stage_idx]
 
-    def advance(self) -> None:
-        while not self.complete and all(g.resolved for g in self.current()):
-            self.stage_idx += 1
+    def fork(self) -> "Node":
+        return Node(
+            self.address,
+            self.stages,
+            self.stage_idx,
+            dict(self.store),
+            {src: list(queue) for src, queue in self.inboxes.items()},
+            dict(self.timers),
+        )
 
 
 # --- the network -------------------------------------------------------------
 
 
-def _provision(rulesets: dict[int, ir.RuleSet]) -> dict[tuple[int, int], int]:
+def _provision(stages: dict[int, list[list[Group]]]) -> dict[tuple[int, int], int]:
     """Pairs to create per link: each node needs, toward each neighbour, one
     fresh pair for every resource clause of every rule group."""
     demand: dict[tuple[int, int], int] = {}
-    for addr, ruleset in rulesets.items():
-        for stage in ruleset.stages:
-            for group_rules in _group_rules(stage):
-                head = group_rules[0]
-                for clause in head.condition.clauses:
-                    if isinstance(clause, ir.ResClause):
-                        key = (addr, clause.partner_addr)
-                        demand[key] = demand.get(key, 0) + clause.count
+    for addr, node_stages in stages.items():
+        for stage in node_stages:
+            for group in stage:
+                for clause in group.res:
+                    key = (addr, clause.partner_addr)
+                    demand[key] = demand.get(key, 0) + clause.count
     links: dict[tuple[int, int], int] = {}
     for (a, b), n in demand.items():
         key = (min(a, b), max(a, b))
@@ -279,42 +332,81 @@ def _group_rules(stage: ir.Stage) -> list[list[ir.Rule]]:
     return groups
 
 
+_Carriers = tuple[tuple[Group, ir.Rule], ...]
+
+
+class Blueprint:
+    """What every run over one set of rulesets shares and never changes:
+    the rule groups of each node, the pairs provisioned per link, and the
+    rules carrying a send to a node (`carriers`)."""
+
+    def __init__(self, rulesets: dict[int, ir.RuleSet], topology: Topology):
+        self.stages: dict[int, list[list[Group]]] = {}
+        self.group_count = 0
+        for rep in topology.repeaters:
+            ruleset = rulesets.get(rep.address)
+            stages = []
+            for stage in ruleset.stages if ruleset is not None else ():
+                stages.append([])
+                for rules in _group_rules(stage):
+                    stages[-1].append(_build_group(rules, self.group_count))
+                    self.group_count += 1
+            self.stages[rep.address] = stages
+        self.addresses = sorted(self.stages)
+        self.links = _provision(self.stages)
+        self._carriers: dict[tuple[int, int, str | None], _Carriers] = {}
+
+    def carriers(self, sender: int, dst: int, kind: str | None) -> _Carriers:
+        """Every (group, rule) at `sender` whose rule sends `kind` to `dst`
+        (any kind for None).  Built on first use: a sampled run asks for a
+        fraction of them, and each one kept is more for the collector to
+        scan."""
+        key = (sender, dst, kind)
+        found = self._carriers.get(key)
+        if found is None:
+            found = self._carriers[key] = tuple(self._matching_sends(sender, dst, kind))
+        return found
+
+    def _matching_sends(self, sender: int, dst: int, kind: str | None):
+        for stage in self.stages.get(sender, ()):
+            for group in stage:
+                for rule in group.rules:
+                    for clause in rule.action.clauses:
+                        if not isinstance(clause, ir.SendClause):
+                            continue
+                        if clause.partner_addr != dst:
+                            continue
+                        if kind is not None and clause.message != kind:
+                            continue
+                        yield group, rule
+                        break
+
+
 class Network:
-    def __init__(
-        self,
-        rulesets: dict[int, ir.RuleSet],
-        topology: Topology,
-        outcomes,
-        initial_fidelity: float,
-    ):
-        self.topology = topology
+    """The state one run changes: pairs and their ends, group states, node
+    progress, messages in flight, sampled references and the outcome trace."""
+
+    def __init__(self, blueprint: Blueprint, outcomes, initial_fidelity: float):
+        self.blueprint = blueprint
         self.outcomes = outcomes
         self.round = 0
         self.fired: list[dict] = []
         self.delivered = 0
+        self.trace: list[int] = []
         self.pairs: list[Pair] = []
         self.outbox: list[Message] = []
         # one sampled reference bit per measured observable, keyed by the
         # set of (pair, basis) correlations the observable spans
         self.pending: dict[frozenset, int] = {}
-
-        self.nodes: dict[int, Node] = {}
-        for rep in topology.repeaters:
-            ruleset = rulesets.get(rep.address)
-            if ruleset is None:
-                ruleset = ir.RuleSet(name="empty", id=0, owner_addr=rep.address)
-            stages = [
-                [_build_group(rules) for rules in _group_rules(stage)]
-                for stage in ruleset.stages
-            ]
-            self.nodes[rep.address] = Node(rep.address, ruleset, stages)
+        self.state = ["pending"] * blueprint.group_count
+        self.fired_rule: list[ir.Rule | None] = [None] * blueprint.group_count
+        self.nodes = {addr: Node(addr, stages) for addr, stages in blueprint.stages.items()}
 
         self.ends: dict[int, list[End]] = {addr: [] for addr in self.nodes}
         seq = 0
-        links = _provision(rulesets)
-        addresses = sorted(self.nodes)
+        addresses = blueprint.addresses
         for a, b in zip(addresses, addresses[1:]):
-            for _ in range(links.get((a, b), 0)):
+            for _ in range(blueprint.links.get((a, b), 0)):
                 pair = Pair(id=len(self.pairs), fidelity=initial_fidelity)
                 self.pairs.append(pair)
                 for holder, partner in ((a, b), (b, a)):
@@ -322,6 +414,47 @@ class Network:
                     seq += 1
                     pair.ends.append(end)
                     self.ends[holder].append(end)
+        for node in self.nodes.values():
+            self._advance(node)
+
+    def fork(self, outcomes) -> "Network":
+        """An independent copy that draws from `outcomes`.  Messages, fired
+        records and the blueprint never change once made, so they are shared."""
+        net = object.__new__(Network)
+        net.blueprint = self.blueprint
+        net.outcomes = outcomes
+        net.round = self.round
+        net.fired = list(self.fired)
+        net.delivered = self.delivered
+        net.trace = list(self.trace)
+        net.outbox = list(self.outbox)
+        net.pending = dict(self.pending)
+        net.state = list(self.state)
+        net.fired_rule = list(self.fired_rule)
+        net.nodes = {addr: node.fork() for addr, node in self.nodes.items()}
+        net.pairs = [
+            Pair(p.id, p.fidelity, p.phase_bit, p.parity_bit, p.purify_state)
+            for p in self.pairs
+        ]
+        # a spliced far end stays listed in its old pair too: map by identity
+        copies: dict[int, End] = {}
+        net.ends = {}
+        for addr, ends in self.ends.items():
+            net.ends[addr] = []
+            for e in ends:
+                copy = End(net.pairs[e.pair.id], e.node, e.viewed_partner, e.state, e.seq)
+                copies[id(e)] = copy
+                net.ends[addr].append(copy)
+        for old, new in zip(self.pairs, net.pairs):
+            new.ends = [copies[id(e)] for e in old.ends]
+        return net
+
+    def _resolved(self, group: Group) -> bool:
+        return self.state[group.gid] in RESOLVED
+
+    def _advance(self, node: Node) -> None:
+        while not node.complete and all(self._resolved(g) for g in node.current()):
+            node.stage_idx += 1
 
     # --- resource selection --------------------------------------------------
 
@@ -365,24 +498,25 @@ class Network:
         queue = node.inboxes.get(src)
         return queue[0] if queue else None
 
-    def _satisfiable(self, node: Node, group: Group) -> bool:
+    def _ready(self, node: Node, group: Group) -> list[tuple[int, End]] | None:
+        """The resources the group would bind if it can fire now, else None."""
         if group.recv is not None:
             head = self._head(node, group.recv.partner_addr)
             if head is None:
-                return False
+                return None
             if group.kind_gate is not None and head.kind != group.kind_gate:
-                return False
+                return None
         for timer in group.timers:
             expiry = node.timers.get(timer.timer_id)
             if expiry is None or self.round < expiry:
-                return False
-        return self._match_res(node, group) is not None
+                return None
+        return self._match_res(node, group)
 
     # --- firing --------------------------------------------------------------
 
-    def _fire(self, node: Node, group: Group) -> None:
+    def _fire(self, node: Node, group: Group, chosen: list[tuple[int, End]]) -> None:
         bindings: dict[int, End] = {}
-        for index, end in self._match_res(node, group) or []:
+        for index, end in chosen:
             bindings.setdefault(index, end)
         message = None
         if group.recv is not None:
@@ -402,8 +536,8 @@ class Network:
                 break
         if winner is not None:
             ctx.execute(winner.action.clauses[group.prefix_len :])
-            group.state = "fired"
-            group.fired_rule = winner
+            self.state[group.gid] = "fired"
+            self.fired_rule[group.gid] = winner
             self.fired.append(
                 {
                     "round": self.round,
@@ -413,8 +547,8 @@ class Network:
                 }
             )
         else:
-            group.state = "cancelled"
-        node.advance()
+            self.state[group.gid] = "cancelled"
+        self._advance(node)
 
     def _bind_inherited(
         self,
@@ -425,15 +559,8 @@ class Network:
     ) -> None:
         """Action clauses may reference qubit slots with no matching resource
         clause: those bind earlier promoted (or still waiting) ends."""
-        referenced: set[int] = set()
-        for rule in group.rules:
-            for clause in rule.action.clauses:
-                if isinstance(clause, (ir.PromoteClause, ir.FreeClause, ir.MeasureClause)):
-                    referenced.add(clause.qubit.qubit_index)
-                elif isinstance(clause, ir.QCircClause):
-                    referenced.update(g.qubit.qubit_index for g in clause.qgates)
         taken = {id(end) for end in bindings.values()}
-        for index in sorted(referenced - set(bindings)):
+        for index in group.inherited:
             end = None
             if message is not None:
                 end = self._find_end(node.address, message.src, taken)
@@ -467,17 +594,24 @@ class Network:
         self.outbox.clear()
         return any_sent
 
-    def step(self) -> bool:
+    def step(self, start: int = 0) -> bool:
+        """One round, from node `start` of the address order on.  A round
+        resumed from a snapshot fires at `start` first, so the progress of
+        the nodes before it need not be known."""
         progress = False
-        for address in sorted(self.nodes):
-            node = self.nodes[address]
+        addresses = self.blueprint.addresses
+        for index in range(start, len(addresses)):
+            node = self.nodes[addresses[index]]
             if node.complete:
                 continue
             for group in node.current():
-                if group.resolved:
+                if self._resolved(group):
                     continue
-                if self._satisfiable(node, group):
-                    self._fire(node, group)
+                chosen = self._ready(node, group)
+                if chosen is not None:
+                    if group.draws:
+                        self.outcomes.checkpoint(self, index)
+                    self._fire(node, group, chosen)
                     progress = True
                     break
         if self.deliver():
@@ -486,21 +620,6 @@ class Network:
         return progress
 
     # --- starvation analysis -------------------------------------------------
-
-    def _matching_sends(self, sender: int, dst: int, kind: str | None):
-        """Every rule at `sender` containing a send of `kind` to `dst`."""
-        for stage in self.nodes[sender].stages:
-            for group in stage:
-                for rule in group.rules:
-                    for clause in rule.action.clauses:
-                        if not isinstance(clause, ir.SendClause):
-                            continue
-                        if clause.partner_addr != dst:
-                            continue
-                        if kind is not None and clause.message != kind:
-                            continue
-                        yield group, rule
-                        break
 
     def _inbox_has(self, node: Node, src: int, kind: str | None) -> bool:
         return any(
@@ -516,35 +635,26 @@ class Network:
         progressed = True
         while progressed:
             progressed = False
-            for address in sorted(self.nodes):
+            for address in self.blueprint.addresses:
                 node = self.nodes[address]
                 if node.complete:
                     continue
                 for group in node.current():
-                    if group.resolved or group.state == "stuck" or group.recv is None:
+                    if group.recv is None or self.state[group.gid] != "pending":
                         continue
                     src = group.recv.partner_addr
                     if self._inbox_has(node, src, group.kind_gate):
                         continue
-                    carriers = list(
-                        self._matching_sends(src, address, group.kind_gate)
-                    )
+                    carriers = self.blueprint.carriers(src, address, group.kind_gate)
                     if not carriers:
                         # terminal: the sender's ruleset can never produce it
-                        group.state = "stuck"
-                    elif all(g.resolved for g, _r in carriers) and not any(
-                        g.state == "fired"
-                        and any(
-                            isinstance(c, ir.SendClause)
-                            and c.partner_addr == address
-                            and (group.kind_gate is None or c.message == group.kind_gate)
-                            for c in g.fired_rule.action.clauses
-                        )
-                        for g, _r in carriers
+                        self.state[group.gid] = "stuck"
+                    elif all(self._resolved(g) for g, _r in carriers) and not any(
+                        self.fired_rule[g.gid] is r for g, r in carriers
                     ):
-                        group.state = "cancelled"
+                        self.state[group.gid] = "cancelled"
                         progressed = changed = True
-                node.advance()
+                self._advance(node)
         return changed
 
     def timers_armed(self) -> bool:
@@ -553,7 +663,7 @@ class Network:
             if node.complete:
                 continue
             for group in node.current():
-                if group.resolved:
+                if self._resolved(group):
                     continue
                 for timer in group.timers:
                     expiry = node.timers.get(timer.timer_id)
@@ -563,12 +673,12 @@ class Network:
 
     def stuck_reports(self) -> list[str]:
         reports = []
-        for address in sorted(self.nodes):
+        for address in self.blueprint.addresses:
             node = self.nodes[address]
             if node.complete:
                 continue
             for group in node.current():
-                if group.resolved and group.state != "stuck":
+                if self._resolved(group):
                     continue
                 rule = group.rules[0]
                 if group.recv is not None:
@@ -689,7 +799,8 @@ class _Firing:
                 pair = net.pairs[pair_id]
                 corr ^= pair.parity_bit if basis == "Z" else pair.phase_bit
             return net.pending[signature] ^ corr
-        bit = net.outcomes.draw()
+        bit = net.outcomes.draw(len(net.trace))
+        net.trace.append(bit)
         net.pending[signature] = bit
         return bit
 
@@ -742,6 +853,11 @@ class _Firing:
     # --- classical effects ---------------------------------------------------
 
     def _send(self, clause: ir.SendClause) -> None:
+        if clause.partner_addr not in self.net.nodes:
+            raise SimulationError(
+                f"address {self.node.address}: send to address {clause.partner_addr}, "
+                "which is not in the config"
+            )
         payload = {}
         for key, value in clause.payload:
             if key == "result":
@@ -872,26 +988,20 @@ def _report(net: Network) -> RunReport:
         pairs=pairs,
         stuck=stuck,
         messages_delivered=net.delivered,
-        outcome_path=tuple(net.outcomes.trace),
+        outcome_path=tuple(net.trace),
     )
 
 
-def _run_network(
-    rulesets: dict[int, ir.RuleSet],
-    topology: Topology,
-    outcomes,
-    initial_fidelity: float,
-    max_rounds: int,
-) -> RunReport:
-    net = Network(rulesets, topology, outcomes, initial_fidelity)
-    for node in net.nodes.values():
-        node.advance()
+def _drive(net: Network, max_rounds: int, start: int = 0) -> RunReport:
+    """Run rounds until every node is complete, nothing can progress, or
+    the round budget is spent; the first round resumes at node `start`."""
     while net.round < max_rounds:
         if all(node.complete for node in net.nodes.values()):
             break
-        if not net.step():
+        if not net.step(start):
             if not net.cancel_starved() and not net.timers_armed():
                 break
+        start = 0
     return _report(net)
 
 
@@ -904,9 +1014,8 @@ def run(
     max_rounds: int = 10_000,
 ) -> RunReport:
     """Execute the per-node rulesets to quiescence with sampled outcomes."""
-    return _run_network(
-        rulesets, topology, RandomOutcomes(seed), initial_fidelity, max_rounds
-    )
+    net = Network(Blueprint(rulesets, topology), RandomOutcomes(seed), initial_fidelity)
+    return _drive(net, max_rounds)
 
 
 def enumerate_outcomes(
@@ -916,17 +1025,36 @@ def enumerate_outcomes(
     initial_fidelity: float = 1.0,
     max_rounds: int = 10_000,
 ) -> list[RunReport]:
-    """Run every branch of the measurement outcome tree exactly once."""
+    """Run every branch of the measurement outcome tree exactly once.
+
+    Depth first: each branch runs with zeros past its plan, and every zero
+    it drew is flipped in a new branch, deepest first.  That branch forks
+    the snapshot taken before the firing that drew the bit and replays the
+    plan from there.  A snapshot is freed with the last branch that forks
+    it, so the live ones lie on the path being walked.
+    """
+    blueprint = Blueprint(rulesets, topology)
     reports: list[RunReport] = []
-    prefixes: list[tuple[int, ...]] = [()]
-    while prefixes:
-        prefix = prefixes.pop()
-        source = PlannedOutcomes(prefix)
-        report = _run_network(rulesets, topology, source, initial_fidelity, max_rounds)
+    todo: list[tuple[_Snapshot | None, tuple[int, ...]]] = [(None, ())]
+    while todo:
+        origin, plan = todo.pop()
+        branch = _Branch(plan, origin)
+        if origin is None:
+            net = Network(blueprint, branch, initial_fidelity)
+        else:
+            net = origin.net.fork(branch)
+        report = _drive(net, max_rounds, origin.index if origin else 0)
         reports.append(report)
         path = report.outcome_path
-        for i in range(len(path) - 1, len(prefix) - 1, -1):
+        snapshots = branch.snapshots
+        owner = 0
+        # pushed shallowest first, so the deepest flip runs next: a subtree
+        # finishes, and frees its snapshots, before its siblings start
+        for i in range(len(plan), len(path)):
             if path[i] == 0:
-                prefixes.append(path[:i] + (1,))
+                # the latest snapshot at or before the draw of bit i
+                while owner + 1 < len(snapshots) and snapshots[owner + 1].drawn <= i:
+                    owner += 1
+                todo.append((snapshots[owner], path[:i] + (1,)))
     reports.sort(key=lambda r: r.outcome_path)
     return reports

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from rula import analyzer
 from rula.analyzer import (
     Analysis,
     analyze,
@@ -554,6 +555,44 @@ class TestImports:
         merged, diags = resolve_imports(program, [first, second])
         assert diags == []
         assert merged.rules[0].name == "pick"
+
+
+class TestImportMemo:
+    MODULE = "rule helper<#rep>(){ cond {} => act {} }\n"
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        calls = []
+        real = analyzer.parse
+
+        def counting(text, **kwargs):
+            calls.append(kwargs["filename"])
+            return real(text, **kwargs)
+
+        monkeypatch.setattr(analyzer, "parse", counting)
+        return calls
+
+    def test_module_parsed_once_for_two_programs(self, tmp_path, parses):
+        (tmp_path / "lib.rula").write_text(self.MODULE)
+        first = parse("import (rule) lib::helper")
+        second = parse("import (rule) lib::helper\nrule own<#rep>(){ cond {} => act {} }\n")
+        merged_first, diags_first = resolve_imports(first, [tmp_path])
+        merged_second, diags_second = resolve_imports(second, [tmp_path])
+        assert diags_first == diags_second == []
+        assert parses == [str((tmp_path / "lib.rula").resolve())]
+        assert merged_first.rules[0] is merged_second.rules[0]
+        assert [r.name for r in merged_second.rules] == ["helper", "own"]
+
+    def test_edited_module_is_parsed_again(self, tmp_path, parses):
+        module = tmp_path / "lib.rula"
+        module.write_text(self.MODULE)
+        program = parse("import (rule) lib::helper")
+        _, diags = resolve_imports(program, [tmp_path])
+        assert diags == []
+        module.write_text("rule renamed<#rep>(){ cond {} => act {} }\n")
+        _, diags = resolve_imports(program, [tmp_path])
+        assert len(parses) == 2
+        assert any("helper is not defined in lib" in d.message for d in diags)
 
 
 class TestStability:

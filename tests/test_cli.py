@@ -2,6 +2,7 @@
 guarantees and reproducibility."""
 
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -340,6 +341,46 @@ class TestRun:
         assert code == 2
         assert out == ""
         assert "error: invalid config" in err
+
+    @pytest.mark.parametrize("mode", [["--seed", "0"], ["--enumerate-outcomes"]])
+    @pytest.mark.parametrize(
+        "pattern,replacement,message",
+        [
+            # a basis the schema admits but the simulator does not track
+            ('"basis": "Z"', '"basis": "Y"', "unsupported measurement basis 'Y'"),
+            # a send to an address the config does not define
+            (
+                r'("Meas": \{\s*"partner_addr": )0',
+                r"\g<1>9",
+                "address 1: send to address 9, which is not in the config",
+            ),
+        ],
+        ids=["basis", "address"],
+    )
+    def test_simulation_error_is_reported(
+        self, corpus, capsys, tmp_path, mode, pattern, replacement, message
+    ):
+        out_dir = tmp_path / "out"
+        code, _out, _err = run_cli(
+            ["compile", corpus / "purification.rula", "--config", corpus / "config5.json",
+             "--out-dir", out_dir],
+            capsys,
+        )
+        assert code == 0
+        target = out_dir / "purification_1.json"
+        text, edits = re.subn(pattern, replacement, target.read_text(), count=1)
+        assert edits == 1
+        target.write_text(text)
+        code, _out, err = run_cli(["validate", *sorted(out_dir.glob("*.json"))], capsys)
+        assert code == 0
+        code, out, err = run_cli(
+            ["run", "--config", corpus / "config5.json", "--rulesets", out_dir,
+             "--report-json", *mode],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: simulation: {message}\n"
 
 
 class TestProcessEntry:

@@ -1,9 +1,12 @@
 """Simulator tests: swapping chains, purification, starvation handling and
 exhaustive outcome enumeration."""
 
+import hashlib
+import weakref
+
 import pytest
 
-from rula import analyzer, codegen, config, ir, parser, runtime
+from rula import analyzer, cli, codegen, config, ir, parser, runtime
 
 
 def compile_corpus(corpus, program_name, config_name):
@@ -262,3 +265,213 @@ class TestDeterminism:
             runtime.run(rulesets, topology, seed=s).outcome_path for s in range(20)
         }
         assert len(paths) > 1  # the seed genuinely drives the outcomes
+
+
+# --- forked enumeration ------------------------------------------------------
+
+
+def chain(nodes):
+    return config.Topology(
+        repeaters=tuple(
+            config.Repeater(name=f"#{i}", address=i, index=i) for i in range(nodes)
+        )
+    )
+
+
+def compile_chain(corpus, program_name, nodes):
+    program = parser.parse((corpus / program_name).read_text(), filename=program_name)
+    program, _diags = analyzer.resolve_imports(program, [corpus])
+    topology = chain(nodes)
+    out = codegen.compile_program(program, topology, 7)
+    assert out.ok, out.diagnostics
+    return out.per_node, topology
+
+
+class PlannedOutcomes:
+    """Replays a fixed bit prefix, then draws zeros; keeps no snapshots."""
+
+    def __init__(self, plan):
+        self.plan = plan
+
+    def draw(self, position):
+        return self.plan[position] if position < len(self.plan) else 0
+
+    def checkpoint(self, net, index):
+        pass
+
+
+def replay_enumeration(rulesets, topology, *, initial_fidelity=1.0, max_rounds=10_000):
+    """The prefix-replay enumerator that forking replaced: every branch is a
+    fresh network, built and run from round 0 under its bit prefix, and
+    each zero it drew past the prefix is flipped in a new prefix."""
+    reports = []
+    prefixes = [()]
+    while prefixes:
+        prefix = prefixes.pop()
+        blueprint = runtime.Blueprint(rulesets, topology)
+        net = runtime.Network(blueprint, PlannedOutcomes(prefix), initial_fidelity)
+        report = runtime._drive(net, max_rounds)
+        reports.append(report)
+        path = report.outcome_path
+        for i in range(len(path) - 1, len(prefix) - 1, -1):
+            if path[i] == 0:
+                prefixes.append(path[:i] + (1,))
+    reports.sort(key=lambda r: r.outcome_path)
+    return reports
+
+
+def measure_twice_on_zero():
+    """Node 1, twice: one group whose shared prefix measures, then only the
+    alternative taken on a 0 measures again, so the bits one firing draws
+    depend on the bits it drew before.  Node 0 frees a pair in each of two
+    stages: a round resumed at node 1 must not give node 0 a second turn."""
+
+    def res(partner, qubit):
+        return ir.ResClause(count=1, fidelity=0.5, partner_addr=partner, qubit_index=qubit)
+
+    def measuring(rule_id, bit, tail):
+        return ir.Rule(
+            name=f"on_{bit}",
+            id=rule_id,
+            shared_tag=0,
+            condition=ir.Condition(
+                clauses=(
+                    res(0, 0),
+                    res(0, 1),
+                    ir.CmpClause("MeasResult", "Eq", ir.TaggedValue("Str", bit)),
+                )
+            ),
+            action=ir.Action(
+                clauses=(ir.MeasureClause(ir.QubitId(0), "Z"),) + tail
+            ),
+        )
+
+    measure = ir.Stage(
+        (
+            measuring(0, "0", (ir.MeasureClause(ir.QubitId(1), "X"),)),
+            measuring(1, "1", (ir.FreeClause(ir.QubitId(1)),)),
+        )
+    )
+    free = ir.Stage(
+        (
+            ir.Rule(
+                name="free",
+                id=2,
+                shared_tag=0,
+                condition=ir.Condition(clauses=(res(1, 0),)),
+                action=ir.Action(clauses=(ir.FreeClause(ir.QubitId(0)),)),
+            ),
+        )
+    )
+    rulesets = {
+        0: ir.RuleSet(name="t", id=1, owner_addr=0, stages=(free, free)),
+        1: ir.RuleSet(name="t", id=1, owner_addr=1, stages=(measure, measure)),
+    }
+    return rulesets, chain(2)
+
+
+# (program, nodes, initial fidelity, round budget): every corpus program
+# that compiles, at several chain lengths.  Fidelity 0.8 starves chain7 of
+# pairs; small budgets cut branches off mid-run, which also keeps the
+# 9-node swapping tree (it deadlocks; 16 384 branches in full) small.
+ORACLE_CASES = [
+    ("entanglement_swapping.rula", 3, 1.0, 10_000),
+    ("entanglement_swapping.rula", 5, 1.0, 10_000),
+    ("entanglement_swapping.rula", 5, 0.8, 10_000),
+    *(("entanglement_swapping.rula", 5, 1.0, budget) for budget in range(1, 10)),
+    ("entanglement_swapping.rula", 9, 1.0, 3),
+    ("loop_probe.rula", 2, 1.0, 10_000),
+    ("loop_probe.rula", 5, 0.8, 4),
+    ("purification.rula", 3, 1.0, 10_000),
+    ("purification.rula", 3, 0.8, 10_000),
+    ("purification.rula", 5, 0.8, 4),
+    ("chain7.rula", 7, 0.8, 10_000),
+    ("chain7.rula", 8, 1.0, 3),
+    ("chain7.rula", 9, 0.8, 10_000),
+    ("two_matches.rula", 3, 1.0, 10_000),
+    ("two_matches.rula", 6, 0.8, 10_000),
+]
+
+
+class TestForkedEnumeration:
+    @pytest.mark.parametrize("program,nodes,fidelity,budget", ORACLE_CASES)
+    def test_matches_prefix_replay(self, corpus, program, nodes, fidelity, budget):
+        rulesets, topology = compile_chain(corpus, program, nodes)
+        options = {"initial_fidelity": fidelity, "max_rounds": budget}
+        forked = runtime.enumerate_outcomes(rulesets, topology, **options)
+        replayed = replay_enumeration(rulesets, topology, **options)
+        assert [r.to_json() for r in forked] == [r.to_json() for r in replayed]
+
+    @pytest.mark.parametrize("budget", [1, 2, 10_000])
+    def test_draws_that_depend_on_earlier_bits(self, budget):
+        rulesets, topology = measure_twice_on_zero()
+        forked = runtime.enumerate_outcomes(rulesets, topology, max_rounds=budget)
+        replayed = replay_enumeration(rulesets, topology, max_rounds=budget)
+        assert [r.to_json() for r in forked] == [r.to_json() for r in replayed]
+        if budget > 2:
+            assert [r.outcome_path for r in forked] == [
+                (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1), (0, 1, 0, 0), (0, 1, 0, 1),
+                (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1),
+            ]
+
+    def test_live_snapshots_stay_on_one_path(self, corpus, monkeypatch):
+        rulesets, topology = compile_chain(corpus, "entanglement_swapping.rula", 5)
+        live, peak = weakref.WeakSet(), []
+        real = runtime._Snapshot
+
+        def tracked(*args):
+            snapshot = real(*args)
+            live.add(snapshot)
+            peak.append(len(live))
+            return snapshot
+
+        monkeypatch.setattr(runtime, "_Snapshot", tracked)
+        assert len(runtime.enumerate_outcomes(rulesets, topology)) == 64
+        # one per swap on the path being walked, plus the one just taken
+        assert max(peak) <= 3 + 1
+        assert len(live) == 0
+
+    def test_sampled_run_is_one_branch(self, corpus):
+        rulesets, topology = compile_chain(corpus, "entanglement_swapping.rula", 5)
+        reports = {
+            r.outcome_path: r.to_json() for r in runtime.enumerate_outcomes(rulesets, topology)
+        }
+        for seed in range(8):
+            report = runtime.run(rulesets, topology, seed=seed)
+            assert reports[report.outcome_path] == report.to_json()
+
+
+class TestEnumerationPinned:
+    """sha256 of `rula run --enumerate-outcomes --report-json`, recorded
+    from the prefix-replay enumerator."""
+
+    @pytest.mark.parametrize(
+        "program,config_name,fidelity,code,digest",
+        [
+            ("chain7.rula", "config7.json", "1.0", 0,
+             "75301ab9f70c6d3f13adf63d7c3c9ae78ceaad6f3b3151725f7a0045e792d5a0"),
+            ("chain7.rula", "config7.json", "0.8", 1,
+             "10febe06e453cfcfd8862a7b4d32999efc51b39221f325abfac53b28e2fc784c"),
+            ("purification.rula", "config5.json", "1.0", 0,
+             "40266f3df69bb89fea21d5d87caeaa5e231aa2b57150cf3adf6d9847f97c49b4"),
+            ("purification.rula", "config5.json", "0.8", 0,
+             "f5a3518fd5ed32a4da5adfc7a876bcd9645456ce39af8d6ff8ba3a6c2c7bdceb"),
+            ("entanglement_swapping.rula", "config5.json", "1.0", 0,
+             "139b70ba46aef8e415b2cedabaf689cbebaeb6f14869e7752a126842abba228a"),
+        ],
+        ids=["chain7", "chain7_f0.8", "purification5", "purification5_f0.8", "swapping5"],
+    )
+    def test_report_json(
+        self, corpus, tmp_path, capsys, program, config_name, fidelity, code, digest
+    ):
+        assert cli.main([
+            "compile", str(corpus / program), "--config", str(corpus / config_name),
+            "--out-dir", str(tmp_path),
+        ]) == 0
+        capsys.readouterr()
+        assert cli.main([
+            "run", "--config", str(corpus / config_name), "--rulesets", str(tmp_path),
+            "--enumerate-outcomes", "--report-json", "--fidelity", fidelity,
+        ]) == code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
