@@ -29,6 +29,11 @@ _CMP_OP = {"==": "Eq", "!=": "Neq", "<": "Lt", "<=": "Leq", ">": "Gt", ">=": "Ge
 _NEGATE = {"Eq": "Neq", "Neq": "Eq", "Lt": "Geq", "Geq": "Lt", "Gt": "Leq", "Leq": "Gt"}
 _MIRROR = {"Eq": "Eq", "Neq": "Neq", "Lt": "Gt", "Gt": "Lt", "Leq": "Geq", "Geq": "Leq"}
 
+# Most loop bodies a ruleset-level loop nest may unroll to: the product of the
+# trip counts of a loop and of the loops around it. The corpus schedule
+# `1..n/2` over `1..n-1` needs 2048 * 4096 (about 8.4 M) on 4097 nodes.
+MAX_UNROLLED = 1 << 24
+
 
 @dataclass(frozen=True)
 class Obligation:
@@ -134,6 +139,10 @@ class LowerError(Exception):
         self.code = code
         self.span = span
         self.message = message
+
+
+class _UnrollLimit(LowerError):
+    """A loop nest over MAX_UNROLLED bodies; aborts the whole nest."""
 
 
 def _trunc_div(a, b, span: ast.Span):
@@ -242,6 +251,7 @@ class _Compiler:
         self.calls: list[_CallRecord] = []
         self.diagnostics: list[Diagnostic] = []
         self._current_owner: Repeater | None = None
+        self._unrolled = 1  # bodies the enclosing loop nest unrolls to
 
     def error(self, code: str, span: ast.Span, message: str) -> None:
         self.diagnostics.append(Diagnostic("error", code, span, message))
@@ -502,11 +512,26 @@ class _Compiler:
         else:
             self.error("const-expr", stmt.span, "loop generator must be a series or a vector")
             return
-        for value in values:
-            scoped = dict(env)
-            scoped[name] = value
-            self._exec_stmts(stmt.body, scoped)
-            # rebind promoted handles created in the body? they are loop-local
+        outer = self._unrolled
+        self._unrolled = outer * len(values)
+        try:
+            if self._unrolled > MAX_UNROLLED:
+                raise _UnrollLimit(
+                    "loop-bound",
+                    stmt.span,
+                    f"loop nest unrolls to {self._unrolled} bodies, more than {MAX_UNROLLED}",
+                )
+            for value in values:
+                scoped = dict(env)
+                scoped[name] = value
+                self._exec_stmts(stmt.body, scoped)
+                # rebind promoted handles created in the body? they are loop-local
+        except _UnrollLimit as err:
+            if outer > 1:
+                raise  # the outermost loop of the nest reports it, once
+            self.error(err.code, err.span, err.message)
+        finally:
+            self._unrolled = outer
 
     def _exec_if(self, stmt: ast.IfStmt, env: dict) -> None:
         for condition, body in stmt.branches:

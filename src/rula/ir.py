@@ -5,6 +5,15 @@ each holding rules that pair a condition (resource, message, comparison and
 timer clauses) with an action (gates, measurements, resource management and
 message sends).  Serialization is deterministic so compiled output can be
 compared byte for byte.
+
+Deserialization is one pass over the decoded JSON, and a document that
+passes builds no error text. Each object's keys are compared once with its
+shape, and each scalar's exact class is checked; only a value that fails
+goes through the `_expect_*` helpers, which word the error. A SchemaError
+is raised with a path relative to the value being checked. Each enclosing
+level catches it, prepends its own segment (".stages[2]", ".rules[0]",
+".condition", ".clauses[1]", ".Res", ".qgates[0]", ...) and re-raises, and
+`deserialize` adds the leading "$".
 """
 
 from __future__ import annotations
@@ -323,7 +332,31 @@ def _write(value, newline: str, step: str, sort_keys: bool, emit) -> None:
 # --- deserialization ---------------------------------------------------------
 
 
-def _expect_obj(value, path: str, keys: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
+def _shape(*keys: str):
+    """An object shape's keys: ordered for `_expect_obj`, compared as a set with `dict.keys()`."""
+    return dict.fromkeys(keys).keys()
+
+
+_RULESET = _shape("name", "id", "owner_addr", "stages")
+_STAGE = _shape("rules")
+_RULE = _shape("name", "id", "shared_tag", "qnic_interfaces", "condition", "action", "is_finalized")
+_BLOCK = _shape("name", "clauses")
+_QUBIT = _shape("qubit_index")
+_RES = _shape("count", "fidelity", "partner_addr", "qubit_index")
+_CMP = _shape("cmp_val", "operator", "target_val")
+_TIMER = _shape("timer_id")
+_PARTNER = _shape("partner_addr")
+_SEND = _shape("partner_addr", "payload")
+_SET_TIMER = _shape("timer_id", "duration")
+_ON_QUBIT = _shape("qubit_identifier")
+_SET, _SET_ALIAS = _shape("variable"), _shape("variable", "alias")
+_MEASURE = _shape("qubit_identifier", "basis")
+_QCIRC = _shape("qgates")
+_GATE = _shape("qubit_identifier", "kind")
+
+
+def _expect_obj(value, path: str, keys, optional=()) -> dict:
+    """Name the first missing key in `keys` order, else the first unknown key."""
     if not isinstance(value, dict):
         raise SchemaError(f"expected object, got {type(value).__name__}", path)
     missing = [k for k in keys if k not in value]
@@ -336,26 +369,41 @@ def _expect_obj(value, path: str, keys: tuple[str, ...], optional: tuple[str, ..
 
 
 def _expect_int(value, path: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
+    if value.__class__ is not int and (not isinstance(value, int) or isinstance(value, bool)):
         raise SchemaError(f"expected integer, got {type(value).__name__}", path)
     return value
 
 
 def _expect_str(value, path: str) -> str:
-    if not isinstance(value, str):
+    if value.__class__ is not str and not isinstance(value, str):
         raise SchemaError(f"expected string, got {type(value).__name__}", path)
     return value
 
 
 def _expect_list(value, path: str) -> list:
-    if not isinstance(value, list):
+    if value.__class__ is not list and not isinstance(value, list):
         raise SchemaError(f"expected array, got {type(value).__name__}", path)
     return value
 
 
-def _qubit_id(value, path: str) -> QubitId:
-    obj = _expect_obj(value, path, ("qubit_index",))
-    return QubitId(_expect_int(obj["qubit_index"], path + ".qubit_index"))
+def _array(value, path: str, item) -> tuple:
+    """`item` applied to each element of the array `value`, found at `path`."""
+    out = []
+    _expect_list(value, path)
+    try:
+        for element in value:
+            out.append(item(element))
+    except SchemaError as err:
+        err.path = f"{path}[{len(out)}]{err.path}"
+        raise
+    return tuple(out)
+
+
+def _qubit_id(value) -> QubitId:
+    """The "qubit_identifier" of an action clause or a gate."""
+    if value.__class__ is not dict or value.keys() != _QUBIT:
+        _expect_obj(value, ".qubit_identifier", _QUBIT)
+    return QubitId(_expect_int(value["qubit_index"], ".qubit_identifier.qubit_index"))
 
 
 def _variant(value, path: str) -> tuple[str, object]:
@@ -365,148 +413,157 @@ def _variant(value, path: str) -> tuple[str, object]:
     return key, body
 
 
-def _condition_clause(value, path: str) -> ConditionClause:
-    key, body = _variant(value, path)
-    p = f"{path}.{key}"
-    if key == "Res":
-        obj = _expect_obj(body, p, ("count", "fidelity", "partner_addr", "qubit_index"))
-        fidelity = obj["fidelity"]
-        if not isinstance(fidelity, (int, float)) or isinstance(fidelity, bool):
-            raise SchemaError("expected number for fidelity", p + ".fidelity")
-        if not 0.0 <= float(fidelity) <= 1.0:
-            raise SchemaError(f"fidelity {fidelity} outside [0, 1]", p + ".fidelity")
-        return ResClause(
-            count=_expect_int(obj["count"], p + ".count"),
-            fidelity=float(fidelity),
-            partner_addr=_expect_int(obj["partner_addr"], p + ".partner_addr"),
-            qubit_index=_expect_int(obj["qubit_index"], p + ".qubit_index"),
-        )
-    if key == "Cmp":
-        obj = _expect_obj(body, p, ("cmp_val", "operator", "target_val"))
-        operator = _expect_str(obj["operator"], p + ".operator")
-        if operator not in CMP_OPERATORS:
-            raise SchemaError(f"unknown operator {operator!r}", p + ".operator")
-        kind, raw = _variant(obj["target_val"], p + ".target_val")
-        return CmpClause(
-            cmp_val=_expect_str(obj["cmp_val"], p + ".cmp_val"),
-            operator=operator,
-            target_val=TaggedValue(kind, _expect_str(raw, f"{p}.target_val.{kind}")),
-        )
-    if key == "Timer":
-        obj = _expect_obj(body, p, ("timer_id",))
-        return TimerClause(_expect_str(obj["timer_id"], p + ".timer_id"))
-    if key == "Recv":
-        obj = _expect_obj(body, p, ("partner_addr",))
-        return RecvClause(_expect_int(obj["partner_addr"], p + ".partner_addr"))
-    raise SchemaError(f"unknown condition clause {key!r}", path)
+def _condition_clause(value) -> ConditionClause:
+    if value.__class__ is not dict or len(value) != 1:
+        _variant(value, "")
+    [(key, body)] = value.items()
+    try:
+        if key == "Res":
+            if body.__class__ is not dict or body.keys() != _RES:
+                _expect_obj(body, "", _RES)
+            fidelity = body["fidelity"]
+            if fidelity.__class__ is not float or not 0.0 <= fidelity <= 1.0:
+                if not isinstance(fidelity, (int, float)) or isinstance(fidelity, bool):
+                    raise SchemaError("expected number for fidelity", ".fidelity")
+                if not 0.0 <= fidelity <= 1.0:  # before float(), which overflows on a huge int
+                    raise SchemaError(f"fidelity {fidelity} outside [0, 1]", ".fidelity")
+            count = _expect_int(body["count"], ".count")
+            partner = _expect_int(body["partner_addr"], ".partner_addr")
+            qubit = _expect_int(body["qubit_index"], ".qubit_index")
+            return ResClause(count, float(fidelity), partner, qubit)
+        if key == "Cmp":
+            if body.__class__ is not dict or body.keys() != _CMP:
+                _expect_obj(body, "", _CMP)
+            operator = _expect_str(body["operator"], ".operator")
+            if operator not in CMP_OPERATORS:
+                raise SchemaError(f"unknown operator {operator!r}", ".operator")
+            kind, raw = _variant(body["target_val"], ".target_val")
+            cmp_val = _expect_str(body["cmp_val"], ".cmp_val")
+            if raw.__class__ is not str:
+                _expect_str(raw, f".target_val.{kind}")
+            return CmpClause(cmp_val, operator, TaggedValue(kind, raw))
+        if key == "Recv":
+            if body.__class__ is not dict or body.keys() != _PARTNER:
+                _expect_obj(body, "", _PARTNER)
+            return RecvClause(_expect_int(body["partner_addr"], ".partner_addr"))
+        if key == "Timer":
+            if body.__class__ is not dict or body.keys() != _TIMER:
+                _expect_obj(body, "", _TIMER)
+            return TimerClause(_expect_str(body["timer_id"], ".timer_id"))
+    except SchemaError as err:
+        err.path = f".{key}{err.path}"
+        raise
+    raise SchemaError(f"unknown condition clause {key!r}", "")
 
 
-def _action_clause(value, path: str) -> ActionClause:
-    key, body = _variant(value, path)
-    p = f"{path}.{key}"
-    if key == "SetTimer":
-        obj = _expect_obj(body, p, ("timer_id", "duration"))
-        return SetTimerClause(
-            _expect_str(obj["timer_id"], p + ".timer_id"),
-            _expect_int(obj["duration"], p + ".duration"),
-        )
-    if key == "Promote":
-        obj = _expect_obj(body, p, ("qubit_identifier",))
-        return PromoteClause(_qubit_id(obj["qubit_identifier"], p + ".qubit_identifier"))
-    if key == "Free":
-        obj = _expect_obj(body, p, ("qubit_identifier",))
-        return FreeClause(_qubit_id(obj["qubit_identifier"], p + ".qubit_identifier"))
-    if key == "Set":
-        obj = _expect_obj(body, p, ("variable",), optional=("alias",))
-        alias = obj.get("alias")
-        if alias is not None:
-            alias = _expect_str(alias, p + ".alias")
-        return SetClause(_expect_str(obj["variable"], p + ".variable"), alias)
-    if key == "Measure":
-        obj = _expect_obj(body, p, ("qubit_identifier", "basis"))
-        basis = _expect_str(obj["basis"], p + ".basis")
-        if basis not in MEASURE_BASES:
-            raise SchemaError(f"unknown basis {basis!r}", p + ".basis")
-        return MeasureClause(_qubit_id(obj["qubit_identifier"], p + ".qubit_identifier"), basis)
-    if key == "QCirc":
-        obj = _expect_obj(body, p, ("qgates",))
-        gates = []
-        for i, g in enumerate(_expect_list(obj["qgates"], p + ".qgates")):
-            gp = f"{p}.qgates[{i}]"
-            gobj = _expect_obj(g, gp, ("qubit_identifier", "kind"))
-            kind = _expect_str(gobj["kind"], gp + ".kind")
-            if kind not in GATE_KINDS:
-                raise SchemaError(f"unknown gate kind {kind!r}", gp + ".kind")
-            gates.append(QGate(_qubit_id(gobj["qubit_identifier"], gp + ".qubit_identifier"), kind))
-        return QCircClause(tuple(gates))
-    if key == "Send":
-        kind, inner = _variant(body, p)
-        if kind not in MESSAGE_KINDS:
-            raise SchemaError(f"unknown message kind {kind!r}", p)
-        ip = f"{p}.{kind}"
-        obj = _expect_obj(inner, ip, ("partner_addr",), optional=("payload",))
-        payload: tuple[tuple[str, str], ...] = ()
-        if "payload" in obj:
-            raw = obj["payload"]
-            if not isinstance(raw, dict):
-                raise SchemaError("expected object for payload", ip + ".payload")
-            payload = tuple(
-                (_expect_str(k, ip + ".payload"), _expect_str(v, f"{ip}.payload.{k}"))
-                for k, v in raw.items()
-            )
-        return SendClause(kind, _expect_int(obj["partner_addr"], ip + ".partner_addr"), payload)
-    raise SchemaError(f"unknown action clause {key!r}", path)
+def _action_clause(value) -> ActionClause:
+    if value.__class__ is not dict or len(value) != 1:
+        _variant(value, "")
+    [(key, body)] = value.items()
+    try:
+        if key == "Send":
+            kind, inner = _variant(body, "")
+            if kind not in MESSAGE_KINDS:
+                raise SchemaError(f"unknown message kind {kind!r}", "")
+            if inner.__class__ is not dict or not _PARTNER <= inner.keys() <= _SEND:
+                _expect_obj(inner, f".{kind}", _PARTNER, _SEND)
+            payload: tuple[tuple[str, str], ...] = ()
+            if "payload" in inner:
+                raw = inner["payload"]
+                if not isinstance(raw, dict):
+                    raise SchemaError("expected object for payload", f".{kind}.payload")
+                payload = tuple(raw.items())  # the keys of decoded JSON are strings
+                for k, v in payload:
+                    if v.__class__ is not str:
+                        _expect_str(v, f".{kind}.payload.{k}")
+            partner = inner["partner_addr"]
+            if partner.__class__ is not int:
+                _expect_int(partner, f".{kind}.partner_addr")
+            return SendClause(kind, partner, payload)
+        if key == "Measure":
+            if body.__class__ is not dict or body.keys() != _MEASURE:
+                _expect_obj(body, "", _MEASURE)
+            basis = _expect_str(body["basis"], ".basis")
+            if basis not in MEASURE_BASES:
+                raise SchemaError(f"unknown basis {basis!r}", ".basis")
+            return MeasureClause(_qubit_id(body["qubit_identifier"]), basis)
+        if key == "QCirc":
+            if body.__class__ is not dict or body.keys() != _QCIRC:
+                _expect_obj(body, "", _QCIRC)
+            return QCircClause(_array(body["qgates"], ".qgates", _gate))
+        if key == "Promote" or key == "Free":
+            if body.__class__ is not dict or body.keys() != _ON_QUBIT:
+                _expect_obj(body, "", _ON_QUBIT)
+            qubit = _qubit_id(body["qubit_identifier"])
+            return PromoteClause(qubit) if key == "Promote" else FreeClause(qubit)
+        if key == "SetTimer":
+            if body.__class__ is not dict or body.keys() != _SET_TIMER:
+                _expect_obj(body, "", _SET_TIMER)
+            timer_id = _expect_str(body["timer_id"], ".timer_id")
+            return SetTimerClause(timer_id, _expect_int(body["duration"], ".duration"))
+        if key == "Set":
+            if body.__class__ is not dict or not _SET <= body.keys() <= _SET_ALIAS:
+                _expect_obj(body, "", _SET, _SET_ALIAS)
+            alias = body.get("alias")
+            if alias is not None:
+                alias = _expect_str(alias, ".alias")
+            return SetClause(_expect_str(body["variable"], ".variable"), alias)
+    except SchemaError as err:
+        err.path = f".{key}{err.path}"
+        raise
+    raise SchemaError(f"unknown action clause {key!r}", "")
 
 
-def _condition(value, path: str) -> Condition:
-    obj = _expect_obj(value, path, ("name", "clauses"))
-    name = obj["name"]
+def _gate(value) -> QGate:
+    if value.__class__ is not dict or value.keys() != _GATE:
+        _expect_obj(value, "", _GATE)
+    kind = _expect_str(value["kind"], ".kind")
+    if kind not in GATE_KINDS:
+        raise SchemaError(f"unknown gate kind {kind!r}", ".kind")
+    return QGate(_qubit_id(value["qubit_identifier"]), kind)
+
+
+def _block(value, clause) -> tuple:
+    """The name and the clauses of a condition or an action."""
+    if value.__class__ is not dict or value.keys() != _BLOCK:
+        _expect_obj(value, "", _BLOCK)
+    name = value["name"]
     if name is not None:
-        name = _expect_str(name, path + ".name")
-    clauses = [
-        _condition_clause(c, f"{path}.clauses[{i}]")
-        for i, c in enumerate(_expect_list(obj["clauses"], path + ".clauses"))
-    ]
-    return Condition(name, tuple(clauses))
+        name = _expect_str(name, ".name")
+    return name, _array(value["clauses"], ".clauses", clause)
 
 
-def _action(value, path: str) -> Action:
-    obj = _expect_obj(value, path, ("name", "clauses"))
-    name = obj["name"]
-    if name is not None:
-        name = _expect_str(name, path + ".name")
-    clauses = [
-        _action_clause(c, f"{path}.clauses[{i}]")
-        for i, c in enumerate(_expect_list(obj["clauses"], path + ".clauses"))
-    ]
-    return Action(name, tuple(clauses))
-
-
-def _rule(value, path: str) -> Rule:
-    obj = _expect_obj(
-        value,
-        path,
-        ("name", "id", "shared_tag", "qnic_interfaces", "condition", "action", "is_finalized"),
-    )
-    qnic = obj["qnic_interfaces"]
+def _rule(value) -> Rule:
+    if value.__class__ is not dict or value.keys() != _RULE:
+        _expect_obj(value, "", _RULE)
+    qnic = value["qnic_interfaces"]
     if not isinstance(qnic, dict):
-        raise SchemaError("expected object for qnic_interfaces", path + ".qnic_interfaces")
-    interfaces = tuple(
-        (_expect_str(k, path + ".qnic_interfaces"), _expect_str(v, f"{path}.qnic_interfaces.{k}"))
-        for k, v in qnic.items()
-    )
-    finalized = obj["is_finalized"]
+        raise SchemaError("expected object for qnic_interfaces", ".qnic_interfaces")
+    interfaces = tuple(qnic.items())  # the keys of decoded JSON are strings
+    for k, v in interfaces:
+        if v.__class__ is not str:
+            _expect_str(v, f".qnic_interfaces.{k}")
+    finalized = value["is_finalized"]
     if not isinstance(finalized, bool):
-        raise SchemaError("expected boolean for is_finalized", path + ".is_finalized")
-    return Rule(
-        name=_expect_str(obj["name"], path + ".name"),
-        id=_expect_int(obj["id"], path + ".id"),
-        shared_tag=_expect_int(obj["shared_tag"], path + ".shared_tag"),
-        condition=_condition(obj["condition"], path + ".condition"),
-        action=_action(obj["action"], path + ".action"),
-        qnic_interfaces=interfaces,
-        is_finalized=finalized,
-    )
+        raise SchemaError("expected boolean for is_finalized", ".is_finalized")
+    name = _expect_str(value["name"], ".name")
+    rule_id = _expect_int(value["id"], ".id")
+    shared_tag = _expect_int(value["shared_tag"], ".shared_tag")
+    where = ".condition"
+    try:
+        condition = Condition(*_block(value["condition"], _condition_clause))
+        where = ".action"
+        action = Action(*_block(value["action"], _action_clause))
+    except SchemaError as err:
+        err.path = where + err.path
+        raise
+    return Rule(name, rule_id, shared_tag, condition, action, interfaces, finalized)
+
+
+def _stage(value) -> Stage:
+    if value.__class__ is not dict or value.keys() != _STAGE:
+        _expect_obj(value, "", _STAGE)
+    return Stage(_array(value["rules"], ".rules", _rule))
 
 
 def deserialize(text: str) -> RuleSet:
@@ -515,22 +572,17 @@ def deserialize(text: str) -> RuleSet:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"malformed JSON at byte {exc.pos}: {exc.msg}") from exc
-    obj = _expect_obj(doc, "$", ("name", "id", "owner_addr", "stages"))
-    stages = []
-    for i, s in enumerate(_expect_list(obj["stages"], "$.stages")):
-        sp = f"$.stages[{i}]"
-        sobj = _expect_obj(s, sp, ("rules",))
-        rules = [
-            _rule(r, f"{sp}.rules[{j}]")
-            for j, r in enumerate(_expect_list(sobj["rules"], sp + ".rules"))
-        ]
-        stages.append(Stage(tuple(rules)))
-    return RuleSet(
-        name=_expect_str(obj["name"], "$.name"),
-        id=_expect_int(obj["id"], "$.id"),
-        owner_addr=_expect_int(obj["owner_addr"], "$.owner_addr"),
-        stages=tuple(stages),
-    )
+    try:
+        if doc.__class__ is not dict or doc.keys() != _RULESET:
+            _expect_obj(doc, "", _RULESET)
+        stages = _array(doc["stages"], ".stages", _stage)
+        name = _expect_str(doc["name"], ".name")
+        ruleset_id = _expect_int(doc["id"], ".id")
+        return RuleSet(name, ruleset_id, _expect_int(doc["owner_addr"], ".owner_addr"), stages)
+    except SchemaError as err:
+        err.path = "$" + err.path
+        err.args = (f"{err.path}: {err.reason}",)
+        raise
 
 
 # --- validation --------------------------------------------------------------

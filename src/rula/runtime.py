@@ -860,10 +860,15 @@ class _Firing:
             )
         payload = {}
         for key, value in clause.payload:
-            if key == "result":
+            if key != "result":
+                payload[key] = value
+            elif value in self.registers:
                 payload[key] = self.registers[value]
             else:
-                payload[key] = value
+                raise SimulationError(
+                    f"address {self.node.address}: send payload result names register "
+                    f"{value!r}, which the rule never wrote"
+                )
         self.net.outbox.append(
             Message(clause.message, self.node.address, clause.partner_addr, payload)
         )

@@ -354,8 +354,15 @@ class TestRun:
                 r"\g<1>9",
                 "address 1: send to address 9, which is not in the config",
             ),
+            # a send payload naming a register the rule never wrote
+            (
+                '"result": "MeasResult"',
+                '"result": "MeasResult7"',
+                "address 1: send payload result names register 'MeasResult7', "
+                "which the rule never wrote",
+            ),
         ],
-        ids=["basis", "address"],
+        ids=["basis", "address", "register"],
     )
     def test_simulation_error_is_reported(
         self, corpus, capsys, tmp_path, mode, pattern, replacement, message

@@ -2,6 +2,7 @@
 splitting and deterministic output."""
 
 import hashlib
+import time
 
 import pytest
 
@@ -253,6 +254,40 @@ ruleset nested_counts{
         out = compile_corpus(corpus, "loop_probe.rula", "config2.json")
         tags = [stage.rules[0].shared_tag for stage in out.per_node[0].stages]
         assert tags == [0, 1, 2, 3, 4]
+
+
+def loop_nest(bounds: list[str]) -> str:
+    """A ruleset of empty loops nested in the order given, `for i in <bound>`."""
+    opening = "".join(f"for i in {bound} {{\n" for bound in bounds)
+    return f"ruleset nest {{\n{opening}{'}' * len(bounds)}\n}}\n"
+
+
+class TestLoopNestBound:
+    def test_deep_nest_is_rejected_quickly(self):
+        source = loop_nest(["0..2"] * 99)
+        started = time.perf_counter()
+        out = compile_source(source, chain(3))
+        assert time.perf_counter() - started < 0.5
+        [diag] = out.diagnostics
+        assert diag.code == "loop-bound" and diag.is_error
+        # the 16th loop is the first whose nest exceeds the bound: 3^16 > 2^24
+        assert diag.span.start == source.index("for", 15 * len("for i in 0..2 {\n"))
+        assert "43046721 bodies" in diag.message
+
+    def test_deep_nest_of_single_trips_compiles(self):
+        out = compile_source(loop_nest(["1..1"] * 99), chain(3))
+        assert out.ok, out.diagnostics
+
+    def test_bound_is_the_product_of_the_nest(self, monkeypatch):
+        monkeypatch.setattr(codegen, "MAX_UNROLLED", 6)
+        assert compile_source(loop_nest(["1..2", "1..3"]), chain(3)).ok
+        assert compile_source(loop_nest(["1..6"]), chain(3)).ok
+        [diag] = compile_source(loop_nest(["1..2", "1..4"]), chain(3)).diagnostics
+        assert diag.code == "loop-bound"
+
+    def test_bound_admits_the_corpus_schedule_on_4097_nodes(self):
+        # `for d in 1..n/2 { for i in 1..n-1 { ... } }` with n = 4097
+        assert 2048 * 4096 <= codegen.MAX_UNROLLED
 
 
 class TestChain7:

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
-from rula import ir
+from rula import analyzer, codegen, config, ir, parser
 
 
 def _random_ruleset(rng: random.Random) -> ir.RuleSet:
@@ -331,3 +333,358 @@ class TestValidate:
         rule = self._rule(0, condition=ir.Condition(None, (res,)))
         rs = ir.RuleSet("x", 0, 0, (ir.Stage((rule,)),))
         assert any("count" in f.message for f in ir.validate(rs))
+
+
+# --- reference deserializer --------------------------------------------------
+#
+# `ir.deserialize` as it was before the one-pass rewrite, kept as the oracle of
+# TestDeserializeDifferential: it builds every path eagerly and checks each
+# object's keys with two comprehensions, so it is slow but plainly correct.
+
+
+def _ref_expect_obj(value, path: str, keys: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
+    if not isinstance(value, dict):
+        raise ir.SchemaError(f"expected object, got {type(value).__name__}", path)
+    missing = [k for k in keys if k not in value]
+    if missing:
+        raise ir.SchemaError(f"missing field {missing[0]!r}", path)
+    unknown = [k for k in value if k not in keys and k not in optional]
+    if unknown:
+        raise ir.SchemaError(f"unknown field {unknown[0]!r}", path)
+    return value
+
+
+def _ref_expect_int(value, path: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ir.SchemaError(f"expected integer, got {type(value).__name__}", path)
+    return value
+
+
+def _ref_expect_str(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ir.SchemaError(f"expected string, got {type(value).__name__}", path)
+    return value
+
+
+def _ref_expect_list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise ir.SchemaError(f"expected array, got {type(value).__name__}", path)
+    return value
+
+
+def _ref_qubit_id(value, path: str) -> ir.QubitId:
+    obj = _ref_expect_obj(value, path, ("qubit_index",))
+    return ir.QubitId(_ref_expect_int(obj["qubit_index"], path + ".qubit_index"))
+
+
+def _ref_variant(value, path: str) -> tuple[str, object]:
+    if not isinstance(value, dict) or len(value) != 1:
+        raise ir.SchemaError("expected single-key variant object", path)
+    [(key, body)] = value.items()
+    return key, body
+
+
+def _ref_condition_clause(value, path: str) -> ir.ConditionClause:
+    key, body = _ref_variant(value, path)
+    p = f"{path}.{key}"
+    if key == "Res":
+        obj = _ref_expect_obj(body, p, ("count", "fidelity", "partner_addr", "qubit_index"))
+        fidelity = obj["fidelity"]
+        if not isinstance(fidelity, (int, float)) or isinstance(fidelity, bool):
+            raise ir.SchemaError("expected number for fidelity", p + ".fidelity")
+        if not 0.0 <= float(fidelity) <= 1.0:
+            raise ir.SchemaError(f"fidelity {fidelity} outside [0, 1]", p + ".fidelity")
+        return ir.ResClause(
+            count=_ref_expect_int(obj["count"], p + ".count"),
+            fidelity=float(fidelity),
+            partner_addr=_ref_expect_int(obj["partner_addr"], p + ".partner_addr"),
+            qubit_index=_ref_expect_int(obj["qubit_index"], p + ".qubit_index"),
+        )
+    if key == "Cmp":
+        obj = _ref_expect_obj(body, p, ("cmp_val", "operator", "target_val"))
+        operator = _ref_expect_str(obj["operator"], p + ".operator")
+        if operator not in ir.CMP_OPERATORS:
+            raise ir.SchemaError(f"unknown operator {operator!r}", p + ".operator")
+        kind, raw = _ref_variant(obj["target_val"], p + ".target_val")
+        return ir.CmpClause(
+            cmp_val=_ref_expect_str(obj["cmp_val"], p + ".cmp_val"),
+            operator=operator,
+            target_val=ir.TaggedValue(kind, _ref_expect_str(raw, f"{p}.target_val.{kind}")),
+        )
+    if key == "Timer":
+        obj = _ref_expect_obj(body, p, ("timer_id",))
+        return ir.TimerClause(_ref_expect_str(obj["timer_id"], p + ".timer_id"))
+    if key == "Recv":
+        obj = _ref_expect_obj(body, p, ("partner_addr",))
+        return ir.RecvClause(_ref_expect_int(obj["partner_addr"], p + ".partner_addr"))
+    raise ir.SchemaError(f"unknown condition clause {key!r}", path)
+
+
+def _ref_action_clause(value, path: str) -> ir.ActionClause:
+    key, body = _ref_variant(value, path)
+    p = f"{path}.{key}"
+    if key == "SetTimer":
+        obj = _ref_expect_obj(body, p, ("timer_id", "duration"))
+        return ir.SetTimerClause(
+            _ref_expect_str(obj["timer_id"], p + ".timer_id"),
+            _ref_expect_int(obj["duration"], p + ".duration"),
+        )
+    if key == "Promote":
+        obj = _ref_expect_obj(body, p, ("qubit_identifier",))
+        return ir.PromoteClause(_ref_qubit_id(obj["qubit_identifier"], p + ".qubit_identifier"))
+    if key == "Free":
+        obj = _ref_expect_obj(body, p, ("qubit_identifier",))
+        return ir.FreeClause(_ref_qubit_id(obj["qubit_identifier"], p + ".qubit_identifier"))
+    if key == "Set":
+        obj = _ref_expect_obj(body, p, ("variable",), optional=("alias",))
+        alias = obj.get("alias")
+        if alias is not None:
+            alias = _ref_expect_str(alias, p + ".alias")
+        return ir.SetClause(_ref_expect_str(obj["variable"], p + ".variable"), alias)
+    if key == "Measure":
+        obj = _ref_expect_obj(body, p, ("qubit_identifier", "basis"))
+        basis = _ref_expect_str(obj["basis"], p + ".basis")
+        if basis not in ir.MEASURE_BASES:
+            raise ir.SchemaError(f"unknown basis {basis!r}", p + ".basis")
+        return ir.MeasureClause(_ref_qubit_id(obj["qubit_identifier"], p + ".qubit_identifier"), basis)
+    if key == "QCirc":
+        obj = _ref_expect_obj(body, p, ("qgates",))
+        gates = []
+        for i, g in enumerate(_ref_expect_list(obj["qgates"], p + ".qgates")):
+            gp = f"{p}.qgates[{i}]"
+            gobj = _ref_expect_obj(g, gp, ("qubit_identifier", "kind"))
+            kind = _ref_expect_str(gobj["kind"], gp + ".kind")
+            if kind not in ir.GATE_KINDS:
+                raise ir.SchemaError(f"unknown gate kind {kind!r}", gp + ".kind")
+            gates.append(ir.QGate(_ref_qubit_id(gobj["qubit_identifier"], gp + ".qubit_identifier"), kind))
+        return ir.QCircClause(tuple(gates))
+    if key == "Send":
+        kind, inner = _ref_variant(body, p)
+        if kind not in ir.MESSAGE_KINDS:
+            raise ir.SchemaError(f"unknown message kind {kind!r}", p)
+        ip = f"{p}.{kind}"
+        obj = _ref_expect_obj(inner, ip, ("partner_addr",), optional=("payload",))
+        payload: tuple[tuple[str, str], ...] = ()
+        if "payload" in obj:
+            raw = obj["payload"]
+            if not isinstance(raw, dict):
+                raise ir.SchemaError("expected object for payload", ip + ".payload")
+            payload = tuple(
+                (_ref_expect_str(k, ip + ".payload"), _ref_expect_str(v, f"{ip}.payload.{k}"))
+                for k, v in raw.items()
+            )
+        return ir.SendClause(kind, _ref_expect_int(obj["partner_addr"], ip + ".partner_addr"), payload)
+    raise ir.SchemaError(f"unknown action clause {key!r}", path)
+
+
+def _ref_condition(value, path: str) -> ir.Condition:
+    obj = _ref_expect_obj(value, path, ("name", "clauses"))
+    name = obj["name"]
+    if name is not None:
+        name = _ref_expect_str(name, path + ".name")
+    clauses = [
+        _ref_condition_clause(c, f"{path}.clauses[{i}]")
+        for i, c in enumerate(_ref_expect_list(obj["clauses"], path + ".clauses"))
+    ]
+    return ir.Condition(name, tuple(clauses))
+
+
+def _ref_action(value, path: str) -> ir.Action:
+    obj = _ref_expect_obj(value, path, ("name", "clauses"))
+    name = obj["name"]
+    if name is not None:
+        name = _ref_expect_str(name, path + ".name")
+    clauses = [
+        _ref_action_clause(c, f"{path}.clauses[{i}]")
+        for i, c in enumerate(_ref_expect_list(obj["clauses"], path + ".clauses"))
+    ]
+    return ir.Action(name, tuple(clauses))
+
+
+def _ref_rule(value, path: str) -> ir.Rule:
+    obj = _ref_expect_obj(
+        value,
+        path,
+        ("name", "id", "shared_tag", "qnic_interfaces", "condition", "action", "is_finalized"),
+    )
+    qnic = obj["qnic_interfaces"]
+    if not isinstance(qnic, dict):
+        raise ir.SchemaError("expected object for qnic_interfaces", path + ".qnic_interfaces")
+    interfaces = tuple(
+        (_ref_expect_str(k, path + ".qnic_interfaces"), _ref_expect_str(v, f"{path}.qnic_interfaces.{k}"))
+        for k, v in qnic.items()
+    )
+    finalized = obj["is_finalized"]
+    if not isinstance(finalized, bool):
+        raise ir.SchemaError("expected boolean for is_finalized", path + ".is_finalized")
+    return ir.Rule(
+        name=_ref_expect_str(obj["name"], path + ".name"),
+        id=_ref_expect_int(obj["id"], path + ".id"),
+        shared_tag=_ref_expect_int(obj["shared_tag"], path + ".shared_tag"),
+        condition=_ref_condition(obj["condition"], path + ".condition"),
+        action=_ref_action(obj["action"], path + ".action"),
+        qnic_interfaces=interfaces,
+        is_finalized=finalized,
+    )
+
+
+def reference_deserialize(text: str) -> ir.RuleSet:
+    """Parse JSON text into a ir.RuleSet, rejecting unknown fields and bad domains."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ir.SchemaError(f"malformed JSON at byte {exc.pos}: {exc.msg}") from exc
+    obj = _ref_expect_obj(doc, "$", ("name", "id", "owner_addr", "stages"))
+    stages = []
+    for i, s in enumerate(_ref_expect_list(obj["stages"], "$.stages")):
+        sp = f"$.stages[{i}]"
+        sobj = _ref_expect_obj(s, sp, ("rules",))
+        rules = [
+            _ref_rule(r, f"{sp}.rules[{j}]")
+            for j, r in enumerate(_ref_expect_list(sobj["rules"], sp + ".rules"))
+        ]
+        stages.append(ir.Stage(tuple(rules)))
+    return ir.RuleSet(
+        name=_ref_expect_str(obj["name"], "$.name"),
+        id=_ref_expect_int(obj["id"], "$.id"),
+        owner_addr=_ref_expect_int(obj["owner_addr"], "$.owner_addr"),
+        stages=tuple(stages),
+    )
+
+
+# --- differential test -------------------------------------------------------
+
+_CORPUS_PROGRAMS = (
+    ("entanglement_swapping.rula", "config5.json"),
+    ("purification.rula", "config3.json"),
+    ("two_matches.rula", "config3.json"),
+    ("loop_probe.rula", "config2.json"),
+    ("chain7.rula", "config7.json"),
+)
+
+# what a mutant puts in place of a value, and the keys it adds or renames to
+_MUTANT_VALUES = (
+    None, True, False, 0, -1, 2**64, 0.5, 1.5, float("nan"), "", "X", "Eq", "CxControl",
+    "MeasResult", [], [0], {}, {"qubit_index": 0}, {"Transfer": {"partner_addr": 0}},
+)
+_MUTANT_KEYS = ("name", "alias", "payload", "kind", "Res", "Send", "Free", "Meas", "Z", "extra")
+
+
+def _compiled_texts(program, topology) -> list[str]:
+    out = codegen.compile_program(program, topology, 7)
+    assert out.ok, out.diagnostics
+    return [ir.serialize(rs) for rs in out.per_node.values()]
+
+
+def _document_groups(corpus) -> list[list[str]]:
+    """The reference RuleSet, the compiled corpus, the 33- and 129-node doubling chains."""
+    groups = [[(corpus / "swapping_ruleset.json").read_text()], []]
+    for name, config_name in _CORPUS_PROGRAMS:
+        program = parser.parse((corpus / name).read_text(), filename=name)
+        program, _diags = analyzer.resolve_imports(program, [corpus])
+        topology = config.load_config((corpus / config_name).read_text())
+        groups[1] += _compiled_texts(program, topology)
+    source = (corpus / "entanglement_swapping.rula").read_text()
+    for levels in (5, 7):
+        distances = ", ".join(str(2**k) for k in range(levels))
+        program = parser.parse(
+            source.replace("for d in 1..(#repeaters.len()/2)", f"for d in [{distances}]")
+        )
+        repeaters = [{"name": f"#{i}", "address": i} for i in range(2**levels + 1)]
+        topology = config.load_config(json.dumps({"repeaters": repeaters}))
+        groups.append(_compiled_texts(program, topology))
+    return groups
+
+
+def _slots(node, out: list) -> list:
+    """Every (container, key) of a decoded document, parents before children."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        out.append((node, key))
+        if isinstance(value, (dict, list)):
+            _slots(value, out)
+    return out
+
+
+def _mutant(doc, slots: list, rng: random.Random) -> str:
+    """The text of `doc` with one value replaced, one key deleted, added or
+    renamed, or one list item dropped; `doc` is left as it was."""
+    container, key = rng.choice(slots)
+    saved = container.copy()
+    op = rng.randrange(4 if isinstance(container, dict) else 2)
+    if op == 0:
+        container[key] = rng.choice(_MUTANT_VALUES)
+    elif op == 1:
+        del container[key]
+    elif op == 2:
+        container[rng.choice(_MUTANT_KEYS)] = rng.choice(_MUTANT_VALUES)
+    else:
+        new = rng.choice(_MUTANT_KEYS)
+        renamed = {(new if k == key else k): v for k, v in container.items()}
+        container.clear()
+        container.update(renamed)
+    text = json.dumps(doc)
+    if isinstance(container, dict):
+        container.clear()
+        container.update(saved)
+    else:
+        container[:] = saved
+    return text
+
+
+def _outcome(deserialize, text: str):
+    try:
+        return deserialize(text)
+    except ir.SchemaError as err:
+        return (str(err), err.path, err.reason)
+
+
+class TestDeserializeDifferential:
+    """The one-pass `ir.deserialize` must accept and reject exactly what the
+    reference accepts and rejects, with the same error."""
+
+    MUTANTS = 3000
+    # sha256 of the mutant outcomes ("ok" or the error text), recorded with the
+    # reference deserializer
+    OUTCOMES_SHA = "52358692dac9e1814fba245029b41b2ddbaba70f49cbcb41b0ca6718cfb273bf"
+
+    @pytest.fixture(scope="class")
+    def groups(self):
+        return _document_groups(Path(__file__).parent / "corpus")
+
+    def test_documents_deserialize_equal(self, groups):
+        for group in groups:
+            for text in group:
+                assert ir.deserialize(text) == reference_deserialize(text)
+
+    def test_mutants_match_reference(self, groups):
+        rng = random.Random(0xD1FF)
+        bases = []
+        for group in groups:
+            docs = [json.loads(text) for text in group]
+            # and a one-rule document per rule, to keep within the time budget
+            rules = [(d, r) for d in docs for stage in d["stages"] for r in stage["rules"]]
+            bases.append(docs + [{**d, "stages": [{"rules": [r]}]} for d, r in rules])
+        slots: dict[int, list] = {}
+        outcomes = []
+        for _ in range(self.MUTANTS):
+            doc = rng.choice(rng.choice(bases))
+            if id(doc) not in slots:
+                slots[id(doc)] = _slots(doc, [])
+            text = _mutant(doc, slots[id(doc)], rng)
+            got = _outcome(ir.deserialize, text)
+            assert got == _outcome(reference_deserialize, text), text
+            outcomes.append("ok" if isinstance(got, ir.RuleSet) else got[0])
+        rejected = sum(o != "ok" for o in outcomes)
+        assert 0 < rejected < self.MUTANTS
+        digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+        assert digest == self.OUTCOMES_SHA
+
+    def test_huge_integer_fidelity_is_a_schema_error(self):
+        res = ir.ResClause(count=1, fidelity=0.5, partner_addr=0, qubit_index=0)
+        rule = ir.Rule("r", 0, 0, ir.Condition(None, (ir.TimerClause("t"), res)), ir.Action())
+        text = ir.serialize(ir.RuleSet("x", 0, 0, (ir.Stage((rule,)),)))
+        with pytest.raises(ir.SchemaError) as err:
+            ir.deserialize(text.replace('"fidelity": 0.5', '"fidelity": 1' + "0" * 400))
+        assert err.value.path == "$.stages[0].rules[0].condition.clauses[1].Res.fidelity"
+        assert err.value.reason.startswith("fidelity 1000")
