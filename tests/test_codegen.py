@@ -2,6 +2,7 @@
 splitting and deterministic output."""
 
 import hashlib
+import json
 import time
 
 import pytest
@@ -659,6 +660,69 @@ ruleset spread{
 """
         out = compile_source(source, chain(2))
         assert len(out.per_node[0].stages) == 3
+
+
+TIMED = """\
+#repeaters: vec[Repeater]
+import std::operation::{measure, bsm}
+rule timed<#rep>(){
+    let partner: Repeater = #rep.hop(1)
+    cond {
+        @q1: res(1, 0.5, partner, 0)
+        @q2: res(1, 0.5, partner, 1)
+        @q3: res(1, 0.5, partner, 2)
+        check_timer("t0")
+    } => act {
+        set_timer("t1", 5)
+        measure(q3, "X")
+        bsm(q1, q2)
+    }
+}
+ruleset timers{
+    timed<#repeaters(0)>()
+}
+"""
+
+
+def _res(index):
+    return {"Res": {"count": 1, "fidelity": 0.5, "partner_addr": 1, "qubit_index": index}}
+
+
+def _qubit(index):
+    return {"qubit_identifier": {"qubit_index": index}}
+
+
+class TestLoweringPinned:
+    """Clauses no corpus program lowers, recorded before lowering stopped
+    re-checking what the analyzer checks."""
+
+    def lowered_rule(self):
+        out = compile_source(TIMED, chain(2))
+        assert out.ok, out.diagnostics
+        assert out.per_node[1].stages == ()
+        (stage,) = json.loads(ir.serialize(out.per_node[0]))["stages"]
+        (rule,) = stage["rules"]
+        return rule
+
+    def test_check_timer_clause(self):
+        clauses = self.lowered_rule()["condition"]["clauses"]
+        assert clauses == [_res(0), _res(1), _res(2), {"Timer": {"timer_id": "t0"}}]
+
+    def test_set_timer_and_bare_measurements(self):
+        clauses = self.lowered_rule()["action"]["clauses"]
+        assert clauses == [
+            {"SetTimer": {"timer_id": "t1", "duration": 5}},
+            {"Measure": {**_qubit(2), "basis": "X"}},
+            {"QCirc": {"qgates": [{**_qubit(0), "kind": "CxControl"}, {**_qubit(1), "kind": "CxTarget"}]}},
+            {"Measure": {**_qubit(0), "basis": "X"}},
+            {"Measure": {**_qubit(1), "basis": "Z"}},
+        ]
+
+    def test_whole_output_digest(self):
+        out = compile_source(TIMED, chain(2))
+        text = "".join(ir.serialize(out.per_node[a]) for a in sorted(out.per_node))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "2a8f39ad1ab910c2bc4538ac69bf8eca323618bdffd013fbbb95bd0586a01c51"
 
 
 # --- pinned send/recv binding ------------------------------------------------
