@@ -1,10 +1,14 @@
 """Static analysis: name resolution, typing, and rule-level well-formedness.
 
-The checks enforced here are the ones a RuleSet cannot express dynamically:
-promote/return-annotation consistency, the send whitelist, set/get dataflow
-ordering across the ruleset body, condition-clause vocabulary, and the method
-table for repeater values.  Analysis never stops at the first problem; every
-diagnostic found is collected and returned.
+This is the one layer that rejects a program for its shape; lowering
+(codegen) assumes a program analyzed clean and reports only faults that need
+the concrete chain.  The checks: promote/return-annotation consistency (only
+qubits are promoted), the send whitelist, set/get dataflow ordering across the
+ruleset body, condition-clause vocabulary and literal res arguments, the
+method table for repeater values, the statement and condition forms lowering
+can express, and qubit lifetimes (no use after a measure, bsm or free on the
+same path, two distinct qubits per two-qubit operation).  Analysis never stops
+at the first problem; every diagnostic found is collected and returned.
 
 Type names are plain strings ("int", "Qubit", ...).  A None type means the
 expression could not be typed because of an earlier error; downstream checks
@@ -41,10 +45,29 @@ SEND_FUNCTIONS: dict[str, tuple[str, ...]] = {
 # Names provided by the std::operation library.
 STD_OPERATION = frozenset({"x", "y", "z", "h", "cx", "cz", "bsm", "measure"})
 
+# Operations an act block may call: parameter types, and whether the
+# operation consumes the qubits it is given.
+OPERATIONS: dict[str, tuple[tuple[str, ...], bool]] = {
+    **{gate: (("Qubit",), False) for gate in ("x", "y", "z", "h")},
+    "cx": (("Qubit", "Qubit"), False),
+    "cz": (("Qubit", "Qubit"), False),
+    "bsm": (("Qubit", "Qubit"), True),
+    "measure": (("Qubit", "str"), True),
+    "free": (("Qubit",), True),
+    "set_timer": (("str", "int"), False),
+}
+
 _SINGLE_QUBIT_GATES = frozenset({"x", "y", "z", "h"})
-_TWO_QUBIT_GATES = frozenset({"cx", "cz"})
 _NUMERIC = frozenset({"int", "u_int", "float"})
 _MATCHABLE = frozenset({"Result", "int", "u_int", "str", "bool"})
+_PATTERNS = {"Result": ast.StringLit, "str": ast.StringLit, "int": ast.IntLit,
+             "u_int": ast.IntLit, "bool": ast.BoolLit}
+_CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
+# Types of the values lowering can fold before run time.
+_STATIC = frozenset({"int", "u_int", "float", "bool", "str", "Repeater", "vec[Repeater]"})
+# How run-time operands must be written: qubits and results by name, a
+# correction as a gate call such as z().
+_OPERAND_FORMS = {"Qubit": ast.Ident, "Result": ast.Ident, "correction": ast.FnCall}
 
 
 @dataclass(frozen=True)
@@ -203,58 +226,20 @@ class _Checker:
                 entry = COND_FUNCTIONS.get(clause.call.name)
                 if entry and entry[1]:
                     known[clause.capture] = entry[1]
-
-        def scan(stmts) -> None:
-            for stmt in stmts:
-                if isinstance(stmt, ast.LetStmt):
-                    for target in stmt.targets:
-                        if target.type_annotation is not None:
-                            known[target.name] = str(target.type_annotation)
-                elif isinstance(stmt, ast.IfStmt):
-                    for _, body in stmt.branches:
-                        scan(body)
-                    if stmt.orelse:
-                        scan(stmt.orelse)
-                elif isinstance(stmt, ast.MatchStmt):
-                    for arm in stmt.arms:
-                        scan(arm.body)
-                    if stmt.otherwise:
-                        scan(stmt.otherwise)
-                elif isinstance(stmt, ast.ForStmt):
-                    scan(stmt.body)
-
-        if rule.act:
-            scan(rule.act.stmts)
-        scan(rule.trailing)
+        for stmt in _walk(_body(rule)):
+            if isinstance(stmt, ast.LetStmt):
+                for target in stmt.targets:
+                    if target.type_annotation is not None:
+                        known[target.name] = str(target.type_annotation)
         return known
 
     def collect_producers(self) -> None:
         for rule in self.program.rules:
             known = self._annotated_names(rule)
-
-            def scan(stmts) -> None:
-                for stmt in stmts:
-                    if isinstance(stmt, ast.SetStmt):
-                        produced = stmt.alias or stmt.name
-                        self.out.producers.setdefault(
-                            produced, (rule.name, known.get(stmt.name))
-                        )
-                    elif isinstance(stmt, ast.IfStmt):
-                        for _, body in stmt.branches:
-                            scan(body)
-                        if stmt.orelse:
-                            scan(stmt.orelse)
-                    elif isinstance(stmt, ast.MatchStmt):
-                        for arm in stmt.arms:
-                            scan(arm.body)
-                        if stmt.otherwise:
-                            scan(stmt.otherwise)
-                    elif isinstance(stmt, ast.ForStmt):
-                        scan(stmt.body)
-
-            if rule.act:
-                scan(rule.act.stmts)
-            scan(rule.trailing)
+            for stmt in _walk(_body(rule)):
+                if isinstance(stmt, ast.SetStmt):
+                    produced = stmt.alias or stmt.name
+                    self.out.producers.setdefault(produced, (rule.name, known.get(stmt.name)))
 
     # --- rule bodies ----------------------------------------------------------
 
@@ -268,27 +253,28 @@ class _Checker:
             if p.name in seen_params:
                 self.error("duplicate-param", p.span, f"duplicate parameter {p.name}")
             seen_params.add(p.name)
+            if p.type_annotation is None:
+                self.error("missing-type", p.span, f"parameter {p.name} needs a type annotation")
             declared = str(p.type_annotation) if p.type_annotation is not None else None
             scope.bind(p.name, Symbol(declared, "rule-param", p.span))
 
         for let in rule.lets:
-            self.check_let(let, scope, context="rule")
+            self.check_let(let, scope)
 
         act_scope = _Scope(scope)
         if rule.cond is not None:
             self.check_cond(rule.cond, scope, act_scope)
 
         promotes: list[ast.PromoteStmt] = []
-        if rule.act is not None:
-            for stmt in rule.act.stmts:
-                self.check_act_stmt(stmt, act_scope, promotes)
-        for stmt in rule.trailing:
-            self.check_act_stmt(stmt, act_scope, promotes)
+        consumed: set[str] = set()
+        for stmt in _body(rule):
+            self.check_act_stmt(stmt, act_scope, promotes, consumed)
 
         self.check_promotes(rule, promotes, act_scope)
         self.current_rule = None
 
     def check_cond(self, cond: ast.CondExpr, rule_scope: _Scope, act_scope: _Scope) -> None:
+        indices: set[int] = set()
         for clause in cond.clauses:
             call = clause.call
             if not isinstance(call, ast.FnCall):
@@ -309,6 +295,27 @@ class _Checker:
                 continue
             param_types, capture_type = entry
             self.check_call_args(call, param_types, rule_scope)
+            if len(call.args) == len(param_types):
+                if call.name == "res":
+                    self.check_res_literals(*call.args[:2])
+                    index = call.args[3]
+                    if isinstance(index, ast.IntLit):
+                        if index.value in indices:
+                            self.error(
+                                "bad-res",
+                                index.span,
+                                f"qubit index {index.value} is claimed by an earlier res clause",
+                            )
+                        indices.add(index.value)
+                elif call.name == "cmp":
+                    op = call.args[1]
+                    if not (isinstance(op, ast.StringLit) and op.value in _CMP_OPS):
+                        self.error(
+                            "bad-cond-clause",
+                            op.span,
+                            "the cmp operator must be a string literal: "
+                            + ", ".join(f'"{o}"' for o in _CMP_OPS),
+                        )
             if clause.capture is not None:
                 if capture_type is None:
                     self.error(
@@ -326,6 +333,12 @@ class _Checker:
                     act_scope.bind(
                         clause.capture, Symbol(capture_type, "cond-capture", clause.span)
                     )
+
+    def check_res_literals(self, count: ast.Expr, fidelity: ast.Expr) -> None:
+        if isinstance(count, ast.IntLit) and count.value < 1:
+            self.error("bad-res", count.span, f"resource count {count.value} below 1")
+        if isinstance(fidelity, (ast.IntLit, ast.FloatLit)) and not 0 <= fidelity.value <= 1:
+            self.error("bad-res", fidelity.span, f"fidelity {fidelity.value} outside [0, 1]")
 
     def check_call_args(
         self, call: ast.FnCall, param_types: tuple[str, ...], scope: _Scope
@@ -346,8 +359,12 @@ class _Checker:
                     arg.span,
                     f"{call.name} expects {expected}, got {actual}",
                 )
+            elif expected in _OPERAND_FORMS and not isinstance(arg, _OPERAND_FORMS[expected]):
+                self.error(
+                    "type-mismatch", arg.span, f"{call.name} takes a {expected} by its name"
+                )
 
-    def check_let(self, let: ast.LetStmt, scope: _Scope, context: str) -> None:
+    def check_let(self, let: ast.LetStmt, scope: _Scope) -> None:
         value_type = self.type_of(let.value, scope)
         if len(let.targets) == 1:
             target = let.targets[0]
@@ -360,15 +377,15 @@ class _Checker:
                 )
             scope.bind(target.name, Symbol(declared or value_type, "let-binding", target.span))
         else:
-            # Tuple target: only rule calls return multiple values.
+            # Tuple target: only rule calls return multiple values (type_of
+            # above has checked the call).
             parts: tuple[str, ...] | None = None
             if isinstance(let.value, ast.RuleCall):
-                self.check_rule_call(let.value, scope)
                 sig = self.out.signatures.get(let.value.name)
                 if sig is not None:
                     parts = sig.return_types
             else:
-                self.type_of(let.value, scope)
+                self.error("arity", let.span, "only a rule call binds several targets")
             if parts is not None and len(parts) != len(let.targets):
                 self.error(
                     "arity",
@@ -382,9 +399,15 @@ class _Checker:
                     target.name, Symbol(declared or inferred, "let-binding", target.span)
                 )
 
-    def check_act_stmt(self, stmt: ast.Stmt, scope: _Scope, promotes: list) -> None:
+    def check_act_stmt(
+        self, stmt: ast.Stmt, scope: _Scope, promotes: list, consumed: set[str]
+    ) -> None:
+        """Check one act statement; `consumed` holds the qubits that earlier
+        statements on this path measured or freed, and grows with this one."""
         if isinstance(stmt, ast.LetStmt):
-            self.check_let(stmt, scope, context="act")
+            self.check_let(stmt, scope)
+            if isinstance(stmt.value, ast.FnCall):
+                self.use_qubits(stmt.value, consumed)
         elif isinstance(stmt, ast.SendStmt):
             self.check_send(stmt, scope)
         elif isinstance(stmt, ast.SetStmt):
@@ -394,24 +417,55 @@ class _Checker:
             promotes.append(stmt)
             for value in stmt.values:
                 self.type_of(value, scope)
+            self.check_live(stmt.values, consumed)
         elif isinstance(stmt, ast.MatchStmt):
-            self.check_match(stmt, scope, promotes)
+            self.check_match(stmt, scope, promotes, consumed)
         elif isinstance(stmt, ast.IfStmt):
-            for cond, body in stmt.branches:
-                self.check_runtime_condition(cond, scope)
-                for inner in body:
-                    self.check_act_stmt(inner, _Scope(scope), promotes)
-            if stmt.orelse is not None:
-                for inner in stmt.orelse:
-                    self.check_act_stmt(inner, _Scope(scope), promotes)
+            self.check_act_if(stmt, scope, promotes, consumed)
         elif isinstance(stmt, ast.ForStmt):
             self.error(
                 "unsupported-stmt", stmt.span, "for loops are not allowed inside act blocks"
             )
-        elif isinstance(stmt, ast.ExprStmt):
-            self.check_action_expr(stmt.expr, scope)
         else:
-            self.error("unsupported-stmt", stmt.span, "statement not allowed here")
+            self.check_action_expr(stmt.expr, scope, consumed)
+
+    def check_block(
+        self, stmts, scope: _Scope, promotes: list, consumed: set[str]
+    ) -> set[str]:
+        """Check a branch in a scope of its own; returns what is consumed at its end."""
+        inner, path = _Scope(scope), set(consumed)
+        for stmt in stmts:
+            self.check_act_stmt(stmt, inner, promotes, path)
+        return path
+
+    def use_qubits(self, call: ast.FnCall, consumed: set[str]) -> None:
+        """The qubit operands of an operation: each must still be live, a
+        two-qubit operation needs two different ones, and measure, bsm and
+        free consume theirs."""
+        entry = OPERATIONS.get(call.name)
+        if entry is None or (call.name in _SINGLE_QUBIT_GATES and not call.args):
+            return
+        params, consumes = entry
+        qubits = [arg for arg, t in zip(call.args, params) if t == "Qubit"]
+        names = self.check_live(qubits, consumed)
+        if len(names) == 2 and names[0] == names[1]:
+            self.error("same-qubit", qubits[1].span, f"{call.name} needs two different qubits")
+        if consumes:
+            consumed.update(names)
+
+    def check_live(self, values, consumed: set[str]) -> list[str]:
+        """Names of the Qubit values, reporting each consumed earlier on this path."""
+        names = []
+        for value in values:
+            if isinstance(value, ast.Ident) and self.out.types.get(id(value)) == "Qubit":
+                if value.name in consumed:
+                    self.error(
+                        "consumed-qubit",
+                        value.span,
+                        f"{value.name} was measured or freed earlier on this path",
+                    )
+                names.append(value.name)
+        return names
 
     def check_runtime_condition(self, cond: ast.Expr, scope: _Scope) -> None:
         if isinstance(cond, ast.CompExpr):
@@ -427,39 +481,138 @@ class _Checker:
                     "type-mismatch", cond.span, f"condition must be a comparison, got {actual}"
                 )
 
-    def check_match(self, stmt: ast.MatchStmt, scope: _Scope, promotes: list) -> None:
-        subject_type = self.type_of(stmt.subject, scope)
+    def check_act_if(
+        self, stmt: ast.IfStmt, scope: _Scope, promotes: list, consumed: set[str]
+    ) -> None:
+        # Lowering folds the chain when its first condition has a compile-time
+        # value; otherwise every condition becomes a run-time comparison.
+        first = stmt.branches[0][0]
+        self.type_of(first, scope)
+        runtime = not self._static(first)
+        after = set(consumed)
+        for cond, body in stmt.branches:
+            if runtime:
+                self.type_of(cond, scope)
+                self.check_lowered_comparison(cond)
+            else:
+                self.check_runtime_condition(cond, scope)
+            after |= self.check_block(body, scope, promotes, consumed)
+        if stmt.orelse is not None:
+            after |= self.check_block(stmt.orelse, scope, promotes, consumed)
+        consumed |= after
+
+    def check_match(
+        self, stmt: ast.MatchStmt, scope: _Scope, promotes: list, consumed: set[str]
+    ) -> None:
+        subject = stmt.subject
+        subject_type = self.type_of(subject, scope)
         if subject_type is not None and subject_type not in _MATCHABLE:
             self.error(
                 "bad-match",
-                stmt.subject.span,
+                subject.span,
                 f"match subject must be Result, int, str, or bool, got {subject_type}",
             )
             subject_type = None
+        elif self._static(subject):
+            pass
+        elif isinstance(subject, ast.CompExpr):
+            self.check_lowered_comparison(subject)
+        elif not self._reads(subject):
+            self.error(
+                "bad-match",
+                subject.span,
+                "a run-time match subject must be a stored variable, "
+                "a measurement result or a message field",
+            )
+        after = set(consumed)
         for arm in stmt.arms:
             self.check_match_pattern(arm.pattern, subject_type)
-            for inner in arm.body:
-                self.check_act_stmt(inner, _Scope(scope), promotes)
+            after |= self.check_block(arm.body, scope, promotes, consumed)
         if stmt.otherwise is not None:
-            for inner in stmt.otherwise:
-                self.check_act_stmt(inner, _Scope(scope), promotes)
+            # An otherwise arm ends the rule: nothing after the match runs on it.
+            self.check_block(stmt.otherwise, scope, promotes, consumed)
+        consumed |= after
 
     def check_match_pattern(self, pattern: ast.Expr, subject_type: str | None) -> None:
-        if subject_type is None:
-            return
-        if subject_type in ("Result", "str"):
-            if not isinstance(pattern, ast.StringLit):
+        expected = _PATTERNS.get(subject_type)
+        if expected is None:
+            if not isinstance(pattern, (ast.StringLit, ast.IntLit, ast.BoolLit)):
                 self.error(
-                    "bad-match",
-                    pattern.span,
-                    f"{subject_type} values match only against string literals",
+                    "bad-match", pattern.span, "a match arm must be a string, integer or boolean literal"
                 )
-        elif subject_type in ("int", "u_int"):
-            if not isinstance(pattern, ast.IntLit):
-                self.error("bad-match", pattern.span, "expected an integer literal pattern")
-        elif subject_type == "bool":
-            if not isinstance(pattern, ast.BoolLit):
-                self.error("bad-match", pattern.span, "expected a boolean literal pattern")
+        elif not isinstance(pattern, expected):
+            if expected is ast.StringLit:
+                message = f"{subject_type} values match only against string literals"
+            elif expected is ast.IntLit:
+                message = "expected an integer literal pattern"
+            else:
+                message = "expected a boolean literal pattern"
+            self.error("bad-match", pattern.span, message)
+
+    # Lowering reads a run-time condition as a comparison of one of these
+    # readings with a value or with another reading; `_static` mirrors what it
+    # can fold before run time.  Both look at types noted by type_of.
+
+    def _static(self, expr: ast.Expr) -> bool:
+        if isinstance(expr, (ast.IntLit, ast.FloatLit, ast.StringLit, ast.BoolLit)):
+            return True
+        if isinstance(expr, (ast.Ident, ast.NegIdent, ast.RepeaterIdent)):
+            # an untyped name follows an earlier error: do not pile on
+            return self.out.types.get(id(expr), "int") in _STATIC
+        if isinstance(expr, ast.CompExpr):
+            return self._static(expr.lhs) and self._static(expr.rhs)
+        if isinstance(expr, ast.TermExpr):
+            return all(self._static(operand) for operand in expr.operands)
+        if isinstance(expr, ast.TupleLit):
+            return len(expr.items) == 1 and self._static(expr.items[0])
+        if isinstance(expr, ast.RepeaterCall):
+            return self._static(expr.index)
+        if isinstance(expr, ast.VariableCall):
+            head, parts = expr.parts[0], expr.parts[1:]
+            return (
+                not isinstance(head, ast.FnCall)
+                and self._static(head)
+                and all(
+                    isinstance(part, ast.FnCall) and all(self._static(a) for a in part.args)
+                    for part in parts
+                )
+            )
+        return False
+
+    def _reads(self, expr: ast.Expr) -> bool:
+        """A stored variable, a measurement result or a message field."""
+        if isinstance(expr, ast.GetExpr):
+            return True
+        if isinstance(expr, ast.Ident):
+            return self.out.types.get(id(expr)) == "Result"
+        return (
+            isinstance(expr, ast.VariableCall)
+            and len(expr.parts) == 2
+            and all(isinstance(part, ast.Ident) for part in expr.parts)
+            and self.out.types.get(id(expr.parts[0])) == "Message"
+        )
+
+    def _comparable_with(self, reading: ast.Expr, other: ast.Expr) -> bool:
+        if not self._reads(reading):
+            return False
+        if isinstance(other, ast.GetExpr):
+            return True
+        other_type = self.out.types.get(id(other))
+        if isinstance(other, ast.Ident) and other_type == "Result":
+            return True
+        return self._static(other) and other_type in (None, "int", "u_int", "bool", "str")
+
+    def check_lowered_comparison(self, cond: ast.Expr) -> None:
+        if isinstance(cond, ast.CompExpr) and (
+            self._comparable_with(cond.lhs, cond.rhs) or self._comparable_with(cond.rhs, cond.lhs)
+        ):
+            return
+        self.error(
+            "bad-match",
+            cond.span,
+            "a run-time condition must compare a stored variable, a measurement result "
+            "or a message field with an integer, string or boolean value or another of these",
+        )
 
     def check_send(self, stmt: ast.SendStmt, scope: _Scope) -> None:
         call = stmt.call
@@ -479,7 +632,7 @@ class _Checker:
                 f"send destination must be a Repeater, got {dest_type}",
             )
 
-    def check_action_expr(self, expr: ast.Expr, scope: _Scope) -> None:
+    def check_action_expr(self, expr: ast.Expr, scope: _Scope, consumed: set[str]) -> None:
         if isinstance(expr, ast.FnCall):
             if expr.name in COND_FUNCTIONS:
                 self.error(
@@ -496,6 +649,12 @@ class _Checker:
                 )
                 return
         self.type_of(expr, scope)
+        if isinstance(expr, ast.FnCall) and (expr.args or expr.name not in _SINGLE_QUBIT_GATES):
+            self.use_qubits(expr, consumed)  # an unknown function is already reported
+        else:
+            self.error(
+                "unsupported-stmt", expr.span, "an act statement must be an operation call"
+            )
 
     def check_promotes(
         self, rule: ast.RuleStmt, promotes: list[ast.PromoteStmt], scope: _Scope
@@ -522,7 +681,11 @@ class _Checker:
                 continue
             for value, expected in zip(stmt.values, sig.return_types):
                 actual = self.out.types.get(id(value))
-                if actual is not None and not _compatible(expected, actual):
+                if actual is not None and (actual != "Qubit" or not isinstance(value, ast.Ident)):
+                    self.error(
+                        "promote-type", value.span, f"promote takes only Qubit names, got {actual}"
+                    )
+                elif actual is not None and not _compatible(expected, actual):
                     self.error(
                         "promote-type",
                         value.span,
@@ -567,9 +730,7 @@ class _Checker:
                 return arms_ok and block_promotes(stmt.otherwise)
             return False
 
-        stmts = list(rule.act.stmts) if rule.act else []
-        stmts.extend(rule.trailing)
-        return block_promotes(stmts)
+        return block_promotes(_body(rule))
 
     # --- ruleset body ---------------------------------------------------------
 
@@ -605,7 +766,7 @@ class _Checker:
                         target.name, Symbol(declared or inferred, "ruleset-var", target.span)
                     )
             else:
-                self.check_let(stmt, scope, context="ruleset")
+                self.check_let(stmt, scope)
                 for target in stmt.targets:
                     existing = scope.lookup(target.name)
                     if existing is None:
@@ -615,7 +776,10 @@ class _Checker:
                         scope.bind(target.name, Symbol(declared, "ruleset-var", target.span))
         elif isinstance(stmt, ast.ForStmt):
             inner = _Scope(scope)
+            if len(stmt.names) != 1:
+                self.error("arity", stmt.span, "a for loop binds exactly one loop variable")
             if isinstance(stmt.generator, ast.Series):
+                item_type: str | None = "int"
                 stop_type = self.type_of(stmt.generator.stop, scope)
                 if stop_type is not None and stop_type not in _NUMERIC:
                     self.error(
@@ -623,16 +787,11 @@ class _Checker:
                         stmt.generator.stop.span,
                         f"range bound must be an integer, got {stop_type}",
                     )
-                if len(stmt.names) != 1:
-                    self.error(
-                        "arity", stmt.span, "integer ranges bind exactly one loop variable"
-                    )
-                for name in stmt.names:
-                    inner.bind(name, Symbol("int", "loop-var", stmt.span))
             else:
-                self.type_of(stmt.generator, scope)
-                for name in stmt.names:
-                    inner.bind(name, Symbol(None, "loop-var", stmt.span))
+                generator_type = self.type_of(stmt.generator, scope) or ""
+                item_type = generator_type[4:-1] if generator_type.startswith("vec[") else None
+            for name in stmt.names:
+                inner.bind(name, Symbol(item_type, "loop-var", stmt.span))
             for body_stmt in stmt.body:
                 self.check_ruleset_stmt(body_stmt, inner)
         elif isinstance(stmt, ast.IfStmt):
@@ -806,11 +965,14 @@ class _Checker:
             return "bool"
         if lhs in _NUMERIC and rhs in _NUMERIC:
             return "bool"
-        if lhs == rhs:
-            if ordered and lhs in ("bool",):
+        if lhs == rhs and lhs in ("str", "bool"):
+            if ordered and lhs == "bool":
                 self.error("type-mismatch", expr.span, f"cannot order {lhs} values")
             return "bool"
-        self.error("type-mismatch", expr.span, f"cannot compare {lhs} with {rhs}")
+        if lhs == rhs:
+            self.error("type-mismatch", expr.span, f"cannot compare {lhs} values")
+        else:
+            self.error("type-mismatch", expr.span, f"cannot compare {lhs} with {rhs}")
         return "bool"
 
     def _type_term(self, expr: ast.TermExpr, scope: _Scope) -> str | None:
@@ -837,20 +999,11 @@ class _Checker:
             # was used as a plain expression.
             self.error("bad-action", call.span, f"{name} may only appear in a cond block")
             return None
-        if name in _SINGLE_QUBIT_GATES:
-            if len(call.args) == 0:
-                return "correction"
-            self.check_call_args(call, ("Qubit",), scope)
-            return "unit"
-        if name in _TWO_QUBIT_GATES:
-            self.check_call_args(call, ("Qubit", "Qubit"), scope)
-            return "unit"
-        if name == "bsm":
-            self.check_call_args(call, ("Qubit", "Qubit"), scope)
-            return "Result"
-        if name == "measure":
-            self.check_call_args(call, ("Qubit", "str"), scope)
-            if len(call.args) == 2:
+        if name in _SINGLE_QUBIT_GATES and not call.args:
+            return "correction"
+        if name in OPERATIONS:
+            self.check_call_args(call, OPERATIONS[name][0], scope)
+            if name == "measure" and len(call.args) == 2:
                 basis = call.args[1]
                 if not isinstance(basis, ast.StringLit):
                     self.error(
@@ -864,13 +1017,7 @@ class _Checker:
                         basis.span,
                         f'measurement basis must be "X", "Y", or "Z", got "{basis.value}"',
                     )
-            return "Result"
-        if name == "free":
-            self.check_call_args(call, ("Qubit",), scope)
-            return "unit"
-        if name == "set_timer":
-            self.check_call_args(call, ("str", "int"), scope)
-            return "unit"
+            return "Result" if name in ("bsm", "measure") else "unit"
         if name in ("update", "meas", "transfer"):
             self.check_call_args(call, SEND_FUNCTIONS[name], scope)
             return "message"
@@ -931,6 +1078,27 @@ class _Checker:
         return None
 
 
+def _body(rule: ast.RuleStmt) -> tuple[ast.Stmt, ...]:
+    """The act block of a rule followed by its trailing statements."""
+    return (rule.act.stmts if rule.act else ()) + rule.trailing
+
+
+def _walk(stmts):
+    """Every statement in `stmts` and in the blocks nested in them, in source order."""
+    for stmt in stmts:
+        yield stmt
+        if isinstance(stmt, ast.IfStmt):
+            for _, body in stmt.branches:
+                yield from _walk(body)
+            yield from _walk(stmt.orelse or ())
+        elif isinstance(stmt, ast.MatchStmt):
+            for arm in stmt.arms:
+                yield from _walk(arm.body)
+            yield from _walk(stmt.otherwise or ())
+        elif isinstance(stmt, ast.ForStmt):
+            yield from _walk(stmt.body)
+
+
 def _compatible(expected: str, actual: str) -> bool:
     if expected == actual:
         return True
@@ -959,32 +1127,22 @@ def check_dataflow(analysis: Analysis) -> list[Diagnostic]:
     for produced, (rule_name, _) in analysis.producers.items():
         rule_sets.setdefault(rule_name, set()).add(produced)
 
+    def get_before_set(span: ast.Span, message: str) -> None:
+        diagnostics.append(Diagnostic(SEVERITY_ERROR, "get-before-set", span, message))
+
     # Walk rule calls in textual order, tracking what has been produced.
     produced: set[str] = set()
     reported: set[int] = set()
 
     def visit_call(rule_name: str) -> None:
         for consumed, span in analysis.consumers.get(rule_name, []):
-            if consumed not in produced:
-                key = id(span)
-                if key in reported:
-                    continue
-                reported.add(key)
-                if consumed in analysis.producers:
-                    diagnostics.append(
-                        Diagnostic(
-                            SEVERITY_ERROR,
-                            "get-before-set",
-                            span,
-                            f"{consumed} is read before any earlier rule sets it",
-                        )
-                    )
-                else:
-                    diagnostics.append(
-                        Diagnostic(
-                            SEVERITY_ERROR, "get-before-set", span, f"{consumed} is never set"
-                        )
-                    )
+            if consumed in produced or id(span) in reported:
+                continue
+            reported.add(id(span))
+            if consumed in analysis.producers:
+                get_before_set(span, f"{consumed} is read before any earlier rule sets it")
+            else:
+                get_before_set(span, f"{consumed} is never set")
         produced.update(rule_sets.get(rule_name, set()))
 
     qubit_lets: list[tuple[str, ast.Span, bool]] = []  # (name, span, maybe)
@@ -1017,65 +1175,39 @@ def check_dataflow(analysis: Analysis) -> list[Diagnostic]:
             for item in expr.items:
                 scan_expr(item)
 
-    def visit_stmt(stmt: ast.Stmt) -> None:
+    for stmt in _walk(program.ruleset.stmts if program.ruleset else ()):
         if isinstance(stmt, ast.LetStmt):
+            scan_expr(stmt.value)
             if isinstance(stmt.value, ast.RuleCall):
                 visit_call(stmt.value.name)
-                scan_expr(stmt.value)
                 sig = analysis.signatures.get(stmt.value.name)
                 for i, target in enumerate(stmt.targets):
-                    declared = (
-                        str(target.type_annotation) if target.type_annotation else None
-                    )
                     maybe = bool(sig and i < len(sig.maybe_flags) and sig.maybe_flags[i])
-                    if declared == "Qubit":
+                    if target.type_annotation and str(target.type_annotation) == "Qubit":
                         qubit_lets.append((target.name, target.span, maybe))
-            else:
-                scan_expr(stmt.value)
         elif isinstance(stmt, ast.ExprStmt):
             if isinstance(stmt.expr, ast.RuleCall):
                 visit_call(stmt.expr.name)
             scan_expr(stmt.expr)
         elif isinstance(stmt, ast.ForStmt):
-            if not isinstance(stmt.generator, ast.Series):
-                scan_expr(stmt.generator)
-            else:
-                scan_expr(stmt.generator.stop)
-            for inner in stmt.body:
-                visit_stmt(inner)
+            generator = stmt.generator
+            scan_expr(generator.stop if isinstance(generator, ast.Series) else generator)
         elif isinstance(stmt, ast.IfStmt):
-            for cond, body in stmt.branches:
+            for cond, _body in stmt.branches:
                 scan_expr(cond)
-                for inner in body:
-                    visit_stmt(inner)
-            if stmt.orelse is not None:
-                for inner in stmt.orelse:
-                    visit_stmt(inner)
 
-    if program.ruleset is not None:
-        for stmt in program.ruleset.stmts:
-            visit_stmt(stmt)
-    else:
+    if program.ruleset is None:
         # Without a ruleset body there is no call order; flag gets that can
         # never be satisfied because the name is set nowhere at all.
-        for rule_name, gets in analysis.consumers.items():
+        for gets in analysis.consumers.values():
             for consumed, span in gets:
                 if consumed not in analysis.producers:
-                    diagnostics.append(
-                        Diagnostic(
-                            SEVERITY_ERROR, "get-before-set", span, f"{consumed} is never set"
-                        )
-                    )
+                    get_before_set(span, f"{consumed} is never set")
 
     for name, span, maybe in qubit_lets:
         if not maybe and name not in used_names:
             diagnostics.append(
-                Diagnostic(
-                    SEVERITY_WARNING,
-                    "unused-promoted",
-                    span,
-                    f"unused promoted qubit {name}",
-                )
+                Diagnostic(SEVERITY_WARNING, "unused-promoted", span, f"unused promoted qubit {name}")
             )
     return diagnostics
 
@@ -1117,16 +1249,16 @@ def resolve_imports(
     for imp in program.imports:
         if not imp.is_rule:
             continue
+
+        def fail(message: str) -> None:
+            diagnostics.append(Diagnostic(SEVERITY_ERROR, "bad-import", imp.span, message))
+
         if imp.names:
             module_path, rule_names = imp.path, list(imp.names)
         else:
             module_path, rule_names = imp.path[:-1], [imp.path[-1]]
         if not module_path:
-            diagnostics.append(
-                Diagnostic(
-                    SEVERITY_ERROR, "bad-import", imp.span, "rule import needs a module path"
-                )
-            )
+            fail("rule import needs a module path")
             continue
         relative = Path(*module_path).with_suffix(".rula")
         found: Path | None = None
@@ -1136,36 +1268,15 @@ def resolve_imports(
                 found = candidate
                 break
         if found is None:
-            diagnostics.append(
-                Diagnostic(
-                    SEVERITY_ERROR,
-                    "bad-import",
-                    imp.span,
-                    f"module not found: {'::'.join(module_path)}",
-                )
-            )
+            fail(f"module not found: {'::'.join(module_path)}")
             continue
         if found in visited:
-            diagnostics.append(
-                Diagnostic(
-                    SEVERITY_ERROR,
-                    "bad-import",
-                    imp.span,
-                    f"import cycle through {found.name}",
-                )
-            )
+            fail(f"import cycle through {found.name}")
             continue
         try:
             module_program = _parse_module(found)
         except (ParseError, UnicodeDecodeError) as exc:
-            diagnostics.append(
-                Diagnostic(
-                    SEVERITY_ERROR,
-                    "bad-import",
-                    imp.span,
-                    f"cannot parse {found.name}: {exc}",
-                )
-            )
+            fail(f"cannot parse {found.name}: {exc}")
             continue
         module_program, nested = resolve_imports(
             module_program,
@@ -1177,27 +1288,12 @@ def resolve_imports(
         for rule_name in rule_names:
             rule = by_name.get(rule_name)
             if rule is None:
-                diagnostics.append(
-                    Diagnostic(
-                        SEVERITY_ERROR,
-                        "bad-import",
-                        imp.span,
-                        f"{rule_name} is not defined in {'::'.join(module_path)}",
-                    )
-                )
-                continue
-            if rule_name in existing:
-                diagnostics.append(
-                    Diagnostic(
-                        SEVERITY_ERROR,
-                        "bad-import",
-                        imp.span,
-                        f"rule {rule_name} is already defined",
-                    )
-                )
-                continue
-            existing.add(rule_name)
-            imported_rules.append(rule)
+                fail(f"{rule_name} is not defined in {'::'.join(module_path)}")
+            elif rule_name in existing:
+                fail(f"rule {rule_name} is already defined")
+            else:
+                existing.add(rule_name)
+                imported_rules.append(rule)
 
     if not imported_rules:
         return program, diagnostics

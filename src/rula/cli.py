@@ -25,16 +25,10 @@ def _err(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _position(source: str, offset: int) -> tuple[int, int]:
-    line = source.count("\n", 0, offset) + 1
-    column = offset - source.rfind("\n", 0, offset)
-    return line, column
-
-
 def _print_diagnostics(source: str, filename: str, diagnostics) -> None:
     for diag in diagnostics:
         if diag.span is not None and diag.span.start <= len(source):
-            line, column = _position(source, diag.span.start)
+            line, column = parser.line_col(source, diag.span.start)
             where = f"{filename}:{line}:{column}"
         else:
             where = filename

@@ -8,12 +8,24 @@ fields) multiply a rule into sibling rules distinguished by Cmp clauses.
 Message sends are split: the owner keeps a Send clause and the addressed
 repeater either already declares a matching recv in a later rule or
 receives a synthesized wait rule in a stage of its own.
+
+Errors are split between the layers. The analyzer owns every fault of the
+program's shape: names, types, statement and clause forms, literal values,
+and qubits used after a measure or free. Lowering assumes a program the
+analyzer accepted and reports only what needs the concrete chain or values
+known at compile time: `repeater-range` and `hop-range` (a repeater outside
+the chain), `const-expr` (a value that does not fold, or folds to a
+division by zero, a negative exponent or a res count, fidelity or qubit
+index out of range), `loop-bound` (a loop nest too large to unroll),
+`promote-owner` (a promoted qubit used on another repeater) and
+`send-self` (a message addressed to its sender).
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,6 +40,14 @@ _SEND_KIND = {"update": "Update", "meas": "Meas", "transfer": "Transfer", "free"
 _CMP_OP = {"==": "Eq", "!=": "Neq", "<": "Lt", "<=": "Leq", ">": "Gt", ">=": "Geq"}
 _NEGATE = {"Eq": "Neq", "Neq": "Eq", "Lt": "Geq", "Geq": "Lt", "Gt": "Leq", "Leq": "Gt"}
 _MIRROR = {"Eq": "Eq", "Neq": "Neq", "Lt": "Gt", "Gt": "Lt", "Leq": "Geq", "Geq": "Leq"}
+_COMPARE = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
 
 # Most loop bodies a ruleset-level loop nest may unroll to: the product of the
 # trip counts of a loop and of the loops around it. The corpus schedule
@@ -100,13 +120,6 @@ class MessageRef:
     """The message captured by a recv clause."""
 
     capture: str
-
-
-@dataclass(frozen=True)
-class CorrectionRef:
-    """A correction operator value such as z()."""
-
-    op: str
 
 
 @dataclass(frozen=True)
@@ -277,10 +290,7 @@ class _Compiler:
         if isinstance(expr, ast.Ident):
             return self._lookup(expr.name, env, expr.span, strict)
         if isinstance(expr, ast.NegIdent):
-            value = self._lookup(expr.name, env, expr.span, strict)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise NotConst(f"{expr.name} is not numeric", expr.span)
-            return -value
+            return -self._lookup(expr.name, env, expr.span, strict)
         if isinstance(expr, ast.RepeaterIdent):
             if expr.name == "#repeaters":
                 if strict:
@@ -339,34 +349,23 @@ class _Compiler:
             return self.topology.count
         if strict:
             raise NotConst("only #repeaters.len() may be called at the ruleset level", expr.span)
+        # A message field never gets here: its head is a run-time value.
         current = self.eval(parts[0], env)
         for part in parts[1:]:
-            if isinstance(part, ast.FnCall):
-                if part.name == "len" and current is _REPEATERS_VEC:
-                    current = self.topology.count
-                    continue
-                if part.name == "hop" and isinstance(current, Repeater):
-                    if len(part.args) != 1:
-                        raise NotConst("hop takes one offset argument", part.span)
-                    offset = self.eval(part.args[0], env)
-                    if not isinstance(offset, int) or isinstance(offset, bool):
-                        raise NotConst("hop offset is not an integer", part.span)
-                    try:
-                        current = self.topology.hop(current.index, offset)
-                    except ConfigError as exc:
-                        raise LowerError("hop-range", expr.span, str(exc)) from exc
-                    continue
-                raise NotConst(f"method {part.name} has no compile-time value", part.span)
-            if isinstance(part, ast.Ident) and isinstance(current, MessageRef):
-                raise NotConst("message fields are run-time values", expr.span)
-            raise NotConst("expression is not a compile-time constant", expr.span)
+            if part.name == "len":
+                current = self.topology.count
+                continue
+            offset = self.eval(part.args[0], env)
+            if not isinstance(offset, int):
+                raise NotConst("hop offset is not an integer", part.span)
+            try:
+                current = self.topology.hop(current.index, offset)
+            except ConfigError as exc:
+                raise LowerError("hop-range", expr.span, str(exc)) from exc
         return current
 
     def _eval_term(self, expr: ast.TermExpr, env: dict, strict: bool):
         values = [self.eval(op, env, strict) for op in expr.operands]
-        for value in values:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise NotConst("arithmetic over non-numeric operands", expr.span)
         ops = list(expr.ops)
         # Ordinary precedence over the flat operator chain, left-to-right
         # within each level.
@@ -399,25 +398,7 @@ class _Compiler:
 
     def _eval_comparison(self, expr: ast.CompExpr, env: dict, strict: bool) -> bool:
         lhs = self.eval(expr.lhs, env, strict)
-        rhs = self.eval(expr.rhs, env, strict)
-        for side in (lhs, rhs):
-            if isinstance(side, Repeater) or side is _REPEATERS_VEC:
-                raise NotConst("repeater values cannot be compared at compile time", expr.span)
-        numeric = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
-        if type(lhs) is not type(rhs) and not (numeric(lhs) and numeric(rhs)):
-            raise NotConst("comparison over mismatched compile-time types", expr.span)
-        op = expr.op
-        if op == "==":
-            return lhs == rhs
-        if op == "!=":
-            return lhs != rhs
-        if op == "<":
-            return lhs < rhs
-        if op == "<=":
-            return lhs <= rhs
-        if op == ">":
-            return lhs > rhs
-        return lhs >= rhs
+        return _COMPARE[expr.op](lhs, self.eval(expr.rhs, env, strict))
 
     # --- ruleset body --------------------------------------------------------
 
@@ -444,18 +425,8 @@ class _Compiler:
                 self._exec_for(stmt, env)
             elif isinstance(stmt, ast.IfStmt):
                 self._exec_if(stmt, env)
-            elif isinstance(stmt, ast.ExprStmt):
-                if isinstance(stmt.expr, ast.RuleCall):
-                    self._instantiate(stmt.expr, env)
-                # other bare expressions have no compile-time effect
-            else:
-                # promote/set/send/match at the ruleset level; the analyzer
-                # already rejected these, skip defensively
-                self.error(
-                    "unsupported-stmt",
-                    stmt.span,
-                    f"{type(stmt).__name__} cannot appear in a ruleset block",
-                )
+            elif isinstance(stmt.expr, ast.RuleCall):  # no other expression has an effect
+                self._instantiate(stmt.expr, env)
 
     def _exec_let(self, stmt: ast.LetStmt, env: dict) -> None:
         if isinstance(stmt.value, ast.RuleCall):
@@ -482,10 +453,7 @@ class _Compiler:
         env[stmt.targets[0].name] = value
 
     def _exec_for(self, stmt: ast.ForStmt, env: dict) -> None:
-        if len(stmt.names) != 1:
-            self.error("unsupported-stmt", stmt.span, "loop destructuring is not supported")
-            return
-        name = stmt.names[0]
+        (name,) = stmt.names
         if isinstance(stmt.generator, ast.Series):
             try:
                 stop = self.eval(stmt.generator.stop, env, strict=True)
@@ -498,9 +466,6 @@ class _Compiler:
                 return
             except LowerError as err:
                 self.error(err.code, err.span, err.message)
-                return
-            if isinstance(stop, bool) or not isinstance(stop, int):
-                self.error("const-expr", stmt.generator.span, "loop bound is not an integer")
                 return
             values = range(stmt.generator.start, stop + 1)
         elif isinstance(stmt.generator, ast.VectorLit):
@@ -547,13 +512,6 @@ class _Compiler:
             except LowerError as err:
                 self.error(err.code, err.span, err.message)
                 return
-            if not isinstance(value, bool):
-                self.error(
-                    "const-expr",
-                    condition.span,
-                    "ruleset-level if condition does not evaluate to a boolean",
-                )
-                return
             if value:
                 self._exec_stmts(body, env)
                 return
@@ -563,10 +521,7 @@ class _Compiler:
     # --- rule instantiation --------------------------------------------------
 
     def _instantiate(self, call: ast.RuleCall, env: dict) -> tuple:
-        rule = self.rules.get(call.name)
-        if rule is None:
-            self.error("unknown-rule", call.span, f"rule {call.name} is not defined")
-            return (None,)
+        rule = self.rules[call.name]
         poison = tuple(None for _ in rule.return_types) or (None,)
         try:
             owner = self._repeater_at(call.repeater, env)
@@ -618,7 +573,7 @@ class _Compiler:
         for let in rule.lets:
             env[let.targets[0].name] = self.eval(let.value, env)
 
-        cond_clauses, recv_froms = self._lower_cond(rule.cond, env, owner)
+        cond_clauses, recv_froms = self._lower_cond(rule.cond, env)
         base = _Variant(env=env)
         variants = self._expand_stmts(list(rule.act.stmts) + list(rule.trailing), base)
         variants = [v for v in variants if not v.otherwise] + [v for v in variants if v.otherwise]
@@ -648,25 +603,22 @@ class _Compiler:
 
     # --- condition lowering --------------------------------------------------
 
-    def _lower_cond(self, cond: ast.CondExpr, env: dict, owner: Repeater):
+    def _lower_cond(self, cond: ast.CondExpr, env: dict):
         clauses: list = []
         recv_froms: list[tuple[int, ast.Span]] = []
-        used_indices: set[int] = set()
+        indices: set[int] = set()
         for clause in cond.clauses:
             call = clause.call
-            if not isinstance(call, ast.FnCall):
-                raise LowerError("bad-cond-clause", clause.span, "condition clause is not a call")
             if call.name == "res":
-                count = self.eval(call.args[0], env)
-                fidelity = self.eval(call.args[1], env)
-                partner = self.eval(call.args[2], env)
-                if not isinstance(partner, Repeater):
-                    raise LowerError("type-mismatch", call.args[2].span, "res partner is not a repeater")
-                if len(call.args) >= 4:
-                    index = self.eval(call.args[3], env)
-                else:
-                    index = next(i for i in range(len(used_indices) + 1) if i not in used_indices)
-                used_indices.add(index)
+                count, fidelity, partner, index = (self.eval(arg, env) for arg in call.args)
+                if count < 1 or not 0 <= fidelity <= 1 or index in indices:
+                    raise LowerError(
+                        "const-expr",
+                        call.span,
+                        f"res needs a count of at least 1, a fidelity in [0, 1] and a "
+                        f"qubit index of its own, got {count}, {fidelity} and {index}",
+                    )
+                indices.add(index)
                 clauses.append(
                     ir.ResClause(
                         count=int(count),
@@ -679,34 +631,23 @@ class _Compiler:
                     env[clause.capture] = QubitRef(int(index))
             elif call.name == "recv":
                 partner = self.eval(call.args[0], env)
-                if not isinstance(partner, Repeater):
-                    raise LowerError("type-mismatch", call.args[0].span, "recv partner is not a repeater")
                 clauses.append(ir.RecvClause(partner_addr=partner.address))
                 recv_froms.append((partner.address, clause.span))
                 if clause.capture:
                     env[clause.capture] = MessageRef(clause.capture)
             elif call.name == "cmp":
-                clauses.append(self._lower_cmp_call(call, env))
-            elif call.name == "check_timer":
+                subject, op, target = call.args
+                clauses.append(
+                    ir.CmpClause(
+                        env[subject.name].register,
+                        _CMP_OP[op.value],
+                        ir.TaggedValue("Str", str(self.eval(target, env))),
+                    )
+                )
+            else:  # check_timer
                 timer_id = self.eval(call.args[0], env)
                 clauses.append(ir.TimerClause(timer_id=str(timer_id)))
-            else:
-                raise LowerError("bad-cond-clause", call.span, f"unknown condition clause {call.name}")
         return clauses, recv_froms
-
-    def _lower_cmp_call(self, call: ast.FnCall, env: dict) -> ir.CmpClause:
-        subject = call.args[0]
-        if isinstance(subject, ast.GetExpr):
-            cmp_val = subject.name
-        elif isinstance(subject, ast.Ident) and isinstance(env.get(subject.name), ResultRef):
-            cmp_val = env[subject.name].register
-        else:
-            raise LowerError("bad-cond-clause", subject.span, "cmp subject is not a comparable value")
-        operator = self.eval(call.args[1], env)
-        if operator not in _CMP_OP:
-            raise LowerError("bad-cond-clause", call.args[1].span, f"unknown operator {operator!r}")
-        target = self.eval(call.args[2], env)
-        return ir.CmpClause(cmp_val, _CMP_OP[str(operator)], ir.TaggedValue("Str", str(target)))
 
     # --- act expansion -------------------------------------------------------
 
@@ -745,101 +686,64 @@ class _Compiler:
             return [v]
         if isinstance(stmt, ast.MatchStmt):
             return self._apply_match(stmt, v)
-        if isinstance(stmt, ast.IfStmt):
-            return self._apply_if(stmt, v)
-        raise LowerError(
-            "unsupported-stmt", stmt.span, f"{type(stmt).__name__} cannot appear in an act block"
-        )
+        return self._apply_if(stmt, v)  # the analyzer admits no other statement here
 
     def _apply_let(self, stmt: ast.LetStmt, v: _Variant) -> None:
         value = stmt.value
         name = stmt.targets[0].name
-        if isinstance(value, ast.FnCall) and value.name == "bsm":
-            a = self._qubit(value.args[0], v)
-            b = self._qubit(value.args[1], v)
-            register = v.alloc_register()
+        if isinstance(value, ast.FnCall) and value.name in ("bsm", "measure"):
+            v.env[name] = ResultRef(self._measure(value, v))
+        else:
+            v.env[name] = self.eval(value, v.env)
+
+    def _measure(self, call: ast.FnCall, v: _Variant) -> str:
+        """Lower bsm(a, b) or measure(q, basis); returns the result register."""
+        if call.name == "bsm":
+            a = self._qubit(call.args[0], v)
+            b = self._qubit(call.args[1], v)
             v.clauses.append(ir.QCircClause((ir.QGate(a, "CxControl"), ir.QGate(b, "CxTarget"))))
             v.clauses.append(ir.MeasureClause(a, "X"))
             v.clauses.append(ir.MeasureClause(b, "Z"))
-            v.env[name] = ResultRef(register)
-            return
-        if isinstance(value, ast.FnCall) and value.name == "measure":
-            qubit = self._qubit(value.args[0], v)
-            basis = self.eval(value.args[1], v.env)
-            if basis not in ir.MEASURE_BASES:
-                raise LowerError("bad-basis", value.args[1].span, f"unknown basis {basis}")
-            register = v.alloc_register()
-            v.clauses.append(ir.MeasureClause(qubit, str(basis)))
-            v.env[name] = ResultRef(register)
-            return
-        if isinstance(value, ast.FnCall) and value.name in _GATE1 and not value.args:
-            v.env[name] = CorrectionRef(_GATE1[value.name])
-            return
-        v.env[name] = self.eval(value, v.env)
+        else:
+            v.clauses.append(ir.MeasureClause(self._qubit(call.args[0], v), call.args[1].value))
+        return v.alloc_register()
 
-    def _apply_call_stmt(self, expr, v: _Variant) -> None:
-        if not isinstance(expr, ast.FnCall):
-            raise LowerError("unsupported-stmt", expr.span, "expression statement has no effect")
-        if expr.name in _GATE1 and expr.args:
-            v.clauses.append(ir.QCircClause((ir.QGate(self._qubit(expr.args[0], v), _GATE1[expr.name]),)))
-            return
-        if expr.name in _GATE2:
-            control, target = _GATE2[expr.name]
+    def _apply_call_stmt(self, call: ast.FnCall, v: _Variant) -> None:
+        """An operation call: a gate, a measurement, free or set_timer."""
+        if call.name in _GATE1:
+            v.clauses.append(ir.QCircClause((ir.QGate(self._qubit(call.args[0], v), _GATE1[call.name]),)))
+        elif call.name in _GATE2:
+            control, target = _GATE2[call.name]
             v.clauses.append(
                 ir.QCircClause(
                     (
-                        ir.QGate(self._qubit(expr.args[0], v), control),
-                        ir.QGate(self._qubit(expr.args[1], v), target),
+                        ir.QGate(self._qubit(call.args[0], v), control),
+                        ir.QGate(self._qubit(call.args[1], v), target),
                     )
                 )
             )
-            return
-        if expr.name in ("measure", "bsm"):
-            # result discarded; lower through the let path with a throwaway name
-            fake = ast.LetStmt(targets=(ast.TypedName(name="_"),), value=expr, span=expr.span)
-            self._apply_let(fake, v)
-            v.env.pop("_", None)
-            return
-        if expr.name == "free":
-            v.clauses.append(ir.FreeClause(self._qubit(expr.args[0], v)))
-            return
-        if expr.name == "set_timer":
-            timer_id = self.eval(expr.args[0], v.env)
-            duration = self.eval(expr.args[1], v.env)
+        elif call.name in ("measure", "bsm"):
+            self._measure(call, v)  # the result is discarded
+        elif call.name == "free":
+            v.clauses.append(ir.FreeClause(self._qubit(call.args[0], v)))
+        else:  # set_timer
+            timer_id = self.eval(call.args[0], v.env)
+            duration = self.eval(call.args[1], v.env)
             v.clauses.append(ir.SetTimerClause(str(timer_id), int(duration)))
-            return
-        if expr.name in _SEND_KIND:
-            raise LowerError(
-                "bad-action", expr.span, f"{expr.name}(...) must be sent to a repeater with ->"
-            )
-        raise LowerError("unknown-name", expr.span, f"unknown operation {expr.name}")
 
     def _apply_send(self, stmt: ast.SendStmt, v: _Variant) -> None:
         call = stmt.call
-        kind = _SEND_KIND.get(call.name)
-        if kind is None:
-            raise LowerError(
-                "bad-send",
-                call.span,
-                f"send requires one of update/free/meas/transfer, got {call.name}",
-            )
+        kind = _SEND_KIND[call.name]
         destination = self.eval(stmt.destination, v.env)
-        if not isinstance(destination, Repeater):
-            raise LowerError("bad-send", stmt.destination.span, "send destination must be a repeater")
         if destination.address == self._current_owner.address:
             raise LowerError("send-self", stmt.destination.span, "message sent to the owner itself")
         qubit = self._qubit(call.args[0], v)
         if kind == "Update":
-            op = self._correction(call.args[1], v)
+            op = _GATE1[call.args[1].name]  # a correction is written as a gate call: z()
             payload = (("op", op), ("qubit", str(qubit.qubit_index)))
             effect = ("Update", op)
         elif kind == "Meas":
-            source = call.args[1]
-            register = None
-            if isinstance(source, ast.Ident) and isinstance(v.env.get(source.name), ResultRef):
-                register = v.env[source.name].register
-            if register is None:
-                raise LowerError("bad-send", source.span, "meas payload is not a measurement result")
+            register = v.env[call.args[1].name].register
             payload = (("qubit", str(qubit.qubit_index)), ("result", register))
             effect = ("Meas", register)
         else:  # Transfer / Free
@@ -848,26 +752,15 @@ class _Compiler:
         v.clauses.append(ir.SendClause(kind, destination.address, payload))
         v.sends.append(_SendRec(kind, destination.address, effect, stmt.span))
 
-    def _correction(self, expr, v: _Variant) -> str:
-        if isinstance(expr, ast.FnCall) and expr.name in _GATE1 and not expr.args:
-            return _GATE1[expr.name]
-        if isinstance(expr, ast.Ident) and isinstance(v.env.get(expr.name), CorrectionRef):
-            return v.env[expr.name].op
-        raise LowerError("bad-send", expr.span, "update payload is not a correction operator")
-
-    def _qubit(self, expr, v: _Variant) -> ir.QubitId:
-        if isinstance(expr, ast.Ident):
-            value = v.env.get(expr.name)
-            if isinstance(value, QubitRef):
-                return ir.QubitId(value.index)
-        raise LowerError("type-mismatch", expr.span, "operand does not name a captured qubit")
+    def _qubit(self, name: ast.Ident, v: _Variant) -> ir.QubitId:
+        return ir.QubitId(v.env[name.name].index)
 
     # --- runtime conditionals ------------------------------------------------
 
     def _apply_match(self, stmt: ast.MatchStmt, v: _Variant) -> list[_Variant]:
         try:
             subject = self.eval(stmt.subject, v.env)
-        except (NotConst, LowerError):
+        except NotConst:
             subject = None
         if subject is not None:
             return self._fold_match(stmt, subject, v)
@@ -888,41 +781,28 @@ class _Compiler:
 
     def _fold_match(self, stmt: ast.MatchStmt, subject, v: _Variant) -> list[_Variant]:
         for arm in stmt.arms:
-            try:
-                pattern = self.eval(arm.pattern, v.env)
-            except (NotConst, LowerError):
-                raise LowerError("bad-match", arm.pattern.span, "match arm is not a literal")
-            if pattern == subject:
+            if arm.pattern.value == subject:
                 return self._expand_stmts(arm.body, v)
         if stmt.otherwise is not None:
             return self._expand_stmts(stmt.otherwise, v)
         return [v]
 
     def _match_cmp(self, subject, pattern, v: _Variant) -> ir.CmpClause:
+        """The Cmp clause that selects one arm; arms are literals."""
         if isinstance(subject, ast.CompExpr):
-            if not isinstance(pattern, ast.BoolLit):
-                raise LowerError(
-                    "bad-match", pattern.span, "arms of a comparison match must be true or false"
-                )
             cmp = self._lower_comparison(subject, v)
             if pattern.value:
                 return cmp
             return ir.CmpClause(cmp.cmp_val, _NEGATE[cmp.operator], cmp.target_val)
         cmp_val, kind = self._runtime_operand(subject, v)
-        value = self._pattern_text(pattern, v)
-        return ir.CmpClause(cmp_val, "Eq", ir.TaggedValue(kind, value))
+        value = pattern.value
+        text = ("true" if value else "false") if isinstance(value, bool) else str(value)
+        return ir.CmpClause(cmp_val, "Eq", ir.TaggedValue(kind, text))
 
-    def _pattern_text(self, pattern, v: _Variant) -> str:
-        try:
-            value = self.eval(pattern, v.env)
-        except (NotConst, LowerError):
-            raise LowerError("bad-match", pattern.span, "match arm is not a literal")
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        return str(value)
-
-    def _runtime_operand(self, expr, v: _Variant) -> tuple[str, str]:
-        """Name a runtime-comparable value: (cmp_val, the kind its targets carry)."""
+    def _runtime_operand(self, expr, v: _Variant) -> tuple[str, str] | None:
+        """Name a runtime-comparable value: (cmp_val, the kind its targets
+        carry), or None if `expr` is not a measurement result, a message
+        field or a stored variable."""
         if isinstance(expr, ast.Ident):
             value = v.env.get(expr.name)
             if isinstance(value, ResultRef):
@@ -937,12 +817,7 @@ class _Compiler:
                 return f"message.{fieldpart.name}", "Str"
         if isinstance(expr, ast.GetExpr):
             return expr.name, "Str"
-        raise LowerError(
-            "bad-match",
-            expr.span,
-            "runtime conditions may only inspect measurement results, message fields "
-            "and stored variables",
-        )
+        return None
 
     def _apply_if(self, stmt: ast.IfStmt, v: _Variant) -> list[_Variant]:
         # Compile-time conditions fold; runtime conditions expand into
@@ -950,15 +825,12 @@ class _Compiler:
         # of every branch before it.
         first_cond = stmt.branches[0][0]
         try:
-            folded = self.eval(first_cond, v.env)
-        except (NotConst, LowerError):
-            folded = None
-        if folded is not None:
+            self.eval(first_cond, v.env)
+        except NotConst:
+            pass
+        else:
             for condition, body in stmt.branches:
-                value = self.eval(condition, v.env)
-                if not isinstance(value, bool):
-                    raise LowerError("const-expr", condition.span, "if condition is not a boolean")
-                if value:
+                if self.eval(condition, v.env):
                     return self._expand_stmts(body, v)
             if stmt.orelse is not None:
                 return self._expand_stmts(stmt.orelse, v)
@@ -980,36 +852,38 @@ class _Compiler:
             out.append(child)
         return out
 
-    def _lower_comparison(self, expr, v: _Variant) -> ir.CmpClause:
-        if not isinstance(expr, ast.CompExpr):
-            raise LowerError("bad-match", expr.span, "runtime condition must be a comparison")
+    def _lower_comparison(self, expr: ast.CompExpr, v: _Variant) -> ir.CmpClause:
         operator = _CMP_OP[expr.op]
-        try:
-            cmp_val, kind = self._runtime_operand(expr.lhs, v)
-            target = self._comparison_target(expr.rhs, kind, v)
-        except LowerError:
+        lowered = self._oriented(expr.lhs, expr.rhs, v)
+        if lowered is None:
             # literal on the left: mirror the comparison
-            cmp_val, kind = self._runtime_operand(expr.rhs, v)
-            target = self._comparison_target(expr.lhs, kind, v)
+            lowered = self._oriented(expr.rhs, expr.lhs, v)
             operator = _MIRROR[operator]
+        cmp_val, target = lowered
         return ir.CmpClause(cmp_val, operator, target)
 
-    def _comparison_target(self, expr, kind: str, v: _Variant) -> ir.TaggedValue:
+    def _oriented(self, operand, other, v: _Variant) -> tuple[str, ir.TaggedValue] | None:
+        """`operand` read at run time and compared with `other`, if both lower."""
+        read = self._runtime_operand(operand, v)
+        if read is None:
+            return None
+        target = self._comparison_target(other, read[1], v)
+        return None if target is None else (read[0], target)
+
+    def _comparison_target(self, expr, kind: str, v: _Variant) -> ir.TaggedValue | None:
         if isinstance(expr, ast.GetExpr):
             return ir.TaggedValue("Variable", expr.name)
         if isinstance(expr, ast.Ident) and isinstance(v.env.get(expr.name), ResultRef):
             return ir.TaggedValue("Variable", v.env[expr.name].register)
         try:
             value = self.eval(expr, v.env)
-        except NotConst as nc:
-            raise LowerError("bad-match", nc.span, f"comparison target is not lowerable: {nc.reason}")
+        except NotConst:
+            return None  # a message field: compare the other way round
         if isinstance(value, bool):
             return ir.TaggedValue("Bool", "true" if value else "false")
         if isinstance(value, int):
             return ir.TaggedValue("Int", str(value))
-        if isinstance(value, str):
-            return ir.TaggedValue(kind if kind != "Str" else "Str", value)
-        raise LowerError("bad-match", expr.span, "comparison target is not lowerable")
+        return ir.TaggedValue(kind, value) if isinstance(value, str) else None
 
     # --- send resolution and assembly ---------------------------------------
 
@@ -1149,11 +1023,13 @@ def compile_program(
     ruleset_id: int,
     default_name: str = "ruleset",
 ) -> CompiledOutput:
-    """Lower a parsed, analyzed program against a topology.
+    """Lower a program against a topology.
 
-    The caller is expected to have run the analyzer first; lowering assumes
-    names resolve and types line up, and reports only the faults that can
-    appear once a concrete chain is known (out-of-range repeaters and hops,
-    conditions the compile-time evaluator cannot fold, send/recv mismatches).
+    Contract: the caller has run `analyzer.resolve_imports` and
+    `analyzer.analyze_program` on `program` and both reported no error.
+    Lowering does not check again what the analyzer checks; on a program
+    the analyzer rejects it may raise. It reports only the faults listed
+    in the module docstring, which need the chain or compile-time values.
+    Recvs that no send binds are returned in `unbound_recvs`.
     """
     return _Compiler(program, topology, ruleset_id, default_name).run()

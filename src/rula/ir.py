@@ -572,6 +572,8 @@ def deserialize(text: str) -> RuleSet:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"malformed JSON at byte {exc.pos}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise SchemaError("JSON nested too deeply to decode") from exc
     try:
         if doc.__class__ is not dict or doc.keys() != _RULESET:
             _expect_obj(doc, "", _RULESET)

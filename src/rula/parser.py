@@ -74,13 +74,14 @@ class ParseError(Exception):
         self.pos = pos
         self.expected = sorted(expected)
         self.filename = filename
-        self.line, self.column = _line_col(source, pos)
+        self.line, self.column = line_col(source, pos)
         super().__init__(
             f"parse failure at {self.line}:{self.column}, expected: {', '.join(self.expected)}"
         )
 
 
-def _line_col(source: str, pos: int) -> tuple[int, int]:
+def line_col(source: str, pos: int) -> tuple[int, int]:
+    """1-based line and column of a character offset."""
     line = source.count("\n", 0, pos) + 1
     last_nl = source.rfind("\n", 0, pos)
     return line, pos - last_nl

@@ -618,3 +618,143 @@ class TestStability:
         )
         messages = " ".join(d.message for d in analysis.errors)
         assert "ghost_one" in messages and "ghost_two" in messages
+
+
+SHAPE_TEMPLATE = """\
+#repeaters: vec[Repeater]
+import std::operation::{{x, cx, measure, bsm}}
+rule probe<#rep>(){returns}{{
+    let partner: Repeater = #rep.hop(1)
+    cond {{
+        @q1: res(1, 0.5, partner, 0)
+        @q2: res(1, 0.5, partner, 1)
+        @m: recv(#rep.hop(-1))
+    }} => act {{
+        {act}
+    }}
+}}
+ruleset shapes{{
+    {ruleset}
+}}
+"""
+
+
+def _only_error(source: str, needle: str):
+    """The one error of `source`, checked to lie inside the first `needle`."""
+    errors = analyze_program(parse(source)).errors
+    assert len(errors) == 1, errors
+    start = source.index(needle)
+    assert start <= errors[0].span.start and errors[0].span.end <= start + len(needle)
+    return errors[0]
+
+
+def _shape(act: str = "free(q1)", ruleset: str = "probe<#repeaters(1)>()", returns: str = ""):
+    return SHAPE_TEMPLATE.format(act=act, ruleset=ruleset, returns=returns)
+
+
+class TestShapeRules:
+    """Programs lowering used to be the first to reject, or let through to
+    a file that `rula validate` or the simulator then rejected."""
+
+    def test_template_is_clean(self):
+        assert analyze_program(parse(_shape())).ok
+
+    def test_loop_destructuring_over_a_vector(self):
+        loop = "for (a, b) in [1, 2] { probe<#repeaters(1)>() }"
+        assert _only_error(_shape(ruleset=loop), loop).code == "arity"
+
+    def test_promote_takes_only_qubits(self):
+        source = _shape(returns=" :-> Result", act="let r: Result = bsm(q1, q2)\n promote r")
+        assert _only_error(source, "promote r").code == "promote-type"
+
+    def test_two_qubit_operations_need_two_qubits(self):
+        for act in ("bsm(q1, q1)", "cx(q1, q1)", "let r: Result = bsm(q1, q1)"):
+            error = _only_error(_shape(act=act), act)
+            assert error.code == "same-qubit", act
+
+    @pytest.mark.parametrize(
+        "act,needle",
+        [
+            ('measure(q1, "Z")\n promote q1', "promote q1"),
+            ('let r: Result = measure(q1, "Z")\n x(q1)', "x(q1)"),
+            ("bsm(q1, q2)\n free(q2)", "free(q2)"),
+            ('free(q1)\n measure(q1, "X")', 'measure(q1, "X")'),
+            ('match m.result { "0" => {free(q1)}, "1" => {}, }\n x(q1)', "x(q1)"),
+            ('if (m.result == "0") { free(q1) }\n x(q1)', "x(q1)"),
+        ],
+        ids=["measure-promote", "measure-gate", "bsm-free", "free-measure", "match-arm", "if-branch"],
+    )
+    def test_consumed_qubit_is_not_used_again(self, act, needle):
+        returns = " :-> Qubit" if "promote" in act else ""
+        assert _only_error(_shape(act=act, returns=returns), needle).code == "consumed-qubit"
+
+    def test_consumed_qubits_may_still_be_sent(self):
+        act = 'let r: Result = measure(q1, "Z")\n meas(q1, r) -> partner\n transfer(q1) -> partner'
+        assert analyze_program(parse(_shape(act=act))).ok
+
+    def test_other_paths_do_not_consume(self):
+        # an otherwise arm ends the rule; the sibling arm never freed q1
+        for act in (
+            'match m.result { "0" => {}, otherwise => {free(q1)} }\n x(q1)',
+            'match m.result { "0" => {free(q1)}, "1" => {x(q1)}, }',
+        ):
+            assert analyze_program(parse(_shape(act=act))).ok, act
+
+    @pytest.mark.parametrize(
+        "clause,needle,code",
+        [
+            ("@q3: res(1, 2.5, partner, 2)", "2.5", "bad-res"),
+            ("@q3: res(0, 0.5, partner, 2)", "0, 0.5", "bad-res"),
+            ("@q3: res(1, 0.5, partner, 1)", "1)", "bad-res"),
+        ],
+        ids=["fidelity", "count", "index"],
+    )
+    def test_literal_res_arguments(self, clause, needle, code):
+        source = _shape().replace("@m: recv", f"{clause}\n        @m: recv")
+        start = source.index(clause)
+        error = _only_error(source, clause)
+        assert error.code == code
+        assert error.span.start == start + clause.index(needle)
+
+    @pytest.mark.parametrize(
+        "act,needle,code",
+        [
+            ("x()", "x()", "unsupported-stmt"),
+            ("meas(q1, m.result) -> partner", "m.result", "type-mismatch"),
+            ("if (get flag) { free(q1) }", "get flag", "bad-match"),
+            ('if (m.result == m.result) { free(q1) }', "m.result == m.result", "bad-match"),
+            ('if (m.result == "1") { free(q1) } else if (1 == 1) { free(q2) }', "1 == 1", "bad-match"),
+            ('match m.result { 3 => {free(q1)}, }', "3", "bad-match"),
+        ],
+        ids=["bare-correction", "meas-field", "if-get", "field-vs-field", "static-elif", "int-arm"],
+    )
+    def test_statements_lowering_cannot_express(self, act, needle, code):
+        source = _shape(act=act)
+        # `flag` is set nowhere; only the condition's shape is under test
+        errors = [e for e in analyze_program(parse(source)).errors if e.code != "get-before-set"]
+        assert [e.code for e in errors] == [code]
+        start = source.index(needle)
+        assert start <= errors[0].span.start and errors[0].span.end <= start + len(needle)
+
+    def test_cmp_operator_is_a_literal_comparison(self):
+        source = """\
+rule probe<#rep>(r: Result){
+    cond { cmp(r, "~", "1") } => act {}
+}
+"""
+        error = _only_error(source, '"~"')
+        assert error.code == "bad-cond-clause"
+
+    def test_untyped_parameter(self):
+        source = _shape().replace("probe<#rep>()", "probe<#rep>(far)")
+        source = source.replace("probe<#repeaters(1)>()", "probe<#repeaters(1)>(3)")
+        assert _only_error(source, "far").code == "missing-type"
+
+    def test_tuple_target_needs_a_rule_call(self):
+        source = _shape(ruleset="let (a: int, b: int) = 5")
+        assert _only_error(source, "let (a: int, b: int) = 5").code == "arity"
+
+    def test_repeaters_do_not_compare(self):
+        source = _shape(act="if (partner == partner) { free(q1) }")
+        errors = analyze_program(parse(source)).errors
+        assert [e.code for e in errors] == ["type-mismatch"]

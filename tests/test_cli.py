@@ -136,6 +136,43 @@ class TestCompile:
         assert "hop-range" in err
         assert not out_dir.exists() or not list(out_dir.iterdir())
 
+    @pytest.mark.parametrize(
+        "clause,literal,message",
+        [
+            ("res(1, 2.5, partner, 1)", "2.5", "fidelity 2.5 outside [0, 1]"),
+            ("res(0, 0.5, partner, 1)", "0", "resource count 0 below 1"),
+        ],
+        ids=["fidelity", "count"],
+    )
+    def test_res_literal_out_of_range_points_at_it(
+        self, corpus, capsys, tmp_path, clause, literal, message
+    ):
+        text = (corpus / "purification.rula").read_text()
+        text = text.replace("res(1, 0.5, partner, 1)", clause)
+        program = tmp_path / "purification.rula"
+        program.write_text(text)
+        offset = text.index(clause) + clause.index(literal)
+        line = text.count("\n", 0, offset) + 1
+        column = offset - text.rfind("\n", 0, offset)
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            [
+                "compile",
+                program,
+                "--config",
+                corpus / "config5.json",
+                "--out-dir",
+                out_dir,
+                "--include",
+                corpus,
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert f"{program}:{line}:{column}: error[bad-res]: {message}" in err
+        assert not out_dir.exists()
+
     def test_explicit_ruleset_id(self, corpus, capsys, tmp_path):
         code, _out, _err, out_dir = compile_swap(
             corpus, capsys, tmp_path, extra=["--ruleset-id", "0x13ed232"]
@@ -228,6 +265,13 @@ class TestValidate:
         code, _out, err = run_cli(["validate", tmp_path / "ghost.json"], capsys)
         assert code == 1
         assert "no such file" in err
+
+    def test_deeply_nested_json_is_a_schema_error(self, capsys, tmp_path):
+        target = tmp_path / "deep.json"
+        target.write_text("[" * 100_000)
+        code, _out, err = run_cli(["validate", target], capsys)
+        assert code == 1
+        assert f"{target}: error[schema]: " in err and "nested too deeply" in err
 
 
 class TestRun:
@@ -330,6 +374,18 @@ class TestRun:
         assert code == 1
         assert out == ""
         assert "error: " in err and "entanglement_swapping_1.json" in err
+
+    def test_deeply_nested_ruleset_names_the_file(self, corpus, capsys, tmp_path):
+        out_dir = self.compiled(corpus, capsys, tmp_path)
+        target = out_dir / "entanglement_swapping_1.json"
+        target.write_text("[" * 100_000)
+        code, out, err = run_cli(
+            ["run", "--config", corpus / "config3.json", "--rulesets", out_dir],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert f"error: {target}: " in err and "nested too deeply" in err
 
     def test_non_utf8_config_is_usage_error(self, corpus, capsys, tmp_path):
         out_dir = self.compiled(corpus, capsys, tmp_path)

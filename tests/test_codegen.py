@@ -223,12 +223,12 @@ rule nested<#rep>(){
         let b: Result = measure(q2, "Z")
         match a {
             "0" => {},
-            "1" => {x(q1)},
+            "1" => {set_timer("a", 1)},
             "2" => {},
         }
         match b {
             "0" => {},
-            "1" => {x(q2)},
+            "1" => {set_timer("b", 1)},
         }
     }
 }
@@ -546,6 +546,32 @@ ruleset self_send{
         errors = [d for d in out.diagnostics if d.is_error]
         assert len(errors) == 1
         assert errors[0].code == "send-self"
+
+
+    @pytest.mark.parametrize(
+        "args", ["(2, 1.5, 1)", "(0, 0.5, 1)", "(1, 0.5, 0)"], ids=["fidelity", "count", "index"]
+    )
+    def test_computed_res_arguments_are_checked(self, args):
+        source = """\
+#repeaters: vec[Repeater]
+rule claim<#rep>(count: int, fidelity: float, index: int){
+    let partner: Repeater = #rep.hop(1)
+    cond {
+        @q1: res(1, 0.5, partner, 0)
+        @q2: res(count, fidelity, partner, index)
+    } => act {
+        free(q1)
+    }
+}
+ruleset computed{
+    claim<#repeaters(0)>ARGS
+}
+""".replace("ARGS", args)
+        out = compile_source(source, chain(2))
+        errors = [d for d in out.diagnostics if d.is_error]
+        assert [d.code for d in errors] == ["const-expr"]
+        start = source.index("res(count")
+        assert errors[0].span.start == start
 
 
 class TestFolding:
