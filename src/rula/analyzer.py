@@ -297,24 +297,12 @@ class _Checker:
             self.check_call_args(call, param_types, rule_scope)
             if len(call.args) == len(param_types):
                 if call.name == "res":
-                    self.check_res_literals(*call.args[:2])
-                    index = call.args[3]
-                    if isinstance(index, ast.IntLit):
-                        if index.value in indices:
-                            self.error(
-                                "bad-res",
-                                index.span,
-                                f"qubit index {index.value} is claimed by an earlier res clause",
-                            )
-                        indices.add(index.value)
+                    self.check_res_literals(*call.args, indices)
                 elif call.name == "cmp":
                     op = call.args[1]
                     if not (isinstance(op, ast.StringLit) and op.value in _CMP_OPS):
                         self.error(
-                            "bad-cond-clause",
-                            op.span,
-                            "the cmp operator must be a string literal: "
-                            + ", ".join(f'"{o}"' for o in _CMP_OPS),
+                            "bad-cond-clause", op.span, 'cmp takes an operator literal such as "=="'
                         )
             if clause.capture is not None:
                 if capture_type is None:
@@ -334,11 +322,17 @@ class _Checker:
                         clause.capture, Symbol(capture_type, "cond-capture", clause.span)
                     )
 
-    def check_res_literals(self, count: ast.Expr, fidelity: ast.Expr) -> None:
+    def check_res_literals(self, count, fidelity, _partner, index, indices: set[int]) -> None:
+        """Literal res arguments; `indices` holds the qubit indices of earlier clauses."""
         if isinstance(count, ast.IntLit) and count.value < 1:
             self.error("bad-res", count.span, f"resource count {count.value} below 1")
         if isinstance(fidelity, (ast.IntLit, ast.FloatLit)) and not 0 <= fidelity.value <= 1:
             self.error("bad-res", fidelity.span, f"fidelity {fidelity.value} outside [0, 1]")
+        if isinstance(index, ast.IntLit):
+            if index.value in indices:
+                message = f"qubit index {index.value} is claimed by an earlier res clause"
+                self.error("bad-res", index.span, message)
+            indices.add(index.value)
 
     def check_call_args(
         self, call: ast.FnCall, param_types: tuple[str, ...], scope: _Scope
@@ -443,7 +437,7 @@ class _Checker:
         two-qubit operation needs two different ones, and measure, bsm and
         free consume theirs."""
         entry = OPERATIONS.get(call.name)
-        if entry is None or (call.name in _SINGLE_QUBIT_GATES and not call.args):
+        if entry is None:
             return
         params, consumes = entry
         qubits = [arg for arg, t in zip(call.args, params) if t == "Qubit"]
@@ -467,7 +461,7 @@ class _Checker:
                 names.append(value.name)
         return names
 
-    def check_runtime_condition(self, cond: ast.Expr, scope: _Scope) -> None:
+    def check_condition(self, cond: ast.Expr, scope: _Scope) -> None:
         if isinstance(cond, ast.CompExpr):
             self.type_of(cond, scope)
         elif isinstance(cond, ast.GetExpr):
@@ -495,7 +489,7 @@ class _Checker:
                 self.type_of(cond, scope)
                 self.check_lowered_comparison(cond)
             else:
-                self.check_runtime_condition(cond, scope)
+                self.check_condition(cond, scope)
             after |= self.check_block(body, scope, promotes, consumed)
         if stmt.orelse is not None:
             after |= self.check_block(stmt.orelse, scope, promotes, consumed)
@@ -681,10 +675,10 @@ class _Checker:
                 continue
             for value, expected in zip(stmt.values, sig.return_types):
                 actual = self.out.types.get(id(value))
-                if actual is not None and (actual != "Qubit" or not isinstance(value, ast.Ident)):
-                    self.error(
-                        "promote-type", value.span, f"promote takes only Qubit names, got {actual}"
-                    )
+                if actual is not None and actual != "Qubit":
+                    self.error("promote-type", value.span, f"only qubits are promoted, got {actual}")
+                elif actual is not None and not isinstance(value, ast.Ident):
+                    self.error("promote-type", value.span, "promote takes a qubit by its name")
                 elif actual is not None and not _compatible(expected, actual):
                     self.error(
                         "promote-type",
@@ -796,7 +790,7 @@ class _Checker:
                 self.check_ruleset_stmt(body_stmt, inner)
         elif isinstance(stmt, ast.IfStmt):
             for cond, body in stmt.branches:
-                self.check_runtime_condition(cond, scope)
+                self.check_condition(cond, scope)
                 inner = _Scope(scope)
                 for body_stmt in body:
                     self.check_ruleset_stmt(body_stmt, inner)

@@ -724,9 +724,9 @@ class TestShapeRules:
             ("if (get flag) { free(q1) }", "get flag", "bad-match"),
             ('if (m.result == m.result) { free(q1) }', "m.result == m.result", "bad-match"),
             ('if (m.result == "1") { free(q1) } else if (1 == 1) { free(q2) }', "1 == 1", "bad-match"),
-            ('match m.result { 3 => {free(q1)}, }', "3", "bad-match"),
+            ('match get flag { q1 => {free(q1)}, }', "q1 =>", "bad-match"),
         ],
-        ids=["bare-correction", "meas-field", "if-get", "field-vs-field", "static-elif", "int-arm"],
+        ids=["bare-correction", "meas-field", "if-get", "field-vs-field", "static-elif", "name-arm"],
     )
     def test_statements_lowering_cannot_express(self, act, needle, code):
         source = _shape(act=act)
