@@ -121,6 +121,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     status = EXIT_OK
+    interned: dict = {}  # one hash-consing table for the files of this command
     for name in args.rulesets:
         path = Path(name)
         if not path.is_file():
@@ -128,7 +129,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             status = EXIT_FAILURE
             continue
         try:
-            ruleset = ir.deserialize(path.read_text(encoding="utf-8"))
+            ruleset = ir.deserialize(path.read_text(encoding="utf-8"), interned)
         except (ir.SchemaError, json.JSONDecodeError, UnicodeDecodeError) as exc:
             _err(f"{path}: error[schema]: {exc}")
             status = EXIT_FAILURE
@@ -148,9 +149,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def _load_rulesets(directory: Path, topology: config.Topology):
     rulesets: dict[int, ir.RuleSet] = {}
+    interned: dict = {}  # one hash-consing table for the whole load
     for path in sorted(directory.glob("*.json")):
         try:
-            ruleset = ir.deserialize(path.read_text(encoding="utf-8"))
+            ruleset = ir.deserialize(path.read_text(encoding="utf-8"), interned)
         except (ir.SchemaError, json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise RuntimeError(f"{path}: {exc}") from exc
         if ruleset.owner_addr in rulesets:

@@ -17,8 +17,10 @@ known at compile time: `repeater-range` and `hop-range` (a repeater outside
 the chain), `const-expr` (a value that does not fold, or folds to a
 division by zero, a negative exponent or a res count, fidelity or qubit
 index out of range), `loop-bound` (a loop nest too large to unroll),
-`promote-owner` (a promoted qubit used on another repeater) and
-`send-self` (a message addressed to its sender).
+`promote-owner` (a promoted qubit used on another repeater), `unpromoted`
+(a rule call given a `Qubit?` result that its rule did not promote on that
+repeater with those arguments) and `send-self` (a message addressed to its
+sender).
 """
 
 from __future__ import annotations
@@ -129,6 +131,19 @@ class PromotedHandle:
     owner_index: int
     qubit_index: int
     maybe: bool = False
+
+
+@dataclass(frozen=True)
+class Unpromoted:
+    """Ruleset-level value of a `Qubit?` result that its rule call did not
+    promote: the promote sits under a condition that folded to false."""
+
+    rule: str
+    owner_index: int
+
+
+def _unpromoted(value: Unpromoted) -> str:
+    return f"rule {value.rule} promotes none on repeater index {value.owner_index}"
 
 
 _REPEATERS_VEC = object()  # value of the bare '#repeaters' vector
@@ -321,6 +336,8 @@ class _Compiler:
         value = env[name]
         if value is _POISON:
             raise NotConst(f"{name} has no usable value after an earlier error", span)
+        if isinstance(value, Unpromoted):
+            raise NotConst(f"{name} holds no qubit: {_unpromoted(value)}", span)
         if isinstance(value, (QubitRef, ResultRef, MessageRef, PromotedHandle)):
             raise NotConst(f"{name} is bound to a run-time value", span)
         if strict and not isinstance(value, (int, bool)):
@@ -533,11 +550,19 @@ class _Compiler:
             return poison
         args = []
         for arg in call.args:
-            if isinstance(arg, ast.Ident) and isinstance(env.get(arg.name), PromotedHandle):
-                args.append(env[arg.name])
+            bound = env.get(arg.name) if isinstance(arg, ast.Ident) else None
+            if isinstance(bound, PromotedHandle):
+                args.append(bound)
                 continue
-            if isinstance(arg, ast.Ident) and env.get(arg.name) is _POISON:
+            if bound is _POISON:
                 return poison  # cascade from an earlier failure, already reported
+            if isinstance(bound, Unpromoted):
+                self.error(
+                    "unpromoted",
+                    call.span,
+                    f"argument {arg.name} of {call.name} holds no qubit: {_unpromoted(bound)}",
+                )
+                return poison
             try:
                 args.append(self.eval(arg, env))
             except NotConst as nc:
@@ -591,15 +616,13 @@ class _Compiler:
         if not rule.return_types:
             return (None,)
         promoting = next((v for v in variants if v.promotes), None)
-        if promoting is None:
-            return tuple(None for _ in rule.return_types)
-        handles = []
-        for i, ret in enumerate(rule.return_types):
-            if i < len(promoting.promotes):
-                handles.append(PromotedHandle(owner.index, promoting.promotes[i], ret.maybe))
-            else:
-                handles.append(None)
-        return tuple(handles)
+        promotes = promoting.promotes if promoting is not None else ()
+        return tuple(
+            PromotedHandle(owner.index, promotes[i], ret.maybe)
+            if i < len(promotes)
+            else Unpromoted(rule.name, owner.index)
+            for i, ret in enumerate(rule.return_types)
+        )
 
     # --- condition lowering --------------------------------------------------
 

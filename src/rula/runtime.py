@@ -12,7 +12,7 @@ The rule groups, the link provisioning and the index of send clauses are
 built once per call (`Blueprint`); a `Network` holds only what a run
 changes, so it can be forked.  Enumeration is a depth-first walk: a branch
 runs with zero bits past its plan and snapshots the network before every
-firing that may measure, and each zero it drew is flipped in a new branch
+firing that may draw a bit, and each zero it drew is flipped in a new branch
 that resumes from the snapshot before the firing that drew it, so the
 rounds before a measurement run once for the whole subtree below it.
 """
@@ -57,13 +57,15 @@ class RandomOutcomes:
     def draw(self, position: int) -> int:
         return self._rng.getrandbits(1)
 
-    def checkpoint(self, net: "Network", index: int) -> None:
+    def checkpoint(self, net: "Network", index: int, group: "Group", bindings: dict) -> None:
         pass
 
 
 class _Branch:
     """One branch of the enumeration: replays `plan` bit by bit, then draws
-    zeros, and snapshots the network before every firing that may draw.
+    zeros, and snapshots the network before every firing that may draw: one
+    whose measurements all span correlations sampled before draws nothing,
+    and needs none.
 
     A branch resumed from `origin` re-enters the firing `origin` was taken
     before; that snapshot stands for it instead of a fresh copy.
@@ -77,11 +79,12 @@ class _Branch:
     def draw(self, position: int) -> int:
         return self.plan[position] if position < len(self.plan) else 0
 
-    def checkpoint(self, net: "Network", index: int) -> None:
+    def checkpoint(self, net: "Network", index: int, group: "Group", bindings: dict) -> None:
         if self._resumed:
             self._resumed = False
             return
-        self.snapshots.append(_Snapshot(net.fork(None), index))
+        if net.may_draw(group, bindings):
+            self.snapshots.append(_Snapshot(net.fork(None), index))
 
 
 @dataclass(eq=False)
@@ -498,8 +501,12 @@ class Network:
         queue = node.inboxes.get(src)
         return queue[0] if queue else None
 
-    def _ready(self, node: Node, group: Group) -> list[tuple[int, End]] | None:
-        """The resources the group would bind if it can fire now, else None."""
+    def _condition_holds(
+        self, node: Node, group: Group
+    ) -> tuple[dict[int, End], Message | None] | None:
+        """If the group's condition holds now: the ends its resource clauses
+        bind and the message it would take.  Else None."""
+        head = None
         if group.recv is not None:
             head = self._head(node, group.recv.partner_addr)
             if head is None:
@@ -510,18 +517,20 @@ class Network:
             expiry = node.timers.get(timer.timer_id)
             if expiry is None or self.round < expiry:
                 return None
-        return self._match_res(node, group)
-
-    # --- firing --------------------------------------------------------------
-
-    def _fire(self, node: Node, group: Group, chosen: list[tuple[int, End]]) -> None:
+        chosen = self._match_res(node, group)
+        if chosen is None:
+            return None
         bindings: dict[int, End] = {}
         for index, end in chosen:
             bindings.setdefault(index, end)
+        return bindings, head
+
+    # --- firing --------------------------------------------------------------
+
+    def _fire(self, node: Node, group: Group, bindings: dict[int, End]) -> None:
         message = None
         if group.recv is not None:
             message = node.inboxes[group.recv.partner_addr].pop(0)
-        self._bind_inherited(node, group, bindings, message)
         if message is not None and message.kind == "Transfer":
             self._repoint(bindings)
 
@@ -556,9 +565,12 @@ class Network:
         group: Group,
         bindings: dict[int, End],
         message: Message | None,
-    ) -> None:
+    ) -> int | None:
         """Action clauses may reference qubit slots with no matching resource
-        clause: those bind earlier promoted (or still waiting) ends."""
+        clause: those bind earlier promoted (or still waiting) ends.  Returns
+        the first slot that finds none, else None."""
+        if not group.inherited:
+            return None
         taken = {id(end) for end in bindings.values()}
         for index in group.inherited:
             end = None
@@ -570,11 +582,10 @@ class Network:
                         end = candidate
                         break
             if end is None:
-                raise SimulationError(
-                    f"address {node.address}: no resource to bind qubit {index}"
-                )
+                return index
             taken.add(id(end))
             bindings[index] = end
+        return None
 
     def _repoint(self, bindings: dict[int, End]) -> None:
         """A Transfer message hands over a (possibly spliced) pair: the
@@ -582,6 +593,23 @@ class Network:
         for end in bindings.values():
             other = end.pair.other_end(end)
             end.viewed_partner = other.node
+
+    def may_draw(self, group: Group, bindings: dict[int, End]) -> bool:
+        """Whether firing `group` on `bindings` can draw a bit: a measurement
+        of one of its rules spans correlations with no sampled reference yet.
+        What a measurement spans follows from the bindings and the two-qubit
+        gates before it, never from an outcome, so each rule is followed to
+        its last clause whichever alternative would win."""
+        for rule in group.rules:
+            zdeps, xdeps = _dependencies(bindings)
+            for clause in rule.action.clauses:
+                if isinstance(clause, ir.MeasureClause):
+                    deps = zdeps if clause.basis == "Z" else xdeps
+                    if deps.get(clause.qubit.qubit_index) not in self.pending:
+                        return True
+                elif isinstance(clause, ir.QCircClause):
+                    _entangle(zdeps, xdeps, clause.qgates)
+        return False
 
     # --- main loop -----------------------------------------------------------
 
@@ -607,13 +635,15 @@ class Network:
             for group in node.current():
                 if self._resolved(group):
                     continue
-                chosen = self._ready(node, group)
-                if chosen is not None:
-                    if group.draws:
-                        self.outcomes.checkpoint(self, index)
-                    self._fire(node, group, chosen)
-                    progress = True
-                    break
+                held = self._condition_holds(node, group)
+                if held is None or self._bind_inherited(node, group, *held) is not None:
+                    continue  # not ready: its condition fails or a qubit slot finds no end
+                bindings = held[0]
+                if group.draws:
+                    self.outcomes.checkpoint(self, index, group, bindings)
+                self._fire(node, group, bindings)
+                progress = True
+                break
         if self.deliver():
             progress = True
         self.round += 1
@@ -681,7 +711,14 @@ class Network:
                 if self._resolved(group):
                     continue
                 rule = group.rules[0]
-                if group.recv is not None:
+                held = self._condition_holds(node, group)
+                slot = None if held is None else self._bind_inherited(node, group, *held)
+                if slot is not None:
+                    reports.append(
+                        f"address {address}: rule '{rule.name}' (id {rule.id}) "
+                        f"has no pair or promoted qubit to bind to slot {slot}"
+                    )
+                elif group.recv is not None:
                     kind = f" for {group.kind_gate} messages" if group.kind_gate else ""
                     reports.append(
                         f"address {address}: rule '{rule.name}' (id {rule.id}) "
@@ -704,6 +741,37 @@ class Network:
 # --- clause execution --------------------------------------------------------
 
 
+def _dependencies(bindings: dict[int, End]) -> tuple[dict, dict]:
+    """Per slot, the (pair, basis) correlations a Z and an X measurement
+    span before any gate: its own pair's."""
+    zdeps = {q: frozenset({(end.pair.id, "Z")}) for q, end in bindings.items()}
+    xdeps = {q: frozenset({(end.pair.id, "X")}) for q, end in bindings.items()}
+    return zdeps, xdeps
+
+
+def _entangle(zdeps: dict, xdeps: dict, gates: tuple[ir.QGate, ...]) -> list[ir.QGate]:
+    """Spread what later measurements of each slot span through a circuit's
+    CX and CZ gates (a control and the gate after it); returns the other
+    gates, a control with no gate after it included."""
+    rest = []
+    i = 0
+    while i < len(gates):
+        gate = gates[i]
+        if gate.kind in ("CxControl", "CzControl") and i + 1 < len(gates):
+            q, tq = gate.qubit.qubit_index, gates[i + 1].qubit.qubit_index
+            if gate.kind == "CxControl":
+                zdeps[tq] = zdeps[tq] ^ zdeps[q]
+                xdeps[q] = xdeps[q] ^ xdeps[tq]
+            else:
+                xdeps[q] = xdeps[q] ^ zdeps[tq]
+                xdeps[tq] = xdeps[tq] ^ zdeps[q]
+            i += 2
+        else:
+            rest.append(gate)
+            i += 1
+    return rest
+
+
 class _Firing:
     def __init__(self, net: Network, node: Node, bindings: dict[int, End], message):
         self.net = net
@@ -713,12 +781,7 @@ class _Firing:
         self.registers: dict[str, str] = {}
         self.reg_count = 0
         # per-slot measurement dependency sets built up by two-qubit gates
-        self.zdeps = {
-            q: frozenset({(end.pair.id, "Z")}) for q, end in bindings.items()
-        }
-        self.xdeps = {
-            q: frozenset({(end.pair.id, "X")}) for q, end in bindings.items()
-        }
+        self.zdeps, self.xdeps = _dependencies(bindings)
 
     def _alloc(self) -> str:
         name = "MeasResult" if self.reg_count == 0 else f"MeasResult{self.reg_count}"
@@ -757,24 +820,10 @@ class _Firing:
     # --- gates ---------------------------------------------------------------
 
     def _qcirc(self, clause: ir.QCircClause) -> None:
-        gates = list(clause.qgates)
-        i = 0
-        while i < len(gates):
-            gate = gates[i]
-            q = gate.qubit.qubit_index
+        for gate in _entangle(self.zdeps, self.xdeps, clause.qgates):
             if gate.kind in ("CxControl", "CzControl"):
-                if i + 1 >= len(gates):
-                    raise SimulationError(f"unpaired {gate.kind} gate")
-                tq = gates[i + 1].qubit.qubit_index
-                if gate.kind == "CxControl":
-                    self.zdeps[tq] = self.zdeps[tq] ^ self.zdeps[q]
-                    self.xdeps[q] = self.xdeps[q] ^ self.xdeps[tq]
-                else:
-                    self.xdeps[q] = self.xdeps[q] ^ self.zdeps[tq]
-                    self.xdeps[tq] = self.xdeps[tq] ^ self.zdeps[q]
-                i += 2
-                continue
-            pair = self.bindings[q].pair
+                raise SimulationError(f"unpaired {gate.kind} gate")
+            pair = self.bindings[gate.qubit.qubit_index].pair
             if gate.kind == "X":
                 pair.parity_bit ^= 1
             elif gate.kind == "Z":
@@ -787,7 +836,6 @@ class _Firing:
                     f"gate {gate.kind} on an entangled qubit is outside the "
                     "tracked state space"
                 )
-            i += 1
 
     # --- measurements --------------------------------------------------------
 

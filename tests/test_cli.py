@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from rula import cli, parser
+from rula import cli, ir, parser
 
 SWAP = "entanglement_swapping.rula"
 
@@ -444,6 +444,69 @@ class TestRun:
         assert code == 1
         assert out == ""
         assert err == f"error: simulation: {message}\n"
+
+
+    def test_unbindable_qubit_ends_stuck(self, corpus, capsys, tmp_path):
+        """Both qubits of the swap come from the left partner, so the right
+        end node receives a Transfer but holds no pair to promote: the run
+        ends stuck on that rule instead of raising."""
+        program = tmp_path / "left_only.rula"
+        source = (corpus / SWAP).read_text()
+        right = "@q2: res(1, 0.8, right_partner, 1)"
+        program.write_text(source.replace(right, right.replace("right", "left")))
+        assert program.read_text() != source
+        out_dir = tmp_path / "out"
+        config3 = corpus / "config3.json"
+        code, _out, _err = run_cli(
+            ["compile", program, "--config", config3, "--out-dir", out_dir], capsys
+        )
+        assert code == 0
+        code, _out, err = run_cli(["validate", *sorted(out_dir.glob("*.json"))], capsys)
+        assert code == 0 and err.count(": ok") == 3
+        for mode in (["--seed", "0"], ["--enumerate-outcomes"]):
+            code, _out, err = run_cli(
+                ["run", "--config", config3, "--rulesets", out_dir, *mode], capsys
+            )
+            assert code == 1
+            assert "error" not in err
+            assert (
+                "stuck: address 2: rule 'wait_transfer' (id 0) has no pair or promoted "
+                "qubit to bind to slot 0\n"
+            ) in err
+
+    def test_each_command_loads_with_a_fresh_table(
+        self, corpus, capsys, tmp_path, monkeypatch
+    ):
+        out_dir = self.compiled(corpus, capsys, tmp_path, config="config5.json")
+        real = ir.deserialize
+        loads: list[list[tuple[int, dict, ir.RuleSet]]] = []
+
+        def recording(text, interned):
+            size = len(interned)
+            ruleset = real(text, interned)
+            loads[-1].append((size, interned, ruleset))
+            return ruleset
+
+        monkeypatch.setattr(ir, "deserialize", recording)
+        argv = ["run", "--config", corpus / "config5.json", "--rulesets", out_dir]
+        for command in (argv, ["validate", *sorted(out_dir.glob("*.json"))], argv):
+            loads.append([])
+            assert run_cli(command, capsys)[0] == 0
+        assert [len(calls) for calls in loads] == [5, 5, 5]
+        for calls in loads:
+            # one table for the files of one command, empty when it starts
+            assert calls[0][0] == 0
+            assert all(table is calls[0][1] for _size, table, _rs in calls)
+        tables = [calls[0][1] for calls in loads]
+        assert len({id(t) for t in tables}) == 3
+        # the first and the last command load the same files, and share no leaf
+        first = {id(leaf) for _s, _t, rs in loads[0] for leaf in _leaves(rs)}
+        assert not first & {id(leaf) for _s, _t, rs in loads[2] for leaf in _leaves(rs)}
+
+
+def _leaves(ruleset):
+    stages = ruleset.stages
+    return [c for st in stages for r in st.rules for c in r.condition.clauses + r.action.clauses]
 
 
 class TestProcessEntry:

@@ -630,6 +630,52 @@ ruleset picked{
         assert stage.rules[0].action.clauses == (ir.FreeClause(ir.QubitId(0)),)
 
 
+class TestUnpromoted:
+    SOURCE = """\
+#repeaters: vec[Repeater]
+
+rule keep<#rep>(flag: int) :-> Qubit? {
+    let partner: Repeater = #rep.hop(1)
+    cond {
+        @q: res(1, 0.8, partner, 0)
+    } => act {
+        if (flag == 1) {
+            promote q
+        }
+    }
+}
+
+rule use<#rep>(q: Qubit) {
+    cond {
+    } => act {
+        free(q)
+    }
+}
+
+ruleset probe {
+    let kept: Qubit = keep<#repeaters(0)>(FLAG)
+    use<#repeaters(0)>(kept)
+}
+"""
+
+    def test_call_given_an_unpromoted_qubit_is_an_error(self):
+        source = self.SOURCE.replace("FLAG", "0")
+        out = compile_source(source, chain(3))
+        assert not out.ok
+        [diag] = out.diagnostics
+        assert diag.code == "unpromoted" and diag.is_error
+        assert source[diag.span.start : diag.span.end] == "use<#repeaters(0)>(kept)"
+        assert diag.message == (
+            "argument kept of use holds no qubit: rule keep promotes none on repeater index 0"
+        )
+
+    def test_promoted_qubit_reaches_the_call(self):
+        out = compile_source(self.SOURCE.replace("FLAG", "1"), chain(3))
+        assert out.ok, out.diagnostics
+        names = [rule.name for stage in out.per_node[0].stages for rule in stage.rules]
+        assert names == ["keep", "use"]
+
+
 class TestDeterminism:
     def test_recompilation_is_byte_identical(self, corpus):
         first = compile_corpus(corpus, "purification.rula", "config3.json")

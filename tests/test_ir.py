@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -688,3 +689,110 @@ class TestDeserializeDifferential:
             ir.deserialize(text.replace('"fidelity": 0.5', '"fidelity": 1' + "0" * 400))
         assert err.value.path == "$.stages[0].rules[0].condition.clauses[1].Res.fidelity"
         assert err.value.reason.startswith("fidelity 1000")
+
+
+# --- hash-consing -------------------------------------------------------------
+
+
+def _fuzz_texts(mutants: int = 400) -> list[str]:
+    """The RuleSets compiled from the pipeline fuzz's accepted mutants."""
+    import test_pipeline_fuzz as fuzz
+
+    gen = fuzz.MutantGen(random.Random(0x1A7E))
+    texts = []
+    for _ in range(mutants):
+        mutant = gen.mutant()
+        program = fuzz.accepted(mutant)
+        if program is None:
+            continue
+        out = codegen.compile_program(program, fuzz.chain(mutant.nodes), 7)
+        texts += [ir.serialize(rs) for rs in out.per_node.values()]
+    return texts
+
+
+def _leaves(ruleset: ir.RuleSet) -> list:
+    """Every interned node of a RuleSet: clauses, gates, qubits, tagged values."""
+    out = []
+    for stage in ruleset.stages:
+        for rule in stage.rules:
+            for clause in rule.condition.clauses + rule.action.clauses:
+                out.append(clause)
+                if isinstance(clause, ir.CmpClause):
+                    out.append(clause.target_val)
+                gates = clause.qgates if isinstance(clause, ir.QCircClause) else ()
+                for gate in gates:
+                    out += [gate, gate.qubit]
+                if isinstance(clause, (ir.MeasureClause, ir.PromoteClause, ir.FreeClause)):
+                    out.append(clause.qubit)
+    return out
+
+
+class TestInterning:
+    """`ir.deserialize` builds each distinct leaf value once per load, and
+    the values it gives back are the ones the reference deserializer builds."""
+
+    @pytest.fixture(scope="class")
+    def groups(self):
+        groups = _document_groups(Path(__file__).parent / "corpus")
+        fuzz = _fuzz_texts()
+        assert len(fuzz) >= 40
+        return groups + [fuzz]
+
+    def test_loads_equal_the_reference(self, groups):
+        for group in groups:
+            table: dict = {}
+            for text in group:
+                expected = reference_deserialize(text)
+                alone, shared = ir.deserialize(text), ir.deserialize(text, table)
+                assert alone == expected and shared == expected
+                assert ir.serialize(shared) == ir.serialize(expected) == text
+
+    def test_equal_leaves_of_one_load_are_one_object(self, groups):
+        for group in groups:
+            table: dict = {}
+            leaves = [leaf for text in group for leaf in _leaves(ir.deserialize(text, table))]
+            first: dict = {}
+            for leaf in leaves:
+                assert first.setdefault((type(leaf), leaf), leaf) is leaf
+            assert len(first) < len(leaves)
+
+    def test_separate_loads_share_nothing(self, corpus):
+        text = (corpus / "swapping_ruleset.json").read_text()
+        one, two = ir.deserialize(text), ir.deserialize(text)
+        assert one == two
+        assert all(a is not b for a, b in zip(_leaves(one), _leaves(two)))
+
+    def test_fields_stay_immutable(self, corpus):
+        ruleset = ir.deserialize((corpus / "swapping_ruleset.json").read_text())
+        leaves = _leaves(ruleset)
+        assert {type(leaf) for leaf in leaves} >= {ir.QubitId, ir.QGate, ir.SendClause}
+        for leaf in leaves:
+            field = next(iter(leaf.__dataclass_fields__))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(leaf, field, getattr(leaf, field))
+
+    def test_equal_values_of_other_types_keep_apart(self):
+        """`0.0` and `-0.0` are equal floats that serialize differently; a
+        count of `true` or `1.0` must still fail after a count of `1`."""
+
+        def ruleset(res: list[str]) -> str:
+            clauses = ", ".join(
+                '{"Res": {"count": %s, "fidelity": %s, "partner_addr": 0, "qubit_index": 0}}'
+                % pair
+                for pair in res
+            )
+            rule = (
+                '{"name": "r", "id": 0, "shared_tag": 0, "qnic_interfaces": {}, '
+                '"condition": {"name": null, "clauses": [%s]}, '
+                '"action": {"name": null, "clauses": []}, "is_finalized": false}'
+            ) % clauses
+            return '{"name": "x", "id": 0, "owner_addr": 0, "stages": [{"rules": [%s]}]}' % rule
+
+        table: dict = {}
+        text = ruleset([("1", "0.0"), ("1", "-0.0"), ("1", "1"), ("1", "1.0")])
+        loaded = ir.deserialize(text, table)
+        assert ir.serialize(loaded) == ir.serialize(reference_deserialize(text))
+        assert '"fidelity": -0.0' in ir.serialize(loaded)
+        for count in ("true", "1.0"):
+            with pytest.raises(ir.SchemaError, match="expected integer"):
+                ir.deserialize(ruleset([(count, "0.5")]), table)

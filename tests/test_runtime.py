@@ -296,7 +296,7 @@ class PlannedOutcomes:
     def draw(self, position):
         return self.plan[position] if position < len(self.plan) else 0
 
-    def checkpoint(self, net, index):
+    def checkpoint(self, net, index, group, bindings):
         pass
 
 
@@ -430,6 +430,45 @@ class TestForkedEnumeration:
         # one per swap on the path being walked, plus the one just taken
         assert max(peak) <= 3 + 1
         assert len(live) == 0
+
+    @staticmethod
+    def counted(monkeypatch, eager: bool, rulesets, topology):
+        """The enumeration's reports and the number of snapshots it took;
+        `eager` snapshots before every measuring firing, as if each drew."""
+        taken = []
+        real = runtime._Snapshot
+
+        def counting(*args):
+            taken.append(args)
+            return real(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(runtime, "_Snapshot", counting)
+            if eager:
+                patch.setattr(runtime.Network, "may_draw", lambda self, group, bindings: True)
+            reports = runtime.enumerate_outcomes(rulesets, topology)
+        return reports, len(taken)
+
+    def test_firings_that_draw_nothing_take_no_snapshot(self, corpus, monkeypatch):
+        rulesets, topology = compile_chain(corpus, "purification.rula", 5)
+        reports, lazy = self.counted(monkeypatch, False, rulesets, topology)
+        _reports, eager = self.counted(monkeypatch, True, rulesets, topology)
+        assert len(reports) == 1024
+        # 146 of the 497 measuring firings measure only what was sampled before
+        assert eager == 497 and lazy <= 351
+
+    @pytest.mark.parametrize(
+        "program,nodes",
+        [("purification.rula", 5), ("chain7.rula", 7), ("two_matches.rula", 6),
+         ("entanglement_swapping.rula", 5)],
+    )
+    def test_skipped_snapshots_leave_the_tree_unchanged(
+        self, corpus, monkeypatch, program, nodes
+    ):
+        rulesets, topology = compile_chain(corpus, program, nodes)
+        lazy, _n = self.counted(monkeypatch, False, rulesets, topology)
+        eager, _n = self.counted(monkeypatch, True, rulesets, topology)
+        assert [r.to_json() for r in lazy] == [r.to_json() for r in eager]
 
     def test_sampled_run_is_one_branch(self, corpus):
         rulesets, topology = compile_chain(corpus, "entanglement_swapping.rula", 5)
