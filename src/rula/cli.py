@@ -42,6 +42,13 @@ def _u64(text: str) -> int:
     return value
 
 
+def _fidelity(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:  # also false for nan
+        raise argparse.ArgumentTypeError("fidelity must be a number in [0, 1]")
+    return value
+
+
 def _include_roots(path: Path, extra: list[str]) -> list[Path]:
     roots = [path.parent]
     roots.extend(Path(d) for d in extra)
@@ -105,8 +112,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = codegen.write_output(out, out_dir)
-    for file_path in written:
-        ruleset = out.per_node[int(file_path.stem.rsplit("_", 1)[1])]
+    for file_path, ruleset in zip(written, out.per_node.values()):
         rules = sum(len(stage.rules) for stage in ruleset.stages)
         _err(
             f"{file_path.name}: ruleset id {out.ruleset_id}, "
@@ -279,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--rulesets", required=True, help="directory of RuleSet JSON")
     run_p.add_argument("--seed", type=int, default=0, help="outcome RNG seed")
     run_p.add_argument(
-        "--fidelity", type=float, default=1.0, help="initial link fidelity"
+        "--fidelity", type=_fidelity, default=1.0, help="initial link fidelity"
     )
     run_p.add_argument(
         "--max-steps", type=int, default=10_000, help="round budget before giving up"

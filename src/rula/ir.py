@@ -3,8 +3,12 @@
 A RuleSet is the unit shipped to one repeater: an ordered list of stages,
 each holding rules that pair a condition (resource, message, comparison and
 timer clauses) with an action (gates, measurements, resource management and
-message sends).  Serialization is deterministic so compiled output can be
-compared byte for byte.
+message sends).
+
+The wire format is stated once, in `_WIRE`. `serialize` walks the IR nodes
+through it, building no intermediate dict tree, and writes the bytes
+`json.dumps(indent=4, ensure_ascii=False)` gives for the document; the
+deserializer takes its key sets from the same table.
 
 Deserialization is one pass over the decoded JSON, and a document that
 passes builds no error text. Each object's keys are compared once with its
@@ -18,21 +22,19 @@ level catches it, prepends its own segment (".stages[2]", ".rules[0]",
 Deserialization hash-conses the clauses (Filliâtre and Conchon, "Type-safe
 modular hash-consing", 2006): each distinct clause value, `QubitId`, `QGate`
 and `TaggedValue` is built once per load and shared by every rule that
-holds it. A 1025-node chain has ~110 000 such leaves but ~5 100 distinct
-values, and fewer objects left alive also means less for the garbage
-collector to rescan. The table maps a key to the object built for it.
-A key is the node's class and its field values, taken only after every
-field has passed its type check and a fidelity has become a float, so
-values Python treats as equal (`1`, `1.0`, `True`) can never meet under one
-key; the one equal pair the schema lets through, a fidelity of `0.0` and of
-`-0.0`, is keyed by its text. A `QCircClause` is keyed by the identities of
-its gates, which the table keeps alive. Lookups read
-`table.get(ident) or table.setdefault(ident, ...)`: every IR object is
-truthy. The table lives for one load only, one `deserialize`
-call or the files one command reads (`interned`), never across loads.
-Conditions, actions and rules are not interned: on that chain 8 184 of
-11 253 conditions and 5 119 of 11 253 actions are distinct, and keying them
-made a load slower, not faster.
+holds it: a 1025-node chain has ~110 000 such leaves but ~5 100 distinct
+values, which leaves less for the garbage collector to rescan. A key is the
+node's class and its field values, taken only after every field has passed
+its type check and a fidelity has become a float, so values Python treats
+as equal (`1`, `1.0`, `True`) can never meet under one key; the one equal
+pair the schema lets through, a fidelity of `0.0` and of `-0.0`, is keyed
+by its text. A `QCircClause` is keyed by the identities of its gates, which
+the table keeps alive. Lookups read `table.get(ident) or
+table.setdefault(ident, ...)`: every IR object is truthy. The table lives
+for one load only, one `deserialize` call or the files one command reads
+(`interned`), never across loads. Conditions, actions and rules are not
+interned: on that chain 8 184 of 11 253 conditions and 5 119 of 11 253
+actions are distinct, and keying them made a load slower, not faster.
 """
 
 from __future__ import annotations
@@ -59,9 +61,6 @@ class SchemaError(ValueError):
 class QubitId:
     qubit_index: int
 
-    def to_json(self) -> dict:
-        return {"qubit_index": self.qubit_index}
-
 
 @dataclass(frozen=True)
 class TaggedValue:
@@ -69,9 +68,6 @@ class TaggedValue:
 
     kind: str
     value: str
-
-    def to_json(self) -> dict:
-        return {self.kind: self.value}
 
 
 # --- condition clauses -------------------------------------------------------
@@ -84,16 +80,6 @@ class ResClause:
     partner_addr: int
     qubit_index: int
 
-    def to_json(self) -> dict:
-        return {
-            "Res": {
-                "count": self.count,
-                "fidelity": self.fidelity,
-                "partner_addr": self.partner_addr,
-                "qubit_index": self.qubit_index,
-            }
-        }
-
 
 @dataclass(frozen=True)
 class CmpClause:
@@ -101,30 +87,15 @@ class CmpClause:
     operator: str
     target_val: TaggedValue
 
-    def to_json(self) -> dict:
-        return {
-            "Cmp": {
-                "cmp_val": self.cmp_val,
-                "operator": self.operator,
-                "target_val": self.target_val.to_json(),
-            }
-        }
-
 
 @dataclass(frozen=True)
 class TimerClause:
     timer_id: str
 
-    def to_json(self) -> dict:
-        return {"Timer": {"timer_id": self.timer_id}}
-
 
 @dataclass(frozen=True)
 class RecvClause:
     partner_addr: int
-
-    def to_json(self) -> dict:
-        return {"Recv": {"partner_addr": self.partner_addr}}
 
 
 ConditionClause = ResClause | CmpClause | TimerClause | RecvClause
@@ -138,24 +109,15 @@ class SetTimerClause:
     timer_id: str
     duration: int
 
-    def to_json(self) -> dict:
-        return {"SetTimer": {"timer_id": self.timer_id, "duration": self.duration}}
-
 
 @dataclass(frozen=True)
 class PromoteClause:
     qubit: QubitId
 
-    def to_json(self) -> dict:
-        return {"Promote": {"qubit_identifier": self.qubit.to_json()}}
-
 
 @dataclass(frozen=True)
 class FreeClause:
     qubit: QubitId
-
-    def to_json(self) -> dict:
-        return {"Free": {"qubit_identifier": self.qubit.to_json()}}
 
 
 @dataclass(frozen=True)
@@ -163,17 +125,11 @@ class SetClause:
     variable: str
     alias: str | None = None
 
-    def to_json(self) -> dict:
-        return {"Set": {"variable": self.variable, "alias": self.alias}}
-
 
 @dataclass(frozen=True)
 class MeasureClause:
     qubit: QubitId
     basis: str
-
-    def to_json(self) -> dict:
-        return {"Measure": {"qubit_identifier": self.qubit.to_json(), "basis": self.basis}}
 
 
 @dataclass(frozen=True)
@@ -181,16 +137,10 @@ class QGate:
     qubit: QubitId
     kind: str
 
-    def to_json(self) -> dict:
-        return {"qubit_identifier": self.qubit.to_json(), "kind": self.kind}
-
 
 @dataclass(frozen=True)
 class QCircClause:
     qgates: tuple[QGate, ...]
-
-    def to_json(self) -> dict:
-        return {"QCirc": {"qgates": [g.to_json() for g in self.qgates]}}
 
 
 @dataclass(frozen=True)
@@ -198,12 +148,6 @@ class SendClause:
     message: str  # one of MESSAGE_KINDS
     partner_addr: int
     payload: tuple[tuple[str, str], ...] = ()
-
-    def to_json(self) -> dict:
-        body: dict = {"partner_addr": self.partner_addr}
-        if self.payload:
-            body["payload"] = dict(self.payload)
-        return {"Send": {self.message: body}}
 
 
 ActionClause = (
@@ -225,17 +169,11 @@ class Condition:
     name: str | None = None
     clauses: tuple[ConditionClause, ...] = ()
 
-    def to_json(self) -> dict:
-        return {"name": self.name, "clauses": [c.to_json() for c in self.clauses]}
-
 
 @dataclass(frozen=True)
 class Action:
     name: str | None = None
     clauses: tuple[ActionClause, ...] = ()
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "clauses": [c.to_json() for c in self.clauses]}
 
 
 @dataclass(frozen=True)
@@ -248,24 +186,10 @@ class Rule:
     qnic_interfaces: tuple[tuple[str, str], ...] = ()
     is_finalized: bool = False
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "id": self.id,
-            "shared_tag": self.shared_tag,
-            "qnic_interfaces": dict(self.qnic_interfaces),
-            "condition": self.condition.to_json(),
-            "action": self.action.to_json(),
-            "is_finalized": self.is_finalized,
-        }
-
 
 @dataclass(frozen=True)
 class Stage:
     rules: tuple[Rule, ...] = ()
-
-    def to_json(self) -> dict:
-        return {"rules": [r.to_json() for r in self.rules]}
 
 
 @dataclass(frozen=True)
@@ -275,14 +199,6 @@ class RuleSet:
     owner_addr: int
     stages: tuple[Stage, ...] = ()
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "id": self.id,
-            "owner_addr": self.owner_addr,
-            "stages": [s.to_json() for s in self.stages],
-        }
-
 
 @dataclass(frozen=True)
 class Finding:
@@ -291,9 +207,45 @@ class Finding:
     message: str
 
 
+# --- wire format -------------------------------------------------------------
+
+# The wire format, stated once: each IR class, its variant tag (None for a
+# plain object) and its keys in document order, read from the attributes of
+# the same names (`qubit_identifier` from `qubit`). A SendClause's body sits
+# under a second tag, its message kind, and leaves out an empty payload; a
+# TaggedValue is the object {kind: value}. The `_PAIRS` keys hold (key,
+# value) pairs, written as an object; the `_OPTIONAL` keys may be missing.
+_BLOCK_KEYS, _ON_QUBIT_KEYS = ("name", "clauses"), ("qubit_identifier",)
+_WIRE: dict[type, tuple[str | None, tuple[str, ...]]] = {
+    RuleSet: (None, ("name", "id", "owner_addr", "stages")),
+    Stage: (None, ("rules",)),
+    Rule: (
+        None,
+        ("name", "id", "shared_tag", "qnic_interfaces", "condition", "action", "is_finalized"),
+    ),
+    Condition: (None, _BLOCK_KEYS),
+    Action: (None, _BLOCK_KEYS),
+    ResClause: ("Res", ("count", "fidelity", "partner_addr", "qubit_index")),
+    CmpClause: ("Cmp", ("cmp_val", "operator", "target_val")),
+    TimerClause: ("Timer", ("timer_id",)),
+    RecvClause: ("Recv", ("partner_addr",)),
+    SetTimerClause: ("SetTimer", ("timer_id", "duration")),
+    PromoteClause: ("Promote", _ON_QUBIT_KEYS),
+    FreeClause: ("Free", _ON_QUBIT_KEYS),
+    SetClause: ("Set", ("variable", "alias")),
+    MeasureClause: ("Measure", ("qubit_identifier", "basis")),
+    QCircClause: ("QCirc", ("qgates",)),
+    SendClause: ("Send", ("partner_addr", "payload")),
+    QGate: (None, ("qubit_identifier", "kind")),
+    QubitId: (None, ("qubit_index",)),
+}
+_PAIRS = frozenset({"qnic_interfaces", "payload"})
+_OPTIONAL = frozenset({"alias", "payload"})
+
+
 def serialize(ruleset: RuleSet) -> str:
     """Render a RuleSet as canonical JSON text (4-space indent, LF, newline at EOF)."""
-    return dumps(ruleset.to_json()) + "\n"
+    return dumps(ruleset) + "\n"
 
 
 # --- canonical JSON writer ---------------------------------------------------
@@ -303,13 +255,15 @@ _encode_scalar = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def dumps(value, indent: int = 4, sort_keys: bool = False) -> str:
-    """Render JSON data exactly as `json.dumps(value, indent=indent,
-    ensure_ascii=False, sort_keys=sort_keys)` does.
+    """Render JSON data, in which an IR node stands for its wire object,
+    exactly as `json.dumps(value, indent=indent, ensure_ascii=False,
+    sort_keys=sort_keys)` renders the data with the objects in place.
 
     With an indent the standard library falls back to its pure-Python
-    encoder. This writer walks dicts, lists and tuples itself, writes the
-    fixed indentation and separators directly, and leaves every leaf to the
-    C encoder. Keys must be strings.
+    encoder. This writer walks dicts, lists, tuples and IR nodes itself,
+    writes the fixed indentation and separators directly, and leaves every
+    leaf to the C encoder. Keys must be strings; `sort_keys` sorts the keys
+    of dicts only, never an IR node's.
     """
     out: list[str] = []
     _write(value, "\n", " " * indent, sort_keys, out.append)
@@ -322,17 +276,13 @@ def _write(value, newline: str, step: str, sort_keys: bool, emit) -> None:
         emit(_encode_str(value))
     elif cls is int:
         emit(int.__repr__(value))  # what the C encoder calls for an int
+    elif cls in _WIRE:
+        _write_node(value, newline, step, sort_keys, emit)
+    elif cls is TaggedValue:
+        _write_object(((value.kind, value.value),), newline, step, sort_keys, emit)
     elif isinstance(value, dict):
-        if not value:
-            emit("{}")
-            return
-        inner = newline + step
-        sep = "{" + inner
-        for key, item in sorted(value.items()) if sort_keys else value.items():
-            emit(sep + _encode_str(key) + ": ")
-            _write(item, inner, step, sort_keys, emit)
-            sep = "," + inner
-        emit(newline + "}")
+        items = sorted(value.items()) if sort_keys else value.items()
+        _write_object(items, newline, step, sort_keys, emit)
     elif isinstance(value, (list, tuple)):
         if not value:
             emit("[]")
@@ -348,30 +298,69 @@ def _write(value, newline: str, step: str, sort_keys: bool, emit) -> None:
         emit(_encode_scalar(value))
 
 
+def _write_object(items, newline: str, step: str, sort_keys: bool, emit) -> None:
+    """Write (key, value) pairs as an object."""
+    if not items:
+        emit("{}")
+        return
+    inner = newline + step
+    sep = "{" + inner
+    for key, item in items:
+        emit(sep + _encode_str(key) + ": ")
+        _write(item, inner, step, sort_keys, emit)
+        sep = "," + inner
+    emit(newline + "}")
+
+
+def _write_node(node, newline: str, step: str, sort_keys: bool, emit) -> None:
+    """Write an IR node as its wire object (see `_WIRE`)."""
+    tag, keys = _WIRE[node.__class__]
+    close = ""
+    if tag:
+        close = newline + "}"
+        newline += step
+        emit("{" + newline + _encode_str(tag) + ": ")
+        if node.__class__ is SendClause:
+            close = newline + "}" + close
+            newline += step
+            emit("{" + newline + _encode_str(node.message) + ": ")
+            if not node.payload:
+                keys = keys[:1]  # drops "payload"
+    inner = newline + step
+    sep = "{" + inner
+    for key in keys:
+        emit(sep + _encode_str(key) + ": ")
+        value = getattr(node, "qubit" if key == "qubit_identifier" else key)
+        (_write_object if key in _PAIRS else _write)(value, inner, step, sort_keys, emit)
+        sep = "," + inner
+    emit(newline + "}" + close)
+
+
 # --- deserialization ---------------------------------------------------------
 
 
-def _shape(*keys: str):
-    """An object shape's keys: ordered for `_expect_obj`, compared as a set with `dict.keys()`."""
-    return dict.fromkeys(keys).keys()
+def _shape(cls: type, required: bool = False):
+    """The wire keys of `cls` (only those a document must hold if `required`):
+    ordered for `_expect_obj`, compared as a set with `dict.keys()`."""
+    return dict.fromkeys(k for k in _WIRE[cls][1] if not (required and k in _OPTIONAL)).keys()
 
 
-_RULESET = _shape("name", "id", "owner_addr", "stages")
-_STAGE = _shape("rules")
-_RULE = _shape("name", "id", "shared_tag", "qnic_interfaces", "condition", "action", "is_finalized")
-_BLOCK = _shape("name", "clauses")
-_QUBIT = _shape("qubit_index")
-_RES = _shape("count", "fidelity", "partner_addr", "qubit_index")
-_CMP = _shape("cmp_val", "operator", "target_val")
-_TIMER = _shape("timer_id")
-_PARTNER = _shape("partner_addr")
-_SEND = _shape("partner_addr", "payload")
-_SET_TIMER = _shape("timer_id", "duration")
-_ON_QUBIT = _shape("qubit_identifier")
-_SET, _SET_ALIAS = _shape("variable"), _shape("variable", "alias")
-_MEASURE = _shape("qubit_identifier", "basis")
-_QCIRC = _shape("qgates")
-_GATE = _shape("qubit_identifier", "kind")
+_RULESET = _shape(RuleSet)
+_STAGE = _shape(Stage)
+_RULE = _shape(Rule)
+_BLOCK = _shape(Condition)
+_QUBIT = _shape(QubitId)
+_RES = _shape(ResClause)
+_CMP = _shape(CmpClause)
+_TIMER = _shape(TimerClause)
+_RECV = _shape(RecvClause)
+_SEND, _SEND_REQUIRED = _shape(SendClause), _shape(SendClause, required=True)
+_SET_TIMER = _shape(SetTimerClause)
+_ON_QUBIT = _shape(PromoteClause)
+_SET, _SET_REQUIRED = _shape(SetClause), _shape(SetClause, required=True)
+_MEASURE = _shape(MeasureClause)
+_QCIRC = _shape(QCircClause)
+_GATE = _shape(QGate)
 
 
 def _expect_obj(value, path: str, keys, optional=()) -> dict:
@@ -489,8 +478,8 @@ def _condition_clause(value, table: dict) -> ConditionClause:
                 ),
             )
         if key == "Recv":
-            if body.__class__ is not dict or body.keys() != _PARTNER:
-                _expect_obj(body, "", _PARTNER)
+            if body.__class__ is not dict or body.keys() != _RECV:
+                _expect_obj(body, "", _RECV)
             partner = body["partner_addr"]
             if partner.__class__ is not int:
                 _expect_int(partner, ".partner_addr")
@@ -517,8 +506,8 @@ def _action_clause(value, table: dict) -> ActionClause:
             kind, inner = _variant(body, "")
             if kind not in MESSAGE_KINDS:
                 raise SchemaError(f"unknown message kind {kind!r}", "")
-            if inner.__class__ is not dict or not _PARTNER <= inner.keys() <= _SEND:
-                _expect_obj(inner, f".{kind}", _PARTNER, _SEND)
+            if inner.__class__ is not dict or not _SEND_REQUIRED <= inner.keys() <= _SEND:
+                _expect_obj(inner, f".{kind}", _SEND_REQUIRED, _SEND)
             payload: tuple[tuple[str, str], ...] = ()
             if "payload" in inner:
                 raw = inner["payload"]
@@ -566,8 +555,8 @@ def _action_clause(value, table: dict) -> ActionClause:
             ident = (SetTimerClause, timer_id, duration)
             return table.get(ident) or table.setdefault(ident, SetTimerClause(timer_id, duration))
         if key == "Set":
-            if body.__class__ is not dict or not _SET <= body.keys() <= _SET_ALIAS:
-                _expect_obj(body, "", _SET, _SET_ALIAS)
+            if body.__class__ is not dict or not _SET_REQUIRED <= body.keys() <= _SET:
+                _expect_obj(body, "", _SET_REQUIRED, _SET)
             alias = body.get("alias")
             if alias is not None:
                 alias = _expect_str(alias, ".alias")
@@ -667,47 +656,41 @@ def deserialize(text: str, interned: dict | None = None) -> RuleSet:
 def validate(ruleset: RuleSet) -> list[Finding]:
     """Structural checks beyond the schema; returns findings, empty when clean."""
     findings: list[Finding] = []
+
+    def error(path: str, message: str) -> None:
+        findings.append(Finding("error", path, message))
+
     expected_id = 0
     seen_ids: set[int] = set()
     for si, stage in enumerate(ruleset.stages):
         spath = f"$.stages[{si}]"
         if not stage.rules:
-            findings.append(Finding("error", spath, "stage contains no rules"))
+            error(spath, "stage contains no rules")
         for ri, rule in enumerate(stage.rules):
             rpath = f"{spath}.rules[{ri}]"
             if rule.id in seen_ids:
-                findings.append(Finding("error", rpath + ".id", f"duplicate rule id {rule.id}"))
+                error(rpath + ".id", f"duplicate rule id {rule.id}")
             seen_ids.add(rule.id)
             if rule.id != expected_id:
-                findings.append(
-                    Finding(
-                        "error",
-                        rpath + ".id",
-                        f"rule id {rule.id} breaks sequential numbering (expected {expected_id})",
-                    )
+                error(
+                    rpath + ".id",
+                    f"rule id {rule.id} breaks sequential numbering (expected {expected_id})",
                 )
             expected_id += 1
             for ci, clause in enumerate(rule.condition.clauses):
-                cpath = f"{rpath}.condition.clauses[{ci}]"
                 if isinstance(clause, ResClause):
+                    cpath = f"{rpath}.condition.clauses[{ci}]"
                     if not 0.0 <= clause.fidelity <= 1.0:
-                        findings.append(
-                            Finding("error", cpath, f"fidelity {clause.fidelity} outside [0, 1]")
-                        )
+                        error(cpath, f"fidelity {clause.fidelity} outside [0, 1]")
                     if clause.count < 1:
-                        findings.append(
-                            Finding("error", cpath, f"resource count {clause.count} below 1")
-                        )
+                        error(cpath, f"resource count {clause.count} below 1")
             for ci, clause in enumerate(rule.action.clauses):
-                cpath = f"{rpath}.action.clauses[{ci}]"
                 if isinstance(clause, QCircClause):
                     kinds = [g.kind for g in clause.qgates]
-                    if kinds.count("CxControl") != kinds.count("CxTarget"):
-                        findings.append(
-                            Finding("error", cpath, "unpaired CxControl/CxTarget in circuit")
-                        )
-                    if kinds.count("CzControl") != kinds.count("CzTarget"):
-                        findings.append(
-                            Finding("error", cpath, "unpaired CzControl/CzTarget in circuit")
-                        )
+                    for control, target in (("CxControl", "CxTarget"), ("CzControl", "CzTarget")):
+                        if kinds.count(control) != kinds.count(target):
+                            error(
+                                f"{rpath}.action.clauses[{ci}]",
+                                f"unpaired {control}/{target} in circuit",
+                            )
     return findings

@@ -333,6 +333,26 @@ class TestRun:
         assert code == 1
         assert "stuck" in err
 
+    @pytest.mark.parametrize("fidelity", ["1.5", "-0.5", "nan", "inf"])
+    def test_fidelity_outside_unit_interval_is_usage_error(
+        self, corpus, capsys, tmp_path, fidelity
+    ):
+        out_dir = self.compiled(corpus, capsys, tmp_path)
+        argv = ["run", "--config", corpus / "config3.json", "--rulesets", out_dir]
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*argv, "--fidelity", fidelity, "--report-json"], capsys)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage:" in captured.err and "fidelity must be a number in [0, 1]" in captured.err
+
+    def test_fidelity_in_unit_interval_is_accepted(self, corpus, capsys, tmp_path):
+        out_dir = self.compiled(corpus, capsys, tmp_path)
+        argv = ["run", "--config", corpus / "config3.json", "--rulesets", out_dir]
+        code, out, _err = run_cli([*argv, "--fidelity", "0.9", "--report-json"], capsys)
+        assert code == 0
+        assert [pair["fidelity"] for pair in json.loads(out)["pairs"]] == [0.81]
+
     def test_enumerate_outcomes_four_branches(self, corpus, capsys, tmp_path):
         out_dir = self.compiled(corpus, capsys, tmp_path)
         code, out, err = run_cli(

@@ -144,8 +144,13 @@ class TestWireFormat:
         assert ir.serialize(rs).endswith("}\n")
 
 
-def _stdlib_serialize(rs: ir.RuleSet) -> str:
-    return json.dumps(rs.to_json(), indent=4, ensure_ascii=False) + "\n"
+def _assert_canonical(rs: ir.RuleSet) -> None:
+    """`ir.serialize(rs)` is laid out as `json.dumps` lays out its document
+    and loads back to `rs`, through `ir.deserialize` and the reference."""
+    text = ir.serialize(rs)
+    assert json.dumps(json.loads(text), indent=4, ensure_ascii=False) + "\n" == text
+    assert ir.deserialize(text) == rs
+    assert reference_deserialize(text) == rs
 
 
 _AWKWARD_NAMES = ('quote " here', "back\\slash", "bell\x07", "caf\u00e9", "line\u2028sep")
@@ -158,8 +163,7 @@ class TestCanonicalWriter:
         for seed in (0x5EED, 7):
             rng = random.Random(seed)
             for _ in range(200):
-                rs = _random_ruleset(rng)
-                assert ir.serialize(rs) == _stdlib_serialize(rs)
+                _assert_canonical(_random_ruleset(rng))
 
     def test_edge_cases_match_stdlib(self):
         res = [
@@ -186,7 +190,7 @@ class TestCanonicalWriter:
             ir.RuleSet("empty", 0, 0, ()),
             ir.RuleSet("\u00e9\u2028", 2**64 - 1, 3, (ir.Stage(), ir.Stage(tuple(rules)))),
         ):
-            assert ir.serialize(rs) == _stdlib_serialize(rs)
+            _assert_canonical(rs)
 
     def test_report_layout_matches_stdlib(self):
         payload = {

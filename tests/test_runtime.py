@@ -514,3 +514,158 @@ class TestEnumerationPinned:
         ]) == code
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# --- hand-built rulesets: comparisons, single-qubit gates, split points ------
+
+
+def _res(partner, qubit):
+    return ir.ResClause(count=1, fidelity=0.5, partner_addr=partner, qubit_index=qubit)
+
+
+def _rule(name, rule_id, conditions=(), actions=()):
+    return ir.Rule(
+        name=name,
+        id=rule_id,
+        shared_tag=0,
+        condition=ir.Condition(clauses=tuple(conditions)),
+        action=ir.Action(clauses=tuple(actions)),
+    )
+
+
+def _node(address, *rules):
+    stages = (ir.Stage(tuple(rules)),) if rules else ()
+    return ir.RuleSet(name="t", id=1, owner_addr=address, stages=stages)
+
+
+class TestCompareOperators:
+    """`_Firing.compare`: Eq and Neq compare text; the order operators
+    compare integers when both sides parse as one, else the text."""
+
+    @pytest.mark.parametrize(
+        "left,op,right,holds",
+        [
+            ("1", "Neq", "2", True),
+            ("1", "Neq", "1", False),
+            ("07", "Neq", "7", True),  # text, not number
+            ("9", "Lt", "10", True),  # as text "9" sorts after "10"
+            ("10", "Lt", "9", False),
+            ("10", "Leq", "10", True),
+            ("07", "Leq", "7", True),
+            ("11", "Leq", "10", False),
+            ("10", "Gt", "9", True),
+            ("-1", "Gt", "0", False),
+            ("9", "Geq", "10", False),
+            ("10", "Geq", "10", True),
+            ("b", "Gt", "a", True),  # neither side is a number: text order
+            ("abc", "Lt", "abd", True),
+            ("10", "Lt", "9x", True),  # one side is not a number: text order
+            ("10", "Gt", "9x", False),
+            ("a", "Geq", "b", False),
+            ("a", "Leq", "a", True),
+        ],
+    )
+    def test_message_field_against_literal(self, left, op, right, holds):
+        """Node 0 sends `n`; node 1 fires `check` only if `message.n op right`."""
+        send = ir.SendClause("Update", 1, (("n", left),))
+        check = _rule(
+            "check",
+            0,
+            conditions=(
+                ir.RecvClause(0),
+                ir.CmpClause("message.n", op, ir.TaggedValue("Str", right)),
+            ),
+        )
+        rulesets = {0: _node(0, _rule("send", 0, actions=(send,))), 1: _node(1, check)}
+        report = runtime.run(rulesets, chain(2))
+        assert report.quiescent, report.stuck
+        fired = [(f["address"], f["rule"]) for f in report.fired]
+        assert fired == [(0, "send"), (1, "check")] if holds else [(0, "send")]
+
+
+class TestSingleQubitGates:
+    """A Pauli gate on one end of a fresh pair moves its frame: X flips the
+    parity bit, Z the phase bit and Y both."""
+
+    @pytest.mark.parametrize(
+        "gates,bell_index",
+        [
+            (("X",), [0, 1]),
+            (("Z",), [1, 0]),
+            (("Y",), [1, 1]),
+            (("Y", "Y"), [0, 0]),
+            (("Y", "X"), [1, 0]),
+            (("Y", "Z"), [0, 1]),
+        ],
+    )
+    def test_frame_after_gates(self, gates, bell_index):
+        qubit = ir.QubitId(0)
+        circuit = ir.QCircClause(tuple(ir.QGate(qubit, kind) for kind in gates))
+        rulesets = {
+            0: _node(0, _rule("gate", 0, (_res(1, 0),), (circuit, ir.PromoteClause(qubit)))),
+            1: _node(1, _rule("keep", 0, (_res(0, 0),), (ir.PromoteClause(qubit),))),
+        }
+        report = runtime.run(rulesets, chain(2))
+        assert report.quiescent, report.stuck
+        [pair] = report.promoted_pairs()
+        assert pair["nodes"] == [0, 1]
+        assert pair["bell_index"] == bell_index  # [phase, parity]
+
+
+class TestSplitPoint:
+    """A one-rule group whose comparison reads a register runs its actions
+    up to the measurement that writes the register, compares, and runs the
+    rest only if the comparison holds. Registers are numbered in action
+    order, `MeasResult`, `MeasResult1`, ..., and a CX followed by an X and a
+    Z measurement writes one register."""
+
+    @staticmethod
+    def outcomes(register, actions, partners, op="Eq", value="1"):
+        """Per outcome path: whether node 1's rule, which compares `register`
+        with `value`, fired. Qubit `q` of the rule holds a pair with node
+        `partners[q]`."""
+        condition = [_res(partner, q) for q, partner in enumerate(partners)]
+        condition.append(ir.CmpClause(register, op, ir.TaggedValue("Str", value)))
+        nodes = max(1, *partners) + 1
+        rulesets = {a: _node(a) for a in range(nodes)}
+        rulesets[1] = _node(1, _rule("probe", 0, condition, actions))
+        reports = runtime.enumerate_outcomes(rulesets, chain(nodes))
+        assert all(r.quiescent for r in reports)
+        return {r.outcome_path: [f["rule"] for f in r.fired] == ["probe"] for r in reports}
+
+    def test_compare_on_the_first_register_skips_the_later_measurement(self):
+        measure = [ir.MeasureClause(ir.QubitId(q), "Z") for q in (0, 1)]
+        assert self.outcomes("MeasResult", measure, (0, 0)) == {
+            (0,): False,
+            (1, 0): True,
+            (1, 1): True,
+        }
+
+    def test_compare_on_the_second_register_waits_for_it(self):
+        first, second = (ir.MeasureClause(ir.QubitId(q), "Z") for q in (0, 1))
+        actions = [first, ir.SetTimerClause("t", 1), second]
+        assert self.outcomes("MeasResult1", actions, (0, 0)) == {
+            (0, 0): False,
+            (0, 1): True,
+            (1, 0): False,
+            (1, 1): True,
+        }
+
+    Q0, Q1, Q2 = (ir.QubitId(q) for q in range(3))
+    FUSED_THEN_SINGLE = [
+        ir.QCircClause((ir.QGate(Q0, "CxControl"), ir.QGate(Q1, "CxTarget"))),
+        ir.MeasureClause(Q0, "X"),
+        ir.MeasureClause(Q1, "Z"),
+        ir.MeasureClause(Q2, "Z"),
+    ]
+
+    def test_a_fused_bell_measurement_takes_one_register(self):
+        fired = self.outcomes("MeasResult1", self.FUSED_THEN_SINGLE, (0, 2, 0))
+        assert len(fired) == 8
+        assert fired == {path: path[2] == 1 for path in fired}
+
+    def test_compare_on_a_fused_register_waits_for_both_measurements(self):
+        """Its two-bit register is a number >= 0 only once both are taken."""
+        fired = self.outcomes("MeasResult", self.FUSED_THEN_SINGLE, (0, 2, 0), "Geq", "0")
+        assert len(fired) == 8
+        assert all(fired.values())
