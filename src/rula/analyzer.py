@@ -2,13 +2,16 @@
 
 This is the one layer that rejects a program for its shape; lowering
 (codegen) assumes a program analyzed clean and reports only faults that need
-the concrete chain.  The checks: promote/return-annotation consistency (only
-qubits are promoted), the send whitelist, set/get dataflow ordering across the
-ruleset body, condition-clause vocabulary and literal res arguments, the
-method table for repeater values, the statement and condition forms lowering
-can express, and qubit lifetimes (no use after a measure, bsm or free on the
-same path, two distinct qubits per two-qubit operation).  Analysis never stops
-at the first problem; every diagnostic found is collected and returned.
+the concrete chain or the values it folds.  The checks: promote/return-
+annotation consistency (only qubits are promoted), the send whitelist, set/get
+dataflow ordering across the ruleset body, condition-clause vocabulary and
+literal res arguments, the method table for repeater values, the statement
+and condition forms lowering can express, qubit lifetimes (no use after a
+measure, bsm or free on the same path, two distinct qubits per two-qubit
+operation), and the values lowering folds before run time: each must fold
+(`compile-time`), and repeater indices, hop offsets and loop bounds are
+integers.  Analysis never stops at the first problem; every diagnostic found
+is collected and returned.
 
 Type names are plain strings ("int", "Qubit", ...).  A None type means the
 expression could not be typed because of an earlier error; downstream checks
@@ -59,12 +62,15 @@ OPERATIONS: dict[str, tuple[tuple[str, ...], bool]] = {
 
 _SINGLE_QUBIT_GATES = frozenset({"x", "y", "z", "h"})
 _NUMERIC = frozenset({"int", "u_int", "float"})
+_INTEGER = frozenset({"int", "u_int"})
 _MATCHABLE = frozenset({"Result", "int", "u_int", "str", "bool"})
 _PATTERNS = {"Result": ast.StringLit, "str": ast.StringLit, "int": ast.IntLit,
              "u_int": ast.IntLit, "bool": ast.BoolLit}
 _CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
-# Types of the values lowering can fold before run time.
+# Types of the values lowering can fold before run time; a ruleset-level
+# condition folds over integers and booleans only.
 _STATIC = frozenset({"int", "u_int", "float", "bool", "str", "Repeater", "vec[Repeater]"})
+_INTEGRAL = _INTEGER | {"bool"}
 # How run-time operands must be written: qubits and results by name, a
 # correction as a gate call such as z().
 _OPERAND_FORMS = {"Qubit": ast.Ident, "Result": ast.Ident, "correction": ast.FnCall}
@@ -259,7 +265,8 @@ class _Checker:
             scope.bind(p.name, Symbol(declared, "rule-param", p.span))
 
         for let in rule.lets:
-            self.check_let(let, scope)
+            if self.check_let(let, scope):
+                self.check_folds(let.value, "a let before cond binds a compile-time value")
 
         act_scope = _Scope(scope)
         if rule.cond is not None:
@@ -345,42 +352,48 @@ class _Checker:
             )
         for arg, expected in zip(call.args, param_types):
             actual = self.type_of(arg, scope)
-            if actual is None or expected is None:
-                continue
-            if not _compatible(expected, actual):
+            if actual is not None and not _compatible(expected, actual):
                 self.error(
                     "type-mismatch",
                     arg.span,
                     f"{call.name} expects {expected}, got {actual}",
                 )
-            elif expected in _OPERAND_FORMS and not isinstance(arg, _OPERAND_FORMS[expected]):
+            elif expected not in _OPERAND_FORMS:
+                self.check_folds(arg, f"{call.name} takes a compile-time {expected}")
+            elif actual is not None and not isinstance(arg, _OPERAND_FORMS[expected]):
                 self.error(
                     "type-mismatch", arg.span, f"{call.name} takes a {expected} by its name"
                 )
 
-    def check_let(self, let: ast.LetStmt, scope: _Scope) -> None:
+    def check_let(self, let: ast.LetStmt, scope: _Scope) -> bool:
+        """Bind the targets of `let`; False if the let itself is mistyped."""
         value_type = self.type_of(let.value, scope)
         if len(let.targets) == 1:
             target = let.targets[0]
             declared = str(target.type_annotation) if target.type_annotation else None
+            bound = _bound(declared, value_type)
+            scope.bind(target.name, Symbol(bound, "let-binding", target.span))
             if declared and value_type and not _compatible(declared, value_type):
                 self.error(
                     "type-mismatch",
                     let.span,
                     f"cannot bind {value_type} value to {target.name}: {declared}",
                 )
-            scope.bind(target.name, Symbol(declared or value_type, "let-binding", target.span))
+                return False
+            return True
         else:
             # Tuple target: only rule calls return multiple values (type_of
             # above has checked the call).
             parts: tuple[str, ...] | None = None
-            if isinstance(let.value, ast.RuleCall):
+            ok = isinstance(let.value, ast.RuleCall)
+            if ok:
                 sig = self.out.signatures.get(let.value.name)
                 if sig is not None:
                     parts = sig.return_types
             else:
                 self.error("arity", let.span, "only a rule call binds several targets")
             if parts is not None and len(parts) != len(let.targets):
+                ok = False
                 self.error(
                     "arity",
                     let.span,
@@ -390,8 +403,9 @@ class _Checker:
                 declared = str(target.type_annotation) if target.type_annotation else None
                 inferred = parts[i] if parts is not None and i < len(parts) else None
                 scope.bind(
-                    target.name, Symbol(declared or inferred, "let-binding", target.span)
+                    target.name, Symbol(_bound(declared, inferred), "let-binding", target.span)
                 )
+            return ok
 
     def check_act_stmt(
         self, stmt: ast.Stmt, scope: _Scope, promotes: list, consumed: set[str]
@@ -399,9 +413,12 @@ class _Checker:
         """Check one act statement; `consumed` holds the qubits that earlier
         statements on this path measured or freed, and grows with this one."""
         if isinstance(stmt, ast.LetStmt):
-            self.check_let(stmt, scope)
-            if isinstance(stmt.value, ast.FnCall):
+            typed = self.check_let(stmt, scope)
+            if isinstance(stmt.value, ast.FnCall):  # bsm or measure; other calls are mistyped
                 self.use_qubits(stmt.value, consumed)
+            elif typed:
+                message = "a let in an act block binds bsm(), measure() or a compile-time value"
+                self.check_folds(stmt.value, message)
         elif isinstance(stmt, ast.SendStmt):
             self.check_send(stmt, scope)
         elif isinstance(stmt, ast.SetStmt):
@@ -490,6 +507,7 @@ class _Checker:
                 self.check_lowered_comparison(cond)
             else:
                 self.check_condition(cond, scope)
+                self.check_folds(cond, "a condition after a compile-time one is compile-time too")
             after |= self.check_block(body, scope, promotes, consumed)
         if stmt.orelse is not None:
             after |= self.check_block(stmt.orelse, scope, promotes, consumed)
@@ -544,21 +562,41 @@ class _Checker:
             self.error("bad-match", pattern.span, message)
 
     # Lowering reads a run-time condition as a comparison of one of these
-    # readings with a value or with another reading; `_static` mirrors what it
-    # can fold before run time.  Both look at types noted by type_of.
+    # readings with a value or with another reading.  `_static` is the rule
+    # lowering relies on for what it folds before run time: it evaluates an
+    # expression at a folding position with no check of its own, so every
+    # such position calls `check_folds`.  Both look at types noted by type_of.
 
-    def _static(self, expr: ast.Expr) -> bool:
-        if isinstance(expr, (ast.IntLit, ast.FloatLit, ast.StringLit, ast.BoolLit)):
-            return True
-        if isinstance(expr, (ast.Ident, ast.NegIdent, ast.RepeaterIdent)):
-            # an untyped name follows an earlier error: do not pile on
-            return self.out.types.get(id(expr), "int") in _STATIC
+    def check_folds(self, expr: ast.Expr, message: str, types=_STATIC) -> bool:
+        """Whether `expr`, at a position lowering folds, is static; reports it if not."""
+        static = self._static(expr, types)
+        if not static:
+            self.fold_error(expr.span, message)
+        return static
+
+    def fold_error(self, span: ast.Span, message: str) -> None:
+        """Report a value lowering cannot fold, unless an error inside it is
+        reported already."""
+        for d in self.out.diagnostics:
+            if d.is_error and span.start <= d.span.start and d.span.end <= span.end:
+                return
+        self.error("compile-time", span, message)
+
+    def _static(self, expr: ast.Expr, types=_STATIC) -> bool:
+        """Whether lowering folds `expr` to a value; `types` bounds the types
+        of its operands."""
         if isinstance(expr, ast.CompExpr):
-            return self._static(expr.lhs) and self._static(expr.rhs)
+            return self._static(expr.lhs, types) and self._static(expr.rhs, types)
         if isinstance(expr, ast.TermExpr):
-            return all(self._static(operand) for operand in expr.operands)
+            return all(self._static(operand, types) for operand in expr.operands)
         if isinstance(expr, ast.TupleLit):
-            return len(expr.items) == 1 and self._static(expr.items[0])
+            return len(expr.items) == 1 and self._static(expr.items[0], types)
+        # an untyped operand follows an earlier error: do not pile on
+        if self.out.types.get(id(expr), "int") not in types:
+            return False
+        if isinstance(expr, (ast.IntLit, ast.FloatLit, ast.StringLit, ast.BoolLit, ast.Ident,
+                             ast.NegIdent, ast.RepeaterIdent)):
+            return True
         if isinstance(expr, ast.RepeaterCall):
             return self._static(expr.index)
         if isinstance(expr, ast.VariableCall):
@@ -625,6 +663,8 @@ class _Checker:
                 stmt.destination.span,
                 f"send destination must be a Repeater, got {dest_type}",
             )
+        else:
+            self.check_folds(stmt.destination, "a send destination is a compile-time Repeater")
 
     def check_action_expr(self, expr: ast.Expr, scope: _Scope, consumed: set[str]) -> None:
         if isinstance(expr, ast.FnCall):
@@ -757,33 +797,37 @@ class _Checker:
                             f"target declares {declared}",
                         )
                     scope.bind(
-                        target.name, Symbol(declared or inferred, "ruleset-var", target.span)
+                        target.name, Symbol(_bound(declared, inferred), "ruleset-var", target.span)
                     )
             else:
-                self.check_let(stmt, scope)
-                for target in stmt.targets:
-                    existing = scope.lookup(target.name)
-                    if existing is None:
-                        declared = (
-                            str(target.type_annotation) if target.type_annotation else None
-                        )
-                        scope.bind(target.name, Symbol(declared, "ruleset-var", target.span))
+                message = "a ruleset-level let binds a compile-time value or a rule call"
+                if self.check_let(stmt, scope) and not self.check_folds(stmt.value, message):
+                    for target in stmt.targets:  # reported once, here
+                        scope.bind(target.name, Symbol(None, "ruleset-var", target.span))
         elif isinstance(stmt, ast.ForStmt):
             inner = _Scope(scope)
             if len(stmt.names) != 1:
                 self.error("arity", stmt.span, "a for loop binds exactly one loop variable")
-            if isinstance(stmt.generator, ast.Series):
+            generator = stmt.generator
+            if isinstance(generator, ast.Series):
                 item_type: str | None = "int"
-                stop_type = self.type_of(stmt.generator.stop, scope)
-                if stop_type is not None and stop_type not in _NUMERIC:
+                stop_type = self.type_of(generator.stop, scope)
+                if stop_type is not None and stop_type not in _INTEGER:
                     self.error(
                         "type-mismatch",
-                        stmt.generator.stop.span,
+                        generator.stop.span,
                         f"range bound must be an integer, got {stop_type}",
                     )
+                else:
+                    self.check_folds(generator.stop, "a loop bound is a compile-time integer")
             else:
-                generator_type = self.type_of(stmt.generator, scope) or ""
+                generator_type = self.type_of(generator, scope) or ""
                 item_type = generator_type[4:-1] if generator_type.startswith("vec[") else None
+                if isinstance(generator, ast.VectorLit):
+                    for item in generator.items:
+                        self.check_folds(item, "a loop vector holds compile-time values")
+                else:
+                    self.fold_error(generator.span, "a loop runs over a series or a vector literal")
             for name in stmt.names:
                 inner.bind(name, Symbol(item_type, "loop-var", stmt.span))
             for body_stmt in stmt.body:
@@ -791,6 +835,8 @@ class _Checker:
         elif isinstance(stmt, ast.IfStmt):
             for cond, body in stmt.branches:
                 self.check_condition(cond, scope)
+                message = "a ruleset-level condition compares compile-time integers or booleans"
+                self.check_folds(cond, message, _INTEGRAL)
                 inner = _Scope(scope)
                 for body_stmt in body:
                     self.check_ruleset_stmt(body_stmt, inner)
@@ -819,13 +865,8 @@ class _Checker:
             self.error("unsupported-stmt", stmt.span, "statement not allowed here")
 
     def check_rule_call(self, call: ast.RuleCall, scope: _Scope) -> None:
-        index_type = self.type_of(call.repeater.index, scope)
-        if index_type is not None and index_type not in _NUMERIC:
-            self.error(
-                "type-mismatch",
-                call.repeater.index.span,
-                f"repeater index must be an integer, got {index_type}",
-            )
+        self.type_of(call.repeater, scope)
+        self.check_folds(call.repeater.index, "a repeater selector is a compile-time integer")
         sig = self.out.signatures.get(call.name)
         if sig is None:
             self.error("unknown-rule", call.span, f"unknown rule {call.name}")
@@ -841,14 +882,15 @@ class _Checker:
             )
         for arg, expected in zip(call.args, sig.param_types):
             actual = self.type_of(arg, scope)
-            if expected is None or actual is None:
-                continue
-            if not _compatible(expected, actual):
+            if expected is not None and actual is not None and not _compatible(expected, actual):
                 self.error(
                     "type-mismatch",
                     arg.span,
                     f"rule {call.name} expects {expected}, got {actual}",
                 )
+            elif not (isinstance(arg, ast.Ident) and actual == "Qubit"):
+                message = "a rule call argument is a compile-time value or a promoted qubit by name"
+                self.check_folds(arg, message)
 
     # --- expression typing ----------------------------------------------------
 
@@ -928,7 +970,13 @@ class _Checker:
         if isinstance(expr, ast.VariableCall):
             return self._type_variable_call(expr, scope)
         if isinstance(expr, ast.RepeaterCall):
-            self.type_of(expr.index, scope)
+            index_type = self.type_of(expr.index, scope)
+            if index_type is not None and index_type not in _INTEGER:
+                self.error(
+                    "type-mismatch",
+                    expr.index.span,
+                    f"repeater index must be an integer, got {index_type}",
+                )
             return "Repeater"
         if isinstance(expr, ast.RuleCall):
             self.check_rule_call(expr, scope)
@@ -1051,7 +1099,7 @@ class _Checker:
                     self.error("arity", part.span, "hop() takes one integer argument")
                 for arg in part.args:
                     arg_type = self.type_of(arg, scope)
-                    if arg_type is not None and arg_type not in _NUMERIC:
+                    if arg_type is not None and arg_type not in _INTEGER:
                         self.error(
                             "type-mismatch",
                             arg.span,
@@ -1103,6 +1151,14 @@ def _compatible(expected: str, actual: str) -> bool:
     if expected == "str" and actual == "Result":
         return True
     return False
+
+
+def _bound(declared: str | None, actual: str | None) -> str | None:
+    """The type a let binds: the declared one, but a Result stays a Result in
+    a str slot, as it holds a run-time value that never folds."""
+    if declared == "str" and actual == "Result":
+        return actual
+    return declared or actual
 
 
 def analyze(program: ast.Program) -> Analysis:

@@ -14,10 +14,6 @@ class Span:
     start: int
     end: int
 
-    @staticmethod
-    def join(a: Span, b: Span) -> Span:
-        return Span(a.start, b.end)
-
 
 _NO_SPAN = Span(0, 0)
 

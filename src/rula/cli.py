@@ -109,9 +109,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
     for recv in out.unbound_recvs:
         _err(f"warning[unbound-recv]: {recv}")
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = codegen.write_output(out, out_dir)
+    written = codegen.write_output(out, Path(args.out_dir))
     for file_path, ruleset in zip(written, out.per_node.values()):
         rules = sum(len(stage.rules) for stage in ruleset.stages)
         _err(

@@ -11,16 +11,16 @@ receives a synthesized wait rule in a stage of its own.
 
 Errors are split between the layers. The analyzer owns every fault of the
 program's shape: names, types, statement and clause forms, literal values,
-and qubits used after a measure or free. Lowering assumes a program the
-analyzer accepted and reports only what needs the concrete chain or values
-known at compile time: `repeater-range` and `hop-range` (a repeater outside
-the chain), `const-expr` (a value that does not fold, or folds to a
-division by zero, a negative exponent or a res count, fidelity or qubit
-index out of range), `loop-bound` (a loop nest too large to unroll),
-`promote-owner` (a promoted qubit used on another repeater), `unpromoted`
-(a rule call given a `Qubit?` result that its rule did not promote on that
-repeater with those arguments) and `send-self` (a message addressed to its
-sender).
+qubits used after a measure or free, and every value lowering folds that
+does not fold. Lowering assumes a program the analyzer accepted and reports
+only what needs the concrete chain or the folded values: `repeater-range`
+and `hop-range` (a repeater outside the chain), `const-expr` (a value fault:
+division or modulo by zero, a negative exponent, a res count, fidelity or
+qubit index out of range, or a name left without a value by an earlier
+error), `loop-bound` (a loop nest too large to unroll), `promote-owner` (a
+promoted qubit used on another repeater), `unpromoted` (a rule call given a
+`Qubit?` result that its rule did not promote on that repeater with those
+arguments) and `send-self` (a message addressed to its sender).
 """
 
 from __future__ import annotations
@@ -142,21 +142,13 @@ class Unpromoted:
     owner_index: int
 
 
-def _unpromoted(value: Unpromoted) -> str:
-    return f"rule {value.rule} promotes none on repeater index {value.owner_index}"
-
-
 _REPEATERS_VEC = object()  # value of the bare '#repeaters' vector
 _POISON = object()  # placeholder binding after an aborted rule call
 
 
 class NotConst(Exception):
-    """An expression that cannot be folded at compile time."""
-
-    def __init__(self, reason: str, span: ast.Span):
-        super().__init__(reason)
-        self.reason = reason
-        self.span = span
+    """An act-level expression that reads a run-time value: a qubit, a
+    measurement result, a message field or a stored variable."""
 
 
 class LowerError(Exception):
@@ -200,7 +192,6 @@ class _SendRec:
     kind: str
     to_addr: int
     effect: tuple  # (kind,) or (kind, detail) used to dedupe synthesized rules
-    span: ast.Span
 
 
 @dataclass
@@ -240,7 +231,7 @@ class _CallRecord:
     rule_name: str
     owner: Repeater
     cond_clauses: list
-    recv_froms: list[tuple[int, ast.Span]]  # hand-written recv partners
+    recv_froms: list[int]  # addresses of the hand-written recv partners
     variants: list[_Variant]
 
     def inspects_message(self) -> bool:
@@ -286,103 +277,59 @@ class _Compiler:
 
     # --- constant evaluation -------------------------------------------------
 
-    def eval(self, expr, env: dict, strict: bool = False):
-        """Fold an expression to a value.  In strict mode (ruleset-level control
-        flow) only integers, loop variables, #repeaters.len(), arithmetic and
-        comparisons are admitted."""
-        if isinstance(expr, ast.IntLit):
+    def eval(self, expr, env: dict):
+        """Fold an expression the analyzer admits at a folding position.
+        Raises NotConst where an act-level condition reads a run-time value."""
+        if isinstance(expr, (ast.IntLit, ast.BoolLit, ast.FloatLit, ast.StringLit)):
             return expr.value
-        if isinstance(expr, ast.BoolLit):
-            return expr.value
-        if isinstance(expr, ast.FloatLit):
-            if strict:
-                raise NotConst("floating-point values are only available at run time", expr.span)
-            return expr.value
-        if isinstance(expr, ast.StringLit):
-            if strict:
-                raise NotConst("string values are not compile-time integers", expr.span)
-            return expr.value
-        if isinstance(expr, ast.Ident):
-            return self._lookup(expr.name, env, expr.span, strict)
-        if isinstance(expr, ast.NegIdent):
-            return -self._lookup(expr.name, env, expr.span, strict)
-        if isinstance(expr, ast.RepeaterIdent):
+        if isinstance(expr, (ast.Ident, ast.RepeaterIdent)):
             if expr.name == "#repeaters":
-                if strict:
-                    raise NotConst("the repeater vector is not an integer", expr.span)
                 return _REPEATERS_VEC
-            return self._lookup(expr.name, env, expr.span, strict)
+            return self._lookup(expr.name, env, expr.span)
+        if isinstance(expr, ast.NegIdent):
+            return -self._lookup(expr.name, env, expr.span)
         if isinstance(expr, ast.TupleLit) and len(expr.items) == 1:
-            return self.eval(expr.items[0], env, strict)
+            return self.eval(expr.items[0], env)
         if isinstance(expr, ast.RepeaterCall):
-            if strict:
-                raise NotConst("repeater values are not compile-time integers", expr.span)
             return self._repeater_at(expr, env)
         if isinstance(expr, ast.VariableCall):
-            return self._eval_chain(expr, env, strict)
+            return self._eval_chain(expr, env)
         if isinstance(expr, ast.TermExpr):
-            return self._eval_term(expr, env, strict)
+            return self._eval_term(expr, env)
         if isinstance(expr, ast.CompExpr):
-            return self._eval_comparison(expr, env, strict)
-        if isinstance(expr, ast.GetExpr):
-            raise NotConst(f"get {expr.name} reads a run-time variable", expr.span)
-        if isinstance(expr, ast.RuleCall):
-            raise NotConst("rule results are run-time values", expr.span)
-        raise NotConst("expression is not a compile-time constant", expr.span)
+            return self._eval_comparison(expr, env)
+        raise NotConst  # a stored variable, read with get
 
-    def _lookup(self, name: str, env: dict, span: ast.Span, strict: bool):
-        if name not in env:
-            raise NotConst(f"{name} is not a compile-time constant", span)
+    def _lookup(self, name: str, env: dict, span: ast.Span):
         value = env[name]
         if value is _POISON:
-            raise NotConst(f"{name} has no usable value after an earlier error", span)
-        if isinstance(value, Unpromoted):
-            raise NotConst(f"{name} holds no qubit: {_unpromoted(value)}", span)
-        if isinstance(value, (QubitRef, ResultRef, MessageRef, PromotedHandle)):
-            raise NotConst(f"{name} is bound to a run-time value", span)
-        if strict and not isinstance(value, (int, bool)):
-            raise NotConst(f"{name} is not a compile-time integer", span)
+            message = f"{name} has no usable value after an earlier error"
+            raise LowerError("const-expr", span, message)
+        if isinstance(value, (QubitRef, ResultRef, MessageRef, PromotedHandle, Unpromoted)):
+            raise NotConst
         return value
 
     def _repeater_at(self, expr: ast.RepeaterCall, env: dict) -> Repeater:
-        index = self.eval(expr.index, env)
-        if not isinstance(index, int) or isinstance(index, bool):
-            raise NotConst("repeater index is not an integer", expr.span)
         try:
-            return self.topology.at(index)
+            return self.topology.at(self.eval(expr.index, env))
         except ConfigError as exc:
             raise LowerError("repeater-range", expr.span, str(exc)) from exc
 
-    def _eval_chain(self, expr: ast.VariableCall, env: dict, strict: bool):
-        parts = expr.parts
-        # The single strict-mode chain: #repeaters.len()
-        if (
-            len(parts) == 2
-            and isinstance(parts[0], ast.RepeaterIdent)
-            and parts[0].name == "#repeaters"
-            and isinstance(parts[1], ast.FnCall)
-            and parts[1].name == "len"
-        ):
-            return self.topology.count
-        if strict:
-            raise NotConst("only #repeaters.len() may be called at the ruleset level", expr.span)
+    def _eval_chain(self, expr: ast.VariableCall, env: dict):
         # A message field never gets here: its head is a run-time value.
-        current = self.eval(parts[0], env)
-        for part in parts[1:]:
+        current = self.eval(expr.parts[0], env)
+        for part in expr.parts[1:]:
             if part.name == "len":
                 current = self.topology.count
                 continue
-            offset = self.eval(part.args[0], env)
-            if not isinstance(offset, int):
-                raise NotConst("hop offset is not an integer", part.span)
             try:
-                current = self.topology.hop(current.index, offset)
+                current = self.topology.hop(current.index, self.eval(part.args[0], env))
             except ConfigError as exc:
                 raise LowerError("hop-range", expr.span, str(exc)) from exc
         return current
 
-    def _eval_term(self, expr: ast.TermExpr, env: dict, strict: bool):
-        values = [self.eval(op, env, strict) for op in expr.operands]
+    def _eval_term(self, expr: ast.TermExpr, env: dict):
+        values = [self.eval(op, env) for op in expr.operands]
         ops = list(expr.ops)
         # Ordinary precedence over the flat operator chain, left-to-right
         # within each level.
@@ -413,9 +360,8 @@ class _Compiler:
                 del ops[i]
         return values[0]
 
-    def _eval_comparison(self, expr: ast.CompExpr, env: dict, strict: bool) -> bool:
-        lhs = self.eval(expr.lhs, env, strict)
-        return _COMPARE[expr.op](lhs, self.eval(expr.rhs, env, strict))
+    def _eval_comparison(self, expr: ast.CompExpr, env: dict) -> bool:
+        return _COMPARE[expr.op](self.eval(expr.lhs, env), self.eval(expr.rhs, env))
 
     # --- ruleset body --------------------------------------------------------
 
@@ -453,46 +399,21 @@ class _Compiler:
             return
         try:
             value = self.eval(stmt.value, env)
-        except NotConst as nc:
-            self.error(
-                "const-expr",
-                nc.span,
-                f"ruleset-level let requires a compile-time or promoted value: {nc.reason}",
-            )
-            for target in stmt.targets:
-                env[target.name] = _POISON
-            return
         except LowerError as err:
             self.error(err.code, err.span, err.message)
-            for target in stmt.targets:
-                env[target.name] = _POISON
-            return
+            value = _POISON
         env[stmt.targets[0].name] = value
 
     def _exec_for(self, stmt: ast.ForStmt, env: dict) -> None:
         (name,) = stmt.names
-        if isinstance(stmt.generator, ast.Series):
-            try:
-                stop = self.eval(stmt.generator.stop, env, strict=True)
-            except NotConst as nc:
-                self.error(
-                    "const-expr",
-                    nc.span,
-                    f"loop bound is not compile-time evaluable: {nc.reason}",
-                )
-                return
-            except LowerError as err:
-                self.error(err.code, err.span, err.message)
-                return
-            values = range(stmt.generator.start, stop + 1)
-        elif isinstance(stmt.generator, ast.VectorLit):
-            try:
-                values = [self.eval(item, env) for item in stmt.generator.items]
-            except (NotConst, LowerError):
-                self.error("const-expr", stmt.generator.span, "vector items must be literals")
-                return
-        else:
-            self.error("const-expr", stmt.span, "loop generator must be a series or a vector")
+        generator = stmt.generator
+        try:
+            if isinstance(generator, ast.Series):
+                values = range(generator.start, self.eval(generator.stop, env) + 1)
+            else:  # a vector literal
+                values = [self.eval(item, env) for item in generator.items]
+        except LowerError as err:
+            self.error(err.code, err.span, err.message)
             return
         outer = self._unrolled
         self._unrolled = outer * len(values)
@@ -518,14 +439,7 @@ class _Compiler:
     def _exec_if(self, stmt: ast.IfStmt, env: dict) -> None:
         for condition, body in stmt.branches:
             try:
-                value = self.eval(condition, env, strict=True)
-            except NotConst as nc:
-                self.error(
-                    "const-expr",
-                    condition.span,
-                    f"ruleset-level if condition is not compile-time evaluable: {nc.reason}",
-                )
-                return
+                value = self.eval(condition, env)
             except LowerError as err:
                 self.error(err.code, err.span, err.message)
                 return
@@ -540,42 +454,22 @@ class _Compiler:
     def _instantiate(self, call: ast.RuleCall, env: dict) -> tuple:
         rule = self.rules[call.name]
         poison = tuple(None for _ in rule.return_types) or (None,)
+        args = []
         try:
             owner = self._repeater_at(call.repeater, env)
-        except NotConst as nc:
-            self.error("const-expr", nc.span, f"repeater selector is not compile-time: {nc.reason}")
-            return poison
-        except LowerError as err:
-            self.error(err.code, err.span, err.message)
-            return poison
-        args = []
-        for arg in call.args:
-            bound = env.get(arg.name) if isinstance(arg, ast.Ident) else None
-            if isinstance(bound, PromotedHandle):
-                args.append(bound)
-                continue
-            if bound is _POISON:
-                return poison  # cascade from an earlier failure, already reported
-            if isinstance(bound, Unpromoted):
-                self.error(
-                    "unpromoted",
-                    call.span,
-                    f"argument {arg.name} of {call.name} holds no qubit: {_unpromoted(bound)}",
-                )
-                return poison
-            try:
-                args.append(self.eval(arg, env))
-            except NotConst as nc:
-                self.error("const-expr", nc.span, f"call argument is not compile-time: {nc.reason}")
-                return poison
-            except LowerError as err:
-                self.error(err.code, err.span, err.message)
-                return poison
-        try:
+            for arg in call.args:
+                bound = env.get(arg.name) if isinstance(arg, ast.Ident) else None
+                if bound is _POISON:
+                    return poison  # cascade from an earlier failure, already reported
+                if isinstance(bound, Unpromoted):
+                    raise LowerError(
+                        "unpromoted",
+                        call.span,
+                        f"argument {arg.name} of {call.name} holds no qubit: rule "
+                        f"{bound.rule} promotes none on repeater index {bound.owner_index}",
+                    )
+                args.append(bound if isinstance(bound, PromotedHandle) else self.eval(arg, env))
             return self._expand_rule(rule, owner, args, call.span)
-        except NotConst as nc:
-            self.error("const-expr", nc.span, nc.reason)
-            return poison
         except LowerError as err:
             self.error(err.code, err.span, err.message)
             return poison
@@ -628,7 +522,7 @@ class _Compiler:
 
     def _lower_cond(self, cond: ast.CondExpr, env: dict):
         clauses: list = []
-        recv_froms: list[tuple[int, ast.Span]] = []
+        recv_froms: list[int] = []
         indices: set[int] = set()
         for clause in cond.clauses:
             call = clause.call
@@ -655,19 +549,10 @@ class _Compiler:
             elif call.name == "recv":
                 partner = self.eval(call.args[0], env)
                 clauses.append(ir.RecvClause(partner_addr=partner.address))
-                recv_froms.append((partner.address, clause.span))
+                recv_froms.append(partner.address)
                 if clause.capture:
                     env[clause.capture] = MessageRef(clause.capture)
-            elif call.name == "cmp":
-                subject, op, target = call.args
-                clauses.append(
-                    ir.CmpClause(
-                        env[subject.name].register,
-                        _CMP_OP[op.value],
-                        ir.TaggedValue("Str", str(self.eval(target, env))),
-                    )
-                )
-            else:  # check_timer
+            else:  # check_timer: no call instantiates a rule with a cmp clause
                 timer_id = self.eval(call.args[0], env)
                 clauses.append(ir.TimerClause(timer_id=str(timer_id)))
         return clauses, recv_froms
@@ -773,7 +658,7 @@ class _Compiler:
             payload = (("qubit", str(qubit.qubit_index)),)
             effect = (kind,)
         v.clauses.append(ir.SendClause(kind, destination.address, payload))
-        v.sends.append(_SendRec(kind, destination.address, effect, stmt.span))
+        v.sends.append(_SendRec(kind, destination.address, effect))
 
     def _qubit(self, name: ast.Ident, v: _Variant) -> ir.QubitId:
         return ir.QubitId(v.env[name.name].index)
@@ -918,7 +803,7 @@ class _Compiler:
         # from the front lazily, so each send binds the first free slot.
         queues: dict[tuple[int, int, bool], deque[_Slot]] = {}
         for call in self.calls:
-            for from_addr, _span in call.recv_froms:
+            for from_addr in call.recv_froms:
                 slot = _Slot(
                     node_addr=call.owner.address,
                     from_addr=from_addr,
@@ -1050,9 +935,10 @@ def compile_program(
 
     Contract: the caller has run `analyzer.resolve_imports` and
     `analyzer.analyze_program` on `program` and both reported no error.
-    Lowering does not check again what the analyzer checks; on a program
-    the analyzer rejects it may raise. It reports only the faults listed
-    in the module docstring, which need the chain or compile-time values.
-    Recvs that no send binds are returned in `unbound_recvs`.
+    Lowering does not check again what the analyzer checks: it folds every
+    value the analyzer admits at a folding position, and on a program the
+    analyzer rejects it may raise. It reports only the faults listed in the
+    module docstring, which need the chain or the folded values. Recvs that
+    no send binds are returned in `unbound_recvs`.
     """
     return _Compiler(program, topology, ruleset_id, default_name).run()

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from rula import analyzer
+from rula import analyzer, codegen, config
 from rula.analyzer import (
     Analysis,
     analyze,
@@ -758,3 +758,177 @@ rule probe<#rep>(r: Result){
         source = _shape(act="if (partner == partner) { free(q1) }")
         errors = analyze_program(parse(source)).errors
         assert [e.code for e in errors] == ["type-mismatch"]
+
+
+FOLD_TEMPLATE = """\
+#repeaters: vec[Repeater]
+import std::operation::{{measure}}
+rule store<#rep>(){{
+    let partner: Repeater = #rep.hop(1)
+    cond {{
+        @q1: res(1, 0.5, partner, 0)
+    }} => act {{
+        let r: Result = measure(q1, "Z")
+        let c: int = 1
+        set r as k
+        set c as n
+        set partner as p
+    }}
+}}
+rule probe<#rep>(i: int, d: float){{
+    let partner: Repeater = #rep.hop(1)
+    {lets}
+    cond {{
+        @q1: res({count}, 0.5, partner, 0)
+    }} => act {{
+        {act}
+    }}
+}}
+rule produce<#rep>() :-> Result? {{
+    cond {{}} => act {{}}
+}}
+rule consume<#rep>(r: Result){{
+    cond {{
+        cmp(r, "==", "1")
+    }} => act {{}}
+}}
+ruleset folded{{
+    store<#repeaters(0)>()
+    {ruleset}
+}}
+"""
+
+_CALL = "probe<#repeaters(1)>(1, 0.5)"
+_STR_RESULT = 'let s: str = measure(q1, "Z")\n'
+
+# (id, template fields, the offending text, the analyzer's code): one case
+# per position where lowering folds a value before run time.
+FOLDED_CASES = [
+    ("loop-bound", {"ruleset": f"for j in 1..2.5 {{ {_CALL} }}"}, "2.5", "type-mismatch"),
+    (
+        "loop-generator",
+        {"ruleset": f"let x: int = 3\n for j in x {{ {_CALL} }}"},
+        "in x",
+        "compile-time",
+    ),
+    ("if-strings", {"ruleset": f'if ("a" == "b") {{ {_CALL} }}'}, '"a" == "b"', "compile-time"),
+    ("if-get", {"ruleset": f'if (get k == "1") {{ {_CALL} }}'}, 'get k == "1"', "compile-time"),
+    ("ruleset-let", {"ruleset": f"let y: Result = get k\n {_CALL}"}, "get k", "compile-time"),
+    (
+        "selector",
+        {"ruleset": "for j in [1.5] { probe<#repeaters(j)>(1, 0.5) }"},
+        "#repeaters(j)",
+        "type-mismatch",
+    ),
+    ("argument", {"ruleset": "probe<#repeaters(1)>(1 + get n, 0.5)"}, "1 + get n", "compile-time"),
+    (
+        "result-argument",
+        {"ruleset": "let y: Result = produce<#repeaters(1)>()\n consume<#repeaters(1)>(y)"},
+        "(y)",
+        "compile-time",
+    ),
+    ("rule-let", {"lets": "let y: Result = get k"}, "get k", "compile-time"),
+    ("act-let", {"act": "let y: Result = get k\n free(q1)"}, "get k", "compile-time"),
+    ("hop", {"lets": "let far: Repeater = #rep.hop(d)"}, "hop(d)", "type-mismatch"),
+    ("cond-argument", {"count": "1 + get n"}, "1 + get n", "compile-time"),
+    ("set-timer", {"act": 'set_timer("t", 1 + get n)\n free(q1)'}, "1 + get n", "compile-time"),
+    ("destination", {"act": "transfer(q1) -> get p"}, "get p", "compile-time"),
+    (
+        "elif",
+        {"act": 'if (i == 2) { free(q1) } else if (get k == "1") { free(q1) }'},
+        'get k == "1"',
+        "compile-time",
+    ),
+    # a measurement result stays a run-time value in a str slot
+    ("str-result-timer", {"act": f"{_STR_RESULT} set_timer(s, 5)"}, "(s, 5)", "compile-time"),
+    ("str-result-let", {"act": f"{_STR_RESULT} let t: str = s"}, "t: str = s", "compile-time"),
+    (
+        "str-result-elif",
+        {"act": f'{_STR_RESULT} if (i == 2) {{ set s as a }} else if (s == "1") {{ set s as b }}'},
+        's == "1"',
+        "compile-time",
+    ),
+]
+
+
+def fold_source(**fields) -> str:
+    values = {"lets": "", "count": "1", "act": "free(q1)", "ruleset": _CALL, **fields}
+    return FOLD_TEMPLATE.format(**values)
+
+
+class TestFoldedPositions:
+    """Values lowering folds before run time: the analyzer rejects what does
+    not fold, once, where lowering used to report a `const-expr` error."""
+
+    def test_template_is_clean(self):
+        assert analyze_program(parse(fold_source())).diagnostics == []
+
+    @pytest.mark.parametrize(
+        "fields,needle,code", [case[1:] for case in FOLDED_CASES], ids=[c[0] for c in FOLDED_CASES]
+    )
+    def test_unfoldable_value_is_one_error(self, fields, needle, code):
+        assert _only_error(fold_source(**fields), needle).code == code
+
+    @pytest.mark.parametrize(
+        "ruleset,needle",
+        [
+            (f'if ("a" == 1) {{ {_CALL} }}', '"a" == 1'),
+            ("let y: int = get k\n probe<#repeaters(1)>(y, 0.5)", "let y: int = get k"),
+            ("let y: Result = get k\n consume<#repeaters(1)>(y)", "get k"),
+        ],
+        ids=["mistyped-condition", "mistyped-let", "let-then-argument"],
+    )
+    def test_one_fault_is_one_error(self, ruleset, needle):
+        _only_error(fold_source(ruleset=ruleset), needle)
+
+    def test_result_in_a_str_slot_is_a_run_time_value(self):
+        act = f'{_STR_RESULT} if (s == "1") {{ set s as a }}'
+        program = parse(fold_source(act=act))
+        assert analyze_program(program).diagnostics == []
+        topology = config.Topology(
+            repeaters=tuple(config.Repeater(name=f"#{i}", address=i, index=i) for i in range(3))
+        )
+        assert codegen.compile_program(program, topology, 7).ok
+
+    def test_an_error_around_a_value_does_not_hide_its_fault(self):
+        source = fold_source(ruleset="for (j, m) in 1..2 { probe<#repeaters(1)>(1 + get n, 0.5) }")
+        errors = analyze_program(parse(source)).errors
+        assert [e.code for e in errors] == ["arity", "compile-time"], errors
+
+    def test_ruleset_condition_rejects_floats(self):
+        source = fold_source(ruleset=f"if (1.5 + 1 > 2) {{ {_CALL} }}")
+        assert _only_error(source, "1.5 + 1 > 2").code == "compile-time"
+        source = fold_source(ruleset=f"for j in 1..1.5 + 1 {{ {_CALL} }}")
+        assert _only_error(source, "1.5 + 1").code == "type-mismatch"
+
+    def test_ruleset_condition_rejects_non_integer_names(self):
+        source = fold_source(ruleset=f"let flag: float = 1.0\n if (flag == 1) {{ {_CALL} }}")
+        assert _only_error(source, "flag == 1").code == "compile-time"
+
+    def test_integer_and_boolean_conditions_fold(self):
+        for condition in ("#repeaters.len() / 2 > 1", "flag", "3 % 2 == 1"):
+            source = fold_source(ruleset=f"let flag: bool = true\n if ({condition}) {{ {_CALL} }}")
+            assert analyze_program(parse(source)).diagnostics == [], condition
+
+    def test_runtime_valued_ruleset_if_is_one_diagnostic(self):
+        source = """\
+#repeaters: vec[Repeater]
+import std::operation::{measure}
+rule probe<#rep>(round: int){
+    let partner: Repeater = #rep.hop(1)
+    cond {
+        @q1: res(1, 0.5, partner, 0)
+    } => act {
+        let result: Result = measure(q1, "Z")
+        meas(q1, result) -> partner
+    }
+}
+ruleset gated{
+    if (#repeaters.len() > 1.5) {
+        probe<#repeaters(0)>(1)
+    }
+}
+"""
+        error = _only_error(source, "#repeaters.len() > 1.5")
+        assert error.code == "compile-time"
+        assert "compile-time integers or booleans" in error.message

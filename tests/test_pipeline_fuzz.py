@@ -1,6 +1,7 @@
 """Whole-pipeline fuzz over token-level mutants of the corpus programs.
 
-Each mutant replaces or drops one token of a corpus program and is compiled
+Each mutant replaces or drops one token of a corpus program, and a stacked
+mutant then replaces a number or string literal as well; each is compiled
 for a chain of 3, 5 or 7 nodes. Every mutant the analyzer accepts must then
 go through the rest of the pipeline: lowering raises nothing and reports
 only faults that need the concrete chain or compile-time values, every
@@ -14,6 +15,8 @@ import random
 import re
 from dataclasses import dataclass
 from pathlib import Path
+
+import pytest
 
 from rula import analyzer, codegen, config, ir, parser, runtime
 
@@ -86,6 +89,17 @@ class MutantGen:
         mutated = source[:start] + new + source[end:]
         return Mutant(name, mutated, r.choice(CHAIN_LENGTHS), f"{edit} at {start}")
 
+    def stacked(self) -> Mutant:
+        """A one-token mutant with a second edit: a number or string literal
+        replaced by another of the same kind, so that most of them parse."""
+        first = self.mutant()
+        literals = [t for t in tokens(first.source) if _kind(t[2]) in ("number", "string")]
+        start, end, text = self.r.choice(literals)
+        new = self.r.choice(self.by_kind[_kind(text)])
+        source = first.source[:start] + new + first.source[end:]
+        edit = f"{first.edit}, then {text!r} -> {new!r} at {start}"
+        return Mutant(first.program, source, first.nodes, edit)
+
 
 def chain(n: int) -> config.Topology:
     return config.Topology(
@@ -127,15 +141,22 @@ def check_pipeline(mutant: Mutant, program) -> bool:
     return True
 
 
-def test_mutants_that_pass_analysis_go_through_the_whole_pipeline():
-    gen = MutantGen(random.Random(0x5EED))
+@pytest.mark.parametrize(
+    "kind,seed,count,min_analyzed,min_compiled",
+    [("mutant", 0x5EED, 1000, 40, 25), ("stacked", 0x57AC, 900, 25, 12)],
+    ids=["one-token", "stacked"],
+)
+def test_mutants_that_pass_analysis_go_through_the_whole_pipeline(
+    kind, seed, count, min_analyzed, min_compiled
+):
+    make = getattr(MutantGen(random.Random(seed)), kind)
     analyzed = compiled = 0
-    for _ in range(1000):
-        mutant = gen.mutant()
+    for _ in range(count):
+        mutant = make()
         program = accepted(mutant)
         if program is None:
             continue
         analyzed += 1
         compiled += check_pipeline(mutant, program)
     # the slice must reach lowering and the simulator, not only the front end
-    assert analyzed >= 40 and compiled >= 25, (analyzed, compiled)
+    assert analyzed >= min_analyzed and compiled >= min_compiled, (analyzed, compiled)
