@@ -622,6 +622,90 @@ ruleset picked{
         assert stage.rules[0].action.clauses == (ir.FreeClause(ir.QubitId(0)),)
 
 
+RUN_TIME_TEMPLATE = """\
+#repeaters: vec[Repeater]
+import std::operation::{{x, measure}}
+rule store<#rep>(flag: bool, n: int, k: str){{
+    cond {{}} => act {{
+        set flag
+        set n
+        set k
+    }}
+}}
+rule probe<#rep>(i: int){{
+    let partner: Repeater = #rep.hop(1)
+    cond {{
+        @q1: res(1, 0.5, partner, 0)
+        @q2: res(1, 0.5, partner, 1)
+        @q3: res(1, 0.5, partner, 2)
+    }} => act {{
+        let r: Result = measure(q2, "Z")
+        let r2: Result = measure(q3, "Z")
+        {act}
+    }}
+}}
+ruleset lowered{{
+    store<#repeaters(0)>(true, 3, "1")
+    probe<#repeaters(0)>(1)
+}}
+"""
+
+_EQ_ONE = ("MeasResult", "Eq", "MeasResult", "1")
+_NEQ_ONE = ("MeasResult", "Neq", "MeasResult", "1")
+
+# (id, act-level statement, the Cmp clauses of each rule it lowers to)
+RUN_TIME_CASES = [
+    ("folded-match-no-arm", "match i { 3 => {x(q1)}, }", [[]]),
+    (
+        "match-comparison",
+        'match r == "1" { true => {x(q1)}, false => {free(q1)}, }',
+        [[_EQ_ONE], [_NEQ_ONE]],
+    ),
+    ("match-get", 'match get k { "1" => {x(q1)}, }', [[("k", "Eq", "Str", "1")]]),
+    ("if-mirrored", 'if ("1" == r) { x(q1) }', [[_EQ_ONE], [_NEQ_ONE]]),
+    (
+        "if-two-results",
+        "if (r == r2) { x(q1) }",
+        [
+            [("MeasResult", "Eq", "Variable", "MeasResult1")],
+            [("MeasResult", "Neq", "Variable", "MeasResult1")],
+        ],
+    ),
+    (
+        "if-get-bool",
+        "if (get flag == true) { x(q1) }",
+        [[("flag", "Eq", "Bool", "true")], [("flag", "Neq", "Bool", "true")]],
+    ),
+    (
+        "if-get-int",
+        "if (get n == 3) { x(q1) }",
+        [[("n", "Eq", "Int", "3")], [("n", "Neq", "Int", "3")]],
+    ),
+]
+
+
+class TestRunTimeComparisons:
+    """Act-level match and if over run-time readings: the Cmp clauses that
+    select each sibling rule."""
+
+    @pytest.mark.parametrize(
+        "act,cmps", [case[1:] for case in RUN_TIME_CASES], ids=[c[0] for c in RUN_TIME_CASES]
+    )
+    def test_cmp_clauses(self, act, cmps):
+        out = compile_source(RUN_TIME_TEMPLATE.format(act=act), chain(2))
+        assert out.ok, out.diagnostics
+        _, stage = out.per_node[0].stages
+        lowered = [
+            [
+                (c.cmp_val, c.operator, c.target_val.kind, c.target_val.value)
+                for c in rule.condition.clauses
+                if isinstance(c, ir.CmpClause)
+            ]
+            for rule in stage.rules
+        ]
+        assert lowered == cmps
+
+
 class TestUnpromoted:
     SOURCE = """\
 #repeaters: vec[Repeater]
