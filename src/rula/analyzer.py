@@ -13,6 +13,12 @@ operation), and the values lowering folds before run time: each must fold
 integers.  Analysis never stops at the first problem; every diagnostic found
 is collected and returned.
 
+Beside the type of each expression, `type_of` records its binding time
+(Jones, Gomard & Sestoft, *Partial Evaluation and Automatic Program
+Generation*, ch. 5): `Analysis.static` holds the expressions lowering folds
+before run time.  Lowering reads it to tell a compile-time `if` or `match`
+from a run-time one.
+
 Type names are plain strings ("int", "Qubit", ...).  A None type means the
 expression could not be typed because of an earlier error; downstream checks
 skip None rather than cascading.
@@ -67,10 +73,18 @@ _MATCHABLE = frozenset({"Result", "int", "u_int", "str", "bool"})
 _PATTERNS = {"Result": ast.StringLit, "str": ast.StringLit, "int": ast.IntLit,
              "u_int": ast.IntLit, "bool": ast.BoolLit}
 _CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
-# Types of the values lowering can fold before run time; a ruleset-level
-# condition folds over integers and booleans only.
+# Types of the values lowering can fold before run time, and the expressions
+# that fold whatever their parts; a ruleset-level condition folds over
+# integers and booleans only.
 _STATIC = frozenset({"int", "u_int", "float", "bool", "str", "Repeater", "vec[Repeater]"})
+_STATIC_LEAVES = (ast.IntLit, ast.FloatLit, ast.StringLit, ast.BoolLit, ast.Ident, ast.NegIdent,
+                  ast.RepeaterIdent)
 _INTEGRAL = _INTEGER | {"bool"}
+_UNKNOWN_MEMBER = {
+    "vec[Repeater]": "repeaters vector has no method",
+    "Repeater": "Repeater has no method",
+    "Message": "Message has no field",
+}
 # How run-time operands must be written: qubits and results by name, a
 # correction as a gate call such as z().
 _OPERAND_FORMS = {"Qubit": ast.Ident, "Result": ast.Ident, "correction": ast.FnCall}
@@ -111,6 +125,8 @@ class Analysis:
     program: ast.Program
     diagnostics: list[Diagnostic] = field(default_factory=list)
     types: dict[int, str] = field(default_factory=dict)
+    # binding time: the ids of the expressions lowering folds before run time
+    static: set[int] = field(default_factory=set)
     signatures: dict[str, RuleSignature] = field(default_factory=dict)
     # set-producers: variable name -> (rule name, type or None)
     producers: dict[str, tuple[str, str | None]] = field(default_factory=dict)
@@ -479,18 +495,9 @@ class _Checker:
         return names
 
     def check_condition(self, cond: ast.Expr, scope: _Scope) -> None:
-        if isinstance(cond, ast.CompExpr):
-            self.type_of(cond, scope)
-        elif isinstance(cond, ast.GetExpr):
-            self.type_of(cond, scope)
-        elif isinstance(cond, ast.BoolLit):
-            pass
-        else:
-            actual = self.type_of(cond, scope)
-            if actual is not None and actual != "bool":
-                self.error(
-                    "type-mismatch", cond.span, f"condition must be a comparison, got {actual}"
-                )
+        actual = self.type_of(cond, scope)
+        if actual not in (None, "bool") and not isinstance(cond, ast.GetExpr):
+            self.error("type-mismatch", cond.span, f"condition must be a comparison, got {actual}")
 
     def check_act_if(
         self, stmt: ast.IfStmt, scope: _Scope, promotes: list, consumed: set[str]
@@ -499,7 +506,7 @@ class _Checker:
         # value; otherwise every condition becomes a run-time comparison.
         first = stmt.branches[0][0]
         self.type_of(first, scope)
-        runtime = not self._static(first)
+        runtime = id(first) not in self.out.static
         after = set(consumed)
         for cond, body in stmt.branches:
             if runtime:
@@ -525,7 +532,7 @@ class _Checker:
                 f"match subject must be Result, int, str, or bool, got {subject_type}",
             )
             subject_type = None
-        elif self._static(subject):
+        elif id(subject) in self.out.static:
             pass
         elif isinstance(subject, ast.CompExpr):
             self.check_lowered_comparison(subject)
@@ -561,15 +568,14 @@ class _Checker:
                 message = "expected a boolean literal pattern"
             self.error("bad-match", pattern.span, message)
 
-    # Lowering reads a run-time condition as a comparison of one of these
-    # readings with a value or with another reading.  `_static` is the rule
-    # lowering relies on for what it folds before run time: it evaluates an
-    # expression at a folding position with no check of its own, so every
-    # such position calls `check_folds`.  Both look at types noted by type_of.
+    # Lowering folds the expressions in `Analysis.static` and reads a run-time
+    # condition as a comparison of one of these readings with a value or with
+    # another reading.  It evaluates an expression at a folding position with
+    # no check of its own, so every such position calls `check_folds`.
 
-    def check_folds(self, expr: ast.Expr, message: str, types=_STATIC) -> bool:
+    def check_folds(self, expr: ast.Expr, message: str) -> bool:
         """Whether `expr`, at a position lowering folds, is static; reports it if not."""
-        static = self._static(expr, types)
+        static = id(expr) in self.out.static
         if not static:
             self.fold_error(expr.span, message)
         return static
@@ -581,35 +587,6 @@ class _Checker:
             if d.is_error and span.start <= d.span.start and d.span.end <= span.end:
                 return
         self.error("compile-time", span, message)
-
-    def _static(self, expr: ast.Expr, types=_STATIC) -> bool:
-        """Whether lowering folds `expr` to a value; `types` bounds the types
-        of its operands."""
-        if isinstance(expr, ast.CompExpr):
-            return self._static(expr.lhs, types) and self._static(expr.rhs, types)
-        if isinstance(expr, ast.TermExpr):
-            return all(self._static(operand, types) for operand in expr.operands)
-        if isinstance(expr, ast.TupleLit):
-            return len(expr.items) == 1 and self._static(expr.items[0], types)
-        # an untyped operand follows an earlier error: do not pile on
-        if self.out.types.get(id(expr), "int") not in types:
-            return False
-        if isinstance(expr, (ast.IntLit, ast.FloatLit, ast.StringLit, ast.BoolLit, ast.Ident,
-                             ast.NegIdent, ast.RepeaterIdent)):
-            return True
-        if isinstance(expr, ast.RepeaterCall):
-            return self._static(expr.index)
-        if isinstance(expr, ast.VariableCall):
-            head, parts = expr.parts[0], expr.parts[1:]
-            return (
-                not isinstance(head, ast.FnCall)
-                and self._static(head)
-                and all(
-                    isinstance(part, ast.FnCall) and all(self._static(a) for a in part.args)
-                    for part in parts
-                )
-            )
-        return False
 
     def _reads(self, expr: ast.Expr) -> bool:
         """A stored variable, a measurement result or a message field."""
@@ -632,7 +609,7 @@ class _Checker:
         other_type = self.out.types.get(id(other))
         if isinstance(other, ast.Ident) and other_type == "Result":
             return True
-        return self._static(other) and other_type in (None, "int", "u_int", "bool", "str")
+        return id(other) in self.out.static and other_type in (None, "int", "u_int", "bool", "str")
 
     def check_lowered_comparison(self, cond: ast.Expr) -> None:
         if isinstance(cond, ast.CompExpr) and (
@@ -835,8 +812,9 @@ class _Checker:
         elif isinstance(stmt, ast.IfStmt):
             for cond, body in stmt.branches:
                 self.check_condition(cond, scope)
-                message = "a ruleset-level condition compares compile-time integers or booleans"
-                self.check_folds(cond, message, _INTEGRAL)
+                if not (self._integral(cond) and id(cond) in self.out.static):
+                    message = "a ruleset-level condition compares compile-time integers or booleans"
+                    self.fold_error(cond.span, message)
                 inner = _Scope(scope)
                 for body_stmt in body:
                     self.check_ruleset_stmt(body_stmt, inner)
@@ -892,14 +870,55 @@ class _Checker:
                 message = "a rule call argument is a compile-time value or a promoted qubit by name"
                 self.check_folds(arg, message)
 
+    def _integral(self, expr: ast.Expr) -> bool:
+        """Whether the operands of a ruleset-level condition are integers or booleans."""
+        if isinstance(expr, ast.CompExpr):
+            return self._integral(expr.lhs) and self._integral(expr.rhs)
+        if isinstance(expr, ast.TermExpr):
+            return all(self._integral(operand) for operand in expr.operands)
+        if isinstance(expr, ast.TupleLit) and len(expr.items) == 1:
+            return self._integral(expr.items[0])
+        return self.out.types.get(id(expr), "int") in _INTEGRAL
+
     # --- expression typing ----------------------------------------------------
 
     def type_of(self, expr: ast.Expr, scope: _Scope) -> str | None:
+        """The type of `expr`; notes it and, if lowering folds `expr`, its binding time."""
         cached = self.out.types.get(id(expr))
         if cached is not None:
             return cached
         result = self._type_of(expr, scope)
+        if self._folds(expr, result):
+            self.out.static.add(id(expr))
         return self.note_type(expr, result)
+
+    def _folds(self, expr: ast.Expr, type_name: str | None) -> bool:
+        """Whether lowering folds `expr`, given the binding times of its parts."""
+        static = self.out.static
+        if isinstance(expr, ast.CompExpr):
+            return id(expr.lhs) in static and id(expr.rhs) in static
+        if isinstance(expr, ast.TermExpr):
+            return all(id(operand) in static for operand in expr.operands)
+        if isinstance(expr, ast.TupleLit):
+            return len(expr.items) == 1 and id(expr.items[0]) in static
+        # an untyped value follows an earlier error: do not pile on
+        if type_name is not None and type_name not in _STATIC:
+            return False
+        if isinstance(expr, _STATIC_LEAVES):
+            return True
+        if isinstance(expr, ast.RepeaterCall):
+            return id(expr.index) in static
+        if isinstance(expr, ast.VariableCall):
+            head, parts = expr.parts[0], expr.parts[1:]
+            return (
+                not isinstance(head, ast.FnCall)
+                and id(head) in static
+                and all(
+                    isinstance(part, ast.FnCall) and all(id(a) in static for a in part.args)
+                    for part in parts
+                )
+            )
+        return False
 
     def _type_of(self, expr: ast.Expr, scope: _Scope) -> str | None:
         if isinstance(expr, ast.IntLit):
@@ -1070,53 +1089,43 @@ class _Checker:
         parts = expr.parts
         if not parts:
             return None
-        head = parts[0]
-        base = self.type_of(head, scope)
+        base = self.type_of(parts[0], scope)
         for part in parts[1:]:
             if base is None:
-                # Still type nested arguments for diagnostics.
-                if isinstance(part, ast.FnCall):
-                    for arg in part.args:
-                        self.type_of(arg, scope)
-                return None
-            base = self._member(base, part, scope)
+                self._type_args(part, scope)  # for diagnostics and binding times
+            else:
+                base = self._member(base, part, scope)
         return base
+
+    def _type_args(self, part: ast.FnCall | ast.RepeaterIdent | ast.Ident, scope: _Scope) -> None:
+        for arg in part.args if isinstance(part, ast.FnCall) else ():
+            self.type_of(arg, scope)
 
     def _member(
         self, base: str, part: ast.FnCall | ast.RepeaterIdent | ast.Ident, scope: _Scope
     ) -> str | None:
-        if base == "vec[Repeater]":
-            if isinstance(part, ast.FnCall) and part.name == "len":
-                if part.args:
-                    self.error("arity", part.span, "len() takes no arguments")
-                return "int"
-            name = part.name if hasattr(part, "name") else "?"
-            self.error("unknown-method", part.span, f"repeaters vector has no method {name}")
-            return None
-        if base == "Repeater":
-            if isinstance(part, ast.FnCall) and part.name == "hop":
-                if len(part.args) != 1:
-                    self.error("arity", part.span, "hop() takes one integer argument")
-                for arg in part.args:
-                    arg_type = self.type_of(arg, scope)
-                    if arg_type is not None and arg_type not in _INTEGER:
-                        self.error(
-                            "type-mismatch",
-                            arg.span,
-                            f"hop() takes an integer offset, got {arg_type}",
-                        )
-                return "Repeater"
-            name = part.name if hasattr(part, "name") else "?"
-            self.error("unknown-method", part.span, f"Repeater has no method {name}")
-            return None
-        if base == "Message":
-            if isinstance(part, ast.Ident) and part.name == "result":
-                return "Result"
-            name = part.name if hasattr(part, "name") else "?"
-            self.error("unknown-method", part.span, f"Message has no field {name}")
-            return None
-        name = part.name if hasattr(part, "name") else "?"
-        self.error("unknown-method", part.span, f"{base} has no member {name}")
+        if base == "vec[Repeater]" and isinstance(part, ast.FnCall) and part.name == "len":
+            if part.args:
+                self.error("arity", part.span, "len() takes no arguments")
+                self._type_args(part, scope)
+            return "int"
+        if base == "Repeater" and isinstance(part, ast.FnCall) and part.name == "hop":
+            if len(part.args) != 1:
+                self.error("arity", part.span, "hop() takes one integer argument")
+            for arg in part.args:
+                arg_type = self.type_of(arg, scope)
+                if arg_type is not None and arg_type not in _INTEGER:
+                    self.error(
+                        "type-mismatch",
+                        arg.span,
+                        f"hop() takes an integer offset, got {arg_type}",
+                    )
+            return "Repeater"
+        if base == "Message" and isinstance(part, ast.Ident) and part.name == "result":
+            return "Result"
+        unknown = _UNKNOWN_MEMBER.get(base, f"{base} has no member")
+        self.error("unknown-method", part.span, f"{unknown} {part.name}")
+        self._type_args(part, scope)
         return None
 
 

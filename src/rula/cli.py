@@ -102,7 +102,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
     ruleset_id = args.ruleset_id
     if ruleset_id is None:
         ruleset_id = codegen.default_ruleset_id(path.name, config_bytes)
-    out = codegen.compile_program(program, topology, ruleset_id)
+    out = codegen.compile_program(analysis, topology, ruleset_id)
     _print_diagnostics(source, str(path), out.diagnostics)
     if not out.ok:
         return EXIT_FAILURE

@@ -12,15 +12,17 @@ receives a synthesized wait rule in a stage of its own.
 Errors are split between the layers. The analyzer owns every fault of the
 program's shape: names, types, statement and clause forms, literal values,
 qubits used after a measure or free, and every value lowering folds that
-does not fold. Lowering assumes a program the analyzer accepted and reports
-only what needs the concrete chain or the folded values: `repeater-range`
-and `hop-range` (a repeater outside the chain), `const-expr` (a value fault:
-division or modulo by zero, a negative exponent, a res count, fidelity or
-qubit index out of range, or a name left without a value by an earlier
-error), `loop-bound` (a loop nest too large to unroll), `promote-owner` (a
-promoted qubit used on another repeater), `unpromoted` (a rule call given a
-`Qubit?` result that its rule did not promote on that repeater with those
-arguments) and `send-self` (a message addressed to its sender).
+does not fold. Lowering takes the analysis of a program the analyzer
+accepted: it folds the expressions the analysis records as static and lowers
+every other act-level condition to Cmp clauses. It reports only what needs
+the concrete chain or the folded values: `repeater-range` and `hop-range` (a
+repeater outside the chain), `const-expr` (a value fault: division or modulo
+by zero, a negative exponent, a res count, fidelity or qubit index out of
+range, or a name left without a value by an earlier error), `loop-bound` (a
+loop nest too large to unroll), `promote-owner` (a promoted qubit used on
+another repeater), `unpromoted` (a rule call given a `Qubit?` result that
+its rule did not promote on that repeater with those arguments) and
+`send-self` (a message addressed to its sender).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import ast, ir
-from .analyzer import Diagnostic
+from .analyzer import Analysis, Diagnostic
 from .config import ConfigError, Repeater, Topology
 
 _GATE1 = {"x": "X", "y": "Y", "z": "Z", "h": "H"}
@@ -146,11 +148,6 @@ _REPEATERS_VEC = object()  # value of the bare '#repeaters' vector
 _POISON = object()  # placeholder binding after an aborted rule call
 
 
-class NotConst(Exception):
-    """An act-level expression that reads a run-time value: a qubit, a
-    measurement result, a message field or a stored variable."""
-
-
 class LowerError(Exception):
     """A hard lowering fault; aborts the current rule call with a diagnostic."""
 
@@ -261,8 +258,9 @@ class _Handler:
 
 
 class _Compiler:
-    def __init__(self, program: ast.Program, topology: Topology, ruleset_id: int, default_name: str):
-        self.program = program
+    def __init__(self, analysis: Analysis, topology: Topology, ruleset_id: int, default_name: str):
+        program = self.program = analysis.program
+        self.static = analysis.static  # the ids of the expressions that fold
         self.topology = topology
         self.ruleset_id = ruleset_id
         self.name = program.ruleset.name if program.ruleset else default_name
@@ -278,8 +276,7 @@ class _Compiler:
     # --- constant evaluation -------------------------------------------------
 
     def eval(self, expr, env: dict):
-        """Fold an expression the analyzer admits at a folding position.
-        Raises NotConst where an act-level condition reads a run-time value."""
+        """Fold an expression the analyzer records as static."""
         if isinstance(expr, (ast.IntLit, ast.BoolLit, ast.FloatLit, ast.StringLit)):
             return expr.value
         if isinstance(expr, (ast.Ident, ast.RepeaterIdent)):
@@ -296,17 +293,13 @@ class _Compiler:
             return self._eval_chain(expr, env)
         if isinstance(expr, ast.TermExpr):
             return self._eval_term(expr, env)
-        if isinstance(expr, ast.CompExpr):
-            return self._eval_comparison(expr, env)
-        raise NotConst  # a stored variable, read with get
+        return self._eval_comparison(expr, env)  # no other expression is static
 
     def _lookup(self, name: str, env: dict, span: ast.Span):
         value = env[name]
         if value is _POISON:
             message = f"{name} has no usable value after an earlier error"
             raise LowerError("const-expr", span, message)
-        if isinstance(value, (QubitRef, ResultRef, MessageRef, PromotedHandle, Unpromoted)):
-            raise NotConst
         return value
 
     def _repeater_at(self, expr: ast.RepeaterCall, env: dict) -> Repeater:
@@ -666,12 +659,8 @@ class _Compiler:
     # --- runtime conditionals ------------------------------------------------
 
     def _apply_match(self, stmt: ast.MatchStmt, v: _Variant) -> list[_Variant]:
-        try:
-            subject = self.eval(stmt.subject, v.env)
-        except NotConst:
-            subject = None
-        if subject is not None:
-            return self._fold_match(stmt, subject, v)
+        if id(stmt.subject) in self.static:
+            return self._fold_match(stmt, self.eval(stmt.subject, v.env), v)
 
         out: list[_Variant] = []
         for arm in stmt.arms:
@@ -731,12 +720,7 @@ class _Compiler:
         # Compile-time conditions fold; runtime conditions expand into
         # Cmp-guarded siblings, with each later branch carrying the negations
         # of every branch before it.
-        first_cond = stmt.branches[0][0]
-        try:
-            self.eval(first_cond, v.env)
-        except NotConst:
-            pass
-        else:
+        if id(stmt.branches[0][0]) in self.static:
             for condition, body in stmt.branches:
                 if self.eval(condition, v.env):
                     return self._expand_stmts(body, v)
@@ -783,10 +767,9 @@ class _Compiler:
             return ir.TaggedValue("Variable", expr.name)
         if isinstance(expr, ast.Ident) and isinstance(v.env.get(expr.name), ResultRef):
             return ir.TaggedValue("Variable", v.env[expr.name].register)
-        try:
-            value = self.eval(expr, v.env)
-        except NotConst:
+        if id(expr) not in self.static:
             return None  # a message field: compare the other way round
+        value = self.eval(expr, v.env)
         if isinstance(value, bool):
             return ir.TaggedValue("Bool", "true" if value else "false")
         if isinstance(value, int):
@@ -926,19 +909,20 @@ class _Compiler:
 
 
 def compile_program(
-    program: ast.Program,
+    analysis: Analysis,
     topology: Topology,
     ruleset_id: int,
     default_name: str = "ruleset",
 ) -> CompiledOutput:
-    """Lower a program against a topology.
+    """Lower an analyzed program against a topology.
 
-    Contract: the caller has run `analyzer.resolve_imports` and
-    `analyzer.analyze_program` on `program` and both reported no error.
-    Lowering does not check again what the analyzer checks: it folds every
-    value the analyzer admits at a folding position, and on a program the
-    analyzer rejects it may raise. It reports only the faults listed in the
-    module docstring, which need the chain or the folded values. Recvs that
-    no send binds are returned in `unbound_recvs`.
+    Contract: `analysis` comes from `analyzer.analyze_program` and has no
+    error, and its program comes from an `analyzer.resolve_imports` that
+    reported none. Lowering does not check again what the analyzer checks:
+    it folds the expressions in `analysis.static` and reads every other
+    act-level condition at run time; on a program the analyzer rejects it
+    may raise. It reports only the faults listed in the module docstring,
+    which need the chain or the folded values. Recvs that no send binds are
+    returned in `unbound_recvs`.
     """
-    return _Compiler(program, topology, ruleset_id, default_name).run()
+    return _Compiler(analysis, topology, ruleset_id, default_name).run()

@@ -35,7 +35,7 @@ def compile_corpus(program_name: str, config_name: str, ruleset_id: int = 7):
     analysis = analyzer.analyze_program(program)
     assert not analysis.errors, analysis.errors
     topology = config.load_config((CORPUS / config_name).read_text())
-    out = codegen.compile_program(program, topology, ruleset_id)
+    out = codegen.compile_program(analysis, topology, ruleset_id)
     assert out.ok, out.diagnostics
     return out, topology
 
@@ -146,7 +146,7 @@ ruleset five_rounds{
     program = parser.parse(source)
     analysis = analyzer.analyze_program(program)
     assert not analysis.errors, analysis.errors
-    out = codegen.compile_program(program, chain(2), 7)
+    out = codegen.compile_program(analysis, chain(2), 7)
     assert out.ok, out.diagnostics
     emitted = [
         rule for stage in out.per_node[0].stages for rule in stage.rules
@@ -248,7 +248,7 @@ ruleset single_link {
     analysis = analyzer.analyze_program(program)
     assert not analysis.errors, analysis.errors
     topology = config.load_config((CORPUS / "config2.json").read_text())
-    out = codegen.compile_program(program, topology, 7)
+    out = codegen.compile_program(analysis, topology, 7)
     assert out.ok, out.diagnostics
 
     rulesets = {rs.owner_addr: rs for rs in out.per_node.values()}
@@ -556,7 +556,7 @@ def test_criterion_08_static_rejections_and_fuzzed_analyzer_robustness():
         if analysis.errors:
             errors = analysis.errors
         else:
-            out = codegen.compile_program(program, chain(3), 7)
+            out = codegen.compile_program(analysis, chain(3), 7)
             errors = [d for d in out.diagnostics if d.is_error]
         assert len(errors) == 1, (label, errors)
         start, end = line_bounds(source, needle)

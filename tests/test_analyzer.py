@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import textwrap
 from pathlib import Path
 
 import pytest
 
-from rula import analyzer, codegen, config
+from rula import analyzer, ast, codegen, config
 from rula.analyzer import (
     Analysis,
     analyze,
@@ -883,12 +884,12 @@ class TestFoldedPositions:
 
     def test_result_in_a_str_slot_is_a_run_time_value(self):
         act = f'{_STR_RESULT} if (s == "1") {{ set s as a }}'
-        program = parse(fold_source(act=act))
-        assert analyze_program(program).diagnostics == []
+        analysis = analyze_program(parse(fold_source(act=act)))
+        assert analysis.diagnostics == []
         topology = config.Topology(
             repeaters=tuple(config.Repeater(name=f"#{i}", address=i, index=i) for i in range(3))
         )
-        assert codegen.compile_program(program, topology, 7).ok
+        assert codegen.compile_program(analysis, topology, 7).ok
 
     def test_an_error_around_a_value_does_not_hide_its_fault(self):
         source = fold_source(ruleset="for (j, m) in 1..2 { probe<#repeaters(1)>(1 + get n, 0.5) }")
@@ -932,3 +933,70 @@ ruleset gated{
         error = _only_error(source, "#repeaters.len() > 1.5")
         assert error.code == "compile-time"
         assert "compile-time integers or booleans" in error.message
+
+
+BINDING_TIMES = """\
+#repeaters: vec[Repeater]
+import std::operation::{measure}
+rule store<#rep>(k: str){
+    cond {} => act { set k }
+}
+rule probe<#rep>(i: int, d: int){
+    let far: Repeater = #rep.hop(d)
+    let n: int = #repeaters.len()
+    let one: int = (1)
+    cond {
+        @q1: res(1 + i, 0.5, far, one)
+        @message: recv(far)
+    } => act {
+        let r: Result = measure(q1, "Z")
+        if (get k == r) { set r as a }
+        if (message.result == "1") { set r as b }
+    }
+}
+ruleset timed{
+    store<#repeaters(0)>("1")
+    probe<#repeaters(0)>(1, 1)
+}
+"""
+
+
+def _nodes(value):
+    """Every AST node in `value`, each before the nodes inside it."""
+    if isinstance(value, ast.Node):
+        yield value
+        for f in dataclasses.fields(value):
+            yield from _nodes(getattr(value, f.name))
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _nodes(item)
+
+
+class TestBindingTime:
+    """`Analysis.static` holds the expressions lowering folds before run time."""
+
+    @pytest.mark.parametrize(
+        "text,static",
+        [
+            ("1 + i", True),
+            ("#rep.hop(d)", True),
+            ("#repeaters.len()", True),
+            ("(1)", True),
+            ("get k", False),
+            ("r", False),
+            ("message.result", False),
+            ("q1", False),
+        ],
+    )
+    def test_recorded_binding_time(self, text, static):
+        program = parse(BINDING_TIMES)
+        analysis = analyze_program(program)
+        assert analysis.diagnostics == []
+        expr = next(
+            node
+            for node in _nodes(program)
+            if BINDING_TIMES[node.span.start : node.span.end] == text
+            and not type(node).__name__.endswith("Stmt")
+        )
+        assert id(expr) in analysis.types
+        assert (id(expr) in analysis.static) is static

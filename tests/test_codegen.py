@@ -22,18 +22,16 @@ def compile_corpus(corpus, program_name, config_name, ruleset_id=7, expect_clean
     analysis = analyzer.analyze_program(program)
     assert not analysis.errors, analysis.errors
     topology = load_topology(corpus, config_name)
-    out = codegen.compile_program(program, topology, ruleset_id)
+    out = codegen.compile_program(analysis, topology, ruleset_id)
     if expect_clean:
         assert out.ok, out.diagnostics
     return out
 
 
-def compile_source(source, topology, ruleset_id=7, check_analyzer=True):
-    program = parser.parse(source)
-    if check_analyzer:
-        analysis = analyzer.analyze_program(program)
-        assert not analysis.errors, analysis.errors
-    return codegen.compile_program(program, topology, ruleset_id)
+def compile_source(source, topology, ruleset_id=7):
+    analysis = analyzer.analyze_program(parser.parse(source))
+    assert not analysis.errors, analysis.errors
+    return codegen.compile_program(analysis, topology, ruleset_id)
 
 
 def chain(n):
@@ -394,8 +392,8 @@ class TestSendRecvBalance:
 
 
 def make_eval(n=5):
-    program = parser.parse("#repeaters: vec[Repeater]\n")
-    return codegen._Compiler(program, chain(n), 1, "t")
+    analysis = analyzer.analyze_program(parser.parse("#repeaters: vec[Repeater]\n"))
+    return codegen._Compiler(analysis, chain(n), 1, "t")
 
 
 def eval_text(text, env=None, n=5):

@@ -576,7 +576,9 @@ _MUTANT_KEYS = ("name", "alias", "payload", "kind", "Res", "Send", "Free", "Meas
 
 
 def _compiled_texts(program, topology) -> list[str]:
-    out = codegen.compile_program(program, topology, 7)
+    analysis = analyzer.analyze_program(program)
+    assert analysis.ok, analysis.errors
+    out = codegen.compile_program(analysis, topology, 7)
     assert out.ok, out.diagnostics
     return [ir.serialize(rs) for rs in out.per_node.values()]
 
@@ -706,10 +708,10 @@ def _fuzz_texts(mutants: int = 400) -> list[str]:
     texts = []
     for _ in range(mutants):
         mutant = gen.mutant()
-        program = fuzz.accepted(mutant)
-        if program is None:
+        analysis = fuzz.accepted(mutant)
+        if analysis is None:
             continue
-        out = codegen.compile_program(program, fuzz.chain(mutant.nodes), 7)
+        out = codegen.compile_program(analysis, fuzz.chain(mutant.nodes), 7)
         texts += [ir.serialize(rs) for rs in out.per_node.values()]
     return texts
 

@@ -107,8 +107,8 @@ def chain(n: int) -> config.Topology:
     )
 
 
-def accepted(mutant: Mutant):
-    """The analyzed program, or None when the front end rejects the mutant."""
+def accepted(mutant: Mutant) -> analyzer.Analysis | None:
+    """The mutant's analysis, or None when the front end rejects the mutant."""
     try:
         program = parser.parse(mutant.source, filename=mutant.program)
     except parser.ParseError:
@@ -116,15 +116,14 @@ def accepted(mutant: Mutant):
     program, diagnostics = analyzer.resolve_imports(program, [CORPUS])
     if any(d.is_error for d in diagnostics):
         return None
-    if analyzer.analyze_program(program).errors:
-        return None
-    return program
+    analysis = analyzer.analyze_program(program)
+    return None if analysis.errors else analysis
 
 
-def check_pipeline(mutant: Mutant, program) -> bool:
+def check_pipeline(mutant: Mutant, analysis: analyzer.Analysis) -> bool:
     """Assert every invariant on one accepted mutant; True if it compiled."""
     topology = chain(mutant.nodes)
-    out = codegen.compile_program(program, topology, 7)
+    out = codegen.compile_program(analysis, topology, 7)
     codes = {d.code for d in out.diagnostics if d.is_error}
     assert codes <= KEPT_CODES, (mutant, out.diagnostics)
     if not out.ok:
@@ -136,7 +135,7 @@ def check_pipeline(mutant: Mutant, program) -> bool:
         assert ir.deserialize(texts[addr]) == ruleset, (mutant, addr)
     report = runtime.run(out.per_node, topology, seed=0)
     assert isinstance(report, runtime.RunReport), mutant
-    again = codegen.compile_program(program, topology, 7)
+    again = codegen.compile_program(analysis, topology, 7)
     assert {a: ir.serialize(rs) for a, rs in again.per_node.items()} == texts, mutant
     return True
 
@@ -153,10 +152,10 @@ def test_mutants_that_pass_analysis_go_through_the_whole_pipeline(
     analyzed = compiled = 0
     for _ in range(count):
         mutant = make()
-        program = accepted(mutant)
-        if program is None:
+        analysis = accepted(mutant)
+        if analysis is None:
             continue
         analyzed += 1
-        compiled += check_pipeline(mutant, program)
+        compiled += check_pipeline(mutant, analysis)
     # the slice must reach lowering and the simulator, not only the front end
     assert analyzed >= min_analyzed and compiled >= min_compiled, (analyzed, compiled)

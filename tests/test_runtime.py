@@ -14,8 +14,10 @@ def compile_corpus(corpus, program_name, config_name):
     program = parser.parse(source, filename=program_name)
     program, import_diags = analyzer.resolve_imports(program, [corpus])
     assert not [d for d in import_diags if d.is_error]
+    analysis = analyzer.analyze_program(program)
+    assert analysis.ok, analysis.errors
     topology = config.load_config((corpus / config_name).read_text())
-    out = codegen.compile_program(program, topology, 7)
+    out = codegen.compile_program(analysis, topology, 7)
     assert out.ok, out.diagnostics
     return out.per_node, topology
 
@@ -281,8 +283,10 @@ def chain(nodes):
 def compile_chain(corpus, program_name, nodes):
     program = parser.parse((corpus / program_name).read_text(), filename=program_name)
     program, _diags = analyzer.resolve_imports(program, [corpus])
+    analysis = analyzer.analyze_program(program)
+    assert analysis.ok, analysis.errors
     topology = chain(nodes)
-    out = codegen.compile_program(program, topology, 7)
+    out = codegen.compile_program(analysis, topology, 7)
     assert out.ok, out.diagnostics
     return out.per_node, topology
 
