@@ -39,7 +39,6 @@ SEVERITY_WARNING = "warning"
 COND_FUNCTIONS: dict[str, tuple[tuple[str, ...], str | None]] = {
     "res": (("u_int", "float", "Repeater", "u_int"), "Qubit"),
     "recv": (("Repeater",), "Message"),
-    "cmp": (("Result", "str", "str"), None),
     "check_timer": (("str",), None),
 }
 
@@ -72,7 +71,6 @@ _INTEGER = frozenset({"int", "u_int"})
 _MATCHABLE = frozenset({"Result", "int", "u_int", "str", "bool"})
 _PATTERNS = {"Result": ast.StringLit, "str": ast.StringLit, "int": ast.IntLit,
              "u_int": ast.IntLit, "bool": ast.BoolLit}
-_CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
 # Types of the values lowering can fold before run time, and the expressions
 # that fold whatever their parts; a ruleset-level condition folds over
 # integers and booleans only.
@@ -304,7 +302,7 @@ class _Checker:
                 self.error(
                     "bad-cond-clause",
                     clause.span,
-                    "condition clauses must be res, recv, cmp, or check_timer calls",
+                    "condition clauses must be res, recv or check_timer calls",
                 )
                 continue
             entry = COND_FUNCTIONS.get(call.name)
@@ -313,20 +311,13 @@ class _Checker:
                     "bad-cond-clause",
                     clause.span,
                     f"{call.name} is not a condition function "
-                    "(expected res, recv, cmp, or check_timer)",
+                    "(expected res, recv or check_timer)",
                 )
                 continue
             param_types, capture_type = entry
             self.check_call_args(call, param_types, rule_scope)
-            if len(call.args) == len(param_types):
-                if call.name == "res":
-                    self.check_res_literals(*call.args, indices)
-                elif call.name == "cmp":
-                    op = call.args[1]
-                    if not (isinstance(op, ast.StringLit) and op.value in _CMP_OPS):
-                        self.error(
-                            "bad-cond-clause", op.span, 'cmp takes an operator literal such as "=="'
-                        )
+            if call.name == "res" and len(call.args) == len(param_types):
+                self.check_res_literals(*call.args, indices)
             if clause.capture is not None:
                 if capture_type is None:
                     self.error(

@@ -545,7 +545,7 @@ class _Compiler:
                 recv_froms.append(partner.address)
                 if clause.capture:
                     env[clause.capture] = MessageRef(clause.capture)
-            else:  # check_timer: no call instantiates a rule with a cmp clause
+            else:  # check_timer
                 timer_id = self.eval(call.args[0], env)
                 clauses.append(ir.TimerClause(timer_id=str(timer_id)))
         return clauses, recv_froms

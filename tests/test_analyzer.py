@@ -737,14 +737,15 @@ class TestShapeRules:
         start = source.index(needle)
         assert start <= errors[0].span.start and errors[0].span.end <= start + len(needle)
 
-    def test_cmp_operator_is_a_literal_comparison(self):
+    def test_cmp_is_not_a_condition_clause(self):
         source = """\
 rule probe<#rep>(r: Result){
-    cond { cmp(r, "~", "1") } => act {}
+    cond { cmp(r, "==", "1") } => act {}
 }
 """
-        error = _only_error(source, '"~"')
+        error = _only_error(source, 'cmp(r, "==", "1")')
         assert error.code == "bad-cond-clause"
+        assert error.message == "cmp is not a condition function (expected res, recv or check_timer)"
 
     def test_untyped_parameter(self):
         source = _shape().replace("probe<#rep>()", "probe<#rep>(far)")
@@ -789,9 +790,7 @@ rule produce<#rep>() :-> Result? {{
     cond {{}} => act {{}}
 }}
 rule consume<#rep>(r: Result){{
-    cond {{
-        cmp(r, "==", "1")
-    }} => act {{}}
+    cond {{}} => act {{}}
 }}
 ruleset folded{{
     store<#repeaters(0)>()
