@@ -13,6 +13,11 @@ operation), and the values lowering folds before run time: each must fold
 integers.  Analysis never stops at the first problem; every diagnostic found
 is collected and returned.
 
+The checker visits each rule, then the ruleset body, once.  The ruleset
+walk also orders the rule calls: each `get` in a called rule needs a call
+before it to the rule that `set`s the name.  It also collects the names the
+body reads, so a promoted qubit bound and never used draws a warning.
+
 Beside the type of each expression, `type_of` records its binding time
 (Jones, Gomard & Sestoft, *Partial Evaluation and Automatic Program
 Generation*, ch. 5): `Analysis.static` holds the expressions lowering folds
@@ -86,6 +91,9 @@ _UNKNOWN_MEMBER = {
 # How run-time operands must be written: qubits and results by name, a
 # correction as a gate call such as z().
 _OPERAND_FORMS = {"Qubit": ast.Ident, "Result": ast.Ident, "correction": ast.FnCall}
+# A scope maps each name in scope to its type (None after an error); a
+# nested block binds into a copy, so its names end with it.
+_Scope = dict
 
 
 @dataclass(frozen=True)
@@ -103,19 +111,9 @@ class Diagnostic:
 @dataclass(frozen=True)
 class RuleSignature:
     name: str
-    repeater_param: str
-    param_names: tuple[str, ...]
     param_types: tuple[str | None, ...]
     return_types: tuple[str, ...]
     maybe_flags: tuple[bool, ...]
-    span: ast.Span
-
-
-@dataclass(frozen=True)
-class Symbol:
-    type: str | None
-    kind: str  # let-binding, rule-param, cond-capture, loop-var, ruleset-var, builtin
-    span: ast.Span
 
 
 @dataclass
@@ -140,28 +138,20 @@ class Analysis:
         return not self.errors
 
 
-class _Scope:
-    def __init__(self, parent: _Scope | None = None):
-        self.parent = parent
-        self.names: dict[str, Symbol] = {}
-
-    def bind(self, name: str, symbol: Symbol) -> None:
-        self.names[name] = symbol
-
-    def lookup(self, name: str) -> Symbol | None:
-        scope: _Scope | None = self
-        while scope is not None:
-            if name in scope.names:
-                return scope.names[name]
-            scope = scope.parent
-        return None
-
-
 class _Checker:
     def __init__(self, program: ast.Program):
         self.program = program
         self.out = Analysis(program)
         self.current_rule: str | None = None
+        # Gathered on the walk of the ruleset body and reported at its end:
+        # the rules called so far and the gets already ordered against them,
+        # the get-before-set errors, the names the body reads and the
+        # promoted qubits it binds.
+        self.called: set[str] = set()
+        self.reported: set[int] = set()
+        self.order_errors: list[Diagnostic] = []
+        self.used: set[str] = set()
+        self.promoted: list[ast.TypedName] = []
 
     # --- diagnostics ---------------------------------------------------------
 
@@ -170,6 +160,9 @@ class _Checker:
 
     def warn(self, code: str, span: ast.Span, message: str) -> None:
         self.out.diagnostics.append(Diagnostic(SEVERITY_WARNING, code, span, message))
+
+    def get_before_set(self, span: ast.Span, message: str) -> None:
+        self.order_errors.append(Diagnostic(SEVERITY_ERROR, "get-before-set", span, message))
 
     def note_type(self, node: ast.Node, type_name: str | None) -> str | None:
         if type_name is not None:
@@ -186,6 +179,17 @@ class _Checker:
             self.check_rule(rule)
         if self.program.ruleset is not None:
             self.check_ruleset(self.program.ruleset)
+        else:
+            # Without a ruleset body there is no call order; flag gets that can
+            # never be satisfied because the name is set nowhere at all.
+            for gets in self.out.consumers.values():
+                for name, span in gets:
+                    if name not in self.out.producers:
+                        self.get_before_set(span, f"{name} is never set")
+        self.out.diagnostics.extend(self.order_errors)
+        for target in self.promoted:
+            if target.name not in self.used:
+                self.warn("unused-promoted", target.span, f"unused promoted qubit {target.name}")
         return self.out
 
     def check_imports(self) -> None:
@@ -216,19 +220,15 @@ class _Checker:
             if rule.name in self.out.signatures:
                 self.error("duplicate-rule", rule.span, f"rule {rule.name} is already defined")
                 continue
-            param_names = tuple(p.name for p in rule.params)
             param_types = tuple(
                 str(p.type_annotation) if p.type_annotation is not None else None
                 for p in rule.params
             )
             self.out.signatures[rule.name] = RuleSignature(
                 rule.name,
-                rule.repeater_param,
-                param_names,
                 param_types,
                 tuple(str(r.type_annotation) for r in rule.return_types),
                 tuple(r.maybe for r in rule.return_types),
-                rule.span,
             )
 
     def _annotated_names(self, rule: ast.RuleStmt) -> dict[str, str]:
@@ -267,7 +267,7 @@ class _Checker:
         self.current_rule = rule.name
         self.out.consumers.setdefault(rule.name, [])
         scope = _Scope()
-        scope.bind(rule.repeater_param, Symbol("Repeater", "rule-param", rule.span))
+        scope[rule.repeater_param] = "Repeater"
         seen_params: set[str] = set()
         for p in rule.params:
             if p.name in seen_params:
@@ -276,7 +276,7 @@ class _Checker:
             if p.type_annotation is None:
                 self.error("missing-type", p.span, f"parameter {p.name} needs a type annotation")
             declared = str(p.type_annotation) if p.type_annotation is not None else None
-            scope.bind(p.name, Symbol(declared, "rule-param", p.span))
+            scope[p.name] = declared
 
         for let in rule.lets:
             if self.check_let(let, scope):
@@ -325,16 +325,14 @@ class _Checker:
                         clause.span,
                         f"{call.name} does not produce a value to capture",
                     )
-                elif act_scope.lookup(clause.capture) is not None:
+                elif clause.capture in act_scope:
                     self.error(
                         "duplicate-capture",
                         clause.span,
                         f"duplicate capture {clause.capture}",
                     )
                 else:
-                    act_scope.bind(
-                        clause.capture, Symbol(capture_type, "cond-capture", clause.span)
-                    )
+                    act_scope[clause.capture] = capture_type
 
     def check_res_literals(self, count, fidelity, _partner, index, indices: set[int]) -> None:
         """Literal res arguments; `indices` holds the qubit indices of earlier clauses."""
@@ -379,7 +377,7 @@ class _Checker:
             target = let.targets[0]
             declared = str(target.type_annotation) if target.type_annotation else None
             bound = _bound(declared, value_type)
-            scope.bind(target.name, Symbol(bound, "let-binding", target.span))
+            scope[target.name] = bound
             if declared and value_type and not _compatible(declared, value_type):
                 self.error(
                     "type-mismatch",
@@ -409,9 +407,7 @@ class _Checker:
             for i, target in enumerate(let.targets):
                 declared = str(target.type_annotation) if target.type_annotation else None
                 inferred = parts[i] if parts is not None and i < len(parts) else None
-                scope.bind(
-                    target.name, Symbol(_bound(declared, inferred), "let-binding", target.span)
-                )
+                scope[target.name] = _bound(declared, inferred)
             return ok
 
     def check_act_stmt(
@@ -429,7 +425,7 @@ class _Checker:
         elif isinstance(stmt, ast.SendStmt):
             self.check_send(stmt, scope)
         elif isinstance(stmt, ast.SetStmt):
-            if scope.lookup(stmt.name) is None:
+            if stmt.name not in scope:
                 self.error("unknown-name", stmt.span, f"unknown identifier {stmt.name}")
         elif isinstance(stmt, ast.PromoteStmt):
             promotes.append(stmt)
@@ -485,8 +481,8 @@ class _Checker:
                 names.append(value.name)
         return names
 
-    def check_condition(self, cond: ast.Expr, scope: _Scope) -> None:
-        actual = self.type_of(cond, scope)
+    def check_condition(self, cond: ast.Expr, actual: str | None) -> None:
+        """A compile-time condition, of type `actual`, must be a comparison."""
         if actual not in (None, "bool") and not isinstance(cond, ast.GetExpr):
             self.error("type-mismatch", cond.span, f"condition must be a comparison, got {actual}")
 
@@ -495,16 +491,17 @@ class _Checker:
     ) -> None:
         # Lowering folds the chain when its first condition has a compile-time
         # value; otherwise every condition becomes a run-time comparison.
+        # A condition left untyped by an error is not typed twice.
         first = stmt.branches[0][0]
-        self.type_of(first, scope)
+        first_type = self.type_of(first, scope)
         runtime = id(first) not in self.out.static
         after = set(consumed)
         for cond, body in stmt.branches:
+            actual = first_type if cond is first else self.type_of(cond, scope)
             if runtime:
-                self.type_of(cond, scope)
                 self.check_lowered_comparison(cond)
             else:
-                self.check_condition(cond, scope)
+                self.check_condition(cond, actual)
                 self.check_folds(cond, "a condition after a compile-time one is compile-time too")
             after |= self.check_block(body, scope, promotes, consumed)
         if stmt.orelse is not None:
@@ -516,6 +513,7 @@ class _Checker:
     ) -> None:
         subject = stmt.subject
         subject_type = self.type_of(subject, scope)
+        reading = ast.unparen(subject)
         if subject_type is not None and subject_type not in _MATCHABLE:
             self.error(
                 "bad-match",
@@ -525,9 +523,9 @@ class _Checker:
             subject_type = None
         elif id(subject) in self.out.static:
             pass
-        elif isinstance(subject, ast.CompExpr):
-            self.check_lowered_comparison(subject)
-        elif not self._reads(subject):
+        elif isinstance(reading, ast.CompExpr):
+            self.check_lowered_comparison(reading)
+        elif not self._reads(reading):
             self.error(
                 "bad-match",
                 subject.span,
@@ -745,6 +743,7 @@ class _Checker:
         if isinstance(stmt, ast.LetStmt):
             if isinstance(stmt.value, ast.RuleCall):
                 self.check_rule_call(stmt.value, scope)
+                self.visit_call(stmt.value.name)
                 sig = self.out.signatures.get(stmt.value.name)
                 returns = sig.return_types if sig else None
                 if returns is not None and len(stmt.targets) != len(returns):
@@ -757,6 +756,8 @@ class _Checker:
                 for i, target in enumerate(stmt.targets):
                     declared = str(target.type_annotation) if target.type_annotation else None
                     inferred = returns[i] if returns and i < len(returns) else None
+                    if declared == "Qubit" and not (inferred and sig.maybe_flags[i]):
+                        self.promoted.append(target)  # checked for a use at the end
                     if declared and inferred and not _compatible(declared, inferred):
                         self.error(
                             "type-mismatch",
@@ -764,14 +765,12 @@ class _Checker:
                             f"rule {stmt.value.name} returns {inferred}, "
                             f"target declares {declared}",
                         )
-                    scope.bind(
-                        target.name, Symbol(_bound(declared, inferred), "ruleset-var", target.span)
-                    )
+                    scope[target.name] = _bound(declared, inferred)
             else:
                 message = "a ruleset-level let binds a compile-time value or a rule call"
                 if self.check_let(stmt, scope) and not self.check_folds(stmt.value, message):
                     for target in stmt.targets:  # reported once, here
-                        scope.bind(target.name, Symbol(None, "ruleset-var", target.span))
+                        scope[target.name] = None
         elif isinstance(stmt, ast.ForStmt):
             inner = _Scope(scope)
             if len(stmt.names) != 1:
@@ -797,12 +796,12 @@ class _Checker:
                 else:
                     self.fold_error(generator.span, "a loop runs over a series or a vector literal")
             for name in stmt.names:
-                inner.bind(name, Symbol(item_type, "loop-var", stmt.span))
+                inner[name] = item_type
             for body_stmt in stmt.body:
                 self.check_ruleset_stmt(body_stmt, inner)
         elif isinstance(stmt, ast.IfStmt):
             for cond, body in stmt.branches:
-                self.check_condition(cond, scope)
+                self.check_condition(cond, self.type_of(cond, scope))
                 if not (self._integral(cond) and id(cond) in self.out.static):
                     message = "a ruleset-level condition compares compile-time integers or booleans"
                     self.fold_error(cond.span, message)
@@ -816,6 +815,7 @@ class _Checker:
         elif isinstance(stmt, ast.ExprStmt):
             if isinstance(stmt.expr, ast.RuleCall):
                 self.check_rule_call(stmt.expr, scope)
+                self.visit_call(stmt.expr.name)
             else:
                 self.type_of(stmt.expr, scope)
         elif isinstance(stmt, (ast.PromoteStmt, ast.SetStmt)):
@@ -842,11 +842,11 @@ class _Checker:
             for arg in call.args:
                 self.type_of(arg, scope)
             return
-        if len(call.args) != len(sig.param_names):
+        if len(call.args) != len(sig.param_types):
             self.error(
                 "arity",
                 call.span,
-                f"rule {call.name} takes {len(sig.param_names)} argument(s), "
+                f"rule {call.name} takes {len(sig.param_types)} argument(s), "
                 f"got {len(call.args)}",
             )
         for arg, expected in zip(call.args, sig.param_types):
@@ -861,14 +861,27 @@ class _Checker:
                 message = "a rule call argument is a compile-time value or a promoted qubit by name"
                 self.check_folds(arg, message)
 
+    def visit_call(self, rule_name: str) -> None:
+        """Order a ruleset-level rule call against the calls before it: each
+        name the rule gets must be set by a rule called earlier."""
+        for name, span in self.out.consumers.get(rule_name, ()):
+            setter = self.out.producers.get(name)
+            if (setter and setter[0] in self.called) or id(span) in self.reported:
+                continue
+            self.reported.add(id(span))
+            if setter:
+                self.get_before_set(span, f"{name} is read before any earlier rule sets it")
+            else:
+                self.get_before_set(span, f"{name} is never set")
+        self.called.add(rule_name)
+
     def _integral(self, expr: ast.Expr) -> bool:
         """Whether the operands of a ruleset-level condition are integers or booleans."""
+        expr = ast.unparen(expr)
         if isinstance(expr, ast.CompExpr):
             return self._integral(expr.lhs) and self._integral(expr.rhs)
         if isinstance(expr, ast.TermExpr):
             return all(self._integral(operand) for operand in expr.operands)
-        if isinstance(expr, ast.TupleLit) and len(expr.items) == 1:
-            return self._integral(expr.items[0])
         return self.out.types.get(id(expr), "int") in _INTEGRAL
 
     # --- expression typing ----------------------------------------------------
@@ -923,33 +936,27 @@ class _Checker:
         if isinstance(expr, ast.UnicordLit):
             self.error("unicord", expr.span, "unicord literals are not supported")
             return None
-        if isinstance(expr, ast.Ident):
-            symbol = scope.lookup(expr.name)
-            if symbol is None:
+        if isinstance(expr, (ast.Ident, ast.NegIdent)):
+            if self.current_rule is None:
+                self.used.add(expr.name)  # a name the ruleset body reads
+            if expr.name not in scope:
                 self.error("unknown-name", expr.span, f"unknown identifier {expr.name}")
                 return None
-            return symbol.type
-        if isinstance(expr, ast.NegIdent):
-            symbol = scope.lookup(expr.name)
-            if symbol is None:
-                self.error("unknown-name", expr.span, f"unknown identifier {expr.name}")
+            type_name = scope[expr.name]
+            negated = isinstance(expr, ast.NegIdent)
+            if negated and type_name is not None and type_name not in _NUMERIC:
+                self.error("type-mismatch", expr.span, f"cannot negate a {type_name} value")
                 return None
-            if symbol.type is not None and symbol.type not in _NUMERIC:
-                self.error(
-                    "type-mismatch", expr.span, f"cannot negate a {symbol.type} value"
-                )
-                return None
-            return symbol.type
+            return type_name
         if isinstance(expr, ast.RepeaterIdent):
             if expr.name == "#repeaters":
                 return "vec[Repeater]"
-            symbol = scope.lookup(expr.name)
-            if symbol is None:
+            if expr.name not in scope:
                 self.error(
                     "unknown-name", expr.span, f"unknown repeater identifier {expr.name}"
                 )
                 return None
-            return symbol.type
+            return scope[expr.name]
         if isinstance(expr, ast.GetExpr):
             if self.current_rule is not None:
                 self.out.consumers.setdefault(self.current_rule, []).append(
@@ -1161,112 +1168,10 @@ def _bound(declared: str | None, actual: str | None) -> str | None:
     return declared or actual
 
 
-def analyze(program: ast.Program) -> Analysis:
-    """Run name/type checks over a parsed program."""
-    return _Checker(program).run()
-
-
-def check_dataflow(analysis: Analysis) -> list[Diagnostic]:
-    """Set-before-get ordering and promoted-qubit plumbing over the ruleset body."""
-    diagnostics: list[Diagnostic] = []
-    program = analysis.program
-
-    rule_sets: dict[str, set[str]] = {}
-    for name, _ in analysis.signatures.items():
-        rule_sets[name] = set()
-    for produced, (rule_name, _) in analysis.producers.items():
-        rule_sets.setdefault(rule_name, set()).add(produced)
-
-    def get_before_set(span: ast.Span, message: str) -> None:
-        diagnostics.append(Diagnostic(SEVERITY_ERROR, "get-before-set", span, message))
-
-    # Walk rule calls in textual order, tracking what has been produced.
-    produced: set[str] = set()
-    reported: set[int] = set()
-
-    def visit_call(rule_name: str) -> None:
-        for consumed, span in analysis.consumers.get(rule_name, []):
-            if consumed in produced or id(span) in reported:
-                continue
-            reported.add(id(span))
-            if consumed in analysis.producers:
-                get_before_set(span, f"{consumed} is read before any earlier rule sets it")
-            else:
-                get_before_set(span, f"{consumed} is never set")
-        produced.update(rule_sets.get(rule_name, set()))
-
-    qubit_lets: list[tuple[str, ast.Span, bool]] = []  # (name, span, maybe)
-    used_names: set[str] = set()
-
-    def scan_expr(expr: ast.Expr) -> None:
-        if isinstance(expr, (ast.Ident, ast.NegIdent)):
-            used_names.add(expr.name)
-        elif isinstance(expr, ast.RuleCall):
-            scan_expr(expr.repeater.index)
-            for arg in expr.args:
-                scan_expr(arg)
-        elif isinstance(expr, ast.RepeaterCall):
-            scan_expr(expr.index)
-        elif isinstance(expr, ast.FnCall):
-            for arg in expr.args:
-                scan_expr(arg)
-        elif isinstance(expr, ast.VariableCall):
-            for part in expr.parts:
-                if isinstance(part, ast.FnCall):
-                    for arg in part.args:
-                        scan_expr(arg)
-        elif isinstance(expr, ast.CompExpr):
-            scan_expr(expr.lhs)
-            scan_expr(expr.rhs)
-        elif isinstance(expr, ast.TermExpr):
-            for operand in expr.operands:
-                scan_expr(operand)
-        elif isinstance(expr, (ast.VectorLit, ast.TupleLit)):
-            for item in expr.items:
-                scan_expr(item)
-
-    for stmt in _walk(program.ruleset.stmts if program.ruleset else ()):
-        if isinstance(stmt, ast.LetStmt):
-            scan_expr(stmt.value)
-            if isinstance(stmt.value, ast.RuleCall):
-                visit_call(stmt.value.name)
-                sig = analysis.signatures.get(stmt.value.name)
-                for i, target in enumerate(stmt.targets):
-                    maybe = bool(sig and i < len(sig.maybe_flags) and sig.maybe_flags[i])
-                    if target.type_annotation and str(target.type_annotation) == "Qubit":
-                        qubit_lets.append((target.name, target.span, maybe))
-        elif isinstance(stmt, ast.ExprStmt):
-            if isinstance(stmt.expr, ast.RuleCall):
-                visit_call(stmt.expr.name)
-            scan_expr(stmt.expr)
-        elif isinstance(stmt, ast.ForStmt):
-            generator = stmt.generator
-            scan_expr(generator.stop if isinstance(generator, ast.Series) else generator)
-        elif isinstance(stmt, ast.IfStmt):
-            for cond, _body in stmt.branches:
-                scan_expr(cond)
-
-    if program.ruleset is None:
-        # Without a ruleset body there is no call order; flag gets that can
-        # never be satisfied because the name is set nowhere at all.
-        for gets in analysis.consumers.values():
-            for consumed, span in gets:
-                if consumed not in analysis.producers:
-                    get_before_set(span, f"{consumed} is never set")
-
-    for name, span, maybe in qubit_lets:
-        if not maybe and name not in used_names:
-            diagnostics.append(
-                Diagnostic(SEVERITY_WARNING, "unused-promoted", span, f"unused promoted qubit {name}")
-            )
-    return diagnostics
-
-
 def analyze_program(program: ast.Program) -> Analysis:
-    """analyze() plus the ruleset-order dataflow pass."""
-    analysis = analyze(program)
-    analysis.diagnostics.extend(check_dataflow(analysis))
-    return analysis
+    """Check a parsed program whose imports are resolved: every rule, then the
+    ruleset body in one walk; all diagnostics found, in that order."""
+    return _Checker(program).run()
 
 
 # Imported modules by resolved path, with the text each was parsed from.

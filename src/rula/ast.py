@@ -160,6 +160,13 @@ Expr = (
 )
 
 
+def unparen(expr: Expr) -> Expr:
+    """`expr` without the parentheses around it: `(m)` parses as a one-item tuple."""
+    while isinstance(expr, TupleLit) and len(expr.items) == 1:
+        expr = expr.items[0]
+    return expr
+
+
 # --- statements --------------------------------------------------------------
 
 

@@ -9,7 +9,6 @@ output (the written file list, JSON reports).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -85,7 +84,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
         _err(f"{path}: error[parse]: source is not UTF-8: {exc}")
         return EXIT_FAILURE
     try:
-        program = parser.parse(source, filename=str(path))
+        program, warnings = parser.parse_with_warnings(source, filename=str(path))
     except parser.ParseError as exc:
         _err(f"{exc.filename}:{exc.line}:{exc.column}: error[parse]: {exc}")
         return EXIT_FAILURE
@@ -94,7 +93,9 @@ def cmd_compile(args: argparse.Namespace) -> int:
         program, _include_roots(path, args.include)
     )
     analysis = analyzer.analyze_program(program)
-    diagnostics = list(diagnostics) + list(analysis.diagnostics)
+    style = [analyzer.Diagnostic(analyzer.SEVERITY_WARNING, "style", w.span, w.message)
+             for w in warnings]
+    diagnostics = style + diagnostics + analysis.diagnostics
     _print_diagnostics(source, str(path), diagnostics)
     if any(d.is_error for d in diagnostics):
         return EXIT_FAILURE
@@ -134,7 +135,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             continue
         try:
             ruleset = ir.deserialize(path.read_text(encoding="utf-8"), interned)
-        except (ir.SchemaError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (ir.SchemaError, UnicodeDecodeError) as exc:
             _err(f"{path}: error[schema]: {exc}")
             status = EXIT_FAILURE
             continue
@@ -157,7 +158,7 @@ def _load_rulesets(directory: Path, topology: config.Topology):
     for path in sorted(directory.glob("*.json")):
         try:
             ruleset = ir.deserialize(path.read_text(encoding="utf-8"), interned)
-        except (ir.SchemaError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (ir.SchemaError, UnicodeDecodeError) as exc:
             raise RuntimeError(f"{path}: {exc}") from exc
         if ruleset.owner_addr in rulesets:
             raise RuntimeError(

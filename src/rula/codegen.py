@@ -217,9 +217,8 @@ class _Variant:
         )
 
     def alloc_register(self) -> str:
-        name = "MeasResult" if self.registers == 0 else f"MeasResult{self.registers}"
         self.registers += 1
-        return name
+        return ir.register(self.registers - 1)
 
 
 @dataclass
@@ -686,6 +685,7 @@ class _Compiler:
 
     def _match_cmp(self, subject, pattern, v: _Variant) -> ir.CmpClause:
         """The Cmp clause that selects one arm; arms are literals."""
+        subject = ast.unparen(subject)
         if isinstance(subject, ast.CompExpr):
             cmp = self._lower_comparison(subject, v)
             if pattern.value:

@@ -54,12 +54,6 @@ class Topology:
             )
         return self.repeaters[target]
 
-    def by_address(self, address: int) -> Repeater:
-        for repeater in self.repeaters:
-            if repeater.address == address:
-                return repeater
-        raise ConfigError(f"no repeater has address {address}")
-
 
 def load_config(text: str) -> Topology:
     try:

@@ -132,6 +132,12 @@ class MeasureClause:
     basis: str
 
 
+def register(n: int) -> str:
+    """The name of the register a firing's `n`th measurement (from 0) writes,
+    as Cmp and Set clauses and Meas payloads name it."""
+    return "MeasResult" if n == 0 else f"MeasResult{n}"
+
+
 @dataclass(frozen=True)
 class QGate:
     qubit: QubitId

@@ -87,21 +87,6 @@ def line_col(source: str, pos: int) -> tuple[int, int]:
     return line, pos - last_nl
 
 
-def render_error(err: ParseError) -> str:
-    """Format a parse error with the offending line and a caret marker."""
-    lines = err.source.splitlines() or [""]
-    index = min(err.line, len(lines)) - 1
-    excerpt = lines[index]
-    caret = " " * (err.column - 1) + "^"
-    expected = ", ".join(err.expected)
-    return (
-        f"error: parse failure at {err.line}:{err.column}\n"
-        f"  {excerpt}\n"
-        f"  {caret}\n"
-        f"expected: {expected}"
-    )
-
-
 @dataclass(frozen=True)
 class StyleWarning:
     message: str

@@ -166,19 +166,12 @@ def _register_layout(clauses: tuple[ir.ActionClause, ...]) -> dict[int, str]:
     """Map clause index -> register name produced there, mirroring the
     compiler's allocation order (composites take one register)."""
     layout: dict[int, str] = {}
-    count = 0
     i = 0
     while i < len(clauses):
-        if _is_composite(clauses, i):
-            layout[i] = "MeasResult" if count == 0 else f"MeasResult{count}"
-            count += 1
-            i += 3
-        elif isinstance(clauses[i], ir.MeasureClause):
-            layout[i] = "MeasResult" if count == 0 else f"MeasResult{count}"
-            count += 1
-            i += 1
-        else:
-            i += 1
+        composite = _is_composite(clauses, i)
+        if composite or isinstance(clauses[i], ir.MeasureClause):
+            layout[i] = ir.register(len(layout))
+        i += 3 if composite else 1
     return layout
 
 
@@ -778,15 +771,9 @@ class _Firing:
         self.node = node
         self.bindings = bindings
         self.message = message
-        self.registers: dict[str, str] = {}
-        self.reg_count = 0
+        self.registers: dict[str, str] = {}  # the nth measurement writes ir.register(n)
         # per-slot measurement dependency sets built up by two-qubit gates
         self.zdeps, self.xdeps = _dependencies(bindings)
-
-    def _alloc(self) -> str:
-        name = "MeasResult" if self.reg_count == 0 else f"MeasResult{self.reg_count}"
-        self.reg_count += 1
-        return name
 
     def execute(self, clauses: tuple[ir.ActionClause, ...]) -> None:
         i = 0
@@ -867,7 +854,7 @@ class _Firing:
             if pair_id != end.pair.id:
                 self.net.pairs[pair_id].purify_state = "pending"
         bit = self._outcome(signature)
-        self.registers[self._alloc()] = str(bit)
+        self.registers[ir.register(len(self.registers))] = str(bit)
         end.state = "gone"
 
     def _splice(self, qc: ir.QCircClause, mx: ir.MeasureClause, mz: ir.MeasureClause):
@@ -896,7 +883,7 @@ class _Firing:
             far = old.other_end(self.bindings[cq if old is lp else tq])
             far.pair = spliced
             spliced.ends.append(far)
-        self.registers[self._alloc()] = f"{m_parity}{m_phase}"
+        self.registers[ir.register(len(self.registers))] = f"{m_parity}{m_phase}"
 
     # --- classical effects ---------------------------------------------------
 

@@ -11,9 +11,7 @@ import pytest
 from rula import analyzer, ast, codegen, config
 from rula.analyzer import (
     Analysis,
-    analyze,
     analyze_program,
-    check_dataflow,
     resolve_imports,
 )
 from rula.parser import parse
@@ -235,16 +233,15 @@ class TestDataflow:
             ruleset rs { r<#repeaters(0)>() }
             """
         )
-        analysis = analyze(parse(source))
-        flow = check_dataflow(analysis)
-        errors = [d for d in flow if d.is_error]
+        analysis = analyze_program(parse(source))
+        errors = analysis.errors
         assert len(errors) == 1
         assert "foo is never set" in errors[0].message
         line_start, line_end = _line_containing(source, "get foo")
         assert line_start <= errors[0].span.start <= errors[0].span.end <= line_end
 
     def test_get_before_set_ordering(self):
-        analysis = analyze(
+        analysis = analyze_program(
             parse(
                 textwrap.dedent(
                     """
@@ -267,8 +264,9 @@ class TestDataflow:
                 )
             )
         )
-        flow = check_dataflow(analysis)
-        assert any("read before any earlier rule sets it" in d.message for d in flow)
+        assert any(
+            "read before any earlier rule sets it" in d.message for d in analysis.diagnostics
+        )
 
     def test_correct_ordering_is_clean(self):
         analysis = _analyze(
@@ -311,6 +309,27 @@ class TestDataflow:
     def test_consumed_promoted_qubit_has_no_warning(self):
         analysis = _analyze(RULE_TEMPLATE.format(annotation=" :-> Qubit"))
         assert [d for d in analysis.diagnostics if d.severity == "warning"] == []
+
+    def test_ordering_and_unused_qubits_are_reported_last(self):
+        analysis = _analyze(
+            """
+            rule consumer<#rep>(){
+                cond { @m: recv(#rep.hop(1)) }
+                => act { if (m.result == get shared) { set_timer("t", 1) } }
+            }
+            rule source<#rep>() :-> Qubit {
+                cond { @q: res(1, 0.5, #rep.hop(1), 0) }
+                => act { promote q }
+            }
+            ruleset rs {
+                let p: Qubit = source<#repeaters(0)>()
+                consumer<#repeaters(0)>()
+                ghost<#repeaters(0)>()
+            }
+            """
+        )
+        codes = [d.code for d in analysis.diagnostics]
+        assert codes == ["unknown-rule", "get-before-set", "unused-promoted"]
 
 
 class TestTyping:
@@ -755,6 +774,9 @@ rule probe<#rep>(r: Result){
     def test_tuple_target_needs_a_rule_call(self):
         source = _shape(ruleset="let (a: int, b: int) = 5")
         assert _only_error(source, "let (a: int, b: int) = 5").code == "arity"
+
+    def test_untyped_condition_is_reported_once(self):
+        assert _only_error(_shape(act="if (foo) { x(q1) }"), "foo").code == "unknown-name"
 
     def test_repeaters_do_not_compare(self):
         source = _shape(act="if (partner == partner) { free(q1) }")

@@ -173,6 +173,21 @@ class TestCompile:
         assert f"{program}:{line}:{column}: error[bad-res]: {message}" in err
         assert not out_dir.exists()
 
+    def test_plain_return_arrow_is_a_style_warning(self, corpus, capsys, tmp_path):
+        text = (corpus / "purification.rula").read_text()
+        text = text.replace(":-> Qubit {", "-> Qubit {", 1)
+        program = tmp_path / "purification.rula"
+        program.write_text(text)
+        offset = text.index("-> Qubit {")
+        line = text.count("\n", 0, offset) + 1
+        column = offset - text.rfind("\n", 0, offset)
+        argv = ["compile", program, "--config", corpus / "config3.json"]
+        argv += ["--out-dir", tmp_path / "out", "--include", corpus]
+        code, _out, err = run_cli(argv, capsys)
+        assert code == 0
+        message = 'return annotation written with "->"; the canonical arrow is ":->"'
+        assert f"{program}:{line}:{column}: warning[style]: {message}" in err.splitlines()
+
     def test_explicit_ruleset_id(self, corpus, capsys, tmp_path):
         code, _out, _err, out_dir = compile_swap(
             corpus, capsys, tmp_path, extra=["--ruleset-id", "0x13ed232"]

@@ -682,18 +682,29 @@ RUN_TIME_CASES = [
 ]
 
 
+# A match subject in parentheses, and the same subject bare.
+PARENTHESIZED_SUBJECTS = [
+    ("result", '(r) { "1" => {x(q1)}, }', 'r { "1" => {x(q1)}, }'),
+    ("result-twice", '((r)) { "1" => {x(q1)}, }', 'r { "1" => {x(q1)}, }'),
+    ("get", '(get k) { "1" => {x(q1)}, }', 'get k { "1" => {x(q1)}, }'),
+    (
+        "comparison",
+        '(r == "1") { true => {x(q1)}, false => {free(q1)}, }',
+        'r == "1" { true => {x(q1)}, false => {free(q1)}, }',
+    ),
+]
+
+
 class TestRunTimeComparisons:
     """Act-level match and if over run-time readings: the Cmp clauses that
     select each sibling rule."""
 
-    @pytest.mark.parametrize(
-        "act,cmps", [case[1:] for case in RUN_TIME_CASES], ids=[c[0] for c in RUN_TIME_CASES]
-    )
-    def test_cmp_clauses(self, act, cmps):
+    @staticmethod
+    def lowered(act: str) -> list[list[tuple]]:
         out = compile_source(RUN_TIME_TEMPLATE.format(act=act), chain(2))
         assert out.ok, out.diagnostics
         _, stage = out.per_node[0].stages
-        lowered = [
+        return [
             [
                 (c.cmp_val, c.operator, c.target_val.kind, c.target_val.value)
                 for c in rule.condition.clauses
@@ -701,7 +712,22 @@ class TestRunTimeComparisons:
             ]
             for rule in stage.rules
         ]
-        assert lowered == cmps
+
+    @pytest.mark.parametrize(
+        "act,cmps", [case[1:] for case in RUN_TIME_CASES], ids=[c[0] for c in RUN_TIME_CASES]
+    )
+    def test_cmp_clauses(self, act, cmps):
+        assert self.lowered(act) == cmps
+
+    @pytest.mark.parametrize(
+        "parenthesized,bare",
+        [case[1:] for case in PARENTHESIZED_SUBJECTS],
+        ids=[c[0] for c in PARENTHESIZED_SUBJECTS],
+    )
+    def test_parenthesized_subject(self, parenthesized, bare):
+        cmps = self.lowered("match " + bare)
+        assert cmps and all(cmps)
+        assert self.lowered("match " + parenthesized) == cmps
 
 
 class TestUnpromoted:

@@ -36,7 +36,7 @@ class TestLoad:
         )
         topology = load_config(text)
         assert topology.at(1).address == 20
-        assert topology.by_address(10).index == 0
+        assert topology.at(0).address == 10
 
     def test_empty_array_rejected(self):
         with pytest.raises(ConfigError, match="at least one repeater required"):

@@ -15,7 +15,6 @@ from rula.parser import (
     parse_expression,
     parse_statements,
     parse_with_warnings,
-    render_error,
 )
 
 
@@ -303,15 +302,6 @@ class TestErrors:
         assert err.line == 1
         assert source[err.pos] == "}"
         assert "act" in err.expected
-
-    def test_render_error_includes_caret(self):
-        try:
-            parse("rule t<#rep>(){ cond {} => }")
-        except ParseError as err:
-            rendered = render_error(err)
-        assert "parse failure at 1:" in rendered
-        assert "^" in rendered
-        assert "expected:" in rendered
 
     def test_unclosed_block(self):
         with pytest.raises(ParseError):
