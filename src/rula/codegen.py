@@ -132,7 +132,6 @@ class PromotedHandle:
 
     owner_index: int
     qubit_index: int
-    maybe: bool = False
 
 
 @dataclass(frozen=True)
@@ -504,10 +503,10 @@ class _Compiler:
         promoting = next((v for v in variants if v.promotes), None)
         promotes = promoting.promotes if promoting is not None else ()
         return tuple(
-            PromotedHandle(owner.index, promotes[i], ret.maybe)
+            PromotedHandle(owner.index, promotes[i])
             if i < len(promotes)
             else Unpromoted(rule.name, owner.index)
-            for i, ret in enumerate(rule.return_types)
+            for i in range(len(rule.return_types))
         )
 
     # --- condition lowering --------------------------------------------------

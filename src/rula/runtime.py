@@ -12,9 +12,9 @@ The rule groups, the link provisioning and the index of send clauses are
 built once per call (`Blueprint`); a `Network` holds only what a run
 changes, so it can be forked.  Enumeration is a depth-first walk: a branch
 runs with zero bits past its plan and snapshots the network before every
-firing that may draw a bit, and each zero it drew is flipped in a new branch
-that resumes from the snapshot before the firing that drew it, so the
-rounds before a measurement run once for the whole subtree below it.
+firing of a group that measures, and each zero it drew is flipped in a new
+branch that resumes from the snapshot before the firing that drew it, so
+the rounds before a measurement run once for the whole subtree below it.
 """
 
 from __future__ import annotations
@@ -57,15 +57,14 @@ class RandomOutcomes:
     def draw(self, position: int) -> int:
         return self._rng.getrandbits(1)
 
-    def checkpoint(self, net: "Network", index: int, group: "Group", bindings: dict) -> None:
+    def checkpoint(self, net: "Network", index: int) -> None:
         pass
 
 
 class _Branch:
     """One branch of the enumeration: replays `plan` bit by bit, then draws
-    zeros, and snapshots the network before every firing that may draw: one
-    whose measurements all span correlations sampled before draws nothing,
-    and needs none.
+    zeros, and snapshots the network before every firing of a group that
+    measures.
 
     A branch resumed from `origin` re-enters the firing `origin` was taken
     before; that snapshot stands for it instead of a fresh copy.
@@ -79,17 +78,16 @@ class _Branch:
     def draw(self, position: int) -> int:
         return self.plan[position] if position < len(self.plan) else 0
 
-    def checkpoint(self, net: "Network", index: int, group: "Group", bindings: dict) -> None:
+    def checkpoint(self, net: "Network", index: int) -> None:
         if self._resumed:
             self._resumed = False
-            return
-        if net.may_draw(group, bindings):
+        else:
             self.snapshots.append(_Snapshot(net.fork(None), index))
 
 
 @dataclass(eq=False)
 class _Snapshot:
-    """A network about to fire a group that may draw, at node `index` of
+    """A network about to fire a group that measures, at node `index` of
     the round in progress."""
 
     net: "Network"
@@ -127,7 +125,6 @@ class End:
     node: int
     viewed_partner: int
     state: str = "free"  # free | promoted | gone
-    seq: int = 0
 
 
 @dataclass
@@ -162,26 +159,12 @@ def _is_composite(clauses: tuple[ir.ActionClause, ...], i: int) -> bool:
     )
 
 
-def _register_layout(clauses: tuple[ir.ActionClause, ...]) -> dict[int, str]:
-    """Map clause index -> register name produced there, mirroring the
-    compiler's allocation order (composites take one register)."""
-    layout: dict[int, str] = {}
-    i = 0
-    while i < len(clauses):
-        composite = _is_composite(clauses, i)
-        if composite or isinstance(clauses[i], ir.MeasureClause):
-            layout[i] = ir.register(len(layout))
-        i += 3 if composite else 1
-    return layout
-
-
 @dataclass
 class Group:
     """Rules in one stage sharing a shared_tag: alternatives of which at
     most one fires.  Its state lives in the network, at index `gid`."""
 
     gid: int
-    tag: int
     rules: list[ir.Rule]
     # tuples: the empty ones are one shared object, which keeps the many
     # groups of a long chain cheap for the garbage collector to scan
@@ -201,17 +184,23 @@ RESOLVED = ("fired", "cancelled")
 
 
 def _split_point(rule: ir.Rule, discriminators: tuple[ir.CmpClause, ...]) -> int:
-    """For a single-alternative group: how many action clauses may run
-    before its comparison clauses can be evaluated."""
+    """For a single-alternative group: how many action clauses must run
+    before its comparison clauses can be evaluated, up to the last that
+    writes a register one of them reads.  Registers are numbered as
+    `_Firing` writes them: a fused measurement writes one."""
+    clauses = rule.action.clauses
     if not discriminators:
-        return len(rule.action.clauses)
-    layout = _register_layout(rule.action.clauses)
+        return len(clauses)
     needed = {c.cmp_val for c in discriminators}
-    end = 0
-    for idx, reg in layout.items():
-        if reg in needed:
-            width = 3 if _is_composite(rule.action.clauses, idx) else 1
-            end = max(end, idx + width)
+    needed.update(c.target_val.value for c in discriminators if c.target_val.kind == "Variable")
+    end = written = i = 0
+    while i < len(clauses):
+        width = 3 if _is_composite(clauses, i) else 1
+        if width == 3 or isinstance(clauses[i], ir.MeasureClause):
+            if ir.register(written) in needed:
+                end = i + width
+            written += 1
+        i += width
     return end
 
 
@@ -258,7 +247,6 @@ def _build_group(rules: list[ir.Rule], gid: int) -> Group:
             referenced.discard(clause.qubit_index)
     return Group(
         gid=gid,
-        tag=head.shared_tag,
         rules=rules,
         res=res,
         recv=recvs[0] if recvs else None,
@@ -399,15 +387,13 @@ class Network:
         self.nodes = {addr: Node(addr, stages) for addr, stages in blueprint.stages.items()}
 
         self.ends: dict[int, list[End]] = {addr: [] for addr in self.nodes}
-        seq = 0
         addresses = blueprint.addresses
         for a, b in zip(addresses, addresses[1:]):
             for _ in range(blueprint.links.get((a, b), 0)):
                 pair = Pair(id=len(self.pairs), fidelity=initial_fidelity)
                 self.pairs.append(pair)
                 for holder, partner in ((a, b), (b, a)):
-                    end = End(pair=pair, node=holder, viewed_partner=partner, seq=seq)
-                    seq += 1
+                    end = End(pair=pair, node=holder, viewed_partner=partner)
                     pair.ends.append(end)
                     self.ends[holder].append(end)
         for node in self.nodes.values():
@@ -438,7 +424,7 @@ class Network:
         for addr, ends in self.ends.items():
             net.ends[addr] = []
             for e in ends:
-                copy = End(net.pairs[e.pair.id], e.node, e.viewed_partner, e.state, e.seq)
+                copy = End(net.pairs[e.pair.id], e.node, e.viewed_partner, e.state)
                 copies[id(e)] = copy
                 net.ends[addr].append(copy)
         for old, new in zip(self.pairs, net.pairs):
@@ -490,10 +476,6 @@ class Network:
 
     # --- satisfiability ------------------------------------------------------
 
-    def _head(self, node: Node, src: int) -> Message | None:
-        queue = node.inboxes.get(src)
-        return queue[0] if queue else None
-
     def _condition_holds(
         self, node: Node, group: Group
     ) -> tuple[dict[int, End], Message | None] | None:
@@ -501,9 +483,10 @@ class Network:
         bind and the message it would take.  Else None."""
         head = None
         if group.recv is not None:
-            head = self._head(node, group.recv.partner_addr)
-            if head is None:
+            queue = node.inboxes.get(group.recv.partner_addr)
+            if not queue:
                 return None
+            head = queue[0]
             if group.kind_gate is not None and head.kind != group.kind_gate:
                 return None
         for timer in group.timers:
@@ -587,23 +570,6 @@ class Network:
             other = end.pair.other_end(end)
             end.viewed_partner = other.node
 
-    def may_draw(self, group: Group, bindings: dict[int, End]) -> bool:
-        """Whether firing `group` on `bindings` can draw a bit: a measurement
-        of one of its rules spans correlations with no sampled reference yet.
-        What a measurement spans follows from the bindings and the two-qubit
-        gates before it, never from an outcome, so each rule is followed to
-        its last clause whichever alternative would win."""
-        for rule in group.rules:
-            zdeps, xdeps = _dependencies(bindings)
-            for clause in rule.action.clauses:
-                if isinstance(clause, ir.MeasureClause):
-                    deps = zdeps if clause.basis == "Z" else xdeps
-                    if deps.get(clause.qubit.qubit_index) not in self.pending:
-                        return True
-                elif isinstance(clause, ir.QCircClause):
-                    _entangle(zdeps, xdeps, clause.qgates)
-        return False
-
     # --- main loop -----------------------------------------------------------
 
     def deliver(self) -> bool:
@@ -631,10 +597,9 @@ class Network:
                 held = self._condition_holds(node, group)
                 if held is None or self._bind_inherited(node, group, *held) is not None:
                     continue  # not ready: its condition fails or a qubit slot finds no end
-                bindings = held[0]
                 if group.draws:
-                    self.outcomes.checkpoint(self, index, group, bindings)
-                self._fire(node, group, bindings)
+                    self.outcomes.checkpoint(self, index)
+                self._fire(node, group, held[0])
                 progress = True
                 break
         if self.deliver():
@@ -643,11 +608,6 @@ class Network:
         return progress
 
     # --- starvation analysis -------------------------------------------------
-
-    def _inbox_has(self, node: Node, src: int, kind: str | None) -> bool:
-        return any(
-            kind is None or msg.kind == kind for msg in node.inboxes.get(src, [])
-        )
 
     def cancel_starved(self) -> bool:
         """At a no-progress point, resolve recv-gated groups whose message
@@ -665,10 +625,10 @@ class Network:
                 for group in node.current():
                     if group.recv is None or self.state[group.gid] != "pending":
                         continue
-                    src = group.recv.partner_addr
-                    if self._inbox_has(node, src, group.kind_gate):
+                    src, kind = group.recv.partner_addr, group.kind_gate
+                    if any(kind is None or m.kind == kind for m in node.inboxes.get(src, ())):
                         continue
-                    carriers = self.blueprint.carriers(src, address, group.kind_gate)
+                    carriers = self.blueprint.carriers(src, address, kind)
                     if not carriers:
                         # terminal: the sender's ruleset can never produce it
                         self.state[group.gid] = "stuck"
@@ -734,37 +694,6 @@ class Network:
 # --- clause execution --------------------------------------------------------
 
 
-def _dependencies(bindings: dict[int, End]) -> tuple[dict, dict]:
-    """Per slot, the (pair, basis) correlations a Z and an X measurement
-    span before any gate: its own pair's."""
-    zdeps = {q: frozenset({(end.pair.id, "Z")}) for q, end in bindings.items()}
-    xdeps = {q: frozenset({(end.pair.id, "X")}) for q, end in bindings.items()}
-    return zdeps, xdeps
-
-
-def _entangle(zdeps: dict, xdeps: dict, gates: tuple[ir.QGate, ...]) -> list[ir.QGate]:
-    """Spread what later measurements of each slot span through a circuit's
-    CX and CZ gates (a control and the gate after it); returns the other
-    gates, a control with no gate after it included."""
-    rest = []
-    i = 0
-    while i < len(gates):
-        gate = gates[i]
-        if gate.kind in ("CxControl", "CzControl") and i + 1 < len(gates):
-            q, tq = gate.qubit.qubit_index, gates[i + 1].qubit.qubit_index
-            if gate.kind == "CxControl":
-                zdeps[tq] = zdeps[tq] ^ zdeps[q]
-                xdeps[q] = xdeps[q] ^ xdeps[tq]
-            else:
-                xdeps[q] = xdeps[q] ^ zdeps[tq]
-                xdeps[tq] = xdeps[tq] ^ zdeps[q]
-            i += 2
-        else:
-            rest.append(gate)
-            i += 1
-    return rest
-
-
 class _Firing:
     def __init__(self, net: Network, node: Node, bindings: dict[int, End], message):
         self.net = net
@@ -772,8 +701,10 @@ class _Firing:
         self.bindings = bindings
         self.message = message
         self.registers: dict[str, str] = {}  # the nth measurement writes ir.register(n)
-        # per-slot measurement dependency sets built up by two-qubit gates
-        self.zdeps, self.xdeps = _dependencies(bindings)
+        # per slot, the (pair, basis) correlations a Z and an X measurement
+        # span: its own pair's, spread by the two-qubit gates run so far
+        self.zdeps = {q: frozenset({(end.pair.id, "Z")}) for q, end in bindings.items()}
+        self.xdeps = {q: frozenset({(end.pair.id, "X")}) for q, end in bindings.items()}
 
     def execute(self, clauses: tuple[ir.ActionClause, ...]) -> None:
         i = 0
@@ -807,10 +738,26 @@ class _Firing:
     # --- gates ---------------------------------------------------------------
 
     def _qcirc(self, clause: ir.QCircClause) -> None:
-        for gate in _entangle(self.zdeps, self.xdeps, clause.qgates):
-            if gate.kind in ("CxControl", "CzControl"):
-                raise SimulationError(f"unpaired {gate.kind} gate")
-            pair = self.bindings[gate.qubit.qubit_index].pair
+        gates = clause.qgates
+        zdeps, xdeps = self.zdeps, self.xdeps
+        i = 0
+        while i < len(gates):
+            gate = gates[i]
+            q = gate.qubit.qubit_index
+            i += 1
+            if gate.kind in ("CxControl", "CzControl"):  # pairs with the gate after it
+                if i == len(gates):
+                    raise SimulationError(f"unpaired {gate.kind} gate")
+                tq = gates[i].qubit.qubit_index
+                i += 1
+                if gate.kind == "CxControl":
+                    zdeps[tq] = zdeps[tq] ^ zdeps[q]
+                    xdeps[q] = xdeps[q] ^ xdeps[tq]
+                else:
+                    xdeps[q] = xdeps[q] ^ zdeps[tq]
+                    xdeps[tq] = xdeps[tq] ^ zdeps[q]
+                continue
+            pair = self.bindings[q].pair
             if gate.kind == "X":
                 pair.parity_bit ^= 1
             elif gate.kind == "Z":
@@ -910,15 +857,9 @@ class _Firing:
 
     def _set(self, clause: ir.SetClause) -> None:
         name = clause.variable
-        if name in self.registers:
-            value = self.registers[name]
-        elif name.startswith("message."):
-            if self.message is None:
-                raise SimulationError(f"no message bound for {name}")
-            value = self.message.payload.get(name.split(".", 1)[1], "")
-        else:
-            value = self.node.store.get(name, "")
-        self.node.store[clause.alias or name] = value
+        if self.message is None and name.startswith("message."):
+            raise SimulationError(f"no message bound for {name}")
+        self.node.store[clause.alias or name] = self._value(name)
 
     def _promote(self, clause: ir.PromoteClause) -> None:
         end = self.bindings[clause.qubit.qubit_index]

@@ -300,7 +300,7 @@ class PlannedOutcomes:
     def draw(self, position):
         return self.plan[position] if position < len(self.plan) else 0
 
-    def checkpoint(self, net, index, group, bindings):
+    def checkpoint(self, net, index):
         pass
 
 
@@ -435,10 +435,8 @@ class TestForkedEnumeration:
         assert max(peak) <= 3 + 1
         assert len(live) == 0
 
-    @staticmethod
-    def counted(monkeypatch, eager: bool, rulesets, topology):
-        """The enumeration's reports and the number of snapshots it took;
-        `eager` snapshots before every measuring firing, as if each drew."""
+    def test_every_measuring_firing_takes_a_snapshot(self, corpus, monkeypatch):
+        rulesets, topology = compile_chain(corpus, "purification.rula", 5)
         taken = []
         real = runtime._Snapshot
 
@@ -446,33 +444,10 @@ class TestForkedEnumeration:
             taken.append(args)
             return real(*args)
 
-        with monkeypatch.context() as patch:
-            patch.setattr(runtime, "_Snapshot", counting)
-            if eager:
-                patch.setattr(runtime.Network, "may_draw", lambda self, group, bindings: True)
-            reports = runtime.enumerate_outcomes(rulesets, topology)
-        return reports, len(taken)
-
-    def test_firings_that_draw_nothing_take_no_snapshot(self, corpus, monkeypatch):
-        rulesets, topology = compile_chain(corpus, "purification.rula", 5)
-        reports, lazy = self.counted(monkeypatch, False, rulesets, topology)
-        _reports, eager = self.counted(monkeypatch, True, rulesets, topology)
-        assert len(reports) == 1024
-        # 146 of the 497 measuring firings measure only what was sampled before
-        assert eager == 497 and lazy <= 351
-
-    @pytest.mark.parametrize(
-        "program,nodes",
-        [("purification.rula", 5), ("chain7.rula", 7), ("two_matches.rula", 6),
-         ("entanglement_swapping.rula", 5)],
-    )
-    def test_skipped_snapshots_leave_the_tree_unchanged(
-        self, corpus, monkeypatch, program, nodes
-    ):
-        rulesets, topology = compile_chain(corpus, program, nodes)
-        lazy, _n = self.counted(monkeypatch, False, rulesets, topology)
-        eager, _n = self.counted(monkeypatch, True, rulesets, topology)
-        assert [r.to_json() for r in lazy] == [r.to_json() for r in eager]
+        monkeypatch.setattr(runtime, "_Snapshot", counting)
+        assert len(runtime.enumerate_outcomes(rulesets, topology)) == 1024
+        # a resumed branch re-enters its origin's firing without a new copy
+        assert len(taken) == 497
 
     def test_sampled_run_is_one_branch(self, corpus):
         rulesets, topology = compile_chain(corpus, "entanglement_swapping.rula", 5)
@@ -624,12 +599,12 @@ class TestSplitPoint:
     Z measurement writes one register."""
 
     @staticmethod
-    def outcomes(register, actions, partners, op="Eq", value="1"):
+    def outcomes(register, actions, partners, op="Eq", value="1", kind="Str"):
         """Per outcome path: whether node 1's rule, which compares `register`
-        with `value`, fired. Qubit `q` of the rule holds a pair with node
-        `partners[q]`."""
+        with `value` (of wire tag `kind`), fired. Qubit `q` of the rule holds
+        a pair with node `partners[q]`."""
         condition = [_res(partner, q) for q, partner in enumerate(partners)]
-        condition.append(ir.CmpClause(register, op, ir.TaggedValue("Str", value)))
+        condition.append(ir.CmpClause(register, op, ir.TaggedValue(kind, value)))
         nodes = max(1, *partners) + 1
         rulesets = {a: _node(a) for a in range(nodes)}
         rulesets[1] = _node(1, _rule("probe", 0, condition, actions))
@@ -644,6 +619,11 @@ class TestSplitPoint:
             (1, 0): True,
             (1, 1): True,
         }
+
+    def test_compare_with_a_later_register_waits_for_it(self):
+        measure = [ir.MeasureClause(ir.QubitId(q), "Z") for q in (0, 1)]
+        fired = self.outcomes("MeasResult", measure, (0, 0), value="MeasResult1", kind="Variable")
+        assert fired == {(0, 0): True, (0, 1): False, (1, 0): False, (1, 1): True}
 
     def test_compare_on_the_second_register_waits_for_it(self):
         first, second = (ir.MeasureClause(ir.QubitId(q), "Z") for q in (0, 1))
