@@ -817,7 +817,9 @@ class _Checker:
                 self.check_rule_call(stmt.expr, scope)
                 self.visit_call(stmt.expr.name)
             else:
-                self.type_of(stmt.expr, scope)
+                self.error(
+                    "unsupported-stmt", stmt.span, "a ruleset-level expression must be a rule call"
+                )
         elif isinstance(stmt, (ast.PromoteStmt, ast.SetStmt)):
             self.error(
                 "unsupported-stmt", stmt.span, "this statement is only valid inside a rule"
@@ -860,6 +862,8 @@ class _Checker:
             elif not (isinstance(arg, ast.Ident) and actual == "Qubit"):
                 message = "a rule call argument is a compile-time value or a promoted qubit by name"
                 self.check_folds(arg, message)
+        for arg in call.args[len(sig.param_types) :]:
+            self.type_of(arg, scope)
 
     def visit_call(self, rule_name: str) -> None:
         """Order a ruleset-level rule call against the calls before it: each
@@ -1081,6 +1085,7 @@ class _Checker:
             self.check_call_args(call, SEND_FUNCTIONS[name], scope)
             return "message"
         self.error("unknown-name", call.span, f"unknown function {name}")
+        self._type_args(call, scope)
         return None
 
     def _type_variable_call(self, expr: ast.VariableCall, scope: _Scope) -> str | None:

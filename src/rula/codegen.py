@@ -379,7 +379,7 @@ class _Compiler:
                 self._exec_for(stmt, env)
             elif isinstance(stmt, ast.IfStmt):
                 self._exec_if(stmt, env)
-            elif isinstance(stmt.expr, ast.RuleCall):  # no other expression has an effect
+            else:  # the analyzer admits only a rule call here
                 self._instantiate(stmt.expr, env)
 
     def _exec_let(self, stmt: ast.LetStmt, env: dict) -> None:

@@ -503,6 +503,28 @@ class TestRulesetChecks:
         )
         assert any(d.code == "type-mismatch" for d in analysis.errors)
 
+    @pytest.mark.parametrize("stmt", ['set_timer("t", 1)', "1 + 2"])
+    def test_expression_that_is_not_a_rule_call(self, stmt):
+        analysis = _analyze(f"ruleset rs {{ {stmt} }}")
+        [error] = analysis.diagnostics
+        assert error.code == "unsupported-stmt" and "must be a rule call" in error.message
+
+    def test_arguments_past_the_arity_are_typed(self):
+        analysis = _analyze(
+            """
+            rule r<#rep>(n: int){ cond {} => act {} }
+            ruleset rs { r<#repeaters(0)>(1, ghost) }
+            """
+        )
+        assert [d.code for d in analysis.diagnostics] == ["arity", "unknown-name"]
+        assert "ghost" in analysis.diagnostics[1].message
+
+    def test_arguments_of_an_unknown_function_are_typed(self):
+        analysis = _analyze("ruleset rs { let x: int = foo(ghost) }")
+        messages = [d.message for d in analysis.errors]
+        assert any("unknown function foo" in m for m in messages)
+        assert any("ghost" in m for m in messages), messages
+
     def test_duplicate_rule_definition(self):
         analysis = _analyze(
             """
