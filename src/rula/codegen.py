@@ -21,8 +21,23 @@ by zero, a negative exponent, a res count, fidelity or qubit index out of
 range, or a name left without a value by an earlier error), `loop-bound` (a
 loop nest too large to unroll), `promote-owner` (a promoted qubit used on
 another repeater), `unpromoted` (a rule call given a `Qubit?` result that
-its rule did not promote on that repeater with those arguments) and
-`send-self` (a message addressed to its sender).
+its rule did not promote on that repeater with those arguments), `send-self`
+(a message addressed to its sender) and `bsm-partner` (a bsm of two qubits
+whose res partners are one repeater, which would splice a pair with both
+ends there).
+
+Lowering templates. A rule call's lets and cond are evaluated for each
+call, but its act is expanded once per template key: the rule and its env,
+with each repeater written as its index minus the owner's (addresses need
+not follow indices) and each scalar with its class. A later call with the
+same key takes the expanded sibling rules and moves them to its owner:
+each Send clause and send record is readdressed by its hops, and every
+other clause object is shared. An act that reads the chain itself, through
+`#rep.hop(..)`, `#repeaters(i)` or `len()`, is expanded on every call, so
+its `hop-range` and `repeater-range` errors are reported where they occur.
+An expansion that fails is never kept. Send resolution and assembly see
+the same per-node rules, ids and recv slots as without templates; on the
+1025-node doubling chain 1 023 calls make a handful of expansions.
 """
 
 from __future__ import annotations
@@ -91,8 +106,12 @@ def default_ruleset_id(program_name: str, config_bytes: bytes) -> int:
 
 def write_output(out: CompiledOutput, out_dir: Path) -> list[Path]:
     """Write one <name>_<address>.json per repeater; serialize everything first
-    so a failure cannot leave a partial set behind."""
-    texts = [(addr, ir.serialize(rs)) for addr, rs in out.per_node.items()]
+    so a failure cannot leave a partial set behind. The RuleSets share one
+    table of rule templates (see `ir.serialize`), dropped before any file is
+    written."""
+    templates: dict = {}
+    texts = [(addr, ir.serialize(rs, templates)) for addr, rs in out.per_node.items()]
+    del templates
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
     for addr, text in texts:
@@ -110,6 +129,7 @@ class QubitRef:
     """A qubit slot captured by a res clause or passed in as a promoted value."""
 
     index: int
+    hops: int | None = None  # its res partner's index minus the owner's; None if promoted
 
 
 @dataclass(frozen=True)
@@ -145,6 +165,7 @@ class Unpromoted:
 
 _REPEATERS_VEC = object()  # value of the bare '#repeaters' vector
 _POISON = object()  # placeholder binding after an aborted rule call
+_KEYED = frozenset({int, bool, str, QubitRef, MessageRef})  # env values a template key holds
 
 
 class LowerError(Exception):
@@ -159,6 +180,26 @@ class LowerError(Exception):
 
 class _UnrollLimit(LowerError):
     """A loop nest over MAX_UNROLLED bodies; aborts the whole nest."""
+
+
+def _act_key(rule: ast.RuleStmt, owner: Repeater, env: dict) -> tuple | None:
+    """The key of a rule's act expansion: the rule and its env, each
+    repeater written as its index minus the owner's and each scalar with its
+    class (a float by repr, as `-0.0 == 0.0`). None for an env holding any
+    other value, whose expansion is not kept. A rule binds its env's names
+    in the same order on every call, so the values alone make the key."""
+    key: list = [rule.name]
+    for value in env.values():
+        cls = value.__class__
+        if cls is Repeater:
+            key.append((Repeater, value.index - owner.index))
+        elif cls is float:
+            key.append((float, repr(value)))
+        elif cls in _KEYED:
+            key.append((cls, value))
+        else:
+            return None
+    return tuple(key)
 
 
 def _trunc_div(a, b, span: ast.Span):
@@ -188,6 +229,8 @@ class _SendRec:
     kind: str
     to_addr: int
     effect: tuple  # (kind,) or (kind, detail) used to dedupe synthesized rules
+    at: int  # the position of its Send clause in the variant's clauses
+    hops: int  # the addressee's index minus the owner's
 
 
 @dataclass
@@ -267,6 +310,14 @@ class _Compiler:
         self.diagnostics: list[Diagnostic] = []
         self._current_owner: Repeater | None = None
         self._unrolled = 1  # bodies the enclosing loop nest unrolls to
+        # act expansions by template key (see `_expand_rule`); clause objects
+        # shared by the rules that hold equal values (`_apply_send`,
+        # `_handler_rule`)
+        self._templates: dict[tuple, list[_Variant]] = {}
+        self._sends: dict[ir.SendClause, ir.SendClause] = {}
+        self._recvs: dict[int, ir.RecvClause] = {}  # by sender address
+        self._handler_clauses: dict[tuple, tuple] = {}  # by effect
+        self._read_topology = False  # an act read the chain outside its env
 
     def error(self, code: str, span: ast.Span, message: str) -> None:
         self.diagnostics.append(Diagnostic("error", code, span, message))
@@ -301,6 +352,7 @@ class _Compiler:
         return value
 
     def _repeater_at(self, expr: ast.RepeaterCall, env: dict) -> Repeater:
+        self._read_topology = True
         try:
             return self.topology.at(self.eval(expr.index, env))
         except ConfigError as exc:
@@ -308,6 +360,7 @@ class _Compiler:
 
     def _eval_chain(self, expr: ast.VariableCall, env: dict):
         # A message field never gets here: its head is a run-time value.
+        self._read_topology = True
         current = self.eval(expr.parts[0], env)
         for part in expr.parts[1:]:
             if part.name == "len":
@@ -484,9 +537,17 @@ class _Compiler:
             env[let.targets[0].name] = self.eval(let.value, env)
 
         cond_clauses, recv_froms = self._lower_cond(rule.cond, env)
-        base = _Variant(env=env)
-        variants = self._expand_stmts(list(rule.act.stmts) + list(rule.trailing), base)
-        variants = [v for v in variants if not v.otherwise] + [v for v in variants if v.otherwise]
+        key = _act_key(rule, owner, env)
+        variants = self._templates.get(key)
+        if variants is None:
+            self._read_topology = False
+            base = _Variant(env=env)
+            variants = self._expand_stmts(list(rule.act.stmts) + list(rule.trailing), base)
+            variants = [v for v in variants if not v.otherwise] + [v for v in variants if v.otherwise]
+            if key is not None and not self._read_topology:
+                self._templates[key] = variants
+        else:
+            variants = self._relocate(variants, owner)
 
         record = _CallRecord(
             idx=len(self.calls),
@@ -508,6 +569,30 @@ class _Compiler:
             else Unpromoted(rule.name, owner.index)
             for i in range(len(rule.return_types))
         )
+
+    def _relocate(self, variants: list[_Variant], owner: Repeater) -> list[_Variant]:
+        """The variants of a template moved to `owner`: each Send clause and
+        record readdressed by its hops, every other clause shared."""
+        repeaters = self.topology.repeaters
+        made: dict[int, ir.SendClause] = {}  # by the id of the template's clause
+        moved = []
+        for v in variants:
+            if not v.sends:
+                moved.append(v)
+                continue
+            clauses = list(v.clauses)
+            sends = []
+            for send in v.sends:
+                to_addr = repeaters[owner.index + send.hops].address
+                clause = clauses[send.at]
+                clauses[send.at] = made.get(id(clause)) or made.setdefault(
+                    id(clause), ir.SendClause(clause.message, to_addr, clause.payload)
+                )
+                sends.append(_SendRec(send.kind, to_addr, send.effect, send.at, send.hops))
+            moved.append(
+                _Variant(v.env, v.cmps, clauses, v.promotes, sends, v.registers, v.frozen, v.otherwise)
+            )
+        return moved
 
     # --- condition lowering --------------------------------------------------
 
@@ -536,7 +621,7 @@ class _Compiler:
                     )
                 )
                 if clause.capture:
-                    env[clause.capture] = QubitRef(int(index))
+                    env[clause.capture] = QubitRef(int(index), partner.index - self._current_owner.index)
             elif call.name == "recv":
                 partner = self.eval(call.args[0], env)
                 clauses.append(ir.RecvClause(partner_addr=partner.address))
@@ -598,8 +683,17 @@ class _Compiler:
     def _measure(self, call: ast.FnCall, v: _Variant) -> str:
         """Lower bsm(a, b) or measure(q, basis); returns the result register."""
         if call.name == "bsm":
-            a = self._qubit(call.args[0], v)
-            b = self._qubit(call.args[1], v)
+            a, b = (v.env[arg.name] for arg in call.args)
+            if a.hops is not None and a.hops == b.hops:
+                partner = self._current_owner.index + a.hops
+                raise LowerError(
+                    "bsm-partner",
+                    call.span,
+                    f"bsm({call.args[0].name}, {call.args[1].name}) joins two pairs whose far "
+                    f"ends are both on repeater index {partner}: it would leave a pair "
+                    "with both ends there",
+                )
+            a, b = ir.QubitId(a.index), ir.QubitId(b.index)
             v.clauses.append(ir.QCircClause((ir.QGate(a, "CxControl"), ir.QGate(b, "CxTarget"))))
             v.clauses.append(ir.MeasureClause(a, "X"))
             v.clauses.append(ir.MeasureClause(b, "Z"))
@@ -648,8 +742,10 @@ class _Compiler:
         else:  # Transfer / Free
             payload = (("qubit", str(qubit.qubit_index)),)
             effect = (kind,)
-        v.clauses.append(ir.SendClause(kind, destination.address, payload))
-        v.sends.append(_SendRec(kind, destination.address, effect))
+        hops = destination.index - self._current_owner.index
+        v.sends.append(_SendRec(kind, destination.address, effect, len(v.clauses), hops))
+        clause = ir.SendClause(kind, destination.address, payload)
+        v.clauses.append(self._sends.setdefault(clause, clause))  # one object per value
 
     def _qubit(self, name: ast.Ident, v: _Variant) -> ir.QubitId:
         return ir.QubitId(v.env[name.name].index)
@@ -835,22 +931,30 @@ class _Compiler:
         ]
         return obligations, unbound, handler_stages
 
-    def _handler_rule(self, handler: _Handler) -> tuple[str, list, list]:
-        condition = [
-            ir.RecvClause(partner_addr=handler.from_addr),
-            ir.CmpClause("MessageKind", "Eq", ir.TaggedValue("MessageKind", handler.kind)),
-        ]
-        # Handler actions address qubit 0: the resource carried by the message.
-        slot = ir.QubitId(0)
-        if handler.kind == "Update":
-            action = [ir.QCircClause((ir.QGate(slot, handler.effect[1]),))]
-        elif handler.kind == "Free":
-            action = [ir.FreeClause(slot)]
-        elif handler.kind == "Transfer":
-            action = [ir.PromoteClause(slot)]
-        else:  # Meas
-            action = [ir.SetClause(variable="message.result", alias=handler.effect[1])]
-        return f"wait_{handler.kind.lower()}", condition, action
+    def _handler_rule(self, handler: _Handler) -> tuple[str, tuple, tuple]:
+        """The name, condition and action clauses of a handler's wait rule.
+        The clause objects are shared: the Recv by every rule that waits on
+        the same sender, the rest by every rule with the same effect."""
+        recv = self._recvs.get(handler.from_addr)
+        if recv is None:
+            recv = self._recvs[handler.from_addr] = ir.RecvClause(handler.from_addr)
+        made = self._handler_clauses.get(handler.effect)
+        if made is None:
+            kind = handler.kind
+            cmp = ir.CmpClause("MessageKind", "Eq", ir.TaggedValue("MessageKind", kind))
+            # Handler actions address qubit 0: the resource carried by the message.
+            slot = ir.QubitId(0)
+            if kind == "Update":
+                action = ir.QCircClause((ir.QGate(slot, handler.effect[1]),))
+            elif kind == "Free":
+                action = ir.FreeClause(slot)
+            elif kind == "Transfer":
+                action = ir.PromoteClause(slot)
+            else:  # Meas
+                action = ir.SetClause(variable="message.result", alias=handler.effect[1])
+            made = self._handler_clauses[handler.effect] = (f"wait_{kind.lower()}", cmp, action)
+        name, cmp, action = made
+        return name, (recv, cmp), (action,)
 
     def _assemble(self, handler_stages) -> dict[int, ir.RuleSet]:
         # Each repeater's stages in call order: a call's own rules, then the
@@ -891,8 +995,8 @@ class _Compiler:
                                 name=name,
                                 id=rule_id,
                                 shared_tag=shared_tag,
-                                condition=ir.Condition(None, tuple(condition)),
-                                action=ir.Action(None, tuple(action)),
+                                condition=ir.Condition(None, condition),
+                                action=ir.Action(None, action),
                             )
                         )
                         rule_id += 1

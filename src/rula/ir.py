@@ -10,6 +10,19 @@ through it, building no intermediate dict tree, and writes the bytes
 `json.dumps(indent=4, ensure_ascii=False)` gives for the document; the
 deserializer takes its key sets from the same table.
 
+`serialize` writes each distinct rule once (Holzmann's state hashing in
+SPIN, 1997: equal work is keyed and done once). A rule's holes are its
+`id` and `shared_tag` and the `partner_addr` of its Res, Recv and Send
+clauses; everything else that shapes its text is the key of its template.
+On a miss the rule is written through `_write_node` with a raw "\0" in
+each hole, which JSON text never holds (the encoder escapes it in strings),
+and the text is split there; every rule with that key is the pieces joined
+with its own hole values. The 11 253 rules of the 1025-node doubling chain
+have 9 templates. The key tells apart values that compare equal but write
+differently (`1`, `1.0` and `True`; `0.0` and `-0.0`). Keying a clause
+walks its fields, so each clause's key is kept by its identity: lowering
+shares clause objects between the rules it expands from one template.
+
 Deserialization is one pass over the decoded JSON, and a document that
 passes builds no error text. Each object's keys are compared once with its
 shape, and each scalar's exact class is checked; only a value that fails
@@ -40,7 +53,7 @@ actions are distinct, and keying them made a load slower, not faster.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 CMP_OPERATORS = ("Eq", "Neq", "Lt", "Leq", "Gt", "Geq")
 MESSAGE_KINDS = ("Free", "Update", "Meas", "Transfer")
@@ -249,9 +262,18 @@ _PAIRS = frozenset({"qnic_interfaces", "payload"})
 _OPTIONAL = frozenset({"alias", "payload"})
 
 
-def serialize(ruleset: RuleSet) -> str:
-    """Render a RuleSet as canonical JSON text (4-space indent, LF, newline at EOF)."""
-    return dumps(ruleset) + "\n"
+def serialize(ruleset: RuleSet, templates: dict | None = None) -> str:
+    """Render a RuleSet as canonical JSON text (4-space indent, LF, newline at EOF).
+
+    Each rule is written from its template (see "rule templates" below).
+    `templates` is the template table of the write: pass one dict to every
+    call of a write that renders several RuleSets, and drop it when the
+    write is done.
+    """
+    out: list[str] = []
+    _write(ruleset, "\n", "    ", False, out.append, {} if templates is None else templates)
+    out.append("\n")
+    return "".join(out)
 
 
 # --- canonical JSON writer ---------------------------------------------------
@@ -276,19 +298,21 @@ def dumps(value, indent: int = 4, sort_keys: bool = False) -> str:
     return "".join(out)
 
 
-def _write(value, newline: str, step: str, sort_keys: bool, emit) -> None:
+def _write(value, newline: str, step: str, sort_keys: bool, emit, templates=None) -> None:
     cls = value.__class__
     if cls is str:
         emit(_encode_str(value))
     elif cls is int:
         emit(int.__repr__(value))  # what the C encoder calls for an int
+    elif cls is Rule and templates is not None:
+        _write_rule(value, newline, step, emit, templates)
     elif cls in _WIRE:
-        _write_node(value, newline, step, sort_keys, emit)
+        _write_node(value, newline, step, sort_keys, emit, templates)
     elif cls is TaggedValue:
         _write_object(((value.kind, value.value),), newline, step, sort_keys, emit)
     elif isinstance(value, dict):
         items = sorted(value.items()) if sort_keys else value.items()
-        _write_object(items, newline, step, sort_keys, emit)
+        _write_object(items, newline, step, sort_keys, emit, templates)
     elif isinstance(value, (list, tuple)):
         if not value:
             emit("[]")
@@ -297,14 +321,16 @@ def _write(value, newline: str, step: str, sort_keys: bool, emit) -> None:
         sep = "[" + inner
         for item in value:
             emit(sep)
-            _write(item, inner, step, sort_keys, emit)
+            _write(item, inner, step, sort_keys, emit, templates)
             sep = "," + inner
         emit(newline + "]")
+    elif value is _HOLE:
+        emit("\0")
     else:
         emit(_encode_scalar(value))
 
 
-def _write_object(items, newline: str, step: str, sort_keys: bool, emit) -> None:
+def _write_object(items, newline: str, step: str, sort_keys: bool, emit, templates=None) -> None:
     """Write (key, value) pairs as an object."""
     if not items:
         emit("{}")
@@ -313,12 +339,12 @@ def _write_object(items, newline: str, step: str, sort_keys: bool, emit) -> None
     sep = "{" + inner
     for key, item in items:
         emit(sep + _encode_str(key) + ": ")
-        _write(item, inner, step, sort_keys, emit)
+        _write(item, inner, step, sort_keys, emit, templates)
         sep = "," + inner
     emit(newline + "}")
 
 
-def _write_node(node, newline: str, step: str, sort_keys: bool, emit) -> None:
+def _write_node(node, newline: str, step: str, sort_keys: bool, emit, templates=None) -> None:
     """Write an IR node as its wire object (see `_WIRE`)."""
     tag, keys = _WIRE[node.__class__]
     close = ""
@@ -337,9 +363,104 @@ def _write_node(node, newline: str, step: str, sort_keys: bool, emit) -> None:
     for key in keys:
         emit(sep + _encode_str(key) + ": ")
         value = getattr(node, "qubit" if key == "qubit_identifier" else key)
-        (_write_object if key in _PAIRS else _write)(value, inner, step, sort_keys, emit)
+        (_write_object if key in _PAIRS else _write)(value, inner, step, sort_keys, emit, templates)
         sep = "," + inner
     emit(newline + "}" + close)
+
+
+# --- rule templates ----------------------------------------------------------
+
+# The holes of a rule: the fields of a Rule and of its clauses whose values
+# tell apart the rules of a chain that are otherwise the same. The rest of a
+# rule is its template, written once per write and split at the holes.
+_HOLES = frozenset({"id", "shared_tag", "partner_addr"})
+_HOLE = object()  # written as a raw "\0", which the encoder escapes in strings
+
+
+def _fields(cls: type) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The holes of `cls` and its other fields, each in the order its wire
+    object writes them. No field written before a hole holds a hole itself,
+    so a node's own holes, then those of its other fields, are in text order."""
+    wire = tuple("qubit" if key == "qubit_identifier" else key for key in _WIRE[cls][1])
+    names = tuple(f.name for f in fields(cls) if f.name not in wire) + wire
+    return tuple(n for n in names if n in _HOLES), tuple(n for n in names if n not in _HOLES)
+
+
+_FIELDS = {cls: _fields(cls) for cls in _WIRE}
+_FIELDS[TaggedValue] = ((), ("kind", "value"))
+_CLAUSES = frozenset(cls for cls, (tag, _keys) in _WIRE.items() if tag)
+
+
+def _write_rule(rule: Rule, newline: str, step: str, emit, templates: dict) -> None:
+    """Write a rule from its template, rendering the template on first use."""
+    holes: list = []
+    key = (newline, _template_key(rule, holes, templates))
+    pieces = templates.get(key)
+    if pieces is None:
+        text: list[str] = []
+        _write_node(_holed(rule), newline, step, False, text.append)
+        pieces = templates[key] = "".join(text).split("\0")
+    filled = [pieces[0]]
+    for hole, piece in zip(holes, pieces[1:]):
+        if hole.__class__ is not int:  # not what the template was split for
+            _write_node(rule, newline, step, False, emit)
+            return
+        filled += (int.__repr__(hole), piece)
+    emit("".join(filled))
+
+
+def _template_key(value, holes: list, table: dict):
+    """What shapes the text of `value` but its holes, whose values are
+    appended to `holes` in text order. A scalar other than a str, an int or
+    None is keyed with its class: `1`, `1.0` and `True` are equal, as are
+    `0.0` and `-0.0` (keyed by repr), but each writes its own text. A
+    clause's key is kept in `table` under the clause's id, with the clause
+    itself, which keeps that id from being reused while the table lives;
+    a clause seen again gives its key and the values of its own holes."""
+    cls = value.__class__
+    if cls is tuple or cls is list:
+        key = []
+        for item in value:
+            known = table.get(id(item))
+            if known is not None:  # a clause keyed before
+                key.append(known[1])
+                for name in _FIELDS[item.__class__][0]:
+                    holes.append(getattr(item, name))
+            elif item.__class__ is str or item.__class__ is int:
+                key.append(item)
+            else:
+                key.append(_template_key(item, holes, table))
+        return tuple(key)
+    spec = _FIELDS.get(cls)
+    if spec is None:
+        return value if cls is str or cls is int else (cls, repr(value))
+    own, names = spec
+    for name in own:
+        holes.append(getattr(value, name))
+    found = len(holes)
+    key = [cls]
+    for name in names:
+        item = getattr(value, name)
+        if item.__class__ is str or item.__class__ is int or item is None:
+            key.append(item)
+        else:
+            key.append(_template_key(item, holes, table))
+    key = tuple(key)
+    if cls in _CLAUSES and len(holes) == found:  # its holes are its own fields
+        table[id(value)] = (value, key)
+    return key
+
+
+def _holed(value):
+    """A copy of `value` with `_HOLE` in each of its holes."""
+    spec = _FIELDS.get(value.__class__)
+    if spec is not None:
+        own, names = spec
+        copy = {name: _holed(getattr(value, name)) for name in names}
+        return value.__class__(**copy, **dict.fromkeys(own, _HOLE))
+    if value.__class__ is tuple or value.__class__ is list:
+        return tuple(map(_holed, value))
+    return value
 
 
 # --- deserialization ---------------------------------------------------------

@@ -38,6 +38,10 @@ class SimulationError(Exception):
     """The ruleset asked for something outside the tracked state space."""
 
 
+class _Stuck(Exception):
+    """A firing that cannot go on: its group stays stuck, for this reason."""
+
+
 def purify_update(fidelity: float) -> float:
     """Post-selected fidelity after one round of parity-checked purification
     of two pairs at the same fidelity."""
@@ -384,6 +388,7 @@ class Network:
         self.pending: dict[frozenset, int] = {}
         self.state = ["pending"] * blueprint.group_count
         self.fired_rule: list[ir.Rule | None] = [None] * blueprint.group_count
+        self.faults: dict[int, str] = {}  # gid -> why its firing got stuck
         self.nodes = {addr: Node(addr, stages) for addr, stages in blueprint.stages.items()}
 
         self.ends: dict[int, list[End]] = {addr: [] for addr in self.nodes}
@@ -413,6 +418,7 @@ class Network:
         net.pending = dict(self.pending)
         net.state = list(self.state)
         net.fired_rule = list(self.fired_rule)
+        net.faults = dict(self.faults)
         net.nodes = {addr: node.fork() for addr, node in self.nodes.items()}
         net.pairs = [
             Pair(p.id, p.fidelity, p.phase_bit, p.parity_bit, p.purify_state)
@@ -512,15 +518,20 @@ class Network:
 
         ctx = _Firing(self, node, bindings, message)
         head = group.rules[0]
-        ctx.execute(head.action.clauses[: group.prefix_len])
-
-        winner = None
-        for rule, discs in zip(group.rules, group.discriminators):
-            if all(ctx.compare(c) for c in discs):
-                winner = rule
-                break
+        try:
+            ctx.execute(head.action.clauses[: group.prefix_len])
+            winner = None
+            for rule, discs in zip(group.rules, group.discriminators):
+                if all(ctx.compare(c) for c in discs):
+                    winner = rule
+                    break
+            if winner is not None:
+                ctx.execute(winner.action.clauses[group.prefix_len :])
+        except _Stuck as exc:
+            self.state[group.gid] = "stuck"
+            self.faults[group.gid] = str(exc)
+            return
         if winner is not None:
-            ctx.execute(winner.action.clauses[group.prefix_len :])
             self.state[group.gid] = "fired"
             self.fired_rule[group.gid] = winner
             self.fired.append(
@@ -592,7 +603,7 @@ class Network:
             if node.complete:
                 continue
             for group in node.current():
-                if self._resolved(group):
+                if self.state[group.gid] != "pending":
                     continue
                 held = self._condition_holds(node, group)
                 if held is None or self._bind_inherited(node, group, *held) is not None:
@@ -666,7 +677,12 @@ class Network:
                 rule = group.rules[0]
                 held = self._condition_holds(node, group)
                 slot = None if held is None else self._bind_inherited(node, group, *held)
-                if slot is not None:
+                if group.gid in self.faults:
+                    reports.append(
+                        f"address {address}: rule '{rule.name}' (id {rule.id}) "
+                        f"{self.faults[group.gid]}"
+                    )
+                elif slot is not None:
                     reports.append(
                         f"address {address}: rule '{rule.name}' (id {rule.id}) "
                         f"has no pair or promoted qubit to bind to slot {slot}"
@@ -810,9 +826,12 @@ class _Firing:
         new pair's frame."""
         cq = qc.qgates[0].qubit.qubit_index
         tq = qc.qgates[1].qubit.qubit_index
-        self._qcirc(qc)
         left = self.bindings[cq]
         right = self.bindings[tq]
+        far = (left.pair.other_end(left), right.pair.other_end(right))
+        if far[0].node == far[1].node:
+            raise _Stuck(f"splices two pairs whose far ends both sit on address {far[0].node}")
+        self._qcirc(qc)
         m_phase = self._outcome(self.xdeps[cq])
         m_parity = self._outcome(self.zdeps[tq])
         left.state = "gone"
@@ -826,10 +845,9 @@ class _Firing:
             parity_bit=lp.parity_bit ^ rp.parity_bit ^ m_parity,
         )
         self.net.pairs.append(spliced)
-        for old in (lp, rp):
-            far = old.other_end(self.bindings[cq if old is lp else tq])
-            far.pair = spliced
-            spliced.ends.append(far)
+        for end in far:
+            end.pair = spliced
+            spliced.ends.append(end)
         self.registers[ir.register(len(self.registers))] = f"{m_parity}{m_phase}"
 
     # --- classical effects ---------------------------------------------------

@@ -13,6 +13,19 @@ from rula import cli, ir, parser
 
 SWAP = "entanglement_swapping.rula"
 
+HAND_OVER = """#repeaters: vec[Repeater]
+rule hand_over<#rep>(){
+    cond {
+        @q: res(1, 0.8, #rep.hop(-1), 0)
+    } => act {
+        transfer(q) -> #rep.hop(1)
+    }
+}
+ruleset hand{
+    hand_over<#repeaters(1)>()
+}
+"""
+
 
 def run_cli(argv, capsys):
     code = cli.main([str(a) for a in argv])
@@ -482,14 +495,11 @@ class TestRun:
 
 
     def test_unbindable_qubit_ends_stuck(self, corpus, capsys, tmp_path):
-        """Both qubits of the swap come from the left partner, so the right
-        end node receives a Transfer but holds no pair to promote: the run
-        ends stuck on that rule instead of raising."""
-        program = tmp_path / "left_only.rula"
-        source = (corpus / SWAP).read_text()
-        right = "@q2: res(1, 0.8, right_partner, 1)"
-        program.write_text(source.replace(right, right.replace("right", "left")))
-        assert program.read_text() != source
+        """The middle node transfers its pair with the left node to the
+        right end node, which holds no pair to promote: the run ends stuck
+        on that rule instead of raising."""
+        program = tmp_path / "hand_over.rula"
+        program.write_text(HAND_OVER)
         out_dir = tmp_path / "out"
         config3 = corpus / "config3.json"
         code, _out, _err = run_cli(
@@ -507,6 +517,44 @@ class TestRun:
             assert (
                 "stuck: address 2: rule 'wait_transfer' (id 0) has no pair or promoted "
                 "qubit to bind to slot 0\n"
+            ) in err
+
+    def test_bsm_on_pairs_with_one_far_node(self, corpus, capsys, tmp_path):
+        """Both qubits of the swap come from the left partner. Lowering
+        rejects the bsm; RuleSets edited to do the same end stuck at the
+        swap and never splice a pair with both ends on one node."""
+        program = tmp_path / "left_only.rula"
+        source = (corpus / SWAP).read_text()
+        right = "@q2: res(1, 0.8, right_partner, 1)"
+        program.write_text(source.replace(right, right.replace("right", "left")))
+        config3 = corpus / "config3.json"
+        code, _out, err = run_cli(
+            ["compile", program, "--config", config3, "--out-dir", tmp_path / "none"], capsys
+        )
+        line, col = parser.line_col(source, source.index("bsm(q1, q2)"))
+        assert code == 1
+        assert err.count("error[") == 1
+        assert f"left_only.rula:{line}:{col}: error[bsm-partner]: bsm(q1, q2) joins" in err
+        assert not (tmp_path / "none").exists()
+
+        _c, _o, _e, out_dir = compile_swap(corpus, capsys, tmp_path, config="config3.json")
+        path = out_dir / "entanglement_swapping_1.json"
+        doc = json.loads(path.read_text())
+        for rule in doc["stages"][0]["rules"]:
+            for clause in rule["condition"]["clauses"]:
+                if clause.get("Res", {}).get("qubit_index") == 1:
+                    clause["Res"]["partner_addr"] = 0
+        path.write_text(json.dumps(doc))
+        for mode in (["--seed", "0"], ["--enumerate-outcomes"]):
+            code, out, err = run_cli(
+                ["run", "--config", config3, "--rulesets", out_dir, *mode], capsys
+            )
+            assert code == 1
+            assert "error" not in err
+            assert "pair (0, 0)" not in out + err
+            assert (
+                "stuck: address 1: rule 'swapping' (id 0) splices two pairs whose far "
+                "ends both sit on address 0\n"
             ) in err
 
     def test_each_command_loads_with_a_fresh_table(

@@ -1,6 +1,7 @@
 """Lowering tests: ruleset-body evaluation, expansion arithmetic, send
 splitting and deterministic output."""
 
+import dataclasses
 import hashlib
 import json
 import time
@@ -841,7 +842,7 @@ rule timed<#rep>(){
     let partner: Repeater = #rep.hop(1)
     cond {
         @q1: res(1, 0.5, partner, 0)
-        @q2: res(1, 0.5, partner, 1)
+        @q2: res(1, 0.5, #rep.hop(-1), 1)
         @q3: res(1, 0.5, partner, 2)
         check_timer("t0")
     } => act {
@@ -851,13 +852,13 @@ rule timed<#rep>(){
     }
 }
 ruleset timers{
-    timed<#repeaters(0)>()
+    timed<#repeaters(1)>()
 }
 """
 
 
-def _res(index):
-    return {"Res": {"count": 1, "fidelity": 0.5, "partner_addr": 1, "qubit_index": index}}
+def _res(index, partner):
+    return {"Res": {"count": 1, "fidelity": 0.5, "partner_addr": partner, "qubit_index": index}}
 
 
 def _qubit(index):
@@ -869,16 +870,16 @@ class TestLoweringPinned:
     re-checking what the analyzer checks."""
 
     def lowered_rule(self):
-        out = compile_source(TIMED, chain(2))
+        out = compile_source(TIMED, chain(3))
         assert out.ok, out.diagnostics
-        assert out.per_node[1].stages == ()
-        (stage,) = json.loads(ir.serialize(out.per_node[0]))["stages"]
+        assert out.per_node[0].stages == out.per_node[2].stages == ()
+        (stage,) = json.loads(ir.serialize(out.per_node[1]))["stages"]
         (rule,) = stage["rules"]
         return rule
 
     def test_check_timer_clause(self):
         clauses = self.lowered_rule()["condition"]["clauses"]
-        assert clauses == [_res(0), _res(1), _res(2), {"Timer": {"timer_id": "t0"}}]
+        assert clauses == [_res(0, 2), _res(1, 0), _res(2, 2), {"Timer": {"timer_id": "t0"}}]
 
     def test_set_timer_and_bare_measurements(self):
         clauses = self.lowered_rule()["action"]["clauses"]
@@ -891,10 +892,10 @@ class TestLoweringPinned:
         ]
 
     def test_whole_output_digest(self):
-        out = compile_source(TIMED, chain(2))
+        out = compile_source(TIMED, chain(3))
         text = "".join(ir.serialize(out.per_node[a]) for a in sorted(out.per_node))
         digest = hashlib.sha256(text.encode()).hexdigest()
-        assert digest == "2a8f39ad1ab910c2bc4538ac69bf8eca323618bdffd013fbbb95bd0586a01c51"
+        assert digest == "b7c544c827cf6082cf4b0422a5a33d95df7dec3108939daa4fa166bbb53e4643"
 
 
 # --- pinned send/recv binding ------------------------------------------------
@@ -1015,3 +1016,127 @@ class TestBindingPinned:
             "2971bf5230b45d744bf1e36c67e0afcf40dd746d5505283c2b82f814aa974e66",
             "a8ba1807e0a8d7499e2c23245f15e49a3bb1df4f3c0be316cfd9ddc39c6e613e",
         )
+
+
+# --- lowering templates --------------------------------------------------------
+
+
+def _readdressed(node, address):
+    """`node` with every address in it mapped through `address`."""
+    if isinstance(node, tuple):
+        return tuple(_readdressed(item, address) for item in node)
+    if not dataclasses.is_dataclass(node):
+        return node
+    changes = {}
+    for f in dataclasses.fields(node):
+        value = getattr(node, f.name)
+        if f.name in ("owner_addr", "partner_addr"):
+            changes[f.name] = address(value)
+        else:
+            changes[f.name] = _readdressed(value, address)
+    return type(node)(**changes)
+
+
+PUSH_TWO_HOPS = """\
+#repeaters: vec[Repeater]
+rule push<#rep>(){
+    let left: Repeater = #rep.hop(-1)
+    cond {
+        @q: res(1, 0.5, left, 0)
+    } => act {
+        free(q) -> #rep.hop(2)
+    }
+}
+ruleset pushes{
+    for i in 1..#repeaters.len()-1{
+        push<#repeaters(i)>()
+    }
+}
+"""
+
+
+class TestLoweringTemplates:
+    """Each rule call whose act reads the chain only through its env is
+    expanded once per owner-relative key and moved to the other owners."""
+
+    def test_addresses_that_are_not_indices(self, corpus):
+        def address(index):
+            return 1000 - 7 * index
+
+        source = doubling_source(corpus, 4)
+        plain = compile_source(source, chain(17))
+        spread = config.Topology(
+            tuple(config.Repeater(f"#{i}", address(i), i) for i in range(17))
+        )
+        moved = compile_source(source, spread)
+        assert plain.ok and moved.ok
+        assert list(moved.per_node) == [address(i) for i in range(17)]
+        for index, ruleset in plain.per_node.items():
+            assert moved.per_node[address(index)] == _readdressed(ruleset, address)
+        assert moved.obligations == [
+            dataclasses.replace(o, from_addr=address(o.from_addr), to_addr=address(o.to_addr))
+            for o in plain.obligations
+        ]
+
+    def test_doubling_chain_expands_a_handful_of_acts(self, corpus):
+        analysis = analyzer.analyze_program(parser.parse(doubling_source(corpus, 5)))
+        compiler = codegen._Compiler(analysis, chain(33), 7, "t")
+        out = compiler.run()
+        assert out.ok and len(compiler.calls) == 31
+        assert len(compiler._templates) <= 10
+
+    def test_act_that_hops_reports_each_call_that_leaves_the_path(self):
+        out = compile_source(PUSH_TWO_HOPS, chain(6))
+        start = PUSH_TWO_HOPS.index("#rep.hop(2)")
+        assert [(d.code, d.span.start, d.span.end, d.message) for d in out.diagnostics] == [
+            (
+                "hop-range",
+                start,
+                start + len("#rep.hop(2)"),
+                f"hop leaves the path: index {i} with offset 2 targets {i + 2}, "
+                "valid indices are 0..5",
+            )
+            for i in (4, 5)
+        ]
+        text = "".join(ir.serialize(out.per_node[a]) for a in sorted(out.per_node))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "f83a880b59700be73c1355c7083bf11c8ecb7659c3814d3df274b3798fc3eece"
+
+
+class TestBsmPartner:
+    def test_bsm_of_two_pairs_with_one_far_node_is_rejected(self, corpus):
+        source = (corpus / "entanglement_swapping.rula").read_text()
+        right = "@q2: res(1, 0.8, right_partner, 1)"
+        source = source.replace(right, right.replace("right", "left"))
+        out = compile_source(source, chain(3))
+        start = source.index("bsm(q1, q2)")
+        assert [(d.code, d.span.start, d.span.end) for d in out.diagnostics] == [
+            ("bsm-partner", start, start + len("bsm(q1, q2)"))
+        ]
+        assert "both on repeater index 0" in out.diagnostics[0].message
+
+    def test_promoted_qubits_have_no_res_partner(self):
+        source = """\
+#repeaters: vec[Repeater]
+import std::operation::{bsm}
+rule keep<#rep>() :-> Qubit {
+    cond {
+        @q: res(1, 0.5, #rep.hop(1), 0)
+    } => act {
+        promote q
+    }
+}
+rule join<#rep>(a: Qubit){
+    cond {
+        @q: res(1, 0.5, #rep.hop(1), 1)
+    } => act {
+        bsm(a, q)
+    }
+}
+ruleset joined{
+    let kept: Qubit = keep<#repeaters(0)>()
+    join<#repeaters(0)>(kept)
+}
+"""
+        out = compile_source(source, chain(2))
+        assert out.ok, out.diagnostics

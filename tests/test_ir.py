@@ -220,6 +220,92 @@ class TestCanonicalWriter:
                 )
 
 
+def _moved(ruleset: ir.RuleSet, rng: random.Random) -> ir.RuleSet:
+    """`ruleset` with other values in every hole of its rules: rule ids,
+    shared tags and partner addresses."""
+
+    def clause(c):
+        if hasattr(c, "partner_addr"):
+            return dataclasses.replace(c, partner_addr=rng.randrange(-5, 2**40))
+        return c
+
+    def rule(r):
+        return dataclasses.replace(
+            r,
+            id=rng.randrange(2**64),
+            shared_tag=rng.randrange(100),
+            condition=ir.Condition(r.condition.name, tuple(map(clause, r.condition.clauses))),
+            action=ir.Action(r.action.name, tuple(map(clause, r.action.clauses))),
+        )
+
+    stages = tuple(ir.Stage(tuple(map(rule, stage.rules))) for stage in ruleset.stages)
+    return dataclasses.replace(ruleset, stages=stages)
+
+
+class TestRuleTemplates:
+    """`ir.serialize` writes each rule from a template shared by every
+    RuleSet written with the same `templates` table."""
+
+    def test_shared_table_writes_what_a_fresh_one_does(self):
+        rng = random.Random(0x7E4A)
+        templates: dict = {}
+        for _ in range(200):
+            ruleset = _random_ruleset(rng)
+            for rs in (ruleset, _moved(ruleset, rng)):
+                text = ir.serialize(rs, templates)
+                assert text == ir.serialize(rs) == ir.dumps(rs) + "\n"
+
+    def test_equal_values_of_other_classes_keep_apart(self):
+        """`0.0` and `-0.0`, and `1` and `True`, compare equal but write
+        differently; so does a hole holding `True` instead of `1`."""
+
+        def rule(count=1, fidelity=0.0, duration=1, rule_id=0):
+            return ir.Rule(
+                "r",
+                rule_id,
+                0,
+                ir.Condition(None, (ir.ResClause(count, fidelity, 3, 0),)),
+                ir.Action(None, (ir.SetTimerClause("t", duration),)),
+            )
+
+        rules = [
+            rule(),
+            rule(fidelity=-0.0),
+            rule(count=True),
+            rule(duration=True),
+            rule(duration=1.0),
+            rule(rule_id=True),
+            rule(),
+        ]
+        alone = [ir.serialize(ir.RuleSet("x", 0, 0, (ir.Stage((r,)),))) for r in rules]
+        templates: dict = {}
+        shared = [
+            ir.serialize(ir.RuleSet("x", 0, 0, (ir.Stage((r,)),)), templates) for r in rules
+        ]
+        assert shared == alone
+        assert len(set(shared)) == 6 and shared[0] == shared[-1]
+        assert '"fidelity": -0.0' in shared[1] and '"fidelity": 0.0' in shared[0]
+        assert '"count": true' in shared[2]
+        assert '"duration": true' in shared[3] and '"duration": 1.0' in shared[4]
+        assert '"id": true' in shared[5]
+        for text in shared:
+            assert json.dumps(json.loads(text), indent=4, ensure_ascii=False) + "\n" == text
+
+    def test_compiled_chain_writes_as_without_templates(self, corpus):
+        program = parser.parse(
+            (corpus / "entanglement_swapping.rula")
+            .read_text()
+            .replace("for d in 1..(#repeaters.len()/2)", "for d in [1, 2, 4]")
+        )
+        analysis = analyzer.analyze_program(program)
+        chain = config.Topology(tuple(config.Repeater(f"#{i}", i, i) for i in range(9)))
+        out = codegen.compile_program(analysis, chain, 7)
+        assert out.ok
+        templates: dict = {}
+        for ruleset in out.per_node.values():
+            assert ir.serialize(ruleset, templates) == ir.dumps(ruleset) + "\n"
+
+
 class TestSchemaRejection:
     def _doc(self, corpus) -> dict:
         return json.loads((corpus / "swapping_ruleset.json").read_text())

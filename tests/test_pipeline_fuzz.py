@@ -26,7 +26,15 @@ CHAIN_LENGTHS = (3, 5, 7)
 
 # The only codes lowering may report on a program the analyzer accepted.
 KEPT_CODES = frozenset(
-    {"repeater-range", "hop-range", "const-expr", "loop-bound", "promote-owner", "send-self"}
+    {
+        "repeater-range",
+        "hop-range",
+        "const-expr",
+        "loop-bound",
+        "promote-owner",
+        "send-self",
+        "bsm-partner",
+    }
 )
 
 _TOKEN = re.compile(
