@@ -15,6 +15,12 @@ runs with zero bits past its plan and snapshots the network before every
 firing of a group that measures, and each zero it drew is flipped in a new
 branch that resumes from the snapshot before the firing that drew it, so
 the rounds before a measurement run once for the whole subtree below it.
+
+Report records are hash-consed (Filliâtre and Conchon, 2006): the fired and
+pair records of one call are built once per distinct value, in a table on
+the `Blueprint`, and every report that holds an equal record holds the same
+dict.  A `--report-json` of every branch then writes each one once (see
+`ir.dumps`).  Records are shared, so they are read-only.
 """
 
 from __future__ import annotations
@@ -325,8 +331,9 @@ _Carriers = tuple[tuple[Group, ir.Rule], ...]
 
 class Blueprint:
     """What every run over one set of rulesets shares and never changes:
-    the rule groups of each node, the pairs provisioned per link, and the
-    rules carrying a send to a node (`carriers`)."""
+    the rule groups of each node, the pairs provisioned per link, the
+    rules carrying a send to a node (`carriers`), and each distinct report
+    record made so far (`records`)."""
 
     def __init__(self, rulesets: dict[int, ir.RuleSet], topology: Topology):
         self.stages: dict[int, list[list[Group]]] = {}
@@ -343,6 +350,10 @@ class Blueprint:
         self.addresses = sorted(self.stages)
         self.links = _provision(self.stages)
         self._carriers: dict[tuple[int, int, str | None], _Carriers] = {}
+        # fired records by (round, address, rule identity), pair records by
+        # the 7 values they write, the fidelity by its repr: 0.0 and -0.0
+        # (or 1 and 1.0) are equal but write differently
+        self.records: dict[tuple, dict] = {}
 
     def carriers(self, sender: int, dst: int, kind: str | None) -> _Carriers:
         """Every (group, rule) at `sender` whose rule sends `kind` to `dst`
@@ -534,14 +545,17 @@ class Network:
         if winner is not None:
             self.state[group.gid] = "fired"
             self.fired_rule[group.gid] = winner
-            self.fired.append(
-                {
+            records = self.blueprint.records
+            key = (self.round, node.address, id(winner))  # the blueprint keeps winner
+            record = records.get(key)
+            if record is None:
+                record = records[key] = {
                     "round": self.round,
                     "address": node.address,
                     "rule": winner.name,
                     "id": winner.id,
                 }
-            )
+            self.fired.append(record)
         else:
             self.state[group.gid] = "cancelled"
         self._advance(node)
@@ -936,6 +950,9 @@ class _Firing:
 
 @dataclass
 class RunReport:
+    """The end of one run.  Its `fired` and `pairs` records are shared with
+    the other reports of the same call and are read-only."""
+
     status: str
     rounds: int
     fired: list[dict]
@@ -966,20 +983,24 @@ class RunReport:
 def _report(net: Network) -> RunReport:
     complete = all(node.complete for node in net.nodes.values())
     stuck = [] if complete else net.stuck_reports()
+    records = net.blueprint.records
     pairs = []
     for pair in net.pairs:
         live = [e for e in pair.ends if e.state != "gone"]
         if len(live) != 2:
             continue
-        live.sort(key=lambda e: e.node)
-        pairs.append(
-            {
-                "nodes": [e.node for e in live],
-                "states": [e.state for e in live],
+        a, b = sorted(live, key=lambda e: e.node)
+        fidelity = round(pair.fidelity, 12)
+        key = (a.node, b.node, a.state, b.state, pair.phase_bit, pair.parity_bit, repr(fidelity))
+        record = records.get(key)
+        if record is None:
+            record = records[key] = {
+                "nodes": [a.node, b.node],
+                "states": [a.state, b.state],
                 "bell_index": [pair.phase_bit, pair.parity_bit],
-                "fidelity": round(pair.fidelity, 12),
+                "fidelity": fidelity,
             }
-        )
+        pairs.append(record)
     return RunReport(
         status="quiescent" if complete else "stuck",
         rounds=net.round,

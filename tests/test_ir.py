@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import struct
 from pathlib import Path
 
 import pytest
@@ -168,7 +169,7 @@ class TestCanonicalWriter:
     def test_edge_cases_match_stdlib(self):
         res = [
             ir.ResClause(count=1, fidelity=f, partner_addr=1, qubit_index=0)
-            for f in (0.0, 1.0, 0.1 + 0.2, 1e-07)
+            for f in (0.0, -0.0, 5e-324, 1.0, 0.1 + 0.2, 1e-07)
         ]
         rules = [
             ir.Rule("bare", 0, 0, ir.Condition(), ir.Action()),
@@ -218,6 +219,43 @@ class TestCanonicalWriter:
                 assert ir.dumps(payload, indent=indent, sort_keys=sort_keys) == json.dumps(
                     payload, indent=indent, sort_keys=sort_keys, ensure_ascii=False
                 )
+
+    def test_floats_match_stdlib(self):
+        """A finite float is written by `float.__repr__`, NaN and the
+        infinities by the encoder."""
+        rng = random.Random(0xF10A7)
+        values = [-0.0, 0.0, 5e-324, 1e16, 1e22, -1e22, 1e-07, 0.1 + 0.2, float("nan")]
+        values += [float("inf"), float("-inf")]
+        values += [struct.unpack("<d", rng.randbytes(8))[0] for _ in range(10_000)]
+        values += [rng.uniform(-1e6, 1e6) for _ in range(1_000)]
+        for indent in (0, 2):
+            assert ir.dumps(values, indent=indent) == json.dumps(
+                values, indent=indent, ensure_ascii=False
+            )
+
+    def test_shared_dicts_match_stdlib(self):
+        """A dict object held at several places, at several depths and in
+        a list that is itself shared, is written once per indentation."""
+        shared = {"b": [1, {"x": None}], "a": -0.0, "c": "caf\u00e9"}
+        empty: dict = {}
+        both = [shared, empty]
+        payload = {
+            "z": [shared, shared, {"deep": shared, "list": both}],
+            "again": both,
+            "e": empty,
+            "y": {"deeper": {"deepest": shared}, "empty": [empty, empty]},
+        }
+        for indent in (0, 2, 4):
+            for sort_keys in (False, True):
+                text = ir.dumps(payload, indent=indent, sort_keys=sort_keys)
+                assert text == json.dumps(
+                    payload, indent=indent, sort_keys=sort_keys, ensure_ascii=False
+                )
+        # at indent 0 every depth has the same indentation, so all six
+        # places hold the same text
+        for sort_keys in (False, True):
+            alone = json.dumps(shared, indent=0, sort_keys=sort_keys, ensure_ascii=False)
+            assert ir.dumps(payload, indent=0, sort_keys=sort_keys).count(alone) == 6
 
 
 def _moved(ruleset: ir.RuleSet, rng: random.Random) -> ir.RuleSet:

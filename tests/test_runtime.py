@@ -459,6 +459,21 @@ class TestForkedEnumeration:
             assert reports[report.outcome_path] == report.to_json()
 
 
+class TestSharedRecords:
+    """The reports of one call hold one dict per distinct fired or pair
+    record, which `ir.dumps` then writes once."""
+
+    def test_equal_records_are_one_object(self, corpus):
+        rulesets, topology = compile_corpus(corpus, "purification.rula", "config5.json")
+        reports = runtime.enumerate_outcomes(rulesets, topology)
+        assert len(reports) == 1024
+        for name, distinct in (("fired", 64), ("pairs", 5)):
+            records = [record for report in reports for record in getattr(report, name)]
+            # repr keeps a fidelity of 0.0 apart from -0.0
+            assert len({id(record) for record in records}) == distinct, name
+            assert len({repr(record) for record in records}) == distinct, name
+
+
 class TestEnumerationPinned:
     """sha256 of `rula run --enumerate-outcomes --report-json`, recorded
     from the prefix-replay enumerator."""
