@@ -31,14 +31,40 @@ distinct report record once per call (see `runtime`), so the 2 048
 reports of perfbench `enumerate_small` write 158 fired and 6 pair records
 instead of 49 152 and 6 144.
 
-Deserialization is one pass over the decoded JSON, and a document that
+A load reads each document shape once. From its ninth document on (see
+`_UNSHAPED`), its table (`interned`, below) keeps one `_Shape`, the first
+document's text and RuleSet, per signature: the hash of a text with every
+digit taken out. That signature, 1-1.5 ns per character, is all that a
+document of a new signature pays on top of the full path below. A document
+whose signature recurs is split at its holes: the values of a RuleSet's
+`id` and `owner_addr` and of the writer's holes (a rule's `id` and
+`shared_tag`, a Res, Recv or Send `partner_addr`) where each is a canonical
+JSON integer followed by "," or a newline. If the text between its holes is
+the shape's, the document is the shape's RuleSet with its own hole values:
+its rules, and its Res, Recv and Send clauses looked up in the table, are
+rebuilt without `json.loads` or the schema walk. One integer token in place
+of another changes no other value, and the schema asks of a hole only that
+it be an integer, so a refill builds what the full path builds (an integer
+too long to convert raises the same ValueError), provided each hole of the
+shape's text is the RuleSet field it is refilled into. A shape is checked
+for that once, when its signature first recurs, and refills nothing unless
+its text holds no `\\u` escape (the one way to write a key that a scan for
+it misses) and the strings "id", "owner_addr", "shared_tag",
+"partner_addr", "condition" and "action" occur in it exactly where the
+RuleSet's fields put them, in order, each hole with the field's value. A
+key written twice or in another order, or such a string inside a value,
+fails the check. A document of a new signature, of another shape or of a
+shape that failed its check takes the full path. The 1 025 files of the
+1025-node doubling chain have 12 shapes.
+
+The full path is one pass over the decoded JSON, and a document that
 passes builds no error text. Each object's keys are compared once with its
 shape, and each scalar's exact class is checked; only a value that fails
 goes through the `_expect_*` helpers, which word the error. A SchemaError
 is raised with a path relative to the value being checked. Each enclosing
 level catches it, prepends its own segment (".stages[2]", ".rules[0]",
 ".condition", ".clauses[1]", ".Res", ".qgates[0]", ...) and re-raises, and
-`deserialize` adds the leading "$".
+the outermost adds the leading "$".
 
 Deserialization hash-conses the clauses (Filliâtre and Conchon, "Type-safe
 modular hash-consing", 2006): each distinct clause value, `QubitId`, `QGate`
@@ -53,15 +79,18 @@ by its text. A `QCircClause` is keyed by the identities of its gates, which
 the table keeps alive. Lookups read `table.get(ident) or
 table.setdefault(ident, ...)`: every IR object is truthy. The table lives
 for one load only, one `deserialize` call or the files one command reads
-(`interned`), never across loads. Conditions, actions and rules are not
-interned: on that chain 8 184 of 11 253 conditions and 5 119 of 11 253
-actions are distinct, and keying them made a load slower, not faster.
+(`interned`), never across loads, and so do its shapes. Conditions,
+actions and rules are not interned: on that chain 8 184 of 11 253
+conditions and 5 119 of 11 253 actions are distinct, and keying them made a
+load slower, not faster. A refill shares only a shape's conditions and
+actions that hold no hole.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field, fields
 
 CMP_OPERATORS = ("Eq", "Neq", "Lt", "Leq", "Gt", "Geq")
@@ -574,6 +603,26 @@ def _qubit(index: int, table: dict) -> QubitId:
     return table.get((QubitId, index)) or table.setdefault((QubitId, index), QubitId(index))
 
 
+# The clauses with a hole, built through these three both on a load and on
+# a refill (see `_Shape`), so that the two key them alike.
+
+
+def _res(count: int, fidelity: float, partner: int, qubit: int, table: dict) -> ResClause:
+    # -0.0 == 0.0, but the two serialize differently: a zero is keyed by its text
+    ident = (ResClause, count, fidelity or repr(fidelity), partner, qubit)
+    return table.get(ident) or table.setdefault(ident, ResClause(count, fidelity, partner, qubit))
+
+
+def _recv(partner: int, table: dict) -> RecvClause:
+    ident = (RecvClause, partner)
+    return table.get(ident) or table.setdefault(ident, RecvClause(partner))
+
+
+def _send(kind: str, partner: int, payload: tuple, table: dict) -> SendClause:
+    ident = (SendClause, kind, partner, payload)
+    return table.get(ident) or table.setdefault(ident, SendClause(kind, partner, payload))
+
+
 def _variant(value, path: str) -> tuple[str, object]:
     if not isinstance(value, dict) or len(value) != 1:
         raise SchemaError("expected single-key variant object", path)
@@ -605,11 +654,7 @@ def _condition_clause(value, table: dict) -> ConditionClause:
                 _expect_int(count, ".count")
                 _expect_int(partner, ".partner_addr")
                 _expect_int(qubit, ".qubit_index")
-            # -0.0 == 0.0, but the two serialize differently: a zero is keyed by its text
-            ident = (ResClause, count, fidelity or repr(fidelity), partner, qubit)
-            return table.get(ident) or table.setdefault(
-                ident, ResClause(count, fidelity, partner, qubit)
-            )
+            return _res(count, fidelity, partner, qubit, table)
         if key == "Cmp":
             if body.__class__ is not dict or body.keys() != _CMP:
                 _expect_obj(body, "", _CMP)
@@ -636,8 +681,7 @@ def _condition_clause(value, table: dict) -> ConditionClause:
             partner = body["partner_addr"]
             if partner.__class__ is not int:
                 _expect_int(partner, ".partner_addr")
-            ident = (RecvClause, partner)
-            return table.get(ident) or table.setdefault(ident, RecvClause(partner))
+            return _recv(partner, table)
         if key == "Timer":
             if body.__class__ is not dict or body.keys() != _TIMER:
                 _expect_obj(body, "", _TIMER)
@@ -673,8 +717,7 @@ def _action_clause(value, table: dict) -> ActionClause:
             partner = inner["partner_addr"]
             if partner.__class__ is not int:
                 _expect_int(partner, f".{kind}.partner_addr")
-            ident = (SendClause, kind, partner, payload)
-            return table.get(ident) or table.setdefault(ident, SendClause(kind, partner, payload))
+            return _send(kind, partner, payload, table)
         if key == "Measure":
             if body.__class__ is not dict or body.keys() != _MEASURE:
                 _expect_obj(body, "", _MEASURE)
@@ -779,11 +822,29 @@ def _stage(value, table: dict) -> Stage:
 def deserialize(text: str, interned: dict | None = None) -> RuleSet:
     """Parse JSON text into a RuleSet, rejecting unknown fields and bad domains.
 
-    `interned` is the hash-consing table of the load (see the module
-    docstring): pass one dict to every call of a load that reads several
-    documents, and drop it when the load is done.
+    `interned` is the table of the load (see the module docstring): pass one
+    dict to every call of a load that reads several documents, and drop it
+    when the load is done. A document of a shape met before in the load is
+    rebuilt from the RuleSet of the first one.
     """
-    table = {} if interned is None else interned
+    if interned is None:
+        return _document(text, {})
+    loaded = interned[_LOADED] = interned.get(_LOADED, 0) + 1
+    if loaded <= _UNSHAPED:
+        return _document(text, interned)
+    shapes = interned.setdefault(_SHAPES, {})
+    # "surrogatepass": a str may hold a lone surrogate, which json.loads reads
+    signature = hash(text.encode("utf-8", "surrogatepass").translate(None, b"0123456789"))
+    shape = shapes.get(signature)
+    if shape is None:
+        ruleset = _document(text, interned)
+        shapes[signature] = _Shape(text, ruleset)
+        return ruleset
+    return shape.refill(text, interned) or _document(text, interned)
+
+
+def _document(text: str, table: dict) -> RuleSet:
+    """Decode `text` and check it against the schema, node by node."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -801,6 +862,110 @@ def deserialize(text: str, interned: dict | None = None) -> RuleSet:
         err.path = "$" + err.path
         err.args = (f"{err.path}: {err.reason}",)
         raise
+
+
+# --- document shapes ---------------------------------------------------------
+
+# A hole in a document's text: the value of a hole key (a rule's `id` and
+# `shared_tag`, a clause's `partner_addr`, a RuleSet's `id` and `owner_addr`)
+# written as a canonical JSON integer and followed by "," or a newline. Its
+# `split` puts the text between the holes at the even places of its list and
+# the hole values at the odd ones. `_KEYS` also finds every other place
+# where a hole key, "condition" or "action" is written as a string.
+_HOLE_TEXT = re.compile(
+    r'"(?:id|shared_tag|partner_addr|owner_addr)": (-?(?:0|[1-9][0-9]*))(?=[,\n])'
+)
+_KEYS = re.compile(
+    r'"(id|shared_tag|partner_addr|owner_addr|condition|action)"'
+    r'(?:: (-?(?:0|[1-9][0-9]*))(?=[,\n]))?'
+)
+# the keys of a load's shape table and of its count of documents in its table
+_SHAPES, _LOADED = object(), object()
+# A load keys its documents by shape from the ninth on. A signature costs
+# about a sixth of a full load, the check of a shape about two thirds, and a
+# refill saves about three fifths of one, so shapes pay only where they
+# recur many times; the 3-7 files of a corpus program pay nothing.
+_UNSHAPED = 8
+
+
+class _Shape:
+    """The first document of a load with one signature: its RuleSet, and its
+    text until the signature recurs; from then on the pieces of that text
+    between its holes, or False if it failed its check (see the module
+    docstring)."""
+
+    __slots__ = ("text", "ruleset", "pieces")
+
+    def __init__(self, text: str, ruleset: RuleSet):
+        self.text, self.ruleset, self.pieces = text, ruleset, None
+
+    def refill(self, text: str, table: dict) -> RuleSet | None:
+        """The RuleSet of `text`, a document of the shape's signature, or
+        None if its text between the holes is not the shape's."""
+        if self.pieces is None:
+            self.pieces = self._checked()
+        if not self.pieces:
+            return None
+        parts = _HOLE_TEXT.split(text)
+        if parts[0::2] != self.pieces:
+            return None
+        holes = map(int, parts[1::2])
+        ruleset_id, owner = next(holes), next(holes)
+        stages = []
+        for stage in self.ruleset.stages:
+            refilled = []
+            for rule in stage.rules:
+                rule_id, tag = next(holes), next(holes)
+                condition = _readdressed(rule.condition, holes, table)
+                action = _readdressed(rule.action, holes, table)
+                refilled.append(
+                    Rule(
+                        rule.name, rule_id, tag, condition, action,
+                        rule.qnic_interfaces, rule.is_finalized,
+                    )
+                )
+            stages.append(Stage(tuple(refilled)))
+        return RuleSet(self.ruleset.name, ruleset_id, owner, tuple(stages))
+
+    def _checked(self) -> list[str] | bool:
+        """The pieces of the text between its holes, or False if the text
+        fails the check of the module docstring; drops the text."""
+        text, ruleset, self.text = self.text, self.ruleset, None
+        keys = [("id", str(ruleset.id)), ("owner_addr", str(ruleset.owner_addr))]
+        for stage in ruleset.stages:
+            for rule in stage.rules:
+                keys += (("id", str(rule.id)), ("shared_tag", str(rule.shared_tag)))
+                for name, block in (("condition", rule.condition), ("action", rule.action)):
+                    keys.append((name, ""))
+                    keys += (
+                        ("partner_addr", str(clause.partner_addr))
+                        for clause in block.clauses
+                        if clause.__class__ in _ADDRESSED
+                    )
+        if "\\u" in text or _KEYS.findall(text) != keys:
+            return False
+        return _HOLE_TEXT.split(text)[0::2]
+
+
+def _readdressed(block, holes, table: dict):
+    """A condition or an action with the next values of `holes` in its
+    clauses' holes; itself if it has none."""
+    clauses, holed = [], False
+    for clause in block.clauses:
+        cls = clause.__class__
+        if cls in _ADDRESSED:
+            holed, partner = True, next(holes)
+            if cls is ResClause:
+                clause = _res(clause.count, clause.fidelity, partner, clause.qubit_index, table)
+            elif cls is RecvClause:
+                clause = _recv(partner, table)
+            else:
+                clause = _send(clause.message, partner, clause.payload, table)
+        clauses.append(clause)
+    return block.__class__(block.name, tuple(clauses)) if holed else block
+
+
+_ADDRESSED = frozenset({ResClause, RecvClause, SendClause})
 
 
 # --- validation --------------------------------------------------------------

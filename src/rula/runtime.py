@@ -25,6 +25,7 @@ dict.  A `--report-json` of every branch then writes each one once (see
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field
 
@@ -918,31 +919,31 @@ class _Firing:
         return self.node.store.get(name, "")
 
     def compare(self, clause: ir.CmpClause) -> bool:
-        left = self._value(clause.cmp_val)
+        """Whether `clause` holds. An `Int` target compares both sides as
+        integers, and holds for no operator if either side is not one; any
+        other target compares both sides as text."""
         target = clause.target_val
-        if target.kind == "Variable":
-            right = self._value(target.value)
-        else:
-            right = target.value
-        op = clause.operator
-        if op == "Eq":
-            return left == right
-        if op == "Neq":
-            return left != right
-        try:
-            lv: object = int(left)
-            rv: object = int(right)
-        except ValueError:
-            lv, rv = left, right
-        if op == "Lt":
-            return lv < rv
-        if op == "Leq":
-            return lv <= rv
-        if op == "Gt":
-            return lv > rv
-        if op == "Geq":
-            return lv >= rv
-        raise SimulationError(f"unsupported comparison operator {op}")
+        left = self._value(clause.cmp_val)
+        right = self._value(target.value) if target.kind == "Variable" else target.value
+        if target.kind == "Int":
+            try:
+                left, right = int(left), int(right)
+            except ValueError:
+                return False
+        test = _COMPARE.get(clause.operator)
+        if test is None:
+            raise SimulationError(f"unsupported comparison operator {clause.operator}")
+        return test(left, right)
+
+
+_COMPARE = {
+    "Eq": operator.eq,
+    "Neq": operator.ne,
+    "Lt": operator.lt,
+    "Leq": operator.le,
+    "Gt": operator.gt,
+    "Geq": operator.ge,
+}
 
 
 # --- reports -----------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Command-line behavior: exit codes, stream separation, partial-output
 guarantees and reproducibility."""
 
+import gc
 import json
 import re
 import shutil
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -560,9 +562,23 @@ class TestRun:
     def test_each_command_loads_with_a_fresh_table(
         self, corpus, capsys, tmp_path, monkeypatch
     ):
-        out_dir = self.compiled(corpus, capsys, tmp_path, config="config5.json")
-        real = ir.deserialize
+        # the doubling schedule on 17 nodes: a load keys documents by shape
+        # from its ninth on, and the last nine files have five shapes
+        program, config17 = tmp_path / "doubling.rula", tmp_path / "chain17.json"
+        program.write_text(
+            (corpus / SWAP)
+            .read_text()
+            .replace("for d in 1..(#repeaters.len()/2)", "for d in [1, 2, 4, 8]")
+        )
+        repeaters = [{"name": f"#{i}", "address": i} for i in range(17)]
+        config17.write_text(json.dumps({"repeaters": repeaters}))
+        out_dir = tmp_path / "out"
+        argv = ["compile", program, "--config", config17, "--out-dir", out_dir]
+        assert run_cli(argv, capsys)[0] == 0
+        texts = {path.read_text() for path in out_dir.glob("*.json")}
+        real, real_loads = ir.deserialize, json.loads
         loads: list[list[tuple[int, dict, ir.RuleSet]]] = []
+        decoded: list[list[str]] = []
 
         def recording(text, interned):
             size = len(interned)
@@ -571,25 +587,40 @@ class TestRun:
             return ruleset
 
         monkeypatch.setattr(ir, "deserialize", recording)
-        argv = ["run", "--config", corpus / "config5.json", "--rulesets", out_dir]
+        monkeypatch.setattr(
+            json, "loads", lambda text, **kw: decoded[-1].append(text) or real_loads(text, **kw)
+        )
+        argv = ["run", "--config", config17, "--rulesets", out_dir]
         for command in (argv, ["validate", *sorted(out_dir.glob("*.json"))], argv):
             loads.append([])
+            decoded.append([])
             assert run_cli(command, capsys)[0] == 0
-        assert [len(calls) for calls in loads] == [5, 5, 5]
+        monkeypatch.undo()
+        assert [len(calls) for calls in loads] == [17, 17, 17]
+        # each command decodes the first eight and one file of each shape,
+        # and refills the other four
+        assert [len(texts.intersection(seen)) for seen in decoded] == [13, 13, 13]
         for calls in loads:
             # one table for the files of one command, empty when it starts
             assert calls[0][0] == 0
             assert all(table is calls[0][1] for _size, table, _rs in calls)
         tables = [calls[0][1] for calls in loads]
         assert len({id(t) for t in tables}) == 3
-        # the first and the last command load the same files, and share no leaf
-        first = {id(leaf) for _s, _t, rs in loads[0] for leaf in _leaves(rs)}
-        assert not first & {id(leaf) for _s, _t, rs in loads[2] for leaf in _leaves(rs)}
+        # the first and the last command load the same files, and share no
+        # rule, condition, action or leaf
+        first = {id(node) for _s, _t, rs in loads[0] for node in _nodes(rs)}
+        assert not first & {id(node) for _s, _t, rs in loads[2] for node in _nodes(rs)}
+        # nothing a command loaded, its shapes included, outlives it
+        alive = [weakref.ref(rs) for calls in loads for _s, _t, rs in calls]
+        del loads, tables, calls
+        gc.collect()
+        assert not [ref for ref in alive if ref() is not None]
 
 
-def _leaves(ruleset):
-    stages = ruleset.stages
-    return [c for st in stages for r in st.rules for c in r.condition.clauses + r.action.clauses]
+def _nodes(ruleset):
+    rules = [r for stage in ruleset.stages for r in stage.rules]
+    blocks = [b for r in rules for b in (r.condition, r.action)]
+    return rules + blocks + [c for b in blocks for c in b.clauses]
 
 
 class TestProcessEntry:

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
 import struct
 from pathlib import Path
 
@@ -819,6 +820,152 @@ class TestDeserializeDifferential:
             ir.deserialize(text.replace('"fidelity": 0.5', '"fidelity": 1' + "0" * 400))
         assert err.value.path == "$.stages[0].rules[0].condition.clauses[1].Res.fidelity"
         assert err.value.reason.startswith("fidelity 1000")
+
+
+# --- shared-table loads ------------------------------------------------------
+
+# every corpus program on each config it compiles on
+_SHARED_LOADS = (
+    ("chain7.rula", ("config7.json",)),
+    ("entanglement_swapping.rula", ("config3.json", "config5.json")),
+    ("loop_probe.rula", ("config2.json", "config3.json", "config5.json", "config7.json")),
+    ("purification.rula", ("config3.json", "config5.json")),
+    ("two_matches.rula", ("config3.json", "config5.json", "config7.json")),
+)
+# the holes of a document's text, and what a mutant writes in place of one
+_HOLE_KEYS = re.compile(r'"(?:id|shared_tag|partner_addr|owner_addr)": (-?[0-9]+)')
+_HOLE_VALUES = ("07", "1.0", "true", '"3"', "-0", "1e3", "1" + "0" * 4999)
+# (old, new, count) text replacements, each giving one more mutant
+_TEXT_MUTANTS = (
+    ('"qnic_interfaces": {}', '"qnic_interfaces": {\n"partner_addr": "7"\n}', 1),
+    ('"qnic_interfaces": {}', '"qnic_interfaces": {\n"shared_tag": 5,\n"x": "y"\n}', 1),
+    ('"payload": {\n', '"payload": {\n"id": "3",\n', 1),
+    ('"payload": {\n', '"payload": {\n"partner_addr": 3,\n', 1),
+    ("\n", "\r\n", -1),
+    ('"owner_addr": ', '"owner_addr":  ', 1),
+    (": ", ":  ", -1),
+    ('"name": "', '"name": "\udc80', 1),  # a lone surrogate, which a str may hold
+)
+
+
+def _shared_load_groups(corpus) -> dict[tuple[str, str], list[str]]:
+    """The compiled corpus, one group per program and config, and the
+    33-node doubling chain whose addresses are not indices, last."""
+    groups = {}
+    for name, config_names in _SHARED_LOADS:
+        program = parser.parse((corpus / name).read_text(), filename=name)
+        program, _diags = analyzer.resolve_imports(program, [corpus])
+        for config_name in config_names:
+            topology = config.load_config((corpus / config_name).read_text())
+            groups[name, config_name] = _compiled_texts(program, topology)
+    program = parser.parse(
+        (corpus / "entanglement_swapping.rula")
+        .read_text()
+        .replace("for d in 1..(#repeaters.len()/2)", "for d in [1, 2, 4, 8, 16]")
+    )
+    repeaters = [{"name": f"#{i}", "address": 1000 - 7 * i} for i in range(33)]
+    topology = config.load_config(json.dumps({"repeaters": repeaters}))
+    groups["doubling", "chain33"] = _compiled_texts(program, topology)
+    return groups
+
+
+def _hole_mutants(text: str) -> list[str]:
+    """Each of `_HOLE_VALUES` in each hole of `text`, and `_TEXT_MUTANTS`."""
+    out = []
+    for match in _HOLE_KEYS.finditer(text):
+        out += [text[: match.start(1)] + value + text[match.end(1) :] for value in _HOLE_VALUES]
+    for old, new, count in _TEXT_MUTANTS:
+        if old in text:
+            out.append(text.replace(old, new, count))
+    return out
+
+
+def _any_outcome(deserialize, text: str):
+    try:
+        return deserialize(text)
+    except ValueError as err:  # a SchemaError, or an integer too long to convert
+        return (type(err), str(err), getattr(err, "path", None))
+
+
+class TestSharedTableDifferential:
+    """A command loads all its files through one table, in which a document
+    of a shape met before is refilled from the first one: each must still
+    load as the reference loads it alone."""
+
+    @pytest.fixture(scope="class")
+    def groups(self):
+        return _shared_load_groups(Path(__file__).parent / "corpus")
+
+    def test_one_table_loads_what_the_reference_does(self, groups, monkeypatch):
+        texts = [text for group in groups.values() for text in group]
+        expected = [reference_deserialize(text) for text in texts]
+        decoded = []
+        real = json.loads
+        monkeypatch.setattr(json, "loads", lambda text: decoded.append(text) or real(text))
+        table: dict = {}
+        loaded = [ir.deserialize(text, table) for text in texts]
+        assert len(groups) == 13 and loaded == expected
+        # most documents are refilled; alone, the chain's 33 files decode the
+        # first eight, which are not keyed, and one of each of 6 shapes
+        assert 0 < len(decoded) < len(texts) / 2
+        decoded.clear()
+        table = {}
+        chain = [ir.deserialize(text, table) for text in groups["doubling", "chain33"]]
+        assert chain == expected[-33:]
+        assert len(decoded) == 8 + 6
+        monkeypatch.undo()
+        first: dict = {}
+        for leaf in (leaf for ruleset in loaded for leaf in _leaves(ruleset)):
+            assert first.setdefault((type(leaf), leaf), leaf) is leaf
+
+    def test_hole_mutants_after_their_twin_match_the_reference(self, groups):
+        table: dict = {}
+        for group in groups.values():
+            for text in group:
+                ir.deserialize(text, table)
+        # two files of the chain and two of purification, with payloads
+        chain = [text for text in groups["doubling", "chain33"] if '"payload"' in text]
+        twins = chain[:2] + groups["purification.rula", "config5.json"][:2]
+        count = 0
+        for twin in twins:
+            for mutant in _hole_mutants(twin):
+                assert ir.deserialize(twin, table) == reference_deserialize(twin)
+                got = _any_outcome(lambda text: ir.deserialize(text, table), mutant)
+                assert got == _any_outcome(reference_deserialize, mutant), mutant[:400]
+                count += 1
+        assert count > 400
+
+    @pytest.mark.parametrize("layout", ["keys reordered", "key written twice", "key escaped"])
+    def test_a_shape_is_checked_before_it_refills(self, layout):
+        """With every hole 0, the hole values of these texts equal their
+        RuleSet's in text order, yet a hole sits in another field: only the
+        check of the shape's keys keeps a later document of its signature
+        from being refilled wrong."""
+        rule = ir.Rule(
+            "r", 0, 0,
+            ir.Condition(None, (ir.ResClause(1, 0.5, 0, 0),)),
+            ir.Action(None, (ir.SendClause("Free", 0),)),
+        )
+        text = ir.serialize(ir.RuleSet("x", 0, 0, (ir.Stage((rule,)),)))
+        if layout == "keys reordered":  # the action, and its Send's hole, before the condition
+            doc = json.loads(text)
+            [rule_doc] = doc["stages"][0]["rules"]
+            order = ("name", "id", "shared_tag", "qnic_interfaces", "action", "condition")
+            doc["stages"][0]["rules"] = [{key: rule_doc[key] for key in order + ("is_finalized",)}]
+            first = json.dumps(doc, indent=4) + "\n"
+            second = first.replace('"partner_addr": 0\n', '"partner_addr": 5\n')
+        elif layout == "key written twice":  # a second rule id in place of the Send's hole
+            first = text.replace('"shared_tag": 0,', '"shared_tag": 0,\n"id": 0,')
+            first = first.replace('"partner_addr": 0\n', '"partner_addr":0\n')
+            second = first.replace('\n"id": 0,', '\n"id": 5,')
+        else:  # the rule id that counts is the last one, which no scan for "id" finds
+            first = text.replace('"is_finalized": false', '"is_finalized": false, "i\\u0064": 0')
+            indent = "\n" + " " * 20
+            second = first.replace(f'"r",{indent}"id": 0,', f'"r",{indent}"id": 5,')
+        assert first != second
+        table: dict = {}
+        for text in [first] * (ir._UNSHAPED + 2) + [second]:  # the first ones are not keyed
+            assert ir.deserialize(text, table) == reference_deserialize(text)
 
 
 # --- hash-consing -------------------------------------------------------------

@@ -533,33 +533,50 @@ def _node(address, *rules):
 
 
 class TestCompareOperators:
-    """`_Firing.compare`: Eq and Neq compare text; the order operators
-    compare integers when both sides parse as one, else the text."""
+    """`_Firing.compare`: an `Int` target compares both sides as integers
+    with all six operators, and the clause holds for none of them if a side
+    is not an integer; any other target compares both sides as text."""
 
     @pytest.mark.parametrize(
-        "left,op,right,holds",
+        "left,op,kind,right,holds",
         [
-            ("1", "Neq", "2", True),
-            ("1", "Neq", "1", False),
-            ("07", "Neq", "7", True),  # text, not number
-            ("9", "Lt", "10", True),  # as text "9" sorts after "10"
-            ("10", "Lt", "9", False),
-            ("10", "Leq", "10", True),
-            ("07", "Leq", "7", True),
-            ("11", "Leq", "10", False),
-            ("10", "Gt", "9", True),
-            ("-1", "Gt", "0", False),
-            ("9", "Geq", "10", False),
-            ("10", "Geq", "10", True),
-            ("b", "Gt", "a", True),  # neither side is a number: text order
-            ("abc", "Lt", "abd", True),
-            ("10", "Lt", "9x", True),  # one side is not a number: text order
-            ("10", "Gt", "9x", False),
-            ("a", "Geq", "b", False),
-            ("a", "Leq", "a", True),
+            ("1", "Neq", "Str", "2", True),
+            ("1", "Neq", "Str", "1", False),
+            ("07", "Neq", "Str", "7", True),  # text, not number
+            ("9", "Lt", "Str", "10", False),  # as text "9" sorts after "10"
+            ("10", "Lt", "Str", "9", True),
+            ("10", "Leq", "Str", "10", True),
+            ("07", "Leq", "Str", "7", True),  # as text "0" sorts before "7"
+            ("11", "Leq", "Str", "10", False),
+            ("10", "Gt", "Str", "9", False),
+            ("-1", "Gt", "Str", "0", False),
+            ("9", "Geq", "Str", "10", True),
+            ("10", "Geq", "Str", "10", True),
+            ("b", "Gt", "Str", "a", True),
+            ("abc", "Lt", "Str", "abd", True),
+            ("10", "Lt", "Str", "9x", True),
+            ("10", "Gt", "Str", "9x", False),
+            ("a", "Geq", "Str", "b", False),
+            ("a", "Leq", "Str", "a", True),
+            ("true", "Eq", "Bool", "true", True),
+            ("1", "Eq", "Bool", "true", False),
+            ("07", "Eq", "Int", "7", True),  # number, not text
+            ("07", "Neq", "Int", "7", False),
+            ("07", "Leq", "Int", "7", True),
+            ("07", "Lt", "Int", "7", False),
+            ("9", "Lt", "Int", "10", True),
+            ("10", "Gt", "Int", "9", True),
+            ("-1", "Gt", "Int", "0", False),
+            ("9", "Geq", "Int", "10", False),
+            ("-3", "Geq", "Int", "-3", True),
+            ("x", "Eq", "Int", "x", False),  # not an integer: no operator holds
+            ("x", "Neq", "Int", "y", False),
+            ("10", "Lt", "Int", "9x", False),
+            ("10", "Neq", "Int", "9x", False),
+            ("", "Eq", "Int", "0", False),
         ],
     )
-    def test_message_field_against_literal(self, left, op, right, holds):
+    def test_message_field_against_literal(self, left, op, kind, right, holds):
         """Node 0 sends `n`; node 1 fires `check` only if `message.n op right`."""
         send = ir.SendClause("Update", 1, (("n", left),))
         check = _rule(
@@ -567,7 +584,7 @@ class TestCompareOperators:
             0,
             conditions=(
                 ir.RecvClause(0),
-                ir.CmpClause("message.n", op, ir.TaggedValue("Str", right)),
+                ir.CmpClause("message.n", op, ir.TaggedValue(kind, right)),
             ),
         )
         rulesets = {0: _node(0, _rule("send", 0, actions=(send,))), 1: _node(1, check)}
