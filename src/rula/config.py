@@ -60,6 +60,8 @@ def load_config(text: str) -> Topology:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"configuration is not valid JSON: {exc}") from None
+    except ValueError:  # an integer of more digits than int() converts
+        raise ConfigError("configuration holds an integer too long to convert") from None
     if not isinstance(data, dict):
         raise ConfigError("configuration root must be a JSON object")
     unknown = set(data) - {"repeaters"}

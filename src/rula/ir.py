@@ -35,27 +35,26 @@ A load reads each document shape once. From its ninth document on (see
 `_UNSHAPED`), its table (`interned`, below) keeps one `_Shape`, the first
 document's text and RuleSet, per signature: the hash of a text with every
 digit taken out. That signature, 1-1.5 ns per character, is all that a
-document of a new signature pays on top of the full path below. A document
-whose signature recurs is split at its holes: the values of a RuleSet's
-`id` and `owner_addr` and of the writer's holes (a rule's `id` and
-`shared_tag`, a Res, Recv or Send `partner_addr`) where each is a canonical
-JSON integer followed by "," or a newline. If the text between its holes is
-the shape's, the document is the shape's RuleSet with its own hole values:
-its rules, and its Res, Recv and Send clauses looked up in the table, are
-rebuilt without `json.loads` or the schema walk. One integer token in place
-of another changes no other value, and the schema asks of a hole only that
-it be an integer, so a refill builds what the full path builds (an integer
-too long to convert raises the same ValueError), provided each hole of the
-shape's text is the RuleSet field it is refilled into. A shape is checked
-for that once, when its signature first recurs, and refills nothing unless
-its text holds no `\\u` escape (the one way to write a key that a scan for
-it misses) and the strings "id", "owner_addr", "shared_tag",
-"partner_addr", "condition" and "action" occur in it exactly where the
-RuleSet's fields put them, in order, each hole with the field's value. A
-key written twice or in another order, or such a string inside a value,
-fails the check. A document of a new signature, of another shape or of a
-shape that failed its check takes the full path. The 1 025 files of the
-1025-node doubling chain have 12 shapes.
+document of a new signature pays on top of the full path below. A shape
+refills only if its first document is the text `rula compile` writes for it,
+exactly what `serialize` writes for its RuleSet; that is checked once, when
+its signature first recurs. In that text each hole key (`_HOLES`: a
+RuleSet's `id` and `owner_addr`, a rule's `id` and `shared_tag`, a Res, Recv
+or Send `partner_addr`) written with an integer value is the field of that
+name, and they come in the order a refill fills them: the writer escapes no
+key, and the schema asks every value under a key it does not name (a
+payload or `qnic_interfaces` entry, a Cmp target) to be a string. A document
+whose signature recurs is split at its holes (`_HOLE_TEXT`): a hole key's
+value written as a canonical JSON integer and followed by "," or a newline.
+If the text between its holes is the shape's, the document is the shape's
+RuleSet with its own hole values: its rules, and its Res, Recv and Send
+clauses looked up in the table, are rebuilt without `json.loads` or the
+schema walk. One integer token in place of another changes no other value,
+and the schema asks of a hole only that it be an integer, so a refill builds
+what the full path builds; a hole too long to convert sends its document
+down the full path, which words the error. A document of a new signature, of
+another shape or of a shape whose first text is not the writer's takes the
+full path. The 1 025 files of the 1025-node doubling chain have 12 shapes.
 
 The full path is one pass over the decoded JSON, and a document that
 passes builds no error text. Each object's keys are compared once with its
@@ -425,10 +424,12 @@ def _write_node(node, newline: str, step: str, sort_keys: bool, emit, texts, tem
 
 # --- rule templates ----------------------------------------------------------
 
-# The holes of a rule: the fields of a Rule and of its clauses whose values
-# tell apart the rules of a chain that are otherwise the same. The rest of a
-# rule is its template, written once per write and split at the holes.
-_HOLES = frozenset({"id", "shared_tag", "partner_addr"})
+# The holes of a document: the fields of a RuleSet, a Rule and its clauses
+# whose values tell apart the RuleSets and rules of a chain that are
+# otherwise the same. The rest of a rule is its template, written once per
+# write and split at the holes; the rest of a document is its shape, read
+# once per load (see `_Shape`).
+_HOLES = frozenset({"id", "owner_addr", "shared_tag", "partner_addr"})
 _HOLE = object()  # written as a raw "\0", which the encoder escapes in strings
 
 
@@ -444,6 +445,7 @@ def _fields(cls: type) -> tuple[tuple[str, ...], tuple[str, ...]]:
 _FIELDS = {cls: _fields(cls) for cls in _WIRE}
 _FIELDS[TaggedValue] = ((), ("kind", "value"))
 _CLAUSES = frozenset(cls for cls, (tag, _keys) in _WIRE.items() if tag)
+_ADDRESSED = frozenset(cls for cls in _CLAUSES if _FIELDS[cls][0])  # Res, Recv, Send
 
 
 def _write_rule(rule: Rule, newline: str, step: str, emit, templates: dict) -> None:
@@ -851,6 +853,8 @@ def _document(text: str, table: dict) -> RuleSet:
         raise SchemaError(f"malformed JSON at byte {exc.pos}: {exc.msg}") from exc
     except RecursionError as exc:
         raise SchemaError("JSON nested too deeply to decode") from exc
+    except ValueError as exc:  # an integer of more digits than int() converts
+        raise SchemaError("integer too long to convert") from exc
     try:
         if doc.__class__ is not dict or doc.keys() != _RULESET:
             _expect_obj(doc, "", _RULESET)
@@ -866,25 +870,22 @@ def _document(text: str, table: dict) -> RuleSet:
 
 # --- document shapes ---------------------------------------------------------
 
-# A hole in a document's text: the value of a hole key (a rule's `id` and
-# `shared_tag`, a clause's `partner_addr`, a RuleSet's `id` and `owner_addr`)
-# written as a canonical JSON integer and followed by "," or a newline. Its
-# `split` puts the text between the holes at the even places of its list and
-# the hole values at the odd ones. `_KEYS` also finds every other place
-# where a hole key, "condition" or "action" is written as a string.
+# A hole in a document's text: the value of a hole key written as a
+# canonical JSON integer and followed by "," or a newline. Its `split` puts
+# the text between the holes at the even places of its list and the hole
+# values at the odd ones.
 _HOLE_TEXT = re.compile(
-    r'"(?:id|shared_tag|partner_addr|owner_addr)": (-?(?:0|[1-9][0-9]*))(?=[,\n])'
-)
-_KEYS = re.compile(
-    r'"(id|shared_tag|partner_addr|owner_addr|condition|action)"'
-    r'(?:: (-?(?:0|[1-9][0-9]*))(?=[,\n]))?'
+    r'"(?:%s)": (-?(?:0|[1-9][0-9]*))(?=[,\n])' % "|".join(sorted(_HOLES))
 )
 # the keys of a load's shape table and of its count of documents in its table
 _SHAPES, _LOADED = object(), object()
-# A load keys its documents by shape from the ninth on. A signature costs
-# about a sixth of a full load, the check of a shape about two thirds, and a
-# refill saves about three fifths of one, so shapes pay only where they
-# recur many times; the 3-7 files of a corpus program pay nothing.
+# A load keys its documents by shape from the ninth on. Per file of the
+# 1025-node doubling chain, a signature costs about a tenth of a full load
+# and a refill about a quarter, while the check of a shape, one `serialize`
+# of its RuleSet, costs about three (0.03, 0.08 and 0.9 against 0.31 ms on a
+# 2 vCPU VM, Python 3.11.7): a shape pays for its check once it recurs about
+# four times, so shapes pay only where they recur many times; the 3-7 files
+# of a corpus program pay nothing.
 _UNSHAPED = 8
 
 
@@ -909,7 +910,10 @@ class _Shape:
         parts = _HOLE_TEXT.split(text)
         if parts[0::2] != self.pieces:
             return None
-        holes = map(int, parts[1::2])
+        try:
+            holes = iter([int(hole) for hole in parts[1::2]])
+        except ValueError:  # too long to convert: the full path words the error
+            return None
         ruleset_id, owner = next(holes), next(holes)
         stages = []
         for stage in self.ruleset.stages:
@@ -928,23 +932,10 @@ class _Shape:
         return RuleSet(self.ruleset.name, ruleset_id, owner, tuple(stages))
 
     def _checked(self) -> list[str] | bool:
-        """The pieces of the text between its holes, or False if the text
-        fails the check of the module docstring; drops the text."""
-        text, ruleset, self.text = self.text, self.ruleset, None
-        keys = [("id", str(ruleset.id)), ("owner_addr", str(ruleset.owner_addr))]
-        for stage in ruleset.stages:
-            for rule in stage.rules:
-                keys += (("id", str(rule.id)), ("shared_tag", str(rule.shared_tag)))
-                for name, block in (("condition", rule.condition), ("action", rule.action)):
-                    keys.append((name, ""))
-                    keys += (
-                        ("partner_addr", str(clause.partner_addr))
-                        for clause in block.clauses
-                        if clause.__class__ in _ADDRESSED
-                    )
-        if "\\u" in text or _KEYS.findall(text) != keys:
-            return False
-        return _HOLE_TEXT.split(text)[0::2]
+        """The pieces of the text between its holes, or False if the text is
+        not what `serialize` writes for its RuleSet; drops the text."""
+        text, self.text = self.text, None
+        return text == serialize(self.ruleset) and _HOLE_TEXT.split(text)[0::2]
 
 
 def _readdressed(block, holes, table: dict):
@@ -963,9 +954,6 @@ def _readdressed(block, holes, table: dict):
                 clause = _send(clause.message, partner, clause.payload, table)
         clauses.append(clause)
     return block.__class__(block.name, tuple(clauses)) if holed else block
-
-
-_ADDRESSED = frozenset({ResClause, RecvClause, SendClause})
 
 
 # --- validation --------------------------------------------------------------

@@ -301,8 +301,12 @@ class _Parser:
             self._fail(p, "digit")
         if self.src[m.end()] in _IDENT_START:
             self._fail(m.end(), "integer")
+        try:
+            value = int(m.group())
+        except ValueError:  # an integer too long for int()
+            self._fail(p, "integer")
         self.pos = m.end()
-        return int(m.group())
+        return value
 
     def _type(self) -> ast.TypeAnnotation:
         p = self._ws(self.pos)

@@ -273,6 +273,14 @@ class TestCompile:
         assert "bad-import" in err and "cannot parse entanglement_swapping.rula" in err
 
 
+def oversized_owner(path, digits=5001):
+    """Write `path` with its `owner_addr` replaced by a `digits`-digit integer."""
+    text = path.read_text()
+    bad = re.sub('"owner_addr": [0-9]+', '"owner_addr": ' + "7" * digits, text, count=1)
+    assert bad != text
+    path.write_text(bad)
+
+
 class TestValidate:
     def test_compiled_output_is_clean(self, corpus, capsys, tmp_path):
         _c, _o, _e, out_dir = compile_swap(corpus, capsys, tmp_path)
@@ -302,6 +310,21 @@ class TestValidate:
         code, _out, err = run_cli(["validate", target], capsys)
         assert code == 1
         assert f"{target}: error[schema]: " in err and "nested too deeply" in err
+
+    def test_integer_too_long_to_convert_is_a_schema_error(self, corpus, capsys, tmp_path):
+        """One error line, alone and as the tenth file of a load, whose shape
+        recurs from the ninth on."""
+        _c, _o, _e, out_dir = compile_swap(corpus, capsys, tmp_path)
+        good = out_dir / "entanglement_swapping_1.json"
+        bad = tmp_path / "bad.json"
+        shutil.copy(good, bad)
+        oversized_owner(bad)
+        for files in ([bad], [good] * 9 + [bad]):
+            code, _out, err = run_cli(["validate", *files], capsys)
+            assert code == 1
+            lines = [line for line in err.splitlines() if "error" in line]
+            assert lines == [f"{bad}: error[schema]: $: integer too long to convert"]
+            assert err.count(": ok") == len(files) - 1
 
 
 class TestRun:
@@ -436,6 +459,33 @@ class TestRun:
         assert code == 1
         assert out == ""
         assert f"error: {target}: " in err and "nested too deeply" in err
+
+    def test_integer_too_long_to_convert_names_the_file(self, corpus, capsys, tmp_path):
+        out_dir = self.compiled(corpus, capsys, tmp_path)
+        target = out_dir / "entanglement_swapping_1.json"
+        oversized_owner(target)
+        code, out, err = run_cli(
+            ["run", "--config", corpus / "config3.json", "--rulesets", out_dir],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {target}: $: integer too long to convert\n"
+
+    @pytest.mark.parametrize("command", ["compile", "run"])
+    def test_config_integer_too_long_to_convert_is_usage_error(
+        self, corpus, capsys, tmp_path, command
+    ):
+        config_path = tmp_path / "huge.json"
+        config_path.write_text('{"repeaters": [{"name": "a", "address": %s}]}' % ("7" * 5001))
+        if command == "compile":
+            argv = ["compile", corpus / SWAP, "--config", config_path, "--out-dir", tmp_path]
+        else:
+            argv = ["run", "--config", config_path, "--rulesets", tmp_path]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: invalid config: configuration holds an integer too long to convert\n"
 
     def test_non_utf8_config_is_usage_error(self, corpus, capsys, tmp_path):
         out_dir = self.compiled(corpus, capsys, tmp_path)

@@ -664,6 +664,8 @@ def reference_deserialize(text: str) -> ir.RuleSet:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ir.SchemaError(f"malformed JSON at byte {exc.pos}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer of more digits than int() converts
+        raise ir.SchemaError("integer too long to convert") from exc
     obj = _ref_expect_obj(doc, "$", ("name", "id", "owner_addr", "stages"))
     stages = []
     for i, s in enumerate(_ref_expect_list(obj["stages"], "$.stages")):
@@ -883,8 +885,8 @@ def _hole_mutants(text: str) -> list[str]:
 def _any_outcome(deserialize, text: str):
     try:
         return deserialize(text)
-    except ValueError as err:  # a SchemaError, or an integer too long to convert
-        return (type(err), str(err), getattr(err, "path", None))
+    except ir.SchemaError as err:  # also for an integer too long to convert
+        return (type(err), str(err), err.path)
 
 
 class TestSharedTableDifferential:
@@ -935,12 +937,15 @@ class TestSharedTableDifferential:
                 count += 1
         assert count > 400
 
-    @pytest.mark.parametrize("layout", ["keys reordered", "key written twice", "key escaped"])
-    def test_a_shape_is_checked_before_it_refills(self, layout):
+    @pytest.mark.parametrize(
+        "layout", ["keys reordered", "key written twice", "key escaped", "not canonical"]
+    )
+    def test_a_shape_is_checked_before_it_refills(self, layout, monkeypatch):
         """With every hole 0, the hole values of these texts equal their
         RuleSet's in text order, yet a hole sits in another field: only the
-        check of the shape's keys keeps a later document of its signature
-        from being refilled wrong."""
+        check that a shape's text is the writer's keeps a later document of
+        its signature from being refilled wrong. A valid text the writer
+        does not write refills nothing either."""
         rule = ir.Rule(
             "r", 0, 0,
             ir.Condition(None, (ir.ResClause(1, 0.5, 0, 0),)),
@@ -958,14 +963,24 @@ class TestSharedTableDifferential:
             first = text.replace('"shared_tag": 0,', '"shared_tag": 0,\n"id": 0,')
             first = first.replace('"partner_addr": 0\n', '"partner_addr":0\n')
             second = first.replace('\n"id": 0,', '\n"id": 5,')
-        else:  # the rule id that counts is the last one, which no scan for "id" finds
+        elif layout == "key escaped":
+            # the rule id that counts is the last one, which no scan for "id" finds
             first = text.replace('"is_finalized": false', '"is_finalized": false, "i\\u0064": 0')
             indent = "\n" + " " * 20
             second = first.replace(f'"r",{indent}"id": 0,', f'"r",{indent}"id": 5,')
+        else:  # a fidelity of 1, which the writer writes as 1.0
+            first = text.replace('"fidelity": 0.5', '"fidelity": 1')
+            second = first.replace('"partner_addr": 0\n', '"partner_addr": 5\n')
         assert first != second
         table: dict = {}
-        for text in [first] * (ir._UNSHAPED + 2) + [second]:  # the first ones are not keyed
+        for text in [first] * (ir._UNSHAPED + 2):  # the first ones are not keyed
             assert ir.deserialize(text, table) == reference_deserialize(text)
+        expected = reference_deserialize(second)
+        decoded = []
+        real = json.loads
+        monkeypatch.setattr(json, "loads", lambda text: decoded.append(text) or real(text))
+        assert ir.deserialize(second, table) == expected
+        assert decoded == [second]  # the full path, not a refill
 
 
 # --- hash-consing -------------------------------------------------------------

@@ -350,6 +350,16 @@ class TestGrammarCorners:
             parse_expression("1e")
         assert (exc_info.value.pos, exc_info.value.expected) == (1, ["number"])
 
+    @pytest.mark.parametrize(
+        "template", ["{}", "for d in {}..3 {{}}", "r<#repeaters({})>()", "r<#repeaters({}+1)>()"]
+    )
+    def test_integer_too_long_for_int_is_a_parse_error(self, template):
+        big = "7" * 5001
+        source = template.format(big)
+        with pytest.raises(ParseError) as exc_info:
+            parse_statements(source)
+        assert exc_info.value.pos == source.index(big)
+
     def test_radix_prefixes_without_digits(self):
         assert parse_expression("0b") == ast.IntLit(0)
         assert parse_expression("0x") == ast.IntLit(0)

@@ -623,6 +623,20 @@ class TestSingleQubitGates:
         assert pair["bell_index"] == bell_index  # [phase, parity]
 
 
+class TestCzGate:
+    """A CZ conjugates X on either qubit to X on it times Z on the other and
+    leaves each Z as it was (Aaronson and Gottesman, 2004), so after it an X
+    measurement of one slot spans the other slot's pair's Z correlation."""
+
+    def test_x_spans_the_other_pair_z(self):
+        ends = {q: runtime.End(runtime.Pair(10 + q, 1.0), 0, q + 1) for q in (0, 1)}
+        firing = runtime._Firing(None, None, ends, None)
+        gates = (ir.QGate(ir.QubitId(0), "CzControl"), ir.QGate(ir.QubitId(1), "CzTarget"))
+        firing._qcirc(ir.QCircClause(gates))
+        assert firing.zdeps == {0: {(10, "Z")}, 1: {(11, "Z")}}
+        assert firing.xdeps == {0: {(10, "X"), (11, "Z")}, 1: {(11, "X"), (10, "Z")}}
+
+
 class TestSplitPoint:
     """A one-rule group whose comparison reads a register runs its actions
     up to the measurement that writes the register, compares, and runs the
