@@ -126,7 +126,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     status = EXIT_OK
-    interned: dict = {}  # one hash-consing table for the files of this command
+    interned: dict = {}  # the document shapes of this command's files
     for name in args.rulesets:
         path = Path(name)
         if not path.is_file():
@@ -154,7 +154,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def _load_rulesets(directory: Path, topology: config.Topology):
     rulesets: dict[int, ir.RuleSet] = {}
-    interned: dict = {}  # one hash-consing table for the whole load
+    interned: dict = {}  # the document shapes of this load
     for path in sorted(directory.glob("*.json")):
         try:
             ruleset = ir.deserialize(path.read_text(encoding="utf-8"), interned)

@@ -665,8 +665,11 @@ class _Compiler:
             return [v]
         if isinstance(stmt, ast.SetStmt):
             source = v.env.get(stmt.name)
-            variable = source.register if isinstance(source, ResultRef) else stmt.name
-            v.clauses.append(ir.SetClause(variable=variable, alias=stmt.alias))
+            if isinstance(source, ResultRef):  # stored under the name `get` reads
+                clause = ir.SetClause(source.register, stmt.alias or stmt.name)
+            else:
+                clause = ir.SetClause(stmt.name, stmt.alias)
+            v.clauses.append(clause)
             return [v]
         if isinstance(stmt, ast.MatchStmt):
             return self._apply_match(stmt, v)

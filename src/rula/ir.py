@@ -32,7 +32,7 @@ reports of perfbench `enumerate_small` write 158 fired and 6 pair records
 instead of 49 152 and 6 144.
 
 A load reads each document shape once. From its ninth document on (see
-`_UNSHAPED`), its table (`interned`, below) keeps one `_Shape`, the first
+`_UNSHAPED`), its table (`interned`) keeps one `_Shape`, the first
 document's text and RuleSet, per signature: the hash of a text with every
 digit taken out. That signature, 1-1.5 ns per character, is all that a
 document of a new signature pays on top of the full path below. A shape
@@ -65,24 +65,12 @@ level catches it, prepends its own segment (".stages[2]", ".rules[0]",
 ".condition", ".clauses[1]", ".Res", ".qgates[0]", ...) and re-raises, and
 the outermost adds the leading "$".
 
-Deserialization hash-conses the clauses (Filliâtre and Conchon, "Type-safe
-modular hash-consing", 2006): each distinct clause value, `QubitId`, `QGate`
-and `TaggedValue` is built once per load and shared by every rule that
-holds it: a 1025-node chain has ~110 000 such leaves but ~5 100 distinct
-values, which leaves less for the garbage collector to rescan. A key is the
-node's class and its field values, taken only after every field has passed
-its type check and a fidelity has become a float, so values Python treats
-as equal (`1`, `1.0`, `True`) can never meet under one key; the one equal
-pair the schema lets through, a fidelity of `0.0` and of `-0.0`, is keyed
-by its text. A `QCircClause` is keyed by the identities of its gates, which
-the table keeps alive. Lookups read `table.get(ident) or
-table.setdefault(ident, ...)`: every IR object is truthy. The table lives
-for one load only, one `deserialize` call or the files one command reads
-(`interned`), never across loads, and so do its shapes. Conditions,
-actions and rules are not interned: on that chain 8 184 of 11 253
-conditions and 5 119 of 11 253 actions are distinct, and keying them made a
-load slower, not faster. A refill shares only a shape's conditions and
-actions that hold no hole.
+A load shares nodes only through its shapes: a refilled RuleSet holds its
+shape's conditions and actions that have no hole, and each Res, Recv or Send
+clause a refill readdresses is built once per load and kept in the table under
+its value (a fidelity of `0.0` and of `-0.0` are equal but keyed by their
+text). The full path builds plain nodes, and the table, shapes and all, lives
+for one load only: one `deserialize` call or the files one command reads.
 """
 
 from __future__ import annotations
@@ -90,7 +78,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 CMP_OPERATORS = ("Eq", "Neq", "Lt", "Leq", "Gt", "Geq")
 MESSAGE_KINDS = ("Free", "Update", "Meas", "Transfer")
@@ -578,51 +566,27 @@ def _expect_list(value, path: str) -> list:
     return value
 
 
-def _array(value, path: str, item, table: dict) -> tuple:
+def _array(value, path: str, item) -> tuple:
     """`item` applied to each element of the array `value`, found at `path`."""
     out = []
     _expect_list(value, path)
     try:
         for element in value:
-            out.append(item(element, table))
+            out.append(item(element))
     except SchemaError as err:
         err.path = f"{path}[{len(out)}]{err.path}"
         raise
     return tuple(out)
 
 
-def _qubit_index(value) -> int:
-    """The index of the "qubit_identifier" of an action clause or a gate."""
+def _qubit(value) -> QubitId:
+    """The "qubit_identifier" of an action clause or a gate."""
     if value.__class__ is not dict or value.keys() != _QUBIT:
         _expect_obj(value, ".qubit_identifier", _QUBIT)
     index = value["qubit_index"]
     if index.__class__ is not int:
         _expect_int(index, ".qubit_identifier.qubit_index")
-    return index
-
-
-def _qubit(index: int, table: dict) -> QubitId:
-    return table.get((QubitId, index)) or table.setdefault((QubitId, index), QubitId(index))
-
-
-# The clauses with a hole, built through these three both on a load and on
-# a refill (see `_Shape`), so that the two key them alike.
-
-
-def _res(count: int, fidelity: float, partner: int, qubit: int, table: dict) -> ResClause:
-    # -0.0 == 0.0, but the two serialize differently: a zero is keyed by its text
-    ident = (ResClause, count, fidelity or repr(fidelity), partner, qubit)
-    return table.get(ident) or table.setdefault(ident, ResClause(count, fidelity, partner, qubit))
-
-
-def _recv(partner: int, table: dict) -> RecvClause:
-    ident = (RecvClause, partner)
-    return table.get(ident) or table.setdefault(ident, RecvClause(partner))
-
-
-def _send(kind: str, partner: int, payload: tuple, table: dict) -> SendClause:
-    ident = (SendClause, kind, partner, payload)
-    return table.get(ident) or table.setdefault(ident, SendClause(kind, partner, payload))
+    return QubitId(index)
 
 
 def _variant(value, path: str) -> tuple[str, object]:
@@ -632,7 +596,7 @@ def _variant(value, path: str) -> tuple[str, object]:
     return key, body
 
 
-def _condition_clause(value, table: dict) -> ConditionClause:
+def _condition_clause(value) -> ConditionClause:
     if value.__class__ is not dict or len(value) != 1:
         _variant(value, "")
     [(key, body)] = value.items()
@@ -656,7 +620,7 @@ def _condition_clause(value, table: dict) -> ConditionClause:
                 _expect_int(count, ".count")
                 _expect_int(partner, ".partner_addr")
                 _expect_int(qubit, ".qubit_index")
-            return _res(count, fidelity, partner, qubit, table)
+            return ResClause(count, fidelity, partner, qubit)
         if key == "Cmp":
             if body.__class__ is not dict or body.keys() != _CMP:
                 _expect_obj(body, "", _CMP)
@@ -667,36 +631,25 @@ def _condition_clause(value, table: dict) -> ConditionClause:
             cmp_val = _expect_str(body["cmp_val"], ".cmp_val")
             if raw.__class__ is not str:
                 _expect_str(raw, f".target_val.{kind}")
-            ident = (CmpClause, cmp_val, operator, kind, raw)
-            target = (TaggedValue, kind, raw)
-            return table.get(ident) or table.setdefault(
-                ident,
-                CmpClause(
-                    cmp_val,
-                    operator,
-                    table.get(target) or table.setdefault(target, TaggedValue(kind, raw)),
-                ),
-            )
+            return CmpClause(cmp_val, operator, TaggedValue(kind, raw))
         if key == "Recv":
             if body.__class__ is not dict or body.keys() != _RECV:
                 _expect_obj(body, "", _RECV)
             partner = body["partner_addr"]
             if partner.__class__ is not int:
                 _expect_int(partner, ".partner_addr")
-            return _recv(partner, table)
+            return RecvClause(partner)
         if key == "Timer":
             if body.__class__ is not dict or body.keys() != _TIMER:
                 _expect_obj(body, "", _TIMER)
-            timer_id = _expect_str(body["timer_id"], ".timer_id")
-            ident = (TimerClause, timer_id)
-            return table.get(ident) or table.setdefault(ident, TimerClause(timer_id))
+            return TimerClause(_expect_str(body["timer_id"], ".timer_id"))
     except SchemaError as err:
         err.path = f".{key}{err.path}"
         raise
     raise SchemaError(f"unknown condition clause {key!r}", "")
 
 
-def _action_clause(value, table: dict) -> ActionClause:
+def _action_clause(value) -> ActionClause:
     if value.__class__ is not dict or len(value) != 1:
         _variant(value, "")
     [(key, body)] = value.items()
@@ -719,76 +672,61 @@ def _action_clause(value, table: dict) -> ActionClause:
             partner = inner["partner_addr"]
             if partner.__class__ is not int:
                 _expect_int(partner, f".{kind}.partner_addr")
-            return _send(kind, partner, payload, table)
+            return SendClause(kind, partner, payload)
         if key == "Measure":
             if body.__class__ is not dict or body.keys() != _MEASURE:
                 _expect_obj(body, "", _MEASURE)
             basis = _expect_str(body["basis"], ".basis")
             if basis not in MEASURE_BASES:
                 raise SchemaError(f"unknown basis {basis!r}", ".basis")
-            index = _qubit_index(body["qubit_identifier"])
-            ident = (MeasureClause, index, basis)
-            return table.get(ident) or table.setdefault(
-                ident, MeasureClause(_qubit(index, table), basis)
-            )
+            return MeasureClause(_qubit(body["qubit_identifier"]), basis)
         if key == "QCirc":
             if body.__class__ is not dict or body.keys() != _QCIRC:
                 _expect_obj(body, "", _QCIRC)
-            gates = _array(body["qgates"], ".qgates", _gate, table)
-            ident = (QCircClause, *map(id, gates))
-            return table.get(ident) or table.setdefault(ident, QCircClause(gates))
+            return QCircClause(_array(body["qgates"], ".qgates", _gate))
         if key == "Promote" or key == "Free":
             if body.__class__ is not dict or body.keys() != _ON_QUBIT:
                 _expect_obj(body, "", _ON_QUBIT)
             cls = PromoteClause if key == "Promote" else FreeClause
-            index = _qubit_index(body["qubit_identifier"])
-            return table.get((cls, index)) or table.setdefault(
-                (cls, index), cls(_qubit(index, table))
-            )
+            return cls(_qubit(body["qubit_identifier"]))
         if key == "SetTimer":
             if body.__class__ is not dict or body.keys() != _SET_TIMER:
                 _expect_obj(body, "", _SET_TIMER)
             timer_id = _expect_str(body["timer_id"], ".timer_id")
-            duration = _expect_int(body["duration"], ".duration")
-            ident = (SetTimerClause, timer_id, duration)
-            return table.get(ident) or table.setdefault(ident, SetTimerClause(timer_id, duration))
+            return SetTimerClause(timer_id, _expect_int(body["duration"], ".duration"))
         if key == "Set":
             if body.__class__ is not dict or not _SET_REQUIRED <= body.keys() <= _SET:
                 _expect_obj(body, "", _SET_REQUIRED, _SET)
             alias = body.get("alias")
             if alias is not None:
                 alias = _expect_str(alias, ".alias")
-            variable = _expect_str(body["variable"], ".variable")
-            ident = (SetClause, variable, alias)
-            return table.get(ident) or table.setdefault(ident, SetClause(variable, alias))
+            return SetClause(_expect_str(body["variable"], ".variable"), alias)
     except SchemaError as err:
         err.path = f".{key}{err.path}"
         raise
     raise SchemaError(f"unknown action clause {key!r}", "")
 
 
-def _gate(value, table: dict) -> QGate:
+def _gate(value) -> QGate:
     if value.__class__ is not dict or value.keys() != _GATE:
         _expect_obj(value, "", _GATE)
     kind = _expect_str(value["kind"], ".kind")
     if kind not in GATE_KINDS:
         raise SchemaError(f"unknown gate kind {kind!r}", ".kind")
-    index = _qubit_index(value["qubit_identifier"])
-    ident = (QGate, index, kind)
-    return table.get(ident) or table.setdefault(ident, QGate(_qubit(index, table), kind))
+    return QGate(_qubit(value["qubit_identifier"]), kind)
 
 
-def _block(value, clause, table: dict) -> tuple:
+def _block(value, clause) -> tuple:
     """The name and the clauses of a condition or an action."""
     if value.__class__ is not dict or value.keys() != _BLOCK:
         _expect_obj(value, "", _BLOCK)
     name = value["name"]
     if name is not None:
         name = _expect_str(name, ".name")
-    return name, _array(value["clauses"], ".clauses", clause, table)
+    return name, _array(value["clauses"], ".clauses", clause)
 
 
-def _rule(value, table: dict) -> Rule:
+def _rule(value) -> Rule:
     if value.__class__ is not dict or value.keys() != _RULE:
         _expect_obj(value, "", _RULE)
     qnic = value["qnic_interfaces"]
@@ -806,19 +744,19 @@ def _rule(value, table: dict) -> Rule:
     shared_tag = _expect_int(value["shared_tag"], ".shared_tag")
     where = ".condition"
     try:
-        condition = Condition(*_block(value["condition"], _condition_clause, table))
+        condition = Condition(*_block(value["condition"], _condition_clause))
         where = ".action"
-        action = Action(*_block(value["action"], _action_clause, table))
+        action = Action(*_block(value["action"], _action_clause))
     except SchemaError as err:
         err.path = where + err.path
         raise
     return Rule(name, rule_id, shared_tag, condition, action, interfaces, finalized)
 
 
-def _stage(value, table: dict) -> Stage:
+def _stage(value) -> Stage:
     if value.__class__ is not dict or value.keys() != _STAGE:
         _expect_obj(value, "", _STAGE)
-    return Stage(_array(value["rules"], ".rules", _rule, table))
+    return Stage(_array(value["rules"], ".rules", _rule))
 
 
 def deserialize(text: str, interned: dict | None = None) -> RuleSet:
@@ -830,22 +768,22 @@ def deserialize(text: str, interned: dict | None = None) -> RuleSet:
     rebuilt from the RuleSet of the first one.
     """
     if interned is None:
-        return _document(text, {})
+        return _document(text)
     loaded = interned[_LOADED] = interned.get(_LOADED, 0) + 1
     if loaded <= _UNSHAPED:
-        return _document(text, interned)
+        return _document(text)
     shapes = interned.setdefault(_SHAPES, {})
     # "surrogatepass": a str may hold a lone surrogate, which json.loads reads
     signature = hash(text.encode("utf-8", "surrogatepass").translate(None, b"0123456789"))
     shape = shapes.get(signature)
     if shape is None:
-        ruleset = _document(text, interned)
+        ruleset = _document(text)
         shapes[signature] = _Shape(text, ruleset)
         return ruleset
-    return shape.refill(text, interned) or _document(text, interned)
+    return shape.refill(text, interned) or _document(text)
 
 
-def _document(text: str, table: dict) -> RuleSet:
+def _document(text: str) -> RuleSet:
     """Decode `text` and check it against the schema, node by node."""
     try:
         doc = json.loads(text)
@@ -858,7 +796,7 @@ def _document(text: str, table: dict) -> RuleSet:
     try:
         if doc.__class__ is not dict or doc.keys() != _RULESET:
             _expect_obj(doc, "", _RULESET)
-        stages = _array(doc["stages"], ".stages", _stage, table)
+        stages = _array(doc["stages"], ".stages", _stage)
         name = _expect_str(doc["name"], ".name")
         ruleset_id = _expect_int(doc["id"], ".id")
         return RuleSet(name, ruleset_id, _expect_int(doc["owner_addr"], ".owner_addr"), stages)
@@ -940,18 +878,30 @@ class _Shape:
 
 def _readdressed(block, holes, table: dict):
     """A condition or an action with the next values of `holes` in its
-    clauses' holes; itself if it has none."""
+    clauses' holes; itself if it has none. Each readdressed clause is kept
+    in `table` under its value (every IR object is truthy), so that the
+    refills of a load share it."""
     clauses, holed = [], False
     for clause in block.clauses:
         cls = clause.__class__
         if cls in _ADDRESSED:
             holed, partner = True, next(holes)
             if cls is ResClause:
-                clause = _res(clause.count, clause.fidelity, partner, clause.qubit_index, table)
+                # -0.0 == 0.0, but the two serialize differently: a zero is keyed by its text
+                count, fidelity, qubit = clause.count, clause.fidelity, clause.qubit_index
+                ident = (cls, count, fidelity or repr(fidelity), partner, qubit)
+                clause = table.get(ident) or table.setdefault(
+                    ident, ResClause(count, fidelity, partner, qubit)
+                )
             elif cls is RecvClause:
-                clause = _recv(partner, table)
+                ident = (cls, partner)
+                clause = table.get(ident) or table.setdefault(ident, RecvClause(partner))
             else:
-                clause = _send(clause.message, partner, clause.payload, table)
+                kind, payload = clause.message, clause.payload
+                ident = (cls, kind, partner, payload)
+                clause = table.get(ident) or table.setdefault(
+                    ident, SendClause(kind, partner, payload)
+                )
         clauses.append(clause)
     return block.__class__(block.name, tuple(clauses)) if holed else block
 

@@ -194,25 +194,32 @@ class Group:
 RESOLVED = ("fired", "cancelled")
 
 
-def _split_point(rule: ir.Rule, discriminators: tuple[ir.CmpClause, ...]) -> int:
-    """For a single-alternative group: how many action clauses must run
-    before its comparison clauses can be evaluated, up to the last that
-    writes a register one of them reads.  Registers are numbered as
-    `_Firing` writes them: a fused measurement writes one."""
-    clauses = rule.action.clauses
-    if not discriminators:
-        return len(clauses)
-    needed = {c.cmp_val for c in discriminators}
-    needed.update(c.target_val.value for c in discriminators if c.target_val.kind == "Variable")
-    end = written = i = 0
+def _writes(clauses: tuple[ir.ActionClause, ...]):
+    """Each register `clauses` write, numbered as `_Firing` writes them (a
+    fused measurement writes one), with the index just past its writer."""
+    written = i = 0
     while i < len(clauses):
         width = 3 if _is_composite(clauses, i) else 1
         if width == 3 or isinstance(clauses[i], ir.MeasureClause):
-            if ir.register(written) in needed:
-                end = i + width
+            yield ir.register(written), i + width
             written += 1
         i += width
-    return end
+
+
+def _reads(clause: ir.CmpClause) -> set[str]:
+    target = clause.target_val
+    return {clause.cmp_val, target.value} if target.kind == "Variable" else {clause.cmp_val}
+
+
+def _split_point(rule: ir.Rule, discriminators: tuple[ir.CmpClause, ...]) -> int:
+    """For a single-alternative group: how many action clauses must run
+    before its comparison clauses can be evaluated, up to the last that
+    writes a register one of them reads."""
+    clauses = rule.action.clauses
+    if not discriminators:
+        return len(clauses)
+    needed = set().union(*map(_reads, discriminators))
+    return max((end for name, end in _writes(clauses) if name in needed), default=0)
 
 
 def _build_group(rules: list[ir.Rule], gid: int) -> Group:
@@ -539,6 +546,8 @@ class Network:
                     break
             if winner is not None:
                 ctx.execute(winner.action.clauses[group.prefix_len :])
+            elif len(group.rules) > 1:
+                ctx.decided_early(group)
         except _Stuck as exc:
             self.state[group.gid] = "stuck"
             self.faults[group.gid] = str(exc)
@@ -917,6 +926,18 @@ class _Firing:
                 return ""
             return self.message.payload.get(name.split(".", 1)[1], "")
         return self.node.store.get(name, "")
+
+    def decided_early(self, group: Group) -> None:
+        """Stuck if an alternative of `group`, which fired none, fails only
+        on registers that the alternatives write after their shared prefix:
+        it was compared before it was measured."""
+        later = {name for r in group.rules for name, _ in _writes(r.action.clauses)}
+        later -= self.registers.keys()
+        for discs in group.discriminators:
+            early = [c for c in discs if _reads(c) & later]
+            if early and all(self.compare(c) for c in discs if c not in early):
+                unread = min(_reads(early[0]) & later)
+                raise _Stuck(f"compares {unread} before the measurement that writes it")
 
     def compare(self, clause: ir.CmpClause) -> bool:
         """Whether `clause` holds. An `Int` target compares both sides as

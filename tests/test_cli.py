@@ -28,6 +28,61 @@ ruleset hand{
 }
 """
 
+# `set r` without `as` stores the result under `r`, which `get r` reads
+SET_WITHOUT_ALIAS = """#repeaters: vec[Repeater]
+import std::operation::{measure}
+rule producer<#rep>(){
+    cond {
+        @q: res(1, 0.5, #rep.hop(1), 0)
+    } => act {
+        let r: Result = measure(q, "Z")
+        set r
+    }
+}
+rule consumer<#rep>(){
+    cond {
+        @q: res(1, 0.5, #rep.hop(1), 1)
+    } => act {
+        if (get r == "0") {
+            free(q) -> #rep.hop(1)
+        } else {
+            free(q) -> #rep.hop(1)
+        }
+    }
+}
+ruleset stored{
+    producer<#repeaters(0)>()
+    consumer<#repeaters(0)>()
+}
+"""
+
+# a match arm that measures again and matches on that measurement: lowering
+# emits sibling rules whose shared prefix is only the first measurement
+NESTED_MATCH = """#repeaters: vec[Repeater]
+import std::operation::{measure}
+rule nested<#rep>(){
+    cond {
+        @q1: res(1, 0.5, #rep.hop(1), 0)
+        @q2: res(1, 0.5, #rep.hop(1), 1)
+    } => act {
+        let a: Result = measure(q1, "Z")
+        match a {
+            "0" => {
+                let b: Result = measure(q2, "Z"),
+                match b {
+                    "0" => { set_timer("t0", 1) },
+                    "1" => { set_timer("t1", 1) },
+                }
+            },
+            "1" => { free(q2) -> #rep.hop(1) },
+        }
+    }
+}
+ruleset nest{
+    nested<#repeaters(0)>()
+}
+"""
+
 
 def run_cli(argv, capsys):
     code = cli.main([str(a) for a in argv])
@@ -570,6 +625,40 @@ class TestRun:
                 "stuck: address 2: rule 'wait_transfer' (id 0) has no pair or promoted "
                 "qubit to bind to slot 0\n"
             ) in err
+
+    def compiled_source(self, source, corpus, capsys, tmp_path):
+        program = tmp_path / "program.rula"
+        program.write_text(source)
+        out_dir = tmp_path / "out"
+        code, _out, _err = run_cli(
+            ["compile", program, "--config", corpus / "config2.json", "--out-dir", out_dir],
+            capsys,
+        )
+        assert code == 0
+        return ["run", "--config", corpus / "config2.json", "--rulesets", out_dir]
+
+    def test_set_without_alias_is_read_by_get(self, corpus, capsys, tmp_path):
+        run = self.compiled_source(SET_WITHOUT_ALIAS, corpus, capsys, tmp_path)
+        code, out, _err = run_cli([*run, "--enumerate-outcomes", "--report-json"], capsys)
+        assert code == 0
+        fired = {
+            tuple(report["outcome_path"]): [(f["address"], f["id"]) for f in report["fired"]]
+            for report in json.loads(out)["reports"]
+        }
+        assert fired == {(0,): [(0, 0), (0, 1), (1, 0)], (1,): [(0, 0), (0, 2), (1, 0)]}
+
+    def test_match_arm_decided_before_its_measurement_is_stuck(
+        self, corpus, capsys, tmp_path
+    ):
+        run = self.compiled_source(NESTED_MATCH, corpus, capsys, tmp_path)
+        code, _out, err = run_cli([*run, "--enumerate-outcomes"], capsys)
+        assert code == 1
+        assert "error" not in err
+        assert (
+            "branch 0: stuck: address 0: rule 'nested' (id 0) compares MeasResult1 "
+            "before the measurement that writes it\n"
+        ) in err
+        assert "branch 1: quiescent" in err and "2 branch(es), some stuck" in err
 
     def test_bsm_on_pairs_with_one_far_node(self, corpus, capsys, tmp_path):
         """Both qubits of the swap come from the left partner. Lowering

@@ -905,7 +905,11 @@ class TestSharedTableDifferential:
         real = json.loads
         monkeypatch.setattr(json, "loads", lambda text: decoded.append(text) or real(text))
         table: dict = {}
-        loaded = [ir.deserialize(text, table) for text in texts]
+        loaded, refilled = [], []
+        for text in texts:
+            before = len(decoded)
+            loaded.append(ir.deserialize(text, table))
+            refilled.append(len(decoded) == before)
         assert len(groups) == 13 and loaded == expected
         # most documents are refilled; alone, the chain's 33 files decode the
         # first eight, which are not keyed, and one of each of 6 shapes
@@ -916,9 +920,7 @@ class TestSharedTableDifferential:
         assert chain == expected[-33:]
         assert len(decoded) == 8 + 6
         monkeypatch.undo()
-        first: dict = {}
-        for leaf in (leaf for ruleset in loaded for leaf in _leaves(ruleset)):
-            assert first.setdefault((type(leaf), leaf), leaf) is leaf
+        _assert_readdressed_shared([r for r, refill in zip(loaded, refilled) if refill])
 
     def test_hole_mutants_after_their_twin_match_the_reference(self, groups):
         table: dict = {}
@@ -983,7 +985,7 @@ class TestSharedTableDifferential:
         assert decoded == [second]  # the full path, not a refill
 
 
-# --- hash-consing -------------------------------------------------------------
+# --- sharing on load ----------------------------------------------------------
 
 
 def _fuzz_texts(mutants: int = 400) -> list[str]:
@@ -1003,7 +1005,7 @@ def _fuzz_texts(mutants: int = 400) -> list[str]:
 
 
 def _leaves(ruleset: ir.RuleSet) -> list:
-    """Every interned node of a RuleSet: clauses, gates, qubits, tagged values."""
+    """Every leaf node of a RuleSet: clauses, gates, qubits, tagged values."""
     out = []
     for stage in ruleset.stages:
         for rule in stage.rules:
@@ -1019,9 +1021,24 @@ def _leaves(ruleset: ir.RuleSet) -> list:
     return out
 
 
+def _assert_readdressed_shared(refilled: list[ir.RuleSet]) -> None:
+    """Equal Res, Recv and Send clauses of the refilled RuleSets of one load
+    are one object, and some are met more than once."""
+    clauses = [
+        leaf
+        for ruleset in refilled
+        for leaf in _leaves(ruleset)
+        if isinstance(leaf, (ir.ResClause, ir.RecvClause, ir.SendClause))
+    ]
+    first: dict = {}
+    for clause in clauses:
+        assert first.setdefault((type(clause), clause), clause) is clause
+    assert 0 < len(first) < len(clauses)
+
+
 class TestInterning:
-    """`ir.deserialize` builds each distinct leaf value once per load, and
-    the values it gives back are the ones the reference deserializer builds."""
+    """`ir.deserialize` gives back the values the reference deserializer
+    builds, and a load's refills share the clauses they readdress."""
 
     @pytest.fixture(scope="class")
     def groups(self):
@@ -1039,14 +1056,23 @@ class TestInterning:
                 assert alone == expected and shared == expected
                 assert ir.serialize(shared) == ir.serialize(expected) == text
 
-    def test_equal_leaves_of_one_load_are_one_object(self, groups):
+    def test_equal_leaves_of_one_load_are_one_object(self, groups, monkeypatch):
+        decoded = []
+        real = json.loads
+        monkeypatch.setattr(json, "loads", lambda text: decoded.append(text) or real(text))
+        shared = 0
         for group in groups:
             table: dict = {}
-            leaves = [leaf for text in group for leaf in _leaves(ir.deserialize(text, table))]
-            first: dict = {}
-            for leaf in leaves:
-                assert first.setdefault((type(leaf), leaf), leaf) is leaf
-            assert len(first) < len(leaves)
+            refilled = []
+            for text in group:
+                before = len(decoded)
+                ruleset = ir.deserialize(text, table)
+                if len(decoded) == before:
+                    refilled.append(ruleset)
+            if refilled:
+                _assert_readdressed_shared(refilled)
+                shared += 1
+        assert shared == 4  # the compiled corpus, both chains, the fuzz programs
 
     def test_separate_loads_share_nothing(self, corpus):
         text = (corpus / "swapping_ruleset.json").read_text()
@@ -1063,9 +1089,10 @@ class TestInterning:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(leaf, field, getattr(leaf, field))
 
-    def test_equal_values_of_other_types_keep_apart(self):
-        """`0.0` and `-0.0` are equal floats that serialize differently; a
-        count of `true` or `1.0` must still fail after a count of `1`."""
+    def test_equal_values_of_other_types_keep_apart(self, monkeypatch):
+        """`0.0` and `-0.0` are equal floats that serialize differently, so
+        the refills of a load keep their Res clauses apart; a count of
+        `true` or `1.0` must still fail after a count of `1`."""
 
         def ruleset(res: list[str]) -> str:
             clauses = ", ".join(
@@ -1088,3 +1115,19 @@ class TestInterning:
         for count in ("true", "1.0"):
             with pytest.raises(ir.SchemaError, match="expected integer"):
                 ir.deserialize(ruleset([(count, "0.5")]), table)
+
+        def written(fidelity: float, partner: int) -> str:
+            res = ir.ResClause(1, fidelity, partner, 0)
+            rule = ir.Rule("r", 0, 0, ir.Condition(None, (res,)), ir.Action())
+            return ir.serialize(ir.RuleSet("x", 0, 0, (ir.Stage((rule,)),)))
+
+        # two shapes, one per zero, each met first after the eighth document
+        table = {}
+        for text in [written(0.5, 0)] * ir._UNSHAPED + [written(0.0, 0), written(-0.0, 0)]:
+            ir.deserialize(text, table)
+        decoded = []
+        real = json.loads
+        monkeypatch.setattr(json, "loads", lambda text: decoded.append(text) or real(text))
+        for text in (written(0.0, 5), written(-0.0, 5)):
+            assert ir.serialize(ir.deserialize(text, table)) == text
+        assert decoded == []  # both were refilled

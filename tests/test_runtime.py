@@ -699,3 +699,47 @@ class TestSplitPoint:
         fired = self.outcomes("MeasResult", self.FUSED_THEN_SINGLE, (0, 2, 0), "Geq", "0")
         assert len(fired) == 8
         assert all(fired.values())
+
+
+class TestDecidedEarly:
+    """A group of alternatives whose shared prefix is one measurement, as
+    lowering emits for a `match` arm that measures again before it matches:
+    an alternative that fails only on a register written after the prefix
+    was compared before its measurement, so the firing ends stuck instead
+    of cancelled."""
+
+    @staticmethod
+    def reports(first_arm: str):
+        q0, q1 = ir.QubitId(0), ir.QubitId(1)
+
+        def cmp(register, value):
+            return ir.CmpClause(register, "Eq", ir.TaggedValue("Str", value))
+
+        def arm(rule_id, cmps, tail):
+            condition = (_res(1, 0), _res(1, 1), *cmps)
+            return _rule("nested", rule_id, condition, (ir.MeasureClause(q0, "Z"), *tail))
+
+        measured = (ir.MeasureClause(q1, "Z"),)
+        rules = (
+            arm(0, (cmp("MeasResult", first_arm), cmp("MeasResult1", "0")), measured),
+            arm(1, (cmp("MeasResult", first_arm), cmp("MeasResult1", "1")), measured),
+            arm(2, (cmp("MeasResult", "1"),), (ir.FreeClause(q1),)),
+        )
+        return runtime.enumerate_outcomes({0: _node(0, *rules), 1: _node(1)}, chain(2))
+
+    def test_an_arm_decided_before_its_measurement_ends_stuck(self):
+        zero, one = self.reports("0")
+        assert (zero.outcome_path, zero.status, zero.fired) == ((0,), "stuck", [])
+        assert zero.stuck == [
+            "address 0: rule 'nested' (id 0) compares MeasResult1 before the "
+            "measurement that writes it"
+        ]
+        assert one.quiescent and [f["id"] for f in one.fired] == [2]
+
+    def test_an_arm_failing_on_the_prefix_still_cancels(self):
+        reports = self.reports("2")
+        assert [(r.outcome_path, r.status) for r in reports] == [
+            ((0,), "quiescent"),
+            ((1,), "quiescent"),
+        ]
+        assert [[f["id"] for f in r.fired] for r in reports] == [[], [2]]
