@@ -17,14 +17,15 @@ accepted: it folds the expressions the analysis records as static and lowers
 every other act-level condition to Cmp clauses. It reports only what needs
 the concrete chain or the folded values: `repeater-range` and `hop-range` (a
 repeater outside the chain), `const-expr` (a value fault: division or modulo
-by zero, a negative exponent, a res count, fidelity or qubit index out of
-range, or a name left without a value by an earlier error), `loop-bound` (a
-loop nest too large to unroll), `promote-owner` (a promoted qubit used on
-another repeater), `unpromoted` (a rule call given a `Qubit?` result that
-its rule did not promote on that repeater with those arguments), `send-self`
-(a message addressed to its sender) and `bsm-partner` (a bsm of two qubits
-whose res partners are one repeater, which would splice a pair with both
-ends there).
+by zero, a negative exponent, zero to a negative power, a fractional power
+of a negative number, a float too large, a res count, fidelity or qubit
+index out of range, or a name left without a value by an earlier error),
+`loop-bound` (a loop nest too large to unroll), `promote-owner` (a promoted
+qubit used on another repeater), `unpromoted` (a rule call given a `Qubit?`
+result that its rule did not promote on that repeater with those
+arguments), `send-self` (a message addressed to its sender) and
+`bsm-partner` (a bsm of two qubits whose res partners are one repeater,
+which would splice a pair with both ends there).
 
 Lowering templates. A rule call's lets and cond are evaluated for each
 call, but its act is expanded once per template key: the rule and its env,
@@ -37,7 +38,22 @@ other clause object is shared. An act that reads the chain itself, through
 its `hop-range` and `repeater-range` errors are reported where they occur.
 An expansion that fails is never kept. Send resolution and assembly see
 the same per-node rules, ids and recv slots as without templates; on the
-1025-node doubling chain 1 023 calls make a handful of expansions.
+1025-node doubling chain 1 023 calls make a handful of expansions. Each
+rule built from a kept expansion carries a template key to `ir.serialize`
+(see `ir.keyed`): one object per expansion, variant and condition key, so
+the writer need not walk the rule to find its template; a synthesized wait
+rule's key is its handler effect.
+
+Folding. A static expression is compiled, the first time it is folded, into
+a closure from an env to its value (Feeley and Lapalme, "Using closures for
+code generation", 1987), kept for the rest of the compile under the
+expression. Names, operators and a flat term's precedence are resolved when
+the closure is built; the closure still evaluates every operand of a term
+before any operator, so a fault is reported where a walk of the expression
+would report it. A closure holds the topology but not the compiler, so no
+reference cycle keeps a compile's graph alive after it. The ruleset's loop
+nest on the 1025-node doubling chain folds `i % (2 * d) == d` 10 240 times
+through one closure.
 """
 
 from __future__ import annotations
@@ -202,9 +218,13 @@ def _act_key(rule: ast.RuleStmt, owner: Repeater, env: dict) -> tuple | None:
     return tuple(key)
 
 
-def _trunc_div(a, b, span: ast.Span):
+class _Fault(ArithmeticError):
+    """A value fault of one operator, reported at the span of its term."""
+
+
+def _trunc_div(a, b):
     if b == 0:
-        raise LowerError("const-expr", span, "division by zero in a compile-time expression")
+        raise _Fault("division by zero")
     if isinstance(a, int) and isinstance(b, int):
         q = a // b
         if q < 0 and q * b != a:
@@ -213,12 +233,144 @@ def _trunc_div(a, b, span: ast.Span):
     return a / b
 
 
-def _trunc_mod(a, b, span: ast.Span):
+def _trunc_mod(a, b):
     if b == 0:
-        raise LowerError("const-expr", span, "modulo by zero in a compile-time expression")
+        raise _Fault("modulo by zero")
     if isinstance(a, int) and isinstance(b, int):
-        return a - _trunc_div(a, b, span) * b
-    return math.fmod(a, b)
+        return a - _trunc_div(a, b) * b
+    try:
+        return math.fmod(a, b)
+    except ValueError:
+        raise _Fault("modulo of an infinite value") from None
+
+
+def _power(a, b):
+    if isinstance(b, int) and b < 0:
+        raise _Fault("negative exponent")
+    if a == 0 and b < 0:
+        raise _Fault("zero raised to a negative power")
+    value = a**b
+    if value.__class__ is complex:
+        raise _Fault("fractional power of a negative number")
+    return value
+
+
+_OPERATORS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _trunc_div,
+    "%": _trunc_mod,
+    "^": _power,
+}
+
+
+def _fault(exc: ArithmeticError, span: ast.Span) -> LowerError:
+    # Python's own ArithmeticError here is an OverflowError: a float too large
+    reason = exc.args[0] if isinstance(exc, _Fault) else "result out of range"
+    return LowerError("const-expr", span, f"{reason} in a compile-time expression")
+
+
+def _lookup(name: str, span: ast.Span):
+    """The closure that reads `name` from an env."""
+
+    def lookup(env: dict):
+        value = env[name]
+        if value is _POISON:
+            message = f"{name} has no usable value after an earlier error"
+            raise LowerError("const-expr", span, message)
+        return value
+
+    return lookup
+
+
+def _fold_term(expr: ast.TermExpr, operands: list):
+    """The closure of a flat operator chain, given its operands' closures.
+    Ordinary precedence, left to right within each level, is planned here as
+    steps that each combine two operand slots into the first; the closure
+    evaluates every operand before it applies any operator."""
+    slots, ops, plan = list(range(len(operands))), list(expr.ops), []
+    for level in (("^",), ("*", "/", "%"), ("+", "-")):
+        i = 0
+        while i < len(ops):
+            if ops[i] in level:
+                plan.append((slots[i], slots[i + 1], _OPERATORS[ops[i]]))
+                del slots[i + 1], ops[i]
+            else:
+                i += 1
+    span = expr.span
+
+    def term(env: dict):
+        values = [operand(env) for operand in operands]
+        try:
+            for into, other, apply in plan:
+                values[into] = apply(values[into], values[other])
+        except ArithmeticError as exc:
+            raise _fault(exc, span) from None
+        return values[0]
+
+    return term
+
+
+def _fold(expr, topology: Topology, reads: list):
+    """The closure from an env to the value of `expr`: names, operators and
+    a term's precedence are resolved once, here. Each part that reads the
+    chain is appended to `reads`."""
+    if isinstance(expr, (ast.IntLit, ast.BoolLit, ast.FloatLit, ast.StringLit)):
+        value = expr.value
+        return lambda env: value
+    if isinstance(expr, (ast.Ident, ast.RepeaterIdent)):
+        if expr.name == "#repeaters":
+            return lambda env: _REPEATERS_VEC
+        return _lookup(expr.name, expr.span)
+    if isinstance(expr, ast.NegIdent):
+        lookup = _lookup(expr.name, expr.span)
+        return lambda env: -lookup(env)
+    if isinstance(expr, ast.TupleLit) and len(expr.items) == 1:
+        return _fold(expr.items[0], topology, reads)
+    if isinstance(expr, ast.RepeaterCall):
+        reads.append(expr)
+        return _fold_repeater(expr, _fold(expr.index, topology, reads), topology)
+    if isinstance(expr, ast.VariableCall):
+        reads.append(expr)
+        return _fold_chain(expr, topology, reads)
+    if isinstance(expr, ast.TermExpr):
+        return _fold_term(expr, [_fold(op, topology, reads) for op in expr.operands])
+    compare = _COMPARE[expr.op]  # no other expression is static
+    lhs, rhs = _fold(expr.lhs, topology, reads), _fold(expr.rhs, topology, reads)
+    return lambda env: compare(lhs(env), rhs(env))
+
+
+def _fold_repeater(expr: ast.RepeaterCall, index, topology: Topology):
+    span = expr.span
+
+    def repeater(env: dict) -> Repeater:
+        try:
+            return topology.at(index(env))
+        except ConfigError as exc:
+            raise LowerError("repeater-range", span, str(exc)) from exc
+
+    return repeater
+
+
+def _fold_chain(expr: ast.VariableCall, topology: Topology, reads: list):
+    # A message field never gets here: its head is a run-time value.
+    head, span = _fold(expr.parts[0], topology, reads), expr.span
+    offsets = [None if p.name == "len" else _fold(p.args[0], topology, reads) for p in expr.parts[1:]]
+
+    def chain(env: dict):
+        current = head(env)
+        for offset in offsets:
+            if offset is None:
+                current = topology.count
+                continue
+            try:
+                current = topology.hop(current.index, offset(env))
+            except ConfigError as exc:
+                raise LowerError("hop-range", span, str(exc)) from exc
+        return current
+
+    return chain
 
 
 # --- expansion bookkeeping ---------------------------------------------------
@@ -271,11 +423,33 @@ class _CallRecord:
     cond_clauses: list
     recv_froms: list[int]  # addresses of the hand-written recv partners
     variants: list[_Variant]
+    rule_keys: list | None  # the template key of each variant's rule, if its act was kept
 
     def inspects_message(self) -> bool:
         return any(
             c.cmp_val.startswith("message.") for v in self.variants for c in v.cmps
         )
+
+
+@dataclass
+class _Template:
+    """An act expansion kept under its act key, and the keys its rules
+    hand `ir.serialize`: one object per variant and condition key (see
+    `_cond_key`), which stands for the text of every rule made from both."""
+
+    variants: list[_Variant]
+    rule_keys: dict[tuple, list] = field(default_factory=dict)
+
+
+def _cond_key(clauses: list) -> tuple:
+    """What shapes the text of a call's condition clauses but their partner
+    addresses; a fidelity by its text when it is a zero, as `-0.0 == 0.0`."""
+    return tuple(
+        (ir.ResClause, c.count, c.fidelity or repr(c.fidelity), c.qubit_index)
+        if c.__class__ is ir.ResClause
+        else (ir.TimerClause, c.timer_id) if c.__class__ is ir.TimerClause else ir.RecvClause
+        for c in clauses
+    )
 
 
 @dataclass
@@ -308,12 +482,13 @@ class _Compiler:
         self.rules = {r.name: r for r in program.rules}
         self.calls: list[_CallRecord] = []
         self.diagnostics: list[Diagnostic] = []
+        self._folds: dict[int, tuple] = {}  # (closure, reads the chain, expression) by id
         self._current_owner: Repeater | None = None
         self._unrolled = 1  # bodies the enclosing loop nest unrolls to
         # act expansions by template key (see `_expand_rule`); clause objects
         # shared by the rules that hold equal values (`_apply_send`,
         # `_handler_rule`)
-        self._templates: dict[tuple, list[_Variant]] = {}
+        self._templates: dict[tuple, _Template] = {}
         self._sends: dict[ir.SendClause, ir.SendClause] = {}
         self._recvs: dict[int, ir.RecvClause] = {}  # by sender address
         self._handler_clauses: dict[tuple, tuple] = {}  # by effect
@@ -325,87 +500,15 @@ class _Compiler:
     # --- constant evaluation -------------------------------------------------
 
     def eval(self, expr, env: dict):
-        """Fold an expression the analyzer records as static."""
-        if isinstance(expr, (ast.IntLit, ast.BoolLit, ast.FloatLit, ast.StringLit)):
-            return expr.value
-        if isinstance(expr, (ast.Ident, ast.RepeaterIdent)):
-            if expr.name == "#repeaters":
-                return _REPEATERS_VEC
-            return self._lookup(expr.name, env, expr.span)
-        if isinstance(expr, ast.NegIdent):
-            return -self._lookup(expr.name, env, expr.span)
-        if isinstance(expr, ast.TupleLit) and len(expr.items) == 1:
-            return self.eval(expr.items[0], env)
-        if isinstance(expr, ast.RepeaterCall):
-            return self._repeater_at(expr, env)
-        if isinstance(expr, ast.VariableCall):
-            return self._eval_chain(expr, env)
-        if isinstance(expr, ast.TermExpr):
-            return self._eval_term(expr, env)
-        return self._eval_comparison(expr, env)  # no other expression is static
-
-    def _lookup(self, name: str, env: dict, span: ast.Span):
-        value = env[name]
-        if value is _POISON:
-            message = f"{name} has no usable value after an earlier error"
-            raise LowerError("const-expr", span, message)
-        return value
-
-    def _repeater_at(self, expr: ast.RepeaterCall, env: dict) -> Repeater:
-        self._read_topology = True
-        try:
-            return self.topology.at(self.eval(expr.index, env))
-        except ConfigError as exc:
-            raise LowerError("repeater-range", expr.span, str(exc)) from exc
-
-    def _eval_chain(self, expr: ast.VariableCall, env: dict):
-        # A message field never gets here: its head is a run-time value.
-        self._read_topology = True
-        current = self.eval(expr.parts[0], env)
-        for part in expr.parts[1:]:
-            if part.name == "len":
-                current = self.topology.count
-                continue
-            try:
-                current = self.topology.hop(current.index, self.eval(part.args[0], env))
-            except ConfigError as exc:
-                raise LowerError("hop-range", expr.span, str(exc)) from exc
-        return current
-
-    def _eval_term(self, expr: ast.TermExpr, env: dict):
-        values = [self.eval(op, env) for op in expr.operands]
-        ops = list(expr.ops)
-        # Ordinary precedence over the flat operator chain, left-to-right
-        # within each level.
-        for level in (("^",), ("*", "/", "%"), ("+", "-")):
-            i = 0
-            while i < len(ops):
-                if ops[i] not in level:
-                    i += 1
-                    continue
-                a, b, op = values[i], values[i + 1], ops[i]
-                if op == "+":
-                    r = a + b
-                elif op == "-":
-                    r = a - b
-                elif op == "*":
-                    r = a * b
-                elif op == "/":
-                    r = _trunc_div(a, b, expr.span)
-                elif op == "%":
-                    r = _trunc_mod(a, b, expr.span)
-                else:
-                    if isinstance(b, int) and b < 0:
-                        raise LowerError(
-                            "const-expr", expr.span, "negative exponent in a compile-time expression"
-                        )
-                    r = a**b
-                values[i : i + 2] = [r]
-                del ops[i]
-        return values[0]
-
-    def _eval_comparison(self, expr: ast.CompExpr, env: dict) -> bool:
-        return _COMPARE[expr.op](self.eval(expr.lhs, env), self.eval(expr.rhs, env))
+        """Fold an expression the analyzer records as static, through the
+        closure `_fold` builds for it the first time it is folded."""
+        known = self._folds.get(id(expr))
+        if known is None:  # kept with the expression, whose id it is keyed by
+            reads: list = []
+            known = self._folds[id(expr)] = (_fold(expr, self.topology, reads), bool(reads), expr)
+        if known[1]:  # no operator short-circuits: a fold evaluates all of it
+            self._read_topology = True
+        return known[0](env)
 
     # --- ruleset body --------------------------------------------------------
 
@@ -500,7 +603,7 @@ class _Compiler:
         poison = tuple(None for _ in rule.return_types) or (None,)
         args = []
         try:
-            owner = self._repeater_at(call.repeater, env)
+            owner = self.eval(call.repeater, env)
             for arg in call.args:
                 bound = env.get(arg.name) if isinstance(arg, ast.Ident) else None
                 if bound is _POISON:
@@ -538,16 +641,22 @@ class _Compiler:
 
         cond_clauses, recv_froms = self._lower_cond(rule.cond, env)
         key = _act_key(rule, owner, env)
-        variants = self._templates.get(key)
-        if variants is None:
+        template = self._templates.get(key)
+        if template is None:
             self._read_topology = False
             base = _Variant(env=env)
             variants = self._expand_stmts(list(rule.act.stmts) + list(rule.trailing), base)
             variants = [v for v in variants if not v.otherwise] + [v for v in variants if v.otherwise]
             if key is not None and not self._read_topology:
-                self._templates[key] = variants
+                template = self._templates[key] = _Template(variants)
         else:
-            variants = self._relocate(variants, owner)
+            variants = self._relocate(template.variants, owner)
+        rule_keys = None
+        if template is not None:
+            cond_key = _cond_key(cond_clauses)
+            rule_keys = template.rule_keys.get(cond_key)
+            if rule_keys is None:
+                rule_keys = template.rule_keys[cond_key] = [object() for _ in variants]
 
         record = _CallRecord(
             idx=len(self.calls),
@@ -556,6 +665,7 @@ class _Compiler:
             cond_clauses=cond_clauses,
             recv_froms=recv_froms,
             variants=variants,
+            rule_keys=rule_keys,
         )
         self.calls.append(record)
 
@@ -978,30 +1088,25 @@ class _Compiler:
             for call, handlers in sources.get(repeater.address, ()):
                 rules = []
                 if handlers is None:
-                    for v in call.variants:
-                        rules.append(
-                            ir.Rule(
-                                name=call.rule_name,
-                                id=rule_id,
-                                shared_tag=shared_tag,
-                                condition=ir.Condition(None, tuple(call.cond_clauses) + tuple(v.cmps)),
-                                action=ir.Action(None, tuple(v.clauses)),
-                            )
+                    cond, keys = tuple(call.cond_clauses), call.rule_keys
+                    for i, v in enumerate(call.variants):
+                        rule = ir.Rule(
+                            call.rule_name,
+                            rule_id,
+                            shared_tag,
+                            ir.Condition(None, cond + tuple(v.cmps)),
+                            ir.Action(None, tuple(v.clauses)),
                         )
+                        rules.append(rule if keys is None else ir.keyed(rule, keys[i]))
                         rule_id += 1
                     shared_tag += 1
                 else:
                     for handler in handlers.values():
                         name, condition, action = self._handler_rule(handler)
-                        rules.append(
-                            ir.Rule(
-                                name=name,
-                                id=rule_id,
-                                shared_tag=shared_tag,
-                                condition=ir.Condition(None, condition),
-                                action=ir.Action(None, action),
-                            )
+                        rule = ir.Rule(
+                            name, rule_id, shared_tag, ir.Condition(None, condition), ir.Action(None, action)
                         )
+                        rules.append(ir.keyed(rule, handler.effect))  # the effect makes the text
                         rule_id += 1
                         shared_tag += 1
                 stages.append(ir.Stage(tuple(rules)))

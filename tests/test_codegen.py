@@ -436,6 +436,25 @@ class TestConstEval:
     def test_floats_fold(self):
         assert eval_text("1.5 + 1") == 2.5
 
+    def test_each_level_applies_left_to_right(self):
+        assert eval_text("20 / 5 * 2") == 8
+        assert eval_text("2 ^ 3 ^ 2") == 64
+        assert eval_text("2 * 3 ^ 2") == 18
+
+    def test_float_modulo_keeps_dividend_sign(self):
+        assert eval_text("(0 - 7.5) % 2") == -1.5
+
+    def test_negative_integer_exponent_is_reported(self):
+        with pytest.raises(codegen.LowerError) as err:
+            eval_text("2 ^ (0 - 1)")
+        assert err.value.code == "const-expr"
+
+    @pytest.mark.parametrize("text", ["2 / 0 + x", "x + 2 / 0"])
+    def test_every_operand_is_evaluated_before_any_operator(self, text):
+        with pytest.raises(codegen.LowerError) as err:
+            eval_text(text, env={"x": codegen._POISON})
+        assert err.value.message == "x has no usable value after an earlier error"
+
 
 class TestStaticRejection:
     def line_bounds(self, source, needle):
@@ -538,6 +557,37 @@ ruleset self_send{
         assert len(errors) == 1
         assert errors[0].code == "send-self"
 
+
+    @pytest.mark.parametrize(
+        "expr, reason",
+        [
+            ("0 ^ (0 - 1.5)", "zero raised to a negative power"),
+            ("10.0 ^ 400", "result out of range"),
+            ("(0 - 8) ^ 0.5", "fractional power of a negative number"),
+        ],
+        ids=["zero-base", "overflow", "complex"],
+    )
+    def test_power_fault_is_a_diagnostic(self, corpus, expr, reason):
+        source = """\
+#repeaters: vec[Repeater]
+rule claim<#rep>(fidelity: float){
+    let partner: Repeater = #rep.hop(1)
+    cond {
+        @q1: res(1, fidelity, partner, 0)
+    } => act {
+        free(q1)
+    }
+}
+ruleset powers{
+    let x: float = EXPR
+    claim<#repeaters(0)>(x)
+}
+""".replace("EXPR", expr)
+        out = compile_source(source, load_topology(corpus, "config3.json"))
+        message = f"{reason} in a compile-time expression"
+        assert [(d.code, d.message) for d in out.diagnostics] == [("const-expr", message)]
+        span = out.diagnostics[0].span
+        assert source[span.start : span.end] == expr
 
     @pytest.mark.parametrize(
         "args", ["(2, 1.5, 1)", "(0, 0.5, 1)", "(1, 0.5, 0)"], ids=["fidelity", "count", "index"]
@@ -1084,6 +1134,32 @@ class TestLoweringTemplates:
         out = compiler.run()
         assert out.ok and len(compiler.calls) == 31
         assert len(compiler._templates) <= 10
+
+    def test_act_that_reads_the_chain_is_expanded_on_every_call(self, monkeypatch):
+        sends = []
+        apply_send = codegen._Compiler._apply_send
+
+        def counted(compiler, stmt, v):
+            sends.append(stmt)
+            return apply_send(compiler, stmt, v)
+
+        monkeypatch.setattr(codegen._Compiler, "_apply_send", counted)
+        analysis = analyzer.analyze_program(parser.parse(PUSH_TWO_HOPS))
+        compiler = codegen._Compiler(analysis, chain(6), 7, "t")
+        compiler.run()
+        # five calls with one act key: each expands its send, none is kept
+        assert len(sends) == 5 and not compiler._templates
+
+    def test_condition_key_tells_apart_what_writes_differently(self):
+        def res(fidelity, partner=3):
+            return ir.ResClause(1, fidelity, partner, 0)
+
+        clauses = [res(0.0), res(-0.0), res(0.5), ir.TimerClause("a"), ir.TimerClause("b")]
+        keys = {codegen._cond_key([c]) for c in clauses + [ir.RecvClause(3)]}
+        assert len(keys) == 6
+        # a partner address is a hole, written from the rule's own clause
+        assert codegen._cond_key([res(0.5)]) == codegen._cond_key([res(0.5, partner=9)])
+        assert codegen._cond_key([ir.RecvClause(1)]) == codegen._cond_key([ir.RecvClause(2)])
 
     def test_act_that_hops_reports_each_call_that_leaves_the_path(self):
         out = compile_source(PUSH_TWO_HOPS, chain(6))

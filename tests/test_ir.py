@@ -8,11 +8,13 @@ import json
 import random
 import re
 import struct
+import weakref
 from pathlib import Path
 
 import pytest
 
 from rula import analyzer, codegen, config, ir, parser
+import test_pipeline_fuzz
 
 
 def _random_ruleset(rng: random.Random) -> ir.RuleSet:
@@ -330,7 +332,23 @@ class TestRuleTemplates:
         for text in shared:
             assert json.dumps(json.loads(text), indent=4, ensure_ascii=False) + "\n" == text
 
+    def test_a_handed_key_is_no_field(self):
+        """The key lowering hands a rule is not part of its value, and a
+        rule made from it by `dataclasses.replace` is walked again."""
+        rule = ir.Rule("r", 0, 0, ir.Condition(None, (ir.RecvClause(3),)), ir.Action())
+        keyed = ir.keyed(dataclasses.replace(rule), "r-key")
+        assert keyed == rule and hash(keyed) == hash(rule)
+        renamed = dataclasses.replace(keyed, name="s")
+        ruleset = ir.RuleSet("x", 0, 0, (ir.Stage((keyed, renamed)),))
+        assert ir.serialize(ruleset, {}) == ir.dumps(ruleset) + "\n"
+        assert '"name": "s"' in ir.serialize(ruleset)
+
     def test_compiled_chain_writes_as_without_templates(self, corpus):
+        """Lowering hands `serialize` the template key of most rules it
+        builds; a key that stood for two texts would write one rule as
+        another. Every file of the doubling chain, of each corpus program on
+        each config it compiles for, and of each mutant the pipeline fuzz
+        compiles is written as without templates."""
         program = parser.parse(
             (corpus / "entanglement_swapping.rula")
             .read_text()
@@ -338,11 +356,34 @@ class TestRuleTemplates:
         )
         analysis = analyzer.analyze_program(program)
         chain = config.Topology(tuple(config.Repeater(f"#{i}", i, i) for i in range(9)))
-        out = codegen.compile_program(analysis, chain, 7)
-        assert out.ok
-        templates: dict = {}
-        for ruleset in out.per_node.values():
-            assert ir.serialize(ruleset, templates) == ir.dumps(ruleset) + "\n"
+        compiled = [codegen.compile_program(analysis, chain, 7)]
+        assert compiled[0].ok
+        for path in sorted(corpus.glob("*.rula")):
+            program, diagnostics = analyzer.resolve_imports(parser.parse(path.read_text()), [corpus])
+            analysis = analyzer.analyze_program(program)
+            if diagnostics or analysis.errors:
+                continue  # a fragment: multiround.rula has no rules of its own
+            for cfg in sorted(corpus.glob("config*.json")):
+                topology = config.load_config(cfg.read_text())
+                compiled.append(codegen.compile_program(analysis, topology, 7))
+        corpus_compiled = sum(out.ok for out in compiled) - 1
+        for kind, seed, count, _analyzed, least_compiled in test_pipeline_fuzz.SLICES:
+            make = getattr(test_pipeline_fuzz.MutantGen(random.Random(seed)), kind)
+            mutants = []
+            for _ in range(count):
+                mutant = make()
+                analysis = test_pipeline_fuzz.accepted(mutant)
+                if analysis is not None:
+                    chain = test_pipeline_fuzz.chain(mutant.nodes)
+                    mutants.append(codegen.compile_program(analysis, chain, 7))
+            assert sum(out.ok for out in mutants) >= least_compiled
+            compiled += mutants
+        assert corpus_compiled >= 12
+        written = [out for out in compiled if out.ok]
+        for out in written:
+            templates: dict = {}
+            for ruleset in out.per_node.values():
+                assert ir.serialize(ruleset, templates) == ir.dumps(ruleset) + "\n"
 
 
 class TestSchemaRejection:
@@ -1088,6 +1129,14 @@ class TestInterning:
             field = next(iter(leaf.__dataclass_fields__))
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(leaf, field, getattr(leaf, field))
+
+    def test_nodes_hold_no_dict(self, corpus):
+        ruleset = ir.deserialize((corpus / "swapping_ruleset.json").read_text())
+        stage = ruleset.stages[0]
+        rule = stage.rules[0]
+        for node in [ruleset, stage, rule, rule.condition, rule.action] + _leaves(ruleset):
+            assert not hasattr(node, "__dict__"), type(node)
+        assert weakref.ref(ruleset)() is ruleset
 
     def test_equal_values_of_other_types_keep_apart(self, monkeypatch):
         """`0.0` and `-0.0` are equal floats that serialize differently, so

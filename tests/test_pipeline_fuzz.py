@@ -148,10 +148,12 @@ def check_pipeline(mutant: Mutant, analysis: analyzer.Analysis) -> bool:
     return True
 
 
+# (generator method, pinned seed, mutants drawn, least analyzed, least compiled)
+SLICES = [("mutant", 0x5EED, 1000, 40, 25), ("stacked", 0x57AC, 900, 25, 12)]
+
+
 @pytest.mark.parametrize(
-    "kind,seed,count,min_analyzed,min_compiled",
-    [("mutant", 0x5EED, 1000, 40, 25), ("stacked", 0x57AC, 900, 25, 12)],
-    ids=["one-token", "stacked"],
+    "kind,seed,count,min_analyzed,min_compiled", SLICES, ids=["one-token", "stacked"]
 )
 def test_mutants_that_pass_analysis_go_through_the_whole_pipeline(
     kind, seed, count, min_analyzed, min_compiled
