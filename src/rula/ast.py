@@ -17,6 +17,12 @@ class Span:
 
 _NO_SPAN = Span(0, 0)
 
+# Most decimal digits of an integer: what `int` and `str` convert by default,
+# so what a literal may be written with and a folded value may reach before
+# the writer or a diagnostic prints it.
+MAX_DIGITS = 4300
+INT_BOUND = 10**MAX_DIGITS
+
 
 @dataclass(frozen=True)
 class Node:

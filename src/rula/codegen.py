@@ -18,8 +18,9 @@ every other act-level condition to Cmp clauses. It reports only what needs
 the concrete chain or the folded values: `repeater-range` and `hop-range` (a
 repeater outside the chain), `const-expr` (a value fault: division or modulo
 by zero, a negative exponent, zero to a negative power, a fractional power
-of a negative number, a float too large, a res count, fidelity or qubit
-index out of range, or a name left without a value by an earlier error),
+of a negative number, a float too large, an integer of more than 4 300
+digits, a res count, fidelity or qubit index out of range, or a name left
+without a value by an earlier error),
 `loop-bound` (a loop nest too large to unroll), `promote-owner` (a promoted
 qubit used on another repeater), `unpromoted` (a rule call given a `Qubit?`
 result that its rule did not promote on that repeater with those
@@ -58,9 +59,11 @@ through one closure.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
 import operator
+import os
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -121,20 +124,39 @@ def default_ruleset_id(program_name: str, config_bytes: bytes) -> int:
 
 
 def write_output(out: CompiledOutput, out_dir: Path) -> list[Path]:
-    """Write one <name>_<address>.json per repeater; serialize everything first
-    so a failure cannot leave a partial set behind. The RuleSets share one
-    table of rule templates (see `ir.serialize`), dropped before any file is
-    written."""
-    templates: dict = {}
-    texts = [(addr, ir.serialize(rs, templates)) for addr, rs in out.per_node.items()]
-    del templates
+    """Write one <name>_<address>.json per repeater and return their paths.
+
+    Each RuleSet is serialized and written under a temporary name,
+    <name>_<address>.json.tmp, before the next one is serialized, so at most
+    one RuleSet's text is alive at a time; the RuleSets share one table of
+    rule templates (see `ir.serialize`). The files move to their names only
+    once every text is written. A failure before that leaves `out_dir` as it
+    was: the temporary files are removed, so are the directories this call
+    made, and the files of an earlier compile are untouched."""
+    made = []
+    missing = out_dir
+    while not missing.exists():
+        made.append(missing)
+        missing = missing.parent
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for addr, text in texts:
-        path = out_dir / f"{out.name}_{addr}.json"
-        path.write_text(text, encoding="utf-8")
-        paths.append(path)
-    return paths
+    templates: dict = {}
+    staged: list[tuple[Path, Path]] = []
+    try:
+        for addr, ruleset in out.per_node.items():
+            path = out_dir / f"{out.name}_{addr}.json"
+            temporary = path.with_name(path.name + ".tmp")
+            staged.append((temporary, path))
+            temporary.write_text(ir.serialize(ruleset, templates), encoding="utf-8")
+        for temporary, path in staged:
+            os.replace(temporary, path)
+    except BaseException:
+        for temporary, _ in staged:
+            temporary.unlink(missing_ok=True)
+        for directory in made:  # innermost first; kept if a move filled it
+            with contextlib.suppress(OSError):
+                directory.rmdir()
+        raise
+    return [path for _, path in staged]
 
 
 # --- evaluation values -------------------------------------------------------
@@ -249,6 +271,11 @@ def _power(a, b):
         raise _Fault("negative exponent")
     if a == 0 and b < 0:
         raise _Fault("zero raised to a negative power")
+    if a.__class__ is int and b.__class__ is int and abs(a) > 1:
+        # a result surely past the term's bound is refused before it is
+        # computed, which can take minutes; the term checks the exact bound
+        if b * math.log10(abs(a)) > ast.MAX_DIGITS + 1:
+            raise _Fault(f"an integer of more than {ast.MAX_DIGITS} digits")
     value = a**b
     if value.__class__ is complex:
         raise _Fault("fractional power of a negative number")
@@ -307,7 +334,10 @@ def _fold_term(expr: ast.TermExpr, operands: list):
                 values[into] = apply(values[into], values[other])
         except ArithmeticError as exc:
             raise _fault(exc, span) from None
-        return values[0]
+        value = values[0]
+        if value.__class__ is int and not -ast.INT_BOUND < value < ast.INT_BOUND:
+            raise _fault(_Fault(f"an integer of more than {ast.MAX_DIGITS} digits"), span)
+        return value
 
     return term
 
@@ -556,14 +586,17 @@ class _Compiler:
         generator = stmt.generator
         try:
             if isinstance(generator, ast.Series):
-                values = range(generator.start, self.eval(generator.stop, env) + 1)
+                stop = self.eval(generator.stop, env)
+                values = range(generator.start, stop + 1)
+                trips = max(0, stop - generator.start + 1)  # len() stops at sys.maxsize
             else:  # a vector literal
                 values = [self.eval(item, env) for item in generator.items]
+                trips = len(values)
         except LowerError as err:
             self.error(err.code, err.span, err.message)
             return
         outer = self._unrolled
-        self._unrolled = outer * len(values)
+        self._unrolled = outer * trips
         try:
             if self._unrolled > MAX_UNROLLED:
                 raise _UnrollLimit(

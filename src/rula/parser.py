@@ -278,6 +278,8 @@ class _Parser:
             if radix == "u":
                 return ast.UnicordLit(m.group(), span=ast.Span(p, self.pos))
             value = int(m.group(), 2 if radix == "b" else 16) if m.group() else 0
+            if value >= ast.INT_BOUND:  # int() limits decimal digits only
+                self._fail(p, "number")
             return ast.IntLit(value, span=ast.Span(p, self.pos))
         digits, frac, exp_sign, exp = m.groups()
         try:

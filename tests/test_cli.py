@@ -11,7 +11,7 @@ import weakref
 
 import pytest
 
-from rula import cli, ir, parser
+from rula import cli, codegen, ir, parser
 
 SWAP = "entanglement_swapping.rula"
 
@@ -80,6 +80,23 @@ rule nested<#rep>(){
 }
 ruleset nest{
     nested<#repeaters(0)>()
+}
+"""
+
+
+BIG_COUNT = """\
+#repeaters: vec[Repeater]
+rule claim<#rep>(count: int){
+    let partner: Repeater = #rep.hop(1)
+    cond {
+        @q1: res(count, 0.5, partner, 0)
+    } => act {
+        free(q1)
+    }
+}
+ruleset big{
+    let x: int = COUNT
+    claim<#repeaters(0)>(x)
 }
 """
 
@@ -205,6 +222,49 @@ class TestCompile:
         assert out == ""
         assert "hop-range" in err
         assert not out_dir.exists() or not list(out_dir.iterdir())
+
+    @pytest.mark.parametrize("fresh", [False, True], ids=["earlier-compile", "fresh-dir"])
+    def test_failed_write_leaves_out_dir_as_it_was(
+        self, corpus, capsys, tmp_path, monkeypatch, fresh
+    ):
+        _code, _out, _err, out_dir = compile_swap(corpus, capsys, tmp_path)
+        before = {f.name: f.read_bytes() for f in out_dir.iterdir()}
+        assert len(before) == 5
+        if fresh:
+            out_dir = tmp_path / "fresh" / "out"
+        serialize, calls = ir.serialize, []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise RuntimeError("disk on fire")
+            return serialize(*args)
+
+        monkeypatch.setattr(codegen.ir, "serialize", failing)
+        argv = ["compile", corpus / SWAP, "--config", corpus / "config5.json"]
+        with pytest.raises(RuntimeError, match="disk on fire"):
+            cli.main([str(a) for a in [*argv, "--out-dir", out_dir]])
+        assert len(calls) == 3
+        if fresh:
+            assert not (tmp_path / "fresh").exists()
+        else:
+            assert {f.name: f.read_bytes() for f in out_dir.iterdir()} == before
+
+    def test_folded_integer_over_4300_digits_writes_nothing(self, corpus, capsys, tmp_path):
+        program = tmp_path / "big.rula"
+        program.write_text(
+            BIG_COUNT.replace("COUNT", "2 ^ 70000"), encoding="utf-8"
+        )
+        out_dir = tmp_path / "out"
+        argv = ["compile", program, "--config", corpus / "config3.json", "--out-dir", out_dir]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"{program}:11:18: error[const-expr]: an integer of more than 4300 digits "
+            "in a compile-time expression\n"
+        )
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "clause,literal,message",

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import time
+import tracemalloc
 
 import pytest
 
@@ -284,6 +285,11 @@ class TestLoopNestBound:
         assert compile_source(loop_nest(["1..6"]), chain(3)).ok
         [diag] = compile_source(loop_nest(["1..2", "1..4"]), chain(3)).diagnostics
         assert diag.code == "loop-bound"
+
+    def test_bound_past_sys_maxsize_is_a_loop_bound_error(self):
+        [diag] = compile_source(loop_nest(["1..(2 ^ 70)"]), chain(3)).diagnostics
+        assert diag.code == "loop-bound"
+        assert f"unrolls to {2**70} bodies" in diag.message
 
     def test_bound_admits_the_corpus_schedule_on_4097_nodes(self):
         # `for d in 1..n/2 { for i in 1..n-1 { ... } }` with n = 4097
@@ -615,6 +621,65 @@ ruleset computed{
         assert errors[0].span.start == start
 
 
+WIRE_INTS = """\
+#repeaters: vec[Repeater]
+import std::operation::{x}
+rule store<#rep>(n: int){
+    cond {} => act {
+        set n
+    }
+}
+rule probe<#rep>(){
+    let partner: Repeater = #rep.hop(1)
+    cond {
+        @q1: res(COUNT, 0.5, partner, INDEX)
+    } => act {
+        set_timer("t", DURATION)
+        if (get n == TARGET) { x(q1) }
+    }
+}
+ruleset wire{
+    store<#repeaters(0)>(3)
+    probe<#repeaters(0)>()
+}
+"""
+
+
+class TestFoldedIntegerDigits:
+    """A folded integer the wire would carry has at most 4 300 digits, what
+    the writer (`int.__repr__`) and a diagnostic (`str`) can print."""
+
+    @staticmethod
+    def source(slot, expr):
+        slots = {"COUNT": "1", "INDEX": "0", "DURATION": "1", "TARGET": "3", slot: expr}
+        source = WIRE_INTS
+        for name, value in slots.items():
+            source = source.replace(name, value)
+        return source
+
+    @pytest.mark.parametrize("slot", ["COUNT", "INDEX", "DURATION", "TARGET"])
+    @pytest.mark.parametrize("expr", ["2 ^ 70000", "10 ^ 4300", "(10 ^ 2150) * (10 ^ 2150)"])
+    def test_over_4300_digits_is_a_const_expr_error(self, slot, expr):
+        source = self.source(slot, expr)
+        out = compile_source(source, chain(2))
+        message = "an integer of more than 4300 digits in a compile-time expression"
+        assert [(d.code, d.message) for d in out.diagnostics] == [("const-expr", message)]
+        span = out.diagnostics[0].span
+        assert source[span.start : span.end] == expr
+
+    def test_4300_digits_are_written(self):
+        out = compile_source(self.source("DURATION", "10 ^ 4300 - 1"), chain(2))
+        assert out.ok, out.diagnostics
+        assert '"duration": ' + "9" * 4300 + "\n" in ir.serialize(out.per_node[0])
+
+    def test_a_huge_power_is_refused_before_it_is_computed(self):
+        # computing 3 ^ 10 000 000 (4.8 M digits) takes seconds
+        started = time.perf_counter()
+        out = compile_source(self.source("DURATION", "3 ^ 10000000"), chain(2))
+        assert time.perf_counter() - started < 0.5
+        assert [d.code for d in out.diagnostics] == ["const-expr"]
+
+
 class TestFolding:
     def test_rule_level_compile_time_if_folds(self):
         source = """\
@@ -851,6 +916,24 @@ class TestDeterminism:
         for path in paths:
             ruleset = ir.deserialize(path.read_text())
             assert ir.serialize(ruleset) == path.read_text()
+
+
+class TestWriteOutput:
+    def test_one_ruleset_text_at_a_time(self, corpus, tmp_path):
+        # 129 nodes write ~4 MB; the texts of all of them must never be held
+        analysis = analyzer.analyze_program(parser.parse(doubling_source(corpus, 7)))
+        out = codegen.compile_program(analysis, chain(129), 7)
+        assert out.ok, out.diagnostics
+        tracemalloc.start()
+        try:
+            paths = codegen.write_output(out, tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        written = sum(path.stat().st_size for path in paths)
+        assert len(paths) == 129 and written > 3_000_000
+        assert peak < written / 4, (peak, written)
+        assert sorted(tmp_path.iterdir()) == sorted(paths)
 
 
 class TestEdges:

@@ -360,6 +360,15 @@ class TestGrammarCorners:
             parse_statements(source)
         assert exc_info.value.pos == source.index(big)
 
+    @pytest.mark.parametrize("big", ["0x" + "F" * 3572, "0b" + "1" * 14286], ids=["hex", "binary"])
+    def test_radix_integer_over_4300_digits_is_a_parse_error(self, big):
+        # int() converts these, but the writer could not print them
+        source = f"let x: int = {big}"
+        with pytest.raises(ParseError) as exc_info:
+            parse_statements(source)
+        assert exc_info.value.pos == source.index(big)
+        assert parse_expression("0x" + "F" * 3571) == ast.IntLit(16**3571 - 1)
+
     def test_radix_prefixes_without_digits(self):
         assert parse_expression("0b") == ast.IntLit(0)
         assert parse_expression("0x") == ast.IntLit(0)
