@@ -41,9 +41,11 @@ An expansion that fails is never kept. Send resolution and assembly see
 the same per-node rules, ids and recv slots as without templates; on the
 1025-node doubling chain 1 023 calls make a handful of expansions. Each
 rule built from a kept expansion carries a template key to `ir.serialize`
-(see `ir.keyed`): one object per expansion, variant and condition key, so
-the writer need not walk the rule to find its template; a synthesized wait
-rule's key is its handler effect.
+(see `ir.keyed`): one object per expansion, variant and condition key; a
+synthesized wait rule's key is its handler effect. The writer splits the
+first text of each key at its holes (`ir._HOLE_TEXT`, where a load splits a
+document too) and fills the pieces for every later rule of the key; a rule
+from an act that reads the chain has no key and is written plainly.
 
 Folding. A static expression is compiled, the first time it is folded, into
 a closure from an env to its value (Feeley and Lapalme, "Using closures for

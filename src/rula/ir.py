@@ -10,26 +10,26 @@ through it, building no intermediate dict tree, and writes the bytes
 `json.dumps(indent=4, ensure_ascii=False)` gives for the document; the
 deserializer takes its key sets from the same table.
 
-`serialize` writes each distinct rule once (Holzmann's state hashing in
-SPIN, 1997: equal work is keyed and done once). A rule's holes are its
-`id` and `shared_tag` and the `partner_addr` of its Res, Recv and Send
-clauses; everything else that shapes its text is the key of its template.
-On a miss the rule is written through `_write_node` with a raw "\0" in
-each hole, which JSON text never holds (the encoder escapes it in strings),
-and the text is split there; every rule with that key is the pieces joined
-with its own hole values. The 11 253 rules of the 1025-node doubling chain
-have 9 templates. The key tells apart values that compare equal but write
-differently (`1`, `1.0` and `True`; `0.0` and `-0.0`).
+A hole is stated once, in `_HOLE_TEXT`: the value of a RuleSet's `id` or
+`owner_addr`, a rule's `id` or `shared_tag`, or the `partner_addr` of a Res,
+Recv or Send clause, written as a canonical JSON integer. The writer and the
+load both split a text at its holes (`_split`), into the pieces between
+them, each followed by its hole's key, and the hole values. The rest of a
+rule is its template; the rest of a document is its shape.
 
-Most keys come from lowering, which knows which rules it expanded from one
-act: it hands each such rule a key in a slot of its own (`keyed`), and the
-writer reads the rule's holes from its fields without walking it. A handed
-key new to the write is walked once, to find the template of its text
-under the walked key, since lowering keys apart some rules whose texts
-differ in their holes only. Any other rule (loaded, built by hand, or from
-an act that reads the chain) is walked: `_template_key` keys each clause
-by its fields and keeps the key under the clause's identity, as lowering
-shares clause objects between the rules it expands from one act.
+`serialize` writes each rule template once per write (Holzmann's state
+hashing in SPIN, 1997: equal work is keyed and done once). Its key comes
+from lowering, which knows which rules it expanded from one act: it hands
+each such rule a key in a slot of its own (`keyed`). The first rule of a key
+is written plainly, through `_write_node`, and the pieces of its text are
+kept if its hole values are the rule's `id`, `shared_tag` and partner
+addresses; every later rule of that key is those pieces joined with its own
+hole values, read from its fields. The 11 253 rules of the 1025-node
+doubling chain have 54 keys. Lowering keys each scalar with its class, so
+values that compare equal but write differently (`1`, `1.0` and `True`;
+`0.0` and `-0.0`) are keyed apart. A rule with no key (loaded, built by
+hand or by `dataclasses.replace`, or from an act that reads the chain) is
+written plainly.
 
 `dumps` writes each dict object once per call and indentation: a dict's
 text is kept in a table for the call under its id and the indentation it
@@ -46,23 +46,19 @@ digit taken out. That signature, 1-1.5 ns per character, is all that a
 document of a new signature pays on top of the full path below. A shape
 refills only if its first document is the text `rula compile` writes for it,
 exactly what `serialize` writes for its RuleSet; that is checked once, when
-its signature first recurs. In that text each hole key (`_HOLES`: a
-RuleSet's `id` and `owner_addr`, a rule's `id` and `shared_tag`, a Res, Recv
-or Send `partner_addr`) written with an integer value is the field of that
-name, and they come in the order a refill fills them: the writer escapes no
-key, and the schema asks every value under a key it does not name (a
-payload or `qnic_interfaces` entry, a Cmp target) to be a string. A document
-whose signature recurs is split at its holes (`_HOLE_TEXT`): a hole key's
-value written as a canonical JSON integer and followed by "," or a newline.
-If the text between its holes is the shape's, the document is the shape's
-RuleSet with its own hole values: its rules, and its Res, Recv and Send
-clauses looked up in the table, are rebuilt without `json.loads` or the
-schema walk. One integer token in place of another changes no other value,
-and the schema asks of a hole only that it be an integer, so a refill builds
-what the full path builds; a hole too long to convert sends its document
-down the full path, which words the error. A document of a new signature, of
-another shape or of a shape whose first text is not the writer's takes the
-full path. The 1 025 files of the 1025-node doubling chain have 12 shapes.
+its signature first recurs. In that text a hole's key names the field it
+holds, and the holes come in the order a refill fills them: the writer
+escapes no key, and the schema asks every value under a key it does not
+name (a payload or `qnic_interfaces` entry, a Cmp target) to be a string.
+A document whose signature recurs is split at its holes too. If its pieces
+are the shape's, the document is the shape's RuleSet with its own hole
+values: its rules, and its Res, Recv and Send clauses looked up in the
+table, are rebuilt without `json.loads` or the schema walk. One integer
+token in place of another changes no other value, and the schema asks of a
+hole only that it be an integer, so a refill builds what the full path
+builds; a hole too long to convert sends its document down the full path,
+which words the error. A document of a new signature, of another shape or
+of a shape whose first text is not the writer's takes the full path. The 1 025 files of the 1025-node doubling chain have 12 shapes.
 
 The full path is one pass over the decoded JSON, and a document that
 passes builds no error text. Each object's keys are compared once with its
@@ -340,7 +336,8 @@ _OPTIONAL = frozenset({"alias", "payload"})
 def serialize(ruleset: RuleSet, templates: dict | None = None) -> str:
     """Render a RuleSet as canonical JSON text (4-space indent, LF, newline at EOF).
 
-    Each rule is written from its template (see "rule templates" below).
+    Each rule that lowering handed a key (see `keyed`) is written from the
+    template of its key.
     `templates` is the template table of the write: pass one dict to every
     call of a write that renders several RuleSets, and drop it when the
     write is done.
@@ -415,8 +412,6 @@ def _write(value, newline: str, step: str, sort_keys: bool, emit, texts: dict, t
             _write(item, inner, step, sort_keys, emit, texts, templates)
             sep = "," + inner
         emit(newline + "]")
-    elif value is _HOLE:
-        emit("\0")
     else:
         emit(_encode_scalar(value))
 
@@ -462,28 +457,24 @@ def _write_node(node, newline: str, step: str, sort_keys: bool, emit, texts, tem
 
 # --- rule templates ----------------------------------------------------------
 
-# The holes of a document: the fields of a RuleSet, a Rule and its clauses
-# whose values tell apart the RuleSets and rules of a chain that are
-# otherwise the same. The rest of a rule is its template, written once per
-# write and split at the holes; the rest of a document is its shape, read
-# once per load (see `_Shape`).
-_HOLES = frozenset({"id", "owner_addr", "shared_tag", "partner_addr"})
-_HOLE = object()  # written as a raw "\0", which the encoder escapes in strings
+# A hole (see the module docstring): a hole key's value written as a canonical
+# JSON integer and followed by "," or a newline. Its `split` gives the text
+# before each hole, the hole's key and its value, in turn.
+_HOLE_TEXT = re.compile(
+    r'("(?:id|owner_addr|partner_addr|shared_tag)": )(-?(?:0|[1-9][0-9]*))(?=[,\n])'
+)
+_ADDRESSED = frozenset({ResClause, RecvClause, SendClause})  # the clauses with a hole
 
 
-def _fields(cls: type) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The holes of `cls` and its other fields, each in the order its wire
-    object writes them. No field written before a hole holds a hole itself,
-    so a node's own holes, then those of its other fields, are in text order."""
-    wire = tuple("qubit" if key == "qubit_identifier" else key for key in _WIRE[cls][1])
-    names = tuple(f.name for f in fields(cls) if f.name not in wire) + wire
-    return tuple(n for n in names if n in _HOLES), tuple(n for n in names if n not in _HOLES)
-
-
-_FIELDS = {cls: _fields(cls) for cls in _WIRE}
-_FIELDS[TaggedValue] = ((), ("kind", "value"))
-_CLAUSES = frozenset(cls for cls, (tag, _keys) in _WIRE.items() if tag)
-_ADDRESSED = frozenset(cls for cls in _CLAUSES if _FIELDS[cls][0])  # Res, Recv, Send
+def _split(text: str) -> tuple[list[str], list[str]]:
+    """The pieces of `text` between its holes, each but the last followed by
+    its hole's key, and the hole values in text order. A piece and its key
+    stay two strings: joining them copies the text again, which made a load
+    of the 1025-node chain about 20 ms slower (2 vCPU VM, Python 3.11.7)."""
+    parts = _HOLE_TEXT.split(text)
+    values = parts[2::3]
+    del parts[2::3]
+    return parts, values
 
 
 _set_template = _Keyed._template.__set__
@@ -492,98 +483,42 @@ _set_template = _Keyed._template.__set__
 def keyed(rule: Rule, key) -> Rule:
     """`rule`, handed the key of its template: a hashable value that is
     equal for two rules of one write only if their texts differ in their
-    holes alone. Once the key has been met in a write, `serialize` reads
-    the rule's hole values from its fields without walking it."""
+    holes alone. `serialize` writes the first rule of a key plainly and
+    every later one from the pieces of that text."""
     _set_template(rule, key)
     return rule
 
 
 def _write_rule(rule: Rule, newline: str, step: str, emit, templates: dict) -> None:
-    """Write a rule from its template, rendering the template on first use.
-    A rule keyed by lowering (see `keyed`) is walked only when its key is
-    new to the write, to find the template of its text under the walked key:
-    lowering keys apart some rules whose texts differ in their holes only."""
+    """Write a rule from the template of its handed key (see `keyed`). A rule
+    with no key, or whose key is new to the write, is written plainly; the
+    pieces of a new key's text are kept if its holes are the rule's."""
     try:
-        handed = (newline, rule._template)
-    except AttributeError:
-        handed = None
-    pieces = templates.get(handed) if handed else None
+        key = rule._template
+    except AttributeError:  # loaded, built by hand or by `dataclasses.replace`
+        _write_node(rule, newline, step, False, emit, {})
+        return
+    holes = [rule.id, rule.shared_tag]
+    for clause in rule.condition.clauses + rule.action.clauses:
+        if clause.__class__ in _ADDRESSED:
+            holes.append(clause.partner_addr)
+    pieces = templates.get(key)
     if pieces is None:
-        holes: list = []
-        key = (newline, _template_key(rule, holes, templates))
-        pieces = templates.get(key)
-        if pieces is None:
-            text: list[str] = []
-            _write_node(_holed(rule), newline, step, False, text.append, {})
-            pieces = templates[key] = "".join(text).split("\0")
-        if handed:
-            templates[handed] = pieces
-    else:
-        holes = [rule.id, rule.shared_tag]
-        for clause in rule.condition.clauses + rule.action.clauses:
-            if clause.__class__ in _ADDRESSED:
-                holes.append(clause.partner_addr)
+        out: list[str] = []
+        _write_node(rule, newline, step, False, out.append, {})
+        text = "".join(out)
+        pieces, values = _split(text)
+        if values == [repr(hole) for hole in holes]:
+            templates[key] = pieces
+        emit(text)
+        return
     filled = [pieces[0]]
-    for hole, piece in zip(holes, pieces[1:]):
+    for hole, name, piece in zip(holes, pieces[1::2], pieces[2::2]):
         if hole.__class__ is not int:  # not what the template was split for
             _write_node(rule, newline, step, False, emit, {})
             return
-        filled += (int.__repr__(hole), piece)
+        filled += (name, int.__repr__(hole), piece)
     emit("".join(filled))
-
-
-def _template_key(value, holes: list, table: dict):
-    """What shapes the text of `value` but its holes, whose values are
-    appended to `holes` in text order. A scalar other than a str, an int or
-    None is keyed with its class: `1`, `1.0` and `True` are equal, as are
-    `0.0` and `-0.0` (keyed by repr), but each writes its own text. A
-    clause's key is kept in `table` under the clause's id, with the clause
-    itself, which keeps that id from being reused while the table lives;
-    a clause seen again gives its key and the values of its own holes."""
-    cls = value.__class__
-    if cls is tuple or cls is list:
-        key = []
-        for item in value:
-            known = table.get(id(item))
-            if known is not None:  # a clause keyed before
-                key.append(known[1])
-                for name in _FIELDS[item.__class__][0]:
-                    holes.append(getattr(item, name))
-            elif item.__class__ is str or item.__class__ is int:
-                key.append(item)
-            else:
-                key.append(_template_key(item, holes, table))
-        return tuple(key)
-    spec = _FIELDS.get(cls)
-    if spec is None:
-        return value if cls is str or cls is int else (cls, repr(value))
-    own, names = spec
-    for name in own:
-        holes.append(getattr(value, name))
-    found = len(holes)
-    key = [cls]
-    for name in names:
-        item = getattr(value, name)
-        if item.__class__ is str or item.__class__ is int or item is None:
-            key.append(item)
-        else:
-            key.append(_template_key(item, holes, table))
-    key = tuple(key)
-    if cls in _CLAUSES and len(holes) == found:  # its holes are its own fields
-        table[id(value)] = (value, key)
-    return key
-
-
-def _holed(value):
-    """A copy of `value` with `_HOLE` in each of its holes."""
-    spec = _FIELDS.get(value.__class__)
-    if spec is not None:
-        own, names = spec
-        copy = {name: _holed(getattr(value, name)) for name in names}
-        return value.__class__(**copy, **dict.fromkeys(own, _HOLE))
-    if value.__class__ is tuple or value.__class__ is list:
-        return tuple(map(_holed, value))
-    return value
 
 
 # --- deserialization ---------------------------------------------------------
@@ -886,13 +821,6 @@ def _document(text: str) -> RuleSet:
 
 # --- document shapes ---------------------------------------------------------
 
-# A hole in a document's text: the value of a hole key written as a
-# canonical JSON integer and followed by "," or a newline. Its `split` puts
-# the text between the holes at the even places of its list and the hole
-# values at the odd ones.
-_HOLE_TEXT = re.compile(
-    r'"(?:%s)": (-?(?:0|[1-9][0-9]*))(?=[,\n])' % "|".join(sorted(_HOLES))
-)
 # the keys of a load's shape table and of its count of documents in its table
 _SHAPES, _LOADED = object(), object()
 # A load keys its documents by shape from the ninth on. Per file of the
@@ -918,16 +846,17 @@ class _Shape:
 
     def refill(self, text: str, table: dict) -> RuleSet | None:
         """The RuleSet of `text`, a document of the shape's signature, or
-        None if its text between the holes is not the shape's."""
+        None if its text between the holes, hole keys included, is not the
+        shape's."""
         if self.pieces is None:
             self.pieces = self._checked()
         if not self.pieces:
             return None
-        parts = _HOLE_TEXT.split(text)
-        if parts[0::2] != self.pieces:
+        pieces, values = _split(text)
+        if pieces != self.pieces:
             return None
         try:
-            holes = iter([int(hole) for hole in parts[1::2]])
+            holes = iter(list(map(int, values)))
         except ValueError:  # too long to convert: the full path words the error
             return None
         ruleset_id, owner = next(holes), next(holes)
@@ -951,7 +880,7 @@ class _Shape:
         """The pieces of the text between its holes, or False if the text is
         not what `serialize` writes for its RuleSet; drops the text."""
         text, self.text = self.text, None
-        return text == serialize(self.ruleset) and _HOLE_TEXT.split(text)[0::2]
+        return text == serialize(self.ruleset) and _split(text)[0]
 
 
 def _readdressed(block, holes, table: dict):

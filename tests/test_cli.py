@@ -842,6 +842,15 @@ class TestProcessEntry:
         assert result.returncode == 0
         assert len(result.stdout.splitlines()) == 5
 
+    def test_module_validates_reference_document(self, corpus):
+        result = subprocess.run(
+            [sys.executable, "-m", "rula", "validate", str(corpus / "swapping_ruleset.json")],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stderr.endswith("swapping_ruleset.json: ok\n")
+
     def test_usage_error_exit_code(self):
         result = subprocess.run(
             [sys.executable, "-m", "rula", "frobnicate"],

@@ -65,6 +65,32 @@ class TestLoad:
         with pytest.raises(ConfigError, match="must be an integer"):
             load_config('{"repeaters": [{"name": "a", "address": true}]}')
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[]", "configuration root must be a JSON object"),
+            ('{"repeaters": [], "links": []}', "unknown configuration field 'links'"),
+            ("{}", 'configuration must contain a "repeaters" array'),
+            ('{"repeaters": {}}', '"repeaters" must be an array'),
+            ('{"repeaters": [1]}', "repeaters[0] must be an object"),
+            ('{"repeaters": [{"address": 0}]}', 'repeaters[0] is missing "name"'),
+            ('{"repeaters": [{"name": 1, "address": 0}]}', "repeaters[0].name must be a string"),
+            ('{"repeaters": [{"name": "a", "address": -1}]}', "repeaters[0].address must be non-negative"),
+            (
+                '{"repeaters": [{"name": "a", "address": 1%s}]}' % ("0" * 5000),
+                "configuration holds an integer too long to convert",
+            ),
+        ],
+        ids=[
+            "root", "unknown-field", "no-repeaters", "repeaters-not-array", "entry-not-object",
+            "missing-name", "name-not-string", "negative-address", "integer-too-long",
+        ],
+    )
+    def test_field_error_named(self, text, message):
+        with pytest.raises(ConfigError) as err:
+            load_config(text)
+        assert str(err.value) == message
+
 
 class TestHops:
     @pytest.fixture()

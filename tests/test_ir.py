@@ -283,18 +283,34 @@ def _moved(ruleset: ir.RuleSet, rng: random.Random) -> ir.RuleSet:
     return dataclasses.replace(ruleset, stages=stages)
 
 
+def _keyed(ruleset: ir.RuleSet, name) -> ir.RuleSet:
+    """`ruleset` with each rule a copy handed the key (`name`, stage index,
+    rule index)."""
+    stages = tuple(
+        ir.Stage(tuple(ir.keyed(dataclasses.replace(r), (name, si, ri)) for ri, r in enumerate(stage.rules)))
+        for si, stage in enumerate(ruleset.stages)
+    )
+    return dataclasses.replace(ruleset, stages=stages)
+
+
 class TestRuleTemplates:
     """`ir.serialize` writes each rule from a template shared by every
     RuleSet written with the same `templates` table."""
 
     def test_shared_table_writes_what_a_fresh_one_does(self):
+        """Rules with no key and rules handed one, a moved copy sharing its
+        original's key, as lowering hands a key to the rules it moves."""
         rng = random.Random(0x7E4A)
         templates: dict = {}
-        for _ in range(200):
+        rules = 0
+        for n in range(200):
             ruleset = _random_ruleset(rng)
-            for rs in (ruleset, _moved(ruleset, rng)):
+            moved = _moved(ruleset, rng)
+            for rs in (ruleset, moved, _keyed(ruleset, n), _keyed(moved, n)):
                 text = ir.serialize(rs, templates)
                 assert text == ir.serialize(rs) == ir.dumps(rs) + "\n"
+            rules += sum(len(stage.rules) for stage in ruleset.stages)
+        assert len(templates) == rules  # every key's first text was kept
 
     def test_equal_values_of_other_classes_keep_apart(self):
         """`0.0` and `-0.0`, and `1` and `True`, compare equal but write
@@ -319,22 +335,28 @@ class TestRuleTemplates:
             rule(),
         ]
         alone = [ir.serialize(ir.RuleSet("x", 0, 0, (ir.Stage((r,)),))) for r in rules]
-        templates: dict = {}
-        shared = [
-            ir.serialize(ir.RuleSet("x", 0, 0, (ir.Stage((r,)),)), templates) for r in rules
-        ]
-        assert shared == alone
-        assert len(set(shared)) == 6 and shared[0] == shared[-1]
-        assert '"fidelity": -0.0' in shared[1] and '"fidelity": 0.0' in shared[0]
-        assert '"count": true' in shared[2]
-        assert '"duration": true' in shared[3] and '"duration": 1.0' in shared[4]
-        assert '"id": true' in shared[5]
-        for text in shared:
+        assert len(set(alone)) == 6 and alone[0] == alone[-1]
+        assert '"fidelity": -0.0' in alone[1] and '"fidelity": 0.0' in alone[0]
+        assert '"count": true' in alone[2]
+        assert '"duration": true' in alone[3] and '"duration": 1.0' in alone[4]
+        assert '"id": true' in alone[5]
+        for text in alone:
             assert json.dumps(json.loads(text), indent=4, ensure_ascii=False) + "\n" == text
+        # keyed as lowering keys them, each scalar with its class: only the
+        # rule whose `True` sits in a hole shares the key of `rule()`
+        keys = ["r", "-0.0", "count True", "duration True", "duration 1.0", "r", "r"]
+        keyed = [ir.keyed(dataclasses.replace(r), key) for r, key in zip(rules, keys)]
+        rotated = keyed[5:] + keyed[:5]  # the `True` id is the first text of its key: not kept
+        for inputs, expected in ((rules, alone), (keyed, alone), (rotated, alone[5:] + alone[:5])):
+            templates: dict = {}
+            shared = [
+                ir.serialize(ir.RuleSet("x", 0, 0, (ir.Stage((r,)),)), templates) for r in inputs
+            ]
+            assert shared == expected
 
     def test_a_handed_key_is_no_field(self):
         """The key lowering hands a rule is not part of its value, and a
-        rule made from it by `dataclasses.replace` is walked again."""
+        rule made from it by `dataclasses.replace` is written plainly."""
         rule = ir.Rule("r", 0, 0, ir.Condition(None, (ir.RecvClause(3),)), ir.Action())
         keyed = ir.keyed(dataclasses.replace(rule), "r-key")
         assert keyed == rule and hash(keyed) == hash(rule)
