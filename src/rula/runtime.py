@@ -16,6 +16,10 @@ firing of a group that measures, and each zero it drew is flipped in a new
 branch that resumes from the snapshot before the firing that drew it, so
 the rounds before a measurement run once for the whole subtree below it.
 
+One rule picks which rule of a group fires (see `Group`): a comparison is
+read once the action clauses that write the registers it names have run,
+and the first rule left whose comparisons are all read and hold fires.
+
 Report records are hash-consed (Filliâtre and Conchon, 2006): the fired and
 pair records of one call are built once per distinct value, in a table on
 the `Blueprint`, and every report that holds an equal record holds the same
@@ -173,18 +177,29 @@ def _is_composite(clauses: tuple[ir.ActionClause, ...], i: int) -> bool:
 @dataclass
 class Group:
     """Rules in one stage sharing a shared_tag: alternatives of which at
-    most one fires.  Its state lives in the network, at index `gid`."""
+    most one fires.  Its state lives in the network, at index `gid`.
+
+    One rule picks the alternative that fires.  Each comparison of an
+    alternative is read once the action clauses before its readiness point
+    have run: up to the writer of the last register it names, or none.  A
+    firing runs the clauses every alternative left runs next (when one is
+    left, up to its last readiness point), drops each alternative with a
+    readable comparison that fails, and fires the first one left once all
+    of its comparisons are readable; none left cancels the group.  If the
+    alternatives left part ways before the first of them can be decided,
+    the group is stuck."""
 
     gid: int
-    rules: list[ir.Rule]
     # tuples: the empty ones are one shared object, which keeps the many
     # groups of a long chain cheap for the garbage collector to scan
     res: tuple[ir.ResClause, ...]
     recv: ir.RecvClause | None
     kind_gate: str | None
     timers: tuple[ir.TimerClause, ...]
-    discriminators: tuple[tuple[ir.CmpClause, ...], ...]
-    prefix_len: int
+    # per rule in stage order: the rule, each of its comparisons but the kind
+    # gate with its readiness point, and its last readiness point
+    alternatives: tuple[tuple[ir.Rule, tuple[tuple[ir.CmpClause, int], ...], int], ...]
+    first_stop: int  # the action clauses run before the first comparison
     # qubit slots the actions use that no resource clause binds
     inherited: tuple[int, ...]
     draws: bool  # some rule measures, so firing may draw outcome bits
@@ -195,15 +210,14 @@ RESOLVED = ("fired", "cancelled")
 
 
 def _writes(clauses: tuple[ir.ActionClause, ...]):
-    """Each register `clauses` write, numbered as `_Firing` writes them (a
-    fused measurement writes one), with the index just past its writer."""
-    written = i = 0
-    while i < len(clauses):
-        width = 3 if _is_composite(clauses, i) else 1
-        if width == 3 or isinstance(clauses[i], ir.MeasureClause):
-            yield ir.register(written), i + width
+    """Each register `clauses` write, numbered as `_Firing` writes them, with
+    the index just past its writer: a fused measurement writes one, at its
+    Z measurement, and none at its X measurement."""
+    written = 0
+    for i, clause in enumerate(clauses):
+        if isinstance(clause, ir.MeasureClause) and not (i and _is_composite(clauses, i - 1)):
+            yield ir.register(written), i + 1
             written += 1
-        i += width
 
 
 def _reads(clause: ir.CmpClause) -> set[str]:
@@ -211,15 +225,17 @@ def _reads(clause: ir.CmpClause) -> set[str]:
     return {clause.cmp_val, target.value} if target.kind == "Variable" else {clause.cmp_val}
 
 
-def _split_point(rule: ir.Rule, discriminators: tuple[ir.CmpClause, ...]) -> int:
-    """For a single-alternative group: how many action clauses must run
-    before its comparison clauses can be evaluated, up to the last that
-    writes a register one of them reads."""
-    clauses = rule.action.clauses
-    if not discriminators:
-        return len(clauses)
-    needed = set().union(*map(_reads, discriminators))
-    return max((end for name, end in _writes(clauses) if name in needed), default=0)
+def _next_stop(left, done: int) -> int:
+    """How many action clauses a firing that has run `done` of them runs
+    before it compares again, with the alternatives `left`: one runs up to
+    its last readiness point, several run the clauses they all run next."""
+    if len(left) == 1:
+        return left[0][2]
+    actions = [alt[0].action.clauses for alt in left]
+    stop, shortest = done, min(map(len, actions))
+    while stop < shortest and all(a[stop] == actions[0][stop] for a in actions):
+        stop += 1
+    return stop
 
 
 def _build_group(rules: list[ir.Rule], gid: int) -> Group:
@@ -228,27 +244,20 @@ def _build_group(rules: list[ir.Rule], gid: int) -> Group:
     recvs = [c for c in head.condition.clauses if isinstance(c, ir.RecvClause)]
     timers = tuple(c for c in head.condition.clauses if isinstance(c, ir.TimerClause))
     kind_gate = None
-    discriminators = []
+    alternatives = []
     for rule in rules:
-        discs = []
+        paired, last = [], 0
         for c in rule.condition.clauses:
             if isinstance(c, ir.CmpClause):
                 if c.cmp_val == "MessageKind":
                     kind_gate = c.target_val.value
                 else:
-                    discs.append(c)
-        discriminators.append(tuple(discs))
-
-    if len(rules) == 1:
-        prefix_len = _split_point(head, discriminators[0])
-    else:
-        actions = [r.action.clauses for r in rules]
-        prefix_len = 0
-        shortest = min(len(a) for a in actions)
-        while prefix_len < shortest and all(
-            a[prefix_len] == actions[0][prefix_len] for a in actions
-        ):
-            prefix_len += 1
+                    names = _reads(c)
+                    ends = [end for n, end in _writes(rule.action.clauses) if n in names]
+                    point = max(ends, default=0)
+                    paired.append((c, point))
+                    last = max(last, point)
+        alternatives.append((rule, tuple(paired), last))
     referenced: set[int] = set()
     draws = False
     for rule in rules:
@@ -265,13 +274,12 @@ def _build_group(rules: list[ir.Rule], gid: int) -> Group:
             referenced.discard(clause.qubit_index)
     return Group(
         gid=gid,
-        rules=rules,
         res=res,
         recv=recvs[0] if recvs else None,
         kind_gate=kind_gate,
         timers=timers,
-        discriminators=tuple(discriminators),
-        prefix_len=prefix_len,
+        alternatives=tuple(alternatives),
+        first_stop=_next_stop(alternatives, 0),
         inherited=tuple(sorted(referenced)),
         draws=draws,
     )
@@ -377,7 +385,7 @@ class Blueprint:
     def _matching_sends(self, sender: int, dst: int, kind: str | None):
         for stage in self.stages.get(sender, ()):
             for group in stage:
-                for rule in group.rules:
+                for rule, _checks, _last in group.alternatives:
                     for clause in rule.action.clauses:
                         if not isinstance(clause, ir.SendClause):
                             continue
@@ -536,23 +544,31 @@ class Network:
             self._repoint(bindings)
 
         ctx = _Firing(self, node, bindings, message)
-        head = group.rules[0]
+        left, done, stop = group.alternatives, 0, group.first_stop
         try:
-            ctx.execute(head.action.clauses[: group.prefix_len])
-            winner = None
-            for rule, discs in zip(group.rules, group.discriminators):
-                if all(ctx.compare(c) for c in discs):
-                    winner = rule
+            while True:
+                ctx.execute(left[0][0].action.clauses[done:stop])
+                done = stop
+                left = [
+                    alt for alt in left if all(ctx.compare(c) for c, at in alt[1] if at <= done)
+                ]
+                if not left:
                     break
-            if winner is not None:
-                ctx.execute(winner.action.clauses[group.prefix_len :])
-            elif len(group.rules) > 1:
-                ctx.decided_early(group)
+                rule, _checks, last = left[0]
+                if last <= done:
+                    ctx.execute(rule.action.clauses[done:])
+                    break
+                stop = _next_stop(left, done)
+                if stop == done:  # they part ways before the first is decided
+                    writes = _writes(rule.action.clauses)
+                    unread = next(name for name, end in writes if end == last)
+                    raise _Stuck(f"compares {unread} before the measurement that writes it")
         except _Stuck as exc:
             self.state[group.gid] = "stuck"
             self.faults[group.gid] = str(exc)
             return
-        if winner is not None:
+        if left:
+            winner = rule
             self.state[group.gid] = "fired"
             self.fired_rule[group.gid] = winner
             records = self.blueprint.records
@@ -698,7 +714,7 @@ class Network:
             for group in node.current():
                 if self._resolved(group):
                     continue
-                rule = group.rules[0]
+                rule = group.alternatives[0][0]
                 held = self._condition_holds(node, group)
                 slot = None if held is None else self._bind_inherited(node, group, *held)
                 if group.gid in self.faults:
@@ -926,18 +942,6 @@ class _Firing:
                 return ""
             return self.message.payload.get(name.split(".", 1)[1], "")
         return self.node.store.get(name, "")
-
-    def decided_early(self, group: Group) -> None:
-        """Stuck if an alternative of `group`, which fired none, fails only
-        on registers that the alternatives write after their shared prefix:
-        it was compared before it was measured."""
-        later = {name for r in group.rules for name, _ in _writes(r.action.clauses)}
-        later -= self.registers.keys()
-        for discs in group.discriminators:
-            early = [c for c in discs if _reads(c) & later]
-            if early and all(self.compare(c) for c in discs if c not in early):
-                unread = min(_reads(early[0]) & later)
-                raise _Stuck(f"compares {unread} before the measurement that writes it")
 
     def compare(self, clause: ir.CmpClause) -> bool:
         """Whether `clause` holds. An `Int` target compares both sides as

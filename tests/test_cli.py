@@ -57,7 +57,8 @@ ruleset stored{
 """
 
 # a match arm that measures again and matches on that measurement: lowering
-# emits sibling rules whose shared prefix is only the first measurement
+# emits sibling rules whose shared prefix is only the first measurement, and
+# the simulator takes the second one before it compares its result
 NESTED_MATCH = """#repeaters: vec[Repeater]
 import std::operation::{measure}
 rule nested<#rep>(){
@@ -632,8 +633,14 @@ class TestRun:
                 "address 1: send payload result names register 'MeasResult7', "
                 "which the rule never wrote",
             ),
+            # a gate the schema admits but the Pauli frame cannot track
+            (
+                r'(?s)"CxControl"(.*?)"CxTarget"',
+                r'"H"\g<1>"H"',
+                "gate H on an entangled qubit is outside the tracked state space",
+            ),
         ],
-        ids=["basis", "address", "register"],
+        ids=["basis", "address", "register", "gate"],
     )
     def test_simulation_error_is_reported(
         self, corpus, capsys, tmp_path, mode, pattern, replacement, message
@@ -707,18 +714,39 @@ class TestRun:
         }
         assert fired == {(0,): [(0, 0), (0, 1), (1, 0)], (1,): [(0, 0), (0, 2), (1, 0)]}
 
-    def test_match_arm_decided_before_its_measurement_is_stuck(
-        self, corpus, capsys, tmp_path
+    @pytest.mark.parametrize(
+        "inner,fired",
+        [
+            (
+                '"1" => { set_timer("t1", 1) },',
+                {(0, 0): [(0, 0)], (0, 1): [(0, 1)], (1,): [(0, 2), (1, 0)]},
+            ),
+            (
+                'otherwise => { set_timer("t1", 1) }',
+                {(0, 0): [(0, 0)], (0, 1): [(0, 2)], (1,): [(0, 1), (1, 0)]},
+            ),
+        ],
+        ids=["match", "otherwise"],
+    )
+    def test_match_arm_is_compared_after_its_measurement(
+        self, corpus, capsys, tmp_path, inner, fired
     ):
-        run = self.compiled_source(NESTED_MATCH, corpus, capsys, tmp_path)
-        code, _out, err = run_cli([*run, "--enumerate-outcomes"], capsys)
-        assert code == 1
-        assert "error" not in err
-        assert (
-            "branch 0: stuck: address 0: rule 'nested' (id 0) compares MeasResult1 "
-            "before the measurement that writes it\n"
-        ) in err
-        assert "branch 1: quiescent" in err and "2 branch(es), some stuck" in err
+        """The inner match is read once `measure(q2)` has run, so each
+        branch fires the arm its two outcomes name; after the outer `"1"`
+        arm frees q2, node 1's `wait_free` fires."""
+        source = NESTED_MATCH.replace('"1" => { set_timer("t1", 1) },', inner)
+        assert inner in source
+        run = self.compiled_source(source, corpus, capsys, tmp_path)
+        code, out, _err = run_cli([*run, "--enumerate-outcomes", "--report-json"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["branches"] == 3 and doc["all_quiescent"]
+        assert {
+            tuple(report["outcome_path"]): [(f["address"], f["id"]) for f in report["fired"]]
+            for report in doc["reports"]
+        } == fired
+        [freed] = [r for r in doc["reports"] if r["outcome_path"] == [1]]
+        assert [f["rule"] for f in freed["fired"]] == ["nested", "wait_free"]
 
     def test_bsm_on_pairs_with_one_far_node(self, corpus, capsys, tmp_path):
         """Both qubits of the swap come from the left partner. Lowering

@@ -6,7 +6,8 @@ for a chain of 3, 5 or 7 nodes. Every mutant the analyzer accepts must then
 go through the rest of the pipeline: lowering raises nothing and reports
 only faults that need the concrete chain or compile-time values, every
 RuleSet it emits validates clean and survives serialize -> deserialize, the
-simulator returns a report, and a second compile gives the same bytes.
+simulator returns a report that no group compared before its measurement
+ended stuck, and a second compile gives the same bytes.
 """
 
 from __future__ import annotations
@@ -143,6 +144,8 @@ def check_pipeline(mutant: Mutant, analysis: analyzer.Analysis) -> bool:
         assert ir.deserialize(texts[addr]) == ruleset, (mutant, addr)
     report = runtime.run(out.per_node, topology, seed=0)
     assert isinstance(report, runtime.RunReport), mutant
+    # lowering emits sibling rules that can be decided before they part ways
+    assert not [s for s in report.stuck if "before the measurement that writes it" in s], mutant
     again = codegen.compile_program(analysis, topology, 7)
     assert {a: ir.serialize(rs) for a, rs in again.per_node.items()} == texts, mutant
     return True

@@ -637,6 +637,41 @@ class TestCzGate:
         assert firing.xdeps == {0: {(10, "X"), (11, "Z")}, 1: {(11, "X"), (10, "Z")}}
 
 
+class TestUnpairedGate:
+    def test_a_control_gate_with_no_target_is_an_error(self):
+        """A control gate pairs with the gate after it; a circuit that ends
+        on one is outside what the simulator tracks."""
+        gates = (ir.QGate(ir.QubitId(0), "CxControl"),)
+        rulesets = {
+            0: _node(0, _rule("gate", 0, (_res(1, 0),), (ir.QCircClause(gates),))),
+            1: _node(1),
+        }
+        with pytest.raises(runtime.SimulationError, match="^unpaired CxControl gate$"):
+            runtime.run(rulesets, chain(2))
+
+
+class TestInheritedSlot:
+    def test_a_later_stage_frees_the_end_an_earlier_stage_promoted(self):
+        """A slot no resource clause binds takes, with no message to name a
+        partner, the first end the node has promoted."""
+        q0 = ir.QubitId(0)
+        keep = _rule("keep", 0, (_res(1, 0),), (ir.PromoteClause(q0),))
+        drop = _rule("drop", 1, (), (ir.FreeClause(q0),))
+        stages = (ir.Stage((keep,)), ir.Stage((drop,)))
+        rulesets = {
+            0: ir.RuleSet(name="t", id=1, owner_addr=0, stages=stages),
+            1: _node(1, _rule("keep", 0, (_res(0, 0),), (ir.PromoteClause(q0),))),
+        }
+        report = runtime.run(rulesets, chain(2))
+        assert report.quiescent, report.stuck
+        assert [(f["address"], f["rule"]) for f in report.fired] == [
+            (0, "keep"),
+            (1, "keep"),
+            (0, "drop"),
+        ]
+        assert report.pairs == []  # node 0's promoted end is gone
+
+
 class TestSplitPoint:
     """A one-rule group whose comparison reads a register runs its actions
     up to the measurement that writes the register, compares, and runs the
@@ -703,38 +738,41 @@ class TestSplitPoint:
 
 class TestDecidedEarly:
     """A group of alternatives whose shared prefix is one measurement, as
-    lowering emits for a `match` arm that measures again before it matches:
-    an alternative that fails only on a register written after the prefix
-    was compared before its measurement, so the firing ends stuck instead
-    of cancelled."""
+    lowering emits for a `match` arm that measures again before it matches.
+    A comparison is read once the action clauses up to the measurement that
+    writes its register have run: the alternatives left after the first
+    measurement run the second one, which they share, before the group picks
+    one of them. Alternatives that part ways before the first one left can
+    be decided leave the group stuck."""
+
+    Q0, Q1 = ir.QubitId(0), ir.QubitId(1)
 
     @staticmethod
-    def reports(first_arm: str):
-        q0, q1 = ir.QubitId(0), ir.QubitId(1)
+    def cmp(register, value):
+        return ir.CmpClause(register, "Eq", ir.TaggedValue("Str", value))
 
-        def cmp(register, value):
-            return ir.CmpClause(register, "Eq", ir.TaggedValue("Str", value))
-
+    @classmethod
+    def reports(cls, first_arm: str):
         def arm(rule_id, cmps, tail):
             condition = (_res(1, 0), _res(1, 1), *cmps)
-            return _rule("nested", rule_id, condition, (ir.MeasureClause(q0, "Z"), *tail))
+            return _rule("nested", rule_id, condition, (ir.MeasureClause(cls.Q0, "Z"), *tail))
 
-        measured = (ir.MeasureClause(q1, "Z"),)
+        measured = (ir.MeasureClause(cls.Q1, "Z"),)
         rules = (
-            arm(0, (cmp("MeasResult", first_arm), cmp("MeasResult1", "0")), measured),
-            arm(1, (cmp("MeasResult", first_arm), cmp("MeasResult1", "1")), measured),
-            arm(2, (cmp("MeasResult", "1"),), (ir.FreeClause(q1),)),
+            arm(0, (cls.cmp("MeasResult", first_arm), cls.cmp("MeasResult1", "0")), measured),
+            arm(1, (cls.cmp("MeasResult", first_arm), cls.cmp("MeasResult1", "1")), measured),
+            arm(2, (cls.cmp("MeasResult", "1"),), (ir.FreeClause(cls.Q1),)),
         )
         return runtime.enumerate_outcomes({0: _node(0, *rules), 1: _node(1)}, chain(2))
 
-    def test_an_arm_decided_before_its_measurement_ends_stuck(self):
-        zero, one = self.reports("0")
-        assert (zero.outcome_path, zero.status, zero.fired) == ((0,), "stuck", [])
-        assert zero.stuck == [
-            "address 0: rule 'nested' (id 0) compares MeasResult1 before the "
-            "measurement that writes it"
+    def test_an_arm_is_compared_after_its_measurement(self):
+        reports = self.reports("0")
+        assert [(r.outcome_path, r.status) for r in reports] == [
+            ((0, 0), "quiescent"),
+            ((0, 1), "quiescent"),
+            ((1,), "quiescent"),
         ]
-        assert one.quiescent and [f["id"] for f in one.fired] == [2]
+        assert [[f["id"] for f in r.fired] for r in reports] == [[0], [1], [2]]
 
     def test_an_arm_failing_on_the_prefix_still_cancels(self):
         reports = self.reports("2")
@@ -743,3 +781,21 @@ class TestDecidedEarly:
             ((1,), "quiescent"),
         ]
         assert [[f["id"] for f in r.fired] for r in reports] == [[], [2]]
+
+    def test_alternatives_parting_before_a_decision_end_stuck(self):
+        """Both alternatives pass on the first measurement; the first one
+        still needs the second, which only it takes."""
+        pairs = (_res(1, 0), _res(1, 1))
+        first = ir.MeasureClause(self.Q0, "Z")
+        compared = (self.cmp("MeasResult", "0"), self.cmp("MeasResult1", "0"))
+        rules = (
+            _rule("parting", 0, (*pairs, *compared), (first, ir.MeasureClause(self.Q1, "Z"))),
+            _rule("parting", 1, (*pairs, compared[0]), (first, ir.FreeClause(self.Q1))),
+        )
+        zero, one = runtime.enumerate_outcomes({0: _node(0, *rules), 1: _node(1)}, chain(2))
+        assert (zero.outcome_path, zero.status, zero.fired) == ((0,), "stuck", [])
+        assert zero.stuck == [
+            "address 0: rule 'parting' (id 0) compares MeasResult1 before the "
+            "measurement that writes it"
+        ]
+        assert (one.outcome_path, one.status, one.fired) == ((1,), "quiescent", [])
