@@ -187,7 +187,7 @@ class Group:
     readable comparison that fails, and fires the first one left once all
     of its comparisons are readable; none left cancels the group.  If the
     alternatives left part ways before the first of them can be decided,
-    the group is stuck."""
+    the group is stuck, and its report names that first one."""
 
     gid: int
     # tuples: the empty ones are one shared object, which keeps the many
@@ -246,18 +246,19 @@ def _build_group(rules: list[ir.Rule], gid: int) -> Group:
     kind_gate = None
     alternatives = []
     for rule in rules:
-        paired, last = [], 0
+        checks = []
         for c in rule.condition.clauses:
             if isinstance(c, ir.CmpClause):
                 if c.cmp_val == "MessageKind":
                     kind_gate = c.target_val.value
                 else:
-                    names = _reads(c)
-                    ends = [end for n, end in _writes(rule.action.clauses) if n in names]
-                    point = max(ends, default=0)
-                    paired.append((c, point))
-                    last = max(last, point)
-        alternatives.append((rule, tuple(paired), last))
+                    checks.append(c)
+        if not checks:  # most rules: no walk of the actions, one shared empty tuple
+            alternatives.append((rule, (), 0))
+            continue
+        ends = dict(_writes(rule.action.clauses))  # register -> the end of its writer
+        paired = tuple([(c, max([ends.get(n, 0) for n in _reads(c)])) for c in checks])
+        alternatives.append((rule, paired, max([at for _c, at in paired])))
     referenced: set[int] = set()
     draws = False
     for rule in rules:
@@ -415,7 +416,8 @@ class Network:
         self.pending: dict[frozenset, int] = {}
         self.state = ["pending"] * blueprint.group_count
         self.fired_rule: list[ir.Rule | None] = [None] * blueprint.group_count
-        self.faults: dict[int, str] = {}  # gid -> why its firing got stuck
+        # gid -> the rule its firing got stuck on, and why
+        self.faults: dict[int, tuple[ir.Rule, str]] = {}
         self.nodes = {addr: Node(addr, stages) for addr, stages in blueprint.stages.items()}
 
         self.ends: dict[int, list[End]] = {addr: [] for addr in self.nodes}
@@ -547,7 +549,8 @@ class Network:
         left, done, stop = group.alternatives, 0, group.first_stop
         try:
             while True:
-                ctx.execute(left[0][0].action.clauses[done:stop])
+                rule = left[0][0]  # the rule a fault names
+                ctx.execute(rule.action.clauses[done:stop])
                 done = stop
                 left = [
                     alt for alt in left if all(ctx.compare(c) for c, at in alt[1] if at <= done)
@@ -565,7 +568,7 @@ class Network:
                     raise _Stuck(f"compares {unread} before the measurement that writes it")
         except _Stuck as exc:
             self.state[group.gid] = "stuck"
-            self.faults[group.gid] = str(exc)
+            self.faults[group.gid] = (rule, str(exc))
             return
         if left:
             winner = rule
@@ -718,10 +721,8 @@ class Network:
                 held = self._condition_holds(node, group)
                 slot = None if held is None else self._bind_inherited(node, group, *held)
                 if group.gid in self.faults:
-                    reports.append(
-                        f"address {address}: rule '{rule.name}' (id {rule.id}) "
-                        f"{self.faults[group.gid]}"
-                    )
+                    rule, why = self.faults[group.gid]
+                    reports.append(f"address {address}: rule '{rule.name}' (id {rule.id}) {why}")
                 elif slot is not None:
                     reports.append(
                         f"address {address}: rule '{rule.name}' (id {rule.id}) "

@@ -799,3 +799,23 @@ class TestDecidedEarly:
             "measurement that writes it"
         ]
         assert (one.outcome_path, one.status, one.fired) == ((1,), "quiescent", [])
+
+    def test_a_stuck_group_names_the_rule_left_undecided(self):
+        """Rule 0 is dropped on the first measurement; rules 1 and 2 then
+        part ways before rule 1 can be decided, and rule 1 is named."""
+        pairs = (_res(1, 0), _res(1, 1))
+        first, free = ir.MeasureClause(self.Q0, "Z"), ir.FreeClause(self.Q1)
+        compared = (self.cmp("MeasResult", "0"), self.cmp("MeasResult1", "0"))
+        rules = (
+            _rule("dropped", 0, (*pairs, self.cmp("MeasResult", "1")), (first, free)),
+            _rule("parting", 1, (*pairs, *compared), (first, ir.MeasureClause(self.Q1, "Z"))),
+            _rule("other", 2, (*pairs, compared[0]), (first, free)),
+        )
+        zero, one = runtime.enumerate_outcomes({0: _node(0, *rules), 1: _node(1)}, chain(2))
+        assert (zero.outcome_path, zero.status, zero.fired) == ((0,), "stuck", [])
+        assert zero.stuck == [
+            "address 0: rule 'parting' (id 1) compares MeasResult1 before the "
+            "measurement that writes it"
+        ]
+        assert (one.outcome_path, one.status) == ((1,), "quiescent")
+        assert [f["id"] for f in one.fired] == [0]
