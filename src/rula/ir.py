@@ -27,9 +27,10 @@ addresses; every later rule of that key is those pieces joined with its own
 hole values, read from its fields. The 11 253 rules of the 1025-node
 doubling chain have 54 keys. Lowering keys each scalar with its class, so
 values that compare equal but write differently (`1`, `1.0` and `True`;
-`0.0` and `-0.0`) are keyed apart. A rule with no key (loaded, built by
-hand or by `dataclasses.replace`, or from an act that reads the chain) is
-written plainly.
+`0.0` and `-0.0`) are keyed apart. A load hands a key too (see below). A
+rule with no key (loaded the full way, built by hand or by
+`dataclasses.replace`, or from an act that reads the chain) is written
+plainly.
 
 `dumps` writes each dict object once per call and indentation: a dict's
 text is kept in a table for the call under its id and the indentation it
@@ -40,25 +41,27 @@ reports of perfbench `enumerate_small` write 158 fired and 6 pair records
 instead of 49 152 and 6 144.
 
 A load reads each document shape once. From its ninth document on (see
-`_UNSHAPED`), its table (`interned`) keeps one `_Shape`, the first
-document's text and RuleSet, per signature: the hash of a text with every
-digit taken out. That signature, 1-1.5 ns per character, is all that a
-document of a new signature pays on top of the full path below. A shape
-refills only if its first document is the text `rula compile` writes for it,
-exactly what `serialize` writes for its RuleSet; that is checked once, when
-its signature first recurs. In that text a hole's key names the field it
-holds, and the holes come in the order a refill fills them: the writer
-escapes no key, and the schema asks every value under a key it does not
-name (a payload or `qnic_interfaces` entry, a Cmp target) to be a string.
-A document whose signature recurs is split at its holes too. If its pieces
-are the shape's, the document is the shape's RuleSet with its own hole
-values: its rules, and its Res, Recv and Send clauses looked up in the
-table, are rebuilt without `json.loads` or the schema walk. One integer
-token in place of another changes no other value, and the schema asks of a
-hole only that it be an integer, so a refill builds what the full path
-builds; a hole too long to convert sends its document down the full path,
-which words the error. A document of a new signature, of another shape or
-of a shape whose first text is not the writer's takes the full path. The 1 025 files of the 1025-node doubling chain have 12 shapes.
+`_UNSHAPED`), it splits each text at its holes, and its table (`interned`)
+keeps one `_Shape`, the first document's text and RuleSet, under the tuple
+of the pieces: the one split, about 1.8 ns per character, is all that a
+document of a new shape pays on top of the full path below, and the table's
+lookup compares the pieces. A shape refills only if its first document is
+the text `rula compile` writes for it, exactly what `serialize` writes for
+its RuleSet; that is checked once, when the shape first recurs. In that text
+a hole's key names the field it holds, and the holes come in the order a
+refill fills them: the writer escapes no key, and the schema asks every
+value under a key it does not name (a payload or `qnic_interfaces` entry, a
+Cmp target) to be a string. A later document of the shape is the shape's
+RuleSet with its own hole values: its rules, and its Res, Recv and Send
+clauses looked up in the table, are rebuilt without `json.loads` or the
+schema walk, and each rule is handed the shape's rule as its template key
+(`keyed`), by which `runtime.Blueprint` builds each rule group once. One
+integer token in place of another changes no other value, and the schema
+asks of a hole only that it be an integer, so a refill builds what the full
+path builds; a hole too long to convert sends its document down the full
+path, which words the error. A document of a new shape, or of a shape whose
+first text is not the writer's, takes the full path. The 1 025 files of the
+1025-node doubling chain have 12 shapes.
 
 The full path is one pass over the decoded JSON, and a document that
 passes builds no error text. Each object's keys are compared once with its
@@ -253,8 +256,8 @@ class Action:
 
 class _Keyed:
     """The base of `Rule`: a slot, not a field, for the template key that
-    lowering hands `serialize` (see `keyed`). A rule built any other way,
-    `dataclasses.replace` included, has it unset."""
+    lowering or a load's refill hands it (see `keyed`). A rule built any
+    other way, `dataclasses.replace` included, has it unset."""
 
     __slots__ = ("_template",)
 
@@ -484,7 +487,8 @@ def keyed(rule: Rule, key) -> Rule:
     """`rule`, handed the key of its template: a hashable value that is
     equal for two rules of one write only if their texts differ in their
     holes alone. `serialize` writes the first rule of a key plainly and
-    every later one from the pieces of that text."""
+    every later one from the pieces of that text; `runtime.Blueprint`
+    builds the rule groups of one tuple of key objects once."""
     _set_template(rule, key)
     return rule
 
@@ -495,7 +499,7 @@ def _write_rule(rule: Rule, newline: str, step: str, emit, templates: dict) -> N
     pieces of a new key's text are kept if its holes are the rule's."""
     try:
         key = rule._template
-    except AttributeError:  # loaded, built by hand or by `dataclasses.replace`
+    except AttributeError:  # loaded the full way, built by hand or by `dataclasses.replace`
         _write_node(rule, newline, step, False, emit, {})
         return
     holes = [rule.id, rule.shared_tag]
@@ -786,14 +790,14 @@ def deserialize(text: str, interned: dict | None = None) -> RuleSet:
     if loaded <= _UNSHAPED:
         return _document(text)
     shapes = interned.setdefault(_SHAPES, {})
-    # "surrogatepass": a str may hold a lone surrogate, which json.loads reads
-    signature = hash(text.encode("utf-8", "surrogatepass").translate(None, b"0123456789"))
-    shape = shapes.get(signature)
+    pieces, values = _split(text)
+    pieces = tuple(pieces)
+    shape = shapes.get(pieces)
     if shape is None:
         ruleset = _document(text)
-        shapes[signature] = _Shape(text, ruleset)
+        shapes[pieces] = _Shape(text, ruleset)
         return ruleset
-    return shape.refill(text, interned) or _document(text)
+    return shape.refill(values, interned) or _document(text)
 
 
 def _document(text: str) -> RuleSet:
@@ -824,36 +828,33 @@ def _document(text: str) -> RuleSet:
 # the keys of a load's shape table and of its count of documents in its table
 _SHAPES, _LOADED = object(), object()
 # A load keys its documents by shape from the ninth on. Per file of the
-# 1025-node doubling chain, a signature costs about a tenth of a full load
-# and a refill about a quarter, while the check of a shape, one `serialize`
-# of its RuleSet, costs about three (0.03, 0.08 and 0.9 against 0.31 ms on a
-# 2 vCPU VM, Python 3.11.7): a shape pays for its check once it recurs about
-# four times, so shapes pay only where they recur many times; the 3-7 files
-# of a corpus program pay nothing.
+# 1025-node doubling chain, the split costs about a fifth of a full load and
+# a refill about an eighth, while the check of a shape, one `serialize` of
+# its RuleSet, costs about one and a half (0.055, 0.04 and 0.46 against
+# 0.30 ms on a 2 vCPU VM, Python 3.11.7): a shape pays for its check once it
+# recurs about three times, so shapes pay only where they recur many times;
+# the 3-7 files of a corpus program pay nothing.
 _UNSHAPED = 8
 
 
 class _Shape:
-    """The first document of a load with one signature: its RuleSet, and its
-    text until the signature recurs; from then on the pieces of that text
-    between its holes, or False if it failed its check (see the module
+    """The first document of a load with one shape: its RuleSet, and its
+    text until the shape recurs, when that text is checked (see the module
     docstring)."""
 
-    __slots__ = ("text", "ruleset", "pieces")
+    __slots__ = ("text", "ruleset", "canonical")
 
     def __init__(self, text: str, ruleset: RuleSet):
-        self.text, self.ruleset, self.pieces = text, ruleset, None
+        self.text, self.ruleset, self.canonical = text, ruleset, False
 
-    def refill(self, text: str, table: dict) -> RuleSet | None:
-        """The RuleSet of `text`, a document of the shape's signature, or
-        None if its text between the holes, hole keys included, is not the
-        shape's."""
-        if self.pieces is None:
-            self.pieces = self._checked()
-        if not self.pieces:
-            return None
-        pieces, values = _split(text)
-        if pieces != self.pieces:
+    def refill(self, values: list[str], table: dict) -> RuleSet | None:
+        """The RuleSet of a document of this shape with the hole values
+        `values`, or None if the shape's text is not the writer's. Each rule
+        it builds is handed the shape's rule as its key (see `keyed`)."""
+        if self.text is not None:
+            self.canonical = self.text == serialize(self.ruleset)
+            self.text = None
+        if not self.canonical:
             return None
         try:
             holes = iter(list(map(int, values)))
@@ -867,20 +868,13 @@ class _Shape:
                 rule_id, tag = next(holes), next(holes)
                 condition = _readdressed(rule.condition, holes, table)
                 action = _readdressed(rule.action, holes, table)
-                refilled.append(
-                    Rule(
-                        rule.name, rule_id, tag, condition, action,
-                        rule.qnic_interfaces, rule.is_finalized,
-                    )
+                refill = Rule(
+                    rule.name, rule_id, tag, condition, action,
+                    rule.qnic_interfaces, rule.is_finalized,
                 )
+                refilled.append(keyed(refill, rule))
             stages.append(Stage(tuple(refilled)))
         return RuleSet(self.ruleset.name, ruleset_id, owner, tuple(stages))
-
-    def _checked(self) -> list[str] | bool:
-        """The pieces of the text between its holes, or False if the text is
-        not what `serialize` writes for its RuleSet; drops the text."""
-        text, self.text = self.text, None
-        return text == serialize(self.ruleset) and _split(text)[0]
 
 
 def _readdressed(block, holes, table: dict):

@@ -10,11 +10,12 @@ of the outcome tree.
 
 The rule groups, the link provisioning and the index of send clauses are
 built once per call (`Blueprint`); a `Network` holds only what a run
-changes, so it can be forked.  Enumeration is a depth-first walk: a branch
-runs with zero bits past its plan and snapshots the network before every
-firing of a group that measures, and each zero it drew is flipped in a new
-branch that resumes from the snapshot before the firing that drew it, so
-the rounds before a measurement run once for the whole subtree below it.
+changes, so it can be forked, which is how `explore` walks every branch of
+the outcome tree.  A rule group is built once per tuple of template keys
+(`ir.keyed`): its rules differ from those of the first group of that tuple
+only in their holes, so it takes every part that reads no hole from that
+group and reads its own resource and recv clauses, its rules and where its
+alternatives part ways.
 
 One rule picks which rule of a group fires (see `Group`): a comparison is
 read once the action clauses that write the registers it names have run,
@@ -74,43 +75,6 @@ class RandomOutcomes:
 
     def checkpoint(self, net: "Network", index: int) -> None:
         pass
-
-
-class _Branch:
-    """One branch of the enumeration: replays `plan` bit by bit, then draws
-    zeros, and snapshots the network before every firing of a group that
-    measures.
-
-    A branch resumed from `origin` re-enters the firing `origin` was taken
-    before; that snapshot stands for it instead of a fresh copy.
-    """
-
-    def __init__(self, plan: tuple[int, ...], origin: "_Snapshot | None"):
-        self.plan = plan
-        self.snapshots: list[_Snapshot] = [] if origin is None else [origin]
-        self._resumed = origin is not None
-
-    def draw(self, position: int) -> int:
-        return self.plan[position] if position < len(self.plan) else 0
-
-    def checkpoint(self, net: "Network", index: int) -> None:
-        if self._resumed:
-            self._resumed = False
-        else:
-            self.snapshots.append(_Snapshot(net.fork(None), index))
-
-
-@dataclass(eq=False)
-class _Snapshot:
-    """A network about to fire a group that measures, at node `index` of
-    the round in progress."""
-
-    net: "Network"
-    index: int
-
-    @property
-    def drawn(self) -> int:
-        return len(self.net.trace)
 
 
 # --- physical state ----------------------------------------------------------
@@ -238,10 +202,22 @@ def _next_stop(left, done: int) -> int:
     return stop
 
 
-def _build_group(rules: list[ir.Rule], gid: int) -> Group:
+def _build_group(rules: list[ir.Rule], gid: int, like: Group | None = None) -> Group:
+    """The group of `rules`. `like`, a group of rules with the same template
+    keys (`ir.keyed`), gives every part that reads no hole."""
     head = rules[0]
-    res = tuple(c for c in head.condition.clauses if isinstance(c, ir.ResClause))
+    res = tuple([c for c in head.condition.clauses if isinstance(c, ir.ResClause)])
     recvs = [c for c in head.condition.clauses if isinstance(c, ir.RecvClause)]
+    recv = recvs[0] if recvs else None
+    if like is not None:
+        pairs = zip(rules, like.alternatives)
+        alternatives = tuple([(rule, checks, last) for rule, (_r, checks, last) in pairs])
+        # where several part ways depends on their Send partners, which are holes
+        first_stop = like.first_stop if len(rules) == 1 else _next_stop(alternatives, 0)
+        return Group(
+            gid, res, recv, like.kind_gate, like.timers, alternatives,
+            first_stop, like.inherited, like.draws,
+        )
     timers = tuple(c for c in head.condition.clauses if isinstance(c, ir.TimerClause))
     kind_gate = None
     alternatives = []
@@ -276,7 +252,7 @@ def _build_group(rules: list[ir.Rule], gid: int) -> Group:
     return Group(
         gid=gid,
         res=res,
-        recv=recvs[0] if recvs else None,
+        recv=recv,
         kind_gate=kind_gate,
         timers=timers,
         alternatives=tuple(alternatives),
@@ -350,18 +326,29 @@ class Blueprint:
     """What every run over one set of rulesets shares and never changes:
     the rule groups of each node, the pairs provisioned per link, the
     rules carrying a send to a node (`carriers`), and each distinct report
-    record made so far (`records`)."""
+    record made so far (`records`).  The groups of rules with one tuple of
+    template keys share what reads no hole (see `_build_group`)."""
 
     def __init__(self, rulesets: dict[int, ir.RuleSet], topology: Topology):
         self.stages: dict[int, list[list[Group]]] = {}
         self.group_count = 0
+        # the first group of each tuple of template keys, by their identities:
+        # a loaded Rule key hashes by value, deeply
+        built: dict[tuple[int, ...], Group] = {}
         for rep in topology.repeaters:
             ruleset = rulesets.get(rep.address)
             stages = []
             for stage in ruleset.stages if ruleset is not None else ():
                 stages.append([])
                 for rules in _group_rules(stage):
-                    stages[-1].append(_build_group(rules, self.group_count))
+                    try:
+                        key = tuple([id(rule._template) for rule in rules])
+                    except AttributeError:  # a rule with no key is built alone
+                        key = None
+                    group = _build_group(rules, self.group_count, built.get(key))
+                    if key is not None:
+                        built.setdefault(key, group)
+                    stages[-1].append(group)
                     self.group_count += 1
             self.stages[rep.address] = stages
         self.addresses = sorted(self.stages)
@@ -1065,43 +1052,10 @@ def run(
     return _drive(net, max_rounds)
 
 
-def enumerate_outcomes(
-    rulesets: dict[int, ir.RuleSet],
-    topology: Topology,
-    *,
-    initial_fidelity: float = 1.0,
-    max_rounds: int = 10_000,
-) -> list[RunReport]:
-    """Run every branch of the measurement outcome tree exactly once.
+def __getattr__(name: str):
+    """`enumerate_outcomes` lives in `explore`, which imports this module."""
+    if name == "enumerate_outcomes":
+        from .explore import enumerate_outcomes
 
-    Depth first: each branch runs with zeros past its plan, and every zero
-    it drew is flipped in a new branch, deepest first.  That branch forks
-    the snapshot taken before the firing that drew the bit and replays the
-    plan from there.  A snapshot is freed with the last branch that forks
-    it, so the live ones lie on the path being walked.
-    """
-    blueprint = Blueprint(rulesets, topology)
-    reports: list[RunReport] = []
-    todo: list[tuple[_Snapshot | None, tuple[int, ...]]] = [(None, ())]
-    while todo:
-        origin, plan = todo.pop()
-        branch = _Branch(plan, origin)
-        if origin is None:
-            net = Network(blueprint, branch, initial_fidelity)
-        else:
-            net = origin.net.fork(branch)
-        report = _drive(net, max_rounds, origin.index if origin else 0)
-        reports.append(report)
-        path = report.outcome_path
-        snapshots = branch.snapshots
-        owner = 0
-        # pushed shallowest first, so the deepest flip runs next: a subtree
-        # finishes, and frees its snapshots, before its siblings start
-        for i in range(len(plan), len(path)):
-            if path[i] == 0:
-                # the latest snapshot at or before the draw of bit i
-                while owner + 1 < len(snapshots) and snapshots[owner + 1].drawn <= i:
-                    owner += 1
-                todo.append((snapshots[owner], path[:i] + (1,)))
-    reports.sort(key=lambda r: r.outcome_path)
-    return reports
+        return enumerate_outcomes
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

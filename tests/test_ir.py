@@ -1047,6 +1047,30 @@ class TestSharedTableDifferential:
         assert ir.deserialize(second, table) == expected
         assert decoded == [second]  # the full path, not a refill
 
+    @pytest.mark.parametrize("field", ["fidelity", "qubit_index"])
+    def test_a_number_outside_the_holes_is_a_shape_of_its_own(self, field, monkeypatch):
+        """A document that differs from a shape met before in a number that
+        is no hole, with every digit taken out the same text, is read the
+        full way once, and its own twins are refilled."""
+
+        def written(partner: int, fidelity: float = 0.5, qubit: int = 0) -> str:
+            res = ir.ResClause(1, fidelity, partner, qubit)
+            rule = ir.Rule("r", 0, 0, ir.Condition(None, (res,)), ir.Action())
+            return ir.serialize(ir.RuleSet("x", 0, 0, (ir.Stage((rule,)),)))
+
+        other = {"fidelity": 0.7} if field == "fidelity" else {"qubit": 3}
+        first, twin = written(0, **other), written(5, **other)
+        assert re.sub("[0-9]", "", first) == re.sub("[0-9]", "", written(0))
+        expected = [reference_deserialize(first), reference_deserialize(twin)]
+        table: dict = {}
+        for text in [written(0)] * (ir._UNSHAPED + 2):  # a shape from the ninth on
+            ir.deserialize(text, table)
+        decoded = []
+        real = json.loads
+        monkeypatch.setattr(json, "loads", lambda text: decoded.append(text) or real(text))
+        assert [ir.deserialize(first, table), ir.deserialize(twin, table)] == expected
+        assert decoded == [first]  # the twin was refilled
+
 
 # --- sharing on load ----------------------------------------------------------
 

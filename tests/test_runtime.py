@@ -2,11 +2,13 @@
 exhaustive outcome enumeration."""
 
 import hashlib
+import json
 import weakref
+from pathlib import Path
 
 import pytest
 
-from rula import analyzer, cli, codegen, config, ir, parser, runtime
+from rula import analyzer, cli, codegen, config, explore, ir, parser, runtime
 
 
 def compile_corpus(corpus, program_name, config_name):
@@ -421,7 +423,7 @@ class TestForkedEnumeration:
     def test_live_snapshots_stay_on_one_path(self, corpus, monkeypatch):
         rulesets, topology = compile_chain(corpus, "entanglement_swapping.rula", 5)
         live, peak = weakref.WeakSet(), []
-        real = runtime._Snapshot
+        real = explore._Snapshot
 
         def tracked(*args):
             snapshot = real(*args)
@@ -429,7 +431,7 @@ class TestForkedEnumeration:
             peak.append(len(live))
             return snapshot
 
-        monkeypatch.setattr(runtime, "_Snapshot", tracked)
+        monkeypatch.setattr(explore, "_Snapshot", tracked)
         assert len(runtime.enumerate_outcomes(rulesets, topology)) == 64
         # one per swap on the path being walked, plus the one just taken
         assert max(peak) <= 3 + 1
@@ -438,13 +440,13 @@ class TestForkedEnumeration:
     def test_every_measuring_firing_takes_a_snapshot(self, corpus, monkeypatch):
         rulesets, topology = compile_chain(corpus, "purification.rula", 5)
         taken = []
-        real = runtime._Snapshot
+        real = explore._Snapshot
 
         def counting(*args):
             taken.append(args)
             return real(*args)
 
-        monkeypatch.setattr(runtime, "_Snapshot", counting)
+        monkeypatch.setattr(explore, "_Snapshot", counting)
         assert len(runtime.enumerate_outcomes(rulesets, topology)) == 1024
         # a resumed branch re-enters its origin's firing without a new copy
         assert len(taken) == 497
@@ -819,3 +821,110 @@ class TestDecidedEarly:
         ]
         assert (one.outcome_path, one.status) == ((1,), "quiescent")
         assert [f["id"] for f in one.fired] == [0]
+
+
+# --- rule groups built once per template key ---------------------------------
+
+
+def _blueprint_and_likes(rulesets, topology, monkeypatch):
+    """A Blueprint of `rulesets`, and how many of its groups it built from
+    another group of the same template keys."""
+    likes = []
+    real = runtime._build_group
+
+    def recording(rules, gid, like=None):
+        likes.append(like)
+        return real(rules, gid, like)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(runtime, "_build_group", recording)
+        blueprint = runtime.Blueprint(rulesets, topology)
+    return blueprint, sum(like is not None for like in likes)
+
+
+def _assert_groups_built_plainly(blueprint):
+    """Each group equals, field by field, the group a plain `_build_group`
+    makes of its rules, and holds those very rules."""
+    groups = [g for stages in blueprint.stages.values() for stage in stages for g in stage]
+    assert len(groups) == blueprint.group_count
+    for group in groups:
+        rules = [rule for rule, _checks, _last in group.alternatives]
+        plain = runtime._build_group(rules, group.gid)
+        assert group == plain
+        assert all(a[0] is b[0] for a, b in zip(group.alternatives, plain.alternatives))
+
+
+class TestGroupsOncePerKey:
+    """`Blueprint` builds the first group of each tuple of template keys
+    and takes every part that reads no hole from it for the later ones:
+    those must still be the groups a plain build makes, whether the keys
+    come from lowering or from the shapes of a load."""
+
+    @pytest.fixture(scope="class")
+    def compiled(self):
+        from test_ir import _SHARED_LOADS
+
+        corpus = Path(__file__).parent / "corpus"
+        cases = {}
+        for name, config_names in _SHARED_LOADS:
+            for config_name in config_names:
+                cases[name, config_name] = compile_corpus(corpus, name, config_name)
+        program = parser.parse(
+            (corpus / "entanglement_swapping.rula")
+            .read_text()
+            .replace("for d in 1..(#repeaters.len()/2)", "for d in [1, 2, 4, 8, 16]")
+        )
+        analysis = analyzer.analyze_program(program)
+        repeaters = [{"name": f"#{i}", "address": 1000 - 7 * i} for i in range(33)]
+        topology = config.load_config(json.dumps({"repeaters": repeaters}))
+        out = codegen.compile_program(analysis, topology, 7)
+        assert out.ok, out.diagnostics
+        cases["doubling", "chain33"] = out.per_node, topology
+        return cases
+
+    def test_compiled_groups_are_the_plain_ones(self, compiled, monkeypatch):
+        shared = {}
+        for case, (rulesets, topology) in compiled.items():
+            blueprint, shared[case] = _blueprint_and_likes(rulesets, topology, monkeypatch)
+            _assert_groups_built_plainly(blueprint)
+        assert len(shared) == 13
+        assert shared["doubling", "chain33"] > 100
+
+    def test_loaded_groups_are_the_plain_ones(self, compiled, monkeypatch, tmp_path):
+        shared = {}
+        for case, (rulesets, topology) in compiled.items():
+            directory = tmp_path / "-".join(case)
+            directory.mkdir()
+            for address, ruleset in rulesets.items():
+                (directory / f"{address}.json").write_text(ir.serialize(ruleset))
+            loaded = cli._load_rulesets(directory, topology)
+            blueprint, shared[case] = _blueprint_and_likes(loaded, topology, monkeypatch)
+            _assert_groups_built_plainly(blueprint)
+        # a load keys its documents by shape from the ninth on: only the chain's
+        assert [case for case, count in shared.items() if count] == [("doubling", "chain33")]
+
+    @pytest.mark.parametrize("coinciding", [0, 1])
+    def test_where_alternatives_part_is_read_per_group(self, coinciding, monkeypatch):
+        """Two owners share both rule keys. Each rule sends to one partner
+        first; the two partners are one address at one owner and two at
+        the other, so the alternatives share their first two clauses at the
+        one and none at the other, whichever owner is built first."""
+        keys = (object(), object())
+
+        def group(owner, partners):
+            rules = []
+            for rule_id, partner in enumerate(partners):
+                compared = ir.CmpClause("x", "Eq", ir.TaggedValue("Str", str(rule_id)))
+                sends = (ir.SendClause("Free", partner), ir.SetTimerClause("t", 1))
+                rule = _rule("fork", rule_id, (compared,), sends)
+                rules.append(ir.keyed(rule, keys[rule_id]))
+            return _node(owner, *rules)
+
+        parted = {0: (1, 1), 1: (0, 2)} if coinciding == 0 else {0: (1, 2), 1: (2, 2)}
+        rulesets = {owner: group(owner, partners) for owner, partners in parted.items()}
+        rulesets[2] = _node(2)
+        blueprint, shared = _blueprint_and_likes(rulesets, chain(3), monkeypatch)
+        assert shared == 1
+        _assert_groups_built_plainly(blueprint)
+        stops = {owner: blueprint.stages[owner][0][0].first_stop for owner in parted}
+        assert stops == {coinciding: 2, 1 - coinciding: 0}
