@@ -11,7 +11,7 @@ import weakref
 
 import pytest
 
-from rula import cli, codegen, ir, parser
+from rula import cli, codegen, ir, parser, runtime
 
 SWAP = "entanglement_swapping.rula"
 
@@ -541,6 +541,41 @@ class TestRun:
         assert payload["branches"] == 4
         assert payload["all_quiescent"] is True
         assert "4 branch(es), all quiescent" in err
+
+    def test_only_a_sampled_run_pauses_the_collector(
+        self, corpus, capsys, tmp_path, monkeypatch
+    ):
+        out_dir = self.compiled(corpus, capsys, tmp_path)
+        seen = []
+
+        def spying(module, name):
+            real = getattr(module, name)
+
+            def spy(*args, **kwargs):
+                seen.append((name, gc.isenabled()))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+
+        spying(cli, "_load_rulesets")
+        spying(runtime, "run")
+        spying(runtime, "enumerate_outcomes")
+        argv = ["run", "--config", corpus / "config3.json", "--rulesets", out_dir]
+        assert run_cli(argv, capsys)[0] == 0
+        assert seen == [("_load_rulesets", False), ("run", False)] and gc.isenabled()
+        seen.clear()
+        assert run_cli([*argv, "--enumerate-outcomes"], capsys)[0] == 0
+        assert seen == [("_load_rulesets", True), ("enumerate_outcomes", True)]
+        # a failed load turns the collector back on
+        (out_dir / "entanglement_swapping_2.json").unlink()
+        assert run_cli(argv, capsys)[0] == 1 and gc.isenabled()
+        # and a caller that paused it finds it paused
+        gc.disable()
+        try:
+            run_cli(argv, capsys)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
     def test_missing_ruleset_for_address(self, corpus, capsys, tmp_path):
         out_dir = self.compiled(corpus, capsys, tmp_path)

@@ -1,12 +1,11 @@
 """The doubling chain ladder: `rula compile`, `rula validate` and `rula run`
 on chains of 2^L + 1 nodes, each step in a fresh `python -m rula` process.
 
-    python3 tools/ladder.py [--tree LABEL=SRC ...] [--levels 10 11 12]
-                            [--repeats N] [--out FILE]
+    python3 tools/ladder.py [--tree LABEL=SRC ...] [--repeats N] [--out FILE]
 
 Each `--tree` names a source tree (the directory holding the `rula`
 package) to put on `PYTHONPATH`; the default is this checkout's `src`.
-For every level, every repeat runs each tree in turn, the order
+For every level in `LEVELS`, every repeat runs each tree in turn, the order
 alternating between repeats, and records per step the wall time, the CPU
 time (user + system) and the peak resident set size, all read from the
 child's own resource usage (`os.wait4`, what `getrusage(RUSAGE_CHILDREN)`
@@ -36,6 +35,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS_SCHEDULE = "for d in 1..(#repeaters.len()/2)"
+LEVELS = (10, 11, 12)  # 1 025, 2 049 and 4 097 nodes
 STEPS = ("compile", "validate", "run")
 
 
@@ -102,14 +102,13 @@ def rung(src: str, program: Path, chain: Path, nodes: int, work: Path) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tree", action="append", default=[], metavar="LABEL=SRC")
-    parser.add_argument("--levels", type=int, nargs="+", default=[10, 11, 12])
     parser.add_argument("--repeats", type=int, default=1)
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     trees = [tuple(tree.split("=", 1)) for tree in args.tree] or [("src", str(ROOT / "src"))]
     runs = []
     with tempfile.TemporaryDirectory(prefix="ladder-") as tmp:
-        for levels in args.levels:
+        for levels in LEVELS:
             rung_dir = Path(tmp) / f"L{levels}"
             rung_dir.mkdir()
             program, chain, nodes = write_inputs(levels, rung_dir)
@@ -128,7 +127,7 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"{label} {nodes} nodes: {cells}", file=sys.stderr)
     medians: dict = {}
     for label, _src in trees:
-        for levels in args.levels:
+        for levels in LEVELS:
             nodes = 2**levels + 1
             for step in STEPS:
                 cell = (label, nodes, step)
