@@ -701,36 +701,13 @@ class _Checker:
                 )
             return
         if sig.return_types and not all(sig.maybe_flags):
-            if not self._always_promotes(rule):
+            if not _promotes(_body(rule)):
                 self.error(
                     "promote-missing",
                     rule.span,
                     f"some arms of rule {rule.name} exit without promoting; "
                     'annotate the return type with "?" or promote in every arm',
                 )
-
-    def _always_promotes(self, rule: ast.RuleStmt) -> bool:
-        def block_promotes(stmts) -> bool:
-            return any(stmt_promotes(s) for s in stmts)
-
-        def stmt_promotes(stmt: ast.Stmt) -> bool:
-            if isinstance(stmt, ast.PromoteStmt):
-                return True
-            if isinstance(stmt, ast.IfStmt):
-                if stmt.orelse is None:
-                    return False
-                return all(block_promotes(body) for _, body in stmt.branches) and block_promotes(
-                    stmt.orelse
-                )
-            if isinstance(stmt, ast.MatchStmt):
-                arms_ok = all(block_promotes(arm.body) for arm in stmt.arms)
-                if stmt.otherwise is None:
-                    # Literal arms are never exhaustive over strings/ints.
-                    return False
-                return arms_ok and block_promotes(stmt.otherwise)
-            return False
-
-        return block_promotes(_body(rule))
 
     # --- ruleset body ---------------------------------------------------------
 
@@ -1135,6 +1112,27 @@ class _Checker:
 def _body(rule: ast.RuleStmt) -> tuple[ast.Stmt, ...]:
     """The act block of a rule followed by its trailing statements."""
     return (rule.act.stmts if rule.act else ()) + rule.trailing
+
+
+def _promotes(stmts) -> bool:
+    """Every path through `stmts` promotes a qubit."""
+    return any(_stmt_promotes(s) for s in stmts)
+
+
+def _stmt_promotes(stmt: ast.Stmt) -> bool:
+    if isinstance(stmt, ast.PromoteStmt):
+        return True
+    if isinstance(stmt, ast.IfStmt):
+        if stmt.orelse is None:
+            return False
+        return all(_promotes(body) for _, body in stmt.branches) and _promotes(stmt.orelse)
+    if isinstance(stmt, ast.MatchStmt):
+        arms_ok = all(_promotes(arm.body) for arm in stmt.arms)
+        if stmt.otherwise is None:
+            # Literal arms are never exhaustive over strings/ints.
+            return False
+        return arms_ok and _promotes(stmt.otherwise)
+    return False
 
 
 def _walk(stmts):

@@ -193,21 +193,6 @@ def _describe(report: runtime.RunReport, label: str = "") -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    # A sampled run loads and builds structures that live until it ends and
-    # hold almost no cycles, so the cyclic collector is paused for it: on
-    # its own it starts a full collection each time the heap grows by a
-    # quarter (five at 4 097 nodes). An enumeration leaves cycles as it
-    # branches, so it keeps the collector on.
-    if args.enumerate_outcomes or not gc.isenabled():
-        return _run(args)
-    gc.disable()
-    try:
-        return _run(args)
-    finally:
-        gc.enable()
-
-
-def _run(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
     if not config_path.is_file():
         _err(f"error: no such config: {config_path}")
@@ -319,7 +304,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # The cyclic collector is paused while a command runs. What a command
+    # builds (the parse tree, lowered and loaded rulesets, rule groups, every
+    # network an enumeration forks) holds no reference cycle: a network keeps
+    # the ends of each pair in `pair_ends`, not in the pair. Reference
+    # counting frees all of it, so a collection would find nothing, yet on
+    # its own the collector starts a full one each time the heap grows by a
+    # quarter. `TestNoCycles` in tests/test_cli.py checks that no command
+    # leaves cyclic garbage. A caller that paused the collector finds it
+    # paused.
+    if not gc.isenabled():
+        return args.func(args)
+    gc.disable()
+    try:
+        return args.func(args)
+    finally:
+        gc.enable()
 
 
 if __name__ == "__main__":

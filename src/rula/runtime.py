@@ -80,7 +80,7 @@ class RandomOutcomes:
 # --- physical state ----------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Pair:
     id: int
     fidelity: float
@@ -89,16 +89,9 @@ class Pair:
     # "idle" until a sacrificial parity measurement marks this pair as the
     # kept half of a purification round, "done" once the boost is applied
     purify_state: str = "idle"
-    ends: list["End"] = field(default_factory=list)
-
-    def other_end(self, end: "End") -> "End":
-        for candidate in self.ends:
-            if candidate is not end:
-                return candidate
-        raise SimulationError(f"pair {self.id} has no second end")
 
 
-@dataclass
+@dataclass(slots=True)
 class End:
     pair: Pair
     node: int
@@ -106,7 +99,7 @@ class End:
     state: str = "free"  # free | promoted | gone
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     kind: str
     src: int
@@ -154,8 +147,6 @@ class Group:
     the group is stuck, and its report names that first one."""
 
     gid: int
-    # tuples: the empty ones are one shared object, which keeps the many
-    # groups of a long chain cheap for the garbage collector to scan
     res: tuple[ir.ResClause, ...]
     recv: ir.RecvClause | None
     kind_gate: str | None
@@ -262,7 +253,7 @@ def _build_group(rules: list[ir.Rule], gid: int, like: Group | None = None) -> G
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     address: int
     stages: list[list[Group]]
@@ -361,9 +352,8 @@ class Blueprint:
 
     def carriers(self, sender: int, dst: int, kind: str | None) -> _Carriers:
         """Every (group, rule) at `sender` whose rule sends `kind` to `dst`
-        (any kind for None).  Built on first use: a sampled run asks for a
-        fraction of them, and each one kept is more for the collector to
-        scan."""
+        (any kind for None).  Built on first use, as a run asks for a
+        fraction of them."""
         key = (sender, dst, kind)
         found = self._carriers.get(key)
         if found is None:
@@ -386,8 +376,11 @@ class Blueprint:
 
 
 class Network:
-    """The state one run changes: pairs and their ends, group states, node
-    progress, messages in flight, sampled references and the outcome trace."""
+    """The state one run changes: pairs, the ends of each pair by its id
+    (`pair_ends`), group states, node progress with the nodes not yet
+    complete (`live`, (address index, node) in address order), messages in
+    flight, sampled references and the outcome trace.  A pair does not
+    point back at its ends, so a network holds no reference cycle."""
 
     def __init__(self, blueprint: Blueprint, outcomes, initial_fidelity: float):
         self.blueprint = blueprint
@@ -397,6 +390,7 @@ class Network:
         self.delivered = 0
         self.trace: list[int] = []
         self.pairs: list[Pair] = []
+        self.pair_ends: list[list[End]] = []
         self.outbox: list[Message] = []
         # one sampled reference bit per measured observable, keyed by the
         # set of (pair, basis) correlations the observable spans
@@ -413,12 +407,15 @@ class Network:
             for _ in range(blueprint.links.get((a, b), 0)):
                 pair = Pair(id=len(self.pairs), fidelity=initial_fidelity)
                 self.pairs.append(pair)
+                self.pair_ends.append([])
                 for holder, partner in ((a, b), (b, a)):
                     end = End(pair=pair, node=holder, viewed_partner=partner)
-                    pair.ends.append(end)
+                    self.pair_ends[pair.id].append(end)
                     self.ends[holder].append(end)
         for node in self.nodes.values():
             self._advance(node)
+        self.live = [(i, self.nodes[a]) for i, a in enumerate(addresses)]
+        self._refresh()
 
     def fork(self, outcomes) -> "Network":
         """An independent copy that draws from `outcomes`.  Messages, fired
@@ -449,9 +446,19 @@ class Network:
                 copy = End(net.pairs[e.pair.id], e.node, e.viewed_partner, e.state)
                 copies[id(e)] = copy
                 net.ends[addr].append(copy)
-        for old, new in zip(self.pairs, net.pairs):
-            new.ends = [copies[id(e)] for e in old.ends]
+        net.pair_ends = [[copies[id(e)] for e in ends] for ends in self.pair_ends]
+        net.live = [(i, net.nodes[n.address]) for i, n in self.live if not n.complete]
         return net
+
+    def _refresh(self) -> None:
+        """Drop the nodes that have become complete from `live`."""
+        self.live = [entry for entry in self.live if not entry[1].complete]
+
+    def other_end(self, end: End) -> End:
+        for candidate in self.pair_ends[end.pair.id]:
+            if candidate is not end:
+                return candidate
+        raise SimulationError(f"pair {end.pair.id} has no second end")
 
     def _resolved(self, group: Group) -> bool:
         return self.state[group.gid] in RESOLVED
@@ -608,8 +615,7 @@ class Network:
         """A Transfer message hands over a (possibly spliced) pair: the
         receiver learns who holds the far end now."""
         for end in bindings.values():
-            other = end.pair.other_end(end)
-            end.viewed_partner = other.node
+            end.viewed_partner = self.other_end(end).node
 
     # --- main loop -----------------------------------------------------------
 
@@ -627,10 +633,8 @@ class Network:
         resumed from a snapshot fires at `start` first, so the progress of
         the nodes before it need not be known."""
         progress = False
-        addresses = self.blueprint.addresses
-        for index in range(start, len(addresses)):
-            node = self.nodes[addresses[index]]
-            if node.complete:
+        for index, node in self.live:
+            if index < start:
                 continue
             for group in node.current():
                 if self.state[group.gid] != "pending":
@@ -646,6 +650,7 @@ class Network:
         if self.deliver():
             progress = True
         self.round += 1
+        self._refresh()
         return progress
 
     # --- starvation analysis -------------------------------------------------
@@ -659,17 +664,14 @@ class Network:
         progressed = True
         while progressed:
             progressed = False
-            for address in self.blueprint.addresses:
-                node = self.nodes[address]
-                if node.complete:
-                    continue
+            for _index, node in self.live:
                 for group in node.current():
                     if group.recv is None or self.state[group.gid] != "pending":
                         continue
                     src, kind = group.recv.partner_addr, group.kind_gate
                     if any(kind is None or m.kind == kind for m in node.inboxes.get(src, ())):
                         continue
-                    carriers = self.blueprint.carriers(src, address, kind)
+                    carriers = self.blueprint.carriers(src, node.address, kind)
                     if not carriers:
                         # terminal: the sender's ruleset can never produce it
                         self.state[group.gid] = "stuck"
@@ -679,13 +681,12 @@ class Network:
                         self.state[group.gid] = "cancelled"
                         progressed = changed = True
                 self._advance(node)
+            self._refresh()
         return changed
 
     def timers_armed(self) -> bool:
         """A pending group is waiting on a timer that is still counting."""
-        for node in self.nodes.values():
-            if node.complete:
-                continue
+        for _index, node in self.live:
             for group in node.current():
                 if self._resolved(group):
                     continue
@@ -697,10 +698,8 @@ class Network:
 
     def stuck_reports(self) -> list[str]:
         reports = []
-        for address in self.blueprint.addresses:
-            node = self.nodes[address]
-            if node.complete:
-                continue
+        for _index, node in self.live:
+            address = node.address
             for group in node.current():
                 if self._resolved(group):
                     continue
@@ -856,7 +855,8 @@ class _Firing:
         tq = qc.qgates[1].qubit.qubit_index
         left = self.bindings[cq]
         right = self.bindings[tq]
-        far = (left.pair.other_end(left), right.pair.other_end(right))
+        net = self.net
+        far = (net.other_end(left), net.other_end(right))
         if far[0].node == far[1].node:
             raise _Stuck(f"splices two pairs whose far ends both sit on address {far[0].node}")
         self._qcirc(qc)
@@ -867,15 +867,15 @@ class _Firing:
 
         lp, rp = left.pair, right.pair
         spliced = Pair(
-            id=len(self.net.pairs),
+            id=len(net.pairs),
             fidelity=lp.fidelity * rp.fidelity,
             phase_bit=lp.phase_bit ^ rp.phase_bit ^ m_phase,
             parity_bit=lp.parity_bit ^ rp.parity_bit ^ m_parity,
         )
-        self.net.pairs.append(spliced)
+        net.pairs.append(spliced)
+        net.pair_ends.append(list(far))
         for end in far:
             end.pair = spliced
-            spliced.ends.append(end)
         self.registers[ir.register(len(self.registers))] = f"{m_parity}{m_phase}"
 
     # --- classical effects ---------------------------------------------------
@@ -995,15 +995,15 @@ class RunReport:
 
 
 def _report(net: Network) -> RunReport:
-    complete = all(node.complete for node in net.nodes.values())
+    complete = not net.live
     stuck = [] if complete else net.stuck_reports()
     records = net.blueprint.records
     pairs = []
-    for pair in net.pairs:
-        live = [e for e in pair.ends if e.state != "gone"]
-        if len(live) != 2:
+    for pair, ends in zip(net.pairs, net.pair_ends):
+        held = [e for e in ends if e.state != "gone"]
+        if len(held) != 2:
             continue
-        a, b = sorted(live, key=lambda e: e.node)
+        a, b = sorted(held, key=lambda e: e.node)
         fidelity = round(pair.fidelity, 12)
         key = (a.node, b.node, a.state, b.state, pair.phase_bit, pair.parity_bit, repr(fidelity))
         record = records.get(key)
@@ -1030,7 +1030,7 @@ def _drive(net: Network, max_rounds: int, start: int = 0) -> RunReport:
     """Run rounds until every node is complete, nothing can progress, or
     the round budget is spent; the first round resumes at node `start`."""
     while net.round < max_rounds:
-        if all(node.complete for node in net.nodes.values()):
+        if not net.live:
             break
         if not net.step(start):
             if not net.cancel_starved() and not net.timers_armed():

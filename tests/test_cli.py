@@ -542,10 +542,7 @@ class TestRun:
         assert payload["all_quiescent"] is True
         assert "4 branch(es), all quiescent" in err
 
-    def test_only_a_sampled_run_pauses_the_collector(
-        self, corpus, capsys, tmp_path, monkeypatch
-    ):
-        out_dir = self.compiled(corpus, capsys, tmp_path)
+    def test_every_command_pauses_the_collector(self, corpus, capsys, tmp_path, monkeypatch):
         seen = []
 
         def spying(module, name):
@@ -557,18 +554,36 @@ class TestRun:
 
             monkeypatch.setattr(module, name, spy)
 
+        spying(codegen, "compile_program")
+        spying(ir, "validate")
         spying(cli, "_load_rulesets")
         spying(runtime, "run")
         spying(runtime, "enumerate_outcomes")
+        out_dir = self.compiled(corpus, capsys, tmp_path)
+        assert seen == [("compile_program", False)] and gc.isenabled()
+        seen.clear()
+        files = sorted(out_dir.glob("*.json"))
+        assert run_cli(["validate", *files], capsys)[0] == 0
+        assert seen == [("validate", False)] * 3 and gc.isenabled()
+        seen.clear()
         argv = ["run", "--config", corpus / "config3.json", "--rulesets", out_dir]
         assert run_cli(argv, capsys)[0] == 0
         assert seen == [("_load_rulesets", False), ("run", False)] and gc.isenabled()
         seen.clear()
         assert run_cli([*argv, "--enumerate-outcomes"], capsys)[0] == 0
-        assert seen == [("_load_rulesets", True), ("enumerate_outcomes", True)]
-        # a failed load turns the collector back on
+        assert seen == [("_load_rulesets", False), ("enumerate_outcomes", False)]
+        assert gc.isenabled()
+        # a failed command turns the collector back on, one that raises too
         (out_dir / "entanglement_swapping_2.json").unlink()
         assert run_cli(argv, capsys)[0] == 1 and gc.isenabled()
+
+        def failing(ruleset):
+            raise OSError("no device")
+
+        monkeypatch.setattr(ir, "validate", failing)
+        with pytest.raises(OSError):
+            cli.main(["validate", str(files[0])])
+        assert gc.isenabled()
         # and a caller that paused it finds it paused
         gc.disable()
         try:
@@ -877,6 +892,60 @@ class TestRun:
         del loads, tables, calls
         gc.collect()
         assert not [ref for ref in alive if ref() is not None]
+
+
+def _garbage_after(action):
+    """How many unreachable objects the cyclic collector finds after
+    `action` runs with the collector paused."""
+    gc.collect()
+    gc.disable()
+    try:
+        action()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+class TestNoCycles:
+    """Every command runs with the collector paused, so what it builds must
+    be freed by reference counting: it leaves no more cyclic garbage than
+    building the argument parser does."""
+
+    @pytest.mark.parametrize(
+        "program, config",
+        [
+            ("chain7.rula", "config7.json"),
+            ("entanglement_swapping.rula", "config5.json"),
+            ("loop_probe.rula", "config2.json"),
+            ("purification.rula", "config5.json"),
+            ("two_matches.rula", "config3.json"),
+        ],
+    )
+    def test_no_command_leaves_cycles(self, corpus, capsys, tmp_path, program, config):
+        parser_only = _garbage_after(cli.build_parser)
+
+        def garbage(*argv):
+            codes = []
+            found = _garbage_after(lambda: codes.append(cli.main([str(a) for a in argv])))
+            capsys.readouterr()
+            assert codes == [0], argv
+            return found
+
+        out_dir = tmp_path / "out"
+        compiled = ["compile", corpus / program, "--config", corpus / config, "--out-dir", out_dir]
+        assert garbage(*compiled) <= parser_only
+        assert garbage("validate", *sorted(out_dir.glob("*.json"))) <= parser_only
+        run = ["run", "--config", corpus / config, "--rulesets", out_dir]
+        assert garbage(*run, "--seed", "7") <= parser_only
+        assert garbage(*run, "--enumerate-outcomes", "--report-json") <= parser_only
+
+    def test_a_failed_compile_leaves_no_cycles(self, corpus, capsys, tmp_path):
+        argv = ["compile", str(corpus / "multiround.rula"), "--config",
+                str(corpus / "config3.json"), "--out-dir", str(tmp_path)]
+        parser_only = _garbage_after(cli.build_parser)
+        codes = []
+        assert _garbage_after(lambda: codes.append(cli.main(argv))) <= parser_only
+        assert codes == [1] and "error[unknown-rule]" in capsys.readouterr().err
 
 
 def _nodes(ruleset):

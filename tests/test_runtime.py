@@ -512,6 +512,56 @@ class TestEnumerationPinned:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class TestLiveNodes:
+    """`Network.live` lists the nodes not yet complete, in address order with
+    their indices, after every round and every starvation pass, in a sampled
+    run and in every branch of an enumeration; a fork lists its own nodes."""
+
+    @pytest.mark.parametrize(
+        "program,config_name,fidelity",
+        [
+            ("chain7.rula", "config7.json", 1.0),
+            ("chain7.rula", "config7.json", 0.8),  # some branches end stuck
+            ("entanglement_swapping.rula", "config5.json", 1.0),
+            ("loop_probe.rula", "config2.json", 1.0),
+            ("purification.rula", "config5.json", 1.0),
+            ("two_matches.rula", "config3.json", 1.0),
+        ],
+    )
+    @pytest.mark.parametrize("budget", [3, 10_000])
+    def test_live_is_the_incomplete_nodes(
+        self, corpus, monkeypatch, program, config_name, fidelity, budget
+    ):
+        rulesets, topology = compile_corpus(corpus, program, config_name)
+        calls = {"step": 0, "cancel_starved": 0, "fork": 0}
+
+        def assert_live(net):
+            nodes = [net.nodes[address] for address in net.blueprint.addresses]
+            expected = [(i, node) for i, node in enumerate(nodes) if not node.complete]
+            assert [(i, id(node)) for i, node in net.live] == [
+                (i, id(node)) for i, node in expected
+            ]
+
+        def checked(name):
+            real = getattr(runtime.Network, name)
+
+            def method(net, *args):
+                result = real(net, *args)
+                calls[name] += 1
+                assert_live(result if name == "fork" else net)
+                return result
+
+            monkeypatch.setattr(runtime.Network, name, method)
+
+        for name in calls:
+            checked(name)
+        options = {"initial_fidelity": fidelity, "max_rounds": budget}
+        runtime.run(rulesets, topology, **options)
+        assert calls["step"] and not calls["fork"]
+        reports = runtime.enumerate_outcomes(rulesets, topology, **options)
+        assert calls["fork"] >= len(reports) - 1
+
+
 # --- hand-built rulesets: comparisons, single-qubit gates, split points ------
 
 
