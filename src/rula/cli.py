@@ -313,13 +313,19 @@ def main(argv: list[str] | None = None) -> int:
     # quarter. `TestNoCycles` in tests/test_cli.py checks that no command
     # leaves cyclic garbage. A caller that paused the collector finds it
     # paused.
-    if not gc.isenabled():
-        return args.func(args)
+    paused = not gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader went away: what is left to flush goes to /dev/null
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAILURE
     finally:
-        gc.enable()
+        if not paused:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -67,7 +67,9 @@ def enumerate_outcomes(
     it drew is flipped in a new branch, deepest first.  That branch forks
     the snapshot taken before the firing that drew the bit and replays the
     plan from there.  A snapshot is freed with the last branch that forks
-    it, so the live ones lie on the path being walked.
+    it, so the live ones lie on the path being walked.  A branch's flips
+    all come after its plan, and the deepest runs first, so the reports come
+    in outcome-path order.
     """
     blueprint = Blueprint(rulesets, topology)
     reports: list[RunReport] = []
@@ -92,5 +94,4 @@ def enumerate_outcomes(
                 while owner + 1 < len(snapshots) and snapshots[owner + 1].drawn <= i:
                     owner += 1
                 todo.append((snapshots[owner], path[:i] + (1,)))
-    reports.sort(key=lambda r: r.outcome_path)
     return reports

@@ -310,18 +310,17 @@ def _group_rules(stage: ir.Stage) -> list[list[ir.Rule]]:
     return groups
 
 
-_Carriers = tuple[tuple[Group, ir.Rule], ...]
-
-
 class Blueprint:
     """What every run over one set of rulesets shares and never changes:
-    the rule groups of each node, the pairs provisioned per link, the
-    rules carrying a send to a node (`carriers`), and each distinct report
-    record made so far (`records`).  The groups of rules with one tuple of
-    template keys share what reads no hole (see `_build_group`)."""
+    the rule groups of each node, the pairs provisioned per link, every
+    Send clause as (kind, group, rule) by (sender, destination) (`sends`),
+    and each distinct report record made so far (`records`).  The groups of
+    rules with one tuple of template keys share what reads no hole (see
+    `_build_group`)."""
 
     def __init__(self, rulesets: dict[int, ir.RuleSet], topology: Topology):
         self.stages: dict[int, list[list[Group]]] = {}
+        self.sends: dict[tuple[int, int], list[tuple[str, Group, ir.Rule]]] = {}
         self.group_count = 0
         # the first group of each tuple of template keys, by their identities:
         # a loaded Rule key hashes by value, deeply
@@ -339,40 +338,20 @@ class Blueprint:
                     group = _build_group(rules, self.group_count, built.get(key))
                     if key is not None:
                         built.setdefault(key, group)
+                    for rule in rules:
+                        for clause in rule.action.clauses:
+                            if isinstance(clause, ir.SendClause):
+                                route = (rep.address, clause.partner_addr)
+                                self.sends.setdefault(route, []).append((clause.message, group, rule))
                     stages[-1].append(group)
                     self.group_count += 1
             self.stages[rep.address] = stages
         self.addresses = sorted(self.stages)
         self.links = _provision(self.stages)
-        self._carriers: dict[tuple[int, int, str | None], _Carriers] = {}
         # fired records by (round, address, rule identity), pair records by
         # the 7 values they write, the fidelity by its repr: 0.0 and -0.0
         # (or 1 and 1.0) are equal but write differently
         self.records: dict[tuple, dict] = {}
-
-    def carriers(self, sender: int, dst: int, kind: str | None) -> _Carriers:
-        """Every (group, rule) at `sender` whose rule sends `kind` to `dst`
-        (any kind for None).  Built on first use, as a run asks for a
-        fraction of them."""
-        key = (sender, dst, kind)
-        found = self._carriers.get(key)
-        if found is None:
-            found = self._carriers[key] = tuple(self._matching_sends(sender, dst, kind))
-        return found
-
-    def _matching_sends(self, sender: int, dst: int, kind: str | None):
-        for stage in self.stages.get(sender, ()):
-            for group in stage:
-                for rule, _checks, _last in group.alternatives:
-                    for clause in rule.action.clauses:
-                        if not isinstance(clause, ir.SendClause):
-                            continue
-                        if clause.partner_addr != dst:
-                            continue
-                        if kind is not None and clause.message != kind:
-                            continue
-                        yield group, rule
-                        break
 
 
 class Network:
@@ -671,7 +650,10 @@ class Network:
                     src, kind = group.recv.partner_addr, group.kind_gate
                     if any(kind is None or m.kind == kind for m in node.inboxes.get(src, ())):
                         continue
-                    carriers = self.blueprint.carriers(src, node.address, kind)
+                    carriers = [
+                        (g, r) for k, g, r in self.blueprint.sends.get((src, node.address), ())
+                        if kind is None or k == kind
+                    ]
                     if not carriers:
                         # terminal: the sender's ruleset can never produce it
                         self.state[group.gid] = "stuck"

@@ -194,6 +194,8 @@ def test_criterion_06_all_branches_bridge_the_chain():
         rulesets = {rs.owner_addr: rs for rs in out.per_node.values()}
         reports = runtime.enumerate_outcomes(rulesets, topology)
         assert len(reports) == branches, program_name
+        paths = [report.outcome_path for report in reports]
+        assert paths == sorted(paths), program_name
         last = len(topology.repeaters) - 1
         for report in reports:
             assert report.quiescent, (program_name, report.outcome_path, report.stuck)

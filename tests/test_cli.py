@@ -540,6 +540,7 @@ class TestRun:
         payload = json.loads(out)
         assert payload["branches"] == 4
         assert payload["all_quiescent"] is True
+        assert [r["outcome_path"] for r in payload["reports"]] == [[0, 0], [0, 1], [1, 0], [1, 1]]
         assert "4 branch(es), all quiescent" in err
 
     def test_every_command_pauses_the_collector(self, corpus, capsys, tmp_path, monkeypatch):
@@ -990,3 +991,39 @@ class TestProcessEntry:
             text=True,
         )
         assert result.returncode == 2
+
+
+class TestClosedStdout:
+    """A reader that closes stdout before a command has written it all ends
+    the command with exit 1 and no traceback.  Each command writes more than
+    a pipe holds, so it is still writing when the pipe closes."""
+
+    @staticmethod
+    def closed_early(argv, tmp_path):
+        with open(tmp_path / "stderr.txt", "w+") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "rula", *map(str, argv)], stdout=subprocess.PIPE, stderr=err
+            )
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            code = proc.wait()
+            err.seek(0)
+            return code, err.read()
+
+    def test_run_report_json(self, corpus, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        config = corpus / "config7.json"
+        argv = ["compile", corpus / "chain7.rula", "--config", config, "--out-dir", out_dir]
+        assert run_cli(argv, capsys)[0] == 0
+        run = ["run", "--config", config, "--rulesets", out_dir, "--enumerate-outcomes"]
+        code, err = self.closed_early([*run, "--report-json"], tmp_path)
+        assert code == 1 and "Traceback" not in err, err[-2000:]
+
+    def test_compile(self, corpus, tmp_path):
+        # 129 paths of over 1 000 characters each: twice what a pipe holds
+        config = tmp_path / "chain129.json"
+        config.write_text(json.dumps({"repeaters": [{"name": f"#{i}", "address": i} for i in range(129)]}))
+        out_dir = tmp_path.joinpath(*["d" * 250] * 4)
+        argv = ["compile", corpus / "chain7.rula", "--config", config, "--out-dir", out_dir]
+        code, err = self.closed_early(argv, tmp_path)
+        assert code == 1 and "Traceback" not in err, err[-2000:]

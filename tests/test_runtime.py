@@ -1,6 +1,7 @@
 """Simulator tests: swapping chains, purification, starvation handling and
 exhaustive outcome enumeration."""
 
+import collections
 import hashlib
 import json
 import weakref
@@ -22,6 +23,15 @@ def compile_corpus(corpus, program_name, config_name):
     out = codegen.compile_program(analysis, topology, 7)
     assert out.ok, out.diagnostics
     return out.per_node, topology
+
+
+def enumerate_in_order(rulesets, topology, **options):
+    """`runtime.enumerate_outcomes`, checked to return its reports in
+    outcome-path order: the depth-first walk yields them so, unsorted."""
+    reports = runtime.enumerate_outcomes(rulesets, topology, **options)
+    paths = [r.outcome_path for r in reports]
+    assert paths == sorted(paths)
+    return reports
 
 
 class TestPurifyUpdate:
@@ -54,9 +64,9 @@ class TestSwapThreeNodes:
         rulesets, topology = compile_corpus(
             corpus, "entanglement_swapping.rula", "config3.json"
         )
-        reports = runtime.enumerate_outcomes(rulesets, topology)
+        reports = enumerate_in_order(rulesets, topology)
         assert len(reports) == 4
-        assert sorted(r.outcome_path for r in reports) == [
+        assert [r.outcome_path for r in reports] == [
             (0, 0),
             (0, 1),
             (1, 0),
@@ -83,7 +93,7 @@ class TestSwapFiveNodes:
         rulesets, topology = compile_corpus(
             corpus, "entanglement_swapping.rula", "config5.json"
         )
-        reports = runtime.enumerate_outcomes(rulesets, topology)
+        reports = enumerate_in_order(rulesets, topology)
         assert len(reports) == 64
         for report in reports:
             assert report.quiescent, report.stuck
@@ -124,7 +134,7 @@ class TestPurification:
         # each sacrificial parity probe costs one free bit on the first side
         # only; the matching probe at the far end is fully determined
         rulesets, topology = compile_corpus(corpus, "purification.rula", "config3.json")
-        reports = runtime.enumerate_outcomes(rulesets, topology, initial_fidelity=0.8)
+        reports = enumerate_in_order(rulesets, topology, initial_fidelity=0.8)
         assert len(reports) == 16
         fidelities = set()
         for report in reports:
@@ -404,7 +414,7 @@ class TestForkedEnumeration:
     def test_matches_prefix_replay(self, corpus, program, nodes, fidelity, budget):
         rulesets, topology = compile_chain(corpus, program, nodes)
         options = {"initial_fidelity": fidelity, "max_rounds": budget}
-        forked = runtime.enumerate_outcomes(rulesets, topology, **options)
+        forked = enumerate_in_order(rulesets, topology, **options)
         replayed = replay_enumeration(rulesets, topology, **options)
         assert [r.to_json() for r in forked] == [r.to_json() for r in replayed]
 
@@ -432,7 +442,7 @@ class TestForkedEnumeration:
             return snapshot
 
         monkeypatch.setattr(explore, "_Snapshot", tracked)
-        assert len(runtime.enumerate_outcomes(rulesets, topology)) == 64
+        assert len(enumerate_in_order(rulesets, topology)) == 64
         # one per swap on the path being walked, plus the one just taken
         assert max(peak) <= 3 + 1
         assert len(live) == 0
@@ -447,14 +457,14 @@ class TestForkedEnumeration:
             return real(*args)
 
         monkeypatch.setattr(explore, "_Snapshot", counting)
-        assert len(runtime.enumerate_outcomes(rulesets, topology)) == 1024
+        assert len(enumerate_in_order(rulesets, topology)) == 1024
         # a resumed branch re-enters its origin's firing without a new copy
         assert len(taken) == 497
 
     def test_sampled_run_is_one_branch(self, corpus):
         rulesets, topology = compile_chain(corpus, "entanglement_swapping.rula", 5)
         reports = {
-            r.outcome_path: r.to_json() for r in runtime.enumerate_outcomes(rulesets, topology)
+            r.outcome_path: r.to_json() for r in enumerate_in_order(rulesets, topology)
         }
         for seed in range(8):
             report = runtime.run(rulesets, topology, seed=seed)
@@ -467,7 +477,7 @@ class TestSharedRecords:
 
     def test_equal_records_are_one_object(self, corpus):
         rulesets, topology = compile_corpus(corpus, "purification.rula", "config5.json")
-        reports = runtime.enumerate_outcomes(rulesets, topology)
+        reports = enumerate_in_order(rulesets, topology)
         assert len(reports) == 1024
         for name, distinct in (("fired", 64), ("pairs", 5)):
             records = [record for report in reports for record in getattr(report, name)]
@@ -558,8 +568,63 @@ class TestLiveNodes:
         options = {"initial_fidelity": fidelity, "max_rounds": budget}
         runtime.run(rulesets, topology, **options)
         assert calls["step"] and not calls["fork"]
-        reports = runtime.enumerate_outcomes(rulesets, topology, **options)
+        reports = enumerate_in_order(rulesets, topology, **options)
         assert calls["fork"] >= len(reports) - 1
+
+
+class TestSendIndex:
+    """`Blueprint.sends` holds each Send clause of each node's rules once, as
+    (kind, group, rule) by (sender, destination), and the carriers that
+    `cancel_starved` filters from it for a recv-gated group are the rules a
+    walk of the sender's action clauses finds."""
+
+    def test_matches_a_walk_of_the_action_clauses(self, corpus):
+        built = 0
+        for program in sorted(corpus.glob("*.rula")):
+            tree = parser.parse(program.read_text(), filename=program.name)
+            analysis = analyzer.analyze_program(analyzer.resolve_imports(tree, [corpus])[0])
+            for config_path in sorted(corpus.glob("config*.json")):
+                topology = config.load_config(config_path.read_text())
+                out = codegen.compile_program(analysis, topology, 7) if analysis.ok else None
+                if out is not None and out.ok:
+                    self.check(runtime.Blueprint(out.per_node, topology))
+                    built += 1
+        assert built == 12
+
+    @staticmethod
+    def check(blueprint):
+        walked = collections.Counter()
+        for sender, stages in blueprint.stages.items():
+            for group in (group for stage in stages for group in stage):
+                for rule, _checks, _last in group.alternatives:
+                    for clause in rule.action.clauses:
+                        if isinstance(clause, ir.SendClause):
+                            walked[sender, clause.partner_addr, clause.message, group.gid, id(rule)] += 1
+        indexed = collections.Counter(
+            (sender, dst, kind, group.gid, id(rule))
+            for (sender, dst), sends in blueprint.sends.items()
+            for kind, group, rule in sends
+        )
+        assert indexed == walked and walked
+        for dst, stages in blueprint.stages.items():
+            for group in (group for stage in stages for group in stage if group.recv):
+                src = group.recv.partner_addr
+                for kind in {group.kind_gate, None}:
+                    reference = {
+                        (g.gid, rule.id)
+                        for g in (g for stage in blueprint.stages.get(src, ()) for g in stage)
+                        for rule, _checks, _last in g.alternatives
+                        if any(
+                            isinstance(c, ir.SendClause) and c.partner_addr == dst
+                            and kind in (None, c.message)
+                            for c in rule.action.clauses
+                        )
+                    }
+                    carriers = {
+                        (g.gid, r.id) for k, g, r in blueprint.sends.get((src, dst), ())
+                        if kind is None or k == kind
+                    }
+                    assert carriers == reference, (dst, group.gid, kind)
 
 
 # --- hand-built rulesets: comparisons, single-qubit gates, split points ------
