@@ -111,7 +111,11 @@ def cmd_compile(args: argparse.Namespace) -> int:
     for recv in out.unbound_recvs:
         _err(f"warning[unbound-recv]: {recv}")
 
-    written = codegen.write_output(out, Path(args.out_dir))
+    try:
+        written = codegen.write_output(out, Path(args.out_dir))
+    except OSError as exc:  # write_output has left the directory as it was
+        _err(f"error: cannot write to {args.out_dir}: {exc}")
+        return EXIT_FAILURE
     for file_path, ruleset in zip(written, out.per_node.values()):
         rules = sum(len(stage.rules) for stage in ruleset.stages)
         _err(
@@ -159,7 +163,7 @@ def _load_rulesets(directory: Path, topology: config.Topology):
     for path in sorted(directory.glob("*.json")):
         try:
             ruleset = ir.deserialize(path.read_text(encoding="utf-8"), interned)
-        except (ir.SchemaError, UnicodeDecodeError) as exc:
+        except (ir.SchemaError, UnicodeDecodeError, OSError) as exc:
             raise RuntimeError(f"{path}: {exc}") from exc
         if ruleset.owner_addr in rulesets:
             raise RuntimeError(
@@ -306,13 +310,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     # The cyclic collector is paused while a command runs. What a command
     # builds (the parse tree, lowered and loaded rulesets, rule groups, every
-    # network an enumeration forks) holds no reference cycle: a network keeps
-    # the ends of each pair in `pair_ends`, not in the pair. Reference
-    # counting frees all of it, so a collection would find nothing, yet on
-    # its own the collector starts a full one each time the heap grows by a
-    # quarter. `TestNoCycles` in tests/test_cli.py checks that no command
-    # leaves cyclic garbage. A caller that paused the collector finds it
-    # paused.
+    # network an enumeration forks) holds no reference cycle: a network's
+    # pairs and ends are ints in flat lists. Reference counting frees all of
+    # it, so a collection would find nothing, yet on its own the collector
+    # starts a full one each time the heap grows by a quarter. `TestNoCycles`
+    # in tests/test_cli.py checks that no command leaves cyclic garbage. A
+    # caller that paused the collector finds it paused.
     paused = not gc.isenabled()
     gc.disable()
     try:

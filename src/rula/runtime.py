@@ -1,21 +1,22 @@
 """Deterministic execution of compiled rulesets over a linear repeater chain.
 
-The simulator models each link-level Bell pair as a shared object with a
-Pauli frame (phase bit, parity bit) and an analytic fidelity, while each
-node only sees its own end of a pair.  Classical messages travel over
+The simulator models each link-level Bell pair as an id with a Pauli frame
+(phase bit, parity bit) and an analytic fidelity, while each node only
+sees its own end of a pair, an id too; the fields of pairs and ends are
+flat lists indexed by id (see `Network`).  Classical messages travel over
 per-link FIFO queues and become visible at the next synchronous round.
 Measurement outcomes are drawn from a pluggable bit source, which makes a
 seeded run reproducible and lets the enumeration driver walk every branch
 of the outcome tree.
 
-The rule groups, the link provisioning and the index of send clauses are
-built once per call (`Blueprint`); a `Network` holds only what a run
-changes, so it can be forked, which is how `explore` walks every branch of
-the outcome tree.  A rule group is built once per tuple of template keys
-(`ir.keyed`): its rules differ from those of the first group of that tuple
-only in their holes, so it takes every part that reads no hole from that
-group and reads its own resource and recv clauses, its rules and where its
-alternatives part ways.
+The rule groups, the link provisioning, the node of each end and the
+index of send clauses are built once per call (`Blueprint`); a `Network`
+holds only what a run changes, so it can be forked by copying its lists,
+which is how `explore` walks every branch of the outcome tree.  A rule
+group is built once per tuple of template keys (`ir.keyed`): its rules
+differ from those of the first group of that tuple only in their holes, so
+it takes every part that reads no hole from that group and reads its own
+resource and recv clauses, its rules and where its alternatives part ways.
 
 One rule picks which rule of a group fires (see `Group`): a comparison is
 read once the action clauses that write the registers it names have run,
@@ -77,26 +78,7 @@ class RandomOutcomes:
         pass
 
 
-# --- physical state ----------------------------------------------------------
-
-
-@dataclass(slots=True)
-class Pair:
-    id: int
-    fidelity: float
-    phase_bit: int = 0
-    parity_bit: int = 0
-    # "idle" until a sacrificial parity measurement marks this pair as the
-    # kept half of a purification round, "done" once the boost is applied
-    purify_state: str = "idle"
-
-
-@dataclass(slots=True)
-class End:
-    pair: Pair
-    node: int
-    viewed_partner: int
-    state: str = "free"  # free | promoted | gone
+# --- messages ----------------------------------------------------------------
 
 
 @dataclass(slots=True)
@@ -316,7 +298,12 @@ class Blueprint:
     Send clause as (kind, group, rule) by (sender, destination) (`sends`),
     and each distinct report record made so far (`records`).  The groups of
     rules with one tuple of template keys share what reads no hole (see
-    `_build_group`)."""
+    `_build_group`).
+
+    An end is an int.  Ends 2p and 2p + 1 are the two ends of provisioned
+    pair p, at the lower and the higher address of its link; `end_node` is
+    the node of each end and `ends` the ends of each address, in that
+    order.  A run moves ends between pairs but adds none."""
 
     def __init__(self, rulesets: dict[int, ir.RuleSet], topology: Topology):
         self.stages: dict[int, list[list[Group]]] = {}
@@ -348,6 +335,13 @@ class Blueprint:
             self.stages[rep.address] = stages
         self.addresses = sorted(self.stages)
         self.links = _provision(self.stages)
+        self.end_node: list[int] = []
+        self.ends: dict[int, list[int]] = {addr: [] for addr in self.addresses}
+        for a, b in zip(self.addresses, self.addresses[1:]):
+            for _ in range(self.links.get((a, b), 0)):
+                for holder in (a, b):
+                    self.ends[holder].append(len(self.end_node))
+                    self.end_node.append(holder)
         # fired records by (round, address, rule identity), pair records by
         # the 7 values they write, the fidelity by its repr: 0.0 and -0.0
         # (or 1 and 1.0) are equal but write differently
@@ -355,11 +349,19 @@ class Blueprint:
 
 
 class Network:
-    """The state one run changes: pairs, the ends of each pair by its id
-    (`pair_ends`), group states, node progress with the nodes not yet
-    complete (`live`, (address index, node) in address order), messages in
-    flight, sampled references and the outcome trace.  A pair does not
-    point back at its ends, so a network holds no reference cycle."""
+    """The state one run changes: pairs and ends, group states, node
+    progress with the nodes not yet complete (`live`, (address index, node)
+    in address order), messages in flight, sampled references and the
+    outcome trace.
+
+    Pairs and ends are ints, and their fields are flat lists indexed by
+    them.  Per pair: `fidelity`, the Pauli frame (`phase` and `parity`
+    bits), `purify` ("idle" until a sacrificial parity measurement marks it
+    the kept half of a purification round, "pending" then, "done" once the
+    boost is applied) and `pair_ends`, its two ends.  Per end: `end_pair`,
+    the viewed `partner` and `end_state` (free | promoted | gone).  A
+    spliced far end stays listed under its old pair too.  A list holds
+    values only, so a fork copies each one whole."""
 
     def __init__(self, blueprint: Blueprint, outcomes, initial_fidelity: float):
         self.blueprint = blueprint
@@ -368,8 +370,16 @@ class Network:
         self.fired: list[dict] = []
         self.delivered = 0
         self.trace: list[int] = []
-        self.pairs: list[Pair] = []
-        self.pair_ends: list[list[End]] = []
+        end_node = blueprint.end_node
+        count = len(end_node) // 2  # the pairs provisioned
+        self.fidelity = [initial_fidelity] * count
+        self.phase = [0] * count
+        self.parity = [0] * count
+        self.purify = ["idle"] * count
+        self.pair_ends = [(2 * p, 2 * p + 1) for p in range(count)]
+        self.end_pair = [e >> 1 for e in range(len(end_node))]
+        self.partner = [end_node[e ^ 1] for e in range(len(end_node))]
+        self.end_state = ["free"] * len(end_node)
         self.outbox: list[Message] = []
         # one sampled reference bit per measured observable, keyed by the
         # set of (pair, basis) correlations the observable spans
@@ -379,21 +389,9 @@ class Network:
         # gid -> the rule its firing got stuck on, and why
         self.faults: dict[int, tuple[ir.Rule, str]] = {}
         self.nodes = {addr: Node(addr, stages) for addr, stages in blueprint.stages.items()}
-
-        self.ends: dict[int, list[End]] = {addr: [] for addr in self.nodes}
-        addresses = blueprint.addresses
-        for a, b in zip(addresses, addresses[1:]):
-            for _ in range(blueprint.links.get((a, b), 0)):
-                pair = Pair(id=len(self.pairs), fidelity=initial_fidelity)
-                self.pairs.append(pair)
-                self.pair_ends.append([])
-                for holder, partner in ((a, b), (b, a)):
-                    end = End(pair=pair, node=holder, viewed_partner=partner)
-                    self.pair_ends[pair.id].append(end)
-                    self.ends[holder].append(end)
         for node in self.nodes.values():
             self._advance(node)
-        self.live = [(i, self.nodes[a]) for i, a in enumerate(addresses)]
+        self.live = [(i, self.nodes[a]) for i, a in enumerate(blueprint.addresses)]
         self._refresh()
 
     def fork(self, outcomes) -> "Network":
@@ -406,26 +404,20 @@ class Network:
         net.fired = list(self.fired)
         net.delivered = self.delivered
         net.trace = list(self.trace)
+        net.fidelity = list(self.fidelity)
+        net.phase = list(self.phase)
+        net.parity = list(self.parity)
+        net.purify = list(self.purify)
+        net.pair_ends = list(self.pair_ends)
+        net.end_pair = list(self.end_pair)
+        net.partner = list(self.partner)
+        net.end_state = list(self.end_state)
         net.outbox = list(self.outbox)
         net.pending = dict(self.pending)
         net.state = list(self.state)
         net.fired_rule = list(self.fired_rule)
         net.faults = dict(self.faults)
         net.nodes = {addr: node.fork() for addr, node in self.nodes.items()}
-        net.pairs = [
-            Pair(p.id, p.fidelity, p.phase_bit, p.parity_bit, p.purify_state)
-            for p in self.pairs
-        ]
-        # a spliced far end stays listed in its old pair too: map by identity
-        copies: dict[int, End] = {}
-        net.ends = {}
-        for addr, ends in self.ends.items():
-            net.ends[addr] = []
-            for e in ends:
-                copy = End(net.pairs[e.pair.id], e.node, e.viewed_partner, e.state)
-                copies[id(e)] = copy
-                net.ends[addr].append(copy)
-        net.pair_ends = [[copies[id(e)] for e in ends] for ends in self.pair_ends]
         net.live = [(i, net.nodes[n.address]) for i, n in self.live if not n.complete]
         return net
 
@@ -433,11 +425,9 @@ class Network:
         """Drop the nodes that have become complete from `live`."""
         self.live = [entry for entry in self.live if not entry[1].complete]
 
-    def other_end(self, end: End) -> End:
-        for candidate in self.pair_ends[end.pair.id]:
-            if candidate is not end:
-                return candidate
-        raise SimulationError(f"pair {end.pair.id} has no second end")
+    def other_end(self, end: int) -> int:
+        a, b = self.pair_ends[self.end_pair[end]]
+        return b if a == end else a
 
     def _resolved(self, group: Group) -> bool:
         return self.state[group.gid] in RESOLVED
@@ -448,8 +438,8 @@ class Network:
 
     # --- resource selection --------------------------------------------------
 
-    def _match_res(self, node: Node, group: Group) -> list[tuple[int, End]] | None:
-        chosen: list[tuple[int, End]] = []
+    def _match_res(self, node: Node, group: Group) -> list[tuple[int, int]] | None:
+        chosen: list[tuple[int, int]] = []
         taken: set[int] = set()
         for clause in group.res:
             for _ in range(clause.count):
@@ -461,7 +451,7 @@ class Network:
                 )
                 if end is None:
                     return None
-                taken.add(id(end))
+                taken.add(end)
                 chosen.append((clause.qubit_index, end))
         return chosen
 
@@ -471,13 +461,13 @@ class Network:
         partner: int,
         taken: set[int],
         min_fidelity: float = 0.0,
-    ) -> End | None:
-        for end in self.ends[address]:
-            if id(end) in taken or end.state == "gone":
+    ) -> int | None:
+        for end in self.blueprint.ends[address]:
+            if end in taken or self.end_state[end] == "gone":
                 continue
-            if end.viewed_partner != partner:
+            if self.partner[end] != partner:
                 continue
-            if end.pair.fidelity + 1e-12 < min_fidelity:
+            if self.fidelity[self.end_pair[end]] + 1e-12 < min_fidelity:
                 continue
             return end
         return None
@@ -486,7 +476,7 @@ class Network:
 
     def _condition_holds(
         self, node: Node, group: Group
-    ) -> tuple[dict[int, End], Message | None] | None:
+    ) -> tuple[dict[int, int], Message | None] | None:
         """If the group's condition holds now: the ends its resource clauses
         bind and the message it would take.  Else None."""
         head = None
@@ -504,14 +494,14 @@ class Network:
         chosen = self._match_res(node, group)
         if chosen is None:
             return None
-        bindings: dict[int, End] = {}
+        bindings: dict[int, int] = {}
         for index, end in chosen:
             bindings.setdefault(index, end)
         return bindings, head
 
     # --- firing --------------------------------------------------------------
 
-    def _fire(self, node: Node, group: Group, bindings: dict[int, End]) -> None:
+    def _fire(self, node: Node, group: Group, bindings: dict[int, int]) -> None:
         message = None
         if group.recv is not None:
             message = node.inboxes[group.recv.partner_addr].pop(0)
@@ -566,7 +556,7 @@ class Network:
         self,
         node: Node,
         group: Group,
-        bindings: dict[int, End],
+        bindings: dict[int, int],
         message: Message | None,
     ) -> int | None:
         """Action clauses may reference qubit slots with no matching resource
@@ -574,27 +564,27 @@ class Network:
         the first slot that finds none, else None."""
         if not group.inherited:
             return None
-        taken = {id(end) for end in bindings.values()}
+        taken = set(bindings.values())
         for index in group.inherited:
             end = None
             if message is not None:
                 end = self._find_end(node.address, message.src, taken)
             if end is None:
-                for candidate in self.ends[node.address]:
-                    if candidate.state == "promoted" and id(candidate) not in taken:
+                for candidate in self.blueprint.ends[node.address]:
+                    if self.end_state[candidate] == "promoted" and candidate not in taken:
                         end = candidate
                         break
             if end is None:
                 return index
-            taken.add(id(end))
+            taken.add(end)
             bindings[index] = end
         return None
 
-    def _repoint(self, bindings: dict[int, End]) -> None:
+    def _repoint(self, bindings: dict[int, int]) -> None:
         """A Transfer message hands over a (possibly spliced) pair: the
         receiver learns who holds the far end now."""
         for end in bindings.values():
-            end.viewed_partner = self.other_end(end).node
+            self.partner[end] = self.blueprint.end_node[self.other_end(end)]
 
     # --- main loop -----------------------------------------------------------
 
@@ -720,7 +710,7 @@ class Network:
 
 
 class _Firing:
-    def __init__(self, net: Network, node: Node, bindings: dict[int, End], message):
+    def __init__(self, net: Network, node: Node, bindings: dict[int, int], message):
         self.net = net
         self.node = node
         self.bindings = bindings
@@ -728,8 +718,9 @@ class _Firing:
         self.registers: dict[str, str] = {}  # the nth measurement writes ir.register(n)
         # per slot, the (pair, basis) correlations a Z and an X measurement
         # span: its own pair's, spread by the two-qubit gates run so far
-        self.zdeps = {q: frozenset({(end.pair.id, "Z")}) for q, end in bindings.items()}
-        self.xdeps = {q: frozenset({(end.pair.id, "X")}) for q, end in bindings.items()}
+        pair = net.end_pair
+        self.zdeps = {q: frozenset({(pair[end], "Z")}) for q, end in bindings.items()}
+        self.xdeps = {q: frozenset({(pair[end], "X")}) for q, end in bindings.items()}
 
     def execute(self, clauses: tuple[ir.ActionClause, ...]) -> None:
         i = 0
@@ -750,10 +741,11 @@ class _Firing:
             elif isinstance(clause, ir.PromoteClause):
                 self._promote(clause)
             elif isinstance(clause, ir.FreeClause):
-                end = self.bindings[clause.qubit.qubit_index]
-                end.state = "gone"
-                if end.pair.purify_state == "pending":
-                    end.pair.purify_state = "idle"
+                net, end = self.net, self.bindings[clause.qubit.qubit_index]
+                net.end_state[end] = "gone"
+                pair = net.end_pair[end]
+                if net.purify[pair] == "pending":
+                    net.purify[pair] = "idle"
             elif isinstance(clause, ir.SetTimerClause):
                 self.node.timers[clause.timer_id] = self.net.round + clause.duration
             else:
@@ -764,7 +756,7 @@ class _Firing:
 
     def _qcirc(self, clause: ir.QCircClause) -> None:
         gates = clause.qgates
-        zdeps, xdeps = self.zdeps, self.xdeps
+        net, zdeps, xdeps = self.net, self.zdeps, self.xdeps
         i = 0
         while i < len(gates):
             gate = gates[i]
@@ -782,14 +774,14 @@ class _Firing:
                     xdeps[q] = xdeps[q] ^ zdeps[tq]
                     xdeps[tq] = xdeps[tq] ^ zdeps[q]
                 continue
-            pair = self.bindings[q].pair
+            pair = net.end_pair[self.bindings[q]]
             if gate.kind == "X":
-                pair.parity_bit ^= 1
+                net.parity[pair] ^= 1
             elif gate.kind == "Z":
-                pair.phase_bit ^= 1
+                net.phase[pair] ^= 1
             elif gate.kind == "Y":
-                pair.parity_bit ^= 1
-                pair.phase_bit ^= 1
+                net.parity[pair] ^= 1
+                net.phase[pair] ^= 1
             else:
                 raise SimulationError(
                     f"gate {gate.kind} on an entangled qubit is outside the "
@@ -802,9 +794,8 @@ class _Firing:
         net = self.net
         if signature in net.pending:
             corr = 0
-            for pair_id, basis in signature:
-                pair = net.pairs[pair_id]
-                corr ^= pair.parity_bit if basis == "Z" else pair.phase_bit
+            for pair, basis in signature:
+                corr ^= net.parity[pair] if basis == "Z" else net.phase[pair]
             return net.pending[signature] ^ corr
         bit = net.outcomes.draw(len(net.trace))
         net.trace.append(bit)
@@ -822,12 +813,13 @@ class _Firing:
             raise SimulationError(f"unsupported measurement basis {clause.basis!r}")
         # a parity probe spanning a second pair marks that pair as the kept
         # half of a purification round
-        for pair_id, _basis in signature:
-            if pair_id != end.pair.id:
-                self.net.pairs[pair_id].purify_state = "pending"
+        net = self.net
+        for pair, _basis in signature:
+            if pair != net.end_pair[end]:
+                net.purify[pair] = "pending"
         bit = self._outcome(signature)
         self.registers[ir.register(len(self.registers))] = str(bit)
-        end.state = "gone"
+        net.end_state[end] = "gone"
 
     def _splice(self, qc: ir.QCircClause, mx: ir.MeasureClause, mz: ir.MeasureClause):
         """Joint measurement of two local halves: consumes both pairs and
@@ -839,25 +831,24 @@ class _Firing:
         right = self.bindings[tq]
         net = self.net
         far = (net.other_end(left), net.other_end(right))
-        if far[0].node == far[1].node:
-            raise _Stuck(f"splices two pairs whose far ends both sit on address {far[0].node}")
+        node = net.blueprint.end_node
+        if node[far[0]] == node[far[1]]:
+            raise _Stuck(f"splices two pairs whose far ends both sit on address {node[far[0]]}")
         self._qcirc(qc)
         m_phase = self._outcome(self.xdeps[cq])
         m_parity = self._outcome(self.zdeps[tq])
-        left.state = "gone"
-        right.state = "gone"
+        net.end_state[left] = "gone"
+        net.end_state[right] = "gone"
 
-        lp, rp = left.pair, right.pair
-        spliced = Pair(
-            id=len(net.pairs),
-            fidelity=lp.fidelity * rp.fidelity,
-            phase_bit=lp.phase_bit ^ rp.phase_bit ^ m_phase,
-            parity_bit=lp.parity_bit ^ rp.parity_bit ^ m_parity,
-        )
-        net.pairs.append(spliced)
-        net.pair_ends.append(list(far))
+        lp, rp = net.end_pair[left], net.end_pair[right]
+        spliced = len(net.pair_ends)
+        net.fidelity.append(net.fidelity[lp] * net.fidelity[rp])
+        net.phase.append(net.phase[lp] ^ net.phase[rp] ^ m_phase)
+        net.parity.append(net.parity[lp] ^ net.parity[rp] ^ m_parity)
+        net.purify.append("idle")
+        net.pair_ends.append(far)
         for end in far:
-            end.pair = spliced
+            net.end_pair[end] = spliced
         self.registers[ir.register(len(self.registers))] = f"{m_parity}{m_phase}"
 
     # --- classical effects ---------------------------------------------------
@@ -890,17 +881,17 @@ class _Firing:
         self.node.store[clause.alias or name] = self._value(name)
 
     def _promote(self, clause: ir.PromoteClause) -> None:
-        end = self.bindings[clause.qubit.qubit_index]
-        if end.state == "gone":
+        net, end = self.net, self.bindings[clause.qubit.qubit_index]
+        if net.end_state[end] == "gone":
             raise SimulationError(
                 f"address {self.node.address}: promote of a consumed qubit"
             )
-        end.state = "promoted"
-        pair = end.pair
-        if pair.purify_state == "pending" and self.message is not None:
+        net.end_state[end] = "promoted"
+        pair = net.end_pair[end]
+        if net.purify[pair] == "pending" and self.message is not None:
             # the parity-check shape: a message comparison guarding the keep
-            pair.fidelity = purify_update(pair.fidelity)
-            pair.purify_state = "done"
+            net.fidelity[pair] = purify_update(net.fidelity[pair])
+            net.purify[pair] = "done"
 
     # --- comparisons ---------------------------------------------------------
 
@@ -980,20 +971,22 @@ def _report(net: Network) -> RunReport:
     complete = not net.live
     stuck = [] if complete else net.stuck_reports()
     records = net.blueprint.records
+    node, state = net.blueprint.end_node, net.end_state
     pairs = []
-    for pair, ends in zip(net.pairs, net.pair_ends):
-        held = [e for e in ends if e.state != "gone"]
+    for pair, ends in enumerate(net.pair_ends):
+        held = [e for e in ends if state[e] != "gone"]
         if len(held) != 2:
             continue
-        a, b = sorted(held, key=lambda e: e.node)
-        fidelity = round(pair.fidelity, 12)
-        key = (a.node, b.node, a.state, b.state, pair.phase_bit, pair.parity_bit, repr(fidelity))
+        a, b = sorted(held, key=node.__getitem__)
+        phase, parity = net.phase[pair], net.parity[pair]
+        fidelity = round(net.fidelity[pair], 12)
+        key = (node[a], node[b], state[a], state[b], phase, parity, repr(fidelity))
         record = records.get(key)
         if record is None:
             record = records[key] = {
-                "nodes": [a.node, b.node],
-                "states": [a.state, b.state],
-                "bell_index": [pair.phase_bit, pair.parity_bit],
+                "nodes": [node[a], node[b]],
+                "states": [state[a], state[b]],
+                "bell_index": [phase, parity],
                 "fidelity": fidelity,
             }
         pairs.append(record)

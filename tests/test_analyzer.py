@@ -778,6 +778,16 @@ class TestShapeRules:
         start = source.index(needle)
         assert start <= errors[0].span.start and errors[0].span.end <= start + len(needle)
 
+    def test_for_inside_an_act_block(self):
+        loop = "for i in [1, 2] { free(q1) }"
+        source = _shape(act=loop)
+        error = _only_error(source, loop)
+        start = source.index(loop)
+        assert (error.code, error.span.start, error.span.end) == (
+            "unsupported-stmt", start, start + len(loop)
+        )
+        assert error.message == "for loops are not allowed inside act blocks"
+
     def test_cmp_is_not_a_condition_clause(self):
         source = """\
 rule probe<#rep>(r: Result){

@@ -251,6 +251,30 @@ class TestCompile:
         else:
             assert {f.name: f.read_bytes() for f in out_dir.iterdir()} == before
 
+    @pytest.mark.parametrize("below", [False, True], ids=["a-file", "under-a-file"])
+    def test_out_dir_on_a_file_is_an_error(self, corpus, capsys, tmp_path, below):
+        """An --out-dir that is a file, or lies under one, exits 1 with one
+        error that names it, and leaves the file as it was."""
+        blocker = tmp_path / "F"
+        blocker.write_text("kept")
+        out_dir = blocker / "sub" if below else blocker
+        argv = ["compile", corpus / SWAP, "--config", corpus / "config5.json", "--out-dir", out_dir]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot write to {out_dir}: ") and err.count("\n") == 1
+        assert blocker.read_text() == "kept"
+
+    def test_os_error_leaves_an_earlier_compile(self, corpus, capsys, tmp_path):
+        """A write that fails with an OS error at the third file exits 1, and
+        the files of an earlier compile to that directory are untouched."""
+        _code, _out, _err, out_dir = compile_swap(corpus, capsys, tmp_path)
+        before = {f.name: f.read_bytes() for f in out_dir.iterdir()}
+        (out_dir / "entanglement_swapping_2.json.tmp").mkdir()  # where the third is written
+        code, out, err = compile_swap(corpus, capsys, tmp_path)[:3]
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot write to {out_dir}: ") and "Is a directory" in err
+        assert {f.name: f.read_bytes() for f in out_dir.iterdir() if f.is_file()} == before
+
     def test_folded_integer_over_4300_digits_writes_nothing(self, corpus, capsys, tmp_path):
         program = tmp_path / "big.rula"
         program.write_text(
@@ -468,6 +492,14 @@ class TestRun:
         report = json.loads(out)
         assert report["status"] == "quiescent"
         assert "quiescent" in err
+
+    def test_a_directory_named_like_a_ruleset_is_an_error(self, corpus, capsys, tmp_path):
+        out_dir = self.compiled(corpus, capsys, tmp_path)
+        (out_dir / "zz.json").mkdir()
+        argv = ["run", "--config", corpus / "config3.json", "--rulesets", out_dir]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {out_dir / 'zz.json'}: ") and err.count("\n") == 1
 
     def test_seed_reproducibility(self, corpus, capsys, tmp_path):
         out_dir = self.compiled(corpus, capsys, tmp_path)

@@ -572,6 +572,66 @@ class TestLiveNodes:
         assert calls["fork"] >= len(reports) - 1
 
 
+class TestForkIndependence:
+    """A fork shares no list or dict with its parent but the blueprint's:
+    driving it to the end leaves the parent as it was, and the parent then
+    ends as a run that was never forked."""
+
+    class Stop(Exception):
+        pass
+
+    class FirstCheckpoint(PlannedOutcomes):
+        """Draws zeros and stops the run at its first measuring firing."""
+
+        def __init__(self):
+            super().__init__(())
+            self.index = None
+
+        def checkpoint(self, net, index):
+            if self.index is None:
+                self.index = index
+                raise TestForkIndependence.Stop
+
+    @staticmethod
+    def containers(net):
+        """Every list or dict a network holds, by where it is held."""
+        found = {name: value for name, value in vars(net).items() if name != "blueprint"}
+        for address, node in net.nodes.items():
+            found[f"node {address} store"] = node.store
+            found[f"node {address} timers"] = node.timers
+            found[f"node {address} inboxes"] = node.inboxes
+            for src, queue in node.inboxes.items():
+                found[f"node {address} inbox {src}"] = queue
+        return {k: v for k, v in found.items() if isinstance(v, (list, dict))}
+
+    @pytest.mark.parametrize(
+        "program,config_name",
+        [("chain7.rula", "config7.json"), ("purification.rula", "config5.json")],
+    )
+    def test_fork_leaves_its_parent(self, corpus, program, config_name):
+        rulesets, topology = compile_corpus(corpus, program, config_name)
+        blueprint = runtime.Blueprint(rulesets, topology)
+        source = self.FirstCheckpoint()
+        parent = runtime.Network(blueprint, source, 1.0)
+        with pytest.raises(self.Stop):
+            runtime._drive(parent, 10_000)
+        before = json.dumps(runtime._report(parent).to_json())
+
+        fork = parent.fork(PlannedOutcomes((1,) * 64))
+        mine, theirs = self.containers(fork), self.containers(parent)
+        assert mine.keys() == theirs.keys() and {"end_state", "fidelity", "pair_ends"} <= mine.keys()
+        shared = [name for name in mine if mine[name] is theirs[name]]
+        assert shared == []
+        forked = runtime._drive(fork, 10_000, source.index)
+        assert forked.outcome_path and set(forked.outcome_path) == {1}
+
+        assert json.dumps(runtime._report(parent).to_json()) == before
+        resumed = runtime._drive(parent, 10_000, source.index)
+        unforked = runtime._drive(runtime.Network(blueprint, PlannedOutcomes(()), 1.0), 10_000)
+        assert resumed.quiescent
+        assert json.dumps(resumed.to_json()) == json.dumps(unforked.to_json())
+
+
 class TestSendIndex:
     """`Blueprint.sends` holds each Send clause of each node's rules once, as
     (kind, group, rule) by (sender, destination), and the carriers that
@@ -746,12 +806,41 @@ class TestCzGate:
     measurement of one slot spans the other slot's pair's Z correlation."""
 
     def test_x_spans_the_other_pair_z(self):
-        ends = {q: runtime.End(runtime.Pair(10 + q, 1.0), 0, q + 1) for q in (0, 1)}
-        firing = runtime._Firing(None, None, ends, None)
+        # twelve pairs on the one link: node 0 holds end 2p of pair p
+        claim = ir.ResClause(count=12, fidelity=0.5, partner_addr=1, qubit_index=0)
+        rulesets = {0: _node(0, _rule("claim", 0, (claim,))), 1: _node(1)}
+        net = runtime.Network(runtime.Blueprint(rulesets, chain(2)), None, 1.0)
+        ends = {q: net.blueprint.ends[0][10 + q] for q in (0, 1)}
+        assert [net.end_pair[end] for end in ends.values()] == [10, 11]
+        firing = runtime._Firing(net, net.nodes[0], ends, None)
         gates = (ir.QGate(ir.QubitId(0), "CzControl"), ir.QGate(ir.QubitId(1), "CzTarget"))
         firing._qcirc(ir.QCircClause(gates))
         assert firing.zdeps == {0: {(10, "Z")}, 1: {(11, "Z")}}
         assert firing.xdeps == {0: {(10, "X"), (11, "Z")}, 1: {(11, "X"), (10, "Z")}}
+
+
+class TestConsumedOrUnbound:
+    """Two errors of hand-built rulesets, in a sampled run and in an
+    enumeration: a slot promoted after its measurement consumed it, and a
+    Set of a message field in a rule that takes no message."""
+
+    @pytest.mark.parametrize(
+        "actions,message",
+        [
+            (
+                (ir.MeasureClause(ir.QubitId(0), "Z"), ir.PromoteClause(ir.QubitId(0))),
+                "^address 0: promote of a consumed qubit$",
+            ),
+            ((ir.SetClause("message.result"),), "^no message bound for message.result$"),
+        ],
+        ids=["promote-after-measure", "set-without-recv"],
+    )
+    @pytest.mark.parametrize("enumerate_all", [False, True], ids=["run", "enumerate"])
+    def test_raises(self, actions, message, enumerate_all):
+        rulesets = {0: _node(0, _rule("bad", 0, (_res(1, 0),), actions)), 1: _node(1)}
+        call = runtime.enumerate_outcomes if enumerate_all else runtime.run
+        with pytest.raises(runtime.SimulationError, match=message):
+            call(rulesets, chain(2))
 
 
 class TestUnpairedGate:
