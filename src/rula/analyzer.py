@@ -1236,6 +1236,9 @@ def resolve_imports(
         except (ParseError, UnicodeDecodeError) as exc:
             fail(f"cannot parse {found.name}: {exc}")
             continue
+        except OSError as exc:
+            fail(f"cannot read {found.name}: {exc}")
+            continue
         module_program, nested = resolve_imports(
             module_program,
             [found.parent, *search_roots],

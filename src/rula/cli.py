@@ -49,6 +49,13 @@ def _fidelity(text: str) -> float:
     return value
 
 
+def _rounds(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("round budget must not be negative")
+    return value
+
+
 def _include_roots(path: Path, extra: list[str]) -> list[Path]:
     roots = [path.parent]
     roots.extend(Path(d) for d in extra)
@@ -72,7 +79,11 @@ def cmd_compile(args: argparse.Namespace) -> int:
     if not config_path.is_file():
         _err(f"error: no such config: {config_path}")
         return EXIT_USAGE
-    config_bytes = config_path.read_bytes()
+    try:
+        config_bytes = config_path.read_bytes()
+    except OSError as exc:
+        _err(f"error: cannot read config {config_path}: {exc}")
+        return EXIT_USAGE
     try:
         topology = config.load_config(config_bytes.decode("utf-8"))
     except (config.ConfigError, UnicodeDecodeError) as exc:
@@ -84,6 +95,9 @@ def cmd_compile(args: argparse.Namespace) -> int:
     except UnicodeDecodeError as exc:
         _err(f"{path}: error[parse]: source is not UTF-8: {exc}")
         return EXIT_FAILURE
+    except OSError as exc:
+        _err(f"error: cannot read program {path}: {exc}")
+        return EXIT_USAGE
     try:
         program, warnings = parser.parse_with_warnings(source, filename=str(path))
     except parser.ParseError as exc:
@@ -142,6 +156,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
             ruleset = ir.deserialize(path.read_text(encoding="utf-8"), interned)
         except (ir.SchemaError, UnicodeDecodeError) as exc:
             _err(f"{path}: error[schema]: {exc}")
+            status = EXIT_FAILURE
+            continue
+        except OSError as exc:
+            _err(f"error: cannot read {path}: {exc}")
             status = EXIT_FAILURE
             continue
         findings = ir.validate(ruleset)
@@ -205,6 +223,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         topology = config.load_config(config_path.read_text(encoding="utf-8"))
     except (config.ConfigError, UnicodeDecodeError) as exc:
         _err(f"error: invalid config: {exc}")
+        return EXIT_USAGE
+    except OSError as exc:
+        _err(f"error: cannot read config {config_path}: {exc}")
         return EXIT_USAGE
     directory = Path(args.rulesets)
     if not directory.is_dir():
@@ -292,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--fidelity", type=_fidelity, default=1.0, help="initial link fidelity"
     )
     run_p.add_argument(
-        "--max-steps", type=int, default=10_000, help="round budget before giving up"
+        "--max-steps", type=_rounds, default=10_000, help="round budget before giving up"
     )
     run_p.add_argument(
         "--enumerate-outcomes",

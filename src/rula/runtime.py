@@ -2,21 +2,24 @@
 
 The simulator models each link-level Bell pair as an id with a Pauli frame
 (phase bit, parity bit) and an analytic fidelity, while each node only
-sees its own end of a pair, an id too; the fields of pairs and ends are
-flat lists indexed by id (see `Network`).  Classical messages travel over
-per-link FIFO queues and become visible at the next synchronous round.
+sees its own end of a pair, an id too.  The fields of pairs and ends are
+flat lists indexed by id, and each node's progress (its stage, store,
+timers and inboxes) is flat too, keyed by address (see `Network`).
+Classical messages travel over per-link FIFO queues and become visible at
+the next synchronous round.
 Measurement outcomes are drawn from a pluggable bit source, which makes a
 seeded run reproducible and lets the enumeration driver walk every branch
 of the outcome tree.
 
 The rule groups, the link provisioning, the node of each end and the
 index of send clauses are built once per call (`Blueprint`); a `Network`
-holds only what a run changes, so it can be forked by copying its lists,
-which is how `explore` walks every branch of the outcome tree.  A rule
-group is built once per tuple of template keys (`ir.keyed`): its rules
-differ from those of the first group of that tuple only in their holes, so
-it takes every part that reads no hole from that group and reads its own
-resource and recv clauses, its rules and where its alternatives part ways.
+holds only what a run changes, so it can be forked by copying each of its
+lists and dicts once, which is how `explore` walks every branch of the
+outcome tree.  A rule group is built once per tuple of template keys
+(`ir.keyed`): its rules differ from those of the first group of that tuple
+only in their holes, so it takes every part that reads no hole from that
+group and reads its own resource and recv clauses, its rules and where its
+alternatives part ways.
 
 One rule picks which rule of a group fires (see `Group`): a comparison is
 read once the action clauses that write the registers it names have run,
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import ir
 from .config import Topology
@@ -235,33 +238,6 @@ def _build_group(rules: list[ir.Rule], gid: int, like: Group | None = None) -> G
     )
 
 
-@dataclass(slots=True)
-class Node:
-    address: int
-    stages: list[list[Group]]
-    stage_idx: int = 0
-    store: dict[str, str] = field(default_factory=dict)
-    inboxes: dict[int, list[Message]] = field(default_factory=dict)
-    timers: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def complete(self) -> bool:
-        return self.stage_idx >= len(self.stages)
-
-    def current(self) -> list[Group]:
-        return self.stages[self.stage_idx]
-
-    def fork(self) -> "Node":
-        return Node(
-            self.address,
-            self.stages,
-            self.stage_idx,
-            dict(self.store),
-            {src: list(queue) for src, queue in self.inboxes.items()},
-            dict(self.timers),
-        )
-
-
 # --- the network -------------------------------------------------------------
 
 
@@ -350,9 +326,9 @@ class Blueprint:
 
 class Network:
     """The state one run changes: pairs and ends, group states, node
-    progress with the nodes not yet complete (`live`, (address index, node)
-    in address order), messages in flight, sampled references and the
-    outcome trace.
+    progress with the nodes not yet complete (`live`, (index, address) in
+    address order), messages in flight, sampled references and the outcome
+    trace.
 
     Pairs and ends are ints, and their fields are flat lists indexed by
     them.  Per pair: `fidelity`, the Pauli frame (`phase` and `parity`
@@ -360,8 +336,14 @@ class Network:
     the kept half of a purification round, "pending" then, "done" once the
     boost is applied) and `pair_ends`, its two ends.  Per end: `end_pair`,
     the viewed `partner` and `end_state` (free | promoted | gone).  A
-    spliced far end stays listed under its old pair too.  A list holds
-    values only, so a fork copies each one whole."""
+    spliced far end stays listed under its old pair too.
+
+    Node progress is flat as well: `stage_idx`, the current stage of each
+    address; `store` and `timers` (the round a timer expires), keyed by
+    (address, name); and `inboxes`, keyed by (destination, sender), each
+    queue a tuple with no empty ones kept.  Nothing a list or dict holds is
+    changed in place, so a fork copies each one once, whatever the number
+    of nodes."""
 
     def __init__(self, blueprint: Blueprint, outcomes, initial_fidelity: float):
         self.blueprint = blueprint
@@ -388,42 +370,51 @@ class Network:
         self.fired_rule: list[ir.Rule | None] = [None] * blueprint.group_count
         # gid -> the rule its firing got stuck on, and why
         self.faults: dict[int, tuple[ir.Rule, str]] = {}
-        self.nodes = {addr: Node(addr, stages) for addr, stages in blueprint.stages.items()}
-        for node in self.nodes.values():
-            self._advance(node)
-        self.live = [(i, self.nodes[a]) for i, a in enumerate(blueprint.addresses)]
+        self.stage_idx = dict.fromkeys(blueprint.addresses, 0)
+        self.store = {}
+        self.timers = {}
+        self.inboxes = {}
+        for address in blueprint.addresses:
+            self._advance(address)
+        self.live = list(enumerate(blueprint.addresses))
         self._refresh()
 
     def fork(self, outcomes) -> "Network":
-        """An independent copy that draws from `outcomes`.  Messages, fired
-        records and the blueprint never change once made, so they are shared."""
+        """An independent copy that draws from `outcomes`.  Messages, inbox
+        queues, fired records and the blueprint never change once made, so
+        they are shared."""
         net = object.__new__(Network)
         net.blueprint = self.blueprint
         net.outcomes = outcomes
         net.round = self.round
-        net.fired = list(self.fired)
+        net.fired = self.fired.copy()
         net.delivered = self.delivered
-        net.trace = list(self.trace)
-        net.fidelity = list(self.fidelity)
-        net.phase = list(self.phase)
-        net.parity = list(self.parity)
-        net.purify = list(self.purify)
-        net.pair_ends = list(self.pair_ends)
-        net.end_pair = list(self.end_pair)
-        net.partner = list(self.partner)
-        net.end_state = list(self.end_state)
-        net.outbox = list(self.outbox)
-        net.pending = dict(self.pending)
-        net.state = list(self.state)
-        net.fired_rule = list(self.fired_rule)
-        net.faults = dict(self.faults)
-        net.nodes = {addr: node.fork() for addr, node in self.nodes.items()}
-        net.live = [(i, net.nodes[n.address]) for i, n in self.live if not n.complete]
+        net.trace = self.trace.copy()
+        net.fidelity = self.fidelity.copy()
+        net.phase = self.phase.copy()
+        net.parity = self.parity.copy()
+        net.purify = self.purify.copy()
+        net.pair_ends = self.pair_ends.copy()
+        net.end_pair = self.end_pair.copy()
+        net.partner = self.partner.copy()
+        net.end_state = self.end_state.copy()
+        net.outbox = self.outbox.copy()
+        net.pending = self.pending.copy()
+        net.state = self.state.copy()
+        net.fired_rule = self.fired_rule.copy()
+        net.faults = self.faults.copy()
+        net.stage_idx = self.stage_idx.copy()
+        net.store = self.store.copy()
+        net.timers = self.timers.copy()
+        net.inboxes = self.inboxes.copy()
+        net.live = self.live
+        net._refresh()  # a new list, without who completed earlier in the round
         return net
 
     def _refresh(self) -> None:
         """Drop the nodes that have become complete from `live`."""
-        self.live = [entry for entry in self.live if not entry[1].complete]
+        stages, stage_idx = self.blueprint.stages, self.stage_idx
+        self.live = [entry for entry in self.live if stage_idx[entry[1]] < len(stages[entry[1]])]
 
     def other_end(self, end: int) -> int:
         a, b = self.pair_ends[self.end_pair[end]]
@@ -432,19 +423,21 @@ class Network:
     def _resolved(self, group: Group) -> bool:
         return self.state[group.gid] in RESOLVED
 
-    def _advance(self, node: Node) -> None:
-        while not node.complete and all(self._resolved(g) for g in node.current()):
-            node.stage_idx += 1
+    def _advance(self, address: int) -> None:
+        stages, index, state = self.blueprint.stages[address], self.stage_idx[address], self.state
+        while index < len(stages) and all(state[g.gid] in RESOLVED for g in stages[index]):
+            index += 1
+        self.stage_idx[address] = index
 
     # --- resource selection --------------------------------------------------
 
-    def _match_res(self, node: Node, group: Group) -> list[tuple[int, int]] | None:
+    def _match_res(self, address: int, group: Group) -> list[tuple[int, int]] | None:
         chosen: list[tuple[int, int]] = []
         taken: set[int] = set()
         for clause in group.res:
             for _ in range(clause.count):
                 end = self._find_end(
-                    node.address,
+                    address,
                     clause.partner_addr,
                     taken,
                     min_fidelity=clause.fidelity,
@@ -475,23 +468,23 @@ class Network:
     # --- satisfiability ------------------------------------------------------
 
     def _condition_holds(
-        self, node: Node, group: Group
+        self, address: int, group: Group
     ) -> tuple[dict[int, int], Message | None] | None:
         """If the group's condition holds now: the ends its resource clauses
         bind and the message it would take.  Else None."""
         head = None
         if group.recv is not None:
-            queue = node.inboxes.get(group.recv.partner_addr)
+            queue = self.inboxes.get((address, group.recv.partner_addr))
             if not queue:
                 return None
             head = queue[0]
             if group.kind_gate is not None and head.kind != group.kind_gate:
                 return None
         for timer in group.timers:
-            expiry = node.timers.get(timer.timer_id)
+            expiry = self.timers.get((address, timer.timer_id))
             if expiry is None or self.round < expiry:
                 return None
-        chosen = self._match_res(node, group)
+        chosen = self._match_res(address, group)
         if chosen is None:
             return None
         bindings: dict[int, int] = {}
@@ -501,14 +494,18 @@ class Network:
 
     # --- firing --------------------------------------------------------------
 
-    def _fire(self, node: Node, group: Group, bindings: dict[int, int]) -> None:
+    def _fire(self, address: int, group: Group, bindings: dict[int, int]) -> None:
         message = None
         if group.recv is not None:
-            message = node.inboxes[group.recv.partner_addr].pop(0)
+            key = (address, group.recv.partner_addr)
+            queue = self.inboxes.pop(key)
+            message = queue[0]
+            if len(queue) > 1:
+                self.inboxes[key] = queue[1:]
         if message is not None and message.kind == "Transfer":
             self._repoint(bindings)
 
-        ctx = _Firing(self, node, bindings, message)
+        ctx = _Firing(self, address, bindings, message)
         left, done, stop = group.alternatives, 0, group.first_stop
         try:
             while True:
@@ -538,23 +535,23 @@ class Network:
             self.state[group.gid] = "fired"
             self.fired_rule[group.gid] = winner
             records = self.blueprint.records
-            key = (self.round, node.address, id(winner))  # the blueprint keeps winner
+            key = (self.round, address, id(winner))  # the blueprint keeps winner
             record = records.get(key)
             if record is None:
                 record = records[key] = {
                     "round": self.round,
-                    "address": node.address,
+                    "address": address,
                     "rule": winner.name,
                     "id": winner.id,
                 }
             self.fired.append(record)
         else:
             self.state[group.gid] = "cancelled"
-        self._advance(node)
+        self._advance(address)
 
     def _bind_inherited(
         self,
-        node: Node,
+        address: int,
         group: Group,
         bindings: dict[int, int],
         message: Message | None,
@@ -568,9 +565,9 @@ class Network:
         for index in group.inherited:
             end = None
             if message is not None:
-                end = self._find_end(node.address, message.src, taken)
+                end = self._find_end(address, message.src, taken)
             if end is None:
-                for candidate in self.blueprint.ends[node.address]:
+                for candidate in self.blueprint.ends[address]:
                     if self.end_state[candidate] == "promoted" and candidate not in taken:
                         end = candidate
                         break
@@ -589,37 +586,41 @@ class Network:
     # --- main loop -----------------------------------------------------------
 
     def deliver(self) -> bool:
-        any_sent = bool(self.outbox)
-        for msg in self.outbox:
-            inbox = self.nodes[msg.dst].inboxes.setdefault(msg.src, [])
-            inbox.append(msg)
-            self.delivered += 1
-        self.outbox.clear()
-        return any_sent
+        inboxes, outbox = self.inboxes, self.outbox
+        for msg in outbox:
+            key = (msg.dst, msg.src)
+            inboxes[key] = inboxes.get(key, ()) + (msg,)
+        self.delivered += len(outbox)
+        self.outbox = []
+        return bool(outbox)
 
     def step(self, start: int = 0) -> bool:
         """One round, from node `start` of the address order on.  A round
         resumed from a snapshot fires at `start` first, so the progress of
         the nodes before it need not be known."""
-        progress = False
-        for index, node in self.live:
+        progress = ended = False
+        stages, stage_idx = self.blueprint.stages, self.stage_idx
+        for index, address in self.live:
             if index < start:
                 continue
-            for group in node.current():
+            for group in stages[address][stage_idx[address]]:
                 if self.state[group.gid] != "pending":
                     continue
-                held = self._condition_holds(node, group)
-                if held is None or self._bind_inherited(node, group, *held) is not None:
+                held = self._condition_holds(address, group)
+                if held is None or self._bind_inherited(address, group, *held) is not None:
                     continue  # not ready: its condition fails or a qubit slot finds no end
                 if group.draws:
                     self.outcomes.checkpoint(self, index)
-                self._fire(node, group, held[0])
+                self._fire(address, group, held[0])
                 progress = True
+                # only a node that fires can complete in a round
+                ended = ended or stage_idx[address] == len(stages[address])
                 break
         if self.deliver():
             progress = True
         self.round += 1
-        self._refresh()
+        if ended:
+            self._refresh()
         return progress
 
     # --- starvation analysis -------------------------------------------------
@@ -629,19 +630,21 @@ class Network:
         can provably never arrive: benign when the sender had matching send
         clauses but every rule carrying one is already resolved without
         sending, stuck when the sender has none at all."""
+        stages, stage_idx = self.blueprint.stages, self.stage_idx
         changed = False
         progressed = True
         while progressed:
             progressed = False
-            for _index, node in self.live:
-                for group in node.current():
+            for _index, address in self.live:
+                for group in stages[address][stage_idx[address]]:
                     if group.recv is None or self.state[group.gid] != "pending":
                         continue
                     src, kind = group.recv.partner_addr, group.kind_gate
-                    if any(kind is None or m.kind == kind for m in node.inboxes.get(src, ())):
+                    queue = self.inboxes.get((address, src), ())
+                    if any(kind is None or m.kind == kind for m in queue):
                         continue
                     carriers = [
-                        (g, r) for k, g, r in self.blueprint.sends.get((src, node.address), ())
+                        (g, r) for k, g, r in self.blueprint.sends.get((src, address), ())
                         if kind is None or k == kind
                     ]
                     if not carriers:
@@ -652,57 +655,48 @@ class Network:
                     ):
                         self.state[group.gid] = "cancelled"
                         progressed = changed = True
-                self._advance(node)
+                self._advance(address)
             self._refresh()
         return changed
 
+    def _unresolved(self):
+        """(address, group) for each group of a live node's stage that has
+        neither fired nor been cancelled."""
+        stages, stage_idx = self.blueprint.stages, self.stage_idx
+        for _index, address in self.live:
+            for group in stages[address][stage_idx[address]]:
+                if not self._resolved(group):
+                    yield address, group
+
     def timers_armed(self) -> bool:
         """A pending group is waiting on a timer that is still counting."""
-        for _index, node in self.live:
-            for group in node.current():
-                if self._resolved(group):
-                    continue
-                for timer in group.timers:
-                    expiry = node.timers.get(timer.timer_id)
-                    if expiry is not None and self.round <= expiry:
-                        return True
-        return False
+        return any(
+            self.round <= self.timers.get((address, timer.timer_id), -1)
+            for address, group in self._unresolved()
+            for timer in group.timers
+        )
 
     def stuck_reports(self) -> list[str]:
         reports = []
-        for _index, node in self.live:
-            address = node.address
-            for group in node.current():
-                if self._resolved(group):
-                    continue
-                rule = group.alternatives[0][0]
-                held = self._condition_holds(node, group)
-                slot = None if held is None else self._bind_inherited(node, group, *held)
-                if group.gid in self.faults:
-                    rule, why = self.faults[group.gid]
-                    reports.append(f"address {address}: rule '{rule.name}' (id {rule.id}) {why}")
-                elif slot is not None:
-                    reports.append(
-                        f"address {address}: rule '{rule.name}' (id {rule.id}) "
-                        f"has no pair or promoted qubit to bind to slot {slot}"
-                    )
-                elif group.recv is not None:
-                    kind = f" for {group.kind_gate} messages" if group.kind_gate else ""
-                    reports.append(
-                        f"address {address}: rule '{rule.name}' (id {rule.id}) "
-                        f"waits on Recv from address {group.recv.partner_addr}{kind}, "
-                        "which never sends it"
-                    )
-                else:
-                    wants = ", ".join(
-                        f"{c.count} pair(s) with address {c.partner_addr} "
-                        f"at fidelity >= {c.fidelity}"
-                        for c in group.res
-                    )
-                    reports.append(
-                        f"address {address}: rule '{rule.name}' (id {rule.id}) "
-                        f"waits on resources: {wants}"
-                    )
+        for address, group in self._unresolved():
+            rule = group.alternatives[0][0]
+            held = self._condition_holds(address, group)
+            slot = None if held is None else self._bind_inherited(address, group, *held)
+            if group.gid in self.faults:
+                rule, why = self.faults[group.gid]
+            elif slot is not None:
+                why = f"has no pair or promoted qubit to bind to slot {slot}"
+            elif group.recv is not None:
+                kind = f" for {group.kind_gate} messages" if group.kind_gate else ""
+                why = f"waits on Recv from address {group.recv.partner_addr}{kind}, "
+                why += "which never sends it"
+            else:
+                why = "waits on resources: " + ", ".join(
+                    f"{c.count} pair(s) with address {c.partner_addr} "
+                    f"at fidelity >= {c.fidelity}"
+                    for c in group.res
+                )
+            reports.append(f"address {address}: rule '{rule.name}' (id {rule.id}) {why}")
         return reports
 
 
@@ -710,9 +704,9 @@ class Network:
 
 
 class _Firing:
-    def __init__(self, net: Network, node: Node, bindings: dict[int, int], message):
+    def __init__(self, net: Network, address: int, bindings: dict[int, int], message):
         self.net = net
-        self.node = node
+        self.address = address
         self.bindings = bindings
         self.message = message
         self.registers: dict[str, str] = {}  # the nth measurement writes ir.register(n)
@@ -747,7 +741,7 @@ class _Firing:
                 if net.purify[pair] == "pending":
                     net.purify[pair] = "idle"
             elif isinstance(clause, ir.SetTimerClause):
-                self.node.timers[clause.timer_id] = self.net.round + clause.duration
+                self.net.timers[self.address, clause.timer_id] = self.net.round + clause.duration
             else:
                 raise SimulationError(f"unsupported action clause: {clause!r}")
             i += 1
@@ -854,9 +848,9 @@ class _Firing:
     # --- classical effects ---------------------------------------------------
 
     def _send(self, clause: ir.SendClause) -> None:
-        if clause.partner_addr not in self.net.nodes:
+        if clause.partner_addr not in self.net.stage_idx:
             raise SimulationError(
-                f"address {self.node.address}: send to address {clause.partner_addr}, "
+                f"address {self.address}: send to address {clause.partner_addr}, "
                 "which is not in the config"
             )
         payload = {}
@@ -867,24 +861,24 @@ class _Firing:
                 payload[key] = self.registers[value]
             else:
                 raise SimulationError(
-                    f"address {self.node.address}: send payload result names register "
+                    f"address {self.address}: send payload result names register "
                     f"{value!r}, which the rule never wrote"
                 )
         self.net.outbox.append(
-            Message(clause.message, self.node.address, clause.partner_addr, payload)
+            Message(clause.message, self.address, clause.partner_addr, payload)
         )
 
     def _set(self, clause: ir.SetClause) -> None:
         name = clause.variable
         if self.message is None and name.startswith("message."):
             raise SimulationError(f"no message bound for {name}")
-        self.node.store[clause.alias or name] = self._value(name)
+        self.net.store[self.address, clause.alias or name] = self._value(name)
 
     def _promote(self, clause: ir.PromoteClause) -> None:
         net, end = self.net, self.bindings[clause.qubit.qubit_index]
         if net.end_state[end] == "gone":
             raise SimulationError(
-                f"address {self.node.address}: promote of a consumed qubit"
+                f"address {self.address}: promote of a consumed qubit"
             )
         net.end_state[end] = "promoted"
         pair = net.end_pair[end]
@@ -902,7 +896,7 @@ class _Firing:
             if self.message is None:
                 return ""
             return self.message.payload.get(name.split(".", 1)[1], "")
-        return self.node.store.get(name, "")
+        return self.net.store.get((self.address, name), "")
 
     def compare(self, clause: ir.CmpClause) -> bool:
         """Whether `clause` holds. An `Int` target compares both sides as

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -106,6 +107,19 @@ def run_cli(argv, capsys):
     code = cli.main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def unreadable(monkeypatch, name, method="read_text"):
+    """`Path.<method>` of any file called `name` raises PermissionError, as
+    reading a mode-000 file does for a user other than root."""
+    real = getattr(Path, method)
+
+    def read(path, *args, **kwargs):
+        if path.name == name:
+            raise PermissionError(13, "Permission denied", str(path))
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, method, read)
 
 
 def compile_swap(corpus, capsys, tmp_path, config="config5.json", extra=()):
@@ -263,6 +277,33 @@ class TestCompile:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: cannot write to {out_dir}: ") and err.count("\n") == 1
         assert blocker.read_text() == "kept"
+
+    @pytest.mark.parametrize(
+        "name,method,what",
+        [(SWAP, "read_text", "program"), ("config5.json", "read_bytes", "config")],
+    )
+    def test_unreadable_input_is_one_error(
+        self, corpus, capsys, tmp_path, monkeypatch, name, method, what
+    ):
+        """A program or config that cannot be read exits 2, as a missing one
+        does, with one error line that names it."""
+        unreadable(monkeypatch, name, method)
+        code, out, err, out_dir = compile_swap(corpus, capsys, tmp_path)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {what} {corpus / name}: ")
+        assert "Permission denied" in err and err.count("\n") == 1
+        assert not out_dir.exists()
+
+    def test_unreadable_import_is_a_diagnostic(self, corpus, capsys, tmp_path, monkeypatch):
+        unreadable(monkeypatch, SWAP)
+        code, out, err = run_cli(
+            ["compile", corpus / "purification.rula", "--config", corpus / "config3.json",
+             "--out-dir", tmp_path / "out"],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert "error[bad-import]: cannot read entanglement_swapping.rula: " in err
+        assert "Permission denied" in err and "Traceback" not in err
 
     def test_os_error_leaves_an_earlier_compile(self, corpus, capsys, tmp_path):
         """A write that fails with an OS error at the third file exits 1, and
@@ -439,6 +480,18 @@ class TestValidate:
         assert code == 1
         assert "error" in err
 
+    def test_unreadable_file_is_one_error(self, corpus, capsys, tmp_path, monkeypatch):
+        """A file that cannot be read fails, as a missing one does, with one
+        error line that names it; the files after it are still checked."""
+        _c, _o, _e, out_dir = compile_swap(corpus, capsys, tmp_path)
+        bad, good = (out_dir / f"entanglement_swapping_{i}.json" for i in (0, 1))
+        unreadable(monkeypatch, bad.name)
+        code, out, err = run_cli(["validate", bad, good], capsys)
+        assert (code, out) == (1, "")
+        first, second = err.splitlines()
+        assert first.startswith(f"error: cannot read {bad}: ") and "Permission denied" in first
+        assert second == f"{good}: ok"
+
     def test_missing_file(self, corpus, capsys, tmp_path):
         code, _out, err = run_cli(["validate", tmp_path / "ghost.json"], capsys)
         assert code == 1
@@ -533,6 +586,25 @@ class TestRun:
         )
         assert code == 1
         assert "stuck" in err
+
+    def test_unreadable_config_is_one_error(self, corpus, capsys, tmp_path, monkeypatch):
+        out_dir = self.compiled(corpus, capsys, tmp_path)
+        unreadable(monkeypatch, "config3.json")
+        argv = ["run", "--config", corpus / "config3.json", "--rulesets", out_dir]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read config {corpus / 'config3.json'}: ")
+        assert "Permission denied" in err and err.count("\n") == 1
+
+    def test_negative_round_budget_is_usage_error(self, corpus, capsys, tmp_path):
+        out_dir = self.compiled(corpus, capsys, tmp_path)
+        argv = ["run", "--config", corpus / "config3.json", "--rulesets", out_dir]
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*argv, "--max-steps", "-3", "--report-json"], capsys)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage:" in captured.err and "round budget must not be negative" in captured.err
 
     @pytest.mark.parametrize("fidelity", ["1.5", "-0.5", "nan", "inf"])
     def test_fidelity_outside_unit_interval_is_usage_error(

@@ -523,9 +523,9 @@ class TestEnumerationPinned:
 
 
 class TestLiveNodes:
-    """`Network.live` lists the nodes not yet complete, in address order with
-    their indices, after every round and every starvation pass, in a sampled
-    run and in every branch of an enumeration; a fork lists its own nodes."""
+    """`Network.live` lists the nodes not yet complete, as (index, address)
+    in address order, after every round and every starvation pass and in
+    every fork, in a sampled run and in every branch of an enumeration."""
 
     @pytest.mark.parametrize(
         "program,config_name,fidelity",
@@ -546,11 +546,12 @@ class TestLiveNodes:
         calls = {"step": 0, "cancel_starved": 0, "fork": 0}
 
         def assert_live(net):
-            nodes = [net.nodes[address] for address in net.blueprint.addresses]
-            expected = [(i, node) for i, node in enumerate(nodes) if not node.complete]
-            assert [(i, id(node)) for i, node in net.live] == [
-                (i, id(node)) for i, node in expected
+            stages = net.blueprint.stages
+            expected = [
+                (i, address) for i, address in enumerate(net.blueprint.addresses)
+                if net.stage_idx[address] < len(stages[address])
             ]
+            assert net.live == expected
 
         def checked(name):
             real = getattr(runtime.Network, name)
@@ -594,14 +595,11 @@ class TestForkIndependence:
 
     @staticmethod
     def containers(net):
-        """Every list or dict a network holds, by where it is held."""
+        """Every list or dict a network holds, by where it is held.  An inbox
+        queue is a tuple, which a fork may share."""
         found = {name: value for name, value in vars(net).items() if name != "blueprint"}
-        for address, node in net.nodes.items():
-            found[f"node {address} store"] = node.store
-            found[f"node {address} timers"] = node.timers
-            found[f"node {address} inboxes"] = node.inboxes
-            for src, queue in node.inboxes.items():
-                found[f"node {address} inbox {src}"] = queue
+        for key, queue in net.inboxes.items():
+            assert isinstance(queue, tuple), key
         return {k: v for k, v in found.items() if isinstance(v, (list, dict))}
 
     @pytest.mark.parametrize(
@@ -619,7 +617,9 @@ class TestForkIndependence:
 
         fork = parent.fork(PlannedOutcomes((1,) * 64))
         mine, theirs = self.containers(fork), self.containers(parent)
-        assert mine.keys() == theirs.keys() and {"end_state", "fidelity", "pair_ends"} <= mine.keys()
+        assert mine.keys() == theirs.keys()
+        flat = {"end_state", "fidelity", "pair_ends", "stage_idx", "store", "timers", "inboxes"}
+        assert flat <= mine.keys()
         shared = [name for name in mine if mine[name] is theirs[name]]
         assert shared == []
         forked = runtime._drive(fork, 10_000, source.index)
@@ -629,6 +629,66 @@ class TestForkIndependence:
         resumed = runtime._drive(parent, 10_000, source.index)
         unforked = runtime._drive(runtime.Network(blueprint, PlannedOutcomes(()), 1.0), 10_000)
         assert resumed.quiescent
+        assert json.dumps(resumed.to_json()) == json.dumps(unforked.to_json())
+
+    @staticmethod
+    def stateful_pair():
+        """Node 1 sends node 0 two messages.  Node 0 takes the first (storing
+        its `n`, arming timer `t` for 3 rounds), measures its pair with node
+        1 (storing the bit), then takes the second once `t` has expired
+        (storing its `n`, arming `t` again).  At its measuring firing, node 0
+        holds a store, a timer and a queued message."""
+
+        def send(n):
+            return ir.SendClause("Meas", 0, (("n", n),))
+
+        def take(name, rule_id, timer, duration):
+            conditions = (ir.RecvClause(1),) + ((ir.TimerClause(timer),) if timer else ())
+            actions = (ir.SetClause("message.n", "n"), ir.SetTimerClause("t", duration))
+            return _rule(name, rule_id, conditions, actions)
+
+        measure = _rule(
+            "measure", 1, (_res(1, 0),),
+            (ir.MeasureClause(ir.QubitId(0), "Z"), ir.SetClause("MeasResult", "bit")),
+        )
+        stages = tuple(
+            ir.Stage((rule,)) for rule in (take("take", 0, None, 3), measure, take("drain", 2, "t", 5))
+        )
+        return {
+            0: ir.RuleSet(name="t", id=1, owner_addr=0, stages=stages),
+            1: _node(1, _rule("send", 0, (), (send("1"), send("2")))),
+        }
+
+    def test_fork_leaves_its_parents_node_state(self):
+        blueprint = runtime.Blueprint(self.stateful_pair(), chain(2))
+        source = self.FirstCheckpoint()
+        parent = runtime.Network(blueprint, source, 1.0)
+        with pytest.raises(self.Stop):
+            runtime._drive(parent, 10_000)
+        names = ("stage_idx", "store", "timers", "inboxes")
+        before = {name: dict(getattr(parent, name)) for name in names}
+        assert before == {
+            "stage_idx": {0: 1, 1: 1},
+            "store": {(0, "n"): "1"},
+            "timers": {(0, "t"): 4},  # armed in round 1
+            "inboxes": {(0, 1): (runtime.Message("Meas", 1, 0, {"n": "2"}),)},
+        }
+
+        fork = parent.fork(PlannedOutcomes((1,)))
+        forked = runtime._drive(fork, 10_000, source.index)
+        assert forked.quiescent and forked.outcome_path == (1,)
+        assert [f["rule"] for f in forked.fired] == ["send", "take", "measure", "drain"]
+        assert {name: getattr(fork, name) for name in names} == {
+            "stage_idx": {0: 3, 1: 1},
+            "store": {(0, "n"): "2", (0, "bit"): "1"},
+            "timers": {(0, "t"): 9},  # armed again in round 4
+            "inboxes": {},
+        }
+        assert {name: getattr(parent, name) for name in names} == before
+
+        resumed = runtime._drive(parent, 10_000, source.index)
+        unforked = runtime._drive(runtime.Network(blueprint, PlannedOutcomes(()), 1.0), 10_000)
+        assert resumed.quiescent and parent.store == {(0, "n"): "2", (0, "bit"): "0"}
         assert json.dumps(resumed.to_json()) == json.dumps(unforked.to_json())
 
 
@@ -812,7 +872,7 @@ class TestCzGate:
         net = runtime.Network(runtime.Blueprint(rulesets, chain(2)), None, 1.0)
         ends = {q: net.blueprint.ends[0][10 + q] for q in (0, 1)}
         assert [net.end_pair[end] for end in ends.values()] == [10, 11]
-        firing = runtime._Firing(net, net.nodes[0], ends, None)
+        firing = runtime._Firing(net, 0, ends, None)
         gates = (ir.QGate(ir.QubitId(0), "CzControl"), ir.QGate(ir.QubitId(1), "CzTarget"))
         firing._qcirc(ir.QCircClause(gates))
         assert firing.zdeps == {0: {(10, "Z")}, 1: {(11, "Z")}}
