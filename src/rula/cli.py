@@ -64,6 +64,25 @@ def _include_roots(path: Path, extra: list[str]) -> list[Path]:
     return roots
 
 
+def _read_config(name: str) -> tuple[bytes, config.Topology] | None:
+    """The bytes of the config file `name` and its topology, or None once
+    the reason it has none is printed (a usage error)."""
+    path = Path(name)
+    if not path.is_file():
+        _err(f"error: no such config: {path}")
+        return None
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        _err(f"error: cannot read config {path}: {exc}")
+        return None
+    try:
+        return raw, config.load_config(raw.decode("utf-8"))
+    except (config.ConfigError, UnicodeDecodeError) as exc:
+        _err(f"error: invalid config: {exc}")
+        return None
+
+
 # --- compile -----------------------------------------------------------------
 
 
@@ -75,20 +94,10 @@ def cmd_compile(args: argparse.Namespace) -> int:
     if not path.is_file():
         _err(f"error: no such program: {path}")
         return EXIT_USAGE
-    config_path = Path(args.config)
-    if not config_path.is_file():
-        _err(f"error: no such config: {config_path}")
+    read = _read_config(args.config)
+    if read is None:
         return EXIT_USAGE
-    try:
-        config_bytes = config_path.read_bytes()
-    except OSError as exc:
-        _err(f"error: cannot read config {config_path}: {exc}")
-        return EXIT_USAGE
-    try:
-        topology = config.load_config(config_bytes.decode("utf-8"))
-    except (config.ConfigError, UnicodeDecodeError) as exc:
-        _err(f"error: invalid config: {exc}")
-        return EXIT_USAGE
+    config_bytes, topology = read
 
     try:
         source = path.read_text(encoding="utf-8")
@@ -215,18 +224,10 @@ def _describe(report: runtime.RunReport, label: str = "") -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config_path = Path(args.config)
-    if not config_path.is_file():
-        _err(f"error: no such config: {config_path}")
+    read = _read_config(args.config)
+    if read is None:
         return EXIT_USAGE
-    try:
-        topology = config.load_config(config_path.read_text(encoding="utf-8"))
-    except (config.ConfigError, UnicodeDecodeError) as exc:
-        _err(f"error: invalid config: {exc}")
-        return EXIT_USAGE
-    except OSError as exc:
-        _err(f"error: cannot read config {config_path}: {exc}")
-        return EXIT_USAGE
+    _, topology = read
     directory = Path(args.rulesets)
     if not directory.is_dir():
         _err(f"error: no such ruleset directory: {directory}")

@@ -32,20 +32,24 @@ Lowering templates. A rule call's lets and cond are evaluated for each
 call, but its act is expanded once per template key: the rule and its env,
 with each repeater written as its index minus the owner's (addresses need
 not follow indices) and each scalar with its class. A later call with the
-same key takes the expanded sibling rules and moves them to its owner:
-each Send clause and send record is readdressed by its hops, and every
-other clause object is shared. An act that reads the chain itself, through
-`#rep.hop(..)`, `#repeaters(i)` or `len()`, is expanded on every call, so
-its `hop-range` and `repeater-range` errors are reported where they occur.
-An expansion that fails is never kept. Send resolution and assembly see
-the same per-node rules, ids and recv slots as without templates; on the
-1025-node doubling chain 1 023 calls make a handful of expansions. Each
-rule built from a kept expansion carries a template key to `ir.serialize`
-(see `ir.keyed`): one object per expansion, variant and condition key; a
-synthesized wait rule's key is its handler effect. The writer splits the
-first text of each key at its holes (`ir._HOLE_TEXT`, where a load splits a
-document too) and fills the pieces for every later rule of the key; a rule
-from an act that reads the chain has no key and is written plainly.
+same key takes the expanded sibling rules and moves them to its owner: each
+Send clause is readdressed by the shift from the template's owner to the
+new one, and every other clause object is shared. A send, a recv and a
+promote are each stated once, by their clause: send resolution reads the
+kind and the addressee of each send from its Send clause. An act that reads
+the chain itself, through `#rep.hop(..)`, `#repeaters(i)` or `len()`, is
+expanded on every call, so its `hop-range` and `repeater-range` errors are
+reported where they occur. An expansion that fails is never kept. Send
+resolution and assembly see the same per-node rules, ids and recv slots as
+without templates; on the 1025-node doubling chain 1 023 calls make a
+handful of expansions. Each rule built from a kept expansion carries a
+template key to `ir.serialize` (see `ir.keyed`): one object per expansion,
+variant and condition key; a synthesized wait rule's key is its action
+clause, one object per effect (the kind, and the op of an Update or the
+result register of a Meas). The writer splits the first text of each key at
+its holes (`ir._HOLE_TEXT`, where a load splits a document too) and fills
+the pieces for every later rule of the key; a rule from an act that reads
+the chain has no key and is written plainly.
 
 Folding. A static expression is compiled, the first time it is folded, into
 a closure from an env to its value (Feeley and Lapalme, "Using closures for
@@ -80,14 +84,6 @@ _SEND_KIND = {"update": "Update", "meas": "Meas", "transfer": "Transfer", "free"
 _CMP_OP = {"==": "Eq", "!=": "Neq", "<": "Lt", "<=": "Leq", ">": "Gt", ">=": "Geq"}
 _NEGATE = {"Eq": "Neq", "Neq": "Eq", "Lt": "Geq", "Geq": "Lt", "Gt": "Leq", "Leq": "Gt"}
 _MIRROR = {"Eq": "Eq", "Neq": "Neq", "Lt": "Gt", "Gt": "Lt", "Leq": "Geq", "Geq": "Leq"}
-_COMPARE = {
-    "==": operator.eq,
-    "!=": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
 
 # Most loop bodies a ruleset-level loop nest may unroll to: the product of the
 # trip counts of a loop and of the loops around it. The corpus schedule
@@ -368,7 +364,7 @@ def _fold(expr, topology: Topology, reads: list):
         return _fold_chain(expr, topology, reads)
     if isinstance(expr, ast.TermExpr):
         return _fold_term(expr, [_fold(op, topology, reads) for op in expr.operands])
-    compare = _COMPARE[expr.op]  # no other expression is static
+    compare = ir.COMPARISONS[_CMP_OP[expr.op]]  # no other expression is static
     lhs, rhs = _fold(expr.lhs, topology, reads), _fold(expr.rhs, topology, reads)
     return lambda env: compare(lhs(env), rhs(env))
 
@@ -409,38 +405,19 @@ def _fold_chain(expr: ast.VariableCall, topology: Topology, reads: list):
 
 
 @dataclass
-class _SendRec:
-    kind: str
-    to_addr: int
-    effect: tuple  # (kind,) or (kind, detail) used to dedupe synthesized rules
-    at: int  # the position of its Send clause in the variant's clauses
-    hops: int  # the addressee's index minus the owner's
-
-
-@dataclass
 class _Variant:
     """One sibling rule in the making while an act block is expanded."""
 
     env: dict
     cmps: list[ir.CmpClause] = field(default_factory=list)
     clauses: list = field(default_factory=list)
-    promotes: list[int] = field(default_factory=list)
-    sends: list[_SendRec] = field(default_factory=list)
     registers: int = 0
-    frozen: bool = False  # otherwise lineage: no trailing statements
-    otherwise: bool = False  # ordered after every literal-arm sibling
+    # otherwise lineage: no trailing statements, and once the act is
+    # expanded, ordered after every literal-arm sibling
+    frozen: bool = False
 
     def fork(self) -> "_Variant":
-        return _Variant(
-            env=dict(self.env),
-            cmps=list(self.cmps),
-            clauses=list(self.clauses),
-            promotes=list(self.promotes),
-            sends=list(self.sends),
-            registers=self.registers,
-            frozen=self.frozen,
-            otherwise=self.otherwise,
-        )
+        return _Variant(dict(self.env), list(self.cmps), list(self.clauses), self.registers, self.frozen)
 
     def alloc_register(self) -> str:
         self.registers += 1
@@ -449,27 +426,22 @@ class _Variant:
 
 @dataclass
 class _CallRecord:
-    idx: int
     rule_name: str
     owner: Repeater
     cond_clauses: list
-    recv_froms: list[int]  # addresses of the hand-written recv partners
     variants: list[_Variant]
     rule_keys: list | None  # the template key of each variant's rule, if its act was kept
-
-    def inspects_message(self) -> bool:
-        return any(
-            c.cmp_val.startswith("message.") for v in self.variants for c in v.cmps
-        )
 
 
 @dataclass
 class _Template:
-    """An act expansion kept under its act key, and the keys its rules
-    hand `ir.serialize`: one object per variant and condition key (see
-    `_cond_key`), which stands for the text of every rule made from both."""
+    """An act expansion kept under its act key, the index of the owner it
+    was expanded for, and the keys its rules hand `ir.serialize`: one object
+    per variant and condition key (see `_cond_key`), which stands for the
+    text of every rule made from both."""
 
     variants: list[_Variant]
+    index: int
     rule_keys: dict[tuple, list] = field(default_factory=dict)
 
 
@@ -495,15 +467,6 @@ class _Slot:
     bound: bool = False
 
 
-@dataclass
-class _Handler:
-    """A synthesized partner-side wait rule, shared by equivalent sends."""
-
-    kind: str
-    effect: tuple
-    from_addr: int
-
-
 class _Compiler:
     def __init__(self, analysis: Analysis, topology: Topology, ruleset_id: int, default_name: str):
         program = self.program = analysis.program
@@ -517,10 +480,11 @@ class _Compiler:
         self._folds: dict[int, tuple] = {}  # (closure, reads the chain, expression) by id
         self._current_owner: Repeater | None = None
         self._unrolled = 1  # bodies the enclosing loop nest unrolls to
-        # act expansions by template key (see `_expand_rule`); clause objects
-        # shared by the rules that hold equal values (`_apply_send`,
-        # `_handler_rule`)
+        # act expansions by template key (see `_expand_rule`), and each
+        # repeater's index by its address (`_relocate`); clause objects shared
+        # by the rules that hold equal values (`_apply_send`, `_wait_rule`)
         self._templates: dict[tuple, _Template] = {}
+        self._index = {r.address: r.index for r in topology.repeaters}
         self._sends: dict[ir.SendClause, ir.SendClause] = {}
         self._recvs: dict[int, ir.RecvClause] = {}  # by sender address
         self._handler_clauses: dict[tuple, tuple] = {}  # by effect
@@ -548,8 +512,8 @@ class _Compiler:
         env: dict = {}
         if self.program.ruleset is not None:
             self._exec_stmts(self.program.ruleset.stmts, env)
-        obligations, unbound, handler_stages = self._resolve_sends()
-        per_node = self._assemble(handler_stages)
+        obligations, unbound, sources = self._resolve_sends()
+        per_node = self._assemble(sources)
         return CompiledOutput(
             ruleset_id=self.ruleset_id,
             name=self.name,
@@ -674,18 +638,18 @@ class _Compiler:
         for let in rule.lets:
             env[let.targets[0].name] = self.eval(let.value, env)
 
-        cond_clauses, recv_froms = self._lower_cond(rule.cond, env)
+        cond_clauses = self._lower_cond(rule.cond, env)
         key = _act_key(rule, owner, env)
         template = self._templates.get(key)
         if template is None:
             self._read_topology = False
             base = _Variant(env=env)
             variants = self._expand_stmts(list(rule.act.stmts) + list(rule.trailing), base)
-            variants = [v for v in variants if not v.otherwise] + [v for v in variants if v.otherwise]
+            variants = [v for v in variants if not v.frozen] + [v for v in variants if v.frozen]
             if key is not None and not self._read_topology:
-                template = self._templates[key] = _Template(variants)
+                template = self._templates[key] = _Template(variants, owner.index)
         else:
-            variants = self._relocate(template.variants, owner)
+            variants = self._relocate(template, owner)
         rule_keys = None
         if template is not None:
             cond_key = _cond_key(cond_clauses)
@@ -693,21 +657,14 @@ class _Compiler:
             if rule_keys is None:
                 rule_keys = template.rule_keys[cond_key] = [object() for _ in variants]
 
-        record = _CallRecord(
-            idx=len(self.calls),
-            rule_name=rule.name,
-            owner=owner,
-            cond_clauses=cond_clauses,
-            recv_froms=recv_froms,
-            variants=variants,
-            rule_keys=rule_keys,
-        )
-        self.calls.append(record)
+        self.calls.append(_CallRecord(rule.name, owner, cond_clauses, variants, rule_keys))
 
         if not rule.return_types:
             return (None,)
-        promoting = next((v for v in variants if v.promotes), None)
-        promotes = promoting.promotes if promoting is not None else ()
+        for v in variants:  # the qubits of the first variant that promotes any
+            promotes = [c.qubit.qubit_index for c in v.clauses if c.__class__ is ir.PromoteClause]
+            if promotes:
+                break
         return tuple(
             PromotedHandle(owner.index, promotes[i])
             if i < len(promotes)
@@ -715,35 +672,33 @@ class _Compiler:
             for i in range(len(rule.return_types))
         )
 
-    def _relocate(self, variants: list[_Variant], owner: Repeater) -> list[_Variant]:
-        """The variants of a template moved to `owner`: each Send clause and
-        record readdressed by its hops, every other clause shared."""
-        repeaters = self.topology.repeaters
+    def _relocate(self, template: _Template, owner: Repeater) -> list[_Variant]:
+        """The variants of a template moved to `owner`: each Send clause
+        readdressed by the shift from the template's owner to `owner`, every
+        other clause shared."""
+        repeaters, index = self.topology.repeaters, self._index
+        shift = owner.index - template.index
         made: dict[int, ir.SendClause] = {}  # by the id of the template's clause
         moved = []
-        for v in variants:
-            if not v.sends:
+        for v in template.variants:
+            sends = [at for at, clause in enumerate(v.clauses) if clause.__class__ is ir.SendClause]
+            if not sends:
                 moved.append(v)
                 continue
             clauses = list(v.clauses)
-            sends = []
-            for send in v.sends:
-                to_addr = repeaters[owner.index + send.hops].address
-                clause = clauses[send.at]
-                clauses[send.at] = made.get(id(clause)) or made.setdefault(
+            for at in sends:
+                clause = clauses[at]
+                to_addr = repeaters[index[clause.partner_addr] + shift].address
+                clauses[at] = made.get(id(clause)) or made.setdefault(
                     id(clause), ir.SendClause(clause.message, to_addr, clause.payload)
                 )
-                sends.append(_SendRec(send.kind, to_addr, send.effect, send.at, send.hops))
-            moved.append(
-                _Variant(v.env, v.cmps, clauses, v.promotes, sends, v.registers, v.frozen, v.otherwise)
-            )
+            moved.append(_Variant(v.env, v.cmps, clauses, v.registers, v.frozen))
         return moved
 
     # --- condition lowering --------------------------------------------------
 
-    def _lower_cond(self, cond: ast.CondExpr, env: dict):
+    def _lower_cond(self, cond: ast.CondExpr, env: dict) -> list:
         clauses: list = []
-        recv_froms: list[int] = []
         indices: set[int] = set()
         for clause in cond.clauses:
             call = clause.call
@@ -770,13 +725,12 @@ class _Compiler:
             elif call.name == "recv":
                 partner = self.eval(call.args[0], env)
                 clauses.append(ir.RecvClause(partner_addr=partner.address))
-                recv_froms.append(partner.address)
                 if clause.capture:
                     env[clause.capture] = MessageRef(clause.capture)
             else:  # check_timer
                 timer_id = self.eval(call.args[0], env)
                 clauses.append(ir.TimerClause(timer_id=str(timer_id)))
-        return clauses, recv_froms
+        return clauses
 
     # --- act expansion -------------------------------------------------------
 
@@ -806,7 +760,6 @@ class _Compiler:
             for value in stmt.values:
                 qubit = self._qubit(value, v)
                 v.clauses.append(ir.PromoteClause(qubit))
-                v.promotes.append(qubit.qubit_index)
             return [v]
         if isinstance(stmt, ast.SetStmt):
             source = v.env.get(stmt.name)
@@ -882,16 +835,11 @@ class _Compiler:
         if kind == "Update":
             op = _GATE1[call.args[1].name]  # a correction is written as a gate call: z()
             payload = (("op", op), ("qubit", str(qubit.qubit_index)))
-            effect = ("Update", op)
         elif kind == "Meas":
             register = v.env[call.args[1].name].register
             payload = (("qubit", str(qubit.qubit_index)), ("result", register))
-            effect = ("Meas", register)
         else:  # Transfer / Free
             payload = (("qubit", str(qubit.qubit_index)),)
-            effect = (kind,)
-        hops = destination.index - self._current_owner.index
-        v.sends.append(_SendRec(kind, destination.address, effect, len(v.clauses), hops))
         clause = ir.SendClause(kind, destination.address, payload)
         v.clauses.append(self._sends.setdefault(clause, clause))  # one object per value
 
@@ -910,11 +858,8 @@ class _Compiler:
             child.cmps.append(self._match_cmp(stmt.subject, arm.pattern, child))
             out.extend(self._expand_stmts(arm.body, child))
         if stmt.otherwise is not None:
-            child = v.fork()
-            child.otherwise = True
-            for expanded in self._expand_stmts(stmt.otherwise, child):
+            for expanded in self._expand_stmts(stmt.otherwise, v.fork()):
                 expanded.frozen = True
-                expanded.otherwise = True
                 out.append(expanded)
         return out
 
@@ -1022,6 +967,11 @@ class _Compiler:
     # --- send resolution and assembly ---------------------------------------
 
     def _resolve_sends(self):
+        """Bind each Send clause to a hand-written recv slot or a synthesized
+        wait rule, and lay out each repeater's stages in call order: a call's
+        own rules (its record), then, at each addressee of its unbound sends,
+        a stage of wait rules (the sender's Recv, and one `_wait_rule` per
+        effect). Returns the obligations, the unbound recvs and the stages."""
         slots: list[_Slot] = []
         # Recv slots waiting for a send, keyed by (node, sender, send is Meas)
         # in declaration order: a Meas send may bind any slot, other sends
@@ -1029,46 +979,50 @@ class _Compiler:
         # from the front lazily, so each send binds the first free slot.
         queues: dict[tuple[int, int, bool], deque[_Slot]] = {}
         for call in self.calls:
-            for from_addr in call.recv_froms:
-                slot = _Slot(
-                    node_addr=call.owner.address,
-                    from_addr=from_addr,
-                    rule_name=call.rule_name,
-                    meas_only=call.inspects_message(),
-                )
+            node_addr = call.owner.address
+            meas_only = any(c.cmp_val.startswith("message.") for v in call.variants for c in v.cmps)
+            for recv in call.cond_clauses:
+                if recv.__class__ is not ir.RecvClause:
+                    continue
+                from_addr = recv.partner_addr
+                slot = _Slot(node_addr, from_addr, call.rule_name, meas_only)
                 slots.append(slot)
-                queues.setdefault((slot.node_addr, from_addr, True), deque()).append(slot)
-                if not slot.meas_only:
-                    queues.setdefault((slot.node_addr, from_addr, False), deque()).append(slot)
+                queues.setdefault((node_addr, from_addr, True), deque()).append(slot)
+                if not meas_only:
+                    queues.setdefault((node_addr, from_addr, False), deque()).append(slot)
 
         obligations: list[Obligation] = []
-        # call idx -> destination address -> effect -> handler
-        handler_stages: dict[int, dict[int, dict[tuple, _Handler]]] = {}
+        sources: dict[int, list] = {}  # by address: call records and wait stages
         for call in self.calls:
             from_addr = call.owner.address
+            if call.variants:
+                sources.setdefault(from_addr, []).append(call)
+            waits: dict[int, list] = {}  # the call's wait stages by addressee
             for v in call.variants:
-                for send in v.sends:
-                    queue = queues.get((send.to_addr, from_addr, send.kind == "Meas"))
+                for send in v.clauses:
+                    if send.__class__ is not ir.SendClause:
+                        continue
+                    kind, to_addr = send.message, send.partner_addr
+                    queue = queues.get((to_addr, from_addr, kind == "Meas"))
                     while queue and queue[0].bound:
                         queue.popleft()
                     if queue:
                         slot = queue.popleft()
                         slot.bound = True
-                        obligations.append(
-                            Obligation(send.kind, from_addr, send.to_addr, f"rule {slot.rule_name}")
-                        )
+                        obligations.append(Obligation(kind, from_addr, to_addr, f"rule {slot.rule_name}"))
                         continue
-                    stages = handler_stages.setdefault(call.idx, {})
-                    handlers = stages.setdefault(send.to_addr, {})
-                    if send.effect not in handlers:
-                        handlers[send.effect] = _Handler(send.kind, send.effect, from_addr)
-                    obligations.append(
-                        Obligation(
-                            send.kind,
-                            from_addr,
-                            send.to_addr,
-                            f"synthesized wait_{send.kind.lower()}",
+                    stage = waits.get(to_addr)
+                    if stage is None:
+                        stage = waits[to_addr] = []
+                        recv = self._recvs.get(from_addr) or self._recvs.setdefault(
+                            from_addr, ir.RecvClause(from_addr)
                         )
+                        sources.setdefault(to_addr, []).append((recv, stage))
+                    made = self._wait_rule(send)
+                    if made not in stage:
+                        stage.append(made)
+                    obligations.append(
+                        Obligation(kind, from_addr, to_addr, f"synthesized wait_{kind.lower()}")
                     )
 
         unbound = [
@@ -1077,56 +1031,45 @@ class _Compiler:
             for s in slots
             if not s.bound
         ]
-        return obligations, unbound, handler_stages
+        return obligations, unbound, sources
 
-    def _handler_rule(self, handler: _Handler) -> tuple[str, tuple, tuple]:
-        """The name, condition and action clauses of a handler's wait rule.
-        The clause objects are shared: the Recv by every rule that waits on
-        the same sender, the rest by every rule with the same effect."""
-        recv = self._recvs.get(handler.from_addr)
-        if recv is None:
-            recv = self._recvs[handler.from_addr] = ir.RecvClause(handler.from_addr)
-        made = self._handler_clauses.get(handler.effect)
+    def _wait_rule(self, send: ir.SendClause) -> tuple[str, ir.CmpClause, object]:
+        """The name, Cmp clause and action clause of the wait rule a send
+        synthesizes at its addressee, made once per effect: the kind, and the
+        op of an Update or the result register of a Meas."""
+        kind, payload = send.message, dict(send.payload)
+        effect = (kind, payload.get("op"), payload.get("result"))
+        made = self._handler_clauses.get(effect)
         if made is None:
-            kind = handler.kind
             cmp = ir.CmpClause("MessageKind", "Eq", ir.TaggedValue("MessageKind", kind))
-            # Handler actions address qubit 0: the resource carried by the message.
+            # Wait actions address qubit 0: the resource carried by the message.
             slot = ir.QubitId(0)
             if kind == "Update":
-                action = ir.QCircClause((ir.QGate(slot, handler.effect[1]),))
+                action = ir.QCircClause((ir.QGate(slot, payload["op"]),))
             elif kind == "Free":
                 action = ir.FreeClause(slot)
             elif kind == "Transfer":
                 action = ir.PromoteClause(slot)
             else:  # Meas
-                action = ir.SetClause(variable="message.result", alias=handler.effect[1])
-            made = self._handler_clauses[handler.effect] = (f"wait_{kind.lower()}", cmp, action)
-        name, cmp, action = made
-        return name, (recv, cmp), (action,)
+                action = ir.SetClause(variable="message.result", alias=payload["result"])
+            made = self._handler_clauses[effect] = (f"wait_{kind.lower()}", cmp, action)
+        return made
 
-    def _assemble(self, handler_stages) -> dict[int, ir.RuleSet]:
-        # Each repeater's stages in call order: a call's own rules, then the
-        # wait rules its sends synthesize on that repeater. A None entry
-        # stands for the call's own rules.
-        sources: dict[int, list[tuple[_CallRecord, dict | None]]] = {}
-        for call in self.calls:
-            if call.variants:
-                sources.setdefault(call.owner.address, []).append((call, None))
-            for to_addr, handlers in handler_stages.get(call.idx, {}).items():
-                sources.setdefault(to_addr, []).append((call, handlers))
-
+    def _assemble(self, sources: dict[int, list]) -> dict[int, ir.RuleSet]:
+        """Number the stages `_resolve_sends` laid out into each repeater's
+        RuleSet. A wait rule's key is its action clause, which makes its text."""
         per_node: dict[int, ir.RuleSet] = {}
         for repeater in self.topology.repeaters:
             stages: list[ir.Stage] = []
             rule_id = 0
             shared_tag = 0
-            for call, handlers in sources.get(repeater.address, ()):
+            for source in sources.get(repeater.address, ()):
                 rules = []
-                if handlers is None:
-                    cond, keys = tuple(call.cond_clauses), call.rule_keys
-                    for i, v in enumerate(call.variants):
+                if source.__class__ is _CallRecord:
+                    cond, keys = tuple(source.cond_clauses), source.rule_keys
+                    for i, v in enumerate(source.variants):
                         rule = ir.Rule(
-                            call.rule_name,
+                            source.rule_name,
                             rule_id,
                             shared_tag,
                             ir.Condition(None, cond + tuple(v.cmps)),
@@ -1136,12 +1079,12 @@ class _Compiler:
                         rule_id += 1
                     shared_tag += 1
                 else:
-                    for handler in handlers.values():
-                        name, condition, action = self._handler_rule(handler)
+                    recv, waits = source
+                    for name, cmp, action in waits:
                         rule = ir.Rule(
-                            name, rule_id, shared_tag, ir.Condition(None, condition), ir.Action(None, action)
+                            name, rule_id, shared_tag, ir.Condition(None, (recv, cmp)), ir.Action(None, (action,))
                         )
-                        rules.append(ir.keyed(rule, handler.effect))  # the effect makes the text
+                        rules.append(ir.keyed(rule, action))
                         rule_id += 1
                         shared_tag += 1
                 stages.append(ir.Stage(tuple(rules)))

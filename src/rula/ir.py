@@ -88,10 +88,20 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 from dataclasses import MISSING, dataclass, fields
 
-CMP_OPERATORS = ("Eq", "Neq", "Lt", "Leq", "Gt", "Geq")
+# each Cmp operator of the wire format, and the test it names
+COMPARISONS = {
+    "Eq": operator.eq,
+    "Neq": operator.ne,
+    "Lt": operator.lt,
+    "Leq": operator.le,
+    "Gt": operator.gt,
+    "Geq": operator.ge,
+}
+CMP_OPERATORS = tuple(COMPARISONS)
 MESSAGE_KINDS = ("Free", "Update", "Meas", "Transfer")
 GATE_KINDS = ("X", "Y", "Z", "H", "CxControl", "CxTarget", "CzControl", "CzTarget")
 MEASURE_BASES = ("X", "Y", "Z")

@@ -34,7 +34,6 @@ dict.  A `--report-json` of every branch then writes each one once (see
 
 from __future__ import annotations
 
-import operator
 import random
 from dataclasses import dataclass
 
@@ -285,8 +284,9 @@ class Blueprint:
         self.stages: dict[int, list[list[Group]]] = {}
         self.sends: dict[tuple[int, int], list[tuple[str, Group, ir.Rule]]] = {}
         self.group_count = 0
-        # the first group of each tuple of template keys, by their identities:
-        # a loaded Rule key hashes by value, deeply
+        # the first group of each tuple of template keys, by their identities
+        # (a loaded Rule key hashes by value, deeply); a rule with no key is
+        # its own, so a load's first document of a shape keys its refills
         built: dict[tuple[int, ...], Group] = {}
         for rep in topology.repeaters:
             ruleset = rulesets.get(rep.address)
@@ -294,13 +294,9 @@ class Blueprint:
             for stage in ruleset.stages if ruleset is not None else ():
                 stages.append([])
                 for rules in _group_rules(stage):
-                    try:
-                        key = tuple([id(rule._template) for rule in rules])
-                    except AttributeError:  # a rule with no key is built alone
-                        key = None
+                    key = tuple([id(getattr(rule, "_template", rule)) for rule in rules])
                     group = _build_group(rules, self.group_count, built.get(key))
-                    if key is not None:
-                        built.setdefault(key, group)
+                    built.setdefault(key, group)
                     for rule in rules:
                         for clause in rule.action.clauses:
                             if isinstance(clause, ir.SendClause):
@@ -910,20 +906,10 @@ class _Firing:
                 left, right = int(left), int(right)
             except ValueError:
                 return False
-        test = _COMPARE.get(clause.operator)
+        test = ir.COMPARISONS.get(clause.operator)
         if test is None:
             raise SimulationError(f"unsupported comparison operator {clause.operator}")
         return test(left, right)
-
-
-_COMPARE = {
-    "Eq": operator.eq,
-    "Neq": operator.ne,
-    "Lt": operator.lt,
-    "Leq": operator.le,
-    "Gt": operator.gt,
-    "Geq": operator.ge,
-}
 
 
 # --- reports -----------------------------------------------------------------
@@ -961,9 +947,12 @@ class RunReport:
         }
 
 
-def _report(net: Network) -> RunReport:
+def _report(net: Network, stuck: list[str] | None = None) -> RunReport:
+    """The report of a run that has ended; `stuck` names why, if not every
+    node completed and the stuck groups do not (see `_drive`)."""
     complete = not net.live
-    stuck = [] if complete else net.stuck_reports()
+    if stuck is None:
+        stuck = [] if complete else net.stuck_reports()
     records = net.blueprint.records
     node, state = net.blueprint.end_node, net.end_state
     pairs = []
@@ -997,13 +986,15 @@ def _report(net: Network) -> RunReport:
 
 def _drive(net: Network, max_rounds: int, start: int = 0) -> RunReport:
     """Run rounds until every node is complete, nothing can progress, or
-    the round budget is spent; the first round resumes at node `start`."""
-    while net.round < max_rounds:
-        if not net.live:
+    the round budget is spent; the first round resumes at node `start`. A
+    run cut off by the budget is stuck, with the budget as its one reason:
+    its waiting groups may yet fire."""
+    while net.live:
+        if net.round >= max_rounds:
+            spent = f"round budget of {max_rounds} round(s) spent before every node completed"
+            return _report(net, [spent])
+        if not net.step(start) and not net.cancel_starved() and not net.timers_armed():
             break
-        if not net.step(start):
-            if not net.cancel_starved() and not net.timers_armed():
-                break
         start = 0
     return _report(net)
 

@@ -587,9 +587,36 @@ class TestRun:
         assert code == 1
         assert "stuck" in err
 
+    @pytest.mark.parametrize("enumerate_outcomes", [False, True])
+    def test_budget_cut_is_not_a_deadlock(self, corpus, capsys, tmp_path, enumerate_outcomes):
+        """chain7 ends quiescent on every branch, each after more than 3
+        rounds. Cut off after 3, each run is stuck with the spent budget as
+        its one reason, and no sender is blamed for a message it would still
+        send."""
+        out_dir = tmp_path / "out"
+        argv = ["compile", corpus / "chain7.rula", "--config", corpus / "config7.json", "--out-dir", out_dir]
+        assert run_cli(argv, capsys)[0] == 0
+        argv = ["run", "--config", corpus / "config7.json", "--rulesets", out_dir, "--report-json"]
+        if enumerate_outcomes:
+            argv.append("--enumerate-outcomes")
+        code, out, _err = run_cli(argv, capsys)
+        doc = json.loads(out)
+        reports = doc["reports"] if enumerate_outcomes else [doc]
+        assert code == 0 and all(r["status"] == "quiescent" and r["rounds"] > 3 for r in reports)
+
+        code, out, err = run_cli([*argv, "--max-steps", "3"], capsys)
+        doc = json.loads(out)
+        reports = doc["reports"] if enumerate_outcomes else [doc]
+        assert code == 1
+        spent = "round budget of 3 round(s) spent before every node completed"
+        for report in reports:
+            assert (report["status"], report["rounds"], report["stuck"]) == ("stuck", 3, [spent])
+        assert err.count(f"stuck: {spent}\n") == len(reports)
+        assert "never sends it" not in err
+
     def test_unreadable_config_is_one_error(self, corpus, capsys, tmp_path, monkeypatch):
         out_dir = self.compiled(corpus, capsys, tmp_path)
-        unreadable(monkeypatch, "config3.json")
+        unreadable(monkeypatch, "config3.json", "read_bytes")  # as `rula compile` reads it
         argv = ["run", "--config", corpus / "config3.json", "--rulesets", out_dir]
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (2, "")

@@ -1167,6 +1167,34 @@ class TestGroupsOncePerKey:
         # a load keys its documents by shape from the ninth on: only the chain's
         assert [case for case, count in shared.items() if count] == [("doubling", "chain33")]
 
+    @pytest.mark.parametrize("name", ["{index:02}.json", "{address}.json"], ids=["chain", "address"])
+    def test_each_shape_is_built_plainly_once(self, compiled, monkeypatch, tmp_path, name):
+        """A rule with no key is its own: the first document of a shape,
+        loaded the full way, keys the shape's refills, so no tuple of keys
+        is built plainly twice, whichever document of a shape comes first in
+        chain order. Files named in chain order load in it: then every group
+        of a refilled document is built from an earlier group."""
+        rulesets, topology = compiled["doubling", "chain33"]
+        for rep in topology.repeaters:
+            path = tmp_path / name.format(index=rep.index, address=rep.address)
+            path.write_text(ir.serialize(rulesets[rep.address]))
+        loaded = cli._load_rulesets(tmp_path, topology)
+        built = []
+        real = runtime._build_group
+
+        def recording(rules, gid, like=None):
+            built.append((rules, like))
+            return real(rules, gid, like)
+
+        monkeypatch.setattr(runtime, "_build_group", recording)
+        runtime.Blueprint(loaded, topology)
+        plain = [tuple(id(getattr(r, "_template", r)) for r in rules) for rules, like in built if like is None]
+        assert len(set(plain)) == len(plain)
+        refilled = [like for rules, like in built if hasattr(rules[0], "_template")]
+        assert len(refilled) > 50  # 25 of the 33 documents are refilled
+        if name.startswith("{index"):
+            assert all(like is not None for like in refilled)
+
     @pytest.mark.parametrize("coinciding", [0, 1])
     def test_where_alternatives_part_is_read_per_group(self, coinciding, monkeypatch):
         """Two owners share both rule keys. Each rule sends to one partner
