@@ -22,7 +22,10 @@ Beside the type of each expression, `type_of` records its binding time
 (Jones, Gomard & Sestoft, *Partial Evaluation and Automatic Program
 Generation*, ch. 5): `Analysis.static` holds the expressions lowering folds
 before run time.  Lowering reads it to tell a compile-time `if` or `match`
-from a run-time one.
+from a run-time one.  Beside binding time, `Analysis.mirrored` records the
+side of each run-time comparison that is read: the left one if it is a
+reading comparable with the right one, else the right one, and lowering
+swaps the sides and mirrors the operator of each comparison it holds.
 
 Type names are plain strings ("int", "Qubit", ...).  A None type means the
 expression could not be typed because of an earlier error; downstream checks
@@ -123,6 +126,8 @@ class Analysis:
     types: dict[int, str] = field(default_factory=dict)
     # binding time: the ids of the expressions lowering folds before run time
     static: set[int] = field(default_factory=set)
+    # the ids of the run-time comparisons lowering reads from their right side
+    mirrored: set[int] = field(default_factory=set)
     signatures: dict[str, RuleSignature] = field(default_factory=dict)
     # set-producers: variable name -> (rule name, type or None)
     producers: dict[str, tuple[str, str | None]] = field(default_factory=dict)
@@ -601,10 +606,14 @@ class _Checker:
         return id(other) in self.out.static and other_type in (None, "int", "u_int", "bool", "str")
 
     def check_lowered_comparison(self, cond: ast.Expr) -> None:
-        if isinstance(cond, ast.CompExpr) and (
-            self._comparable_with(cond.lhs, cond.rhs) or self._comparable_with(cond.rhs, cond.lhs)
-        ):
-            return
+        """A run-time condition is read from its left side if it can be, else
+        from its right side, which `Analysis.mirrored` records."""
+        if isinstance(cond, ast.CompExpr):
+            if self._comparable_with(cond.lhs, cond.rhs):
+                return
+            if self._comparable_with(cond.rhs, cond.lhs):
+                self.out.mirrored.add(id(cond))
+                return
         self.error(
             "bad-match",
             cond.span,

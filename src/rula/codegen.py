@@ -43,13 +43,14 @@ reported where they occur. An expansion that fails is never kept. Send
 resolution and assembly see the same per-node rules, ids and recv slots as
 without templates; on the 1025-node doubling chain 1 023 calls make a
 handful of expansions. Each rule built from a kept expansion carries a
-template key to `ir.serialize` (see `ir.keyed`): one object per expansion,
-variant and condition key; a synthesized wait rule's key is its action
-clause, one object per effect (the kind, and the op of an Update or the
-result register of a Meas). The writer splits the first text of each key at
-its holes (`ir._HOLE_TEXT`, where a load splits a document too) and fills
-the pieces for every later rule of the key; a rule from an act that reads
-the chain has no key and is written plainly.
+template key to `ir.serialize` (see `ir.keyed`): one object per expansion
+and variant. The act key holds every value the call's condition is lowered
+from, so the rules of one key differ only in their holes (`ir._HOLE_TEXT`,
+where a load splits a document too). A synthesized wait rule's key is its
+action clause, one object per effect (the kind, and the op of an Update or
+the result register of a Meas). The writer splits the first text of each
+key at its holes and fills the pieces for every later rule of the key; a
+rule from an act that reads the chain has no key and is written plainly.
 
 Folding. A static expression is compiled, the first time it is folded, into
 a closure from an env to its value (Feeley and Lapalme, "Using closures for
@@ -430,30 +431,18 @@ class _CallRecord:
     owner: Repeater
     cond_clauses: list
     variants: list[_Variant]
-    rule_keys: list | None  # the template key of each variant's rule, if its act was kept
+    keys: list | None  # the template key of each variant's rule, if its act was kept
 
 
 @dataclass
 class _Template:
     """An act expansion kept under its act key, the index of the owner it
     was expanded for, and the keys its rules hand `ir.serialize`: one object
-    per variant and condition key (see `_cond_key`), which stands for the
-    text of every rule made from both."""
+    per variant, which stands for the text of every rule made from it."""
 
     variants: list[_Variant]
     index: int
-    rule_keys: dict[tuple, list] = field(default_factory=dict)
-
-
-def _cond_key(clauses: list) -> tuple:
-    """What shapes the text of a call's condition clauses but their partner
-    addresses; a fidelity by its text when it is a zero, as `-0.0 == 0.0`."""
-    return tuple(
-        (ir.ResClause, c.count, c.fidelity or repr(c.fidelity), c.qubit_index)
-        if c.__class__ is ir.ResClause
-        else (ir.TimerClause, c.timer_id) if c.__class__ is ir.TimerClause else ir.RecvClause
-        for c in clauses
-    )
+    keys: list
 
 
 @dataclass
@@ -471,6 +460,7 @@ class _Compiler:
     def __init__(self, analysis: Analysis, topology: Topology, ruleset_id: int, default_name: str):
         program = self.program = analysis.program
         self.static = analysis.static  # the ids of the expressions that fold
+        self.mirrored = analysis.mirrored  # ... and of the comparisons read from the right
         self.topology = topology
         self.ruleset_id = ruleset_id
         self.name = program.ruleset.name if program.ruleset else default_name
@@ -647,17 +637,11 @@ class _Compiler:
             variants = self._expand_stmts(list(rule.act.stmts) + list(rule.trailing), base)
             variants = [v for v in variants if not v.frozen] + [v for v in variants if v.frozen]
             if key is not None and not self._read_topology:
-                template = self._templates[key] = _Template(variants, owner.index)
+                template = self._templates[key] = _Template(variants, owner.index, [object() for _ in variants])
         else:
             variants = self._relocate(template, owner)
-        rule_keys = None
-        if template is not None:
-            cond_key = _cond_key(cond_clauses)
-            rule_keys = template.rule_keys.get(cond_key)
-            if rule_keys is None:
-                rule_keys = template.rule_keys[cond_key] = [object() for _ in variants]
-
-        self.calls.append(_CallRecord(rule.name, owner, cond_clauses, variants, rule_keys))
+        keys = None if template is None else template.keys
+        self.calls.append(_CallRecord(rule.name, owner, cond_clauses, variants, keys))
 
         if not rule.return_types:
             return (None,)
@@ -933,36 +917,25 @@ class _Compiler:
         return out
 
     def _lower_comparison(self, expr: ast.CompExpr, v: _Variant) -> ir.CmpClause:
-        operator = _CMP_OP[expr.op]
-        lowered = self._oriented(expr.lhs, expr.rhs, v)
-        if lowered is None:
-            # literal on the left: mirror the comparison
-            lowered = self._oriented(expr.rhs, expr.lhs, v)
-            operator = _MIRROR[operator]
-        cmp_val, target = lowered
-        return ir.CmpClause(cmp_val, operator, target)
+        """The Cmp clause of a run-time comparison, read from the side the
+        analyzer chose (`Analysis.mirrored`)."""
+        operator, read, other = _CMP_OP[expr.op], expr.lhs, expr.rhs
+        if id(expr) in self.mirrored:
+            operator, read, other = _MIRROR[operator], other, read
+        cmp_val, kind = self._runtime_operand(read, v)
+        return ir.CmpClause(cmp_val, operator, self._comparison_target(other, kind, v))
 
-    def _oriented(self, operand, other, v: _Variant) -> tuple[str, ir.TaggedValue] | None:
-        """`operand` read at run time and compared with `other`, if both lower."""
-        read = self._runtime_operand(operand, v)
-        if read is None:
-            return None
-        target = self._comparison_target(other, read[1], v)
-        return None if target is None else (read[0], target)
-
-    def _comparison_target(self, expr, kind: str, v: _Variant) -> ir.TaggedValue | None:
+    def _comparison_target(self, expr, kind: str, v: _Variant) -> ir.TaggedValue:
         if isinstance(expr, ast.GetExpr):
             return ir.TaggedValue("Variable", expr.name)
         if isinstance(expr, ast.Ident) and isinstance(v.env.get(expr.name), ResultRef):
             return ir.TaggedValue("Variable", v.env[expr.name].register)
-        if id(expr) not in self.static:
-            return None  # a message field: compare the other way round
-        value = self.eval(expr, v.env)
+        value = self.eval(expr, v.env)  # an int, a bool or a str
         if isinstance(value, bool):
             return ir.TaggedValue("Bool", "true" if value else "false")
         if isinstance(value, int):
             return ir.TaggedValue("Int", str(value))
-        return ir.TaggedValue(kind, value) if isinstance(value, str) else None
+        return ir.TaggedValue(kind, value)
 
     # --- send resolution and assembly ---------------------------------------
 
@@ -1066,7 +1039,7 @@ class _Compiler:
             for source in sources.get(repeater.address, ()):
                 rules = []
                 if source.__class__ is _CallRecord:
-                    cond, keys = tuple(source.cond_clauses), source.rule_keys
+                    cond, keys = tuple(source.cond_clauses), source.keys
                     for i, v in enumerate(source.variants):
                         rule = ir.Rule(
                             source.rule_name,
@@ -1109,8 +1082,8 @@ def compile_program(
     error, and its program comes from an `analyzer.resolve_imports` that
     reported none. Lowering does not check again what the analyzer checks:
     it folds the expressions in `analysis.static` and reads every other
-    act-level condition at run time; on a program the analyzer rejects it
-    may raise. It reports only the faults listed in the module docstring,
+    act-level condition at run time, from the side `analysis.mirrored`
+    records; on a program the analyzer rejects it may raise. It reports only the faults listed in the module docstring,
     which need the chain or the folded values. Recvs that no send binds are
     returned in `unbound_recvs`.
     """

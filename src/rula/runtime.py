@@ -635,14 +635,11 @@ class Network:
                 for group in stages[address][stage_idx[address]]:
                     if group.recv is None or self.state[group.gid] != "pending":
                         continue
-                    src, kind = group.recv.partner_addr, group.kind_gate
-                    queue = self.inboxes.get((address, src), ())
+                    kind = group.kind_gate
+                    queue = self.inboxes.get((address, group.recv.partner_addr), ())
                     if any(kind is None or m.kind == kind for m in queue):
                         continue
-                    carriers = [
-                        (g, r) for k, g, r in self.blueprint.sends.get((src, address), ())
-                        if kind is None or k == kind
-                    ]
+                    carriers = self._carriers(address, group)
                     if not carriers:
                         # terminal: the sender's ruleset can never produce it
                         self.state[group.gid] = "stuck"
@@ -654,6 +651,15 @@ class Network:
                 self._advance(address)
             self._refresh()
         return changed
+
+    def _carriers(self, address: int, group: Group) -> list[tuple[Group, ir.Rule]]:
+        """(group, rule) for each rule of the sender of `group`'s recv with a
+        Send clause to `address` of the kind `group` waits on."""
+        kind = group.kind_gate
+        return [
+            (g, r) for k, g, r in self.blueprint.sends.get((group.recv.partner_addr, address), ())
+            if kind is None or k == kind
+        ]
 
     def _unresolved(self):
         """(address, group) for each group of a live node's stage that has
@@ -685,7 +691,17 @@ class Network:
             elif group.recv is not None:
                 kind = f" for {group.kind_gate} messages" if group.kind_gate else ""
                 why = f"waits on Recv from address {group.recv.partner_addr}{kind}, "
-                why += "which never sends it"
+                # the first group there that carries it and has not resolved,
+                # else the rule there that sent it
+                carriers = self._carriers(address, group)
+                unsent = [g.alternatives[0][0] for g, _r in carriers if not self._resolved(g)]
+                sent = [r for g, r in carriers if self.fired_rule[g.gid] is r]
+                if unsent:
+                    why += f"which rule '{unsent[0].name}' (id {unsent[0].id}) there has not sent"
+                elif sent:
+                    why += f"which rule '{sent[0].name}' (id {sent[0].id}) there has sent"
+                else:
+                    why += "which never sends it"
             else:
                 why = "waits on resources: " + ", ".join(
                     f"{c.count} pair(s) with address {c.partner_addr} "

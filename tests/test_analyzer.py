@@ -1053,3 +1053,65 @@ class TestBindingTime:
         )
         assert id(expr) in analysis.types
         assert (id(expr) in analysis.static) is static
+
+
+READ_SIDES = """\
+#repeaters: vec[Repeater]
+import std::operation::{measure}
+rule store<#rep>(a: str, b: str, n: int){
+    cond {} => act {
+        set a
+        set b
+        set n
+    }
+}
+rule probe<#rep>(){
+    let far: Repeater = #rep.hop(1)
+    cond {
+        @q1: res(1, 0.5, far, 0)
+        @q2: res(1, 0.5, far, 1)
+        @message: recv(far)
+    } => act {
+        let r: Result = measure(q1, "Z")
+        let r2: Result = measure(q2, "Z")
+        if (r == "1") { set_timer("t", 1) }
+        if (get n >= 3) { set_timer("t", 1) }
+        if (message.result != "0") { set_timer("t", 1) }
+        if ("1" == r) { set_timer("t", 1) }
+        if (0 < get n) { set_timer("t", 1) }
+        match "1" == message.result { true => { set_timer("t", 1) }, }
+        if (r == message.result) { set_timer("t", 1) }
+        if (get a == get b) { set_timer("t", 1) }
+        if (r == r2) { set_timer("t", 1) }
+        if (get a == r) { set_timer("t", 1) }
+    }
+}
+ruleset sides{
+    store<#repeaters(0)>("1", "0", 3)
+    probe<#repeaters(0)>()
+}
+"""
+
+
+class TestReadSide:
+    """`Analysis.mirrored` holds the run-time comparisons read from their
+    right side: those whose left side is not a reading comparable with the
+    right one. A comparison of two readings is read from the left if its
+    right side can be a target: a stored variable or a measurement result."""
+
+    def test_recorded_read_side(self):
+        program = parse(READ_SIDES)
+        analysis = analyze_program(program)
+        assert analysis.diagnostics == []
+        comparisons = {
+            READ_SIDES[node.span.start : node.span.end]: node
+            for node in _nodes(program)
+            if isinstance(node, ast.CompExpr)
+        }
+        assert len(comparisons) == 10
+        mirrored = {text for text, node in comparisons.items() if id(node) in analysis.mirrored}
+        assert mirrored == {'"1" == r', "0 < get n", '"1" == message.result', "r == message.result"}
+        out = codegen.compile_program(analysis, config.load_config(
+            '{"repeaters": [{"name": "#0", "address": 0}, {"name": "#1", "address": 1}]}'
+        ), 7)
+        assert out.ok, out.diagnostics

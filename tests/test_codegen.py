@@ -6,6 +6,7 @@ import hashlib
 import json
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -795,6 +796,11 @@ RUN_TIME_CASES = [
         "if (get n == 3) { x(q1) }",
         [[("n", "Eq", "Int", "3")], [("n", "Neq", "Int", "3")]],
     ),
+    (
+        "if-mirrored-get",
+        "if (0 < get n) { x(q1) }",
+        [[("n", "Gt", "Int", "0")], [("n", "Leq", "Int", "0")]],
+    ),
 ]
 
 
@@ -1188,6 +1194,12 @@ ruleset pushes{
 """
 
 
+_CORPUS = Path(__file__).parent / "corpus"
+# every corpus program but multiround.rula, a fragment with no rules of its own
+CORPUS_PROGRAMS = sorted(path.name for path in _CORPUS.glob("*.rula") if path.name != "multiround.rula")
+CORPUS_CONFIGS = sorted(path.name for path in _CORPUS.glob("config*.json"))
+
+
 class TestLoweringTemplates:
     """Each rule call whose act reads the chain only through its env is
     expanded once per owner-relative key and moved to the other owners."""
@@ -1217,6 +1229,16 @@ class TestLoweringTemplates:
         out = compiler.run()
         assert out.ok and len(compiler.calls) == 31
         assert len(compiler._templates) <= 10
+        # every call that reuses an expansion hands out its keys, one per variant
+        kept = [key for template in compiler._templates.values() for key in template.keys]
+        handed = {
+            id(rule._template)
+            for ruleset in out.per_node.values()
+            for stage in ruleset.stages
+            for rule in stage.rules
+            if not rule.name.startswith("wait_")
+        }
+        assert handed == {id(key) for key in kept}
 
     def test_act_that_reads_the_chain_is_expanded_on_every_call(self, monkeypatch):
         sends = []
@@ -1233,16 +1255,59 @@ class TestLoweringTemplates:
         # five calls with one act key: each expands its send, none is kept
         assert len(sends) == 5 and not compiler._templates
 
-    def test_condition_key_tells_apart_what_writes_differently(self):
-        def res(fidelity, partner=3):
-            return ir.ResClause(1, fidelity, partner, 0)
+    @staticmethod
+    def pieces_by_key(out):
+        """The `ir._split` pieces of each keyed rule's plain text, by key."""
+        by_key = {}
+        for ruleset in out.per_node.values():
+            for stage in ruleset.stages:
+                for rule in stage.rules:
+                    key = getattr(rule, "_template", None)
+                    if key is None:
+                        continue
+                    alone = dataclasses.replace(ruleset, stages=(ir.Stage((dataclasses.replace(rule),)),))
+                    by_key.setdefault(id(key), []).append(ir._split(ir.serialize(alone))[0])
+        return by_key
 
-        clauses = [res(0.0), res(-0.0), res(0.5), ir.TimerClause("a"), ir.TimerClause("b")]
-        keys = {codegen._cond_key([c]) for c in clauses + [ir.RecvClause(3)]}
-        assert len(keys) == 6
-        # a partner address is a hole, written from the rule's own clause
-        assert codegen._cond_key([res(0.5)]) == codegen._cond_key([res(0.5, partner=9)])
-        assert codegen._cond_key([ir.RecvClause(1)]) == codegen._cond_key([ir.RecvClause(2)])
+    @pytest.mark.parametrize("program", CORPUS_PROGRAMS + ["doubling33"])
+    def test_rules_of_one_key_differ_only_in_their_holes(self, corpus, program):
+        if program == "doubling33":
+            spread = config.Topology(
+                tuple(config.Repeater(f"#{i}", 1000 - 7 * i, i) for i in range(33))
+            )
+            outs = [compile_source(doubling_source(corpus, 5), spread)]
+        else:
+            outs = [
+                compile_corpus(corpus, program, cfg, expect_clean=False)
+                for cfg in CORPUS_CONFIGS
+            ]
+        shared = 0
+        for out in outs:
+            for pieces in self.pieces_by_key(out).values():
+                assert all(p == pieces[0] for p in pieces)
+                shared += len(pieces) > 1
+        assert shared
+
+    def test_negative_zero_fidelity_is_a_key_of_its_own(self):
+        source = """\
+#repeaters: vec[Repeater]
+rule hold<#rep>(f: float){
+    cond { @q: res(1, f, #rep.hop(1), 0) }
+    => act { free(q) }
+}
+ruleset zeros{
+    let z: float = -1 * 0.0
+    hold<#repeaters(0)>(0.0)
+    hold<#repeaters(0)>(z)
+}
+"""
+        out = compile_source(source, chain(2))
+        assert out.ok, out.diagnostics
+        positive, negative = (stage.rules[0] for stage in out.per_node[0].stages)
+        assert positive._template is not negative._template
+        texts = [ir.serialize(dataclasses.replace(out.per_node[0], stages=(ir.Stage((rule,)),)))
+                 for rule in (positive, negative)]
+        assert '"fidelity": 0.0,' in texts[0] and '"fidelity": -0.0,' in texts[1]
 
     def test_act_that_hops_reports_each_call_that_leaves_the_path(self):
         out = compile_source(PUSH_TWO_HOPS, chain(6))

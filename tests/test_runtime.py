@@ -188,8 +188,60 @@ class TestStuckDetection:
         report = runtime.run(rulesets, topology)
         assert report.status == "stuck"
         assert len(report.stuck) == 1
-        assert "waits on Recv from address 1" in report.stuck[0]
+        assert "waits on Recv from address 1, which never sends it" in report.stuck[0]
         assert "waiter" in report.stuck[0]
+
+    def test_recv_names_the_sender_rule_that_has_not_sent(self, corpus):
+        # doubling [1, 2, 4] on 9 nodes at fidelity 0.9: the swap at address 4
+        # holds pairs at 0.6561 below its 0.8, so it never sends; every wait
+        # at the far ends names it instead of denying the send exists
+        source = (corpus / "entanglement_swapping.rula").read_text().replace(
+            "for d in 1..(#repeaters.len()/2)", "for d in [1, 2, 4]"
+        )
+        analysis = analyzer.analyze_program(parser.parse(source))
+        topology = config.Topology(tuple(config.Repeater(f"#{i}", i, i) for i in range(9)))
+        out = codegen.compile_program(analysis, topology, 7)
+        report = runtime.run(out.per_node, topology, initial_fidelity=0.9)
+        waits = [
+            f"address {address}: rule 'wait_{kind.lower()}' (id {rule_id}) waits on Recv from "
+            f"address 4 for {kind} messages, which rule 'swapping' (id 12) there has not sent"
+            for address in (0, 8)
+            for rule_id, kind in ((6, "Transfer"), (7, "Update"), (8, "Free"))
+        ]
+        assert report.stuck[:3] + report.stuck[4:] == waits
+        assert report.stuck[3].startswith("address 4: rule 'swapping' (id 12) waits on resources")
+
+    def test_recv_of_a_message_sent_once_names_its_sender(self):
+        # two plain recvs at address 0 and one send from address 1: the
+        # first recv takes the message, the second waits for another
+        topology = config.Topology(
+            repeaters=(
+                config.Repeater(name="#0", address=0, index=0),
+                config.Repeater(name="#1", address=1, index=1),
+            )
+        )
+        recvs = tuple(
+            ir.Rule(name=name, id=i, shared_tag=i,
+                    condition=ir.Condition(clauses=(ir.RecvClause(partner_addr=1),)),
+                    action=ir.Action())
+            for i, name in enumerate(["first", "second"])
+        )
+        sender = ir.Rule(
+            name="sender",
+            id=0,
+            shared_tag=0,
+            condition=ir.Condition(),
+            action=ir.Action(clauses=(ir.SendClause("Free", 0, (("qubit", "0"),)),)),
+        )
+        rulesets = {
+            0: ir.RuleSet(name="t", id=1, owner_addr=0, stages=(ir.Stage(recvs),)),
+            1: ir.RuleSet(name="t", id=1, owner_addr=1, stages=(ir.Stage((sender,)),)),
+        }
+        report = runtime.run(rulesets, topology)
+        assert report.stuck == [
+            "address 0: rule 'second' (id 1) waits on Recv from address 1, "
+            "which rule 'sender' (id 0) there has sent"
+        ]
 
     def test_resource_starvation_is_reported(self):
         topology = config.Topology(
@@ -496,7 +548,7 @@ class TestEnumerationPinned:
             ("chain7.rula", "config7.json", "1.0", 0,
              "75301ab9f70c6d3f13adf63d7c3c9ae78ceaad6f3b3151725f7a0045e792d5a0"),
             ("chain7.rula", "config7.json", "0.8", 1,
-             "10febe06e453cfcfd8862a7b4d32999efc51b39221f325abfac53b28e2fc784c"),
+             "8c360db4194f142a52d3a66f23209bc0471fc51c90ac96f56c55c9362fdfa458"),
             ("purification.rula", "config5.json", "1.0", 0,
              "40266f3df69bb89fea21d5d87caeaa5e231aa2b57150cf3adf6d9847f97c49b4"),
             ("purification.rula", "config5.json", "0.8", 0,
