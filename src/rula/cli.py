@@ -9,6 +9,7 @@ output (the written file list, JSON reports).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import os
 import sys
@@ -23,6 +24,20 @@ EXIT_USAGE = 2
 
 def _err(message: str) -> None:
     print(message, file=sys.stderr)
+
+
+class _Unwritable(Exception):
+    """Writing stdout raised the OSError that is this one's cause."""
+
+
+def _out(text: str, flush: bool = False) -> None:
+    """Write `text` to stdout (and flush it); `main` reports an OSError."""
+    try:
+        sys.stdout.write(text)
+        if flush:
+            sys.stdout.flush()
+    except OSError as exc:
+        raise _Unwritable from exc
 
 
 def _print_diagnostics(source: str, filename: str, diagnostics) -> None:
@@ -57,11 +72,8 @@ def _rounds(text: str) -> int:
 
 
 def _include_roots(path: Path, extra: list[str]) -> list[Path]:
-    roots = [path.parent]
-    roots.extend(Path(d) for d in extra)
-    env = os.environ.get("RULA_INCLUDE_PATH", "")
-    roots.extend(Path(d) for d in env.split(":") if d)
-    return roots
+    env = os.environ.get("RULA_INCLUDE_PATH", "").split(":")
+    return [path.parent, *map(Path, extra), *(Path(d) for d in env if d)]
 
 
 def _read_config(name: str) -> tuple[bytes, config.Topology] | None:
@@ -113,9 +125,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
         _err(f"{exc.filename}:{exc.line}:{exc.column}: error[parse]: {exc}")
         return EXIT_FAILURE
 
-    program, diagnostics = analyzer.resolve_imports(
-        program, _include_roots(path, args.include)
-    )
+    program, diagnostics = analyzer.resolve_imports(program, _include_roots(path, args.include))
     analysis = analyzer.analyze_program(program)
     style = [analyzer.Diagnostic(analyzer.SEVERITY_WARNING, "style", w.span, w.message)
              for w in warnings]
@@ -141,11 +151,9 @@ def cmd_compile(args: argparse.Namespace) -> int:
         return EXIT_FAILURE
     for file_path, ruleset in zip(written, out.per_node.values()):
         rules = sum(len(stage.rules) for stage in ruleset.stages)
-        _err(
-            f"{file_path.name}: ruleset id {out.ruleset_id}, "
-            f"{len(ruleset.stages)} stage(s), {rules} rule(s)"
-        )
-        print(file_path)
+        _err(f"{file_path.name}: ruleset id {out.ruleset_id}, "
+             f"{len(ruleset.stages)} stage(s), {rules} rule(s)")
+        _out(f"{file_path}\n")
     return EXIT_OK
 
 
@@ -193,9 +201,7 @@ def _load_rulesets(directory: Path, topology: config.Topology):
         except (ir.SchemaError, UnicodeDecodeError, OSError) as exc:
             raise RuntimeError(f"{path}: {exc}") from exc
         if ruleset.owner_addr in rulesets:
-            raise RuntimeError(
-                f"{path}: duplicate RuleSet for address {ruleset.owner_addr}"
-            )
+            raise RuntimeError(f"{path}: duplicate RuleSet for address {ruleset.owner_addr}")
         rulesets[ruleset.owner_addr] = ruleset
     addresses = {rep.address for rep in topology.repeaters}
     for address in sorted(addresses):
@@ -207,18 +213,15 @@ def _load_rulesets(directory: Path, topology: config.Topology):
     return rulesets
 
 
-def _describe(report: runtime.RunReport, label: str = "") -> None:
-    prefix = f"{label}: " if label else ""
+def _describe(report: runtime.RunReport, prefix: str = "") -> None:
     _err(f"{prefix}{report.status} after {report.rounds} round(s), "
          f"{len(report.fired)} rule(s) fired, "
          f"{report.messages_delivered} message(s) delivered")
     for pair in report.pairs:
         a, b = pair["nodes"]
         phase, parity = pair["bell_index"]
-        _err(
-            f"{prefix}pair ({a}, {b}): bell_index ({phase}, {parity}), "
-            f"fidelity {pair['fidelity']}, {'/'.join(pair['states'])}"
-        )
+        _err(f"{prefix}pair ({a}, {b}): bell_index ({phase}, {parity}), "
+             f"fidelity {pair['fidelity']}, {'/'.join(pair['states'])}")
     for line in report.stuck:
         _err(f"{prefix}stuck: {line}")
 
@@ -251,26 +254,21 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.enumerate_outcomes:
         ok = all(r.quiescent for r in reports)
         for report in reports:
-            label = "branch " + "".join(str(b) for b in report.outcome_path)
-            _describe(report, label)
-        _err(
-            f"{len(reports)} branch(es), "
-            + ("all quiescent" if ok else "some stuck")
-        )
-        if args.report_json:
-            payload = {
-                "mode": "enumerate",
-                "branches": len(reports),
-                "all_quiescent": ok,
-                "reports": [r.to_json() for r in reports],
-            }
-            print(ir.dumps(payload, indent=2, sort_keys=True))
-        return EXIT_OK if ok else EXIT_FAILURE
-
-    _describe(report)
-    if args.report_json:
-        print(ir.dumps(report.to_json(), indent=2, sort_keys=True))
-    return EXIT_OK if report.quiescent else EXIT_FAILURE
+            _describe(report, f"branch {''.join(map(str, report.outcome_path))}: ")
+        _err(f"{len(reports)} branch(es), " + ("all quiescent" if ok else "some stuck"))
+    else:
+        ok = report.quiescent
+        _describe(report)
+    if args.report_json:  # written as it goes (see `ir.dump`)
+        document = {
+            "all_quiescent": ok,
+            "branches": len(reports),
+            "mode": "enumerate",
+            "reports": [r.to_json() for r in reports],
+        } if args.enumerate_outcomes else report.to_json()
+        ir.dump(document, _out, indent=2)
+        _out("\n")
+    return EXIT_OK if ok else EXIT_FAILURE
 
 
 # --- entry point -------------------------------------------------------------
@@ -342,11 +340,13 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     try:
         status = args.func(args)
-        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        _out("", flush=True)  # a closed or full stdout raises here, not at exit
         return status
-    except BrokenPipeError:
-        # the reader went away: what is left to flush goes to /dev/null
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except _Unwritable as exc:
+        _err(f"error: cannot write to stdout: {exc.__cause__}")
+        with contextlib.suppress(OSError):  # what is left to flush goes to /dev/null
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
         return EXIT_FAILURE
     finally:
         if not paused:

@@ -32,13 +32,13 @@ rule with no key (loaded the full way, built by hand or by
 `dataclasses.replace`, or from an act that reads the chain) is written
 plainly.
 
-`dumps` writes each dict object once per call and indentation: a dict's
-text is kept in a table for the call under its id and the indentation it
-was written at, with the dict itself so that the id is not reused, and a
-dict met again is emitted as that one string. The simulator builds each
-distinct report record once per call (see `runtime`), so the 2 048
-reports of perfbench `enumerate_small` write 158 fired and 6 pair records
-instead of 49 152 and 6 144.
+`dump` hands its text to a `write` callable as it goes: a top-level dict
+piece by piece, each dict inside it as one piece. A dict met a second time
+in one call, at one indentation, has its text kept, with the dict so that
+its id is not reused. The simulator builds each distinct report record
+once per call (see `runtime`), so the 2 048 reports of perfbench
+`enumerate_small` keep the text of 158 fired and 6 pair records and write
+none of the 49 152 and 6 144 twice; a report's text is dropped once written.
 
 A load reads each document shape once. From its ninth document on (see
 `_UNSHAPED`), it splits each text at its holes, and its table (`interned`)
@@ -356,7 +356,7 @@ def serialize(ruleset: RuleSet, templates: dict | None = None) -> str:
     write is done.
     """
     out: list[str] = []
-    _write(ruleset, "\n", "    ", False, out.append, {}, {} if templates is None else templates)
+    _write(ruleset, "\n", "    ", out.append, {}, {} if templates is None else templates)
     out.append("\n")
     return "".join(out)
 
@@ -367,32 +367,31 @@ _encode_str = json.encoder.encode_basestring
 _encode_scalar = json.JSONEncoder(ensure_ascii=False).encode
 
 
-def dumps(value, indent: int = 4, sort_keys: bool = False) -> str:
-    """Render JSON data, in which an IR node stands for its wire object,
-    exactly as `json.dumps(value, indent=indent, ensure_ascii=False,
-    sort_keys=sort_keys)` renders the data with the objects in place.
+def dump(value, write, indent: int = 4) -> None:
+    """Write JSON data, in which an IR node stands for its wire object, to
+    `write` in pieces that join to `json.dumps(value, indent=indent,
+    ensure_ascii=False)` of the data with the objects in place.
 
     With an indent the standard library falls back to its pure-Python
     encoder. This writer walks dicts, lists, tuples and IR nodes itself,
     writes the fixed indentation and separators directly, writes a finite
     float with `float.__repr__` and an int with `int.__repr__` as the C
     encoder does, and leaves every other leaf to the C encoder. Keys must
-    be strings; `sort_keys` sorts the keys of dicts only, never an IR
-    node's.
-
-    Each dict object is written once per indentation (see `_write`).
+    be strings and are written in the dict's order. A top-level dict is
+    written piece by piece, and each dict inside it as one (see `_write`).
     """
-    out: list[str] = []
-    _write(value, "\n", " " * indent, sort_keys, out.append, {})
-    return "".join(out)
+    if isinstance(value, dict):
+        _write_object(value.items(), "\n", " " * indent, write, {})
+    else:
+        _write(value, "\n", " " * indent, write, {})
 
 
-def _write(value, newline: str, step: str, sort_keys: bool, emit, texts: dict, templates=None):
+def _write(value, newline: str, step: str, emit, texts: dict, templates=None):
     """Write `value` at the indentation `newline`. `texts` is the table of
-    dict texts of one write: a dict's text under (its id, `newline`), kept
-    with the dict itself so that its id is not reused while the table
-    lives. A dict met again, at the same indentation, is written as that
-    one string. `templates` is the rule template table of `serialize`."""
+    dicts met in one write, under (id, `newline`): the dict, so that its id
+    is not reused while the table lives, and from its second meeting on its
+    text, which is then emitted as one string. `templates` is the rule
+    template table of `serialize`."""
     cls = value.__class__
     if cls is str:
         emit(_encode_str(value))
@@ -403,17 +402,18 @@ def _write(value, newline: str, step: str, sort_keys: bool, emit, texts: dict, t
     elif cls is Rule and templates is not None:
         _write_rule(value, newline, step, emit, templates)
     elif cls in _WIRE:
-        _write_node(value, newline, step, sort_keys, emit, texts, templates)
+        _write_node(value, newline, step, emit, texts, templates)
     elif cls is TaggedValue:
-        _write_object(((value.kind, value.value),), newline, step, sort_keys, emit, texts)
+        _write_object(((value.kind, value.value),), newline, step, emit, texts)
     elif isinstance(value, dict):
         known = texts.get((id(value), newline))
-        if known is None:
-            items = sorted(value.items()) if sort_keys else value.items()
-            text: list[str] = []
-            _write_object(items, newline, step, sort_keys, text.append, texts, templates)
-            known = texts[id(value), newline] = (value, "".join(text))
-        emit(known[1])
+        text = None if known is None else known[1]
+        if text is None:
+            out: list[str] = []
+            _write_object(value.items(), newline, step, out.append, texts, templates)
+            text = "".join(out)
+            texts[id(value), newline] = (value, None if known is None else text)
+        emit(text)
     elif isinstance(value, (list, tuple)):
         if not value:
             emit("[]")
@@ -422,14 +422,14 @@ def _write(value, newline: str, step: str, sort_keys: bool, emit, texts: dict, t
         sep = "[" + inner
         for item in value:
             emit(sep)
-            _write(item, inner, step, sort_keys, emit, texts, templates)
+            _write(item, inner, step, emit, texts, templates)
             sep = "," + inner
         emit(newline + "]")
     else:
         emit(_encode_scalar(value))
 
 
-def _write_object(items, newline: str, step: str, sort_keys: bool, emit, texts, templates=None):
+def _write_object(items, newline: str, step: str, emit, texts, templates=None):
     """Write (key, value) pairs as an object."""
     if not items:
         emit("{}")
@@ -438,12 +438,12 @@ def _write_object(items, newline: str, step: str, sort_keys: bool, emit, texts, 
     sep = "{" + inner
     for key, item in items:
         emit(sep + _encode_str(key) + ": ")
-        _write(item, inner, step, sort_keys, emit, texts, templates)
+        _write(item, inner, step, emit, texts, templates)
         sep = "," + inner
     emit(newline + "}")
 
 
-def _write_node(node, newline: str, step: str, sort_keys: bool, emit, texts, templates=None):
+def _write_node(node, newline: str, step: str, emit, texts, templates=None):
     """Write an IR node as its wire object (see `_WIRE`)."""
     tag, keys = _WIRE[node.__class__]
     close = ""
@@ -463,7 +463,7 @@ def _write_node(node, newline: str, step: str, sort_keys: bool, emit, texts, tem
         emit(sep + _encode_str(key) + ": ")
         value = getattr(node, "qubit" if key == "qubit_identifier" else key)
         write = _write_object if key in _PAIRS else _write
-        write(value, inner, step, sort_keys, emit, texts, templates)
+        write(value, inner, step, emit, texts, templates)
         sep = "," + inner
     emit(newline + "}" + close)
 
@@ -510,7 +510,7 @@ def _write_rule(rule: Rule, newline: str, step: str, emit, templates: dict) -> N
     try:
         key = rule._template
     except AttributeError:  # loaded the full way, built by hand or by `dataclasses.replace`
-        _write_node(rule, newline, step, False, emit, {})
+        _write_node(rule, newline, step, emit, {})
         return
     holes = [rule.id, rule.shared_tag]
     for clause in rule.condition.clauses + rule.action.clauses:
@@ -519,7 +519,7 @@ def _write_rule(rule: Rule, newline: str, step: str, emit, templates: dict) -> N
     pieces = templates.get(key)
     if pieces is None:
         out: list[str] = []
-        _write_node(rule, newline, step, False, out.append, {})
+        _write_node(rule, newline, step, out.append, {})
         text = "".join(out)
         pieces, values = _split(text)
         if values == [repr(hole) for hole in holes]:
@@ -529,7 +529,7 @@ def _write_rule(rule: Rule, newline: str, step: str, emit, templates: dict) -> N
     filled = [pieces[0]]
     for hole, name, piece in zip(holes, pieces[1::2], pieces[2::2]):
         if hole.__class__ is not int:  # not what the template was split for
-            _write_node(rule, newline, step, False, emit, {})
+            _write_node(rule, newline, step, emit, {})
             return
         filled += (name, int.__repr__(hole), piece)
     emit("".join(filled))

@@ -28,8 +28,8 @@ and the first rule left whose comparisons are all read and hold fires.
 Report records are hash-consed (Filliâtre and Conchon, 2006): the fired and
 pair records of one call are built once per distinct value, in a table on
 the `Blueprint`, and every report that holds an equal record holds the same
-dict.  A `--report-json` of every branch then writes each one once (see
-`ir.dumps`).  Records are shared, so they are read-only.
+read-only dict.  `--report-json` writes each one once (see `ir.dump`), with
+the sorted keys that every report dict is built with.
 """
 
 from __future__ import annotations
@@ -535,10 +535,10 @@ class Network:
             record = records.get(key)
             if record is None:
                 record = records[key] = {
-                    "round": self.round,
                     "address": address,
-                    "rule": winner.name,
                     "id": winner.id,
+                    "round": self.round,
+                    "rule": winner.name,
                 }
             self.fired.append(record)
         else:
@@ -953,12 +953,12 @@ class RunReport:
 
     def to_json(self) -> dict:
         return {
-            "status": self.status,
-            "rounds": self.rounds,
-            "outcome_path": list(self.outcome_path),
-            "messages_delivered": self.messages_delivered,
             "fired": self.fired,
+            "messages_delivered": self.messages_delivered,
+            "outcome_path": list(self.outcome_path),
             "pairs": self.pairs,
+            "rounds": self.rounds,
+            "status": self.status,
             "stuck": self.stuck,
         }
 
@@ -983,10 +983,10 @@ def _report(net: Network, stuck: list[str] | None = None) -> RunReport:
         record = records.get(key)
         if record is None:
             record = records[key] = {
-                "nodes": [node[a], node[b]],
-                "states": [state[a], state[b]],
                 "bell_index": [phase, parity],
                 "fidelity": fidelity,
+                "nodes": [node[a], node[b]],
+                "states": [state[a], state[b]],
             }
         pairs.append(record)
     return RunReport(

@@ -1,12 +1,15 @@
 """Command-line behavior: exit codes, stream separation, partial-output
 guarantees and reproducibility."""
 
+import errno
 import gc
+import io
 import json
 import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -1124,10 +1127,124 @@ class TestProcessEntry:
         assert result.returncode == 2
 
 
+class _FullStdout(io.TextIOBase):
+    """A stdout on a full disk: every write raises ENOSPC."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class _CountingStdout(io.TextIOBase):
+    """A stdout that counts the characters written to it and keeps none."""
+
+    chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+
+def _compile_chain7(corpus, capsys, tmp_path):
+    out_dir = tmp_path / "out"
+    config = corpus / "config7.json"
+    argv = ["compile", corpus / "chain7.rula", "--config", config, "--out-dir", out_dir]
+    assert run_cli(argv, capsys)[0] == 0
+    return ["run", "--config", config, "--rulesets", out_dir, "--enumerate-outcomes", "--report-json"]
+
+
+class TestReportJson:
+    # the corpus programs and configs that compile
+    COMPILED = [
+        ("chain7.rula", "config7.json"),
+        ("entanglement_swapping.rula", "config3.json"),
+        ("entanglement_swapping.rula", "config5.json"),
+        ("loop_probe.rula", "config2.json"),
+        ("loop_probe.rula", "config3.json"),
+        ("loop_probe.rula", "config5.json"),
+        ("loop_probe.rula", "config7.json"),
+        ("purification.rula", "config3.json"),
+        ("purification.rula", "config5.json"),
+        ("two_matches.rula", "config3.json"),
+    ]
+
+    def test_every_object_is_key_sorted(self, corpus, capsys, tmp_path):
+        """The report dicts are built in wire order, which `ir.dump` keeps:
+        every object of every sampled and enumerated report of the corpus
+        has its keys sorted."""
+        objects = 0
+
+        def sorted_object(pairs):
+            nonlocal objects
+            keys = [key for key, _ in pairs]
+            assert keys == sorted(keys), keys
+            objects += 1
+            return dict(pairs)
+
+        for program, config_name in self.COMPILED:
+            out_dir = tmp_path / f"{program}-{config_name}"
+            config = corpus / config_name
+            argv = ["compile", corpus / program, "--config", config, "--out-dir", out_dir]
+            assert run_cli(argv, capsys)[0] == 0, (program, config_name)
+            run = ["run", "--config", config, "--rulesets", out_dir, "--report-json"]
+            for extra in (["--seed", "0"], ["--enumerate-outcomes"]):
+                code, out, err = run_cli([*run, *extra], capsys)
+                assert code in (0, 1) and out, err
+                json.loads(out, object_pairs_hook=sorted_object)
+        assert objects > 10_000
+
+    def test_report_json_is_never_held_whole(self, corpus, capsys, monkeypatch, tmp_path):
+        """`rula run --report-json` writes its text as it goes: the memory
+        the whole enumeration of chain7 allocates at its peak, reports
+        included, is less than the text it writes."""
+        argv = _compile_chain7(corpus, capsys, tmp_path)
+        sink = _CountingStdout()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = cli.main([str(a) for a in argv])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert sink.chars > 2_000_000  # its 1 024 reports
+        assert peak < sink.chars, (peak, sink.chars)
+
+
 class TestClosedStdout:
-    """A reader that closes stdout before a command has written it all ends
-    the command with exit 1 and no traceback.  Each command writes more than
-    a pipe holds, so it is still writing when the pipe closes."""
+    """A reader that closes stdout, or a stdout that cannot be written,
+    before a command has written it all ends the command with exit 1 and no
+    traceback.  Each command writes more than a pipe holds, so it is still
+    writing when the pipe closes."""
+
+    def test_full_stdout_is_one_error_line(self, corpus, capsys, monkeypatch, tmp_path):
+        run = _compile_chain7(corpus, capsys, tmp_path)
+        compile_ = ["compile", corpus / "chain7.rula", "--config", corpus / "config7.json",
+                    "--out-dir", tmp_path / "again"]
+        for argv in (run, compile_):
+            with monkeypatch.context() as patch:
+                patch.setattr(sys, "stdout", _FullStdout())
+                code = cli.main([str(a) for a in argv])
+            err = capsys.readouterr().err
+            assert code == 1
+            errors = [line for line in err.splitlines() if line.startswith("error")]
+            assert errors == ["error: cannot write to stdout: [Errno 28] No space left on device"]
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_full_device(self, corpus, capsys, tmp_path):
+        """A stdout on /dev/full: one error line, and nothing at exit."""
+        run = _compile_chain7(corpus, capsys, tmp_path)
+        compile_ = ["compile", corpus / "chain7.rula", "--config", corpus / "config7.json",
+                    "--out-dir", tmp_path / "again"]
+        for argv in (run, compile_):
+            with open("/dev/full", "w") as full:
+                proc = subprocess.run([sys.executable, "-m", "rula", *map(str, argv)],
+                                      stdout=full, stderr=subprocess.PIPE, text=True)
+            assert proc.returncode == 1
+            lines = proc.stderr.splitlines()
+            assert [line for line in lines if "stdout" in line] == [
+                "error: cannot write to stdout: [Errno 28] No space left on device"
+            ]
+            assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
     @staticmethod
     def closed_early(argv, tmp_path):
@@ -1142,12 +1259,7 @@ class TestClosedStdout:
             return code, err.read()
 
     def test_run_report_json(self, corpus, capsys, tmp_path):
-        out_dir = tmp_path / "out"
-        config = corpus / "config7.json"
-        argv = ["compile", corpus / "chain7.rula", "--config", config, "--out-dir", out_dir]
-        assert run_cli(argv, capsys)[0] == 0
-        run = ["run", "--config", config, "--rulesets", out_dir, "--enumerate-outcomes"]
-        code, err = self.closed_early([*run, "--report-json"], tmp_path)
+        code, err = self.closed_early(_compile_chain7(corpus, capsys, tmp_path), tmp_path)
         assert code == 1 and "Traceback" not in err, err[-2000:]
 
     def test_compile(self, corpus, tmp_path):

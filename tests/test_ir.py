@@ -17,6 +17,13 @@ from rula import analyzer, codegen, config, ir, parser
 import test_pipeline_fuzz
 
 
+def _dumped(value, indent: int = 4) -> str:
+    """The pieces `ir.dump` writes for `value`, joined."""
+    pieces: list[str] = []
+    ir.dump(value, pieces.append, indent)
+    return "".join(pieces)
+
+
 def _random_ruleset(rng: random.Random) -> ir.RuleSet:
     """Build an arbitrary valid RuleSet exercising every clause variant."""
 
@@ -218,10 +225,9 @@ class TestCanonicalWriter:
             ],
         }
         for indent in (0, 2, 4):
-            for sort_keys in (False, True):
-                assert ir.dumps(payload, indent=indent, sort_keys=sort_keys) == json.dumps(
-                    payload, indent=indent, sort_keys=sort_keys, ensure_ascii=False
-                )
+            assert _dumped(payload, indent) == json.dumps(
+                payload, indent=indent, ensure_ascii=False
+            )
 
     def test_floats_match_stdlib(self):
         """A finite float is written by `float.__repr__`, NaN and the
@@ -232,33 +238,48 @@ class TestCanonicalWriter:
         values += [struct.unpack("<d", rng.randbytes(8))[0] for _ in range(10_000)]
         values += [rng.uniform(-1e6, 1e6) for _ in range(1_000)]
         for indent in (0, 2):
-            assert ir.dumps(values, indent=indent) == json.dumps(
+            assert _dumped(values, indent=indent) == json.dumps(
                 values, indent=indent, ensure_ascii=False
             )
 
     def test_shared_dicts_match_stdlib(self):
-        """A dict object held at several places, at several depths and in
-        a list that is itself shared, is written once per indentation."""
-        shared = {"b": [1, {"x": None}], "a": -0.0, "c": "caf\u00e9"}
+        """Dicts met once, twice and three times at one depth of one write,
+        others at several depths, in a list that is itself shared, and as
+        the top-level value: the text is what the standard library writes."""
+        once = {"o": [1.5, None]}
+        twice = {"b": [1, {"x": None}], "a": -0.0, "c": "caf\u00e9"}
+        thrice = {"t": [True, "s"]}
         empty: dict = {}
-        both = [shared, empty]
+        both = [thrice, empty]
         payload = {
-            "z": [shared, shared, {"deep": shared, "list": both}],
+            "z": [twice, {"deep": once}, twice],
             "again": both,
+            "more": both,
+            "last": [thrice],
+            "y": {"deeper": {"deepest": empty}, "empty": [empty, empty]},
             "e": empty,
-            "y": {"deeper": {"deepest": shared}, "empty": [empty, empty]},
         }
-        for indent in (0, 2, 4):
-            for sort_keys in (False, True):
-                text = ir.dumps(payload, indent=indent, sort_keys=sort_keys)
-                assert text == json.dumps(
-                    payload, indent=indent, sort_keys=sort_keys, ensure_ascii=False
-                )
-        # at indent 0 every depth has the same indentation, so all six
-        # places hold the same text
-        for sort_keys in (False, True):
-            alone = json.dumps(shared, indent=0, sort_keys=sort_keys, ensure_ascii=False)
-            assert ir.dumps(payload, indent=0, sort_keys=sort_keys).count(alone) == 6
+        for value in (payload, [payload, payload], {"x": payload, "y": [payload]}):
+            for indent in (0, 1, 2, 4):
+                assert _dumped(value, indent) == json.dumps(
+                    value, indent=indent, ensure_ascii=False
+                ), (value is payload, indent)
+        # at indent 0 every depth has the same indentation, so every place
+        # holds the same text
+        for shared, places in ((once, 1), (twice, 2), (thrice, 3), (empty, 6)):
+            alone = json.dumps(shared, indent=0, ensure_ascii=False)
+            assert _dumped(payload, 0).count(alone) == places
+
+    def test_a_report_is_one_piece(self):
+        """A top-level dict is written piece by piece, and every dict inside
+        it as one piece: the text of a report inside a payload is never
+        split, and no piece holds the whole payload."""
+        report = {"fired": [{"id": 1}], "status": "quiescent"}
+        pieces: list[str] = []
+        ir.dump({"reports": [report, report]}, pieces.append, 2)
+        text = json.dumps(report, indent=2).replace("\n", "\n    ")
+        assert pieces.count(text) == 2
+        assert len(max(pieces, key=len)) == len(text)
 
 
 def _moved(ruleset: ir.RuleSet, rng: random.Random) -> ir.RuleSet:
@@ -308,7 +329,7 @@ class TestRuleTemplates:
             moved = _moved(ruleset, rng)
             for rs in (ruleset, moved, _keyed(ruleset, n), _keyed(moved, n)):
                 text = ir.serialize(rs, templates)
-                assert text == ir.serialize(rs) == ir.dumps(rs) + "\n"
+                assert text == ir.serialize(rs) == _dumped(rs) + "\n"
             rules += sum(len(stage.rules) for stage in ruleset.stages)
         assert len(templates) == rules  # every key's first text was kept
 
@@ -362,7 +383,7 @@ class TestRuleTemplates:
         assert keyed == rule and hash(keyed) == hash(rule)
         renamed = dataclasses.replace(keyed, name="s")
         ruleset = ir.RuleSet("x", 0, 0, (ir.Stage((keyed, renamed)),))
-        assert ir.serialize(ruleset, {}) == ir.dumps(ruleset) + "\n"
+        assert ir.serialize(ruleset, {}) == _dumped(ruleset) + "\n"
         assert '"name": "s"' in ir.serialize(ruleset)
 
     def test_compiled_chain_writes_as_without_templates(self, corpus):
@@ -405,7 +426,7 @@ class TestRuleTemplates:
         for out in written:
             templates: dict = {}
             for ruleset in out.per_node.values():
-                assert ir.serialize(ruleset, templates) == ir.dumps(ruleset) + "\n"
+                assert ir.serialize(ruleset, templates) == _dumped(ruleset) + "\n"
 
 
 class TestSchemaRejection:

@@ -525,7 +525,7 @@ class TestForkedEnumeration:
 
 class TestSharedRecords:
     """The reports of one call hold one dict per distinct fired or pair
-    record, which `ir.dumps` then writes once."""
+    record, which `ir.dump` then writes once."""
 
     def test_equal_records_are_one_object(self, corpus):
         rulesets, topology = compile_corpus(corpus, "purification.rula", "config5.json")
