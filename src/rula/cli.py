@@ -23,7 +23,25 @@ EXIT_USAGE = 2
 
 
 def _err(message: str) -> None:
-    print(message, file=sys.stderr)
+    """Print `message` to stderr.  A stderr that cannot be written loses it
+    and every later line, and nothing else: stdout and the exit status stay
+    as they would be."""
+    try:
+        print(message, file=sys.stderr)
+    except OSError:
+        _discard(sys.stderr)
+
+
+def _discard(stream) -> None:
+    """Point `stream`'s file descriptor at /dev/null, so that what it still
+    holds, and what is written to it later, goes nowhere."""
+    with contextlib.suppress(OSError):  # a stream with no descriptor
+        fd = stream.fileno()
+        null = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(null, fd)
+        finally:
+            os.close(null)
 
 
 class _Unwritable(Exception):
@@ -344,9 +362,7 @@ def main(argv: list[str] | None = None) -> int:
         return status
     except _Unwritable as exc:
         _err(f"error: cannot write to stdout: {exc.__cause__}")
-        with contextlib.suppress(OSError):  # what is left to flush goes to /dev/null
-            fd = sys.stdout.fileno()
-            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        _discard(sys.stdout)  # what is left to flush
         return EXIT_FAILURE
     finally:
         if not paused:

@@ -1127,8 +1127,8 @@ class TestProcessEntry:
         assert result.returncode == 2
 
 
-class _FullStdout(io.TextIOBase):
-    """A stdout on a full disk: every write raises ENOSPC."""
+class _FullStream(io.TextIOBase):
+    """A stdout or stderr on a full disk: every write raises ENOSPC."""
 
     def write(self, text):
         raise OSError(errno.ENOSPC, "No space left on device")
@@ -1210,6 +1210,37 @@ class TestReportJson:
         assert peak < sink.chars, (peak, sink.chars)
 
 
+class TestFullStderr:
+    """A stderr that cannot be written loses its lines and nothing else:
+    `rula compile` still lists the files it wrote on stdout, and exits 0."""
+
+    @staticmethod
+    def argv(corpus, out_dir):
+        return ["compile", str(corpus / "chain7.rula"), "--config", str(corpus / "config7.json"),
+                "--out-dir", str(out_dir)]
+
+    @staticmethod
+    def written(out_dir):
+        paths = [str(path) for path in sorted(out_dir.glob("*.json"))]
+        assert len(paths) == 7
+        return paths
+
+    def test_in_process(self, corpus, capsys, monkeypatch, tmp_path):
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stderr", _FullStream())
+            code = cli.main(self.argv(corpus, tmp_path / "out"))
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == self.written(tmp_path / "out")
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_full_device(self, corpus, tmp_path):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "rula", *self.argv(corpus, tmp_path / "out")],
+                                  stdout=subprocess.PIPE, stderr=full, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines() == self.written(tmp_path / "out")
+
+
 class TestClosedStdout:
     """A reader that closes stdout, or a stdout that cannot be written,
     before a command has written it all ends the command with exit 1 and no
@@ -1222,7 +1253,7 @@ class TestClosedStdout:
                     "--out-dir", tmp_path / "again"]
         for argv in (run, compile_):
             with monkeypatch.context() as patch:
-                patch.setattr(sys, "stdout", _FullStdout())
+                patch.setattr(sys, "stdout", _FullStream())
                 code = cli.main([str(a) for a in argv])
             err = capsys.readouterr().err
             assert code == 1

@@ -3,7 +3,9 @@ exhaustive outcome enumeration."""
 
 import collections
 import hashlib
+import io
 import json
+import sys
 import weakref
 from pathlib import Path
 
@@ -344,8 +346,10 @@ def chain(nodes):
     )
 
 
-def compile_chain(corpus, program_name, nodes):
-    program = parser.parse((corpus / program_name).read_text(), filename=program_name)
+def compile_chain(corpus, program_name, nodes, source=None):
+    if source is None:
+        source = (corpus / program_name).read_text()
+    program = parser.parse(source, filename=program_name)
     program, _diags = analyzer.resolve_imports(program, [corpus])
     analysis = analyzer.analyze_program(program)
     assert analysis.ok, analysis.errors
@@ -510,8 +514,25 @@ class TestForkedEnumeration:
 
         monkeypatch.setattr(explore, "_Snapshot", counting)
         assert len(enumerate_in_order(rulesets, topology)) == 1024
-        # a resumed branch re-enters its origin's firing without a new copy
-        assert len(taken) == 497
+        # a resumed branch re-enters its origin's firing without a new copy,
+        # and a branch that reaches a walked state stops there (497 without)
+        assert len(taken) == 201
+
+    def test_equal_states_run_once(self, corpus, monkeypatch):
+        """The walk steps 397 rounds over the 1 024 branches of chain7 on 7
+        nodes; running every branch to its end steps 5 148.  A key that
+        stopped merging would step more."""
+        rulesets, topology = compile_chain(corpus, "chain7.rula", 7)
+        steps = collections.Counter()
+        real = runtime.Network.step
+
+        def counting(net, *args):
+            steps["round"] += 1
+            return real(net, *args)
+
+        monkeypatch.setattr(runtime.Network, "step", counting)
+        assert len(enumerate_in_order(rulesets, topology)) == 1024
+        assert steps["round"] == 397
 
     def test_sampled_run_is_one_branch(self, corpus):
         rulesets, topology = compile_chain(corpus, "entanglement_swapping.rula", 5)
@@ -574,6 +595,351 @@ class TestEnumerationPinned:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def nine_node_source(corpus, name):
+    """The corpus swap, which deadlocks on 9 nodes ("swap"), or the doubling
+    schedule that bridges them ("doubling"): 16 384 branches either way."""
+    source = (corpus / "entanglement_swapping.rula").read_text()
+    if name == "swap":
+        return source
+    doubling = source.replace("for d in 1..(#repeaters.len()/2)", "for d in [1, 2, 4]")
+    assert doubling != source
+    return doubling
+
+
+class _Sha256Stream(io.TextIOBase):
+    """A stream that keeps only the sha256 of the text written to it."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.digest.update(text.encode())
+        return len(text)
+
+
+class TestNineNodes:
+    """The 9-node enumerations: their bytes, recorded from the walk that ran
+    every branch to its end, and every sampled run as one of their branches."""
+
+    @pytest.mark.parametrize(
+        "name,code,out_digest,err_digest",
+        [
+            ("doubling", 0,
+             "b8ab6527d41c2f62e4554d80d41d657ea9f30235b0c2b5739599609a3169954f",
+             "fcbb01c1874bc4d8b534a66d6eac1c5c96aa5cfecc7ab721806f77a34362318c"),
+            ("swap", 1,
+             "323448eecfacebad5afa23b67dbe2b115a8bed5d7fcdefe19a7f7fbbd04c5c9c",
+             "127591591b165655a785bae6189a78e13551f6cd858c01fcf6fcad52db3d4184"),
+        ],
+    )
+    def test_report_json(self, corpus, tmp_path, monkeypatch, name, code, out_digest, err_digest):
+        program = tmp_path / f"{name}.rula"
+        program.write_text(nine_node_source(corpus, name))
+        chain9 = tmp_path / "chain9.json"
+        chain9.write_text(json.dumps({"repeaters": [{"name": f"#{i}", "address": i} for i in range(9)]}))
+        monkeypatch.setattr(sys, "stdout", _Sha256Stream())
+        monkeypatch.setattr(sys, "stderr", _Sha256Stream())
+        compiled = tmp_path / "out"
+        assert cli.main(["compile", str(program), "--config", str(chain9), "--out-dir", str(compiled)]) == 0
+        out, err = _Sha256Stream(), _Sha256Stream()  # 64 and 76 MB of JSON: hashed as written
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(sys, "stderr", err)
+        assert cli.main([
+            "run", "--config", str(chain9), "--rulesets", str(compiled),
+            "--enumerate-outcomes", "--report-json",
+        ]) == code
+        assert (out.digest.hexdigest(), err.digest.hexdigest()) == (out_digest, err_digest)
+
+    @pytest.mark.parametrize("name", ["doubling", "swap"])
+    def test_sampled_runs_are_branches(self, corpus, name):
+        rulesets, topology = compile_chain(corpus, f"{name}.rula", 9, nine_node_source(corpus, name))
+        reports = {r.outcome_path: r for r in runtime.enumerate_outcomes(rulesets, topology)}
+        assert len(reports) == 16_384
+        for seed in range(40):
+            report = runtime.run(rulesets, topology, seed=seed)
+            assert report.to_json() == reports[report.outcome_path].to_json(), seed
+
+
+# --- merged states -----------------------------------------------------------
+
+
+def round_ends(rulesets, topology, plan, fidelity):
+    """The network of the branch that draws `plan`, then zeros, at each of
+    its round ends, where the walk keys it."""
+    net = runtime.Network(runtime.Blueprint(rulesets, topology), PlannedOutcomes(plan), fidelity)
+    while net.live:
+        if not net.step() and not net.cancel_starved() and not net.timers_armed():
+            return
+        yield net
+
+
+def held_pairs(net):
+    return {net.end_pair[e] for e, state in enumerate(net.end_state) if state != "gone"}
+
+
+def asked_carriers(net):
+    """The gids of the groups whose `fired_rule` some pending recv-gated
+    group of a node not yet complete, in its stage or a later one, reads."""
+    asked = set()
+    for _index, address in net.live:
+        for stage in net.blueprint.stages[address][net.stage_idx[address]:]:
+            for group in stage:
+                if group.recv is not None and net.state[group.gid] == "pending":
+                    asked.update(g.gid for g, _r in net._carriers(address, group))
+    return asked
+
+
+# Each changes, in place, one kind of field that the key leaves out, and
+# returns how many it changed.
+
+
+def dead_pairs(net):
+    dead = set(range(len(net.pair_ends))) - held_pairs(net)
+    for p in dead:
+        net.fidelity[p] = 0.123
+        net.phase[p] ^= 1
+        net.parity[p] ^= 1
+        net.purify[p] = "pending"
+        net.pair_ends[p] = net.pair_ends[p][::-1]
+    return len(dead)
+
+
+def dead_reference_bits(net):
+    held = held_pairs(net)
+    dead = [sig for sig in net.pending if not all(p in held for p, _basis in sig)]
+    for sig in dead:
+        net.pending[sig] ^= 1
+    return len(dead)
+
+
+def passed_stages(net):
+    swapped = {"fired": "cancelled", "cancelled": "fired"}
+    changed = 0
+    for address, index in net.stage_idx.items():
+        for stage in net.blueprint.stages[address][:index]:
+            for group in stage:
+                net.state[group.gid] = swapped[net.state[group.gid]]
+                changed += 1
+    return changed
+
+
+def unasked_fired_rules(net):
+    asked = asked_carriers(net)
+    changed = 0
+    for stages in net.blueprint.stages.values():
+        for group in (group for stage in stages for group in stage if group.gid not in asked):
+            fired = net.fired_rule[group.gid]
+            net.fired_rule[group.gid] = group.alternatives[-1][0] if fired is None else None
+            changed += 1
+    return changed
+
+
+def complete_nodes(net):
+    live = {address for _index, address in net.live}
+    complete = [address for address in net.stage_idx if address not in live]
+    for address in complete:
+        for where in [where for where in net.store if where[0] == address]:
+            net.store[where] = "mutated"
+        net.store[address, "mutated"] = "1"
+        net.timers[address, "mutated"] = net.round + 5  # still counting
+        sender = next(a for a in net.stage_idx if a != address)
+        message = runtime.Message("mutated", sender, address, {"result": "1"})
+        net.inboxes[address, sender] = net.inboxes.get((address, sender), ()) + (message,)
+    return len(complete)
+
+
+def gone_ends(net):
+    held = [e for e, state in enumerate(net.end_state) if state != "gone"]
+    gone = [e for e, state in enumerate(net.end_state) if state == "gone"]
+    for e in gone:
+        net.end_pair[e] = net.end_pair[held[0]] if held else 0
+        net.partner[e] = -1
+    return len(gone)
+
+
+class TestMergeKey:
+    """`explore._Keys` leaves out what no later round, stuck line or report
+    reads.  Each such field, changed in a fork at a round end, changes
+    neither the key nor the report that driving the fork ends with."""
+
+    CASES = [
+        ("chain7.rula", 7, 1.0),
+        ("chain7.rula", 7, 0.8),  # stuck: its lines read the carriers
+        ("purification.rula", 5, 1.0),
+        ("entanglement_swapping.rula", 9, 1.0),  # stuck
+    ]
+    PLANS = [(), (1,) * 64, (0, 1) * 32]
+
+    def round_end_forks(self, corpus):
+        """(network at a round end, its key, a fork to change) of each round
+        end of a few branches of each case."""
+        for program, nodes, fidelity in self.CASES:
+            rulesets, topology = compile_chain(corpus, program, nodes)
+            keys = explore._Keys()  # one per blueprint, as one per walk
+            for plan in self.PLANS:
+                for net in round_ends(rulesets, topology, plan, fidelity):
+                    yield keys, net, net.fork(PlannedOutcomes(plan))
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [dead_pairs, dead_reference_bits, passed_stages, unasked_fired_rules, complete_nodes, gone_ends],
+        ids=lambda mutate: mutate.__name__,
+    )
+    def test_left_out_field(self, corpus, mutate):
+        changed = 0
+        for keys, net, fork in self.round_end_forks(corpus):
+            if not mutate(fork):
+                continue
+            changed += 1
+            assert keys(fork) == keys(net)
+            ended = runtime._drive(net.fork(PlannedOutcomes(net.outcomes.plan)), 10_000)
+            assert runtime._drive(fork, 10_000).to_json() == ended.to_json()
+        assert changed >= 10
+
+    def test_read_fields_change_the_key(self, corpus):
+        """The control: a held end's partner, a held pair's frame and a
+        waiting node's store each change the key."""
+        checked = 0
+        for keys, net, fork in self.round_end_forks(corpus):
+            key = keys(net)
+            held = [e for e, state in enumerate(net.end_state) if state != "gone"]
+            if not held or not net.live:
+                continue
+            fork.partner[held[0]] = -1
+            assert keys(fork) != key
+            fork = net.fork(None)
+            fork.phase[net.end_pair[held[0]]] ^= 1
+            assert keys(fork) != key
+            fork = net.fork(None)
+            fork.store[net.live[0][1], "mutated"] = "1"
+            assert keys(fork) != key
+            checked += 1
+        assert checked >= 10
+
+
+def _cmp(name, value):
+    return ir.CmpClause(name, "Eq", ir.TaggedValue("Str", value))
+
+
+def _stages(address, *stages):
+    return ir.RuleSet(name="t", id=1, owner_addr=address, stages=stages)
+
+
+def _on_bit(register, conditions, actions):
+    """A group of two alternatives, `on_0` and `on_1`: the one whose bit
+    `register` holds fires, running `actions(bit)`."""
+    return ir.Stage(tuple(
+        _rule(f"on_{bit}", 10 + bit, (*conditions, _cmp(register, str(bit))), actions(bit))
+        for bit in (0, 1)
+    ))
+
+
+_Z0 = ir.MeasureClause(ir.QubitId(0), "Z")
+
+
+def _drop():
+    """Node 1 frees its end of the pair node 0 measures, in the same round,
+    so that no reference bit tells the branches apart."""
+    return ir.Stage((_rule("drop", 3, (_res(0, 0),), (ir.FreeClause(ir.QubitId(0)),)),))
+
+
+def reference_bit_read_later():
+    """Node 0 measures its end of a pair; node 1 measures the other end
+    three rounds later and, without drawing, gets node 0's bit."""
+    draw = ir.Stage((_rule("draw", 0, (_res(1, 0),), (_Z0,)),))
+    go = ir.Stage((_rule("go", 1, (), (ir.SendClause("Go", 1, ()),)),))
+    wait = ir.Stage((_rule("wait", 2, (ir.RecvClause(0),)),))
+    read = _on_bit("MeasResult", (_res(0, 0),), lambda bit: (_Z0,))
+    return {0: _stages(0, draw, go), 1: _stages(1, wait, read)}
+
+
+def timer_set_by_a_bit():
+    arm = _on_bit("MeasResult", (_res(1, 0),), lambda bit: (_Z0, ir.SetTimerClause("t", 1 + 3 * bit)))
+    after = ir.Stage((_rule("after", 1, (ir.TimerClause("t"),)),))
+    return {0: _stages(0, arm, after), 1: _stages(1, _drop())}
+
+
+def bit_in_a_message():
+    sent = (_Z0, ir.SendClause("Meas", 1, (("result", "MeasResult"),)))
+    send = ir.Stage((_rule("send", 0, (_res(1, 0),), sent),))
+    take = _on_bit("message.result", (ir.RecvClause(0),), lambda bit: ())
+    return {0: _stages(0, send), 1: _stages(1, _drop(), take)}
+
+
+def bit_in_the_store():
+    keep = ir.Stage((_rule("keep", 0, (_res(1, 0),), (_Z0, ir.SetClause("MeasResult", "bit"))),))
+    read = _on_bit("bit", (), lambda bit: ())
+    return {0: _stages(0, keep, read), 1: _stages(1, _drop())}
+
+
+def carrier_that_sent():
+    """Node 0 sends node 1 a Meas or an Other message.  Node 1 takes either,
+    pauses a round, then waits on a Meas: cancelled if node 0 sent Other,
+    stuck if node 0 already sent the Meas it took."""
+    send = _on_bit("MeasResult", (_res(1, 0),), lambda bit: (_Z0, ir.SendClause(("Meas", "Other")[bit], 1, ())))
+    take_any = ir.Stage((_rule("any", 1, (ir.RecvClause(0),)),))
+    pause = ir.Stage((_rule("pause", 4),))
+    take_meas = ir.Stage((_rule("meas", 2, (ir.RecvClause(0), _cmp("MessageKind", "Meas"))),))
+    return {0: _stages(0, send), 1: _stages(1, _drop(), take_any, pause, take_meas)}
+
+
+def fault_named_by_a_bit():
+    """Node 0's group drops one pair of alternatives on its first
+    measurement; the two left part ways before the first is decided, so the
+    group is stuck on a rule the bit picks."""
+    pairs, measured = (_res(1, 0), _res(1, 1)), ir.MeasureClause(ir.QubitId(1), "Z")
+    rules = []
+    for bit in "01":
+        first = (*pairs, _cmp("MeasResult", bit))
+        rules.append(_rule(f"parting_{bit}", len(rules), (*first, _cmp("MeasResult1", "0")), (_Z0, measured)))
+        rules.append(_rule(f"other_{bit}", len(rules), first, (_Z0, ir.FreeClause(ir.QubitId(1)))))
+    return {0: _stages(0, ir.Stage(tuple(rules))), 1: _stages(1, _drop())}
+
+
+def purification_marked_by_a_bit():
+    """On a 0, node 0's parity probe of pair 1 spans pair 2, which marks pair
+    2 the kept half of a purification round; on a 1 it does not.  Node 1
+    frees its ends of pairs 0 and 1, and once its message comes, node 0
+    promotes its end of pair 2: boosted only if it was marked."""
+    q = [ir.QubitId(i) for i in range(3)]
+    cx = ir.QCircClause((ir.QGate(q[2], "CxControl"), ir.QGate(q[1], "CxTarget")))
+    probe = lambda bit: (_Z0, cx, ir.MeasureClause(q[1], "Z")) if bit == 0 else (_Z0, ir.MeasureClause(q[1], "Z"))
+    measure = _on_bit("MeasResult", (_res(1, 0), _res(1, 1), _res(1, 2)), probe)
+    keep = ir.Stage((_rule("keep", 1, (ir.RecvClause(1), _res(1, 0)), (ir.PromoteClause(q[0]),)),))
+    drop = ir.Stage((_rule("drop", 3, (_res(0, 0), _res(0, 1)), (ir.FreeClause(q[0]), ir.FreeClause(q[1]))),))
+    go = ir.Stage((_rule("go", 2, (), (ir.SendClause("Go", 0, ()),)),))
+    return {0: _stages(0, measure, keep), 1: _stages(1, drop, go)}
+
+
+class TestKeyReads:
+    """Two branches whose round ends differ only in one field the key holds:
+    a reference bit of a held pair, a timer, a message payload, a store
+    entry, which rule of a carrier fired, the rule a fault names, or a
+    pair's purification mark.  What follows tells them apart, and the walk
+    ends each as a walk of every branch does."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            reference_bit_read_later, timer_set_by_a_bit, bit_in_a_message, bit_in_the_store,
+            carrier_that_sent, fault_named_by_a_bit, purification_marked_by_a_bit,
+        ],
+        ids=lambda build: build.__name__,
+    )
+    def test_the_walk_keeps_them_apart(self, build):
+        def after_round_0(report):
+            later = [(f["round"], f["rule"]) for f in report.fired if f["round"] > 0]
+            return report.status, report.stuck, report.pairs, later
+
+        # below 1.0, so that a purification round changes the fidelity
+        walked = runtime.enumerate_outcomes(build(), chain(2), initial_fidelity=0.8)
+        replayed = replay_enumeration(build(), chain(2), initial_fidelity=0.8)
+        assert [r.to_json() for r in walked] == [r.to_json() for r in replayed]
+        zero = next(r for r in walked if r.outcome_path[0] == 0)
+        one = next(r for r in walked if r.outcome_path[0] == 1)
+        assert after_round_0(zero) != after_round_0(one)
+
+
 class TestLiveNodes:
     """`Network.live` lists the nodes not yet complete, as (index, address)
     in address order, after every round and every starvation pass and in
@@ -622,7 +988,7 @@ class TestLiveNodes:
         runtime.run(rulesets, topology, **options)
         assert calls["step"] and not calls["fork"]
         reports = enumerate_in_order(rulesets, topology, **options)
-        assert calls["fork"] >= len(reports) - 1
+        assert calls["fork"] > 0 or len(reports) == 1
 
 
 class TestForkIndependence:
