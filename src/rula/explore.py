@@ -1,11 +1,12 @@
 """Enumeration of every branch of a run's measurement outcome tree.
 
 Enumeration is a depth-first walk over the networks of one `Blueprint`
-(see `runtime`): a branch runs with zero bits past its plan and snapshots
-the network before every firing of a group that measures, and each zero it
-drew is flipped in a new branch that resumes from the snapshot before the
-firing that drew it, so the rounds before a measurement run once for the
-whole subtree below it.
+(see `runtime`): a branch runs with zero bits past its plan, and each zero
+it drew is flipped in a new branch.  The walk keeps a copy of the network
+at each new round-end state on the path it walks, and a flipped branch
+resumes from the last copy made before its bit was drawn, rerunning the
+next round from its start under its plan; so the rounds before the one
+that draws a bit run once for the whole subtree below it.
 
 The walk also runs each distinct round-end state once (state caching, as
 in Holzmann's SPIN, 1997).  At every round end a branch keys its network by
@@ -20,48 +21,20 @@ every byte written from them, are those of a walk of every branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import ir
 from .config import Topology
-from .runtime import RESOLVED, Blueprint, Network, RunReport, _drive, _report
+from .runtime import RESOLVED, Blueprint, Network, RunReport, _drive
 
 
-class _Branch:
-    """One branch of the enumeration: replays `plan` bit by bit, then draws
-    zeros, and snapshots the network before every firing of a group that
-    measures.
+class _Plan:
+    """The outcome source of one branch: replays `plan` bit by bit, then
+    draws zeros."""
 
-    A branch resumed from `origin` re-enters the firing `origin` was taken
-    before; that snapshot stands for it instead of a fresh copy.
-    """
-
-    def __init__(self, plan: tuple[int, ...], origin: "_Snapshot | None"):
+    def __init__(self, plan: tuple[int, ...]):
         self.plan = plan
-        self.snapshots: list[_Snapshot] = [] if origin is None else [origin]
-        self._resumed = origin is not None
 
     def draw(self, position: int) -> int:
         return self.plan[position] if position < len(self.plan) else 0
-
-    def checkpoint(self, net: Network, index: int) -> None:
-        if self._resumed:
-            self._resumed = False
-        else:
-            self.snapshots.append(_Snapshot(net.fork(None), index))
-
-
-@dataclass(eq=False)
-class _Snapshot:
-    """A network about to fire a group that measures, at node `index` of
-    the round in progress."""
-
-    net: Network
-    index: int
-
-    @property
-    def drawn(self) -> int:
-        return len(self.net.trace)
 
 
 class _Keys:
@@ -112,9 +85,7 @@ class _Keys:
     def __call__(self, net: Network) -> tuple:
         state, fired_rule, stage_idx = net.state, net.fired_rule, net.stage_idx
         key = [net.round, self._id(tuple(stage_idx.values()))]
-        live = set()
-        for _index, address in net.live:
-            live.add(address)
+        for address in net.live:
             gids, asks = self._tail(net, address, stage_idx[address])
             key.append(self._id(tuple([state[g] for g in gids])))
             key.append(self._id(tuple([
@@ -139,7 +110,7 @@ class _Keys:
             tuple([net.purify[p] for p in pairs]),
             tuple([net.pair_ends[p] for p in pairs]),
         )))
-        alive = set(pairs)
+        alive, live = set(pairs), set(net.live)
         key.append(self._id(frozenset([
             entry for entry in net.pending.items() if all(p in alive for p, _b in entry[0])
         ])))
@@ -158,36 +129,36 @@ class _Keys:
 class _Walk:
     """The reports of the branches walked so far, and the round-end states
     by key: `memo` for each whose subtree is walked, as (bits drawn, first
-    report, end report, fired records, delivered count) at that state, and
-    `open` for those on the path being walked, in the order they were met."""
+    report, end report, fired count, delivered count) at that state, and
+    `open` for those on the path being walked, in the order they were met,
+    as (key, first report, a copy of the network there).  The first open
+    entry is the network before its first round, with key None."""
 
-    def __init__(self, max_rounds: int):
+    def __init__(self, net: Network, max_rounds: int):
         self.max_rounds = max_rounds
         self.keys = _Keys()
         self.reports: list[RunReport] = []
         self.memo: dict[tuple, tuple] = {}
-        self.open: list[tuple] = []
+        self.open: list[tuple] = [(None, 0, net)]
 
     def close(self, flipped: int) -> None:
         """A branch that flips bit `flipped` leaves the subtree of every
-        state that had drawn it, and the walk never comes back to one."""
-        while self.open and self.open[-1][0] > flipped:
-            drawn, key, first, fired, delivered = self.open.pop()
-            self.memo[key] = (drawn, first, len(self.reports), fired, delivered)
+        state that had drawn it, and the walk never comes back to one.  The
+        first entry, where the first branch starts, stays."""
+        while len(self.open) > 1 and len(self.open[-1][2].trace) > flipped:
+            key, first, net = self.open.pop()
+            self.memo[key] = (len(net.trace), first, len(self.reports), len(net.fired), net.delivered)
 
-    def run(self, net: Network, start: int) -> tuple[int, ...]:
-        """Drive `net`, resuming at node `start`, to its end or to a round
-        end whose subtree is walked, and add the reports that follow; the
-        outcome bits the branch drew."""
-        while net.live and net.round < self.max_rounds:
-            if not net.step(start) and not net.cancel_starved() and not net.timers_armed():
-                self.reports.append(_report(net))
-                break
-            start = 0
-            if self.merged(net):
-                break
-        else:  # complete, or out of rounds: `_drive` reports which
-            self.reports.append(_drive(net, self.max_rounds))
+    def run(self, plan: tuple[int, ...]) -> tuple[int, ...]:
+        """Run the branch that draws `plan`, then zeros, from the last state
+        on the walked path before its last bit was drawn, to its end or to a
+        round end whose subtree is walked, and add the reports that follow;
+        the outcome bits the branch drew."""
+        self.close(len(plan) - 1)
+        net = self.open[-1][2].fork(_Plan(plan))
+        report = _drive(net, self.max_rounds, self.merged)
+        if report is not None:
+            self.reports.append(report)
         return tuple(net.trace)
 
     def merged(self, net: Network) -> bool:
@@ -197,7 +168,7 @@ class _Walk:
         key = self.keys(net)
         walked = self.memo.get(key)
         if walked is None:
-            self.open.append((len(net.trace), key, len(self.reports), len(net.fired), net.delivered))
+            self.open.append((key, len(self.reports), net.fork(None)))
             return False
         drawn, first, end, fired, delivered = walked
         trace = tuple(net.trace)
@@ -225,34 +196,21 @@ def enumerate_outcomes(
 
     Depth first: each branch runs with zeros past its plan, and every zero
     it drew is flipped in a new branch, deepest first.  That branch forks
-    the snapshot taken before the firing that drew the bit and replays the
-    plan from there.  A snapshot is freed with the last branch that forks
-    it, so the live ones lie on the path being walked.  A branch's flips
-    all come after its plan, and the deepest runs first, so the reports come
-    in outcome-path order, and the reports below a state are consecutive.
-    A branch that reaches a state whose subtree is walked stops there (see
-    `_Walk.merged`), and flips only the bits it drew before it.
+    the copy of the last round-end state before the bit was drawn and
+    replays the plan from the start of the next round.  A copy is freed
+    once the walk flips a bit drawn before it, so the live ones lie on the
+    path being walked.  A branch's flips all come after its plan, and the
+    deepest runs first, so the reports come in outcome-path order, and the
+    reports below a state are consecutive.  A branch that reaches a state
+    whose subtree is walked stops there (see `_Walk.merged`), and flips
+    only the bits it drew before it.
     """
-    blueprint = Blueprint(rulesets, topology)
-    walk = _Walk(max_rounds)
-    todo: list[tuple[_Snapshot | None, tuple[int, ...]]] = [(None, ())]
+    walk = _Walk(Network(Blueprint(rulesets, topology), None, initial_fidelity), max_rounds)
+    todo: list[tuple[int, ...]] = [()]
     while todo:
-        origin, plan = todo.pop()
-        walk.close(len(plan) - 1)
-        branch = _Branch(plan, origin)
-        if origin is None:
-            net = Network(blueprint, branch, initial_fidelity)
-        else:
-            net = origin.net.fork(branch)
-        path = walk.run(net, origin.index if origin else 0)
-        snapshots = branch.snapshots
-        owner = 0
+        plan = todo.pop()
+        path = walk.run(plan)
         # pushed shallowest first, so the deepest flip runs next: a subtree
-        # finishes, and frees its snapshots, before its siblings start
-        for i in range(len(plan), len(path)):
-            if path[i] == 0:
-                # the latest snapshot at or before the draw of bit i
-                while owner + 1 < len(snapshots) and snapshots[owner + 1].drawn <= i:
-                    owner += 1
-                todo.append((snapshots[owner], path[:i] + (1,)))
+        # finishes, and frees its copies, before its siblings start
+        todo.extend([path[:i] + (1,) for i in range(len(plan), len(path)) if path[i] == 0])
     return walk.reports

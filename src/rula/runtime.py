@@ -68,16 +68,13 @@ def purify_update(fidelity: float) -> float:
 
 
 class RandomOutcomes:
-    """Seeded coin flips; a sampled run keeps no snapshots."""
+    """Seeded coin flips."""
 
     def __init__(self, seed: int):
         self._rng = random.Random(seed)
 
     def draw(self, position: int) -> int:
         return self._rng.getrandbits(1)
-
-    def checkpoint(self, net: "Network", index: int) -> None:
-        pass
 
 
 # --- messages ----------------------------------------------------------------
@@ -141,7 +138,6 @@ class Group:
     first_stop: int  # the action clauses run before the first comparison
     # qubit slots the actions use that no resource clause binds
     inherited: tuple[int, ...]
-    draws: bool  # some rule measures, so firing may draw outcome bits
 
 
 # group states: pending | fired | cancelled | stuck
@@ -191,7 +187,7 @@ def _build_group(rules: list[ir.Rule], gid: int, like: Group | None = None) -> G
         first_stop = like.first_stop if len(rules) == 1 else _next_stop(alternatives, 0)
         return Group(
             gid, res, recv, like.kind_gate, like.timers, alternatives,
-            first_stop, like.inherited, like.draws,
+            first_stop, like.inherited,
         )
     timers = tuple(c for c in head.condition.clauses if isinstance(c, ir.TimerClause))
     kind_gate = None
@@ -211,13 +207,10 @@ def _build_group(rules: list[ir.Rule], gid: int, like: Group | None = None) -> G
         paired = tuple([(c, max([ends.get(n, 0) for n in _reads(c)])) for c in checks])
         alternatives.append((rule, paired, max([at for _c, at in paired])))
     referenced: set[int] = set()
-    draws = False
     for rule in rules:
         for clause in rule.action.clauses:
             if isinstance(clause, (ir.PromoteClause, ir.FreeClause, ir.MeasureClause)):
                 referenced.add(clause.qubit.qubit_index)
-                if isinstance(clause, ir.MeasureClause):
-                    draws = True
             elif isinstance(clause, ir.QCircClause):
                 for gate in clause.qgates:
                     referenced.add(gate.qubit.qubit_index)
@@ -233,16 +226,15 @@ def _build_group(rules: list[ir.Rule], gid: int, like: Group | None = None) -> G
         alternatives=tuple(alternatives),
         first_stop=_next_stop(alternatives, 0),
         inherited=tuple(sorted(referenced)),
-        draws=draws,
     )
 
 
 # --- the network -------------------------------------------------------------
 
 
-def _provision(stages: dict[int, list[list[Group]]]) -> dict[tuple[int, int], int]:
-    """Pairs to create per link: each node needs, toward each neighbour, one
-    fresh pair for every resource clause of every rule group."""
+def _demand(stages: dict[int, list[list[Group]]]) -> dict[tuple[int, int], int]:
+    """The pairs each node needs toward each partner, by (node, partner):
+    one fresh pair for every resource clause of every rule group."""
     demand: dict[tuple[int, int], int] = {}
     for addr, node_stages in stages.items():
         for stage in node_stages:
@@ -250,11 +242,7 @@ def _provision(stages: dict[int, list[list[Group]]]) -> dict[tuple[int, int], in
                 for clause in group.res:
                     key = (addr, clause.partner_addr)
                     demand[key] = demand.get(key, 0) + clause.count
-    links: dict[tuple[int, int], int] = {}
-    for (a, b), n in demand.items():
-        key = (min(a, b), max(a, b))
-        links[key] = max(links.get(key, 0), n)
-    return links
+    return demand
 
 
 def _group_rules(stage: ir.Stage) -> list[list[ir.Rule]]:
@@ -269,11 +257,11 @@ def _group_rules(stage: ir.Stage) -> list[list[ir.Rule]]:
 
 class Blueprint:
     """What every run over one set of rulesets shares and never changes:
-    the rule groups of each node, the pairs provisioned per link, every
-    Send clause as (kind, group, rule) by (sender, destination) (`sends`),
-    and each distinct report record made so far (`records`).  The groups of
-    rules with one tuple of template keys share what reads no hole (see
-    `_build_group`).
+    the rule groups of each node, the pairs provisioned per link between
+    neighbours on the path, every Send clause as (kind, group, rule) by
+    (sender, destination) (`sends`), and each distinct report record made
+    so far (`records`).  The groups of rules with one tuple of template keys
+    share what reads no hole (see `_build_group`).
 
     An end is an int.  Ends 2p and 2p + 1 are the two ends of provisioned
     pair p, at the lower and the higher address of its link; `end_node` is
@@ -306,11 +294,14 @@ class Blueprint:
                     self.group_count += 1
             self.stages[rep.address] = stages
         self.addresses = sorted(self.stages)
-        self.links = _provision(self.stages)
+        demand = _demand(self.stages)
         self.end_node: list[int] = []
         self.ends: dict[int, list[int]] = {addr: [] for addr in self.addresses}
-        for a, b in zip(self.addresses, self.addresses[1:]):
-            for _ in range(self.links.get((a, b), 0)):
+        # per link between neighbours on the path, lower address first, in
+        # address order: as many pairs as either end needs toward the other
+        path = [rep.address for rep in topology.repeaters]
+        for a, b in sorted({(min(link), max(link)) for link in zip(path, path[1:])}):
+            for _ in range(max(demand.get((a, b), 0), demand.get((b, a), 0))):
                 for holder in (a, b):
                     self.ends[holder].append(len(self.end_node))
                     self.end_node.append(holder)
@@ -322,7 +313,7 @@ class Blueprint:
 
 class Network:
     """The state one run changes: pairs and ends, group states, node
-    progress with the nodes not yet complete (`live`, (index, address) in
+    progress with the addresses of the nodes not yet complete (`live`, in
     address order), messages in flight, sampled references and the outcome
     trace.
 
@@ -372,7 +363,7 @@ class Network:
         self.inboxes = {}
         for address in blueprint.addresses:
             self._advance(address)
-        self.live = list(enumerate(blueprint.addresses))
+        self.live = blueprint.addresses
         self._refresh()
 
     def fork(self, outcomes) -> "Network":
@@ -403,14 +394,13 @@ class Network:
         net.store = self.store.copy()
         net.timers = self.timers.copy()
         net.inboxes = self.inboxes.copy()
-        net.live = self.live
-        net._refresh()  # a new list, without who completed earlier in the round
+        net.live = self.live.copy()
         return net
 
     def _refresh(self) -> None:
         """Drop the nodes that have become complete from `live`."""
         stages, stage_idx = self.blueprint.stages, self.stage_idx
-        self.live = [entry for entry in self.live if stage_idx[entry[1]] < len(stages[entry[1]])]
+        self.live = [address for address in self.live if stage_idx[address] < len(stages[address])]
 
     def other_end(self, end: int) -> int:
         a, b = self.pair_ends[self.end_pair[end]]
@@ -590,23 +580,18 @@ class Network:
         self.outbox = []
         return bool(outbox)
 
-    def step(self, start: int = 0) -> bool:
-        """One round, from node `start` of the address order on.  A round
-        resumed from a snapshot fires at `start` first, so the progress of
-        the nodes before it need not be known."""
+    def step(self) -> bool:
+        """One round: each node not yet complete fires at most one group, in
+        address order, then every message sent in it is delivered."""
         progress = ended = False
         stages, stage_idx = self.blueprint.stages, self.stage_idx
-        for index, address in self.live:
-            if index < start:
-                continue
+        for address in self.live:
             for group in stages[address][stage_idx[address]]:
                 if self.state[group.gid] != "pending":
                     continue
                 held = self._condition_holds(address, group)
                 if held is None or self._bind_inherited(address, group, *held) is not None:
                     continue  # not ready: its condition fails or a qubit slot finds no end
-                if group.draws:
-                    self.outcomes.checkpoint(self, index)
                 self._fire(address, group, held[0])
                 progress = True
                 # only a node that fires can complete in a round
@@ -631,7 +616,7 @@ class Network:
         progressed = True
         while progressed:
             progressed = False
-            for _index, address in self.live:
+            for address in self.live:
                 for group in stages[address][stage_idx[address]]:
                     if group.recv is None or self.state[group.gid] != "pending":
                         continue
@@ -665,7 +650,7 @@ class Network:
         """(address, group) for each group of a live node's stage that has
         neither fired nor been cancelled."""
         stages, stage_idx = self.blueprint.stages, self.stage_idx
-        for _index, address in self.live:
+        for address in self.live:
             for group in stages[address][stage_idx[address]]:
                 if not self._resolved(group):
                     yield address, group
@@ -1000,18 +985,20 @@ def _report(net: Network, stuck: list[str] | None = None) -> RunReport:
     )
 
 
-def _drive(net: Network, max_rounds: int, start: int = 0) -> RunReport:
+def _drive(net: Network, max_rounds: int, merged=None) -> RunReport | None:
     """Run rounds until every node is complete, nothing can progress, or
-    the round budget is spent; the first round resumes at node `start`. A
-    run cut off by the budget is stuck, with the budget as its one reason:
-    its waiting groups may yet fire."""
+    the round budget is spent. A run cut off by the budget is stuck, with
+    the budget as its one reason: its waiting groups may yet fire.  After
+    each round that progressed, `merged(net)` may end the run with no
+    report (see `explore`)."""
     while net.live:
         if net.round >= max_rounds:
             spent = f"round budget of {max_rounds} round(s) spent before every node completed"
             return _report(net, [spent])
-        if not net.step(start) and not net.cancel_starved() and not net.timers_armed():
+        if not net.step() and not net.cancel_starved() and not net.timers_armed():
             break
-        start = 0
+        if merged and merged(net):
+            return None
     return _report(net)
 
 

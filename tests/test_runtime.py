@@ -89,6 +89,23 @@ class TestSwapThreeNodes:
         assert report.fired[0]["address"] == 1
         assert report.fired[0]["rule"] == "swapping"
 
+    @pytest.mark.parametrize("addresses", [[0, 7, 3], [5, 0, 9]])
+    def test_links_follow_the_path_not_the_address_order(self, corpus, addresses):
+        """Pairs are provisioned between neighbours on the path: on 0-7-3
+        those are (0, 7) and (3, 7), where address order would give only
+        (3, 7), and every run stuck at its first round."""
+        repeaters = [{"name": f"#{i}", "address": a} for i, a in enumerate(addresses)]
+        topology = config.load_config(json.dumps({"repeaters": repeaters}))
+        source = (corpus / "entanglement_swapping.rula").read_text()
+        program, _diags = analyzer.resolve_imports(parser.parse(source), [corpus])
+        out = codegen.compile_program(analyzer.analyze_program(program), topology, 7)
+        assert out.ok, out.diagnostics
+        reports = enumerate_in_order(out.per_node, topology)
+        assert len(reports) == 4
+        for report in reports:
+            assert report.quiescent, report.stuck
+            assert [p["nodes"] for p in report.promoted_pairs()] == [sorted(addresses[::2])]
+
 
 class TestSwapFiveNodes:
     def test_all_branches_quiescent(self, corpus):
@@ -360,16 +377,13 @@ def compile_chain(corpus, program_name, nodes, source=None):
 
 
 class PlannedOutcomes:
-    """Replays a fixed bit prefix, then draws zeros; keeps no snapshots."""
+    """Replays a fixed bit prefix, then draws zeros."""
 
     def __init__(self, plan):
         self.plan = plan
 
     def draw(self, position):
         return self.plan[position] if position < len(self.plan) else 0
-
-    def checkpoint(self, net, index):
-        pass
 
 
 def replay_enumeration(rulesets, topology, *, initial_fidelity=1.0, max_rounds=10_000):
@@ -396,7 +410,7 @@ def measure_twice_on_zero():
     """Node 1, twice: one group whose shared prefix measures, then only the
     alternative taken on a 0 measures again, so the bits one firing draws
     depend on the bits it drew before.  Node 0 frees a pair in each of two
-    stages: a round resumed at node 1 must not give node 0 a second turn."""
+    stages: a round rerun for a flipped bit gives node 0 one turn, not two."""
 
     def res(partner, qubit):
         return ir.ResClause(count=1, fidelity=0.5, partner_addr=partner, qubit_index=qubit)
@@ -486,53 +500,57 @@ class TestForkedEnumeration:
                 (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1),
             ]
 
-    def test_live_snapshots_stay_on_one_path(self, corpus, monkeypatch):
-        rulesets, topology = compile_chain(corpus, "entanglement_swapping.rula", 5)
+    @staticmethod
+    def copies(monkeypatch):
+        """Every copy the walk keeps of a round-end state (`fork(None)`)
+        while it is alive, and how many were alive after each was made."""
         live, peak = weakref.WeakSet(), []
-        real = explore._Snapshot
+        real = runtime.Network.fork
 
-        def tracked(*args):
-            snapshot = real(*args)
-            live.add(snapshot)
-            peak.append(len(live))
-            return snapshot
+        def tracked(net, outcomes):
+            fork = real(net, outcomes)
+            if outcomes is None:
+                live.add(fork)
+                peak.append(len(live))
+            return fork
 
-        monkeypatch.setattr(explore, "_Snapshot", tracked)
-        assert len(enumerate_in_order(rulesets, topology)) == 64
-        # one per swap on the path being walked, plus the one just taken
-        assert max(peak) <= 3 + 1
+        monkeypatch.setattr(runtime.Network, "fork", tracked)
+        return live, peak
+
+    def test_live_copies_stay_on_one_path(self, corpus, monkeypatch):
+        rulesets, topology = compile_chain(corpus, "entanglement_swapping.rula", 5)
+        live, peak = self.copies(monkeypatch)
+        reports = enumerate_in_order(rulesets, topology)
+        assert len(reports) == 64
+        # one per round end on the path being walked, plus the one just closed
+        assert max(peak) <= max(r.rounds for r in reports) + 1
         assert len(live) == 0
 
-    def test_every_measuring_firing_takes_a_snapshot(self, corpus, monkeypatch):
+    def test_every_new_round_end_state_takes_a_copy(self, corpus, monkeypatch):
         rulesets, topology = compile_chain(corpus, "purification.rula", 5)
-        taken = []
-        real = explore._Snapshot
-
-        def counting(*args):
-            taken.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(explore, "_Snapshot", counting)
+        _live, taken = self.copies(monkeypatch)
         assert len(enumerate_in_order(rulesets, topology)) == 1024
-        # a resumed branch re-enters its origin's firing without a new copy,
-        # and a branch that reaches a walked state stops there (497 without)
-        assert len(taken) == 201
+        # one per round-end key the walk opens: a branch that reaches a
+        # walked state stops there and copies nothing more
+        assert len(taken) == 720
 
     def test_equal_states_run_once(self, corpus, monkeypatch):
-        """The walk steps 397 rounds over the 1 024 branches of chain7 on 7
-        nodes; running every branch to its end steps 5 148.  A key that
-        stopped merging would step more."""
+        """The walk steps 397 rounds and fires 765 groups over the 1 024
+        branches of chain7 on 7 nodes; running every branch to its end steps
+        5 148.  A key that stopped merging would step more, and a flipped
+        branch that reran more of its walked path would fire more."""
         rulesets, topology = compile_chain(corpus, "chain7.rula", 7)
-        steps = collections.Counter()
-        real = runtime.Network.step
+        calls = collections.Counter()
+        for name in ("step", "_fire"):
+            real = getattr(runtime.Network, name)
 
-        def counting(net, *args):
-            steps["round"] += 1
-            return real(net, *args)
+            def counting(net, *args, name=name, real=real):
+                calls[name] += 1
+                return real(net, *args)
 
-        monkeypatch.setattr(runtime.Network, "step", counting)
+            monkeypatch.setattr(runtime.Network, name, counting)
         assert len(enumerate_in_order(rulesets, topology)) == 1024
-        assert steps["round"] == 397
+        assert calls == {"step": 397, "_fire": 765}
 
     def test_sampled_run_is_one_branch(self, corpus):
         rulesets, topology = compile_chain(corpus, "entanglement_swapping.rula", 5)
@@ -681,7 +699,7 @@ def asked_carriers(net):
     """The gids of the groups whose `fired_rule` some pending recv-gated
     group of a node not yet complete, in its stage or a later one, reads."""
     asked = set()
-    for _index, address in net.live:
+    for address in net.live:
         for stage in net.blueprint.stages[address][net.stage_idx[address]:]:
             for group in stage:
                 if group.recv is not None and net.state[group.gid] == "pending":
@@ -735,8 +753,7 @@ def unasked_fired_rules(net):
 
 
 def complete_nodes(net):
-    live = {address for _index, address in net.live}
-    complete = [address for address in net.stage_idx if address not in live]
+    complete = [address for address in net.stage_idx if address not in net.live]
     for address in complete:
         for where in [where for where in net.store if where[0] == address]:
             net.store[where] = "mutated"
@@ -811,7 +828,7 @@ class TestMergeKey:
             fork.phase[net.end_pair[held[0]]] ^= 1
             assert keys(fork) != key
             fork = net.fork(None)
-            fork.store[net.live[0][1], "mutated"] = "1"
+            fork.store[net.live[0], "mutated"] = "1"
             assert keys(fork) != key
             checked += 1
         assert checked >= 10
@@ -941,8 +958,8 @@ class TestKeyReads:
 
 
 class TestLiveNodes:
-    """`Network.live` lists the nodes not yet complete, as (index, address)
-    in address order, after every round and every starvation pass and in
+    """`Network.live` lists the addresses of the nodes not yet complete, in
+    address order, after every round and every starvation pass and in
     every fork, in a sampled run and in every branch of an enumeration."""
 
     @pytest.mark.parametrize(
@@ -966,7 +983,7 @@ class TestLiveNodes:
         def assert_live(net):
             stages = net.blueprint.stages
             expected = [
-                (i, address) for i, address in enumerate(net.blueprint.addresses)
+                address for address in net.blueprint.addresses
                 if net.stage_idx[address] < len(stages[address])
             ]
             assert net.live == expected
@@ -996,20 +1013,17 @@ class TestForkIndependence:
     driving it to the end leaves the parent as it was, and the parent then
     ends as a run that was never forked."""
 
-    class Stop(Exception):
-        pass
-
-    class FirstCheckpoint(PlannedOutcomes):
-        """Draws zeros and stops the run at its first measuring firing."""
-
-        def __init__(self):
-            super().__init__(())
-            self.index = None
-
-        def checkpoint(self, net, index):
-            if self.index is None:
-                self.index = index
-                raise TestForkIndependence.Stop
+    @staticmethod
+    def before_first_draw(blueprint):
+        """A network drawing zeros, at the last round end before it draws its
+        first outcome bit: each round is stepped in a probe fork first."""
+        net = runtime.Network(blueprint, PlannedOutcomes(()), 1.0)
+        while True:
+            probe = net.fork(PlannedOutcomes(()))
+            assert probe.step()
+            if probe.trace:
+                return net
+            net = probe
 
     @staticmethod
     def containers(net):
@@ -1027,10 +1041,7 @@ class TestForkIndependence:
     def test_fork_leaves_its_parent(self, corpus, program, config_name):
         rulesets, topology = compile_corpus(corpus, program, config_name)
         blueprint = runtime.Blueprint(rulesets, topology)
-        source = self.FirstCheckpoint()
-        parent = runtime.Network(blueprint, source, 1.0)
-        with pytest.raises(self.Stop):
-            runtime._drive(parent, 10_000)
+        parent = self.before_first_draw(blueprint)
         before = json.dumps(runtime._report(parent).to_json())
 
         fork = parent.fork(PlannedOutcomes((1,) * 64))
@@ -1040,11 +1051,11 @@ class TestForkIndependence:
         assert flat <= mine.keys()
         shared = [name for name in mine if mine[name] is theirs[name]]
         assert shared == []
-        forked = runtime._drive(fork, 10_000, source.index)
+        forked = runtime._drive(fork, 10_000)
         assert forked.outcome_path and set(forked.outcome_path) == {1}
 
         assert json.dumps(runtime._report(parent).to_json()) == before
-        resumed = runtime._drive(parent, 10_000, source.index)
+        resumed = runtime._drive(parent, 10_000)
         unforked = runtime._drive(runtime.Network(blueprint, PlannedOutcomes(()), 1.0), 10_000)
         assert resumed.quiescent
         assert json.dumps(resumed.to_json()) == json.dumps(unforked.to_json())
@@ -1054,8 +1065,8 @@ class TestForkIndependence:
         """Node 1 sends node 0 two messages.  Node 0 takes the first (storing
         its `n`, arming timer `t` for 3 rounds), measures its pair with node
         1 (storing the bit), then takes the second once `t` has expired
-        (storing its `n`, arming `t` again).  At its measuring firing, node 0
-        holds a store, a timer and a queued message."""
+        (storing its `n`, arming `t` again).  At the round end before its
+        measuring firing, node 0 holds a store, a timer and a queued message."""
 
         def send(n):
             return ir.SendClause("Meas", 0, (("n", n),))
@@ -1079,10 +1090,7 @@ class TestForkIndependence:
 
     def test_fork_leaves_its_parents_node_state(self):
         blueprint = runtime.Blueprint(self.stateful_pair(), chain(2))
-        source = self.FirstCheckpoint()
-        parent = runtime.Network(blueprint, source, 1.0)
-        with pytest.raises(self.Stop):
-            runtime._drive(parent, 10_000)
+        parent = self.before_first_draw(blueprint)
         names = ("stage_idx", "store", "timers", "inboxes")
         before = {name: dict(getattr(parent, name)) for name in names}
         assert before == {
@@ -1093,7 +1101,7 @@ class TestForkIndependence:
         }
 
         fork = parent.fork(PlannedOutcomes((1,)))
-        forked = runtime._drive(fork, 10_000, source.index)
+        forked = runtime._drive(fork, 10_000)
         assert forked.quiescent and forked.outcome_path == (1,)
         assert [f["rule"] for f in forked.fired] == ["send", "take", "measure", "drain"]
         assert {name: getattr(fork, name) for name in names} == {
@@ -1104,7 +1112,7 @@ class TestForkIndependence:
         }
         assert {name: getattr(parent, name) for name in names} == before
 
-        resumed = runtime._drive(parent, 10_000, source.index)
+        resumed = runtime._drive(parent, 10_000)
         unforked = runtime._drive(runtime.Network(blueprint, PlannedOutcomes(()), 1.0), 10_000)
         assert resumed.quiescent and parent.store == {(0, "n"): "2", (0, "bit"): "0"}
         assert json.dumps(resumed.to_json()) == json.dumps(unforked.to_json())
