@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import analyzer, codegen, config, ir, parser, runtime
+from . import analyzer, codegen, config, explore, ir, parser, runtime
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -231,7 +231,8 @@ def _load_rulesets(directory: Path, topology: config.Topology):
     return rulesets
 
 
-def _describe(report: runtime.RunReport, prefix: str = "") -> None:
+def _describe(report: runtime.RunReport, prefix: str = "") -> runtime.RunReport:
+    """Print `report` to stderr, each line after `prefix`, and return it."""
     _err(f"{prefix}{report.status} after {report.rounds} round(s), "
          f"{len(report.fired)} rule(s) fired, "
          f"{report.messages_delivered} message(s) delivered")
@@ -242,6 +243,7 @@ def _describe(report: runtime.RunReport, prefix: str = "") -> None:
              f"fidelity {pair['fidelity']}, {'/'.join(pair['states'])}")
     for line in report.stuck:
         _err(f"{prefix}stuck: {line}")
+    return report
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -262,30 +264,33 @@ def cmd_run(args: argparse.Namespace) -> int:
     budget = {"initial_fidelity": args.fidelity, "max_rounds": args.max_steps}
     try:
         if args.enumerate_outcomes:
-            reports = runtime.enumerate_outcomes(rulesets, topology, **budget)
+            branches, ok, reports = explore.outcomes(rulesets, topology, **budget)
         else:
             report = runtime.run(rulesets, topology, seed=args.seed, **budget)
+            ok = report.quiescent
     except runtime.SimulationError as exc:
         _err(f"error: simulation: {exc}")
         return EXIT_FAILURE
 
     if args.enumerate_outcomes:
-        ok = all(r.quiescent for r in reports)
-        for report in reports:
-            _describe(report, f"branch {''.join(map(str, report.outcome_path))}: ")
-        _err(f"{len(reports)} branch(es), " + ("all quiescent" if ok else "some stuck"))
-    else:
-        ok = report.quiescent
-        _describe(report)
-    if args.report_json:  # written as it goes (see `ir.dump`)
+        # made as they are written, each branch's lines before its JSON
+        described = (_describe(r, f"branch {''.join(map(str, r.outcome_path))}: ") for r in reports)
         document = {
             "all_quiescent": ok,
-            "branches": len(reports),
+            "branches": branches,
             "mode": "enumerate",
-            "reports": [r.to_json() for r in reports],
-        } if args.enumerate_outcomes else report.to_json()
+            "reports": map(runtime.RunReport.to_json, described),
+        }
+    else:
+        described = ()
+        document = _describe(report).to_json()
+    if args.report_json:  # written as it goes (see `ir.dump`)
         ir.dump(document, _out, indent=2)
         _out("\n")
+    for _report in described:  # without --report-json, nothing else draws them
+        pass
+    if args.enumerate_outcomes:
+        _err(f"{branches} branch(es), " + ("all quiescent" if ok else "some stuck"))
     return EXIT_OK if ok else EXIT_FAILURE
 
 

@@ -1,22 +1,24 @@
 """Enumeration of every branch of a run's measurement outcome tree.
 
-Enumeration is a depth-first walk over the networks of one `Blueprint`
-(see `runtime`): a branch runs with zero bits past its plan, and each zero
-it drew is flipped in a new branch.  The walk keeps a copy of the network
-at each new round-end state on the path it walks, and a flipped branch
-resumes from the last copy made before its bit was drawn, rerunning the
-next round from its start under its plan; so the rounds before the one
-that draws a bit run once for the whole subtree below it.
+Enumeration builds one graph over the networks of one `Blueprint` (see
+`runtime`).  Its nodes are the distinct round-end states of the run, each
+keyed by what a later round, stuck line or report can read, and by nothing
+else (live-variable reduction, Bozga, Fernandez and Ghirvu, SAS 1999; see
+`_Keys`), and each is expanded once, from the network of the first branch
+that reaches it (state caching, as in Holzmann's SPIN, 1997).  A node has
+one edge per plan of the outcome bits its next round draws, in bit order,
+holding those bits, the fired records and delivered count of that round,
+and the node of the state the round ends at or the report it ends the run
+with.  So the
+rounds before a bit is drawn run once for the whole subtree below them,
+and an equal state met again is not run again.
 
-The walk also runs each distinct round-end state once (state caching, as
-in Holzmann's SPIN, 1997).  At every round end a branch keys its network by
-what a later round, stuck line or report can read, and by nothing else
-(live-variable reduction, Bozga, Fernandez and Ghirvu, SAS 1999; see
-`_Keys`).  Once the subtree below a key has been walked, a branch that
-reaches an equal key stops there and takes that subtree's reports as its
-own: each with the branch's fired records, delivered count and outcome bits
-so far, then the report's own from that state on.  So the reports, and
-every byte written from them, are those of a walk of every branch.
+Folding the graph gives the number of branches and whether every one is
+quiescent.  Unfolding it depth first, edges in bit order, gives the report
+of every branch in outcome-path order, each with the bits, fired records
+and delivered count of the edges on its path: so the reports, and every
+byte written from them, are those of running every branch.  The reports
+are made as they are drawn, and only the graph is held.
 """
 
 from __future__ import annotations
@@ -26,15 +28,12 @@ from .config import Topology
 from .runtime import RESOLVED, Blueprint, Network, RunReport, _drive
 
 
-class _Plan:
-    """The outcome source of one branch: replays `plan` bit by bit, then
+class _Plan(tuple):
+    """The outcome source of one branch: replays its bits one by one, then
     draws zeros."""
 
-    def __init__(self, plan: tuple[int, ...]):
-        self.plan = plan
-
     def draw(self, position: int) -> int:
-        return self.plan[position] if position < len(self.plan) else 0
+        return self[position] if position < len(self) else 0
 
 
 class _Keys:
@@ -58,7 +57,7 @@ class _Keys:
     that spans one, which no measurement can span again either; and the
     store, timers and inboxes of complete nodes.
 
-    Each part is numbered once per walk by value (`_id`), as the blueprint
+    Each part is numbered once per graph by value (`_id`), as the blueprint
     builds each report record once, so a key is a short tuple of ints.  One
     `_Keys` serves one blueprint: it keeps the groups of each of its stages."""
 
@@ -126,91 +125,73 @@ class _Keys:
         return tuple(key)
 
 
-class _Walk:
-    """The reports of the branches walked so far, and the round-end states
-    by key: `memo` for each whose subtree is walked, as (bits drawn, first
-    report, end report, fired count, delivered count) at that state, and
-    `open` for those on the path being walked, in the order they were met,
-    as (key, first report, a copy of the network there).  The first open
-    entry is the network before its first round, with key None."""
-
-    def __init__(self, net: Network, max_rounds: int):
-        self.max_rounds = max_rounds
-        self.keys = _Keys()
-        self.reports: list[RunReport] = []
-        self.memo: dict[tuple, tuple] = {}
-        self.open: list[tuple] = [(None, 0, net)]
-
-    def close(self, flipped: int) -> None:
-        """A branch that flips bit `flipped` leaves the subtree of every
-        state that had drawn it, and the walk never comes back to one.  The
-        first entry, where the first branch starts, stays."""
-        while len(self.open) > 1 and len(self.open[-1][2].trace) > flipped:
-            key, first, net = self.open.pop()
-            self.memo[key] = (len(net.trace), first, len(self.reports), len(net.fired), net.delivered)
-
-    def run(self, plan: tuple[int, ...]) -> tuple[int, ...]:
-        """Run the branch that draws `plan`, then zeros, from the last state
-        on the walked path before its last bit was drawn, to its end or to a
-        round end whose subtree is walked, and add the reports that follow;
-        the outcome bits the branch drew."""
-        self.close(len(plan) - 1)
-        net = self.open[-1][2].fork(_Plan(plan))
-        report = _drive(net, self.max_rounds, self.merged)
-        if report is not None:
-            self.reports.append(report)
-        return tuple(net.trace)
-
-    def merged(self, net: Network) -> bool:
-        """Whether the subtree below the state of `net` is walked; if so,
-        its reports are added again with the branch's path as their
-        prefix, else the state is open."""
-        key = self.keys(net)
-        walked = self.memo.get(key)
-        if walked is None:
-            self.open.append((key, len(self.reports), net.fork(None)))
-            return False
-        drawn, first, end, fired, delivered = walked
-        trace = tuple(net.trace)
-        for report in self.reports[first:end]:
-            self.reports.append(RunReport(
-                status=report.status,
-                rounds=report.rounds,
-                fired=net.fired + report.fired[fired:],
-                pairs=report.pairs,
-                stuck=report.stuck,
-                messages_delivered=net.delivered + report.messages_delivered - delivered,
-                outcome_path=trace + report.outcome_path[drawn:],
-            ))
-        return True
-
-
-def enumerate_outcomes(
+def outcomes(
     rulesets: dict[int, ir.RuleSet],
     topology: Topology,
     *,
     initial_fidelity: float = 1.0,
     max_rounds: int = 10_000,
-) -> list[RunReport]:
-    """Every branch of the measurement outcome tree, each once.
+) -> tuple:
+    """The number of branches of the measurement outcome tree, whether every
+    one ends quiescent, and a generator of their reports, each once, in
+    outcome-path order.
 
-    Depth first: each branch runs with zeros past its plan, and every zero
-    it drew is flipped in a new branch, deepest first.  That branch forks
-    the copy of the last round-end state before the bit was drawn and
-    replays the plan from the start of the next round.  A copy is freed
-    once the walk flips a bit drawn before it, so the live ones lie on the
-    path being walked.  A branch's flips all come after its plan, and the
-    deepest runs first, so the reports come in outcome-path order, and the
-    reports below a state are consecutive.  A branch that reaches a state
-    whose subtree is walked stops there (see `_Walk.merged`), and flips
-    only the bits it drew before it.
+    The graph is built depth first, with a stack of the nodes being
+    expanded: each with its network, the plans of its next round still to
+    run and its edges so far, so the live networks are those on one path.
+    A plan runs for one round in a fork of the node's network, with zeros
+    past it, and each zero that round drew past the plan is then flipped in
+    a new plan, deepest first, so the edges come in bit order.  A node is
+    folded once its last plan has run: an edge that ends the run is one
+    branch, and one that reaches a node brings that node's branches.
+    The generator walks the graph with a stack of edge iterators, one per
+    node on the path that has more than one edge, and makes each report as
+    it is drawn.
     """
-    walk = _Walk(Network(Blueprint(rulesets, topology), None, initial_fidelity), max_rounds)
-    todo: list[tuple[int, ...]] = [()]
-    while todo:
-        plan = todo.pop()
-        path = walk.run(plan)
-        # pushed shallowest first, so the deepest flip runs next: a subtree
-        # finishes, and frees its copies, before its siblings start
-        todo.extend([path[:i] + (1,) for i in range(len(plan), len(path)) if path[i] == 0])
-    return walk.reports
+    keys = _Keys()
+    nodes = {}  # key -> its node: [edges], then branches and all quiescent
+    root = [[]]
+    stack = [(Network(Blueprint(rulesets, topology), None, initial_fidelity), [()], root)]
+    while stack:
+        net, plans, node = stack[-1]
+        if not plans:
+            stack.pop()
+            counts, quiet = zip(*[
+                (1, end.quiescent) if end.__class__ is RunReport else end[1:] for *_, end in node[0]
+            ])
+            node += sum(counts), all(quiet)
+            continue
+        plan = plans.pop()
+        fork = net.fork(_Plan(tuple(net.trace) + plan))
+        end = _drive(fork, max_rounds, True)
+        bits = tuple(fork.trace[len(net.trace):])
+        plans.extend([bits[:i] + (1,) for i in range(len(plan), len(bits)) if not bits[i]])
+        if end is None:
+            key = keys(fork)
+            end = nodes.get(key)
+            if end is None:
+                end = nodes[key] = [[]]
+                stack.append((fork, [()], end))
+        node[0].append((bits, fork.fired[len(net.fired):], fork.delivered - net.delivered, end))
+
+    def unfold():
+        stack = [((), [], 0, iter(root[0]))]
+        while stack:
+            path, fired, delivered, ahead = stack[-1]
+            for bits, more, count, end in ahead:
+                more, count = fired + more, delivered + count
+                # a node with one edge draws no bit (a drawn bit is flipped
+                # too): followed in place
+                while end.__class__ is not RunReport and len(end[0]) == 1:
+                    _, after, step, end = end[0][0]
+                    more += after
+                    count += step
+                if end.__class__ is RunReport:
+                    yield RunReport(end.status, end.rounds, more, end.pairs, end.stuck, count, path + bits)
+                else:
+                    stack.append((path + bits, more, count, iter(end[0])))
+                    break
+            else:
+                stack.pop()
+
+    return (*root[1:], unfold())

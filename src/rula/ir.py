@@ -90,6 +90,7 @@ import json
 import math
 import operator
 import re
+from collections.abc import Iterator
 from dataclasses import MISSING, dataclass, fields
 
 # each Cmp operator of the wire format, and the test it names
@@ -368,9 +369,12 @@ _encode_scalar = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def dump(value, write, indent: int = 4) -> None:
-    """Write JSON data, in which an IR node stands for its wire object, to
-    `write` in pieces that join to `json.dumps(value, indent=indent,
-    ensure_ascii=False)` of the data with the objects in place.
+    """Write JSON data, in which an IR node stands for its wire object and
+    an iterator for the list of what it yields, to `write` in pieces that
+    join to `json.dumps(value, indent=indent, ensure_ascii=False)` of the
+    data with the objects and lists in place.  An iterator is drawn once,
+    and each item is freed, as far as this writer holds it, once the next
+    is drawn.
 
     With an indent the standard library falls back to its pure-Python
     encoder. This writer walks dicts, lists, tuples and IR nodes itself,
@@ -414,17 +418,17 @@ def _write(value, newline: str, step: str, emit, texts: dict, templates=None):
             text = "".join(out)
             texts[id(value), newline] = (value, None if known is None else text)
         emit(text)
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            emit("[]")
-            return
+    elif isinstance(value, (list, tuple, Iterator)):
+        drawn = value.__class__ not in (list, tuple)
         inner = newline + step
         sep = "[" + inner
         for item in value:
             emit(sep)
             _write(item, inner, step, emit, texts, templates)
+            if drawn:  # an item drawn from an iterator is not kept
+                texts.pop((id(item), inner), None)
             sep = "," + inner
-        emit(newline + "]")
+        emit("[]" if sep[0] == "[" else newline + "]")
     else:
         emit(_encode_scalar(value))
 

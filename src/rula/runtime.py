@@ -14,12 +14,12 @@ of the outcome tree.
 The rule groups, the link provisioning, the node of each end and the
 index of send clauses are built once per call (`Blueprint`); a `Network`
 holds only what a run changes, so it can be forked by copying each of its
-lists and dicts once, which is how `explore` walks every branch of the
-outcome tree.  A rule group is built once per tuple of template keys
-(`ir.keyed`): its rules differ from those of the first group of that tuple
-only in their holes, so it takes every part that reads no hole from that
-group and reads its own resource and recv clauses, its rules and where its
-alternatives part ways.
+lists and dicts once, which is how `explore` runs each round of its
+outcome graph from the state the round starts at.  A rule group is built
+once per tuple of template keys (`ir.keyed`): its rules differ from those
+of the first group of that tuple only in their holes, so it takes every
+part that reads no hole from that group and reads its own resource and
+recv clauses, its rules and where its alternatives part ways.
 
 One rule picks which rule of a group fires (see `Group`): a comparison is
 read once the action clauses that write the registers it names have run,
@@ -985,19 +985,19 @@ def _report(net: Network, stuck: list[str] | None = None) -> RunReport:
     )
 
 
-def _drive(net: Network, max_rounds: int, merged=None) -> RunReport | None:
+def _drive(net: Network, max_rounds: int, once=False) -> RunReport | None:
     """Run rounds until every node is complete, nothing can progress, or
     the round budget is spent. A run cut off by the budget is stuck, with
-    the budget as its one reason: its waiting groups may yet fire.  After
-    each round that progressed, `merged(net)` may end the run with no
-    report (see `explore`)."""
+    the budget as its one reason: its waiting groups may yet fire.  With
+    `once`, a run that has a node still to complete after its first round
+    stops there, with no report (see `explore`)."""
     while net.live:
         if net.round >= max_rounds:
             spent = f"round budget of {max_rounds} round(s) spent before every node completed"
             return _report(net, [spent])
         if not net.step() and not net.cancel_starved() and not net.timers_armed():
             break
-        if merged and merged(net):
+        if once and net.live:
             return None
     return _report(net)
 
@@ -1015,10 +1015,9 @@ def run(
     return _drive(net, max_rounds)
 
 
-def __getattr__(name: str):
-    """`enumerate_outcomes` lives in `explore`, which imports this module."""
-    if name == "enumerate_outcomes":
-        from .explore import enumerate_outcomes
+def enumerate_outcomes(*args, **options) -> list[RunReport]:
+    """The report of every branch of the measurement outcome tree, as a list
+    (see `explore.outcomes`, which takes the same arguments)."""
+    from .explore import outcomes  # `explore` imports this module
 
-        return enumerate_outcomes
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return list(outcomes(*args, **options)[2])

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from rula import cli, codegen, ir, parser, runtime
+from rula import cli, codegen, explore, ir, parser, runtime
 
 SWAP = "entanglement_swapping.rula"
 
@@ -693,7 +693,7 @@ class TestRun:
         spying(ir, "validate")
         spying(cli, "_load_rulesets")
         spying(runtime, "run")
-        spying(runtime, "enumerate_outcomes")
+        spying(explore, "outcomes")
         out_dir = self.compiled(corpus, capsys, tmp_path)
         assert seen == [("compile_program", False)] and gc.isenabled()
         seen.clear()
@@ -706,7 +706,7 @@ class TestRun:
         assert seen == [("_load_rulesets", False), ("run", False)] and gc.isenabled()
         seen.clear()
         assert run_cli([*argv, "--enumerate-outcomes"], capsys)[0] == 0
-        assert seen == [("_load_rulesets", False), ("enumerate_outcomes", False)]
+        assert seen == [("_load_rulesets", False), ("outcomes", False)]
         assert gc.isenabled()
         # a failed command turns the collector back on, one that raises too
         (out_dir / "entanglement_swapping_2.json").unlink()
@@ -1290,8 +1290,15 @@ class TestClosedStdout:
             return code, err.read()
 
     def test_run_report_json(self, corpus, capsys, tmp_path):
+        """Each branch is described as it is written, so stderr stops at the
+        branch that met the closed pipe, before the last of 1 024, and the
+        error line ends it."""
         code, err = self.closed_early(_compile_chain7(corpus, capsys, tmp_path), tmp_path)
         assert code == 1 and "Traceback" not in err, err[-2000:]
+        lines = err.splitlines()
+        assert lines[-1].startswith("error: cannot write to stdout: ")
+        assert sum(" round(s), " in line for line in lines) < 1024
+        assert "branch(es)" not in err
 
     def test_compile(self, corpus, tmp_path):
         # 129 paths of over 1 000 characters each: twice what a pipe holds

@@ -281,6 +281,49 @@ class TestCanonicalWriter:
         assert pieces.count(text) == 2
         assert len(max(pieces, key=len)) == len(text)
 
+    def test_an_iterator_is_written_as_its_list(self):
+        """A generator stands for the list of what it yields, at the top
+        level and inside a document, shared dicts included; an empty one is
+        written as `[]`."""
+        shared = {"s": [1, None]}
+        items = [{"a": 1}, shared, [shared, 2.5], shared, "x", []]
+        for indent in (0, 2, 4):
+            listed = {"mode": "m", "reports": items, "none": [], "again": [shared]}
+            drawn = {
+                "mode": "m",
+                "reports": (item for item in items),
+                "none": (item for item in ()),
+                "again": (item for item in [shared]),
+            }
+            assert _dumped(drawn, indent) == _dumped(listed, indent) == json.dumps(
+                listed, indent=indent, ensure_ascii=False
+            )
+            assert _dumped((item for item in items), indent) == _dumped(items, indent)
+        assert _dumped(item for item in ()) == "[]"
+
+    def test_a_drawn_item_is_freed_once_the_next_is_drawn(self):
+        """The writer holds no item of an iterator past its turn, a dict
+        that every item shares included."""
+
+        class Report(dict):
+            pass
+
+        shared = {"round": 1}
+        refs: list[weakref.ref] = []
+
+        def reports():
+            for i in range(5):
+                # every item but the one drawn last is gone
+                assert [ref() for ref in refs[:-1]] == [None] * len(refs[:-1])
+                report = Report(id=i, fired=[shared, shared])
+                refs.append(weakref.ref(report))
+                yield report
+                del report
+
+        text = _dumped({"reports": reports()}, 2)
+        assert json.loads(text)["reports"][4] == {"id": 4, "fired": [shared, shared]}
+        assert len(refs) == 5 and all(ref() is None for ref in refs)
+
 
 def _moved(ruleset: ir.RuleSet, rng: random.Random) -> ir.RuleSet:
     """`ruleset` with other values in every hole of its rules: rule ids,

@@ -29,7 +29,7 @@ def compile_corpus(corpus, program_name, config_name):
 
 def enumerate_in_order(rulesets, topology, **options):
     """`runtime.enumerate_outcomes`, checked to return its reports in
-    outcome-path order: the depth-first walk yields them so, unsorted."""
+    outcome-path order: the depth-first unfold yields them so, unsorted."""
     reports = runtime.enumerate_outcomes(rulesets, topology, **options)
     paths = [r.outcome_path for r in reports]
     assert paths == sorted(paths)
@@ -301,7 +301,9 @@ class TestStuckDetection:
 
 
 class TestTimers:
-    def test_timer_delays_firing(self):
+    @staticmethod
+    def program(duration):
+        """One node that arms a timer of `duration` rounds, then waits on it."""
         topology = config.Topology(
             repeaters=(config.Repeater(name="#0", address=0, index=0),)
         )
@@ -310,7 +312,7 @@ class TestTimers:
             id=0,
             shared_tag=0,
             condition=ir.Condition(),
-            action=ir.Action(clauses=(ir.SetTimerClause(timer_id="t", duration=3),)),
+            action=ir.Action(clauses=(ir.SetTimerClause(timer_id="t", duration=duration),)),
         )
         wait = ir.Rule(
             name="after",
@@ -327,7 +329,10 @@ class TestTimers:
                 stages=(ir.Stage((arm,)), ir.Stage((wait,))),
             )
         }
-        report = runtime.run(rulesets, topology)
+        return rulesets, topology
+
+    def test_timer_delays_firing(self):
+        report = runtime.run(*self.program(3))
         assert report.quiescent
         fired = {f["rule"]: f["round"] for f in report.fired}
         assert fired["after"] - fired["arm"] >= 3
@@ -501,44 +506,66 @@ class TestForkedEnumeration:
             ]
 
     @staticmethod
-    def copies(monkeypatch):
-        """Every copy the walk keeps of a round-end state (`fork(None)`)
-        while it is alive, and how many were alive after each was made."""
+    def networks(monkeypatch):
+        """Every network `Network.fork` makes, while it is alive, and how
+        many were alive after each was made."""
         live, peak = weakref.WeakSet(), []
         real = runtime.Network.fork
 
         def tracked(net, outcomes):
             fork = real(net, outcomes)
-            if outcomes is None:
-                live.add(fork)
-                peak.append(len(live))
+            live.add(fork)
+            peak.append(len(live))
             return fork
 
         monkeypatch.setattr(runtime.Network, "fork", tracked)
         return live, peak
 
-    def test_live_copies_stay_on_one_path(self, corpus, monkeypatch):
+    def test_live_networks_stay_on_one_path(self, corpus, monkeypatch):
+        """The graph keeps the network of each node on the path being
+        expanded and of the round being run, and none once it is built."""
         rulesets, topology = compile_chain(corpus, "entanglement_swapping.rula", 5)
-        live, peak = self.copies(monkeypatch)
-        reports = enumerate_in_order(rulesets, topology)
-        assert len(reports) == 64
-        # one per round end on the path being walked, plus the one just closed
+        live, peak = self.networks(monkeypatch)
+        branches, _quiescent, reports = explore.outcomes(rulesets, topology)
+        assert len(live) == 0
+        reports = list(reports)
+        assert len(reports) == branches == 64
         assert max(peak) <= max(r.rounds for r in reports) + 1
         assert len(live) == 0
 
-    def test_every_new_round_end_state_takes_a_copy(self, corpus, monkeypatch):
+    def test_one_fork_per_round_stepped(self, corpus, monkeypatch):
+        """Each round the graph steps runs in a fork of its node's network,
+        and nothing else is forked."""
         rulesets, topology = compile_chain(corpus, "purification.rula", 5)
-        _live, taken = self.copies(monkeypatch)
+        _live, forked = self.networks(monkeypatch)
+        calls = collections.Counter()
+        real = runtime.Network.step
+
+        def counting(net):
+            calls["step"] += 1
+            return real(net)
+
+        monkeypatch.setattr(runtime.Network, "step", counting)
         assert len(enumerate_in_order(rulesets, topology)) == 1024
-        # one per round-end key the walk opens: a branch that reaches a
-        # walked state stops there and copies nothing more
-        assert len(taken) == 720
+        assert len(forked) == calls["step"] == 948
+
+    def test_a_deep_branch_needs_no_recursion(self):
+        """A branch of 3 001 rounds, one graph node each, is built and
+        unfolded under the default recursion limit."""
+        rulesets, topology = TestTimers.program(3000)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            [report] = runtime.enumerate_outcomes(rulesets, topology)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert report.quiescent and report.rounds == 3001
 
     def test_equal_states_run_once(self, corpus, monkeypatch):
-        """The walk steps 397 rounds and fires 765 groups over the 1 024
+        """The graph steps 397 rounds and fires 765 groups over the 1 024
         branches of chain7 on 7 nodes; running every branch to its end steps
-        5 148.  A key that stopped merging would step more, and a flipped
-        branch that reran more of its walked path would fire more."""
+        5 148.  A key that stopped merging would step more, and a plan that
+        reran more than its own round would fire more."""
         rulesets, topology = compile_chain(corpus, "chain7.rula", 7)
         calls = collections.Counter()
         for name in ("step", "_fire"):
@@ -683,7 +710,7 @@ class TestNineNodes:
 
 def round_ends(rulesets, topology, plan, fidelity):
     """The network of the branch that draws `plan`, then zeros, at each of
-    its round ends, where the walk keys it."""
+    its round ends, where the graph keys it."""
     net = runtime.Network(runtime.Blueprint(rulesets, topology), PlannedOutcomes(plan), fidelity)
     while net.live:
         if not net.step() and not net.cancel_starved() and not net.timers_armed():
@@ -792,7 +819,7 @@ class TestMergeKey:
         end of a few branches of each case."""
         for program, nodes, fidelity in self.CASES:
             rulesets, topology = compile_chain(corpus, program, nodes)
-            keys = explore._Keys()  # one per blueprint, as one per walk
+            keys = explore._Keys()  # one per blueprint, as one per graph
             for plan in self.PLANS:
                 for net in round_ends(rulesets, topology, plan, fidelity):
                     yield keys, net, net.fork(PlannedOutcomes(plan))
@@ -932,8 +959,8 @@ class TestKeyReads:
     """Two branches whose round ends differ only in one field the key holds:
     a reference bit of a held pair, a timer, a message payload, a store
     entry, which rule of a carrier fired, the rule a fault names, or a
-    pair's purification mark.  What follows tells them apart, and the walk
-    ends each as a walk of every branch does."""
+    pair's purification mark.  What follows tells them apart, and the graph
+    ends each as a run of every branch does."""
 
     @pytest.mark.parametrize(
         "build",
