@@ -199,10 +199,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
             continue
         findings = ir.validate(ruleset)
         for finding in findings:
-            _err(f"{path}: {finding.severity} at {finding.path}: {finding.message}")
-        if any(f.severity == "error" for f in findings):
+            _err(f"{path}: error at {finding.path}: {finding.message}")
+        if findings:
             status = EXIT_FAILURE
-        elif not findings:
+        else:
             _err(f"{path}: ok")
     return status
 

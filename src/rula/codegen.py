@@ -457,13 +457,13 @@ class _Slot:
 
 
 class _Compiler:
-    def __init__(self, analysis: Analysis, topology: Topology, ruleset_id: int, default_name: str):
+    def __init__(self, analysis: Analysis, topology: Topology, ruleset_id: int):
         program = self.program = analysis.program
         self.static = analysis.static  # the ids of the expressions that fold
         self.mirrored = analysis.mirrored  # ... and of the comparisons read from the right
         self.topology = topology
         self.ruleset_id = ruleset_id
-        self.name = program.ruleset.name if program.ruleset else default_name
+        self.name = program.ruleset.name if program.ruleset else "ruleset"
         self.rules = {r.name: r for r in program.rules}
         self.calls: list[_CallRecord] = []
         self.diagnostics: list[Diagnostic] = []
@@ -1070,12 +1070,7 @@ class _Compiler:
         return per_node
 
 
-def compile_program(
-    analysis: Analysis,
-    topology: Topology,
-    ruleset_id: int,
-    default_name: str = "ruleset",
-) -> CompiledOutput:
+def compile_program(analysis: Analysis, topology: Topology, ruleset_id: int) -> CompiledOutput:
     """Lower an analyzed program against a topology.
 
     Contract: `analysis` comes from `analyzer.analyze_program` and has no
@@ -1087,4 +1082,4 @@ def compile_program(
     which need the chain or the folded values. Recvs that no send binds are
     returned in `unbound_recvs`.
     """
-    return _Compiler(analysis, topology, ruleset_id, default_name).run()
+    return _Compiler(analysis, topology, ruleset_id).run()

@@ -19,6 +19,12 @@ of every branch in outcome-path order, each with the bits, fired records
 and delivered count of the edges on its path: so the reports, and every
 byte written from them, are those of running every branch.  The reports
 are made as they are drawn, and only the graph is held.
+
+Report records are hash-consed (Filliâtre and Conchon, 2006): the fired
+records of each edge and the pair records of each report that ends a run
+are kept once per distinct value, in a table of the call, so every report
+that holds an equal record holds the same read-only dict, and
+`--report-json` writes each one once (see `ir.dump`).
 """
 
 from __future__ import annotations
@@ -57,8 +63,8 @@ class _Keys:
     that spans one, which no measurement can span again either; and the
     store, timers and inboxes of complete nodes.
 
-    Each part is numbered once per graph by value (`_id`), as the blueprint
-    builds each report record once, so a key is a short tuple of ints.  One
+    Each part is numbered once per graph by value (`_id`), as `outcomes`
+    keeps each report record once, so a key is a short tuple of ints.  One
     `_Keys` serves one blueprint: it keeps the groups of each of its stages."""
 
     def __init__(self) -> None:
@@ -150,6 +156,9 @@ def outcomes(
     """
     keys = _Keys()
     nodes = {}  # key -> its node: [edges], then branches and all quiescent
+    # each distinct fired and pair record, by the values it writes (the
+    # fidelity by repr: 0.0 and -0.0 are equal but write apart)
+    records: dict[tuple, dict] = {}
     root = [[]]
     stack = [(Network(Blueprint(rulesets, topology), None, initial_fidelity), [()], root)]
     while stack:
@@ -172,7 +181,13 @@ def outcomes(
             if end is None:
                 end = nodes[key] = [[]]
                 stack.append((fork, [()], end))
-        node[0].append((bits, fork.fired[len(net.fired):], fork.delivered - net.delivered, end))
+        else:
+            end.pairs = [
+                records.setdefault((*p["nodes"], *p["states"], *p["bell_index"], repr(p["fidelity"])), p)
+                for p in end.pairs
+            ]
+        fired = [records.setdefault(tuple(f.values()), f) for f in fork.fired[len(net.fired):]]
+        node[0].append((bits, fired, fork.delivered - net.delivered, end))
 
     def unfold():
         stack = [((), [], 0, iter(root[0]))]

@@ -35,8 +35,8 @@ plainly.
 `dump` hands its text to a `write` callable as it goes: a top-level dict
 piece by piece, each dict inside it as one piece. A dict met a second time
 in one call, at one indentation, has its text kept, with the dict so that
-its id is not reused. The simulator builds each distinct report record
-once per call (see `runtime`), so the 2 048 reports of perfbench
+its id is not reused. An enumeration keeps each distinct report record
+once (see `explore`), so the 2 048 reports of perfbench
 `enumerate_small` keep the text of 158 fired and 6 pair records and write
 none of the 49 152 and 6 144 twice; a report's text is dropped once written.
 
@@ -306,7 +306,6 @@ class RuleSet(_Referable):
 
 @_node
 class Finding:
-    severity: str  # "error" or "warning"
     path: str
     message: str
 
@@ -799,7 +798,7 @@ def deserialize(text: str, interned: dict | None = None) -> RuleSet:
     rebuilt from the RuleSet of the first one.
     """
     if interned is None:
-        return _document(text)
+        interned = {}
     loaded = interned[_LOADED] = interned.get(_LOADED, 0) + 1
     if loaded <= _UNSHAPED:
         return _document(text)
@@ -925,11 +924,11 @@ def _readdressed(block, holes, table: dict):
 
 
 def validate(ruleset: RuleSet) -> list[Finding]:
-    """Structural checks beyond the schema; returns findings, empty when clean."""
+    """Structural checks beyond the schema: the errors found, none when clean."""
     findings: list[Finding] = []
 
     def error(path: str, message: str) -> None:
-        findings.append(Finding("error", path, message))
+        findings.append(Finding(path, message))
 
     expected_id = 0
     seen_ids: set[int] = set()

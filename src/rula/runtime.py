@@ -15,21 +15,19 @@ The rule groups, the link provisioning, the node of each end and the
 index of send clauses are built once per call (`Blueprint`); a `Network`
 holds only what a run changes, so it can be forked by copying each of its
 lists and dicts once, which is how `explore` runs each round of its
-outcome graph from the state the round starts at.  A rule group is built
-once per tuple of template keys (`ir.keyed`): its rules differ from those
-of the first group of that tuple only in their holes, so it takes every
-part that reads no hole from that group and reads its own resource and
-recv clauses, its rules and where its alternatives part ways.
+outcome graph from the state the round starts at.  The rules of two groups
+with one tuple of template keys (`ir.keyed`) differ only in their holes, so
+the parts of a group that read no hole (`_template`) are found once per
+tuple, and each group adds its own resource and recv clauses, its rules
+and where its alternatives part ways (`_build_group`).
 
 One rule picks which rule of a group fires (see `Group`): a comparison is
 read once the action clauses that write the registers it names have run,
 and the first rule left whose comparisons are all read and hold fires.
 
-Report records are hash-consed (Filliâtre and Conchon, 2006): the fired and
-pair records of one call are built once per distinct value, in a table on
-the `Blueprint`, and every report that holds an equal record holds the same
-read-only dict.  `--report-json` writes each one once (see `ir.dump`), with
-the sorted keys that every report dict is built with.
+A run builds each fired and pair record of its report as a dict with
+sorted keys, as `--report-json` writes them; an enumeration shares equal
+ones between its reports (see `explore.outcomes`).
 """
 
 from __future__ import annotations
@@ -173,60 +171,53 @@ def _next_stop(left, done: int) -> int:
     return stop
 
 
-def _build_group(rules: list[ir.Rule], gid: int, like: Group | None = None) -> Group:
-    """The group of `rules`. `like`, a group of rules with the same template
-    keys (`ir.keyed`), gives every part that reads no hole."""
-    head = rules[0]
-    res = tuple([c for c in head.condition.clauses if isinstance(c, ir.ResClause)])
-    recvs = [c for c in head.condition.clauses if isinstance(c, ir.RecvClause)]
-    recv = recvs[0] if recvs else None
-    if like is not None:
-        pairs = zip(rules, like.alternatives)
-        alternatives = tuple([(rule, checks, last) for rule, (_r, checks, last) in pairs])
-        # where several part ways depends on their Send partners, which are holes
-        first_stop = like.first_stop if len(rules) == 1 else _next_stop(alternatives, 0)
-        return Group(
-            gid, res, recv, like.kind_gate, like.timers, alternatives,
-            first_stop, like.inherited,
-        )
-    timers = tuple(c for c in head.condition.clauses if isinstance(c, ir.TimerClause))
+def _template(rules: list[ir.Rule]) -> tuple:
+    """The parts of the group of `rules` that read no hole, which the groups
+    of rules with the same template keys (`ir.keyed`) share: its kind gate,
+    its timers, per rule each comparison but the kind gate with its
+    readiness point and the last readiness point, and its inherited slots."""
+    clauses = rules[0].condition.clauses
+    timers = tuple(c for c in clauses if isinstance(c, ir.TimerClause))
     kind_gate = None
-    alternatives = []
+    checks = []
+    referenced: set[int] = set()
     for rule in rules:
-        checks = []
+        compared = []
         for c in rule.condition.clauses:
             if isinstance(c, ir.CmpClause):
                 if c.cmp_val == "MessageKind":
                     kind_gate = c.target_val.value
                 else:
-                    checks.append(c)
-        if not checks:  # most rules: no walk of the actions, one shared empty tuple
-            alternatives.append((rule, (), 0))
-            continue
-        ends = dict(_writes(rule.action.clauses))  # register -> the end of its writer
-        paired = tuple([(c, max([ends.get(n, 0) for n in _reads(c)])) for c in checks])
-        alternatives.append((rule, paired, max([at for _c, at in paired])))
-    referenced: set[int] = set()
-    for rule in rules:
+                    compared.append(c)
+        if not compared:  # most rules: no walk of the actions, one shared empty tuple
+            checks.append(((), 0))
+        else:
+            ends = dict(_writes(rule.action.clauses))  # register -> the end of its writer
+            paired = tuple([(c, max([ends.get(n, 0) for n in _reads(c)])) for c in compared])
+            checks.append((paired, max([at for _c, at in paired])))
         for clause in rule.action.clauses:
             if isinstance(clause, (ir.PromoteClause, ir.FreeClause, ir.MeasureClause)):
                 referenced.add(clause.qubit.qubit_index)
             elif isinstance(clause, ir.QCircClause):
                 for gate in clause.qgates:
                     referenced.add(gate.qubit.qubit_index)
-    for clause in res:
-        if clause.count > 0:  # a slot bound by a resource clause
+    for clause in clauses:
+        if isinstance(clause, ir.ResClause) and clause.count > 0:  # a slot it binds
             referenced.discard(clause.qubit_index)
-    return Group(
-        gid=gid,
-        res=res,
-        recv=recv,
-        kind_gate=kind_gate,
-        timers=timers,
-        alternatives=tuple(alternatives),
-        first_stop=_next_stop(alternatives, 0),
-        inherited=tuple(sorted(referenced)),
-    )
+    return kind_gate, timers, tuple(checks), tuple(sorted(referenced))
+
+
+def _build_group(rules: list[ir.Rule], gid: int, template: tuple) -> Group:
+    """The group of `rules`, with the parts `_template(rules)` gives."""
+    kind_gate, timers, checks, inherited = template
+    clauses = rules[0].condition.clauses
+    res = tuple([c for c in clauses if isinstance(c, ir.ResClause)])
+    recvs = [c for c in clauses if isinstance(c, ir.RecvClause)]
+    recv = recvs[0] if recvs else None
+    alternatives = tuple([(rule, paired, last) for rule, (paired, last) in zip(rules, checks)])
+    # where several part ways depends on their Send partners, which are holes
+    first_stop = _next_stop(alternatives, 0)
+    return Group(gid, res, recv, kind_gate, timers, alternatives, first_stop, inherited)
 
 
 # --- the network -------------------------------------------------------------
@@ -258,10 +249,9 @@ def _group_rules(stage: ir.Stage) -> list[list[ir.Rule]]:
 class Blueprint:
     """What every run over one set of rulesets shares and never changes:
     the rule groups of each node, the pairs provisioned per link between
-    neighbours on the path, every Send clause as (kind, group, rule) by
-    (sender, destination) (`sends`), and each distinct report record made
-    so far (`records`).  The groups of rules with one tuple of template keys
-    share what reads no hole (see `_build_group`).
+    neighbours on the path, and every Send clause as (kind, group, rule) by
+    (sender, destination) (`sends`).  The groups of rules with one tuple of
+    template keys share one template (see `_template`).
 
     An end is an int.  Ends 2p and 2p + 1 are the two ends of provisioned
     pair p, at the lower and the higher address of its link; `end_node` is
@@ -272,10 +262,10 @@ class Blueprint:
         self.stages: dict[int, list[list[Group]]] = {}
         self.sends: dict[tuple[int, int], list[tuple[str, Group, ir.Rule]]] = {}
         self.group_count = 0
-        # the first group of each tuple of template keys, by their identities
-        # (a loaded Rule key hashes by value, deeply); a rule with no key is
-        # its own, so a load's first document of a shape keys its refills
-        built: dict[tuple[int, ...], Group] = {}
+        # the template of each tuple of template keys, by their identities (a
+        # loaded Rule key hashes by value, deeply); a rule with no key is its
+        # own, so a load's first document of a shape keys its refills
+        templates: dict[tuple[int, ...], tuple] = {}
         for rep in topology.repeaters:
             ruleset = rulesets.get(rep.address)
             stages = []
@@ -283,8 +273,10 @@ class Blueprint:
                 stages.append([])
                 for rules in _group_rules(stage):
                     key = tuple([id(getattr(rule, "_template", rule)) for rule in rules])
-                    group = _build_group(rules, self.group_count, built.get(key))
-                    built.setdefault(key, group)
+                    template = templates.get(key)
+                    if template is None:
+                        template = templates[key] = _template(rules)
+                    group = _build_group(rules, self.group_count, template)
                     for rule in rules:
                         for clause in rule.action.clauses:
                             if isinstance(clause, ir.SendClause):
@@ -305,10 +297,6 @@ class Blueprint:
                 for holder in (a, b):
                     self.ends[holder].append(len(self.end_node))
                     self.end_node.append(holder)
-        # fired records by (round, address, rule identity), pair records by
-        # the 7 values they write, the fidelity by its repr: 0.0 and -0.0
-        # (or 1 and 1.0) are equal but write differently
-        self.records: dict[tuple, dict] = {}
 
 
 class Network:
@@ -520,17 +508,9 @@ class Network:
             winner = rule
             self.state[group.gid] = "fired"
             self.fired_rule[group.gid] = winner
-            records = self.blueprint.records
-            key = (self.round, address, id(winner))  # the blueprint keeps winner
-            record = records.get(key)
-            if record is None:
-                record = records[key] = {
-                    "address": address,
-                    "id": winner.id,
-                    "round": self.round,
-                    "rule": winner.name,
-                }
-            self.fired.append(record)
+            self.fired.append(
+                {"address": address, "id": winner.id, "round": self.round, "rule": winner.name}
+            )
         else:
             self.state[group.gid] = "cancelled"
         self._advance(address)
@@ -918,8 +898,8 @@ class _Firing:
 
 @dataclass
 class RunReport:
-    """The end of one run.  Its `fired` and `pairs` records are shared with
-    the other reports of the same call and are read-only."""
+    """The end of one run.  Its `fired` and `pairs` records are read-only:
+    the reports of one enumeration share equal ones (see `explore`)."""
 
     status: str
     rounds: int
@@ -954,7 +934,6 @@ def _report(net: Network, stuck: list[str] | None = None) -> RunReport:
     complete = not net.live
     if stuck is None:
         stuck = [] if complete else net.stuck_reports()
-    records = net.blueprint.records
     node, state = net.blueprint.end_node, net.end_state
     pairs = []
     for pair, ends in enumerate(net.pair_ends):
@@ -962,18 +941,12 @@ def _report(net: Network, stuck: list[str] | None = None) -> RunReport:
         if len(held) != 2:
             continue
         a, b = sorted(held, key=node.__getitem__)
-        phase, parity = net.phase[pair], net.parity[pair]
-        fidelity = round(net.fidelity[pair], 12)
-        key = (node[a], node[b], state[a], state[b], phase, parity, repr(fidelity))
-        record = records.get(key)
-        if record is None:
-            record = records[key] = {
-                "bell_index": [phase, parity],
-                "fidelity": fidelity,
-                "nodes": [node[a], node[b]],
-                "states": [state[a], state[b]],
-            }
-        pairs.append(record)
+        pairs.append({
+            "bell_index": [net.phase[pair], net.parity[pair]],
+            "fidelity": round(net.fidelity[pair], 12),
+            "nodes": [node[a], node[b]],
+            "states": [state[a], state[b]],
+        })
     return RunReport(
         status="quiescent" if complete else "stuck",
         rounds=net.round,

@@ -158,6 +158,26 @@ ruleset five_rounds{
 # --- 5: message wiring over the corpus ---------------------------------------
 
 
+def unreceived_sends(rulesets, topology) -> list[tuple[int, int, str]]:
+    """(sender, destination, kind) of each Send clause of `rulesets` for
+    which the destination has no recv-gated group from the sender whose
+    kind gate admits that kind, read from the simulator's rule groups."""
+    blueprint = runtime.Blueprint(rulesets, topology)
+    gates = {
+        (dst, group.recv.partner_addr, group.kind_gate)
+        for dst, stages in blueprint.stages.items()
+        for stage in stages
+        for group in stage
+        if group.recv is not None
+    }
+    return [
+        (src, dst, kind)
+        for (src, dst), sends in blueprint.sends.items()
+        for kind, _group, _rule in sends
+        if (dst, src, kind) not in gates and (dst, src, None) not in gates
+    ]
+
+
 def test_criterion_05_every_send_has_a_bound_receiver():
     pairs = [
         ("entanglement_swapping.rula", "config5.json"),
@@ -167,7 +187,7 @@ def test_criterion_05_every_send_has_a_bound_receiver():
         ("chain7.rula", "config7.json"),
     ]
     for program_name, config_name in pairs:
-        out, _topology = compile_corpus(program_name, config_name)
+        out, topology = compile_corpus(program_name, config_name)
         send_count = sum(
             isinstance(clause, ir.SendClause)
             for ruleset in out.per_node.values()
@@ -177,6 +197,11 @@ def test_criterion_05_every_send_has_a_bound_receiver():
         )
         assert send_count == len(out.obligations), program_name
         assert out.unbound_recvs == [], program_name
+        assert send_count and unreceived_sends(out.per_node, topology) == [], program_name
+    # with the RuleSet of chain7's last node emptied, the check finds the sends to it
+    rulesets = dict(out.per_node)
+    rulesets[6] = ir.RuleSet(rulesets[6].name, rulesets[6].id, 6, ())
+    assert {dst for _src, dst, _kind in unreceived_sends(rulesets, topology)} == {6}
 
 
 # --- 6: exhaustive outcome enumeration ---------------------------------------

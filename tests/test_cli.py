@@ -140,6 +140,20 @@ def compile_swap(corpus, capsys, tmp_path, config="config5.json", extra=()):
     return code, out, err, out_dir
 
 
+# a recv that no send of the program binds
+LONELY_RECV = """#repeaters: vec[Repeater]
+rule listen<#rep>(){
+    cond {
+        @message: recv(#rep.hop(1))
+    } => act {
+    }
+}
+ruleset lonely{
+    listen<#repeaters(0)>()
+}
+"""
+
+
 class TestCompile:
     def test_five_node_writes_five_files(self, corpus, capsys, tmp_path):
         code, out, err, out_dir = compile_swap(corpus, capsys, tmp_path)
@@ -169,6 +183,28 @@ class TestCompile:
         )
         assert code == 2
         assert "no such config" in err
+
+    def test_missing_program_is_usage_error(self, corpus, capsys, tmp_path):
+        program = tmp_path / "nope.rula"
+        code, out, err = run_cli(["compile", program, "--config", corpus / "config3.json"], capsys)
+        assert (code, out, err) == (2, "", f"error: no such program: {program}\n")
+
+    @pytest.mark.parametrize("ruleset_id", [str(2**64), "-1"])
+    def test_ruleset_id_outside_64_bits_is_usage_error(self, corpus, capsys, tmp_path, ruleset_id):
+        with pytest.raises(SystemExit) as exited:
+            compile_swap(corpus, capsys, tmp_path, extra=["--ruleset-id", ruleset_id])
+        assert exited.value.code == 2
+        assert "ruleset id must fit in 64 bits" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unbound_recv_is_a_warning(self, corpus, capsys, tmp_path):
+        program = tmp_path / "lonely.rula"
+        program.write_text(LONELY_RECV)
+        argv = ["compile", program, "--config", corpus / "config3.json", "--out-dir", tmp_path / "out"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0 and len(out.splitlines()) == 3
+        warning = "recv from address 1 in rule listen on address 0 never receives a send"
+        assert f"warning[unbound-recv]: {warning}" in err.splitlines()
 
     def test_parse_error_reports_position(self, corpus, capsys, tmp_path):
         program = tmp_path / "broken.rula"
@@ -736,6 +772,26 @@ class TestRun:
         )
         assert code == 1
         assert "missing RuleSet for address 2" in err
+
+    @pytest.mark.parametrize(
+        "change,error",
+        [
+            ("no-directory", "error: no such ruleset directory: {out_dir}"),
+            ("two-for-one", "error: {out_dir}/zz.json: duplicate RuleSet for address 1"),
+            ("not-in-config", "error: RuleSet for address 2 not in the config"),
+        ],
+    )
+    def test_rulesets_that_do_not_fit_the_config(self, corpus, capsys, tmp_path, change, error):
+        out_dir = self.compiled(corpus, capsys, tmp_path)
+        config = corpus / "config3.json"
+        if change == "no-directory":
+            shutil.rmtree(out_dir)
+        elif change == "two-for-one":
+            shutil.copy(out_dir / "entanglement_swapping_1.json", out_dir / "zz.json")
+        else:
+            config = corpus / "config2.json"  # addresses 0 and 1
+        code, out, err = run_cli(["run", "--config", config, "--rulesets", out_dir], capsys)
+        assert (code, out, err) == (1, "", error.format(out_dir=out_dir) + "\n")
 
     def test_non_utf8_ruleset_is_a_failure(self, corpus, capsys, tmp_path):
         out_dir = self.compiled(corpus, capsys, tmp_path)

@@ -4,6 +4,7 @@ splitting and deterministic output."""
 import dataclasses
 import hashlib
 import json
+import math
 import time
 import tracemalloc
 from pathlib import Path
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from rula import analyzer, codegen, config, ir, parser
+from test_acceptance import unreceived_sends
 
 
 def load_topology(corpus, name):
@@ -380,6 +382,7 @@ class TestSendRecvBalance:
         send_clauses = count_clauses(out, ir.SendClause)
         assert send_clauses == len(out.obligations)
         assert out.unbound_recvs == []
+        assert send_clauses and unreceived_sends(out.per_node, load_topology(corpus, cfg)) == []
 
     def test_meas_sends_bind_the_parity_check_recv(self, corpus):
         out = compile_corpus(corpus, "purification.rula", "config3.json")
@@ -401,7 +404,7 @@ class TestSendRecvBalance:
 
 def make_eval(n=5):
     analysis = analyzer.analyze_program(parser.parse("#repeaters: vec[Repeater]\n"))
-    return codegen._Compiler(analysis, chain(n), 1, "t")
+    return codegen._Compiler(analysis, chain(n), 1)
 
 
 def eval_text(text, env=None, n=5):
@@ -447,6 +450,16 @@ class TestConstEval:
         assert eval_text("20 / 5 * 2") == 8
         assert eval_text("2 ^ 3 ^ 2") == 64
         assert eval_text("2 * 3 ^ 2") == 18
+
+    def test_float_division_does_not_truncate(self):
+        assert eval_text("7.5 / 2") == 3.75
+        assert eval_text("x / 2", env={"x": math.inf}) == math.inf
+
+    def test_modulo_of_an_infinity_is_reported(self):
+        with pytest.raises(codegen.LowerError) as err:
+            eval_text("x % 2", env={"x": math.inf})
+        assert err.value.code == "const-expr"
+        assert "modulo of an infinite value" in err.value.message
 
     def test_float_modulo_keeps_dividend_sign(self):
         assert eval_text("(0 - 7.5) % 2") == -1.5
@@ -735,6 +748,45 @@ ruleset picked{
         stage = out.per_node[0].stages[0]
         assert len(stage.rules) == 1
         assert stage.rules[0].action.clauses == (ir.FreeClause(ir.QubitId(0)),)
+
+    def test_else_and_otherwise_fold(self):
+        """A ruleset-level if, an act-level if on a parameter and a match on
+        one each take their else or otherwise branch when nothing matches."""
+        source = """\
+#repeaters: vec[Repeater]
+import std::operation::{x, z}
+rule flip<#rep>(mode: int){
+    let partner: Repeater = #rep.hop(1)
+    cond {
+        @q1: res(1, 0.5, partner, 0)
+    } => act {
+        if (mode == 1) {
+            x(q1)
+        } else {
+            z(q1)
+        }
+        match mode {
+            1 => {free(q1)},
+            otherwise => {x(q1)}
+        }
+    }
+}
+ruleset picked{
+    if (#repeaters.len() > 2) {
+        flip<#repeaters(0)>(0)
+    } else {
+        flip<#repeaters(0)>(0)
+        flip<#repeaters(0)>(1)
+    }
+}
+"""
+        q1 = ir.QubitId(0)
+        out = compile_source(source, chain(2))
+        assert out.ok, out.diagnostics
+        assert [[rule.action.clauses for rule in stage.rules] for stage in out.per_node[0].stages] == [
+            [(ir.QCircClause((ir.QGate(q1, "Z"),)), ir.QCircClause((ir.QGate(q1, "X"),)))],
+            [(ir.QCircClause((ir.QGate(q1, "X"),)), ir.FreeClause(q1))],
+        ]
 
 
 RUN_TIME_TEMPLATE = """\
@@ -1225,7 +1277,7 @@ class TestLoweringTemplates:
 
     def test_doubling_chain_expands_a_handful_of_acts(self, corpus):
         analysis = analyzer.analyze_program(parser.parse(doubling_source(corpus, 5)))
-        compiler = codegen._Compiler(analysis, chain(33), 7, "t")
+        compiler = codegen._Compiler(analysis, chain(33), 7)
         out = compiler.run()
         assert out.ok and len(compiler.calls) == 31
         assert len(compiler._templates) <= 10
@@ -1250,7 +1302,7 @@ class TestLoweringTemplates:
 
         monkeypatch.setattr(codegen._Compiler, "_apply_send", counted)
         analysis = analyzer.analyze_program(parser.parse(PUSH_TWO_HOPS))
-        compiler = codegen._Compiler(analysis, chain(6), 7, "t")
+        compiler = codegen._Compiler(analysis, chain(6), 7)
         compiler.run()
         # five calls with one act key: each expands its send, none is kept
         assert len(sends) == 5 and not compiler._templates

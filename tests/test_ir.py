@@ -534,6 +534,25 @@ class TestSchemaRejection:
             ir.deserialize('{"name": "x", ')
         assert "byte" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "block,clause,reason",
+        [
+            ("condition", {"Timer": {"timer": "t"}}, "missing field 'timer_id'"),
+            ("condition", {"Timer": {"timer_id": "t", "duration": 1}}, "unknown field 'duration'"),
+            ("action", {"SetTimer": {"timer_id": "t"}}, "missing field 'duration'"),
+            ("action", {"SetTimer": {"timer_id": "t", "duration": 1, "at": 0}}, "unknown field 'at'"),
+        ],
+    )
+    def test_timer_clause_keys_named(self, block, clause, reason):
+        rule = ir.Rule("r", 0, 0, ir.Condition(), ir.Action())
+        doc = json.loads(ir.serialize(ir.RuleSet("x", 0, 0, (ir.Stage((rule,)),))))
+        doc["stages"][0]["rules"][0][block]["clauses"].append(clause)
+        with pytest.raises(ir.SchemaError) as err:
+            ir.deserialize(json.dumps(doc))
+        [tag] = clause
+        assert err.value.path == f"$.stages[0].rules[0].{block}.clauses[0].{tag}"
+        assert err.value.reason == reason
+
     def test_unknown_top_level_field_rejected(self, corpus):
         doc = self._doc(corpus)
         doc["num_rules"] = 1

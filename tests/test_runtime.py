@@ -162,6 +162,27 @@ class TestPurification:
             fidelities.add(pair["fidelity"])
         assert len(fidelities) == 1
 
+    @pytest.mark.parametrize("freed", [False, True])
+    def test_a_freed_end_clears_its_pairs_mark(self, freed):
+        """A parity probe of pair 1 through a CX from pair 0 marks pair 0 the
+        kept half; node 1 then promotes its end of pair 0 on a message, which
+        boosts the pair, unless node 0 has freed its end of it first."""
+        q0, q1 = ir.QubitId(0), ir.QubitId(1)
+        probe = ir.QCircClause((ir.QGate(q0, "CxControl"), ir.QGate(q1, "CxTarget")))
+        actions = (probe, ir.MeasureClause(q1, "Z")) + ((ir.FreeClause(q0),) if freed else ())
+        actions += (ir.SendClause("Meas", 1),)
+        keep = _rule("keep", 0, (ir.RecvClause(0), _res(0, 0)), (ir.PromoteClause(q0),))
+        rulesets = {
+            0: _node(0, _rule("check", 0, (_res(1, 0), _res(1, 1)), actions)),
+            1: _node(1, keep),
+        }
+        net = runtime.Network(runtime.Blueprint(rulesets, chain(2)), PlannedOutcomes(()), 0.8)
+        assert runtime._drive(net, 10).quiescent
+        if freed:
+            assert (net.purify[0], net.fidelity[0]) == ("idle", 0.8)
+        else:
+            assert (net.purify[0], net.fidelity[0]) == ("done", runtime.purify_update(0.8))
+
 
 class TestLoopProbe:
     def test_five_rounds_of_measurements(self, corpus):
@@ -1038,7 +1059,7 @@ class TestLiveNodes:
 class TestForkIndependence:
     """A fork shares no list or dict with its parent but the blueprint's:
     driving it to the end leaves the parent as it was, and the parent then
-    ends as a run that was never forked."""
+    ends as a run that was never forked.  No run changes the blueprint."""
 
     @staticmethod
     def before_first_draw(blueprint):
@@ -1068,6 +1089,7 @@ class TestForkIndependence:
     def test_fork_leaves_its_parent(self, corpus, program, config_name):
         rulesets, topology = compile_corpus(corpus, program, config_name)
         blueprint = runtime.Blueprint(rulesets, topology)
+        built = repr(vars(blueprint))
         parent = self.before_first_draw(blueprint)
         before = json.dumps(runtime._report(parent).to_json())
 
@@ -1086,6 +1108,7 @@ class TestForkIndependence:
         unforked = runtime._drive(runtime.Network(blueprint, PlannedOutcomes(()), 1.0), 10_000)
         assert resumed.quiescent
         assert json.dumps(resumed.to_json()) == json.dumps(unforked.to_json())
+        assert repr(vars(blueprint)) == built  # no run changes it
 
     @staticmethod
     def stateful_pair():
@@ -1543,37 +1566,38 @@ class TestDecidedEarly:
 # --- rule groups built once per template key ---------------------------------
 
 
-def _blueprint_and_likes(rulesets, topology, monkeypatch):
-    """A Blueprint of `rulesets`, and how many of its groups it built from
-    another group of the same template keys."""
-    likes = []
-    real = runtime._build_group
+def _blueprint_and_templated(rulesets, topology, monkeypatch):
+    """A Blueprint of `rulesets`, the rules of each group it took the
+    template of (`_template`), and how many of its groups it built from
+    the template of an earlier group of the same template keys."""
+    templated = []
+    real = runtime._template
 
-    def recording(rules, gid, like=None):
-        likes.append(like)
-        return real(rules, gid, like)
+    def recording(rules):
+        templated.append(rules)
+        return real(rules)
 
     with monkeypatch.context() as patched:
-        patched.setattr(runtime, "_build_group", recording)
+        patched.setattr(runtime, "_template", recording)
         blueprint = runtime.Blueprint(rulesets, topology)
-    return blueprint, sum(like is not None for like in likes)
+    return blueprint, templated, blueprint.group_count - len(templated)
 
 
 def _assert_groups_built_plainly(blueprint):
-    """Each group equals, field by field, the group a plain `_build_group`
-    makes of its rules, and holds those very rules."""
+    """Each group equals, field by field, the group `_build_group` makes of
+    its rules with their own template, and holds those very rules."""
     groups = [g for stages in blueprint.stages.values() for stage in stages for g in stage]
     assert len(groups) == blueprint.group_count
     for group in groups:
         rules = [rule for rule, _checks, _last in group.alternatives]
-        plain = runtime._build_group(rules, group.gid)
+        plain = runtime._build_group(rules, group.gid, runtime._template(rules))
         assert group == plain
         assert all(a[0] is b[0] for a, b in zip(group.alternatives, plain.alternatives))
 
 
 class TestGroupsOncePerKey:
-    """`Blueprint` builds the first group of each tuple of template keys
-    and takes every part that reads no hole from it for the later ones:
+    """`Blueprint` takes the template of the first group of each tuple of
+    template keys, every part that reads no hole, for the later ones too:
     those must still be the groups a plain build makes, whether the keys
     come from lowering or from the shapes of a load."""
 
@@ -1602,7 +1626,7 @@ class TestGroupsOncePerKey:
     def test_compiled_groups_are_the_plain_ones(self, compiled, monkeypatch):
         shared = {}
         for case, (rulesets, topology) in compiled.items():
-            blueprint, shared[case] = _blueprint_and_likes(rulesets, topology, monkeypatch)
+            blueprint, _, shared[case] = _blueprint_and_templated(rulesets, topology, monkeypatch)
             _assert_groups_built_plainly(blueprint)
         assert len(shared) == 13
         assert shared["doubling", "chain33"] > 100
@@ -1615,7 +1639,7 @@ class TestGroupsOncePerKey:
             for address, ruleset in rulesets.items():
                 (directory / f"{address}.json").write_text(ir.serialize(ruleset))
             loaded = cli._load_rulesets(directory, topology)
-            blueprint, shared[case] = _blueprint_and_likes(loaded, topology, monkeypatch)
+            blueprint, _, shared[case] = _blueprint_and_templated(loaded, topology, monkeypatch)
             _assert_groups_built_plainly(blueprint)
         # a load keys its documents by shape from the ninth on: only the chain's
         assert [case for case, count in shared.items() if count] == [("doubling", "chain33")]
@@ -1632,21 +1656,15 @@ class TestGroupsOncePerKey:
             path = tmp_path / name.format(index=rep.index, address=rep.address)
             path.write_text(ir.serialize(rulesets[rep.address]))
         loaded = cli._load_rulesets(tmp_path, topology)
-        built = []
-        real = runtime._build_group
-
-        def recording(rules, gid, like=None):
-            built.append((rules, like))
-            return real(rules, gid, like)
-
-        monkeypatch.setattr(runtime, "_build_group", recording)
-        runtime.Blueprint(loaded, topology)
-        plain = [tuple(id(getattr(r, "_template", r)) for r in rules) for rules, like in built if like is None]
+        blueprint, templated, _ = _blueprint_and_templated(loaded, topology, monkeypatch)
+        plain = [tuple(id(getattr(r, "_template", r)) for r in rules) for rules in templated]
         assert len(set(plain)) == len(plain)
-        refilled = [like for rules, like in built if hasattr(rules[0], "_template")]
+        groups = [g for stages in blueprint.stages.values() for stage in stages for g in stage]
+        refilled = [g.alternatives[0][0] for g in groups if hasattr(g.alternatives[0][0], "_template")]
         assert len(refilled) > 50  # 25 of the 33 documents are refilled
         if name.startswith("{index"):
-            assert all(like is not None for like in refilled)
+            plain_heads = {id(rules[0]) for rules in templated}
+            assert all(id(rule) not in plain_heads for rule in refilled)
 
     @pytest.mark.parametrize("coinciding", [0, 1])
     def test_where_alternatives_part_is_read_per_group(self, coinciding, monkeypatch):
@@ -1668,7 +1686,7 @@ class TestGroupsOncePerKey:
         parted = {0: (1, 1), 1: (0, 2)} if coinciding == 0 else {0: (1, 2), 1: (2, 2)}
         rulesets = {owner: group(owner, partners) for owner, partners in parted.items()}
         rulesets[2] = _node(2)
-        blueprint, shared = _blueprint_and_likes(rulesets, chain(3), monkeypatch)
+        blueprint, _, shared = _blueprint_and_templated(rulesets, chain(3), monkeypatch)
         assert shared == 1
         _assert_groups_built_plainly(blueprint)
         stops = {owner: blueprint.stages[owner][0][0].first_stop for owner in parted}
