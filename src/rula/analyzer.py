@@ -16,7 +16,14 @@ is collected and returned.
 The checker visits each rule, then the ruleset body, once.  The ruleset
 walk also orders the rule calls: each `get` in a called rule needs a call
 before it to the rule that `set`s the name.  It also collects the names the
-body reads, so a promoted qubit bound and never used draws a warning.
+body reads, so a promoted qubit bound and never used draws a warning.  A
+diagnostic in a rule spliced in by `import (rule)` names that rule's file.
+
+Typing is the one place that rejects a misplaced call: a rule call outside a
+ruleset-level statement or let value, a cond function (res, recv,
+check_timer) outside a cond clause, a send builder (update, meas, transfer)
+not before "->".  The checks of those positions read such calls untyped, so
+`type_of` gives one error at any such call it meets and types it None.
 
 Beside the type of each expression, `type_of` records its binding time
 (Jones, Gomard & Sestoft, *Partial Evaluation and Automatic Program
@@ -34,7 +41,7 @@ skip None rather than cascading.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import ast
@@ -99,12 +106,14 @@ _OPERAND_FORMS = {"Qubit": ast.Ident, "Result": ast.Ident, "correction": ast.FnC
 _Scope = dict
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diagnostic:
     severity: str
     code: str
     span: ast.Span
     message: str
+    # the file and text `span` points into, if not the program's own
+    origin: tuple[str, str] | None = field(default=None, repr=False)
 
     @property
     def is_error(self) -> bool:
@@ -147,6 +156,7 @@ class _Checker:
     def __init__(self, program: ast.Program):
         self.program = program
         self.out = Analysis(program)
+        self.origins = {rule.name: rule.origin for rule in program.rules}
         self.current_rule: str | None = None
         # Gathered on the walk of the ruleset body and reported at its end:
         # the rules called so far and the gets already ordered against them,
@@ -160,19 +170,13 @@ class _Checker:
 
     # --- diagnostics ---------------------------------------------------------
 
-    def error(self, code: str, span: ast.Span, message: str) -> None:
-        self.out.diagnostics.append(Diagnostic(SEVERITY_ERROR, code, span, message))
+    def error(self, code: str, span: ast.Span, message: str, severity=SEVERITY_ERROR) -> None:
+        origin = self.origins.get(self.current_rule)
+        self.out.diagnostics.append(Diagnostic(severity, code, span, message, origin))
 
-    def warn(self, code: str, span: ast.Span, message: str) -> None:
-        self.out.diagnostics.append(Diagnostic(SEVERITY_WARNING, code, span, message))
-
-    def get_before_set(self, span: ast.Span, message: str) -> None:
-        self.order_errors.append(Diagnostic(SEVERITY_ERROR, "get-before-set", span, message))
-
-    def note_type(self, node: ast.Node, type_name: str | None) -> str | None:
-        if type_name is not None:
-            self.out.types[id(node)] = type_name
-        return type_name
+    def get_before_set(self, rule_name: str, span: ast.Span, message: str) -> None:
+        error = Diagnostic(SEVERITY_ERROR, "get-before-set", span, message, self.origins[rule_name])
+        self.order_errors.append(error)
 
     # --- entry ---------------------------------------------------------------
 
@@ -187,14 +191,15 @@ class _Checker:
         else:
             # Without a ruleset body there is no call order; flag gets that can
             # never be satisfied because the name is set nowhere at all.
-            for gets in self.out.consumers.values():
+            for rule_name, gets in self.out.consumers.items():
                 for name, span in gets:
                     if name not in self.out.producers:
-                        self.get_before_set(span, f"{name} is never set")
+                        self.get_before_set(rule_name, span, f"{name} is never set")
         self.out.diagnostics.extend(self.order_errors)
         for target in self.promoted:
             if target.name not in self.used:
-                self.warn("unused-promoted", target.span, f"unused promoted qubit {target.name}")
+                message = f"unused promoted qubit {target.name}"
+                self.error("unused-promoted", target.span, message, SEVERITY_WARNING)
         return self.out
 
     def check_imports(self) -> None:
@@ -225,13 +230,9 @@ class _Checker:
             if rule.name in self.out.signatures:
                 self.error("duplicate-rule", rule.span, f"rule {rule.name} is already defined")
                 continue
-            param_types = tuple(
-                str(p.type_annotation) if p.type_annotation is not None else None
-                for p in rule.params
-            )
             self.out.signatures[rule.name] = RuleSignature(
                 rule.name,
-                param_types,
+                tuple(_declared(p) for p in rule.params),
                 tuple(str(r.type_annotation) for r in rule.return_types),
                 tuple(r.maybe for r in rule.return_types),
             )
@@ -280,8 +281,7 @@ class _Checker:
             seen_params.add(p.name)
             if p.type_annotation is None:
                 self.error("missing-type", p.span, f"parameter {p.name} needs a type annotation")
-            declared = str(p.type_annotation) if p.type_annotation is not None else None
-            scope[p.name] = declared
+            scope[p.name] = _declared(p)
 
         for let in rule.lets:
             if self.check_let(let, scope):
@@ -380,9 +380,8 @@ class _Checker:
         value_type = self.type_of(let.value, scope)
         if len(let.targets) == 1:
             target = let.targets[0]
-            declared = str(target.type_annotation) if target.type_annotation else None
-            bound = _bound(declared, value_type)
-            scope[target.name] = bound
+            declared = _declared(target)
+            scope[target.name] = _bound(declared, value_type)
             if declared and value_type and not _compatible(declared, value_type):
                 self.error(
                     "type-mismatch",
@@ -391,29 +390,13 @@ class _Checker:
                 )
                 return False
             return True
-        else:
-            # Tuple target: only rule calls return multiple values (type_of
-            # above has checked the call).
-            parts: tuple[str, ...] | None = None
-            ok = isinstance(let.value, ast.RuleCall)
-            if ok:
-                sig = self.out.signatures.get(let.value.name)
-                if sig is not None:
-                    parts = sig.return_types
-            else:
-                self.error("arity", let.span, "only a rule call binds several targets")
-            if parts is not None and len(parts) != len(let.targets):
-                ok = False
-                self.error(
-                    "arity",
-                    let.span,
-                    f"{len(let.targets)} targets but the call returns {len(parts)} value(s)",
-                )
-            for i, target in enumerate(let.targets):
-                declared = str(target.type_annotation) if target.type_annotation else None
-                inferred = parts[i] if parts is not None and i < len(parts) else None
-                scope[target.name] = _bound(declared, inferred)
-            return ok
+        # Tuple target: only a ruleset-level rule call binds several values,
+        # and type_of has reported one that stands here.
+        if not isinstance(let.value, ast.RuleCall):
+            self.error("arity", let.span, "only a rule call binds several targets")
+        for target in let.targets:
+            scope[target.name] = _declared(target)
+        return False
 
     def check_act_stmt(
         self, stmt: ast.Stmt, scope: _Scope, promotes: list, consumed: set[str]
@@ -577,8 +560,10 @@ class _Checker:
     def fold_error(self, span: ast.Span, message: str) -> None:
         """Report a value lowering cannot fold, unless an error inside it is
         reported already."""
+        origin = self.origins.get(self.current_rule)
         for d in self.out.diagnostics:
-            if d.is_error and span.start <= d.span.start and d.span.end <= span.end:
+            inside = span.start <= d.span.start and d.span.end <= span.end
+            if d.is_error and inside and d.origin == origin:
                 return
         self.error("compile-time", span, message)
 
@@ -642,25 +627,10 @@ class _Checker:
             self.check_folds(stmt.destination, "a send destination is a compile-time Repeater")
 
     def check_action_expr(self, expr: ast.Expr, scope: _Scope, consumed: set[str]) -> None:
-        if isinstance(expr, ast.FnCall):
-            if expr.name in COND_FUNCTIONS:
-                self.error(
-                    "bad-action",
-                    expr.span,
-                    f"{expr.name} may only appear in a cond block",
-                )
-                return
-            if expr.name in ("update", "meas", "transfer"):
-                self.error(
-                    "bad-action",
-                    expr.span,
-                    f"{expr.name}(...) must be sent to a repeater with ->",
-                )
-                return
         self.type_of(expr, scope)
         if isinstance(expr, ast.FnCall) and (expr.args or expr.name not in _SINGLE_QUBIT_GATES):
-            self.use_qubits(expr, consumed)  # an unknown function is already reported
-        else:
+            self.use_qubits(expr, consumed)  # a misplaced or unknown call is already reported
+        elif not isinstance(expr, ast.RuleCall):  # reported where it is typed
             self.error(
                 "unsupported-stmt", expr.span, "an act statement must be an operation call"
             )
@@ -668,9 +638,7 @@ class _Checker:
     def check_promotes(
         self, rule: ast.RuleStmt, promotes: list[ast.PromoteStmt], scope: _Scope
     ) -> None:
-        sig = self.out.signatures.get(rule.name)
-        if sig is None:
-            return
+        sig = self.out.signatures[rule.name]
         if promotes and not sig.return_types:
             for stmt in promotes:
                 self.error(
@@ -740,7 +708,7 @@ class _Checker:
                         f"returns {len(returns)} value(s)",
                     )
                 for i, target in enumerate(stmt.targets):
-                    declared = str(target.type_annotation) if target.type_annotation else None
+                    declared = _declared(target)
                     inferred = returns[i] if returns and i < len(returns) else None
                     if declared == "Qubit" and not (inferred and sig.maybe_flags[i]):
                         self.promoted.append(target)  # checked for a use at the end
@@ -807,19 +775,13 @@ class _Checker:
                     "unsupported-stmt", stmt.span, "a ruleset-level expression must be a rule call"
                 )
         elif isinstance(stmt, (ast.PromoteStmt, ast.SetStmt)):
-            self.error(
-                "unsupported-stmt", stmt.span, "this statement is only valid inside a rule"
-            )
+            self.error("unsupported-stmt", stmt.span, "this statement is only valid inside a rule")
         elif isinstance(stmt, ast.SendStmt):
             self.error(
                 "unsupported-stmt", stmt.span, "send is only valid inside a rule's act block"
             )
-        elif isinstance(stmt, ast.MatchStmt):
-            self.error(
-                "unsupported-stmt", stmt.span, "match is not allowed at ruleset level"
-            )
-        else:
-            self.error("unsupported-stmt", stmt.span, "statement not allowed here")
+        else:  # a match
+            self.error("unsupported-stmt", stmt.span, "match is not allowed at ruleset level")
 
     def check_rule_call(self, call: ast.RuleCall, scope: _Scope) -> None:
         self.type_of(call.repeater, scope)
@@ -860,9 +822,10 @@ class _Checker:
                 continue
             self.reported.add(id(span))
             if setter:
-                self.get_before_set(span, f"{name} is read before any earlier rule sets it")
+                message = f"{name} is read before any earlier rule sets it"
             else:
-                self.get_before_set(span, f"{name} is never set")
+                message = f"{name} is never set"
+            self.get_before_set(rule_name, span, message)
         self.called.add(rule_name)
 
     def _integral(self, expr: ast.Expr) -> bool:
@@ -884,7 +847,9 @@ class _Checker:
         result = self._type_of(expr, scope)
         if self._folds(expr, result):
             self.out.static.add(id(expr))
-        return self.note_type(expr, result)
+        if result is not None:
+            self.out.types[id(expr)] = result
+        return result
 
     def _folds(self, expr: ast.Expr, type_name: str | None) -> bool:
         """Whether lowering folds `expr`, given the binding times of its parts."""
@@ -985,12 +950,9 @@ class _Checker:
                     f"repeater index must be an integer, got {index_type}",
                 )
             return "Repeater"
-        if isinstance(expr, ast.RuleCall):
-            self.check_rule_call(expr, scope)
-            sig = self.out.signatures.get(expr.name)
-            if sig and len(sig.return_types) == 1:
-                return sig.return_types[0]
-            return None
+        # a rule call: check_ruleset_stmt checks each that stands where it may
+        message = f"rule {expr.name} is called only as a ruleset-level statement or let value"
+        self.error("bad-rule-call", expr.span, message)
         return None
 
     def _type_comp(self, expr: ast.CompExpr, scope: _Scope) -> str | None:
@@ -1043,10 +1005,11 @@ class _Checker:
 
     def _type_fn_call(self, call: ast.FnCall, scope: _Scope) -> str | None:
         name = call.name
-        if name in COND_FUNCTIONS:
-            # Typed at the clause level; reaching here means a cond function
-            # was used as a plain expression.
+        if name in COND_FUNCTIONS:  # check_cond types the clauses themselves
             self.error("bad-action", call.span, f"{name} may only appear in a cond block")
+            return None
+        if name in ("update", "meas", "transfer"):  # check_send types the call it sends
+            self.error("bad-action", call.span, f"{name}(...) must be sent to a repeater with ->")
             return None
         if name in _SINGLE_QUBIT_GATES and not call.args:
             return "correction"
@@ -1067,17 +1030,12 @@ class _Checker:
                         f'measurement basis must be "X", "Y", or "Z", got "{basis.value}"',
                     )
             return "Result" if name in ("bsm", "measure") else "unit"
-        if name in ("update", "meas", "transfer"):
-            self.check_call_args(call, SEND_FUNCTIONS[name], scope)
-            return "message"
         self.error("unknown-name", call.span, f"unknown function {name}")
         self._type_args(call, scope)
         return None
 
     def _type_variable_call(self, expr: ast.VariableCall, scope: _Scope) -> str | None:
         parts = expr.parts
-        if not parts:
-            return None
         base = self.type_of(parts[0], scope)
         for part in parts[1:]:
             if base is None:
@@ -1160,6 +1118,11 @@ def _walk(stmts):
             yield from _walk(stmt.body)
 
 
+def _declared(target: ast.TypedName) -> str | None:
+    """The type annotated on a parameter or let target, if it has one."""
+    return str(target.type_annotation) if target.type_annotation else None
+
+
 def _compatible(expected: str, actual: str) -> bool:
     if expected == actual:
         return True
@@ -1186,20 +1149,22 @@ def analyze_program(program: ast.Program) -> Analysis:
     return _Checker(program).run()
 
 
-# Imported modules by resolved path, with the text each was parsed from.
-# AST nodes are frozen, so every program importing a module shares one
-# parse; the file is still read each time, and edited text is parsed again.
-_modules: dict[Path, tuple[str, ast.Program]] = {}
+# Imported modules by resolved path: the origin (file name and text) each
+# was parsed from, and the parse, whose rules carry that origin.  AST nodes
+# are frozen, so every program importing a module shares one parse; the file
+# is still read each time, and edited text is parsed again.
+_modules: dict[Path, tuple[tuple[str, str], ast.Program]] = {}
 
 
-def _parse_module(path: Path) -> ast.Program:
+def _parse_module(path: Path) -> tuple[tuple[str, str], ast.Program]:
     text = path.read_text(encoding="utf-8")
     cached = _modules.get(path)
-    if cached is not None and cached[0] == text:
-        return cached[1]
-    module = parse(text, filename=str(path))
-    _modules[path] = (text, module)
-    return module
+    if cached is None or cached[0][1] != text:
+        origin = (str(path), text)
+        module = parse(text, filename=origin[0])
+        rules = tuple(replace(rule, origin=origin) for rule in module.rules)
+        cached = _modules[path] = (origin, replace(module, rules=rules))
+    return cached
 
 
 def resolve_imports(
@@ -1241,7 +1206,7 @@ def resolve_imports(
             fail(f"import cycle through {found.name}")
             continue
         try:
-            module_program = _parse_module(found)
+            origin, module_program = _parse_module(found)
         except (ParseError, UnicodeDecodeError) as exc:
             fail(f"cannot parse {found.name}: {exc}")
             continue
@@ -1253,7 +1218,7 @@ def resolve_imports(
             [found.parent, *search_roots],
             visited | {found},
         )
-        diagnostics.extend(nested)
+        diagnostics.extend(d if d.origin else replace(d, origin=origin) for d in nested)
         by_name = {rule.name: rule for rule in module_program.rules}
         for rule_name in rule_names:
             rule = by_name.get(rule_name)

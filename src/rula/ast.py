@@ -1,7 +1,8 @@
 """Syntax tree for RuLa programs.
 
 Every node carries a byte-offset span into the source it was parsed from so
-diagnostics can point at the offending text.
+diagnostics can point at the offending text; a rule imported from another
+file names that file as its origin.
 """
 
 from __future__ import annotations
@@ -280,6 +281,8 @@ class RuleStmt(Node):
     cond: CondExpr = None  # type: ignore[assignment]
     act: ActExpr = None  # type: ignore[assignment]
     trailing: tuple[Stmt, ...] = ()
+    # the name and text of the file an `import (rule)` spliced it in from
+    origin: tuple[str, str] | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)

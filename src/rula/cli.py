@@ -60,11 +60,12 @@ def _out(text: str, flush: bool = False) -> None:
 
 def _print_diagnostics(source: str, filename: str, diagnostics) -> None:
     for diag in diagnostics:
-        if diag.span is not None and diag.span.start <= len(source):
-            line, column = parser.line_col(source, diag.span.start)
-            where = f"{filename}:{line}:{column}"
+        name, text = diag.origin or (filename, source)
+        if diag.span is not None and diag.span.start <= len(text):
+            line, column = parser.line_col(text, diag.span.start)
+            where = f"{name}:{line}:{column}"
         else:
-            where = filename
+            where = name
         _err(f"{where}: {diag.severity}[{diag.code}]: {diag.message}")
 
 

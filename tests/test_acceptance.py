@@ -288,6 +288,34 @@ ruleset single_link {
 
 # --- 8: static rejection and robustness --------------------------------------
 
+
+def _caller(act: str = "free(q1)", lets: str = "", ruleset: str = "", returns: str = "") -> str:
+    """A program whose rule `caller` holds one pair and acts on it, beside a
+    rule `helper` that promotes one; the arguments are spliced in."""
+    return f"""\
+#repeaters: vec[Repeater]
+import std::operation::{{measure, z}}
+rule helper<#rep>() :-> Qubit {{
+    cond {{
+        @q: res(1, 0.8, #rep.hop(1), 0)
+    }} => act {{
+        promote q
+    }}
+}}
+rule caller<#rep>(){returns} {{
+    let partner: Repeater = #rep.hop(1)
+{lets}    cond {{
+        @q1: res(1, 0.8, partner, 0)
+    }} => act {{
+        {act}
+    }}
+}}
+ruleset checked{{
+    caller<#repeaters(0)>()
+{ruleset}}}
+"""
+
+
 REJECTED = {
     "promote without a return annotation": (
         """\
@@ -383,6 +411,79 @@ ruleset gated{
 }
 """,
         "if (get flag) {",
+    ),
+    # each misplaced call draws one error, where it is typed; the needle is the call
+    "misplaced: a rule call as a rule let value": (
+        _caller(lets="    let k: int = helper<#repeaters(1)>()\n"),
+        "helper<#repeaters(1)>()",
+    ),
+    "misplaced: a rule call as a rule let value of two targets": (
+        _caller(lets="    let (k: Qubit, j: Qubit) = helper<#repeaters(1)>()\n"),
+        "helper<#repeaters(1)>()",
+    ),
+    "misplaced: a rule call as an act statement": (
+        _caller(act="helper<#repeaters(1)>()"),
+        "helper<#repeaters(1)>()",
+    ),
+    "misplaced: a rule call as a send destination": (
+        _caller(act="free(q1) -> helper<#repeaters(1)>()"),
+        "helper<#repeaters(1)>()",
+    ),
+    "misplaced: a rule call as a ruleset-level for generator": (
+        _caller(ruleset="    for i in helper<#repeaters(0)>() {\n        caller<#repeaters(1)>()\n    }\n"),
+        "helper<#repeaters(0)>()",
+    ),
+    "misplaced: a send builder as an argument of update": (
+        _caller(act="update(transfer(q1), z()) -> partner"),
+        "transfer(q1)",
+    ),
+    "misplaced: a cond function as an act let value": (
+        _caller(act="let q2: Qubit = res(1, 0.8, partner, 1)"),
+        "res(1, 0.8, partner, 1)",
+    ),
+    # branches of the analyzer and parser that nothing else reaches
+    "get of a never-set name without a ruleset": (
+        """\
+#repeaters: vec[Repeater]
+rule reader<#rep>(){
+    cond {
+        @message: recv(#rep.hop(1))
+    } => act {
+        if(message.result == get missing_tag){
+            set_timer("t", 1)
+        }
+    }
+}
+""",
+        "get missing_tag",
+    ),
+    "an integer pattern in a match on a bool": (
+        _caller(act="match (1 < 2) {\n            0 => {free(q1)},\n        }"),
+        "0 => {free(q1)}",
+    ),
+    "a promoted qubit in parentheses": (
+        _caller(act="promote (q1)", returns=" :-> Qubit"),
+        "promote (q1)",
+    ),
+    "a vector of mixed item types": (
+        _caller(ruleset='    for x in [1, "a"] {\n        caller<#repeaters(1)>()\n    }\n'),
+        'for x in [1, "a"]',
+    ),
+    "an ordering of booleans": (
+        _caller(ruleset="    if (true < false) {\n        caller<#repeaters(1)>()\n    }\n"),
+        "if (true < false)",
+    ),
+    "a measurement basis that is not a literal": (
+        _caller(act="let r: Result = measure(q1, basis)", lets='    let basis: str = "Z"\n'),
+        "measure(q1, basis)",
+    ),
+    "an argument to len()": (
+        _caller(ruleset="    for i in 0..#repeaters.len(1) {\n        caller<#repeaters(1)>()\n    }\n"),
+        "#repeaters.len(1)",
+    ),
+    "a let of a vector of integers": (
+        _caller(ruleset="    let xs: vec[int] = [1, 2]\n"),
+        "let xs: vec[int]",
     ),
 }
 
@@ -589,11 +690,16 @@ def test_criterion_08_static_rejections_and_fuzzed_analyzer_robustness():
         start, end = line_bounds(source, needle)
         assert start <= errors[0].span.start and errors[0].span.end <= end, label
 
+    # every diagnostic of the generated programs, pinned by a digest
     gen = ProgramGen(random.Random(0xF522))
+    digest = hashlib.sha256()
     for _ in range(10_000):
         source = gen.program()
         program = parser.parse(source)  # grammar-derived: must always parse
-        analyzer.analyze_program(program)  # must diagnose, never raise
+        for d in analyzer.analyze_program(program).diagnostics:  # must diagnose, never raise
+            digest.update(f"{d.severity} {d.code} {d.span.start} {d.span.end} {d.message}\n".encode())
+        digest.update(b"\0")
+    assert digest.hexdigest() == "cec97b017a2d2f6c307e717f15b496f83a688b54342215eba8ff5b43516f15e1"
 
 
 # --- 9: determinism ----------------------------------------------------------

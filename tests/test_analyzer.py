@@ -15,6 +15,7 @@ from rula.analyzer import (
     resolve_imports,
 )
 from rula.parser import parse
+from test_acceptance import REJECTED
 
 
 def _analyze(source: str) -> Analysis:
@@ -417,6 +418,14 @@ class TestTyping:
         )
         assert any(d.code == "bad-basis" for d in analysis.errors)
 
+    @pytest.mark.parametrize("label", [label for label in REJECTED if label.startswith("misplaced")])
+    def test_misplaced_call_is_one_error_at_the_call(self, label):
+        source, call = REJECTED[label]
+        [error] = analyze_program(parse(source)).errors
+        start = source.index(call)
+        assert (error.span.start, error.span.end) == (start, start + len(call))
+        assert error.code == ("bad-rule-call" if "rule call" in label else "bad-action")
+
     def test_cond_function_in_act(self):
         analysis = _analyze(
             """
@@ -538,6 +547,18 @@ class TestRulesetChecks:
         analysis = _analyze("ruleset rs { free(q) -> partner }")
         assert any("only valid inside a rule" in d.message for d in analysis.errors)
 
+    @pytest.mark.parametrize(
+        "stmt,message",
+        [
+            ("promote q", "this statement is only valid inside a rule"),
+            ("set q as shared", "this statement is only valid inside a rule"),
+            ('match q { "0" => {}, }', "match is not allowed at ruleset level"),
+        ],
+    )
+    def test_rule_statements_at_ruleset_level(self, stmt, message):
+        [error] = _analyze(f"ruleset rs {{ {stmt} }}").diagnostics
+        assert (error.code, error.message) == ("unsupported-stmt", message)
+
     def test_unknown_std_member(self):
         analysis = _analyze("import std::operation::{teleport}")
         assert any("no member 'teleport'" in d.message for d in analysis.errors)
@@ -548,6 +569,38 @@ class TestRulesetChecks:
 
 
 class TestImports:
+    def test_rule_import_without_a_module(self, tmp_path):
+        _, diags = resolve_imports(parse("import (rule) helper"), [tmp_path])
+        assert [d.message for d in diags] == ["rule import needs a module path"]
+
+    def test_diagnostics_in_an_imported_rule_name_its_file(self, tmp_path):
+        text = (
+            "import (rule) missing::thing\n"
+            "rule reader<#rep>(){ cond {} => act { let x: int = ghost\n if (get tag == 1) {} } }\n"
+        )
+        (tmp_path / "lib.rula").write_text(text)
+        program, diags = resolve_imports(parse("import (rule) lib::reader"), [tmp_path])
+        diags += analyze_program(program).diagnostics
+        origin = (str((tmp_path / "lib.rula").resolve()), text)
+        assert [(d.code, d.origin) for d in diags] == [
+            ("bad-import", origin), ("unknown-name", origin), ("get-before-set", origin)
+        ]
+        assert [text[d.span.start : d.span.end] for d in diags] == [
+            "import (rule) missing::thing", "ghost", "get tag"
+        ]
+
+    def test_an_error_in_an_imported_rule_hides_no_error_of_the_program(self, tmp_path):
+        text = "// " + "-" * 60 + "\nrule reader<#rep>(){ cond {} => act { let x: int = ghost } }\n"
+        (tmp_path / "lib.rula").write_text(text)
+        head = "import (rule) lib::reader\nruleset rs { let k: int = "
+        # `get flag` spans the offsets that `ghost` has in lib.rula
+        source = head + " " * (text.index("ghost") - len(head)) + "get flag }\n"
+        program, _ = resolve_imports(parse(source), [tmp_path])
+        errors = analyze_program(program).errors
+        assert [(d.code, d.origin is None) for d in errors] == [
+            ("unknown-name", False), ("compile-time", True)
+        ]
+
     def test_missing_module(self, tmp_path):
         program = parse("import (rule) missing_module::helper")
         _, diags = resolve_imports(program, [tmp_path])

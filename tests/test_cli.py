@@ -32,6 +32,21 @@ ruleset hand{
 }
 """
 
+# line 9 reads, at column 22, a name that nothing binds
+UNBOUND_LIB = """#repeaters: vec[Repeater]
+import std::operation::{measure}
+
+// binds a name that nothing defines
+rule bad<#rep>(){
+    let partner: Repeater = #rep.hop(1)
+    cond { @q: res(1, 0.5, partner, 0) }
+    => act {
+        let x: int = ghost
+        free(q)
+    }
+}
+"""
+
 # `set r` without `as` stores the result under `r`, which `get r` reads
 SET_WITHOUT_ALIAS = """#repeaters: vec[Repeater]
 import std::operation::{measure}
@@ -343,6 +358,21 @@ class TestCompile:
         assert (code, out) == (1, "")
         assert "error[bad-import]: cannot read entanglement_swapping.rula: " in err
         assert "Permission denied" in err and "Traceback" not in err
+
+    def test_error_in_an_imported_rule_names_its_file(self, corpus, capsys, tmp_path):
+        (tmp_path / "lib.rula").write_text(UNBOUND_LIB)
+        program = tmp_path / "main.rula"
+        # longer than lib.rula, so that the error's offset also falls inside it
+        padding = "// the rule is imported\n" * 20
+        program.write_text(f"#repeaters: vec[Repeater]\nimport (rule) lib::bad\n{padding}"
+                           "ruleset main { bad<#repeaters(0)>() }\n")
+        code, out, err = run_cli(
+            ["compile", program, "--config", corpus / "config3.json", "--out-dir", tmp_path / "out"],
+            capsys,
+        )
+        lib = (tmp_path / "lib.rula").resolve()
+        assert (code, out) == (1, "")
+        assert err == f"{lib}:9:22: error[unknown-name]: unknown identifier ghost\n"
 
     def test_os_error_leaves_an_earlier_compile(self, corpus, capsys, tmp_path):
         """A write that fails with an OS error at the third file exits 1, and

@@ -113,6 +113,11 @@ class TestStatements:
         assert [t.name for t in stmt.targets] == ["q", "r"]
         assert stmt.targets[1].type_annotation.kind == "str"
 
+    def test_let_with_vector_annotation(self):
+        (stmt,) = parse_statements("let xs: vec[int] = [1, 2]")
+        annotation = stmt.targets[0].type_annotation
+        assert (annotation.kind, annotation.inner.kind, str(annotation)) == ("vec", "int", "vec[int]")
+
     def test_for_over_vector_literal(self):
         (stmt,) = parse_statements("for x in [1, 2, 3] { set x }")
         assert isinstance(stmt, ast.ForStmt)
@@ -232,6 +237,11 @@ class TestExpressions:
         assert isinstance(expr, ast.RuleCall)
         assert isinstance(expr.repeater.index, ast.TermExpr)
         assert expr.args == (ast.Ident("d"),)
+
+    def test_upper_case_booleans_are_operands(self):
+        expr = parse_expression("TRUE < False")
+        assert isinstance(expr, ast.CompExpr)
+        assert (expr.lhs, expr.rhs) == (ast.BoolLit(True), ast.BoolLit(False))
 
     def test_reserved_words_are_not_identifiers(self):
         for word in ("rule", "cond", "act", "Qubit", "vec"):
