@@ -106,8 +106,8 @@ _OPERAND_FORMS = {"Qubit": ast.Ident, "Result": ast.Ident, "correction": ast.FnC
 _Scope = dict
 
 
-@dataclass(frozen=True, slots=True)
-class Diagnostic:
+@ast.node
+class Diagnostic(ast.Value):
     severity: str
     code: str
     span: ast.Span
@@ -120,8 +120,8 @@ class Diagnostic:
         return self.severity == SEVERITY_ERROR
 
 
-@dataclass(frozen=True)
-class RuleSignature:
+@ast.node
+class RuleSignature(ast.Value):
     name: str
     param_types: tuple[str | None, ...]
     return_types: tuple[str, ...]

@@ -92,8 +92,8 @@ _MIRROR = {"Eq": "Eq", "Neq": "Neq", "Lt": "Gt", "Gt": "Lt", "Leq": "Geq", "Geq"
 MAX_UNROLLED = 1 << 24
 
 
-@dataclass(frozen=True)
-class Obligation:
+@ast.node
+class Obligation(ast.Value):
     """One Send clause together with the Recv that will consume it."""
 
     kind: str
@@ -161,38 +161,38 @@ def write_output(out: CompiledOutput, out_dir: Path) -> list[Path]:
 # --- evaluation values -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QubitRef:
+@ast.node
+class QubitRef(ast.Value):
     """A qubit slot captured by a res clause or passed in as a promoted value."""
 
     index: int
     hops: int | None = None  # its res partner's index minus the owner's; None if promoted
 
 
-@dataclass(frozen=True)
-class ResultRef:
+@ast.node
+class ResultRef(ast.Value):
     """A measurement register produced by bsm()/measure() in this rule."""
 
     register: str
 
 
-@dataclass(frozen=True)
-class MessageRef:
+@ast.node
+class MessageRef(ast.Value):
     """The message captured by a recv clause."""
 
     capture: str
 
 
-@dataclass(frozen=True)
-class PromotedHandle:
+@ast.node
+class PromotedHandle(ast.Value):
     """Ruleset-level handle to a qubit a rule promised to promote."""
 
     owner_index: int
     qubit_index: int
 
 
-@dataclass(frozen=True)
-class Unpromoted:
+@ast.node
+class Unpromoted(ast.Value):
     """Ruleset-level value of a `Qubit?` result that its rule call did not
     promote: the promote sits under a condition that folded to false."""
 
@@ -480,8 +480,12 @@ class _Compiler:
         self._handler_clauses: dict[tuple, tuple] = {}  # by effect
         self._read_topology = False  # an act read the chain outside its env
 
-    def error(self, code: str, span: ast.Span, message: str) -> None:
-        self.diagnostics.append(Diagnostic("error", code, span, message))
+    def error(
+        self, code: str, span: ast.Span, message: str, origin: tuple[str, str] | None = None
+    ) -> None:
+        """Report an error at `span` in the program, or in the file `origin`
+        names (see `ast.RuleStmt.origin`)."""
+        self.diagnostics.append(Diagnostic("error", code, span, message, origin))
 
     # --- constant evaluation -------------------------------------------------
 
@@ -591,6 +595,7 @@ class _Compiler:
         rule = self.rules[call.name]
         poison = tuple(None for _ in rule.return_types) or (None,)
         args = []
+        origin = None  # a fault at the call is in the program, one in the rule in the rule's file
         try:
             owner = self.eval(call.repeater, env)
             for arg in call.args:
@@ -605,26 +610,25 @@ class _Compiler:
                         f"{bound.rule} promotes none on repeater index {bound.owner_index}",
                     )
                 args.append(bound if isinstance(bound, PromotedHandle) else self.eval(arg, env))
-            return self._expand_rule(rule, owner, args, call.span)
-        except LowerError as err:
-            self.error(err.code, err.span, err.message)
-            return poison
-
-    def _expand_rule(self, rule: ast.RuleStmt, owner: Repeater, args: list, span: ast.Span) -> tuple:
-        self._current_owner = owner
-        env: dict = {rule.repeater_param: owner}
-        for param, arg in zip(rule.params, args):
-            if isinstance(arg, PromotedHandle):
-                if arg.owner_index != owner.index:
+            for arg in args:
+                if isinstance(arg, PromotedHandle) and arg.owner_index != owner.index:
                     raise LowerError(
                         "promote-owner",
-                        span,
+                        call.span,
                         f"promoted qubit from repeater index {arg.owner_index} "
                         f"used on repeater index {owner.index}",
                     )
-                env[param.name] = QubitRef(arg.qubit_index)
-            else:
-                env[param.name] = arg
+            origin = rule.origin
+            return self._expand_rule(rule, owner, args)
+        except LowerError as err:
+            self.error(err.code, err.span, err.message, origin)
+            return poison
+
+    def _expand_rule(self, rule: ast.RuleStmt, owner: Repeater, args: list) -> tuple:
+        self._current_owner = owner
+        env: dict = {rule.repeater_param: owner}
+        for param, arg in zip(rule.params, args):
+            env[param.name] = QubitRef(arg.qubit_index) if isinstance(arg, PromotedHandle) else arg
         for let in rule.lets:
             env[let.targets[0].name] = self.eval(let.value, env)
 

@@ -72,9 +72,10 @@ level catches it, prepends its own segment (".stages[2]", ".rules[0]",
 ".condition", ".clauses[1]", ".Res", ".qgates[0]", ...) and re-raises, and
 the outermost adds the leading "$".
 
-Every node class is a frozen dataclass with slots (`_node`), built by an
-`__init__` that sets each slot through its member descriptor, and holds no
-per-instance dict; nodes compare and hash by value.
+Every node class is built by `ast.node`, the helper the syntax tree is
+built with: a frozen `ast.Value` with slots that holds no per-instance
+dict, compares and hashes by value and is built by an `__init__` that sets
+each slot through its member descriptor.
 
 A load shares nodes only through its shapes: a refilled RuleSet holds its
 shape's conditions and actions that have no hole, and each Res, Recv or Send
@@ -91,7 +92,7 @@ import math
 import operator
 import re
 from collections.abc import Iterator
-from dataclasses import MISSING, dataclass, fields
+from .ast import Value, node
 
 # each Cmp operator of the wire format, and the test it names
 COMPARISONS = {
@@ -117,36 +118,13 @@ class SchemaError(ValueError):
         self.reason = message
 
 
-def _node(cls: type) -> type:
-    """`cls` as a frozen dataclass with slots, whose `__init__` sets each
-    slot through its member descriptor instead of `object.__setattr__`:
-    a `Rule` is built in about half the time (0.65 against 1.2 µs on a
-    2 vCPU Xeon VM, Python 3.11.7), and a slotted node holds no
-    per-instance dict."""
-    cls = dataclass(frozen=True, slots=True)(cls)
-    scope: dict = {}
-    params, body = [], []
-    for f in fields(cls):
-        scope[f"_set_{f.name}"] = cls.__dict__[f.name].__set__
-        if f.default is MISSING:
-            params.append(f.name)
-        else:
-            scope[f"_default_{f.name}"] = f.default
-            params.append(f"{f.name}=_default_{f.name}")
-        body.append(f"\n    _set_{f.name}(self, {f.name})")
-    exec(f"def __init__(self, {', '.join(params)}):{''.join(body)}", scope)
-    cls.__init__ = scope["__init__"]
-    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
-    return cls
-
-
-@_node
-class QubitId:
+@node
+class QubitId(Value):
     qubit_index: int
 
 
-@_node
-class TaggedValue:
+@node
+class TaggedValue(Value):
     """A literal tagged with its kind, e.g. {"MeasResult": "00"}."""
 
     kind: str
@@ -156,28 +134,28 @@ class TaggedValue:
 # --- condition clauses -------------------------------------------------------
 
 
-@_node
-class ResClause:
+@node
+class ResClause(Value):
     count: int
     fidelity: float
     partner_addr: int
     qubit_index: int
 
 
-@_node
-class CmpClause:
+@node
+class CmpClause(Value):
     cmp_val: str
     operator: str
     target_val: TaggedValue
 
 
-@_node
-class TimerClause:
+@node
+class TimerClause(Value):
     timer_id: str
 
 
-@_node
-class RecvClause:
+@node
+class RecvClause(Value):
     partner_addr: int
 
 
@@ -187,30 +165,30 @@ ConditionClause = ResClause | CmpClause | TimerClause | RecvClause
 # --- action clauses ----------------------------------------------------------
 
 
-@_node
-class SetTimerClause:
+@node
+class SetTimerClause(Value):
     timer_id: str
     duration: int
 
 
-@_node
-class PromoteClause:
+@node
+class PromoteClause(Value):
     qubit: QubitId
 
 
-@_node
-class FreeClause:
+@node
+class FreeClause(Value):
     qubit: QubitId
 
 
-@_node
-class SetClause:
+@node
+class SetClause(Value):
     variable: str
     alias: str | None = None
 
 
-@_node
-class MeasureClause:
+@node
+class MeasureClause(Value):
     qubit: QubitId
     basis: str
 
@@ -221,19 +199,19 @@ def register(n: int) -> str:
     return "MeasResult" if n == 0 else f"MeasResult{n}"
 
 
-@_node
-class QGate:
+@node
+class QGate(Value):
     qubit: QubitId
     kind: str
 
 
-@_node
-class QCircClause:
+@node
+class QCircClause(Value):
     qgates: tuple[QGate, ...]
 
 
-@_node
-class SendClause:
+@node
+class SendClause(Value):
     message: str  # one of MESSAGE_KINDS
     partner_addr: int
     payload: tuple[tuple[str, str], ...] = ()
@@ -253,19 +231,19 @@ ActionClause = (
 # --- rule / stage / ruleset --------------------------------------------------
 
 
-@_node
-class Condition:
+@node
+class Condition(Value):
     name: str | None = None
     clauses: tuple[ConditionClause, ...] = ()
 
 
-@_node
-class Action:
+@node
+class Action(Value):
     name: str | None = None
     clauses: tuple[ActionClause, ...] = ()
 
 
-class _Keyed:
+class _Keyed(Value):
     """The base of `Rule`: a slot, not a field, for the template key that
     lowering or a load's refill hands it (see `keyed`). A rule built any
     other way, `dataclasses.replace` included, has it unset."""
@@ -273,7 +251,7 @@ class _Keyed:
     __slots__ = ("_template",)
 
 
-@_node
+@node
 class Rule(_Keyed):
     name: str
     id: int
@@ -284,19 +262,19 @@ class Rule(_Keyed):
     is_finalized: bool = False
 
 
-@_node
-class Stage:
+@node
+class Stage(Value):
     rules: tuple[Rule, ...] = ()
 
 
-class _Referable:
+class _Referable(Value):
     """The base of `RuleSet`, whose one slot lets a RuleSet be weakly
     referenced (dataclass's `weakref_slot=` needs Python 3.11)."""
 
     __slots__ = ("__weakref__",)
 
 
-@_node
+@node
 class RuleSet(_Referable):
     name: str
     id: int
@@ -304,8 +282,8 @@ class RuleSet(_Referable):
     stages: tuple[Stage, ...] = ()
 
 
-@_node
-class Finding:
+@node
+class Finding(Value):
     path: str
     message: str
 

@@ -23,7 +23,6 @@ first ("<=" is not "<" then "="); keywords match on a word boundary only
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from . import ast
 
@@ -87,8 +86,8 @@ def line_col(source: str, pos: int) -> tuple[int, int]:
     return line, pos - last_nl
 
 
-@dataclass(frozen=True)
-class StyleWarning:
+@ast.node
+class StyleWarning(ast.Value):
     message: str
     span: ast.Span
 

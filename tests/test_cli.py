@@ -47,6 +47,15 @@ rule bad<#rep>(){
 }
 """
 
+# a rule whose partner is past the end of a 3-node chain: a fault of lowering
+FAR_LIB = """#repeaters: vec[Repeater]
+// reaches past the end of a 3-node chain
+rule far<#rep>(){
+    cond { @q: res(1, 0.5, #rep.hop(5), 0) }
+    => act { free(q) }
+}
+"""
+
 # `set r` without `as` stores the result under `r`, which `get r` reads
 SET_WITHOUT_ALIAS = """#repeaters: vec[Repeater]
 import std::operation::{measure}
@@ -359,20 +368,35 @@ class TestCompile:
         assert "error[bad-import]: cannot read entanglement_swapping.rula: " in err
         assert "Permission denied" in err and "Traceback" not in err
 
-    def test_error_in_an_imported_rule_names_its_file(self, corpus, capsys, tmp_path):
-        (tmp_path / "lib.rula").write_text(UNBOUND_LIB)
+    @pytest.mark.parametrize(
+        "text,rule,error",
+        [
+            (UNBOUND_LIB, "bad", "9:22: error[unknown-name]: unknown identifier ghost"),
+            (
+                FAR_LIB,
+                "far",
+                "4:28: error[hop-range]: hop leaves the path: index 0 with offset 5 "
+                "targets 5, valid indices are 0..2",
+            ),
+        ],
+        ids=["analyzer", "lowering"],
+    )
+    def test_error_in_an_imported_rule_names_its_file(
+        self, corpus, capsys, tmp_path, text, rule, error
+    ):
+        (tmp_path / "lib.rula").write_text(text)
         program = tmp_path / "main.rula"
         # longer than lib.rula, so that the error's offset also falls inside it
         padding = "// the rule is imported\n" * 20
-        program.write_text(f"#repeaters: vec[Repeater]\nimport (rule) lib::bad\n{padding}"
-                           "ruleset main { bad<#repeaters(0)>() }\n")
+        program.write_text(f"#repeaters: vec[Repeater]\nimport (rule) lib::{rule}\n{padding}"
+                           f"ruleset main {{ {rule}<#repeaters(0)>() }}\n")
         code, out, err = run_cli(
             ["compile", program, "--config", corpus / "config3.json", "--out-dir", tmp_path / "out"],
             capsys,
         )
         lib = (tmp_path / "lib.rula").resolve()
         assert (code, out) == (1, "")
-        assert err == f"{lib}:9:22: error[unknown-name]: unknown identifier ghost\n"
+        assert err == f"{lib}:{error}\n"
 
     def test_os_error_leaves_an_earlier_compile(self, corpus, capsys, tmp_path):
         """A write that fails with an OS error at the third file exits 1, and

@@ -1,14 +1,16 @@
 """The doubling chain ladder: `rula compile`, `rula validate` and `rula run`
-on chains of 2^L + 1 nodes, each step in a fresh `python -m rula` process.
+on chains of 2^L + 1 nodes, each step in a fresh `python -m rula` process,
+and a `startup` step, `python -m rula --help`, which imports rula and does
+no work: the part of every other step that is not the step's own.
 
     python3 tools/ladder.py [--tree LABEL=SRC ...] [--repeats N] [--out FILE]
 
 Each `--tree` names a source tree (the directory holding the `rula`
 package) to put on `PYTHONPATH`; the default is this checkout's `src`.
-For every level in `LEVELS`, every repeat runs each tree in turn, the order
-alternating between repeats, and records per step the wall time, the CPU
-time (user + system) and the peak resident set size, all read from the
-child's own resource usage (`os.wait4`, what `getrusage(RUSAGE_CHILDREN)`
+The startup step, then every level in `LEVELS`, runs each tree in turn
+per repeat, the order alternating between repeats, and records per step
+the wall time, the CPU time (user + system) and the peak resident set
+size, all read from the child's own resource usage (`os.wait4`, what `getrusage(RUSAGE_CHILDREN)`
 reports once that child alone has been waited for). On Linux a child's
 `ru_maxrss` starts at its parent's peak, so this script imports nothing of
 rula and stays small.
@@ -17,7 +19,8 @@ The program is the corpus swap schedule with `for d in [1, 2, 4, ...]` in
 place of `1..n/2`, on a chain whose addresses are the indices. A step that
 exits non-zero, or a run whose report is not quiescent with the one pair
 (0, n - 1), stops the ladder. The JSON written to `--out` (or stdout)
-holds every run and, per tree, level and step, the median of the repeats.
+holds every run and, per tree, level and step (and per tree for startup),
+the median of the repeats.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ ROOT = Path(__file__).resolve().parent.parent
 CORPUS_SCHEDULE = "for d in 1..(#repeaters.len()/2)"
 LEVELS = (10, 11, 12)  # 1 025, 2 049 and 4 097 nodes
 STEPS = ("compile", "validate", "run")
+METRICS = ("wall_s", "cpu_s", "maxrss_mb")
 
 
 def write_inputs(levels: int, work: Path) -> tuple[Path, Path, int]:
@@ -99,6 +103,12 @@ def rung(src: str, program: Path, chain: Path, nodes: int, work: Path) -> dict:
     return times
 
 
+def median(runs: list[dict], **cell) -> dict:
+    """Each metric's median over the runs that match `cell`."""
+    mine = [r for r in runs if all(r.get(key) == value for key, value in cell.items())]
+    return {metric: round(statistics.median(r[metric] for r in mine), 3) for metric in METRICS}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tree", action="append", default=[], metavar="LABEL=SRC")
@@ -107,6 +117,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     trees = [tuple(tree.split("=", 1)) for tree in args.tree] or [("src", str(ROOT / "src"))]
     runs = []
+    for repeat in range(args.repeats):
+        for label, src in trees if repeat % 2 == 0 else trees[::-1]:
+            times = measure(["--help"], src, subprocess.DEVNULL)
+            runs.append({"tree": label, "step": "startup", **times})
+            print(f"{label} startup: {times['wall_s']:.3f}/{times['cpu_s']:.3f} s "
+                  f"{times['maxrss_mb']:.0f} MB", file=sys.stderr)
     with tempfile.TemporaryDirectory(prefix="ladder-") as tmp:
         for levels in LEVELS:
             rung_dir = Path(tmp) / f"L{levels}"
@@ -127,15 +143,12 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"{label} {nodes} nodes: {cells}", file=sys.stderr)
     medians: dict = {}
     for label, _src in trees:
+        medians[label] = {"startup": median(runs, tree=label, step="startup")}
         for levels in LEVELS:
             nodes = 2**levels + 1
-            for step in STEPS:
-                cell = (label, nodes, step)
-                mine = [r for r in runs if (r["tree"], r["nodes"], r["step"]) == cell]
-                medians.setdefault(label, {}).setdefault(str(nodes), {})[step] = {
-                    metric: round(statistics.median(r[metric] for r in mine), 3)
-                    for metric in ("wall_s", "cpu_s", "maxrss_mb")
-                }
+            medians[label][str(nodes)] = {
+                step: median(runs, tree=label, nodes=nodes, step=step) for step in STEPS
+            }
     doc = {
         "trees": [label for label, _src in trees],
         "python": platform.python_version(),
