@@ -28,7 +28,7 @@ def _err(message: str) -> None:
     and every later line, and nothing else: stdout and the exit status stay
     as they would be."""
     try:
-        print(message, file=sys.stderr)
+        sys.stderr.write(message + "\n")
     except OSError:
         _discard(sys.stderr)
 
@@ -233,19 +233,83 @@ def _load_rulesets(directory: Path, topology: config.Topology):
     return rulesets
 
 
-def _describe(report: runtime.RunReport, prefix: str = "") -> runtime.RunReport:
-    """Print `report` to stderr, each line after `prefix`, and return it."""
-    _err(f"{prefix}{report.status} after {report.rounds} round(s), "
-         f"{len(report.fired)} rule(s) fired, "
-         f"{report.messages_delivered} message(s) delivered")
+def _end_lines(report: runtime.RunReport) -> list[str]:
+    """The stderr lines of `report` after its first: its pairs, then why it
+    is stuck."""
+    lines = []
     for pair in report.pairs:
         a, b = pair["nodes"]
         phase, parity = pair["bell_index"]
-        _err(f"{prefix}pair ({a}, {b}): bell_index ({phase}, {parity}), "
-             f"fidelity {pair['fidelity']}, {'/'.join(pair['states'])}")
-    for line in report.stuck:
-        _err(f"{prefix}stuck: {line}")
-    return report
+        lines.append(f"pair ({a}, {b}): bell_index ({phase}, {parity}), "
+                     f"fidelity {pair['fidelity']}, {'/'.join(pair['states'])}")
+    return lines + [f"stuck: {line}" for line in report.stuck]
+
+
+def _block(prefix: str, end: runtime.RunReport, fired: int, delivered: int, lines: list[str]) -> str:
+    """The stderr lines of a run that ends as `end` after firing `fired`
+    rules and delivering `delivered` messages, each after `prefix`, as one
+    text: its status, then `lines` (see `_end_lines`)."""
+    status = (f"{end.status} after {end.rounds} round(s), {fired} rule(s) fired, "
+              f"{delivered} message(s) delivered")
+    return prefix + ("\n" + prefix).join([status, *lines])
+
+
+# A report of `rula run --enumerate-outcomes --report-json` sits at this
+# indentation, its fields one step in and the items of its lists two (see
+# `ir.dump`, indent 2, and `runtime.RunReport.to_json` for the key order).
+_REPORT, _FIELD, _ITEM = "\n    ", "\n      ", "\n        "
+
+
+class _Branches:
+    """How `rula run --enumerate-outcomes` folds the paths of the outcome
+    graph (see `explore.outcomes`): a path's fired records into how many
+    there are and, with `--report-json`, the text of the report's `fired`
+    items, each after its separator; each branch into its stderr block and
+    the text of its report.  The text of each fired record, and the stderr
+    lines and JSON tail of each report that ends a run, are made once; the
+    graph holds all of those records while it unfolds, so an id keys each.
+    """
+
+    start = ("", 0)
+
+    def __init__(self, report_json: bool) -> None:
+        self.json = report_json
+        self.records: dict[int, str] = {}  # id -> its text as a `fired` item
+        self.ends: dict[int, tuple] = {}  # id -> its stderr lines and JSON tail
+
+    def add(self, fired: tuple, records: list) -> tuple:
+        text, count = fired
+        if self.json:
+            known = self.records
+            for record in records:
+                if id(record) not in known:
+                    known[id(record)] = "," + _ITEM + ir.text(record, _ITEM, "  ")
+            text += "".join([known[id(r)] for r in records])
+        return text, count + len(records)
+
+    def _end(self, end: runtime.RunReport) -> tuple:
+        tail = None
+        if self.json:  # the report's fields from `pairs` on, and its close
+            rest = {"pairs": end.pairs, "rounds": end.rounds, "status": end.status, "stuck": end.stuck}
+            tail = "," + ir.text(rest, _REPORT, "  ")[1:]
+        known = self.ends[id(end)] = (_end_lines(end), tail)
+        return known
+
+    def branch(self, end: runtime.RunReport, fired, delivered: int, path: tuple) -> tuple:
+        """The branch's stderr block, and the text of its report or None."""
+        lines, tail = self.ends.get(id(end)) or self._end(end)
+        bits = "".join(map(str, path))
+        text, count = fired
+        block = _block(f"branch {bits}: ", end, count, delivered, lines)
+        if not self.json:
+            return block, None
+        return block, "".join([
+            "{", _FIELD, '"fired": ', "[" + text[1:] + _FIELD + "]" if text else "[]",
+            ",", _FIELD, '"messages_delivered": ', str(delivered),
+            ",", _FIELD, '"outcome_path": ',
+            "[" + _ITEM + ("," + _ITEM).join(bits) + _FIELD + "]" if bits else "[]",
+            tail,
+        ])
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -266,7 +330,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     budget = {"initial_fidelity": args.fidelity, "max_rounds": args.max_steps}
     try:
         if args.enumerate_outcomes:
-            branches, ok, reports = explore.outcomes(rulesets, topology, **budget)
+            branches, ok, drawn = explore.outcomes(
+                rulesets, topology, fold=_Branches(args.report_json), **budget)
         else:
             report = runtime.run(rulesets, topology, seed=args.seed, **budget)
             ok = report.quiescent
@@ -274,25 +339,27 @@ def cmd_run(args: argparse.Namespace) -> int:
         _err(f"error: simulation: {exc}")
         return EXIT_FAILURE
 
-    if args.enumerate_outcomes:
-        # made as they are written, each branch's lines before its JSON
-        described = (_describe(r, f"branch {''.join(map(str, r.outcome_path))}: ") for r in reports)
-        document = {
-            "all_quiescent": ok,
-            "branches": branches,
-            "mode": "enumerate",
-            "reports": map(runtime.RunReport.to_json, described),
-        }
-    else:
-        described = ()
-        document = _describe(report).to_json()
-    if args.report_json:  # written as it goes (see `ir.dump`)
-        ir.dump(document, _out, indent=2)
-        _out("\n")
-    for _report in described:  # without --report-json, nothing else draws them
-        pass
-    if args.enumerate_outcomes:
-        _err(f"{branches} branch(es), " + ("all quiescent" if ok else "some stuck"))
+    if not args.enumerate_outcomes:
+        _err(_block("", report, len(report.fired), report.messages_delivered, _end_lines(report)))
+        if args.report_json:  # written as it goes (see `ir.dump`)
+            ir.dump(report.to_json(), _out, indent=2)
+            _out("\n")
+        return EXIT_OK if ok else EXIT_FAILURE
+
+    # each branch's stderr block, then its JSON: one write each, made as
+    # the branch is drawn, so no report is held
+    if args.report_json:
+        _out(f'{{\n  "all_quiescent": {"true" if ok else "false"},\n  "branches": {branches},'
+             f'\n  "mode": "enumerate",\n  "reports": ')
+    sep = "[" + _REPORT
+    for block, text in drawn:
+        _err(block)
+        if text is not None:
+            _out(sep + text)
+            sep = "," + _REPORT
+    if args.report_json:  # a run has at least one branch
+        _out("\n  ]\n}\n")
+    _err(f"{branches} branch(es), " + ("all quiescent" if ok else "some stuck"))
     return EXIT_OK if ok else EXIT_FAILURE
 
 

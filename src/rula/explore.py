@@ -14,20 +14,27 @@ rounds before a bit is drawn run once for the whole subtree below them,
 and an equal state met again is not run again.
 
 Folding the graph gives the number of branches and whether every one is
-quiescent.  Unfolding it depth first, edges in bit order, gives the report
-of every branch in outcome-path order, each with the bits, fired records
-and delivered count of the edges on its path: so the reports, and every
-byte written from them, are those of running every branch.  The reports
-are made as they are drawn, and only the graph is held.
+quiescent.  Unfolding it depth first, edges in bit order, gives every
+branch in outcome-path order.  Its stack carries, for each node on the
+path, the bits and delivered count of the edges so far and a fold of their
+fired records: their list, so that each branch is made into its report
+with the bits, fired records and delivered count of the edges on its path,
+and the reports, and every byte written from them, are those of running
+every branch.  `rula run` folds the records into the text it writes
+instead (see `cli._Branches`), so it renders an edge's records once each
+time the unfold passes the edge, not once for every branch below it.  Each
+branch is made as it is drawn, and only the graph is held.
 
 Report records are hash-consed (Filliâtre and Conchon, 2006): the fired
 records of each edge and the pair records of each report that ends a run
 are kept once per distinct value, in a table of the call, so every report
-that holds an equal record holds the same read-only dict, and
-`--report-json` writes each one once (see `ir.dump`).
+that holds an equal record holds the same read-only dict, whose text a
+write makes once (see `ir.dump` and `cli._Branches`).
 """
 
 from __future__ import annotations
+
+import operator
 
 from . import ir
 from .config import Topology
@@ -131,12 +138,25 @@ class _Keys:
         return tuple(key)
 
 
+class Reports:
+    """The fold that unfolds each branch into its `RunReport`: a path's
+    fired records are the lists of its edges added up."""
+
+    start: list = []  # never changed: `add` makes a new list
+    add = staticmethod(operator.add)
+
+    @staticmethod
+    def branch(end: RunReport, fired: list, delivered: int, path: tuple) -> RunReport:
+        return RunReport(end.status, end.rounds, fired, end.pairs, end.stuck, delivered, path)
+
+
 def outcomes(
     rulesets: dict[int, ir.RuleSet],
     topology: Topology,
     *,
     initial_fidelity: float = 1.0,
     max_rounds: int = 10_000,
+    fold=Reports,
 ) -> tuple:
     """The number of branches of the measurement outcome tree, whether every
     one ends quiescent, and a generator of their reports, each once, in
@@ -151,8 +171,11 @@ def outcomes(
     folded once its last plan has run: an edge that ends the run is one
     branch, and one that reaches a node brings that node's branches.
     The generator walks the graph with a stack of edge iterators, one per
-    node on the path that has more than one edge, and makes each report as
-    it is drawn.
+    node on the path that has more than one edge, each with the path's bits,
+    delivered count and fired records so far, folded by `fold` (see
+    `Reports`): `fold.add` adds an edge's fired records to a path's, from
+    `fold.start`, and `fold.branch` makes each branch, as it is drawn, from
+    the report that ends it and its path's fold, delivered count and bits.
     """
     keys = _Keys()
     nodes = {}  # key -> its node: [edges], then branches and all quiescent
@@ -190,23 +213,24 @@ def outcomes(
         node[0].append((bits, fired, fork.delivered - net.delivered, end))
 
     def unfold():
-        stack = [((), [], 0, iter(root[0]))]
+        stack = [((), fold.start, 0, iter(root[0]))]
         while stack:
             path, fired, delivered, ahead = stack[-1]
             for bits, more, count, end in ahead:
-                more, count = fired + more, delivered + count
+                more, count = add(fired, more), delivered + count
                 # a node with one edge draws no bit (a drawn bit is flipped
                 # too): followed in place
                 while end.__class__ is not RunReport and len(end[0]) == 1:
                     _, after, step, end = end[0][0]
-                    more += after
+                    more = add(more, after)
                     count += step
                 if end.__class__ is RunReport:
-                    yield RunReport(end.status, end.rounds, more, end.pairs, end.stuck, count, path + bits)
+                    yield branch(end, more, count, path + bits)
                 else:
                     stack.append((path + bits, more, count, iter(end[0])))
                     break
             else:
                 stack.pop()
 
+    add, branch = fold.add, fold.branch
     return (*root[1:], unfold())

@@ -367,6 +367,14 @@ def dump(value, write, indent: int = 4) -> None:
         _write(value, "\n", " " * indent, write, {})
 
 
+def text(value, newline: str, step: str) -> str:
+    """The text `dump` writes for `value` where it sits at the indentation
+    `newline`, as one string."""
+    out: list[str] = []
+    _write(value, newline, step, out.append, {})
+    return "".join(out)
+
+
 def _write(value, newline: str, step: str, emit, texts: dict, templates=None):
     """Write `value` at the indentation `newline`. `texts` is the table of
     dicts met in one write, under (id, `newline`): the dict, so that its id

@@ -1,6 +1,8 @@
 """Command-line behavior: exit codes, stream separation, partial-output
 guarantees and reproducibility."""
 
+import collections
+import contextlib
 import errno
 import gc
 import io
@@ -1318,6 +1320,184 @@ class TestReportJson:
         assert code == 0
         assert sink.chars > 2_000_000  # its 1 024 reports
         assert peak < sink.chars, (peak, sink.chars)
+
+
+def _per_line_report(report, prefix, err):
+    """Write `report`'s stderr lines one at a time, in the format
+    `rula run` writes them in."""
+    err(f"{prefix}{report.status} after {report.rounds} round(s), "
+        f"{len(report.fired)} rule(s) fired, {report.messages_delivered} message(s) delivered\n")
+    for pair in report.pairs:
+        a, b = pair["nodes"]
+        phase, parity = pair["bell_index"]
+        err(f"{prefix}pair ({a}, {b}): bell_index ({phase}, {parity}), "
+            f"fidelity {pair['fidelity']}, {'/'.join(pair['states'])}\n")
+    for line in report.stuck:
+        err(f"{prefix}stuck: {line}\n")
+    return report
+
+
+def _generic_run(config, rulesets, *, fidelity="1.0", max_steps="10000", seed=None, report_json):
+    """What `rula run` writes, made the generic way: every report built
+    (`runtime.enumerate_outcomes` or `runtime.run`), its stderr lines written
+    one by one and its `to_json()` written by `ir.dump`, each branch's lines
+    before its JSON.  The (stream, text) pieces in the order written, and
+    the exit status."""
+    written = []
+
+    def out(text):
+        written.append(("out", text))
+
+    def err(text):
+        written.append(("err", text))
+
+    topology = cli._read_config(str(config))[1]
+    loaded = cli._load_rulesets(Path(rulesets), topology)
+    budget = {"initial_fidelity": float(fidelity), "max_rounds": int(max_steps)}
+    if seed is None:
+        reports = runtime.enumerate_outcomes(loaded, topology, **budget)
+        ok = all(r.quiescent for r in reports)
+        described = (
+            _per_line_report(r, f"branch {''.join(map(str, r.outcome_path))}: ", err).to_json()
+            for r in reports
+        )
+        if report_json:
+            document = {"all_quiescent": ok, "branches": len(reports), "mode": "enumerate",
+                        "reports": described}
+            ir.dump(document, out, indent=2)
+            out("\n")
+        for _report in described:
+            pass
+        err(f"{len(reports)} branch(es), " + ("all quiescent" if ok else "some stuck") + "\n")
+    else:
+        report = _per_line_report(runtime.run(loaded, topology, seed=seed, **budget), "", err)
+        ok = report.quiescent
+        if report_json:
+            ir.dump(report.to_json(), out, indent=2)
+            out("\n")
+    return written, 0 if ok else 1
+
+
+def _streams(written, *names):
+    return "".join([text for stream, text in written if stream in names])
+
+
+def _same(got: str, want: str) -> None:
+    """Fail unless `got == want`, naming where they part: pytest's own diff
+    of megabytes of text takes minutes."""
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        pytest.fail(f"texts part at {at} of {len(got)} / {len(want)} chars: "
+                    f"{got[at - 60:at + 60]!r} != {want[at - 60:at + 60]!r}")
+
+
+class _Recording(io.TextIOBase):
+    """A stream that adds each text written to it, under its name, to one
+    list shared with another."""
+
+    def __init__(self, name, written):
+        self.name, self.written = name, written
+
+    def write(self, text):
+        self.written.append((self.name, text))
+        return len(text)
+
+
+class TestBranchWriter:
+    """`rula run --enumerate-outcomes` writes each branch from text folded
+    along the outcome graph (`cli._Branches`): its stdout, stderr and exit
+    status are those of the generic path (`_generic_run`)."""
+
+    @pytest.fixture(scope="class")
+    def compiled(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("compiled")
+        corpus = Path(__file__).parent / "corpus"
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            for program, config_name in TestReportJson.COMPILED:
+                assert cli.main(["compile", str(corpus / program), "--config", str(corpus / config_name),
+                                 "--out-dir", str(root / f"{program}-{config_name}")]) == 0
+        return root
+
+    @staticmethod
+    def run(corpus, compiled, program, config_name, *extra, report_json=True):
+        config = corpus / config_name
+        rulesets = compiled / f"{program}-{config_name}"
+        argv = ["run", "--config", str(config), "--rulesets", str(rulesets), *extra]
+        return argv + ["--report-json"] * report_json, config, rulesets
+
+    @pytest.mark.parametrize("report_json", [True, False], ids=["json", "text"])
+    @pytest.mark.parametrize("fidelity", ["1.0", "0.9", "0.8"])
+    @pytest.mark.parametrize("mode", ["enumerate", "seed"])
+    @pytest.mark.parametrize("program,config_name", TestReportJson.COMPILED)
+    def test_matches_generic_path(
+        self, corpus, compiled, capsys, program, config_name, mode, fidelity, report_json
+    ):
+        extra = ["--enumerate-outcomes"] if mode == "enumerate" else ["--seed", "3"]
+        argv, config, rulesets = self.run(corpus, compiled, program, config_name, *extra,
+                                          "--fidelity", fidelity, report_json=report_json)
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        written, want = _generic_run(config, rulesets, fidelity=fidelity, report_json=report_json,
+                                     seed=None if mode == "enumerate" else 3)
+        assert code == want
+        _same(out, _streams(written, "out"))
+        _same(err, _streams(written, "err"))
+
+    @pytest.mark.parametrize(
+        "program,config_name,max_steps",
+        [("chain7.rula", "config7.json", "0"), ("chain7.rula", "config7.json", "3"),
+         ("purification.rula", "config5.json", "3")],
+    )
+    def test_round_budgets(self, corpus, compiled, capsys, program, config_name, max_steps):
+        argv, config, rulesets = self.run(corpus, compiled, program, config_name,
+                                          "--enumerate-outcomes", "--max-steps", max_steps)
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        written, want = _generic_run(config, rulesets, max_steps=max_steps, report_json=True)
+        assert code == want
+        _same(out, _streams(written, "out"))
+        _same(err, _streams(written, "err"))
+        if max_steps == "3":
+            assert "stuck: round budget of 3 round(s) spent" in err
+        else:  # one branch, which draws no bit and fires nothing
+            [report] = json.loads(out)["reports"]
+            assert report["outcome_path"] == [] and report["fired"] == []
+            assert err.startswith("branch : stuck after 0 round(s), 0 rule(s) fired")
+
+    @pytest.mark.parametrize(
+        "program,config_name,fidelity,max_steps",
+        [("chain7.rula", "config7.json", "0.8", "10000"), ("purification.rula", "config5.json", "1.0", "10000"),
+         ("chain7.rula", "config7.json", "1.0", "3")],
+    )
+    def test_one_stream_keeps_the_order(
+        self, corpus, compiled, monkeypatch, program, config_name, fidelity, max_steps
+    ):
+        """Written to one stream, `"reports": ` comes before the first
+        branch's stderr block, and each block before its branch's JSON."""
+        argv, config, rulesets = self.run(corpus, compiled, program, config_name, "--enumerate-outcomes",
+                                          "--fidelity", fidelity, "--max-steps", max_steps)
+        both = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", both)
+        monkeypatch.setattr(sys, "stderr", both)
+        code = cli.main(argv)
+        written, want = _generic_run(config, rulesets, fidelity=fidelity, max_steps=max_steps,
+                                     report_json=True)
+        assert code == want
+        _same(both.getvalue(), _streams(written, "out", "err"))
+        assert '"reports": branch 0' in both.getvalue()
+
+    def test_one_write_per_branch(self, corpus, compiled, monkeypatch):
+        """Each branch of chain7 on 7 nodes costs one stdout write and one
+        stderr write, and the document's head, close and summary a few more."""
+        written = []
+        monkeypatch.setattr(sys, "stdout", _Recording("out", written))
+        monkeypatch.setattr(sys, "stderr", _Recording("err", written))
+        argv, _config, _rulesets = self.run(corpus, compiled, "chain7.rula", "config7.json",
+                                            "--enumerate-outcomes")
+        assert cli.main(argv) == 0
+        writes = collections.Counter(stream for stream, _text in written)
+        assert writes["out"] <= 1024 + 4 and writes["err"] <= 1024 + 4, writes
+        assert _streams(written, "err").count("\nbranch ") == 1023 + 1024  # one pair line each
 
 
 class TestFullStderr:
